@@ -1,15 +1,11 @@
 """Clean-sample selection for noisy labels via per-instance learning dynamics."""
 
 from .dynamics import (
-    InstanceMetrics,
-    PredictionSequence,
     SegmentDecomposition,
-    compute_metrics,
     forgetting_difficulty,
     memorization_difficulty,
     metric_full,
     metric_simplified,
-    record_status,
     score_sequences,
     segment,
 )
@@ -33,6 +29,7 @@ from .selection import (
     compare_strategies,
     run_multiround,
     run_round,
+    select_round,
     select_by_ratio,
     select_by_threshold,
     small_loss_select,
@@ -51,7 +48,6 @@ from .trainer import (
 from .evaluation import (
     SelectionStats,
     histogram_export,
-    round_trend_report,
     selection_precision_recall,
     test_accuracy,
 )

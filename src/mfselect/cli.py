@@ -8,8 +8,10 @@ next to the results, so re-running a command overwrites its outputs with
 byte-identical content and any artifact is reproducible from its output
 directory alone.
 
-Exit codes: 0 success, 2 configuration error, 3 data/log format error,
-4 numerical failure (mixture collapse without a fallback).
+Exit codes: 0 success, 2 configuration error (including a config value
+of the wrong type), 3 data/log format error (including an unreadable
+``state.json`` on ``--resume``), 4 numerical failure (mixture collapse
+without a fallback).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import concurrent.futures
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -33,7 +36,6 @@ from .errors import (
     MixtureFitError,
     TrainerCommandError,
 )
-from .dynamics import score_sequences
 from .mixture import FitConfig, MixtureFit, WeibullParams
 from .selection import RoundConfig
 from .trainer import (
@@ -79,8 +81,8 @@ class ExperimentConfig:
         cfg.dataset = _validate_dataset(raw.get("dataset"))
         cfg.noise = _validate_noise(raw.get("noise"))
         cfg.trainer = _validate_trainer(raw.get("trainer"))
-        cfg.round_config = _build_round(raw.get("round", {}))
-        cfg.fit_config = _build_fit(raw.get("fit", {}))
+        cfg.round_config = _build_round(raw.get("round") or {})
+        cfg.fit_config = _build_fit(raw.get("fit") or {})
         cfg.simulate = raw.get("simulate")
         return cfg
 
@@ -155,49 +157,56 @@ def _validate_trainer(section):
     return section
 
 
-def _build_round(section) -> RoundConfig:
-    _reject_unknown(
-        section,
-        {"epochs", "rounds", "lambda", "metric", "strategy", "ratio",
-         "reset_model_per_round", "small_loss_epoch", "small_loss_best_validation"},
-        "round",
-    )
+def _build(cls, section: dict, where: str, keys, renames=None):
+    """``cls`` from the ``keys`` of a config section; bad values are ConfigErrors.
+
+    ``renames`` maps a config key to its ``cls`` field where the names
+    differ; absent keys keep the dataclass defaults. A value whose type is
+    not its field default's (any number for a float field) is rejected by
+    key, so a YAML string such as ``1e8`` never reaches the dataclass.
+    """
+    kwargs = {}
+    for key in keys:
+        if key not in section:
+            continue
+        name = (renames or {}).get(key, key)
+        value = kwargs[name] = section[key]
+        default = cls.__dataclass_fields__[name].default
+        if default is None:
+            continue
+        expected = (int, float) if type(default) is float else type(default)
+        if not isinstance(value, expected) or (
+            isinstance(value, bool) != isinstance(default, bool)
+        ):
+            raise ConfigError(
+                f"{where}.{key} must be {type(default).__name__}, got {value!r}"
+            )
     try:
-        return RoundConfig(
-            epochs=section.get("epochs", 30),
-            rounds=section.get("rounds", 1),
-            lam=section.get("lambda", 1.0),
-            metric_kind=section.get("metric", "simplified"),
-            strategy=section.get("strategy", "mixture_threshold"),
-            ratio=section.get("ratio", 0.9),
-            reset_model_per_round=section.get("reset_model_per_round", False),
-            small_loss_epoch=section.get("small_loss_epoch"),
-            small_loss_best_validation=section.get("small_loss_best_validation", False),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"round: {exc}")
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}")
+
+
+ROUND_KEYS = ("epochs", "rounds", "lambda", "metric", "strategy", "ratio",
+              "reset_model_per_round", "small_loss_epoch")
+FIT_KEYS = ("tol", "max_iters", "shift_epsilon", "seed", "newton_tol",
+            "newton_max_iters", "threshold_rule", "dequantize")
+TRAINER_KEYS = ("learning_rate", "momentum", "batch_size", "schedule", "arch",
+                "hidden", "seed")
+DYNAMICS_KEYS = ("p_memorize_clean", "p_forget_clean", "p_memorize_noisy",
+                 "p_forget_noisy", "ramp")
+SIMULATE_SIZES = ("n_clean", "n_noisy", "epochs", "seed")
+
+
+def _build_round(section) -> RoundConfig:
+    _reject_unknown(section, set(ROUND_KEYS), "round")
+    return _build(RoundConfig, section, "round", ROUND_KEYS,
+                  renames={"lambda": "lam", "metric": "metric_kind"})
 
 
 def _build_fit(section) -> FitConfig:
-    _reject_unknown(
-        section,
-        {"tol", "max_iters", "shift_epsilon", "seed", "newton_tol",
-         "newton_max_iters", "threshold_rule", "dequantize"},
-        "fit",
-    )
-    try:
-        return FitConfig(
-            tol=section.get("tol", 1e-6),
-            max_iters=section.get("max_iters", 500),
-            shift_epsilon=section.get("shift_epsilon", 1e-3),
-            seed=section.get("seed", 0),
-            newton_tol=section.get("newton_tol", 1e-10),
-            newton_max_iters=section.get("newton_max_iters", 100),
-            threshold_rule=section.get("threshold_rule", "scale"),
-            dequantize=section.get("dequantize", True),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"fit: {exc}")
+    _reject_unknown(section, set(FIT_KEYS), "fit")
+    return _build(FitConfig, section, "fit", FIT_KEYS)
 
 
 def load_config(path, overrides=(), output_dir=None) -> ExperimentConfig:
@@ -276,18 +285,7 @@ def build_trainer(cfg: ExperimentConfig, ds: ToyDataset, workdir: Path):
             section["command"], dataset_file, workdir / "external",
             seed=section.get("seed", 0),
         )
-    try:
-        tcfg = TrainerConfig(
-            learning_rate=section.get("learning_rate", 0.01),
-            momentum=section.get("momentum", 0.9),
-            batch_size=section.get("batch_size", 128),
-            schedule=section.get("schedule", "cosine"),
-            arch=section.get("arch", "softmax_linear"),
-            hidden=section.get("hidden", 64),
-            seed=section["seed"],
-        )
-    except ValueError as exc:
-        raise ConfigError(f"trainer: {exc}")
+    tcfg = _build(TrainerConfig, section, "trainer", TRAINER_KEYS)
     return SGDTrainer(ds.features.shape[1], ds.n_classes, tcfg)
 
 
@@ -295,26 +293,14 @@ def build_dynamics_model(cfg: ExperimentConfig) -> tuple[DynamicsModel, dict]:
     section = cfg.simulate
     if section is None:
         raise ConfigError("config section 'simulate' is required for this command")
-    _reject_unknown(
-        section,
-        {"n_clean", "n_noisy", "epochs", "seed", "ramp", "p_memorize_clean",
-         "p_forget_clean", "p_memorize_noisy", "p_forget_noisy"},
-        "simulate",
-    )
-    for key in ("n_clean", "n_noisy", "epochs", "seed"):
+    _reject_unknown(section, set(SIMULATE_SIZES) | set(DYNAMICS_KEYS), "simulate")
+    for key in SIMULATE_SIZES:
         if key not in section:
             raise ConfigError(f"simulate.{key} is required")
-    try:
-        model = DynamicsModel(
-            p_memorize_clean=section.get("p_memorize_clean", 0.35),
-            p_forget_clean=section.get("p_forget_clean", 0.02),
-            p_memorize_noisy=section.get("p_memorize_noisy", 0.08),
-            p_forget_noisy=section.get("p_forget_noisy", 0.30),
-            ramp=section.get("ramp"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"simulate: {exc}")
-    return model, section
+        value = section[key]
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ConfigError(f"simulate.{key} must be int, got {value!r}")
+    return _build(DynamicsModel, section, "simulate", DYNAMICS_KEYS), section
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +308,14 @@ def build_dynamics_model(cfg: ExperimentConfig) -> tuple[DynamicsModel, dict]:
 
 
 def write_json(path: Path, doc) -> None:
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    """Write ``doc`` atomically: a crash mid-write leaves the old file intact."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    os.replace(tmp, path)
+
+
+def write_fit_json(path: Path, fit: MixtureFit) -> None:
+    write_json(path, {**fit.to_json_dict(), "epsilon": fit.epsilon})
 
 
 def capture_config(cfg: ExperimentConfig, outdir: Path) -> None:
@@ -354,8 +347,8 @@ def write_scores_csv(path: Path, scores: dict) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "score"])
-        for i in sorted(scores):
-            writer.writerow([i, repr(float(scores[i]))])
+        for i, score in scores.items():
+            writer.writerow([i, repr(float(score))])
 
 
 def read_scores_csv(path: Path) -> dict:
@@ -369,8 +362,7 @@ def read_scores_csv(path: Path) -> dict:
             if not row:
                 continue
             try:
-                key = int(row[0]) if row[0].lstrip("-").isdigit() else row[0]
-                scores[key] = float(row[1])
+                scores[row[0]] = float(row[1])
             except (IndexError, ValueError) as exc:
                 raise LogFormatError(str(exc), path=path, line=lineno)
     return scores
@@ -438,7 +430,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     records = logio.simulated_records(sequences, clean_mask)
     logio.write_prediction_log(outdir / "simulated_log.jsonl", records)
-    write_json(outdir / "clean_mask.json", {str(k): v for k, v in clean_mask.items()})
+    write_json(outdir / "clean_mask.json", clean_mask)
     capture_config(cfg, outdir)
     print(f"wrote {len(records)} records to {outdir / 'simulated_log.jsonl'}")
     return 0
@@ -464,7 +456,7 @@ def _round_log_records(ds: ToyDataset, log) -> list:
     for row, i in enumerate(log.ids):
         records.append(
             logio.LogRecord(
-                id=str(i),
+                id=i,
                 label=int(ds.observed_labels[pos[row]]),
                 true_label=int(ds.true_labels[pos[row]]),
                 seq=[int(b) for b in log.sequences[i]],
@@ -487,10 +479,23 @@ def _stats_row(result) -> list:
     ]
 
 
+def _read_state(path: Path) -> dict:
+    try:
+        state = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise LogFormatError(f"cannot resume from a damaged checkpoint: {exc.msg}",
+                             path=path, line=exc.lineno)
+    if not isinstance(state, dict):
+        raise LogFormatError("cannot resume: checkpoint is not a JSON object", path=path)
+    return state
+
+
 def run_pipeline(cfg: ExperimentConfig, outdir: Path, resume: bool = False) -> list:
     """One full multi-round pipeline with per-round artifacts and checkpoints.
 
-    Returns the stats rows (one per completed round).
+    The rounds themselves run in ``selection.run_multiround``; this writes
+    what each round leaves behind. Returns the stats rows (one per
+    completed round).
     """
     cfg.require("dataset", "trainer")
     outdir.mkdir(parents=True, exist_ok=True)
@@ -499,22 +504,15 @@ def run_pipeline(cfg: ExperimentConfig, outdir: Path, resume: bool = False) -> l
     capture_config(cfg, outdir)
 
     state_path = outdir / "state.json"
-    round_cfg = cfg.round_config
-    start_round = 1
-    current_ids = sorted(ds.train_ids)
-    stats_rows: list = []
-    trainer = None
+    start_round, ids, stats_rows, trainer = 1, None, [], None
     if resume and state_path.exists():
-        state = json.loads(state_path.read_text())
+        state = _read_state(state_path)
         if state.get("config") != cfg.raw:
             raise ConfigError(
                 "state.json belongs to a different config; rerun without --resume"
             )
         start_round = state["completed_rounds"] + 1
-        current_ids = [
-            int(i) if isinstance(i, str) and i.lstrip("-").isdigit() else i
-            for i in state["current_ids"]
-        ]
+        ids = state["current_ids"]
         stats_rows = state["stats_rows"]
         model_dir = outdir / f"model_round{state['completed_rounds']}"
         if model_dir.exists():
@@ -522,60 +520,38 @@ def run_pipeline(cfg: ExperimentConfig, outdir: Path, resume: bool = False) -> l
     if trainer is None:
         trainer = build_trainer(cfg, ds, outdir)
 
-    clean_mask = ds.clean_mask()
-    truncated = False
-    for round_index in range(start_round, round_cfg.rounds + 1):
-        if round_cfg.reset_model_per_round and round_index > 1 and hasattr(trainer, "reset"):
-            trainer.reset()
-        log = trainer.fit_round(ds, current_ids, round_cfg.epochs)
-        logio.write_prediction_log(
-            outdir / f"log_round{round_index}.jsonl", _round_log_records(ds, log)
-        )
-        scores = score_sequences(log.sequences, round_cfg.metric_kind, round_cfg.lam)
-        result = selection._apply_strategy(
-            scores, log, round_cfg, cfg.fit_config, round_index
-        )
-        result.stats = evaluation.selection_precision_recall(
-            result.selected_ids, clean_mask, round_index=round_index
-        )
-        if hasattr(trainer, "predict") and len(ds.test_positions):
-            result.test_accuracy = evaluation.test_accuracy(
-                trainer, ds.features[ds.test_positions],
-                ds.true_labels[ds.test_positions],
-            )
-
-        write_scores_csv(outdir / f"scores_round{round_index}.csv", scores)
-        logio.write_ids(outdir / f"selected_ids_round{round_index}.txt",
-                        result.selected_ids)
+    def on_round(result, log):
+        k = result.round_index
+        logio.write_prediction_log(outdir / f"log_round{k}.jsonl", _round_log_records(ds, log))
+        write_scores_csv(outdir / f"scores_round{k}.csv", result.metric_scores)
+        logio.write_ids(outdir / f"selected_ids_round{k}.txt", result.selected_ids)
         if result.fit is not None:
-            doc = result.fit.to_json_dict()
-            doc["epsilon"] = result.fit.epsilon
-            write_json(outdir / f"mixture_round{round_index}.json", doc)
+            write_fit_json(outdir / f"mixture_round{k}.json", result.fit)
         stats_rows.append(_stats_row(result))
         write_stats_csv(outdir / "stats.csv", stats_rows)
         if isinstance(trainer, SGDTrainer):
-            save_model(trainer, outdir / f"model_round{round_index}")
+            save_model(trainer, outdir / f"model_round{k}")
         write_json(
             state_path,
             {
-                "completed_rounds": round_index,
-                "current_ids": [str(i) for i in result.selected_ids],
+                "completed_rounds": k,
+                "current_ids": result.selected_ids,
                 "stats_rows": stats_rows,
                 "truncated": not result.selected_ids,
                 "config": cfg.raw,
             },
         )
         if result.warning:
-            print(f"round {round_index}: {result.warning}")
-        if not result.selected_ids:
-            truncated = True
-            break
-        current_ids = result.selected_ids
+            print(f"round {k}: {result.warning}")
 
-    logio.write_ids(outdir / "selected_ids_final.txt", current_ids)
+    multi = selection.run_multiround(
+        ds, trainer, cfg.round_config, cfg.fit_config,
+        ids=ids, start_round=start_round, on_round=on_round,
+    )
+    logio.write_ids(outdir / "selected_ids_final.txt", multi.final_ids)
     if isinstance(trainer, SGDTrainer):
         save_model(trainer, outdir / "model_final")
-    if truncated:
+    if multi.truncated:
         print("selection emptied; stopped early")
     return stats_rows
 
@@ -636,21 +612,18 @@ def cmd_select(cfg: ExperimentConfig, log_path) -> int:
     if not records:
         raise LogFormatError("log has no records", path=log_path)
     log = logio.records_to_round_log(records)
-    round_cfg = cfg.round_config
-    scores = score_sequences(log.sequences, round_cfg.metric_kind, round_cfg.lam)
-    result = selection._apply_strategy(scores, log, round_cfg, cfg.fit_config, 1)
+    result = selection.select_round(log, cfg.round_config, cfg.fit_config, 1)
+    scores = result.metric_scores
 
     outdir = cfg.output_dir
     outdir.mkdir(parents=True, exist_ok=True)
     write_scores_csv(outdir / "scores.csv", scores)
     logio.write_ids(outdir / "selected_ids.txt", result.selected_ids)
     if result.fit is not None:
-        doc = result.fit.to_json_dict()
-        doc["epsilon"] = result.fit.epsilon
-        write_json(outdir / "mixture.json", doc)
+        write_fit_json(outdir / "mixture.json", result.fit)
     clean_mask = logio.clean_mask_from_records(records)
     if clean_mask is not None:
-        write_json(outdir / "clean_mask.json", {str(k): v for k, v in clean_mask.items()})
+        write_json(outdir / "clean_mask.json", clean_mask)
         stats = evaluation.selection_precision_recall(result.selected_ids, clean_mask, 1)
         write_stats_csv(
             outdir / "stats.csv",
@@ -713,9 +686,6 @@ def cmd_eval(cfg: ExperimentConfig, outputs: Path | None, bins: int) -> int:
             fit_path = outputs / "mixture.json"
         if fit_path.exists():
             fit = mixture_from_json(json.loads(fit_path.read_text()))
-        # mask keys may be strings (clean_mask.json) while score ids are ints
-        if not set(scores) <= set(mask):
-            scores = {str(k): v for k, v in scores.items()}
         hist_csv, overlay = evaluation.histogram_export(scores, mask, bins, fit)
         (outputs / f"histogram_round{round_index}.csv").write_text(hist_csv)
         if overlay is not None:

@@ -11,50 +11,12 @@ slow to forget score low and are the likely-clean ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 MISCLASSIFIED = 0
 MEMORIZED = 1
-
-
-def record_status(predicted_label, observed_label) -> int:
-    """1 if the prediction matches the dataset label, else 0.
-
-    Callers must evaluate the model on the instance *before* applying
-    that batch's gradient update.
-    """
-    return 1 if predicted_label == observed_label else 0
-
-
-@dataclass
-class PredictionSequence:
-    """Epoch-wise memorized/misclassified record for one instance.
-
-    The sequence is reset (emptied) at the start of every selection round;
-    its length is the number of epochs observed so far in the round.
-    """
-
-    instance_id: object
-    bits: list[int] = field(default_factory=list)
-
-    def __post_init__(self):
-        bad = [b for b in self.bits if b not in (0, 1)]
-        if bad:
-            raise ValueError(f"status values must be 0 or 1, got {bad[:5]}")
-        self.bits = [int(b) for b in self.bits]
-
-    def append(self, status: int) -> None:
-        if status not in (0, 1):
-            raise ValueError(f"status must be 0 or 1, got {status!r}")
-        self.bits.append(int(status))
-
-    def reset(self) -> None:
-        self.bits.clear()
-
-    def __len__(self) -> int:
-        return len(self.bits)
 
 
 @dataclass(frozen=True)
@@ -63,43 +25,28 @@ class SegmentDecomposition:
 
     ``statuses[j]`` is the run's status (0 misclassified / 1 memorized) and
     ``lengths[j]`` its length. Adjacent runs always differ in status and the
-    lengths sum to the sequence length.
+    lengths sum to the sequence length. The per-status run counts and epoch
+    totals are computed once by ``segment``; every metric reads them.
     """
 
     statuses: np.ndarray
     lengths: np.ndarray
+    n_misclassified: int  # number of misclassified (u) segments
+    n_memorized: int  # number of memorized (l) segments
+    misclassified_epochs: int
+    memorized_epochs: int
 
     @property
     def segments(self) -> list[tuple[int, int]]:
         return list(zip(self.statuses.tolist(), self.lengths.tolist()))
 
     @property
-    def n_misclassified(self) -> int:
-        """Number of misclassified (u) segments."""
-        return int(np.count_nonzero(self.statuses == MISCLASSIFIED))
-
-    @property
-    def n_memorized(self) -> int:
-        """Number of memorized (l) segments."""
-        return int(np.count_nonzero(self.statuses == MEMORIZED))
-
-    @property
     def total_epochs(self) -> int:
-        return int(self.lengths.sum())
+        return self.misclassified_epochs + self.memorized_epochs
 
     def reconstruct(self) -> np.ndarray:
         """Expand the runs back into the original bit sequence."""
         return np.repeat(self.statuses, self.lengths)
-
-
-@dataclass(frozen=True)
-class InstanceMetrics:
-    """All four per-instance scores derived from one decomposition."""
-
-    m: float
-    f: float
-    c_full: float
-    c_simplified: float
 
 
 def segment(bits) -> SegmentDecomposition:
@@ -107,34 +54,47 @@ def segment(bits) -> SegmentDecomposition:
 
     Raises ValueError on an empty sequence (no epochs recorded yet).
     """
-    if isinstance(bits, PredictionSequence):
-        bits = bits.bits
     arr = np.asarray(bits, dtype=np.int8)
     if arr.ndim != 1:
         raise ValueError("expected a 1-d status sequence")
-    if arr.size == 0:
+    n = arr.size
+    if n == 0:
         raise ValueError("cannot segment an empty sequence: no epochs recorded")
-    if arr.min() < 0 or arr.max() > 1:
+    # one reduction: negative values wrap to >= 128 in the unsigned view
+    if arr.view(np.uint8).max() > 1:
         raise ValueError("status values must be 0 or 1")
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(arr)) + 1))
-    bounds = np.concatenate((starts, [arr.size]))
-    return SegmentDecomposition(statuses=arr[starts], lengths=np.diff(bounds))
+    # run boundaries: the two ends plus every position where the bit changes
+    is_bound = np.empty(n + 1, dtype=bool)
+    is_bound[0] = is_bound[n] = True
+    np.not_equal(arr[1:], arr[:-1], out=is_bound[1:n])
+    bounds = is_bound.nonzero()[0]
+    starts = bounds[:-1]
+    # runs alternate in status, so the first status fixes both run counts
+    n_runs = starts.size
+    n_memorized = (n_runs + int(arr[0])) // 2
+    memorized_epochs = int(np.count_nonzero(arr))
+    return SegmentDecomposition(
+        statuses=arr[starts],
+        lengths=bounds[1:] - starts,
+        n_misclassified=n_runs - n_memorized,
+        n_memorized=n_memorized,
+        misclassified_epochs=n - memorized_epochs,
+        memorized_epochs=memorized_epochs,
+    )
 
 
 def memorization_difficulty(d: SegmentDecomposition) -> float:
     """Mean misclassified-segment length; 0 when memorized from the start."""
-    n_u = d.n_misclassified
-    if n_u == 0:
+    if d.n_misclassified == 0:
         return 0.0
-    return float(d.lengths[d.statuses == MISCLASSIFIED].sum() / n_u)
+    return d.misclassified_epochs / d.n_misclassified
 
 
 def forgetting_difficulty(d: SegmentDecomposition) -> float:
     """Mean memorized-segment length; 0 when the instance was never memorized."""
-    n_l = d.n_memorized
-    if n_l == 0:
+    if d.n_memorized == 0:
         return 0.0
-    return float(d.lengths[d.statuses == MEMORIZED].sum() / n_l)
+    return d.memorized_epochs / d.n_memorized
 
 
 def metric_full(d: SegmentDecomposition, lam: float = 1.0) -> float:
@@ -152,38 +112,20 @@ def metric_simplified(d: SegmentDecomposition, lam: float = 1.0) -> float:
     """
     if lam < 0:
         raise ValueError(f"lam must be nonnegative, got {lam}")
-    sum_u = d.lengths[d.statuses == MISCLASSIFIED].sum()
-    sum_l = d.lengths[d.statuses == MEMORIZED].sum()
-    return float(sum_u - lam * sum_l)
-
-
-def compute_metrics(bits, lam: float = 1.0) -> InstanceMetrics:
-    """Segment a sequence and evaluate all four scores in one pass."""
-    d = segment(bits)
-    m = memorization_difficulty(d)
-    f = forgetting_difficulty(d)
-    sum_u = float(d.lengths[d.statuses == MISCLASSIFIED].sum())
-    sum_l = float(d.lengths[d.statuses == MEMORIZED].sum())
-    return InstanceMetrics(
-        m=m,
-        f=f,
-        c_full=m - lam * f,
-        c_simplified=sum_u - lam * sum_l,
-    )
+    return float(d.misclassified_epochs - lam * d.memorized_epochs)
 
 
 def score_sequences(sequences, metric_kind: str = "simplified", lam: float = 1.0):
     """Score a mapping of instance id -> bit sequence.
 
-    Returns a dict in ascending instance-id order so downstream selection is
-    deterministic regardless of how the mapping was built. Each instance's
+    Returns a dict in the mapping's own (input) order. Each instance's
     score depends only on its own sequence.
     """
     if metric_kind not in ("full", "simplified"):
         raise ValueError(f"metric_kind must be 'full' or 'simplified', got {metric_kind!r}")
     scores = {}
-    for instance_id in sorted(sequences):
-        d = segment(sequences[instance_id])
+    for instance_id, bits in sequences.items():
+        d = segment(bits)
         if metric_kind == "full":
             scores[instance_id] = metric_full(d, lam)
         else:

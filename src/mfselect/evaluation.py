@@ -1,4 +1,4 @@
-"""Selection quality scoring, round-trend reporting, and plot-data export.
+"""Selection quality scoring and plot-data export.
 
 Precision and recall treat the clean class as positive: precision is the
 clean fraction of what was kept, recall the kept fraction of everything
@@ -63,27 +63,6 @@ def test_accuracy(model, features, labels) -> float:
     return float(np.mean(model.predict(np.asarray(features)) == labels))
 
 
-def _fmt(value) -> str:
-    return "" if value is None else f"{value:.6f}"
-
-
-def round_trend_report(stats, accuracies=None) -> str:
-    """CSV rows (round, precision, recall, accuracy) in round order."""
-    stats = list(stats)
-    if not stats:
-        raise ValueError("need at least one round of stats")
-    if accuracies is None:
-        accuracies = [None] * len(stats)
-    if len(accuracies) != len(stats):
-        raise ValueError("accuracies must align with stats")
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["round", "precision", "recall", "accuracy"])
-    for st, acc in zip(stats, accuracies):
-        writer.writerow([st.round_index, _fmt(st.precision), _fmt(st.recall), _fmt(acc)])
-    return buf.getvalue()
-
-
 def histogram_export(scores, clean_mask, bins: int, fit: MixtureFit | None = None):
     """Per-bin clean/noisy counts plus mixture-density samples for overlay.
 
@@ -94,7 +73,7 @@ def histogram_export(scores, clean_mask, bins: int, fit: MixtureFit | None = Non
     """
     if bins < 2:
         raise ValueError("bins must be >= 2")
-    ids = sorted(scores)
+    ids = list(scores)
     missing = [i for i in ids if i not in clean_mask]
     if missing:
         raise ValueError(f"clean mask does not cover score ids, e.g. {missing[:5]}")

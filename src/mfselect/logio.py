@@ -8,7 +8,8 @@ Prediction logs are newline-delimited JSON, one record per instance:
 ``seq`` has one entry per epoch of the round; ``losses`` is optional and
 only needed by the small-loss baseline. Datasets are CSV files with header
 ``id,feature_0..feature_{d-1},observed_label,true_label,split``. Selected
-ids are stored one per line.
+ids are stored one per line. Ids are opaque strings everywhere: ``007`` and
+``7`` are two instances, and files keep their input row order.
 
 An external trainer is any command that, given a dataset file, a selected-
 ids file, an epoch count and a seed, writes such a prediction log; it can
@@ -127,21 +128,19 @@ def records_to_round_log(records) -> RoundLog:
 def simulated_records(sequences, clean_mask) -> list[LogRecord]:
     """Wrap simulator output as log records.
 
-    Clean instances get matching (0, 0) label pairs and noisy ones get
-    (1, 0), so the clean mask is recoverable from the log alone.
+    Records follow the order of ``sequences``. Clean instances get matching
+    (0, 0) label pairs and noisy ones get (1, 0), so the clean mask is
+    recoverable from the log alone.
     """
-    records = []
-    for instance_id in sorted(sequences):
-        clean = clean_mask[instance_id]
-        records.append(
-            LogRecord(
-                id=str(instance_id),
-                label=0 if clean else 1,
-                true_label=0,
-                seq=[int(b) for b in sequences[instance_id]],
-            )
+    return [
+        LogRecord(
+            id=str(instance_id),
+            label=0 if clean_mask[instance_id] else 1,
+            true_label=0,
+            seq=[int(b) for b in bits],
         )
-    return records
+        for instance_id, bits in sequences.items()
+    ]
 
 
 def clean_mask_from_records(records) -> dict | None:
@@ -155,13 +154,9 @@ def write_ids(path, ids) -> None:
     Path(path).write_text("".join(f"{i}\n" for i in ids))
 
 
-def read_ids(path) -> list:
-    out = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if line:
-            out.append(int(line) if line.lstrip("-").isdigit() else line)
-    return out
+def read_ids(path) -> list[str]:
+    lines = (line.strip() for line in Path(path).read_text().splitlines())
+    return [line for line in lines if line]
 
 
 def write_dataset_csv(path, ds: ToyDataset) -> None:
@@ -198,6 +193,7 @@ def read_dataset_csv(path) -> ToyDataset:
             )
         dim = len(header) - 4
         ids, feats, observed, true, split = [], [], [], [], []
+        seen = set()
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -205,13 +201,16 @@ def read_dataset_csv(path) -> ToyDataset:
                 raise LogFormatError(
                     f"expected {len(header)} fields, got {len(row)}", path=path, line=lineno
                 )
+            if row[0] in seen:
+                raise LogFormatError(f"duplicate id {row[0]!r}", path=path, line=lineno)
+            seen.add(row[0])
             try:
-                ids.append(int(row[0]) if row[0].lstrip("-").isdigit() else row[0])
                 feats.append([float(v) for v in row[1 : 1 + dim]])
                 observed.append(int(row[1 + dim]))
                 true.append(int(row[2 + dim]))
             except ValueError as exc:
                 raise LogFormatError(str(exc), path=path, line=lineno)
+            ids.append(row[0])
             split.append(row[3 + dim])
     if not ids:
         raise LogFormatError("dataset has no rows", path=path, line=2)
@@ -255,7 +254,7 @@ def external_round(
         raise TrainerCommandError(command, proc.returncode, proc.stderr)
 
     records = read_prediction_log(out_file)
-    expected = [str(i) for i in read_ids(ids_file)]
+    expected = read_ids(ids_file)
     got = {rec.id for rec in records}
     missing = set(expected) - got
     if missing:
@@ -281,7 +280,8 @@ class ExternalTrainer:
 
     Model state continuity across rounds is the external command's
     responsibility; this bridge only hands it the surviving ids each round
-    and validates the log it returns.
+    and validates the log it returns. The command may list the ids in any
+    order; the returned log follows the order of the ids it was given.
     """
 
     def __init__(self, command_template: str, dataset_file, workdir, seed: int = 0):
@@ -296,7 +296,8 @@ class ExternalTrainer:
         self.workdir.mkdir(parents=True, exist_ok=True)
         ids_file = self.workdir / f"ids_round{self.round_counter}.txt"
         out_file = self.workdir / f"log_round{self.round_counter}.jsonl"
-        write_ids(ids_file, [str(i) for i in ids])
+        ids = list(ids)
+        write_ids(ids_file, ids)
         records = external_round(
             self.command_template,
             self.dataset_file,
@@ -305,11 +306,5 @@ class ExternalTrainer:
             epochs,
             self.seed,
         )
-        log = records_to_round_log(records)
-        # log ids are strings; map them back into the caller's id space
-        back = {str(i): i for i in ids}
-        log.ids = [back[i] for i in log.ids]
-        log.sequences = {back[k]: v for k, v in log.sequences.items()}
-        if log.losses is not None:
-            log.losses = {back[k]: v for k, v in log.losses.items()}
-        return log
+        by_id = {rec.id: rec for rec in records}
+        return records_to_round_log([by_id[i] for i in ids])

@@ -273,32 +273,6 @@ def _moment_init(x) -> WeibullParams:
     return WeibullParams(alpha=alpha, beta=beta)
 
 
-def responsibilities(fit: MixtureFit, x):
-    """Posterior component probabilities, rows summing to 1.
-
-    Column 0 is the clean component, column 1 the noisy one. ``x`` must be
-    in the fit's (shifted) support units.
-    """
-    x = np.asarray(x, dtype=float)
-    lp = np.stack(
-        [
-            math.log(fit.k_clean) + weibull_logpdf(x, fit.clean),
-            math.log(fit.k_noisy) + weibull_logpdf(x, fit.noisy),
-        ],
-        axis=-1,
-    )
-    m = lp.max(axis=-1, keepdims=True)
-    norm = m + np.log(np.exp(lp - m).sum(axis=-1, keepdims=True))
-    return np.exp(lp - norm)
-
-
-def mixture_pdf(fit: MixtureFit, x):
-    """k_clean * pdf_clean + k_noisy * pdf_noisy, in shifted units."""
-    return fit.k_clean * weibull_pdf(x, fit.clean) + fit.k_noisy * weibull_pdf(
-        x, fit.noisy
-    )
-
-
 def em_fit(scores, config: FitConfig | None = None) -> MixtureFit:
     """Fit the two-component mixture to positive scores by EM.
 

@@ -6,6 +6,9 @@ noisy component's scale parameter, and hands the surviving instances (and
 the trained model) to the next round. Ratio-based and small-loss selectors
 are provided as baselines and as the fallback when the mixture fit
 degenerates.
+
+Instance ids are opaque strings and every selector keeps the input order
+of its scores; ties at a ratio cut go to the earlier instance.
 """
 
 from __future__ import annotations
@@ -32,11 +35,8 @@ class RoundConfig:
     strategy: str = "mixture_threshold"
     ratio: float = 0.9
     reset_model_per_round: bool = False
-    # small-loss ranks at this epoch index (None -> final); when
-    # best_validation is set and the trainer reports validation accuracy,
-    # the best-validation epoch wins instead.
+    # small-loss ranks at this epoch index (None -> final)
     small_loss_epoch: int | None = None
-    small_loss_best_validation: bool = False
 
     def __post_init__(self):
         if self.epochs < 1 or self.rounds < 1:
@@ -75,7 +75,7 @@ def select_by_threshold(scores, tau: float, round_index: int = 0) -> SelectionRe
     """Keep every instance whose score is strictly below ``tau``."""
     if not scores:
         raise ValueError("scores must be nonempty")
-    selected = sorted(i for i, s in scores.items() if s < tau)
+    selected = [i for i, s in scores.items() if s < tau]
     warning = None
     if not selected:
         warning = f"threshold {tau:.6g} lies below every score; selection is empty"
@@ -91,16 +91,18 @@ def select_by_threshold(scores, tau: float, round_index: int = 0) -> SelectionRe
 def select_by_ratio(scores, ratio: float, round_index: int = 0) -> SelectionResult:
     """Keep the ceil(ratio * n) smallest-scoring instances.
 
-    Ties at the cut are broken by ascending instance id, which makes the
-    selection deterministic.
+    The kept ids stay in input order. Ties at the cut are broken by input
+    position, which makes the selection deterministic.
     """
     if not 0 < ratio <= 1:
         raise ValueError("ratio must be in (0, 1]")
     if not scores:
         raise ValueError("scores must be nonempty")
     keep = math.ceil(ratio * len(scores))
-    ranked = sorted(scores.items(), key=lambda kv: (kv[1], kv[0]))
-    selected = sorted(i for i, _ in ranked[:keep])
+    values = np.fromiter(scores.values(), dtype=float, count=len(scores))
+    kept = np.zeros(values.size, dtype=bool)
+    kept[np.argsort(values, kind="stable")[:keep]] = True
+    selected = [i for i, k in zip(scores, kept.tolist()) if k]
     return SelectionResult(
         round_index=round_index,
         selected_ids=selected,
@@ -119,14 +121,12 @@ def small_loss_select(
     """
     if not epoch_losses:
         raise ValueError("epoch_losses must be nonempty")
-    missing = sorted((i for i, v in epoch_losses.items() if v is None or len(v) == 0),
-                     key=str)
+    missing = [i for i, v in epoch_losses.items() if v is None or len(v) == 0]
     if missing:
         raise ValueError(f"no recorded losses for ids: {missing[:10]}")
     idx = -1 if epoch is None else epoch
     at_epoch = {i: float(v[idx]) for i, v in epoch_losses.items()}
-    result = select_by_ratio(at_epoch, ratio, round_index=round_index)
-    return result
+    return select_by_ratio(at_epoch, ratio, round_index=round_index)
 
 
 def _apply_strategy(scores, log, config: RoundConfig, fit_config: FitConfig,
@@ -134,31 +134,27 @@ def _apply_strategy(scores, log, config: RoundConfig, fit_config: FitConfig,
     if config.strategy == "mixture_threshold":
         if len(set(scores.values())) == 1:
             # every instance scored identically: no separation evidence, and
-            # a ratio cut would drop instances purely by id; keep them all
-            result = SelectionResult(
+            # a ratio cut would drop instances purely by position; keep them all
+            return SelectionResult(
                 round_index=round_index,
-                selected_ids=sorted(scores),
+                selected_ids=list(scores),
                 metric_scores=dict(scores),
                 warning="all scores identical; kept the full set",
             )
-            return result
         try:
-            fit = fit_metric_scores(
-                [scores[i] for i in sorted(scores)], fit_config
-            )
+            fit = fit_metric_scores(list(scores.values()), fit_config)
             if fit.degenerate:
                 # no separable noisy component: the clean/noisy roles are
                 # arbitrary, so thresholding at the noisy scale would cut
                 # instances at random; keep everything instead
-                result = SelectionResult(
+                return SelectionResult(
                     round_index=round_index,
-                    selected_ids=sorted(scores),
+                    selected_ids=list(scores),
                     metric_scores=dict(scores),
+                    fit=fit,
                     warning="degenerate mixture fit (no separable noisy "
                     "component); kept the full set",
                 )
-                result.fit = fit
-                return result
             tau = threshold(fit, fit_config.threshold_rule)
             result = select_by_threshold(scores, tau, round_index=round_index)
             result.fit = fit
@@ -173,11 +169,21 @@ def _apply_strategy(scores, log, config: RoundConfig, fit_config: FitConfig,
     # small_loss
     if log.losses is None:
         raise ValueError("small_loss strategy requires per-epoch losses")
-    epoch = config.small_loss_epoch
-    if config.small_loss_best_validation and log.val_accuracies:
-        epoch = int(np.argmax(log.val_accuracies))
-    return small_loss_select(log.losses, config.ratio, epoch=epoch,
-                             round_index=round_index)
+    return small_loss_select(log.losses, config.ratio,
+                             epoch=config.small_loss_epoch, round_index=round_index)
+
+
+def select_round(log, config: RoundConfig, fit_config: FitConfig | None = None,
+                 round_index: int = 1) -> SelectionResult:
+    """Score one round's log and apply the configured selection strategy.
+
+    ``metric_scores`` of the result holds the round's metric scores, in the
+    log's order, whichever strategy made the cut.
+    """
+    scores = score_sequences(log.sequences, config.metric_kind, config.lam)
+    result = _apply_strategy(scores, log, config, fit_config or FitConfig(), round_index)
+    result.metric_scores = scores
+    return result
 
 
 def run_round(
@@ -196,16 +202,19 @@ def run_round(
     precision/recall against it, and when the dataset has a test split and
     the trainer can predict, the round's test accuracy as well.
     """
-    fit_config = fit_config or FitConfig()
-    if ids is None:
-        ids = sorted(dataset.train_ids)
-    ids = list(ids)
+    result, _ = _train_and_select(dataset, trainer, config, fit_config, ids,
+                                  round_index, clean_mask)
+    return result, trainer
+
+
+def _train_and_select(dataset, trainer, config, fit_config, ids, round_index,
+                      clean_mask):
+    ids = list(dataset.train_ids if ids is None else ids)
     if not ids:
         raise ValueError("cannot run a round on an empty training set")
 
     log = trainer.fit_round(dataset, ids, config.epochs)
-    scores = score_sequences(log.sequences, config.metric_kind, config.lam)
-    result = _apply_strategy(scores, log, config, fit_config, round_index)
+    result = select_round(log, config, fit_config, round_index)
 
     if clean_mask is not None:
         result.stats = evaluation.selection_precision_recall(
@@ -219,7 +228,7 @@ def run_round(
                 dataset.features[test_pos],
                 dataset.true_labels[test_pos],
             )
-    return result, trainer
+    return result, log
 
 
 def run_multiround(
@@ -227,32 +236,36 @@ def run_multiround(
     trainer,
     config: RoundConfig,
     fit_config: FitConfig | None = None,
+    ids=None,
+    start_round: int = 1,
+    on_round=None,
 ) -> MultiRoundResult:
     """Iterate selection rounds, each training on the previous survivors.
 
-    Sequences are rebuilt from scratch every round; the model carries over
-    unless ``config.reset_model_per_round`` is set. Recall in the per-round
-    stats is always measured against the clean instances of the *original*
+    Rounds ``start_round``..``config.rounds`` run on ``ids`` first (default:
+    the dataset's training ids in row order), then on each round's
+    selection. ``on_round(result, log)``, when given, is called after every
+    round, before the next one starts. Sequences are rebuilt from scratch
+    every round; the model carries over unless
+    ``config.reset_model_per_round`` is set. Recall in the per-round stats
+    is always measured against the clean instances of the *original*
     training set, so the round trend is comparable. Stops early, flagged
     truncated, if a round selects nothing.
     """
-    current_ids = sorted(dataset.train_ids)
+    current_ids = list(dataset.train_ids if ids is None else ids)
     full_mask = dataset.clean_mask() if hasattr(dataset, "clean_mask") else None
     rounds: list[SelectionResult] = []
     truncated = False
-    for round_index in range(1, config.rounds + 1):
+    for round_index in range(start_round, config.rounds + 1):
         if config.reset_model_per_round and round_index > 1 and hasattr(trainer, "reset"):
             trainer.reset()
-        result, trainer = run_round(
-            dataset,
-            trainer,
-            config,
-            fit_config,
-            ids=current_ids,
-            round_index=round_index,
-            clean_mask=full_mask,
+        result, log = _train_and_select(
+            dataset, trainer, config, fit_config, current_ids, round_index, full_mask
         )
         rounds.append(result)
+        if on_round is not None:
+            on_round(result, log)
+        del log  # free this round's sequences before the next round trains
         if not result.selected_ids:
             truncated = True
             break

@@ -24,7 +24,8 @@ class ToyDataset:
     """Feature matrix with observed and ground-truth labels.
 
     ``true_labels`` are retained for evaluation only; training always uses
-    ``observed_labels``. ``split`` marks each row as train or test.
+    ``observed_labels``. ``split`` marks each row as train or test. Ids are
+    opaque strings; row order is the instance order everywhere.
     """
 
     ids: np.ndarray
@@ -57,7 +58,7 @@ class ToyDataset:
 
     @property
     def train_ids(self) -> list:
-        return [self.ids[i] for i in self.train_positions]
+        return self.ids[self.train_positions].tolist()
 
     def positions_of(self, ids) -> np.ndarray:
         """Row positions for the given ids, in the given order."""
@@ -71,7 +72,7 @@ class ToyDataset:
         """id -> True when the observed training label matches the truth."""
         pos = self.train_positions
         eq = self.observed_labels[pos] == self.true_labels[pos]
-        return {self.ids[p]: bool(eq[i]) for i, p in enumerate(pos)}
+        return dict(zip(self.ids[pos].tolist(), eq.tolist()))
 
     def noise_ratio(self) -> float:
         pos = self.train_positions
@@ -95,7 +96,7 @@ def make_blobs(
     Class means sit on the scaled standard basis (random unit directions
     when dim < n_classes); samples add unit-variance noise. Observed labels
     start equal to the true labels. ``test_per_class`` extra points per
-    class form the test split.
+    class form the test split. Ids are the row numbers as strings.
     """
     if min(n_classes, per_class, dim) < 1 or spread < 0 or test_per_class < 0:
         raise ValueError("blob parameters must be positive (spread nonnegative)")
@@ -118,7 +119,7 @@ def make_blobs(
     y = np.concatenate(labels)
     split = np.concatenate(splits).astype("U5")
     return ToyDataset(
-        ids=np.arange(len(y)),
+        ids=np.array([str(i) for i in range(len(y))], dtype=object),
         features=features,
         observed_labels=y.copy(),
         true_labels=y.copy(),
@@ -267,7 +268,6 @@ class RoundLog:
     ids: list
     sequences: dict
     losses: dict | None = None
-    val_accuracies: list[float] | None = None
 
 
 def cosine_lr(base_lr: float, epoch: int, total_epochs: int) -> float:
@@ -284,12 +284,10 @@ class SGDTrainer:
     (dataset, config) pairs produce bit-identical prediction logs.
     """
 
-    def __init__(self, dim: int, n_classes: int, config: TrainerConfig | None = None,
-                 validation: tuple[np.ndarray, np.ndarray] | None = None):
+    def __init__(self, dim: int, n_classes: int, config: TrainerConfig | None = None):
         self.config = config or TrainerConfig()
         self.dim = dim
         self.n_classes = n_classes
-        self.validation = validation
         self.rng = np.random.default_rng(self.config.seed)
         self._init_model()
 
@@ -342,20 +340,15 @@ class SGDTrainer:
         y = dataset.observed_labels[pos]
         seq = np.empty((len(ids), epochs), dtype=np.int8)
         loss_hist = np.empty((len(ids), epochs), dtype=float)
-        val_acc = [] if self.validation is not None else None
         for e in range(epochs):
             lr = cosine_lr(self.config.learning_rate, e, epochs)
             preds, losses = self.train_epoch(x, y, lr)
             seq[:, e] = preds == y
             loss_hist[:, e] = losses
-            if val_acc is not None:
-                vx, vy = self.validation
-                val_acc.append(float(np.mean(self.predict(vx) == vy)))
         return RoundLog(
             ids=ids,
             sequences={i: seq[row].copy() for row, i in enumerate(ids)},
             losses={i: loss_hist[row].copy() for row, i in enumerate(ids)},
-            val_accuracies=val_acc,
         )
 
     def predict(self, features: np.ndarray) -> np.ndarray:

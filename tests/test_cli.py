@@ -9,7 +9,13 @@ import yaml
 
 from mfselect import cli
 from mfselect.errors import ConfigError
-from mfselect.logio import read_dataset_csv, read_ids, read_prediction_log
+from mfselect.logio import (
+    read_dataset_csv,
+    read_ids,
+    read_prediction_log,
+    write_dataset_csv,
+)
+from mfselect.trainer import make_blobs
 
 
 def base_config(tmp_path, **round_overrides):
@@ -102,6 +108,26 @@ def test_set_override_applies(tmp_path):
 
 def test_missing_config_exit_code(tmp_path):
     assert cli.main(["run", "-c", str(tmp_path / "nope.yaml")]) == 2
+
+
+@pytest.mark.parametrize(
+    "command,override,key",
+    [
+        ("run", "trainer.learning_rate=1e8", "trainer.learning_rate"),  # YAML 1.1: a string
+        ("run", "trainer.batch_size=0.5", "trainer.batch_size"),
+        ("run", "round.epochs=ten", "round.epochs"),
+        ("run", "round.reset_model_per_round=1", "round.reset_model_per_round"),
+        ("run", "fit.tol=1e-3", "fit.tol"),
+        ("simulate", "simulate.p_forget_clean=high", "simulate.p_forget_clean"),
+        ("simulate", "simulate.epochs=2.5", "simulate.epochs"),
+        # removed knob: now an unknown key
+        ("run", "round.small_loss_best_validation=true", "small_loss_best_validation"),
+    ],
+)
+def test_bad_config_value_exits_2_naming_key(tmp_path, capsys, command, override, key):
+    path = write_config(tmp_path)
+    assert cli.main([command, "-c", str(path), "--set", override]) == 2
+    assert key in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +247,33 @@ def test_run_resume_matches_full_run(tmp_path):
     (out / "state.json").write_text(json.dumps(state, sort_keys=True, indent=2) + "\n")
     assert cli.main(["run", "-c", str(path), "--resume"]) == 0
     assert tree_digest(out) == full
+
+
+def test_run_resume_damaged_checkpoint_exits_3(tmp_path, capsys):
+    path = write_config(tmp_path, base_config(tmp_path, rounds=2, epochs=4))
+    assert cli.main(["run", "-c", str(path)]) == 0
+    state = tmp_path / "out" / "state.json"
+    text = state.read_text()
+    state.write_text(text[: len(text) // 2])  # a crash mid-write
+    assert cli.main(["run", "-c", str(path), "--resume"]) == 3
+    assert "state.json" in capsys.readouterr().err
+
+
+def test_write_json_crash_mid_write_keeps_old_file(tmp_path, monkeypatch):
+    target = tmp_path / "state.json"
+    cli.write_json(target, {"completed_rounds": 1})
+    before = target.read_text()
+
+    def crash(self, text, *args, **kwargs):
+        with open(self, "w") as fh:
+            fh.write(text[: len(text) // 2])
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(Path, "write_text", crash)
+    with pytest.raises(OSError):
+        cli.write_json(target, {"completed_rounds": 2})
+    monkeypatch.undo()
+    assert target.read_text() == before
 
 
 def test_run_resume_rejects_config_mismatch(tmp_path):
@@ -346,3 +399,47 @@ def test_report_compare_writes_strategy_table(tmp_path):
     assert table[0] == "strategy,kept,precision,recall,accuracy"
     strategies = [row.split(",")[0] for row in table[1:]]
     assert strategies == ["mixture_threshold", "ratio", "small_loss"]
+
+
+# ---------------------------------------------------------------------------
+# ids are opaque strings in input row order
+
+
+def csv_dataset_config(tmp_path, ids, **round_overrides):
+    ds = make_blobs(2, len(ids) // 2, 2, 3.0, seed=1)
+    ds.ids = np.array(ids, dtype=object)
+    data = tmp_path / "input.csv"
+    write_dataset_csv(data, ds)
+    config = base_config(tmp_path, rounds=1, epochs=5, **round_overrides)
+    config["dataset"] = {"csv": str(data)}
+    config["noise"] = {"type": "none"}
+    return write_config(tmp_path, config)
+
+
+def test_run_keeps_ids_that_look_numerically_equal(tmp_path):
+    ids = [str(i) for i in range(42)]
+    ids[0] = "007"  # "7" is also present
+    path = csv_dataset_config(tmp_path, ids, strategy="ratio", ratio=1.0)
+    assert cli.main(["run", "-c", str(path)]) == 0
+    out = tmp_path / "out"
+    assert list(read_dataset_csv(out / "dataset.csv").ids) == ids
+    assert len(read_prediction_log(out / "log_round1.jsonl")) == 42
+    assert read_ids(out / "selected_ids_round1.txt") == ids
+    assert read_ids(out / "selected_ids_final.txt") == ids
+
+
+def test_run_accepts_mixed_id_shapes(tmp_path):
+    ids = [str(i) for i in range(20)] + [f"x{i}" for i in range(20)]
+    path = csv_dataset_config(tmp_path, ids)
+    assert cli.main(["run", "-c", str(path)]) == 0
+    selected = read_ids(tmp_path / "out" / "selected_ids_round1.txt")
+    assert selected == [i for i in ids if i in set(selected)]  # input order
+
+
+def test_run_duplicate_dataset_id_exits_3(tmp_path, capsys):
+    ids = [str(i) for i in range(20)]
+    ids[3] = "7"
+    path = csv_dataset_config(tmp_path, ids)
+    assert cli.main(["run", "-c", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "duplicate id '7'" in err and "line 9" in err

@@ -6,13 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mfselect.dynamics import (
-    PredictionSequence,
-    compute_metrics,
     forgetting_difficulty,
     memorization_difficulty,
     metric_full,
     metric_simplified,
-    record_status,
     score_sequences,
     segment,
 )
@@ -40,17 +37,6 @@ def metric_simplified_oracle(bits, lam=1.0):
 
 
 bit_lists = st.lists(st.integers(0, 1), min_size=1, max_size=400)
-
-
-# ---------------------------------------------------------------------------
-# record_status
-
-
-@pytest.mark.parametrize(
-    "pred,obs,expected", [(3, 3, 1), (3, 7, 0), (0, 0, 1)]
-)
-def test_record_status(pred, obs, expected):
-    assert record_status(pred, obs) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +143,10 @@ def test_simplified_metric_appending_monotonicity(bits, lam):
 @given(bit_lists, st.floats(0, 5))
 def test_metric_bounds(bits, lam):
     p = len(bits)
-    metrics = compute_metrics(bits, lam)
-    assert -lam * p <= metrics.c_simplified <= p
-    assert 0 <= metrics.m <= p
-    assert 0 <= metrics.f <= p
+    d = segment(bits)
+    assert -lam * p <= metric_simplified(d, lam) <= p
+    assert 0 <= memorization_difficulty(d) <= p
+    assert 0 <= forgetting_difficulty(d) <= p
 
 
 # ---------------------------------------------------------------------------
@@ -186,25 +172,3 @@ def test_score_sequences_full_kind():
     assert scores["b"] == metric_full_oracle([1, 0, 1], 2.0)
     with pytest.raises(ValueError):
         score_sequences(seqs, "weird")
-
-
-# ---------------------------------------------------------------------------
-# PredictionSequence plumbing
-
-
-def test_prediction_sequence_append_and_reset():
-    seq = PredictionSequence("x", [0, 1])
-    seq.append(1)
-    assert seq.bits == [0, 1, 1]
-    assert len(seq) == 3
-    seq.reset()
-    assert seq.bits == []
-    with pytest.raises(ValueError):
-        seq.append(2)
-    with pytest.raises(ValueError):
-        PredictionSequence("y", [0, 3])
-
-
-def test_segment_accepts_prediction_sequence():
-    seq = PredictionSequence("x", [0, 0, 1])
-    assert segment(seq).segments == [(0, 2), (1, 1)]

@@ -7,7 +7,6 @@ import pytest
 from mfselect.evaluation import (
     SelectionStats,
     histogram_export,
-    round_trend_report,
     selection_precision_recall,
 )
 from mfselect.evaluation import test_accuracy as compute_accuracy
@@ -120,38 +119,6 @@ def test_accuracy_perfect_model():
 def test_accuracy_empty_split_rejected():
     with pytest.raises(ValueError):
         compute_accuracy(ConstantModel(0), np.zeros((0, 2)), np.array([]))
-
-
-# ---------------------------------------------------------------------------
-# trend report
-
-
-def test_trend_report_layout():
-    stats = [
-        SelectionStats(precision=0.6, recall=1.0, f1=0.75, kept=100, round_index=1),
-        SelectionStats(precision=0.8, recall=0.9, f1=0.847, kept=80, round_index=2),
-    ]
-    text = round_trend_report(stats, accuracies=[0.5, None])
-    rows = list(csv.reader(io.StringIO(text)))
-    assert rows[0] == ["round", "precision", "recall", "accuracy"]
-    assert rows[1] == ["1", "0.600000", "1.000000", "0.500000"]
-    assert rows[2] == ["2", "0.800000", "0.900000", ""]
-
-
-def test_trend_report_single_round():
-    stats = [SelectionStats(precision=None, recall=0.4, f1=None, kept=3, round_index=1)]
-    rows = round_trend_report(stats).strip().splitlines()
-    assert len(rows) == 2
-    assert rows[1].startswith("1,,0.400000")
-
-
-def test_trend_report_requires_rows():
-    with pytest.raises(ValueError):
-        round_trend_report([])
-    with pytest.raises(ValueError):
-        round_trend_report(
-            [SelectionStats(1.0, 1.0, 1.0, 1, 1)], accuracies=[0.1, 0.2]
-        )
 
 
 # ---------------------------------------------------------------------------

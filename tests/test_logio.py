@@ -113,7 +113,7 @@ def test_simulated_records_encode_mask():
     seqs = {"noisy_0": np.array([0, 0]), "clean_0": np.array([0, 1])}
     mask = {"clean_0": True, "noisy_0": False}
     records = simulated_records(seqs, mask)
-    assert [r.id for r in records] == ["clean_0", "noisy_0"]
+    assert [r.id for r in records] == ["noisy_0", "clean_0"]  # input order
     assert clean_mask_from_records(records) == mask
 
 
@@ -137,6 +137,16 @@ def test_dataset_csv_round_trip(tmp_path):
     assert back.n_classes == 3
 
 
+def test_dataset_csv_ids_are_strings_and_unique(tmp_path):
+    path = tmp_path / "data.csv"
+    header = "id,feature_0,observed_label,true_label,split\n"
+    path.write_text(header + "007,0.5,0,0,train\n7,1.5,1,1,train\n")
+    assert list(read_dataset_csv(path).ids) == ["007", "7"]
+    path.write_text(header + "7,0.5,0,0,train\nx,1.0,0,0,test\n7,1.5,1,1,train\n")
+    with pytest.raises(LogFormatError, match=r"duplicate id '7' \(line 4\)"):
+        read_dataset_csv(path)
+
+
 def test_dataset_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("id,x,y\n1,2,3\n")
@@ -147,7 +157,7 @@ def test_dataset_csv_rejects_bad_header(tmp_path):
 def test_ids_file_round_trip(tmp_path):
     path = tmp_path / "ids.txt"
     write_ids(path, [3, 1, "x7"])
-    assert read_ids(path) == [3, 1, "x7"]
+    assert read_ids(path) == ["3", "1", "x7"]
 
 
 # ---------------------------------------------------------------------------
@@ -242,3 +252,25 @@ def test_external_trainer_echoes_precomputed_log(tmp_path):
     for i in inproc.ids:
         assert np.array_equal(external.sequences[i], inproc.sequences[i])
         assert np.allclose(external.losses[i], inproc.losses[i])
+
+
+def test_external_trainer_returns_caller_order_for_shuffled_log(tmp_path):
+    ids = ["b", "007", "7", "a"]
+    shuffled = tmp_path / "shuffled.jsonl"
+    write_prediction_log(
+        shuffled,
+        [LogRecord(id=i, label=0, true_label=0, seq=[k % 2, 1], losses=[1.0, float(k)])
+         for k, i in enumerate(ids)][::-1],
+    )
+    copier = tmp_path / "copy_log.py"
+    copier.write_text("import shutil, sys; shutil.copy(sys.argv[1], sys.argv[2])\n")
+    bridge = ExternalTrainer(
+        f"{sys.executable} {copier} {shuffled} {{out}}",
+        tmp_path / "data.csv", tmp_path / "work", seed=0,
+    )
+    log = bridge.fit_round(None, ids, epochs=2)
+    assert log.ids == ids
+    assert list(log.sequences) == ids and list(log.losses) == ids
+    for k, i in enumerate(ids):
+        assert log.sequences[i].tolist() == [k % 2, 1]
+        assert log.losses[i].tolist() == [1.0, float(k)]

@@ -17,8 +17,6 @@ from mfselect.mixture import (
     em_fit,
     fit_metric_scores,
     identify_components,
-    mixture_pdf,
-    responsibilities,
     shift_to_support,
     threshold,
     weibull_mean,
@@ -178,6 +176,7 @@ def test_em_recovers_synthetic_mixture():
     assert abs(fit.noisy.beta - 3.0) / 3.0 < 0.15
     assert abs(fit.k_clean - 0.6) < 0.05
     assert abs(fit.k_noisy - 0.4) < 0.05
+    assert fit.k_clean + fit.k_noisy == pytest.approx(1.0, abs=1e-12)
     assert not fit.degenerate
 
 
@@ -224,24 +223,6 @@ def test_em_deterministic():
     assert a.clean == b.clean and a.noisy == b.noisy
     assert a.k_clean == b.k_clean
     assert a.loglik_trace == b.loglik_trace
-
-
-def test_responsibilities_rows_sum_to_one():
-    x = sample_mixture(1500, seed=13)
-    fit = em_fit(x, FitConfig())
-    r = responsibilities(fit, x)
-    assert np.all(np.abs(r.sum(axis=1) - 1.0) <= 1e-12)
-    assert np.all((r >= 0) & (r <= 1))
-
-
-def test_mixture_density_is_weighted_sum():
-    fit = em_fit(sample_mixture(1000, seed=3), FitConfig())
-    assert fit.k_clean + fit.k_noisy == pytest.approx(1.0, abs=1e-12)
-    x = np.linspace(0.2, 12.0, 50)
-    expected = fit.k_clean * weibull_pdf(x, fit.clean) + fit.k_noisy * weibull_pdf(
-        x, fit.noisy
-    )
-    np.testing.assert_allclose(mixture_pdf(fit, x), expected)
 
 
 # ---------------------------------------------------------------------------

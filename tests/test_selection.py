@@ -298,7 +298,7 @@ def test_multiround_single_round_equals_run_round():
     multi = run_multiround(ds, benchmark_trainer(), cfg, FitConfig())
     single, _ = run_round(
         ds, benchmark_trainer(), cfg, FitConfig(),
-        ids=sorted(ds.train_ids), round_index=1, clean_mask=ds.clean_mask(),
+        ids=ds.train_ids, round_index=1, clean_mask=ds.clean_mask(),
     )
     assert len(multi.rounds) == 1
     assert multi.rounds[0].selected_ids == single.selected_ids
