@@ -36,6 +36,7 @@ from .selection import (
 )
 from .trainer import (
     DynamicsModel,
+    RoundLog,
     SGDTrainer,
     ToyDataset,
     TrainerConfig,
@@ -53,7 +54,6 @@ from .evaluation import (
 )
 from .logio import (
     ExternalTrainer,
-    LogRecord,
     external_round,
     read_dataset_csv,
     read_prediction_log,

@@ -23,7 +23,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +98,18 @@ def _reject_unknown(section: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _check_type(value, kind, name: str) -> None:
+    """ConfigError naming ``name`` unless ``value`` is a ``kind`` (float: any number)."""
+    expected = (int, float) if kind is float else kind
+    if not isinstance(value, expected) or isinstance(value, bool) != (kind is bool):
+        raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
+
+
+# make_blobs parameters, by type; all but test_per_class are required
+BLOB_TYPES = {"n_classes": int, "per_class": int, "dim": int, "spread": float,
+              "seed": int, "test_per_class": int}
+
+
 def _validate_dataset(section):
     if section is None:
         return None
@@ -105,16 +117,16 @@ def _validate_dataset(section):
     sources = [k for k in ("blobs", "csv") if section.get(k) is not None]
     if len(sources) != 1:
         raise ConfigError("dataset must name exactly one source: blobs or csv")
-    if "blobs" in sources:
-        blobs = section["blobs"]
-        _reject_unknown(
-            blobs,
-            {"n_classes", "per_class", "dim", "spread", "seed", "test_per_class"},
-            "dataset.blobs",
-        )
-        for key in ("n_classes", "per_class", "dim", "spread", "seed"):
-            if key not in blobs:
-                raise ConfigError(f"dataset.blobs.{key} is required (seeds are explicit)")
+    if "csv" in sources:
+        _check_type(section["csv"], str, "dataset.csv")
+        return section
+    blobs = section["blobs"]
+    _reject_unknown(blobs, set(BLOB_TYPES), "dataset.blobs")
+    for key, kind in BLOB_TYPES.items():
+        if key in blobs:
+            _check_type(blobs[key], kind, f"dataset.blobs.{key}")
+        elif key != "test_per_class":
+            raise ConfigError(f"dataset.blobs.{key} is required (seeds are explicit)")
     return section
 
 
@@ -130,8 +142,13 @@ def _validate_noise(section):
             raise ConfigError("noise.ratio is required")
         if "seed" not in section:
             raise ConfigError("noise.seed is required (seeds are explicit)")
-    if kind == "asymmetric" and "class_map" not in section:
-        raise ConfigError("noise.class_map is required for asymmetric noise")
+        _check_type(section["ratio"], float, "noise.ratio")
+        _check_type(section["seed"], int, "noise.seed")
+    if kind == "asymmetric":
+        class_map = section.get("class_map")
+        if class_map != "circular" and not isinstance(class_map, dict):
+            raise ConfigError("noise.class_map must be 'circular' or a class -> class "
+                              "mapping for asymmetric noise")
     return section
 
 
@@ -172,15 +189,8 @@ def _build(cls, section: dict, where: str, keys, renames=None):
         name = (renames or {}).get(key, key)
         value = kwargs[name] = section[key]
         default = cls.__dataclass_fields__[name].default
-        if default is None:
-            continue
-        expected = (int, float) if type(default) is float else type(default)
-        if not isinstance(value, expected) or (
-            isinstance(value, bool) != isinstance(default, bool)
-        ):
-            raise ConfigError(
-                f"{where}.{key} must be {type(default).__name__}, got {value!r}"
-            )
+        if default is not None:
+            _check_type(value, type(default), f"{where}.{key}")
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -250,29 +260,27 @@ def build_dataset(cfg: ExperimentConfig) -> ToyDataset:
         raise ConfigError("config section 'dataset' is required for this command")
     if section.get("csv"):
         return logio.read_dataset_csv(section["csv"])
-    blobs = section["blobs"]
-    return make_blobs(
-        n_classes=blobs["n_classes"],
-        per_class=blobs["per_class"],
-        dim=blobs["dim"],
-        spread=blobs["spread"],
-        seed=blobs["seed"],
-        test_per_class=blobs.get("test_per_class", 0),
-    )
+    try:
+        return make_blobs(**section["blobs"])
+    except ValueError as exc:
+        raise ConfigError(f"dataset.blobs: {exc}")
 
 
 def apply_noise(ds: ToyDataset, cfg: ExperimentConfig) -> ToyDataset:
     section = cfg.noise
     if section is None or section.get("type", "none") == "none":
         return ds
-    if section["type"] == "symmetric":
-        return inject_symmetric_noise(ds, section["ratio"], section["seed"])
-    class_map = section["class_map"]
-    if class_map == "circular":
-        class_map = circular_class_map(ds.n_classes)
-    else:
-        class_map = {int(k): int(v) for k, v in class_map.items()}
-    return inject_asymmetric_noise(ds, section["ratio"], class_map, section["seed"])
+    try:
+        if section["type"] == "symmetric":
+            return inject_symmetric_noise(ds, section["ratio"], section["seed"])
+        class_map = section["class_map"]
+        if class_map == "circular":
+            class_map = circular_class_map(ds.n_classes)
+        else:
+            class_map = {int(k): int(v) for k, v in class_map.items()}
+        return inject_asymmetric_noise(ds, section["ratio"], class_map, section["seed"])
+    except ValueError as exc:
+        raise ConfigError(f"noise: {exc}")
 
 
 def build_trainer(cfg: ExperimentConfig, ds: ToyDataset, workdir: Path):
@@ -297,9 +305,7 @@ def build_dynamics_model(cfg: ExperimentConfig) -> tuple[DynamicsModel, dict]:
     for key in SIMULATE_SIZES:
         if key not in section:
             raise ConfigError(f"simulate.{key} is required")
-        value = section[key]
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"simulate.{key} must be int, got {value!r}")
+        _check_type(section[key], int, f"simulate.{key}")
     return _build(DynamicsModel, section, "simulate", DYNAMICS_KEYS), section
 
 
@@ -422,17 +428,16 @@ def _jsonable(value):
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     model, section = build_dynamics_model(cfg)
-    sequences, clean_mask = simulate_dynamics(
+    log = simulate_dynamics(
         section["n_clean"], section["n_noisy"], model,
         epochs=section["epochs"], seed=section["seed"],
     )
     outdir = cfg.output_dir
     outdir.mkdir(parents=True, exist_ok=True)
-    records = logio.simulated_records(sequences, clean_mask)
-    logio.write_prediction_log(outdir / "simulated_log.jsonl", records)
-    write_json(outdir / "clean_mask.json", clean_mask)
+    logio.write_prediction_log(outdir / "simulated_log.jsonl", log)
+    write_json(outdir / "clean_mask.json", log.clean_mask())
     capture_config(cfg, outdir)
-    print(f"wrote {len(records)} records to {outdir / 'simulated_log.jsonl'}")
+    print(f"wrote {len(log)} records to {outdir / 'simulated_log.jsonl'}")
     return 0
 
 
@@ -448,22 +453,6 @@ def cmd_inject_noise(cfg: ExperimentConfig) -> int:
         f"to {outdir / 'dataset.csv'}"
     )
     return 0
-
-
-def _round_log_records(ds: ToyDataset, log) -> list:
-    pos = ds.positions_of(log.ids)
-    records = []
-    for row, i in enumerate(log.ids):
-        records.append(
-            logio.LogRecord(
-                id=i,
-                label=int(ds.observed_labels[pos[row]]),
-                true_label=int(ds.true_labels[pos[row]]),
-                seq=[int(b) for b in log.sequences[i]],
-                losses=None if log.losses is None else [float(v) for v in log.losses[i]],
-            )
-        )
-    return records
 
 
 def _stats_row(result) -> list:
@@ -511,10 +500,15 @@ def run_pipeline(cfg: ExperimentConfig, outdir: Path, resume: bool = False) -> l
             raise ConfigError(
                 "state.json belongs to a different config; rerun without --resume"
             )
-        start_round = state["completed_rounds"] + 1
-        ids = state["current_ids"]
-        stats_rows = state["stats_rows"]
-        model_dir = outdir / f"model_round{state['completed_rounds']}"
+        done = state["completed_rounds"]
+        start_round, ids, stats_rows = done + 1, state["current_ids"], state["stats_rows"]
+        if state.get("truncated"):
+            # the selection emptied: no round is left to run, and the final
+            # ids are the ones the emptying round trained on
+            start_round = cfg.round_config.rounds + 1
+            ids = (logio.read_ids(outdir / f"selected_ids_round{done - 1}.txt")
+                   if done > 1 else ds.train_ids)
+        model_dir = outdir / f"model_round{done}"
         if model_dir.exists():
             trainer = load_model(model_dir)
     if trainer is None:
@@ -522,7 +516,12 @@ def run_pipeline(cfg: ExperimentConfig, outdir: Path, resume: bool = False) -> l
 
     def on_round(result, log):
         k = result.round_index
-        logio.write_prediction_log(outdir / f"log_round{k}.jsonl", _round_log_records(ds, log))
+        # labels come from the dataset whichever trainer wrote the log
+        pos = ds.positions_of(log.ids)
+        logio.write_prediction_log(
+            outdir / f"log_round{k}.jsonl",
+            replace(log, labels=ds.observed_labels[pos], true_labels=ds.true_labels[pos]),
+        )
         write_scores_csv(outdir / f"scores_round{k}.csv", result.metric_scores)
         logio.write_ids(outdir / f"selected_ids_round{k}.txt", result.selected_ids)
         if result.fit is not None:
@@ -608,10 +607,7 @@ def _run_trials(cfg: ExperimentConfig, trials: int) -> int:
 
 
 def cmd_select(cfg: ExperimentConfig, log_path) -> int:
-    records = logio.read_prediction_log(log_path)
-    if not records:
-        raise LogFormatError("log has no records", path=log_path)
-    log = logio.records_to_round_log(records)
+    log = logio.read_prediction_log(log_path)
     result = selection.select_round(log, cfg.round_config, cfg.fit_config, 1)
     scores = result.metric_scores
 
@@ -621,7 +617,7 @@ def cmd_select(cfg: ExperimentConfig, log_path) -> int:
     logio.write_ids(outdir / "selected_ids.txt", result.selected_ids)
     if result.fit is not None:
         write_fit_json(outdir / "mixture.json", result.fit)
-    clean_mask = logio.clean_mask_from_records(records)
+    clean_mask = log.clean_mask()
     if clean_mask is not None:
         write_json(outdir / "clean_mask.json", clean_mask)
         stats = evaluation.selection_precision_recall(result.selected_ids, clean_mask, 1)

@@ -115,19 +115,29 @@ def metric_simplified(d: SegmentDecomposition, lam: float = 1.0) -> float:
     return float(d.misclassified_epochs - lam * d.memorized_epochs)
 
 
-def score_sequences(sequences, metric_kind: str = "simplified", lam: float = 1.0):
-    """Score a mapping of instance id -> bit sequence.
+def score_sequences(bits, metric_kind: str = "simplified", lam: float = 1.0):
+    """Score every row of an (n, E) 0/1 status matrix at once.
 
-    Returns a dict in the mapping's own (input) order. Each instance's
-    score depends only on its own sequence.
+    Returns a float64 array in row order, equal to ``metric_full`` or
+    ``metric_simplified`` of ``segment(row)`` for each row: the same counts
+    enter the same floating-point operations.
     """
     if metric_kind not in ("full", "simplified"):
         raise ValueError(f"metric_kind must be 'full' or 'simplified', got {metric_kind!r}")
-    scores = {}
-    for instance_id, bits in sequences.items():
-        d = segment(bits)
-        if metric_kind == "full":
-            scores[instance_id] = metric_full(d, lam)
-        else:
-            scores[instance_id] = metric_simplified(d, lam)
-    return scores
+    if lam < 0:
+        raise ValueError(f"lam must be nonnegative, got {lam}")
+    bits = np.asarray(bits)
+    memorized = np.count_nonzero(bits, axis=1)
+    misclassified = bits.shape[1] - memorized
+    if metric_kind == "simplified":
+        return misclassified - float(lam) * memorized
+    # runs alternate in status, so the first status fixes both run counts
+    n_runs = 1 + np.count_nonzero(bits[:, 1:] != bits[:, :-1], axis=1)
+    n_memorized = (n_runs + bits[:, 0]) // 2
+    n_misclassified = n_runs - n_memorized
+    # a status with no run has difficulty 0, as in the scalar metrics
+    memorization = np.divide(misclassified, n_misclassified, out=np.zeros(len(bits)),
+                             where=n_misclassified > 0)
+    forgetting = np.divide(memorized, n_memorized, out=np.zeros(len(bits)),
+                           where=n_memorized > 0)
+    return memorization - lam * forgetting

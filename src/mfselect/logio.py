@@ -5,8 +5,10 @@ Prediction logs are newline-delimited JSON, one record per instance:
     {"id": str, "label": int, "true_label": int|null,
      "seq": [0|1, ...], "losses": [float, ...]|null}
 
-``seq`` has one entry per epoch of the round; ``losses`` is optional and
-only needed by the small-loss baseline. Datasets are CSV files with header
+``seq`` has one entry per epoch of the round, so every record's ``seq``
+has the same length; ``losses`` is optional and only needed by the
+small-loss baseline. A log is read into one ``RoundLog``. Datasets are CSV
+files with header
 ``id,feature_0..feature_{d-1},observed_label,true_label,split``. Selected
 ids are stored one per line. Ids are opaque strings everywhere: ``007`` and
 ``7`` are two instances, and files keep their input row order.
@@ -22,7 +24,6 @@ import csv
 import json
 import shlex
 import subprocess
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -36,42 +37,31 @@ from .errors import (
 from .trainer import RoundLog, ToyDataset
 
 
-@dataclass
-class LogRecord:
-    """One prediction-log line."""
-
-    id: str
-    label: int
-    true_label: int | None
-    seq: list[int]
-    losses: list[float] | None = None
-
-
-def write_prediction_log(path, records) -> None:
-    path = Path(path)
-    with path.open("w") as fh:
-        for rec in records:
+def write_prediction_log(path, log: RoundLog) -> None:
+    n = len(log)
+    true_labels = [None] * n if log.true_labels is None else log.true_labels.tolist()
+    losses = [None] * n if log.losses is None else log.losses.tolist()
+    rows = zip(log.ids, log.labels.tolist(), true_labels, log.bits.tolist(), losses)
+    with Path(path).open("w") as fh:
+        for rec_id, label, true_label, seq, loss in rows:
             fh.write(
                 json.dumps(
-                    {
-                        "id": str(rec.id),
-                        "label": int(rec.label),
-                        "true_label": None if rec.true_label is None else int(rec.true_label),
-                        "seq": [int(b) for b in rec.seq],
-                        "losses": None
-                        if rec.losses is None
-                        else [float(v) for v in rec.losses],
-                    },
+                    {"id": rec_id, "label": label, "true_label": true_label,
+                     "seq": seq, "losses": loss},
                     sort_keys=True,
                 )
             )
             fh.write("\n")
 
 
-def read_prediction_log(path) -> list[LogRecord]:
-    """Parse a prediction log, reporting the offending line on bad input."""
+def read_prediction_log(path) -> RoundLog:
+    """Parse a prediction log, reporting the offending line on bad input.
+
+    Every ``seq`` must have the first record's length. ``losses`` and
+    ``true_labels`` of the result are None unless every record has them.
+    """
     path = Path(path)
-    records = []
+    ids, labels, true_labels, seqs, losses = [], [], [], [], []
     seen = set()
     with path.open() as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -89,65 +79,38 @@ def read_prediction_log(path) -> list[LogRecord]:
             if not isinstance(seq, list) or not seq or any(b not in (0, 1) for b in seq):
                 raise LogFormatError("'seq' must be a nonempty list of 0/1",
                                      path=path, line=lineno)
-            losses = raw.get("losses")
-            if losses is not None:
-                if not isinstance(losses, list) or len(losses) != len(seq):
-                    raise LogFormatError("'losses' must be null or match 'seq' length",
-                                         path=path, line=lineno)
-                losses = [float(v) for v in losses]
+            if seqs and len(seq) != len(seqs[0]):
+                raise RaggedSequenceError(
+                    f"'seq' has {len(seq)} entries, the first record has {len(seqs[0])}",
+                    path=path, line=lineno,
+                )
+            loss = raw.get("losses")
+            if loss is not None and (not isinstance(loss, list) or len(loss) != len(seq)):
+                raise LogFormatError("'losses' must be null or match 'seq' length",
+                                     path=path, line=lineno)
             rec_id = str(raw["id"])
             if rec_id in seen:
                 raise LogFormatError(f"duplicate id {rec_id!r}", path=path, line=lineno)
             seen.add(rec_id)
             true_label = raw.get("true_label")
-            records.append(
-                LogRecord(
-                    id=rec_id,
-                    label=int(raw.get("label", 0)),
-                    true_label=None if true_label is None else int(true_label),
-                    seq=[int(b) for b in seq],
-                    losses=losses,
-                )
-            )
-    return records
-
-
-def records_to_round_log(records) -> RoundLog:
-    """View parsed records as the in-memory round contract."""
-    ids = [rec.id for rec in records]
-    losses = None
-    if records and all(rec.losses is not None for rec in records):
-        losses = {rec.id: np.asarray(rec.losses, dtype=float) for rec in records}
+            try:
+                labels.append(int(raw.get("label", 0)))
+                true_labels.append(None if true_label is None else int(true_label))
+                losses.append(None if loss is None else [float(v) for v in loss])
+            except (TypeError, ValueError) as exc:
+                raise LogFormatError(f"non-numeric label or loss: {exc}",
+                                     path=path, line=lineno)
+            ids.append(rec_id)
+            seqs.append(seq)
+    if not ids:
+        raise LogFormatError("log has no records", path=path)
     return RoundLog(
         ids=ids,
-        sequences={rec.id: np.asarray(rec.seq, dtype=np.int8) for rec in records},
-        losses=losses,
+        bits=np.array(seqs, dtype=np.int8),
+        losses=None if None in losses else np.array(losses, dtype=float),
+        labels=np.array(labels, dtype=np.int64),
+        true_labels=None if None in true_labels else np.array(true_labels),
     )
-
-
-def simulated_records(sequences, clean_mask) -> list[LogRecord]:
-    """Wrap simulator output as log records.
-
-    Records follow the order of ``sequences``. Clean instances get matching
-    (0, 0) label pairs and noisy ones get (1, 0), so the clean mask is
-    recoverable from the log alone.
-    """
-    return [
-        LogRecord(
-            id=str(instance_id),
-            label=0 if clean_mask[instance_id] else 1,
-            true_label=0,
-            seq=[int(b) for b in bits],
-        )
-        for instance_id, bits in sequences.items()
-    ]
-
-
-def clean_mask_from_records(records) -> dict | None:
-    """id -> label==true_label, or None when any truth is missing."""
-    if not records or any(rec.true_label is None for rec in records):
-        return None
-    return {rec.id: rec.label == rec.true_label for rec in records}
 
 
 def write_ids(path, ids) -> None:
@@ -233,12 +196,13 @@ def external_round(
     out_file,
     epochs: int,
     seed: int,
-) -> list[LogRecord]:
+) -> RoundLog:
     """Run one external-trainer round and validate its prediction log.
 
     The command template may use the placeholders {dataset}, {ids}, {out},
     {epochs} and {seed}. The log must cover exactly the ids listed in
-    ``ids_file`` with equal-length sequences of ``epochs`` entries.
+    ``ids_file`` with sequences of ``epochs`` entries (the reader already
+    requires them to be of equal length).
     """
     command = command_template.format(
         dataset=str(dataset_file),
@@ -253,9 +217,9 @@ def external_round(
     if proc.returncode != 0:
         raise TrainerCommandError(command, proc.returncode, proc.stderr)
 
-    records = read_prediction_log(out_file)
+    log = read_prediction_log(out_file)
     expected = read_ids(ids_file)
-    got = {rec.id for rec in records}
+    got = set(log.ids)
     missing = set(expected) - got
     if missing:
         raise MissingIdsError(missing, path=out_file)
@@ -263,16 +227,11 @@ def external_round(
     if extra:
         shown = ", ".join(sorted(extra)[:10])
         raise LogFormatError(f"log contains unexpected ids: {shown}", path=out_file)
-    lengths = {len(rec.seq) for rec in records}
-    if len(lengths) > 1:
+    if log.bits.shape[1] != epochs:
         raise RaggedSequenceError(
-            f"sequences have mixed lengths {sorted(lengths)}", path=out_file
+            f"sequences have length {log.bits.shape[1]}, expected {epochs}", path=out_file
         )
-    if lengths and lengths != {epochs}:
-        raise RaggedSequenceError(
-            f"sequences have length {lengths.pop()}, expected {epochs}", path=out_file
-        )
-    return records
+    return log
 
 
 class ExternalTrainer:
@@ -298,7 +257,7 @@ class ExternalTrainer:
         out_file = self.workdir / f"log_round{self.round_counter}.jsonl"
         ids = list(ids)
         write_ids(ids_file, ids)
-        records = external_round(
+        log = external_round(
             self.command_template,
             self.dataset_file,
             ids_file,
@@ -306,5 +265,12 @@ class ExternalTrainer:
             epochs,
             self.seed,
         )
-        by_id = {rec.id: rec for rec in records}
-        return records_to_round_log([by_id[i] for i in ids])
+        row_of = {i: row for row, i in enumerate(log.ids)}
+        rows = np.array([row_of[i] for i in ids], dtype=np.intp)
+        return RoundLog(
+            ids=ids,
+            bits=log.bits[rows],
+            losses=None if log.losses is None else log.losses[rows],
+            labels=log.labels[rows],
+            true_labels=None if log.true_labels is None else log.true_labels[rows],
+        )

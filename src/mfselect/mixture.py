@@ -421,12 +421,15 @@ def fit_metric_scores(scores, config: FitConfig | None = None) -> MixtureFit:
     function of position only, so adding a constant to every raw score
     leaves the fitted components, and hence the selected set, unchanged.
     The returned fit records the translation so ``threshold`` reports in
-    the original score units.
+    the original score units. Fewer than 10 scores, or fewer than 3
+    distinct ones, raise DegenerateSamplesError.
     """
     config = config or FitConfig()
     raw = np.asarray(scores, dtype=float)
-    if raw.ndim != 1 or raw.size < 10:
-        raise ValueError("need at least 10 scores to fit the mixture")
+    if raw.ndim != 1:
+        raise ValueError("scores must be a 1-d sequence")
+    if raw.size < 10:
+        raise DegenerateSamplesError("need at least 10 scores to fit the mixture")
     distinct = np.unique(raw)
     if distinct.size < 3:
         raise DegenerateSamplesError(

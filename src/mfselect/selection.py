@@ -111,22 +111,16 @@ def select_by_ratio(scores, ratio: float, round_index: int = 0) -> SelectionResu
 
 
 def small_loss_select(
-    epoch_losses, ratio: float, epoch: int | None = None, round_index: int = 0
+    ids, losses, ratio: float, epoch: int | None = None, round_index: int = 0
 ) -> SelectionResult:
     """Keep the ratio fraction with the smallest loss at the chosen epoch.
 
-    ``epoch`` indexes each instance's per-epoch loss list (None means the
-    final epoch). Instances with no recorded losses trigger an error that
-    names them.
+    ``losses`` is the (n, E) per-epoch loss matrix whose rows follow
+    ``ids``; ``epoch`` indexes its columns (None means the final epoch).
     """
-    if not epoch_losses:
-        raise ValueError("epoch_losses must be nonempty")
-    missing = [i for i, v in epoch_losses.items() if v is None or len(v) == 0]
-    if missing:
-        raise ValueError(f"no recorded losses for ids: {missing[:10]}")
-    idx = -1 if epoch is None else epoch
-    at_epoch = {i: float(v[idx]) for i, v in epoch_losses.items()}
-    return select_by_ratio(at_epoch, ratio, round_index=round_index)
+    at_epoch = np.asarray(losses)[:, -1 if epoch is None else epoch]
+    return select_by_ratio(dict(zip(ids, at_epoch.tolist())), ratio,
+                           round_index=round_index)
 
 
 def _apply_strategy(scores, log, config: RoundConfig, fit_config: FitConfig,
@@ -169,7 +163,7 @@ def _apply_strategy(scores, log, config: RoundConfig, fit_config: FitConfig,
     # small_loss
     if log.losses is None:
         raise ValueError("small_loss strategy requires per-epoch losses")
-    return small_loss_select(log.losses, config.ratio,
+    return small_loss_select(log.ids, log.losses, config.ratio,
                              epoch=config.small_loss_epoch, round_index=round_index)
 
 
@@ -180,7 +174,8 @@ def select_round(log, config: RoundConfig, fit_config: FitConfig | None = None,
     ``metric_scores`` of the result holds the round's metric scores, in the
     log's order, whichever strategy made the cut.
     """
-    scores = score_sequences(log.sequences, config.metric_kind, config.lam)
+    values = score_sequences(log.bits, config.metric_kind, config.lam)
+    scores = dict(zip(log.ids, values.tolist()))
     result = _apply_strategy(scores, log, config, fit_config or FitConfig(), round_index)
     result.metric_scores = scores
     return result

@@ -214,7 +214,7 @@ class SoftmaxNet:
         return self.logits(x).argmax(axis=1)
 
     def loss_and_grads(self, x: np.ndarray, y: np.ndarray):
-        """Per-sample cross-entropy losses and mean-loss gradients."""
+        """Logits, per-sample cross-entropy losses and mean-loss gradients."""
         if self.hidden:
             w1, b1, w2, b2 = self.params
             pre = x @ w1 + b1
@@ -235,7 +235,7 @@ class SoftmaxNet:
             grads = [x.T @ d_h, d_h.sum(axis=0), h.T @ probs, probs.sum(axis=0)]
         else:
             grads = [x.T @ probs, probs.sum(axis=0)]
-        return losses, grads
+        return z, losses, grads
 
 
 @dataclass
@@ -263,11 +263,29 @@ class TrainerConfig:
 
 @dataclass
 class RoundLog:
-    """Everything one training round hands to the selection step."""
+    """One round's prediction log, the only in-memory form of its dynamics.
+
+    Row ``r`` of every array belongs to ``ids[r]``. ``bits`` is the (n, E)
+    int8 status matrix (1 memorized, 0 misclassified at that epoch);
+    ``losses`` the (n, E) per-epoch losses, or None when not recorded;
+    ``labels`` the observed labels and ``true_labels`` the ground truth, or
+    None when unknown.
+    """
 
     ids: list
-    sequences: dict
-    losses: dict | None = None
+    bits: np.ndarray
+    losses: np.ndarray | None
+    labels: np.ndarray
+    true_labels: np.ndarray | None
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def clean_mask(self) -> dict | None:
+        """id -> True when the observed label matches the truth; None without truth."""
+        if self.true_labels is None:
+            return None
+        return dict(zip(self.ids, (self.labels == self.true_labels).tolist()))
 
 
 def cosine_lr(base_lr: float, epoch: int, total_epochs: int) -> float:
@@ -316,13 +334,14 @@ class SGDTrainer:
         losses = np.empty(n, dtype=float)
         for start in range(0, n, batch):
             idx = perm[start : start + batch]
-            batch_losses, grads = self.net.loss_and_grads(features[idx], labels[idx])
+            x, y = features[idx], labels[idx]
+            logits, batch_losses, grads = self.net.loss_and_grads(x, y)
             if not np.all(np.isfinite(batch_losses)):
                 raise FloatingPointError(
                     f"non-finite loss in batch at offset {start} "
                     f"(size {idx.size}, lr {lr:.3g})"
                 )
-            preds[idx] = self.net.logits(features[idx]).argmax(axis=1)
+            preds[idx] = logits.argmax(axis=1)
             losses[idx] = batch_losses
             for p, v, g in zip(self.net.params, self.velocity, grads):
                 v *= self.config.momentum
@@ -345,11 +364,8 @@ class SGDTrainer:
             preds, losses = self.train_epoch(x, y, lr)
             seq[:, e] = preds == y
             loss_hist[:, e] = losses
-        return RoundLog(
-            ids=ids,
-            sequences={i: seq[row].copy() for row, i in enumerate(ids)},
-            losses={i: loss_hist[row].copy() for row, i in enumerate(ids)},
-        )
+        return RoundLog(ids=ids, bits=seq, losses=loss_hist, labels=y,
+                        true_labels=dataset.true_labels[pos])
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         return self.net.predict(features)
@@ -406,13 +422,13 @@ def simulate_dynamics(
     model: DynamicsModel | None = None,
     epochs: int = 50,
     seed: int = 0,
-):
-    """Evolve per-instance two-state chains and emit labeled sequences.
+) -> RoundLog:
+    """Evolve per-instance two-state chains and emit them as a round log.
 
     Every chain starts misclassified and the start state is recorded as the
-    first epoch's status. Returns (sequences, clean_mask) where sequences
-    maps instance id -> int8 status array of length ``epochs`` and
-    clean_mask maps id -> bool.
+    first epoch's status. The clean instances come first; they get labels
+    (0, 0) and the noisy ones (1, 0), so ``log.clean_mask()`` recovers which
+    is which. The log records no losses.
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
@@ -444,6 +460,6 @@ def simulate_dynamics(
     ids = [f"clean_{i:05d}" for i in range(n_clean)] + [
         f"noisy_{i:05d}" for i in range(n_noisy)
     ]
-    sequences = {ids[i]: bits[i] for i in range(n)}
-    clean_mask = {ids[i]: bool(is_clean[i]) for i in range(n)}
-    return sequences, clean_mask
+    return RoundLog(ids=ids, bits=bits, losses=None,
+                    labels=(~is_clean).astype(np.int64),
+                    true_labels=np.zeros(n, dtype=np.int64))

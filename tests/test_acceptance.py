@@ -8,6 +8,7 @@ runtime; benchmark configurations live in the helpers below.
 import itertools
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 from scipy.integrate import quad
@@ -20,7 +21,7 @@ from mfselect.dynamics import (
 )
 from mfselect.evaluation import selection_precision_recall
 from mfselect.evaluation import test_accuracy as compute_accuracy
-from mfselect.logio import ExternalTrainer, LogRecord, write_prediction_log
+from mfselect.logio import ExternalTrainer, write_prediction_log
 from mfselect.mixture import (
     FitConfig,
     WeibullParams,
@@ -167,8 +168,8 @@ def test_criterion_3_em_properties():
 
 
 def test_criterion_4_threshold_semantics():
-    seqs, _ = simulate_dynamics(800, 800, DynamicsModel(), epochs=50, seed=4)
-    scores = score_sequences(seqs, "simplified", 1.0)
+    log = simulate_dynamics(800, 800, DynamicsModel(), epochs=50, seed=4)
+    scores = dict(zip(log.ids, score_sequences(log.bits, "simplified", 1.0).tolist()))
     config = FitConfig()
 
     def selected(score_map):
@@ -199,9 +200,9 @@ def test_criterion_4_threshold_semantics():
 
 def test_criterion_5_simulated_dynamics_end_to_end():
     start = time.perf_counter()
-    seqs, clean_mask = simulate_dynamics(5000, 5000, DynamicsModel(),
-                                         epochs=50, seed=0)
-    scores = score_sequences(seqs, "simplified", 1.0)
+    log = simulate_dynamics(5000, 5000, DynamicsModel(), epochs=50, seed=0)
+    clean_mask = log.clean_mask()
+    scores = dict(zip(log.ids, score_sequences(log.bits, "simplified", 1.0).tolist()))
     fit = fit_metric_scores([scores[i] for i in sorted(scores)], FitConfig())
     result = select_by_threshold(scores, threshold(fit))
     stats = selection_precision_recall(result.selected_ids, clean_mask)
@@ -286,15 +287,7 @@ def test_criterion_8_external_protocol_is_the_scale_path(tmp_path):
     trainer = SGDTrainer(2, 3, TrainerConfig(seed=2))
     inproc = trainer.fit_round(ds, ds.train_ids, epochs=4)
     log_path = tmp_path / "precomputed.jsonl"
-    write_prediction_log(
-        log_path,
-        [
-            LogRecord(id=str(i), label=int(ds.observed_labels[row]),
-                      true_label=int(ds.true_labels[row]),
-                      seq=inproc.sequences[i].tolist())
-            for row, i in enumerate(inproc.ids)
-        ],
-    )
+    write_prediction_log(log_path, replace(inproc, losses=None))
     copier = tmp_path / "copy.py"
     copier.write_text("import shutil, sys; shutil.copy(sys.argv[1], sys.argv[2])\n")
     bridge = ExternalTrainer(
@@ -303,8 +296,7 @@ def test_criterion_8_external_protocol_is_the_scale_path(tmp_path):
     )
     external = bridge.fit_round(ds, ds.train_ids, epochs=4)
     assert external.ids == inproc.ids
-    for i in inproc.ids:
-        assert np.array_equal(external.sequences[i], inproc.sequences[i])
+    assert np.array_equal(external.bits, inproc.bits)
     report(
         "PASS criterion 8: published large-scale accuracies are declared out "
         "of desk-scale scope; the external-trainer protocol (validated here "

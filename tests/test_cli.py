@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
+import mfselect.selection as selection_mod
 from mfselect import cli
 from mfselect.errors import ConfigError
 from mfselect.logio import (
@@ -122,6 +123,10 @@ def test_missing_config_exit_code(tmp_path):
         ("simulate", "simulate.epochs=2.5", "simulate.epochs"),
         # removed knob: now an unknown key
         ("run", "round.small_loss_best_validation=true", "small_loss_best_validation"),
+        ("run", "noise.ratio=abc", "noise.ratio"),
+        ("inject-noise", "noise.ratio=1.5", "noise"),
+        ("run", "dataset.blobs.per_class=0", "dataset.blobs"),
+        ("inject-noise", "dataset.blobs.spread=wide", "dataset.blobs.spread"),
     ],
 )
 def test_bad_config_value_exits_2_naming_key(tmp_path, capsys, command, override, key):
@@ -138,9 +143,9 @@ def test_simulate_outputs(tmp_path):
     path = write_config(tmp_path)
     assert cli.main(["simulate", "-c", str(path)]) == 0
     out = tmp_path / "out"
-    records = read_prediction_log(out / "simulated_log.jsonl")
-    assert len(records) == 400
-    assert all(len(r.seq) == 30 for r in records)
+    log = read_prediction_log(out / "simulated_log.jsonl")
+    assert len(log) == 400
+    assert log.bits.shape == (400, 30)
     mask = json.loads((out / "clean_mask.json").read_text())
     assert sum(mask.values()) == 200
     assert (out / "config_used.json").exists()
@@ -157,8 +162,8 @@ def test_simulate_rerun_is_byte_identical(tmp_path):
 def test_simulate_single_epoch(tmp_path):
     path = write_config(tmp_path)
     assert cli.main(["simulate", "-c", str(path), "--set", "simulate.epochs=1"]) == 0
-    records = read_prediction_log(tmp_path / "out" / "simulated_log.jsonl")
-    assert all(len(r.seq) == 1 for r in records)
+    log = read_prediction_log(tmp_path / "out" / "simulated_log.jsonl")
+    assert log.bits.shape == (400, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +281,40 @@ def test_write_json_crash_mid_write_keeps_old_file(tmp_path, monkeypatch):
     assert target.read_text() == before
 
 
+@pytest.mark.parametrize("empty_round", [1, 2])
+def test_run_resume_after_emptied_selection_matches_full_run(tmp_path, monkeypatch,
+                                                             empty_round):
+    real_strategy = selection_mod._apply_strategy
+
+    def strategy(scores, log, config, fit_config, round_index):
+        if round_index == empty_round:
+            return selection_mod.SelectionResult(
+                round_index=round_index, selected_ids=[], metric_scores=dict(scores)
+            )
+        return real_strategy(scores, log, config, fit_config, round_index)
+
+    monkeypatch.setattr(selection_mod, "_apply_strategy", strategy)
+    path = write_config(tmp_path, base_config(tmp_path, rounds=3, epochs=4))
+    assert cli.main(["run", "-c", str(path)]) == 0
+    out = tmp_path / "out"
+    full = tree_digest(out)
+    assert json.loads((out / "state.json").read_text())["truncated"]
+    trained_on = (read_ids(out / "selected_ids_round1.txt") if empty_round == 2
+                  else read_dataset_csv(out / "dataset.csv").train_ids)
+    assert read_ids(out / "selected_ids_final.txt") == trained_on
+    assert cli.main(["run", "-c", str(path), "--resume"]) == 0
+    assert tree_digest(out) == full
+
+
+def test_run_small_round_falls_back_to_ratio(tmp_path, capsys):
+    config = base_config(tmp_path, rounds=1, epochs=6, ratio=0.5)
+    config["dataset"]["blobs"].update(n_classes=2, per_class=4)
+    path = write_config(tmp_path, config)
+    assert cli.main(["run", "-c", str(path)]) == 0
+    assert "fell back to ratio selection" in capsys.readouterr().out
+    assert len(read_ids(tmp_path / "out" / "selected_ids_round1.txt")) == 4
+
+
 def test_run_resume_rejects_config_mismatch(tmp_path):
     path = write_config(tmp_path)
     cli.main(["run", "-c", str(path)])
@@ -353,11 +392,15 @@ def test_select_mixture_on_simulated_log(tmp_path):
             "loglik_trace", "converged"} <= set(doc)
 
 
-def test_select_malformed_log_exit_code(tmp_path):
+def test_select_malformed_log_exit_code(tmp_path, capsys):
     path = write_config(tmp_path)
     bad = tmp_path / "bad.jsonl"
-    bad.write_text('{"id": "a", "seq": [0, 1]}\nnot json at line 2\n')
-    assert cli.main(["select", "-c", str(path), "--log", str(bad)]) == 3
+    for second in ("not json at line 2",
+                   '{"id": "b", "seq": [0, 1, 1]}',  # ragged
+                   '{"id": "b", "seq": [0, 1], "label": "cat"}'):
+        bad.write_text('{"id": "a", "seq": [0, 1]}\n' + second + "\n")
+        assert cli.main(["select", "-c", str(path), "--log", str(bad)]) == 3
+        assert "line 2" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -155,20 +155,36 @@ def test_metric_bounds(bits, lam):
 
 def test_score_sequences_orders_and_permutes():
     rng = np.random.default_rng(1)
-    seqs = {i: rng.integers(0, 2, size=20).tolist() for i in range(40)}
-    scores = score_sequences(seqs, "simplified", 1.0)
-    assert list(scores) == sorted(seqs)
-    # per-instance purity: permuting the dataset permutes outputs identically
-    shuffled = {i: seqs[i] for i in reversed(sorted(seqs))}
-    assert score_sequences(shuffled, "simplified", 1.0) == scores
-    for i, bits in seqs.items():
-        assert scores[i] == metric_simplified_oracle(bits)
+    bits = rng.integers(0, 2, size=(40, 20)).astype(np.int8)
+    scores = score_sequences(bits, "simplified", 1.0)
+    assert scores.dtype == np.float64 and scores.shape == (40,)
+    # per-instance purity: permuting the rows permutes outputs identically
+    perm = rng.permutation(40)
+    assert np.array_equal(score_sequences(bits[perm], "simplified", 1.0), scores[perm])
+    for row, score in zip(bits.tolist(), scores.tolist()):
+        assert score == metric_simplified_oracle(row)
 
 
 def test_score_sequences_full_kind():
-    seqs = {"a": [0, 0, 1], "b": [1, 0, 1]}
-    scores = score_sequences(seqs, "full", 2.0)
-    assert scores["a"] == metric_full_oracle([0, 0, 1], 2.0)
-    assert scores["b"] == metric_full_oracle([1, 0, 1], 2.0)
+    bits = np.array([[0, 0, 1], [1, 0, 1]], dtype=np.int8)
+    scores = score_sequences(bits, "full", 2.0)
+    assert scores[0] == metric_full_oracle([0, 0, 1], 2.0)
+    assert scores[1] == metric_full_oracle([1, 0, 1], 2.0)
     with pytest.raises(ValueError):
-        score_sequences(seqs, "weird")
+        score_sequences(bits, "weird")
+    with pytest.raises(ValueError):
+        score_sequences(bits, "full", -0.1)
+
+
+@pytest.mark.parametrize("epochs", [1, 2, 7, 50])
+def test_score_sequences_equals_scalar_metrics(epochs):
+    rng = np.random.default_rng(epochs)
+    bits = rng.integers(0, 2, size=(300, epochs)).astype(np.int8)
+    bits[0] = 0
+    bits[1] = 1
+    for lam in (0, 0.0, 0.3, 1.0, 2.5):
+        for kind, scalar in (("full", metric_full), ("simplified", metric_simplified)):
+            want = [scalar(segment(row), lam) for row in bits]
+            got = score_sequences(bits, kind, lam)
+            assert got.dtype == np.float64
+            assert got.tolist() == want, (kind, lam)

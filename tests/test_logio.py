@@ -11,19 +11,21 @@ from mfselect.errors import (
 )
 from mfselect.logio import (
     ExternalTrainer,
-    LogRecord,
-    clean_mask_from_records,
     external_round,
     read_dataset_csv,
     read_ids,
     read_prediction_log,
-    records_to_round_log,
-    simulated_records,
     write_dataset_csv,
     write_ids,
     write_prediction_log,
 )
-from mfselect.trainer import SGDTrainer, TrainerConfig, make_blobs
+from mfselect.trainer import (
+    RoundLog,
+    SGDTrainer,
+    TrainerConfig,
+    make_blobs,
+    simulate_dynamics,
+)
 
 STUB_TRAINER = """\
 import json, sys
@@ -60,12 +62,25 @@ def stub(tmp_path):
     return command
 
 
-def sample_records():
-    return [
-        LogRecord(id="a", label=1, true_label=1, seq=[0, 1, 1], losses=[0.9, 0.2, 0.1]),
-        LogRecord(id="b", label=2, true_label=0, seq=[0, 0, 1], losses=[1.5, 1.1, 0.7]),
-        LogRecord(id="c", label=0, true_label=None, seq=[1, 1, 1], losses=None),
-    ]
+def sample_log(losses=True, truth=True):
+    return RoundLog(
+        ids=["a", "b", "c"],
+        bits=np.array([[0, 1, 1], [0, 0, 1], [1, 1, 1]], dtype=np.int8),
+        losses=np.array([[0.9, 0.2, 0.1], [1.5, 1.1, 0.7], [0.4, 0.3, 0.2]])
+        if losses else None,
+        labels=np.array([1, 2, 0]),
+        true_labels=np.array([1, 0, 0]) if truth else None,
+    )
+
+
+def assert_same_log(got, want):
+    assert got.ids == want.ids
+    assert got.bits.dtype == np.int8
+    for name in ("bits", "losses", "labels", "true_labels"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert np.array_equal(a, b), name
 
 
 # ---------------------------------------------------------------------------
@@ -74,9 +89,9 @@ def sample_records():
 
 def test_prediction_log_round_trip(tmp_path):
     path = tmp_path / "log.jsonl"
-    write_prediction_log(path, sample_records())
-    back = read_prediction_log(path)
-    assert back == sample_records()
+    for log in (sample_log(), sample_log(losses=False, truth=False)):
+        write_prediction_log(path, log)
+        assert_same_log(read_prediction_log(path), log)
 
 
 def test_prediction_log_bad_json_names_line(tmp_path):
@@ -88,33 +103,51 @@ def test_prediction_log_bad_json_names_line(tmp_path):
 
 def test_prediction_log_validates_seq_and_losses(tmp_path):
     path = tmp_path / "log.jsonl"
-    path.write_text('{"id": "a", "seq": [0, 2]}\n')
-    with pytest.raises(LogFormatError, match="0/1"):
+    for second, match in [
+        ('{"id": "b", "seq": [0, 2]}', "0/1"),
+        ('{"id": "b", "seq": [0, 0.5]}', "0/1"),
+        ('{"id": "b", "seq": [0, "1"]}', "0/1"),
+        ('{"id": "b", "seq": [0, 1], "losses": [0.5]}', "losses"),
+        ('{"id": "a", "seq": [1, 1]}', "duplicate"),
+        ('{"id": "b", "seq": [0, 1, 1]}', "has 3 entries"),  # ragged
+        ('{"id": "b", "seq": [0, 1], "label": "cat"}', "non-numeric"),
+        ('{"id": "b", "seq": [0, 1], "true_label": [1]}', "non-numeric"),
+        ('{"id": "b", "seq": [0, 1], "losses": [0.5, "x"]}', "non-numeric"),
+    ]:
+        path.write_text('{"id": "a", "seq": [0, 1]}\n' + second + "\n")
+        with pytest.raises(LogFormatError, match=match) as info:
+            read_prediction_log(path)
+        assert info.value.line == 2, second
+    path.write_text('{"id": "a", "seq": [0]}\n{"id": "b", "seq": [0, 1]}\n')
+    with pytest.raises(RaggedSequenceError):
         read_prediction_log(path)
-    path.write_text('{"id": "a", "seq": [0, 1], "losses": [0.5]}\n')
-    with pytest.raises(LogFormatError, match="losses"):
-        read_prediction_log(path)
+
+
+def test_prediction_log_losses_and_truth_only_when_complete(tmp_path):
+    path = tmp_path / "log.jsonl"
     path.write_text(
-        '{"id": "a", "seq": [0]}\n{"id": "a", "seq": [1]}\n'
+        '{"id": "a", "seq": [0, 1], "losses": [0.9, 0.2], "label": 1, "true_label": 1}\n'
+        '{"id": "b", "seq": [0, 0], "losses": [1.5, 1.1], "label": 2, "true_label": 0}\n'
+        '{"id": "c", "seq": [1, 1], "losses": null, "label": 0, "true_label": null}\n'
     )
-    with pytest.raises(LogFormatError, match="duplicate"):
-        read_prediction_log(path)
-
-
-def test_records_to_round_log_losses_only_when_complete():
-    log = records_to_round_log(sample_records())
+    log = read_prediction_log(path)
     assert log.losses is None  # record "c" has no losses
-    full = [r for r in sample_records() if r.losses is not None]
-    log = records_to_round_log(full)
-    assert set(log.losses) == {"a", "b"}
+    assert log.true_labels is None and log.clean_mask() is None
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:2]))
+    log = read_prediction_log(path)
+    assert log.losses.shape == (2, 2)
+    assert log.clean_mask() == {"a": True, "b": False}
 
 
-def test_simulated_records_encode_mask():
-    seqs = {"noisy_0": np.array([0, 0]), "clean_0": np.array([0, 1])}
-    mask = {"clean_0": True, "noisy_0": False}
-    records = simulated_records(seqs, mask)
-    assert [r.id for r in records] == ["noisy_0", "clean_0"]  # input order
-    assert clean_mask_from_records(records) == mask
+def test_simulated_log_encodes_mask(tmp_path):
+    log = simulate_dynamics(2, 1, epochs=3, seed=0)
+    mask = {"clean_00000": True, "clean_00001": True, "noisy_00000": False}
+    assert log.ids == list(mask)  # clean first, each block in index order
+    assert log.labels.tolist() == [0, 0, 1] and log.true_labels.tolist() == [0, 0, 0]
+    assert log.clean_mask() == mask
+    path = tmp_path / "sim.jsonl"
+    write_prediction_log(path, log)
+    assert read_prediction_log(path).clean_mask() == mask
 
 
 # ---------------------------------------------------------------------------
@@ -167,11 +200,11 @@ def test_ids_file_round_trip(tmp_path):
 def test_external_round_happy_path(tmp_path, stub):
     ids_file = tmp_path / "ids.txt"
     write_ids(ids_file, ["a", "b", "c"])
-    records = external_round(
+    log = external_round(
         stub("ok"), tmp_path / "data.csv", ids_file, tmp_path / "out.jsonl", 4, 0
     )
-    assert {r.id for r in records} == {"a", "b", "c"}
-    assert all(len(r.seq) == 4 for r in records)
+    assert set(log.ids) == {"a", "b", "c"}
+    assert log.bits.shape == (3, 4)
 
 
 def test_external_round_missing_id(tmp_path, stub):
@@ -227,17 +260,7 @@ def test_external_trainer_echoes_precomputed_log(tmp_path):
     inproc = trainer.fit_round(ds, ds.train_ids, epochs=5)
 
     precomputed = tmp_path / "precomputed.jsonl"
-    records = [
-        LogRecord(
-            id=str(i),
-            label=int(ds.observed_labels[row]),
-            true_label=int(ds.true_labels[row]),
-            seq=inproc.sequences[i].tolist(),
-            losses=inproc.losses[i].tolist(),
-        )
-        for row, i in enumerate(inproc.ids)
-    ]
-    write_prediction_log(precomputed, records)
+    write_prediction_log(precomputed, inproc)
 
     copier = tmp_path / "copy_log.py"
     copier.write_text("import shutil, sys; shutil.copy(sys.argv[1], sys.argv[2])\n")
@@ -249,18 +272,23 @@ def test_external_trainer_echoes_precomputed_log(tmp_path):
     )
     external = bridge.fit_round(ds, ds.train_ids, epochs=5)
     assert external.ids == inproc.ids
-    for i in inproc.ids:
-        assert np.array_equal(external.sequences[i], inproc.sequences[i])
-        assert np.allclose(external.losses[i], inproc.losses[i])
+    assert np.array_equal(external.bits, inproc.bits)
+    assert np.allclose(external.losses, inproc.losses)
 
 
 def test_external_trainer_returns_caller_order_for_shuffled_log(tmp_path):
     ids = ["b", "007", "7", "a"]
     shuffled = tmp_path / "shuffled.jsonl"
+    n = len(ids)
     write_prediction_log(
         shuffled,
-        [LogRecord(id=i, label=0, true_label=0, seq=[k % 2, 1], losses=[1.0, float(k)])
-         for k, i in enumerate(ids)][::-1],
+        RoundLog(
+            ids=ids[::-1],
+            bits=np.array([[k % 2, 1] for k in range(n)], dtype=np.int8)[::-1],
+            losses=np.array([[1.0, float(k)] for k in range(n)])[::-1],
+            labels=np.arange(n)[::-1],
+            true_labels=None,
+        ),
     )
     copier = tmp_path / "copy_log.py"
     copier.write_text("import shutil, sys; shutil.copy(sys.argv[1], sys.argv[2])\n")
@@ -270,7 +298,6 @@ def test_external_trainer_returns_caller_order_for_shuffled_log(tmp_path):
     )
     log = bridge.fit_round(None, ids, epochs=2)
     assert log.ids == ids
-    assert list(log.sequences) == ids and list(log.losses) == ids
-    for k, i in enumerate(ids):
-        assert log.sequences[i].tolist() == [k % 2, 1]
-        assert log.losses[i].tolist() == [1.0, float(k)]
+    assert log.bits.tolist() == [[k % 2, 1] for k in range(n)]
+    assert log.losses.tolist() == [[1.0, float(k)] for k in range(n)]
+    assert log.labels.tolist() == list(range(n)) and log.true_labels is None

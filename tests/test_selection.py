@@ -47,10 +47,15 @@ class FakeTrainer:
         self.fit_calls = []
 
     def fit_round(self, dataset, ids, epochs):
-        self.fit_calls.append((list(ids), epochs))
-        seqs = {i: self.sequences[i] for i in ids}
-        losses = None if self.losses is None else {i: self.losses[i] for i in ids}
-        return RoundLog(ids=list(ids), sequences=seqs, losses=losses)
+        ids = list(ids)
+        self.fit_calls.append((ids, epochs))
+        return RoundLog(
+            ids=ids,
+            bits=np.array([self.sequences[i] for i in ids], dtype=np.int8),
+            losses=None if self.losses is None else np.array([self.losses[i] for i in ids]),
+            labels=np.zeros(len(ids), dtype=np.int64),
+            true_labels=None,
+        )
 
     def reset(self):
         self.reset_calls += 1
@@ -149,15 +154,11 @@ def test_ratio_validates_input():
 
 
 def test_small_loss_ranks_at_chosen_epoch():
-    losses = {"a": [2.0, 0.1], "b": [0.1, 2.3], "c": [1.0, 0.2]}
-    assert small_loss_select(losses, 2 / 3).selected_ids == ["a", "c"]
-    assert small_loss_select(losses, 2 / 3, epoch=0).selected_ids == ["b", "c"]
-    assert small_loss_select(losses, 1.0).selected_ids == ["a", "b", "c"]
-
-
-def test_small_loss_missing_ids_named():
-    with pytest.raises(ValueError, match="b"):
-        small_loss_select({"a": [1.0], "b": []}, 0.5)
+    ids = ["a", "b", "c"]
+    losses = np.array([[2.0, 0.1], [0.1, 2.3], [1.0, 0.2]])
+    assert small_loss_select(ids, losses, 2 / 3).selected_ids == ["a", "c"]
+    assert small_loss_select(ids, losses, 2 / 3, epoch=0).selected_ids == ["b", "c"]
+    assert small_loss_select(ids, losses, 1.0).selected_ids == ["a", "b", "c"]
 
 
 def test_small_loss_beats_chance_on_dominated_losses():
@@ -173,7 +174,7 @@ def test_small_loss_beats_chance_on_dominated_losses():
     for i in range(n_noisy):
         losses[f"n{i:03d}"] = [float(1.0 + rng.exponential(1.0))]
         clean_mask[f"n{i:03d}"] = False
-    result = small_loss_select(losses, 0.7)
+    result = small_loss_select(list(losses), np.array(list(losses.values())), 0.7)
     kept_clean = sum(clean_mask[i] for i in result.selected_ids)
     precision = kept_clean / len(result.selected_ids)
     assert precision >= n_clean / (n_clean + n_noisy)
@@ -184,8 +185,9 @@ def test_small_loss_beats_chance_on_dominated_losses():
 
 
 def simulated_scores(seed=0, n=1500):
-    seqs, mask = simulate_dynamics(n // 2, n // 2, epochs=50, seed=seed)
-    return score_sequences(seqs, "simplified", 1.0), mask
+    log = simulate_dynamics(n // 2, n // 2, epochs=50, seed=seed)
+    scores = score_sequences(log.bits, "simplified", 1.0)
+    return dict(zip(log.ids, scores.tolist())), log.clean_mask()
 
 
 def test_selected_set_invariant_under_score_translation():
@@ -368,7 +370,7 @@ def test_multiround_sequences_reset_each_round():
     # every fit_round call produced sequences of exactly the round's epochs
     # (would be longer if they accumulated across rounds)
     log = trainer.fit_round(ds, sorted(ds.train_ids)[:50], 5)
-    assert all(len(v) == 5 for v in log.sequences.values())
+    assert log.bits.shape == (50, 5)
 
 
 # ---------------------------------------------------------------------------

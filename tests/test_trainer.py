@@ -161,9 +161,8 @@ def test_fit_round_deterministic_given_seed():
     for _ in range(2):
         trainer = SGDTrainer(3, 4, TrainerConfig(seed=21))
         logs.append(trainer.fit_round(ds, ds.train_ids, epochs=5))
-    for i in logs[0].ids:
-        assert np.array_equal(logs[0].sequences[i], logs[1].sequences[i])
-        assert np.array_equal(logs[0].losses[i], logs[1].losses[i])
+    assert np.array_equal(logs[0].bits, logs[1].bits)
+    assert np.array_equal(logs[0].losses, logs[1].losses)
 
 
 def test_fit_round_shapes_and_loss_alignment():
@@ -171,11 +170,13 @@ def test_fit_round_shapes_and_loss_alignment():
     trainer = SGDTrainer(2, 3, TrainerConfig(batch_size=32, seed=2))
     log = trainer.fit_round(ds, ds.train_ids, epochs=7)
     assert log.ids == ds.train_ids
-    for i in log.ids:
-        assert log.sequences[i].shape == (7,)
-        assert log.losses[i].shape == (7,)
-        assert set(np.unique(log.sequences[i])) <= {0, 1}
-        assert np.all(log.losses[i] > 0)
+    assert log.bits.shape == (len(log), 7) and log.bits.dtype == np.int8
+    assert log.losses.shape == (len(log), 7)
+    assert set(np.unique(log.bits)) <= {0, 1}
+    assert np.all(log.losses > 0)
+    pos = ds.train_positions
+    assert np.array_equal(log.labels, ds.observed_labels[pos])
+    assert np.array_equal(log.true_labels, ds.true_labels[pos])
 
 
 def test_statuses_recorded_before_update():
@@ -185,9 +186,9 @@ def test_statuses_recorded_before_update():
     trainer = SGDTrainer(2, 3, TrainerConfig(learning_rate=0.0, seed=3))
     log = trainer.fit_round(ds, ds.train_ids, epochs=3)
     frozen_preds = trainer.predict(ds.features[ds.train_positions])
-    for row, i in enumerate(log.ids):
+    for row in range(len(log)):
         expected = int(frozen_preds[row] == ds.observed_labels[ds.train_positions][row])
-        assert np.all(log.sequences[i] == expected)
+        assert np.all(log.bits[row] == expected)
 
 
 def test_mlp_arch_trains():
@@ -213,8 +214,7 @@ def test_trainer_state_round_trip():
     fresh = SGDTrainer(2, 3, TrainerConfig(seed=7))
     fresh.load_state_dict(state)
     log_b = fresh.fit_round(ds, ds.train_ids, epochs=3)
-    for i in log_a.ids:
-        assert np.array_equal(log_a.sequences[i], log_b.sequences[i])
+    assert np.array_equal(log_a.bits, log_b.bits)
 
 
 def test_trainer_config_validation():
@@ -237,28 +237,30 @@ def test_simulate_deterministic_chains():
         p_memorize_noisy=0.0,
         p_forget_noisy=0.0,
     )
-    seqs, mask = simulate_dynamics(3, 2, model, epochs=6, seed=0)
-    for i, bits in seqs.items():
+    log = simulate_dynamics(3, 2, model, epochs=6, seed=0)
+    mask = log.clean_mask()
+    for i, bits in zip(log.ids, log.bits.tolist()):
         if mask[i]:
-            assert bits.tolist() == [0, 1, 1, 1, 1, 1]
+            assert bits == [0, 1, 1, 1, 1, 1]
         else:
-            assert bits.tolist() == [0, 0, 0, 0, 0, 0]
+            assert bits == [0, 0, 0, 0, 0, 0]
 
 
 def test_simulate_shapes_and_mask():
-    seqs, mask = simulate_dynamics(10, 20, DynamicsModel(), epochs=15, seed=3)
-    assert len(seqs) == 30
-    assert sum(mask.values()) == 10
-    assert all(v.shape == (15,) for v in seqs.values())
-    again, _ = simulate_dynamics(10, 20, DynamicsModel(), epochs=15, seed=3)
-    for i in seqs:
-        assert np.array_equal(seqs[i], again[i])
+    log = simulate_dynamics(10, 20, DynamicsModel(), epochs=15, seed=3)
+    assert len(log) == 30
+    assert sum(log.clean_mask().values()) == 10
+    assert log.bits.shape == (30, 15) and log.bits.dtype == np.int8
+    again = simulate_dynamics(10, 20, DynamicsModel(), epochs=15, seed=3)
+    assert again.ids == log.ids
+    assert np.array_equal(log.bits, again.bits)
 
 
 def test_simulate_clean_dominates_noisy_in_memorized_epochs():
-    seqs, mask = simulate_dynamics(5000, 5000, DynamicsModel(), epochs=50, seed=1)
-    clean_counts = [seqs[i].sum() for i in seqs if mask[i]]
-    noisy_counts = [seqs[i].sum() for i in seqs if not mask[i]]
+    log = simulate_dynamics(5000, 5000, DynamicsModel(), epochs=50, seed=1)
+    is_clean = log.labels == log.true_labels
+    clean_counts = log.bits[is_clean].sum(axis=1)
+    noisy_counts = log.bits[~is_clean].sum(axis=1)
     stat = mannwhitneyu(clean_counts, noisy_counts, alternative="greater")
     assert stat.pvalue < 1e-6
 
@@ -266,10 +268,10 @@ def test_simulate_clean_dominates_noisy_in_memorized_epochs():
 def test_simulate_ramp_accelerates_noisy_memorization():
     base = DynamicsModel()
     ramped = DynamicsModel(ramp=[1.0] * 10 + [5.0] * 40)
-    seqs_a, mask = simulate_dynamics(0, 2000, base, epochs=50, seed=2)
-    seqs_b, _ = simulate_dynamics(0, 2000, ramped, epochs=50, seed=2)
-    mem_a = np.mean([seqs_a[i].sum() for i in seqs_a])
-    mem_b = np.mean([seqs_b[i].sum() for i in seqs_b])
+    log_a = simulate_dynamics(0, 2000, base, epochs=50, seed=2)
+    log_b = simulate_dynamics(0, 2000, ramped, epochs=50, seed=2)
+    mem_a = log_a.bits.sum(axis=1).mean()
+    mem_b = log_b.bits.sum(axis=1).mean()
     assert mem_b > mem_a
 
 
