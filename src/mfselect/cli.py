@@ -210,8 +210,18 @@ SIMULATE_SIZES = ("n_clean", "n_noisy", "epochs", "seed")
 
 def _build_round(section) -> RoundConfig:
     _reject_unknown(section, set(ROUND_KEYS), "round")
+    if section.get("small_loss_epoch") is not None:
+        _check_type(section["small_loss_epoch"], int, "round.small_loss_epoch")
     return _build(RoundConfig, section, "round", ROUND_KEYS,
                   renames={"lambda": "lam", "metric": "metric_kind"})
+
+
+def _check_small_loss_epoch(rc: RoundConfig, epochs: int) -> None:
+    """ConfigError unless ``round.small_loss_epoch`` indexes one of ``epochs``."""
+    k = rc.small_loss_epoch
+    if k is not None and not -epochs <= k < epochs:
+        raise ConfigError(f"round.small_loss_epoch={k} is out of range for "
+                          f"{epochs} epochs (need {-epochs} <= k < {epochs})")
 
 
 def _build_fit(section) -> FitConfig:
@@ -556,6 +566,8 @@ def run_pipeline(cfg: ExperimentConfig, outdir: Path, resume: bool = False) -> l
 
 
 def cmd_run(cfg: ExperimentConfig, trials: int = 1, resume: bool = False) -> int:
+    if cfg.round_config.strategy == "small_loss":
+        _check_small_loss_epoch(cfg.round_config, cfg.round_config.epochs)
     if trials <= 1:
         rows = run_pipeline(cfg, cfg.output_dir, resume=resume)
         for row in rows:
@@ -608,6 +620,11 @@ def _run_trials(cfg: ExperimentConfig, trials: int) -> int:
 
 def cmd_select(cfg: ExperimentConfig, log_path) -> int:
     log = logio.read_prediction_log(log_path)
+    if cfg.round_config.strategy == "small_loss":
+        if log.losses is None:
+            raise LogFormatError("the small_loss strategy needs 'losses' in every record",
+                                 path=log_path)
+        _check_small_loss_epoch(cfg.round_config, log.bits.shape[1])
     result = selection.select_round(log, cfg.round_config, cfg.fit_config, 1)
     scores = result.metric_scores
 
@@ -728,6 +745,7 @@ def _write_comparison(cfg: ExperimentConfig, outputs: Path) -> int:
     cfg.require("dataset", "trainer")
     if cfg.trainer.get("kind", "sgd") != "sgd":
         raise ConfigError("report --compare needs the built-in sgd trainer")
+    _check_small_loss_epoch(cfg.round_config, cfg.round_config.epochs)
     ds = apply_noise(build_dataset(cfg), cfg)
     rows = selection.compare_strategies(
         ds,

@@ -7,7 +7,11 @@ Prediction logs are newline-delimited JSON, one record per instance:
 
 ``seq`` has one entry per epoch of the round, so every record's ``seq``
 has the same length; ``losses`` is optional and only needed by the
-small-loss baseline. A log is read into one ``RoundLog``. Datasets are CSV
+small-loss baseline. A log is read into one ``RoundLog``. A log without
+losses in the exact layout ``write_prediction_log`` emits is read in bulk:
+one anchored regex per chunk of lines and numpy for the bits. Any other
+valid layout is read line by line, with the same checks and the same
+result, and every format error comes from that line reader. Datasets are CSV
 files with header
 ``id,feature_0..feature_{d-1},observed_label,true_label,split``. Selected
 ids are stored one per line. Ids are opaque strings everywhere: ``007`` and
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import shlex
 import subprocess
 from pathlib import Path
@@ -37,21 +42,36 @@ from .errors import (
 from .trainer import RoundLog, ToyDataset
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def write_prediction_log(path, log: RoundLog) -> None:
     n = len(log)
     true_labels = [None] * n if log.true_labels is None else log.true_labels.tolist()
     losses = [None] * n if log.losses is None else log.losses.tolist()
     rows = zip(log.ids, log.labels.tolist(), true_labels, log.bits.tolist(), losses)
     with Path(path).open("w") as fh:
-        for rec_id, label, true_label, seq, loss in rows:
-            fh.write(
-                json.dumps(
-                    {"id": rec_id, "label": label, "true_label": true_label,
-                     "seq": seq, "losses": loss},
-                    sort_keys=True,
-                )
-            )
-            fh.write("\n")
+        fh.writelines(
+            _ENCODER.encode({"id": rec_id, "label": label, "true_label": true_label,
+                             "seq": seq, "losses": loss}) + "\n"
+            for rec_id, label, true_label, seq, loss in rows
+        )
+
+
+# One record exactly as ``write_prediction_log`` lays it out for a log
+# without losses: sorted keys, default separators, ASCII escapes. No
+# character class matches "\n", so a match is one whole line. Strings
+# exclude raw control characters and allow only JSON's escapes; integers
+# stop at 18 digits so they always fit in int64. ``seq`` is only checked for
+# its characters here; the reader checks its "0, 1, ..." layout.
+_STRING = r'"([^"\\\x00-\x1f]*(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})[^"\\\x00-\x1f]*)*)"'
+_INT = r"-?(?:0|[1-9][0-9]{0,17})"
+_CANONICAL_RECORD = re.compile(
+    rf'^\{{"id": {_STRING}, "label": ({_INT}), "losses": null, '
+    rf'"seq": \[([01, ]*)\], "true_label": ({_INT}|null)\}}\n',
+    re.M,
+)
+_CHUNK_CHARS = 1 << 20
 
 
 def read_prediction_log(path) -> RoundLog:
@@ -59,7 +79,61 @@ def read_prediction_log(path) -> RoundLog:
 
     Every ``seq`` must have the first record's length. ``losses`` and
     ``true_labels`` of the result are None unless every record has them.
+    A log without losses in ``write_prediction_log``'s exact layout is read
+    in bulk; any other (valid or not) is read line by line, which gives the
+    same result or names the bad line.
     """
+    log = _read_canonical_log(path)
+    return _read_log_lines(path) if log is None else log
+
+
+def _read_canonical_log(path) -> RoundLog | None:
+    """Read a log whose every line matches ``_CANONICAL_RECORD``, else None.
+
+    Reads chunks of whole lines, so memory stays near one chunk plus the
+    result. Returns None, without raising a format error, on the first
+    non-matching line (losses included), ragged ``seq``, duplicate id or
+    empty file; the line reader then decides.
+    """
+    ids, labels, true_labels, bits = [], [], [], []
+    width = None
+    with Path(path).open() as fh:
+        try:
+            while lines := fh.readlines(_CHUNK_CHARS):
+                rows = _CANONICAL_RECORD.findall("".join(lines))
+                if len(rows) != len(lines):
+                    return None
+                raw_ids, raw_labels, seqs, raw_true = zip(*rows)
+                width = width or len(seqs[0])
+                if width % 3 != 1 or set(map(len, seqs)) != {width}:
+                    return None
+                # the regex admitted only "01, ": with a bit in every third
+                # byte and one ", " per bit, each seq reads "b, b, ..., b"
+                text = (", ".join(seqs) + ", ").encode("ascii")
+                chunk_bits = np.frombuffer(text, dtype=np.uint8)[::3] - 48
+                if chunk_bits.max() > 1 or text.count(b", ") != chunk_bits.size:
+                    return None
+                bits.append(chunk_bits.astype(np.int8).reshape(len(rows), -1))
+                ids += [json.loads(f'"{i}"') if "\\" in i else i for i in raw_ids]
+                labels.append(np.array(raw_labels, dtype=np.int64))
+                if true_labels is not None and "null" in raw_true:
+                    true_labels = None
+                elif true_labels is not None:
+                    true_labels.append(np.array(raw_true, dtype=np.int64))
+        except UnicodeDecodeError:
+            return None
+    if not ids or len(set(ids)) != len(ids):
+        return None
+    return RoundLog(
+        ids=ids,
+        bits=np.concatenate(bits),
+        losses=None,
+        labels=np.concatenate(labels),
+        true_labels=None if true_labels is None else np.concatenate(true_labels),
+    )
+
+
+def _read_log_lines(path) -> RoundLog:
     path = Path(path)
     ids, labels, true_labels, seqs, losses = [], [], [], [], []
     seen = set()

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import evaluation
 from .dynamics import score_sequences
-from .errors import MixtureFitError
+from .errors import LogFormatError, MixtureFitError
 from .mixture import FitConfig, MixtureFit, fit_metric_scores, threshold
 
 STRATEGIES = ("mixture_threshold", "ratio", "small_loss")
@@ -162,7 +162,7 @@ def _apply_strategy(scores, log, config: RoundConfig, fit_config: FitConfig,
         return select_by_ratio(scores, config.ratio, round_index=round_index)
     # small_loss
     if log.losses is None:
-        raise ValueError("small_loss strategy requires per-epoch losses")
+        raise LogFormatError("the small_loss strategy needs 'losses' in every record")
     return small_loss_select(log.ids, log.losses, config.ratio,
                              epoch=config.small_loss_epoch, round_index=round_index)
 

@@ -127,6 +127,7 @@ def test_missing_config_exit_code(tmp_path):
         ("inject-noise", "noise.ratio=1.5", "noise"),
         ("run", "dataset.blobs.per_class=0", "dataset.blobs"),
         ("inject-noise", "dataset.blobs.spread=wide", "dataset.blobs.spread"),
+        ("run", "round.small_loss_epoch=last", "round.small_loss_epoch"),
     ],
 )
 def test_bad_config_value_exits_2_naming_key(tmp_path, capsys, command, override, key):
@@ -401,6 +402,47 @@ def test_select_malformed_log_exit_code(tmp_path, capsys):
         bad.write_text('{"id": "a", "seq": [0, 1]}\n' + second + "\n")
         assert cli.main(["select", "-c", str(path), "--log", str(bad)]) == 3
         assert "line 2" in capsys.readouterr().err
+
+
+def test_select_small_loss_without_losses_exits_3(tmp_path, capsys):
+    path = write_config(tmp_path)
+    cli.main(["simulate", "-c", str(path)])
+    log = tmp_path / "out" / "simulated_log.jsonl"
+    assert cli.main(["select", "-c", str(path), "-o", str(tmp_path / "sel"),
+                     "--log", str(log), "--set", "round.strategy=small_loss"]) == 3
+    err = capsys.readouterr().err
+    assert str(log) in err and "'losses' in every record" in err
+
+
+def test_select_small_loss_epoch_checked_against_log(tmp_path, capsys):
+    # round.epochs (10) is not the bound: the log has 3 epochs
+    path = write_config(tmp_path)
+    log = tmp_path / "log.jsonl"
+    log.write_text("".join(
+        json.dumps({"id": f"i{k}", "label": 0, "seq": [0, 1, 1],
+                    "losses": [1.0, 0.5, 0.1 * k]}) + "\n"
+        for k in range(20)
+    ))
+    argv = ["select", "-c", str(path), "-o", str(tmp_path / "sel"), "--log", str(log),
+            "--set", "round.strategy=small_loss"]
+    for k in (-3, 2):
+        assert cli.main(argv + ["--set", f"round.small_loss_epoch={k}"]) == 0
+    for k in (-4, 3, 5):
+        assert cli.main(argv + ["--set", f"round.small_loss_epoch={k}"]) == 2
+        assert "round.small_loss_epoch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["run"], ["report", "--compare"]])
+def test_small_loss_epoch_checked_against_round_epochs(tmp_path, capsys, command):
+    path = write_config(tmp_path)
+    argv = command + ["-c", str(path), "--set", "round.strategy=small_loss",
+                      "--set", "round.epochs=3", "--set", "round.rounds=1"]
+    assert cli.main(argv + ["--set", "round.small_loss_epoch=3"]) == 2
+    assert "round.small_loss_epoch" in capsys.readouterr().err
+    out = tmp_path / "out"  # rejected before any training
+    assert not (out / "dataset.csv").exists() and not (out / "comparison.csv").exists()
+    for k in (-3, 2):  # the indices numpy accepts stay accepted
+        assert cli.main(argv + ["--set", f"round.small_loss_epoch={k}"]) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,13 @@
+import json
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from mfselect import logio
 from mfselect.errors import (
     LogFormatError,
     MissingIdsError,
@@ -148,6 +153,162 @@ def test_simulated_log_encodes_mask(tmp_path):
     path = tmp_path / "sim.jsonl"
     write_prediction_log(path, log)
     assert read_prediction_log(path).clean_mask() == mask
+
+
+# ---------------------------------------------------------------------------
+# bulk reader pinned to the line reader
+
+
+def test_canonical_log_is_read_in_bulk(tmp_path, monkeypatch):
+    path = tmp_path / "log.jsonl"
+    bulk = [sample_log(losses=False), sample_log(losses=False, truth=False),
+            simulate_dynamics(30, 20, epochs=7, seed=1)]
+    for log in bulk:
+        write_prediction_log(path, log)
+        assert_same_log(logio._read_canonical_log(path), log)
+    write_prediction_log(path, sample_log())
+    assert logio._read_canonical_log(path) is None  # logs with losses: line reader
+
+    def line_reader(path):
+        raise AssertionError("the line reader was called on a canonical log")
+
+    monkeypatch.setattr(logio, "_read_log_lines", line_reader)
+    for log in bulk:
+        write_prediction_log(path, log)
+        assert_same_log(read_prediction_log(path), log)
+
+
+ID_CHARS = st.sampled_from(
+    ["a", "Z", "0", " ", '"', "\\", "/", "\x7f", "é", "猫", "\U0001f600", "\ud800",
+     "\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1e", "\n", "\r", "\t",
+     "\x00", "\x1f"]
+)
+LABELS = st.one_of(st.integers(-3, 3), st.integers(-(2**63), 2**63 - 1))
+PERTURBATIONS = (
+    "whitespace", "padded line", "reordered keys", "float bit", "bool bit",
+    "compact seq", "scrambled seq", "empty seq", "blank line", "no final newline",
+    "duplicate id", "ragged seq", "non-numeric label", "null true_label",
+    "control character", "bad escape", "prefixed line", "label over int64",
+    "unescaped id",
+)
+
+
+@st.composite
+def round_logs(draw):
+    ids = draw(st.lists(st.text(ID_CHARS, max_size=5), min_size=1, max_size=8,
+                        unique=True))
+    n, epochs = len(ids), draw(st.integers(1, 6))
+    rows = st.lists(st.integers(0, 1), min_size=epochs, max_size=epochs)
+    # JSON keeps one NaN, so other NaN payloads could not round-trip
+    floats = st.one_of(st.floats(allow_nan=False), st.just(float("nan")))
+    loss_rows = st.lists(floats, min_size=epochs, max_size=epochs)
+    return RoundLog(
+        ids=ids,
+        bits=np.array(draw(st.lists(rows, min_size=n, max_size=n)), dtype=np.int8),
+        losses=np.array(draw(st.lists(loss_rows, min_size=n, max_size=n)))
+        if draw(st.booleans()) else None,
+        labels=np.array(draw(st.lists(LABELS, min_size=n, max_size=n)), dtype=np.int64),
+        true_labels=np.array(draw(st.lists(LABELS, min_size=n, max_size=n)),
+                             dtype=np.int64)
+        if draw(st.booleans()) else None,
+    )
+
+
+def perturb(lines, kind, k, data):
+    """Change line ``k`` of a written log, kept as lines with their newline."""
+    rec = json.loads(lines[k])
+    seq_text = json.dumps(rec["seq"])
+    if kind == "whitespace":
+        lines[k] = lines[k].replace(", ", ",  ", 1)
+    elif kind == "padded line":
+        lines[k] = " " + lines[k].replace("\n", " \n")
+    elif kind == "reordered keys":
+        lines[k] = json.dumps(dict(reversed(rec.items()))) + "\n"
+    elif kind in ("float bit", "bool bit"):
+        rec["seq"][0] = (float if kind == "float bit" else bool)(rec["seq"][0])
+        lines[k] = json.dumps(rec, sort_keys=True) + "\n"
+    elif kind == "compact seq":
+        lines[k] = lines[k].replace(seq_text, seq_text.replace(" ", ""))
+    elif kind == "scrambled seq":
+        junk = data.draw(st.text("01, ", min_size=len(seq_text) - 2,
+                                 max_size=len(seq_text) - 2))
+        lines[k] = lines[k].replace(seq_text, f"[{junk}]")
+    elif kind == "empty seq":
+        lines[k] = lines[k].replace(seq_text, "[]")
+    elif kind == "blank line":
+        lines.insert(k, data.draw(st.sampled_from(["\n", "  \n"])))
+    elif kind == "no final newline":
+        lines[-1] = lines[-1].rstrip("\n")
+    elif kind == "duplicate id" and len(lines) == 1:
+        lines.append(lines[0])
+    elif kind == "duplicate id":
+        rec["id"] = json.loads(lines[k - 1])["id"]
+        lines[k] = json.dumps(rec, sort_keys=True) + "\n"
+    elif kind == "ragged seq":
+        rec["seq"].append(0)
+        lines[k] = json.dumps(rec, sort_keys=True) + "\n"
+    elif kind == "non-numeric label":
+        rec["label"] = data.draw(st.sampled_from(["x", [1], {"a": 1}]))
+        lines[k] = json.dumps(rec, sort_keys=True) + "\n"
+    elif kind == "null true_label":
+        rec["true_label"] = None
+        lines[k] = json.dumps(rec, sort_keys=True) + "\n"
+    elif kind == "control character":
+        char = data.draw(st.characters(max_codepoint=0x1f))
+        lines[k] = lines[k].replace('"id": "', '"id": "' + char, 1)
+    elif kind == "bad escape":
+        lines[k] = lines[k].replace('"id": "', '"id": "\\q', 1)
+    elif kind == "unescaped id":  # raw non-ASCII, U+2028 and \x85 included
+        lines[k] = json.dumps(rec, sort_keys=True, ensure_ascii=False) + "\n"
+    elif kind == "prefixed line":
+        lines[k] = data.draw(st.sampled_from(["x", "[", "{}"])) + lines[k]
+    elif kind == "label over int64":
+        key = data.draw(st.sampled_from(["label", "true_label"]))
+        rec[key] = data.draw(st.integers(2**63, 10**20) | st.integers(-(10**20), -(2**63) - 1))
+        lines[k] = json.dumps(rec, sort_keys=True) + "\n"
+
+
+def read_or_raise(reader, path):
+    try:
+        return reader(path)
+    except Exception as exc:  # the readers must fail alike
+        return exc
+
+
+def assert_identical(got, want):
+    if isinstance(want, Exception):
+        assert type(got) is type(want), (got, want)
+        assert getattr(got, "line", None) == getattr(want, "line", None)
+        return
+    assert not isinstance(got, Exception), got
+    assert got.ids == want.ids
+    for name in ("bits", "losses", "labels", "true_labels"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            # an object array (true labels beyond int64) holds references
+            same = a.tolist() == b.tolist() if a.dtype == object else a.tobytes() == b.tobytes()
+            assert same, name
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(log=round_logs(), chunk=st.sampled_from([1, 64, 1 << 20]), data=st.data())
+def test_bulk_reader_matches_line_reader(tmp_path, log, chunk, data):
+    path = tmp_path / "log.jsonl"
+    write_prediction_log(path, log)
+    written = path.read_text()
+    for kind in (None,) + PERTURBATIONS:
+        if kind is not None:
+            lines = [line + "\n" for line in written.split("\n")[:-1]]
+            perturb(lines, kind, data.draw(st.integers(0, len(lines) - 1)), data)
+            path.write_text("".join(lines), encoding="utf-8", errors="surrogatepass")
+        want = read_or_raise(logio._read_log_lines, path)
+        with mock.patch.object(logio, "_CHUNK_CHARS", chunk):
+            assert_identical(read_or_raise(read_prediction_log, path), want)
+        if kind is None:
+            assert_identical(want, log)
 
 
 # ---------------------------------------------------------------------------

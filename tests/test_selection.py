@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import mfselect.selection as selection_mod
 from mfselect.dynamics import score_sequences
+from mfselect.errors import LogFormatError
 from mfselect.mixture import FitConfig, fit_metric_scores, threshold
 from mfselect.selection import (
     RoundConfig,
@@ -288,6 +289,9 @@ def test_small_loss_strategy_through_run_round():
     cfg = RoundConfig(epochs=2, strategy="small_loss", ratio=0.5)
     result, _ = run_round(FakeDataset(ids), FakeTrainer(seqs, losses), cfg, FitConfig())
     assert result.selected_ids == ["a", "c"]
+    # a trainer whose log has no losses is a data error (exit 3), not a crash
+    with pytest.raises(LogFormatError, match="'losses' in every record"):
+        run_round(FakeDataset(ids), FakeTrainer(seqs), cfg, FitConfig())
 
 
 # ---------------------------------------------------------------------------
