@@ -360,11 +360,15 @@ def write_stats_csv(path: Path, rows) -> None:
 
 
 def write_scores_csv(path: Path, scores: dict) -> None:
+    values = np.fromiter(scores.values(), dtype=float, count=len(scores))
+    # metric scores take few distinct values: format each one once, keyed on
+    # its bit pattern so that -0.0 and 0.0 keep their own repr
+    distinct, which = np.unique(values.view(np.int64), return_inverse=True)
+    texts = [repr(v) for v in distinct.view(np.float64).tolist()]
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "score"])
-        for i, score in scores.items():
-            writer.writerow([i, repr(float(score))])
+        writer.writerows(zip(scores, map(texts.__getitem__, which.tolist())))
 
 
 def read_scores_csv(path: Path) -> dict:

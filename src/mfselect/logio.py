@@ -7,7 +7,8 @@ Prediction logs are newline-delimited JSON, one record per instance:
 
 ``seq`` has one entry per epoch of the round, so every record's ``seq``
 has the same length; ``losses`` is optional and only needed by the
-small-loss baseline. A log is read into one ``RoundLog``. A log without
+small-loss baseline. ``label`` and ``true_label`` must fit in int64. A log
+is read into one ``RoundLog``. A log without
 losses in the exact layout ``write_prediction_log`` emits is read in bulk:
 one anchored regex per chunk of lines and numpy for the bits. Any other
 valid layout is read line by line, with the same checks and the same
@@ -72,6 +73,7 @@ _CANONICAL_RECORD = re.compile(
     re.M,
 )
 _CHUNK_CHARS = 1 << 20
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 
 def read_prediction_log(path) -> RoundLog:
@@ -168,12 +170,18 @@ def _read_log_lines(path) -> RoundLog:
             seen.add(rec_id)
             true_label = raw.get("true_label")
             try:
-                labels.append(int(raw.get("label", 0)))
-                true_labels.append(None if true_label is None else int(true_label))
+                label = int(raw.get("label", 0))
+                true_label = None if true_label is None else int(true_label)
                 losses.append(None if loss is None else [float(v) for v in loss])
             except (TypeError, ValueError) as exc:
                 raise LogFormatError(f"non-numeric label or loss: {exc}",
                                      path=path, line=lineno)
+            if not all(_INT64_MIN <= v <= _INT64_MAX for v in (label, true_label)
+                       if v is not None):
+                raise LogFormatError("label or true_label does not fit in int64",
+                                     path=path, line=lineno)
+            labels.append(label)
+            true_labels.append(true_label)
             ids.append(rec_id)
             seqs.append(seq)
     if not ids:
@@ -183,7 +191,7 @@ def _read_log_lines(path) -> RoundLog:
         bits=np.array(seqs, dtype=np.int8),
         losses=None if None in losses else np.array(losses, dtype=float),
         labels=np.array(labels, dtype=np.int64),
-        true_labels=None if None in true_labels else np.array(true_labels),
+        true_labels=None if None in true_labels else np.array(true_labels, dtype=np.int64),
     )
 
 

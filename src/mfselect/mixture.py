@@ -12,6 +12,14 @@ epsilon with shift = min(s), hence original = shifted + shift - epsilon.
 Translation preserves score ordering, so the selected set is unchanged by
 the mapping. Lattice-valued scores are additionally dequantized before
 the shift; see ``fit_metric_scores``.
+
+``em_fit`` computes what every E- and M-step reuses once per fit: log x,
+x/max(x) and its log, in a private prepared sample that also holds the
+scratch arrays the steps write into. The steps keep the floating-point
+operations and their order of the straightforward formulas, so a fit is
+bit-identical to one that recomputes everything. A fit whose parameters
+leave the floating-point range raises ``MixtureFitError``, so a selection
+round falls back to the ratio cut.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ import numpy as np
 from .errors import (
     ComponentCollapseError,
     DegenerateSamplesError,
+    MixtureFitError,
     NewtonDivergenceError,
 )
 
@@ -134,10 +143,22 @@ def weibull_logpdf(x, p: WeibullParams):
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise ValueError("weibull_logpdf requires x > 0")
-    lz = np.log(x) - math.log(p.alpha)
-    with np.errstate(over="ignore"):
-        out = math.log(p.beta / p.alpha) + (p.beta - 1.0) * lz - np.exp(p.beta * lz)
+    out = np.log(x, out=np.empty(x.shape))
+    _logpdf_into(out, p, out, np.empty(x.shape))
     return out if out.ndim else float(out)
+
+
+def _logpdf_into(log_x, p: WeibullParams, out, tmp):
+    """Write the Weibull log-density at exp(log_x) into ``out``; ``tmp`` is scratch.
+
+    ``out`` may be ``log_x`` itself.
+    """
+    lz = np.subtract(log_x, math.log(p.alpha), out=out)
+    with np.errstate(over="ignore"):
+        np.exp(np.multiply(p.beta, lz, out=tmp), out=tmp)
+    np.multiply(p.beta - 1.0, lz, out=out)
+    np.add(math.log(p.beta / p.alpha), out, out=out)
+    return np.subtract(out, tmp, out=out)
 
 
 def weibull_mean(p: WeibullParams) -> float:
@@ -160,12 +181,33 @@ def shift_to_support(scores, epsilon: float = 1e-3):
     return arr - shift + epsilon, shift
 
 
-def _profile_terms(x_scaled, w, log_x, beta):
-    t = w * x_scaled**beta
-    a0 = t.sum()
-    a1 = (t * log_x).sum()
-    a2 = (t * log_x * log_x).sum()
-    return a0, a1, a2
+def _component(alpha, beta) -> WeibullParams:
+    """Fitted component parameters; MixtureFitError if they left float range."""
+    if not (0 < alpha < math.inf and 0 < beta < math.inf):
+        raise MixtureFitError(
+            f"component parameters out of floating-point range (alpha={alpha}, beta={beta})"
+        )
+    return WeibullParams(alpha=alpha, beta=beta)
+
+
+class _Sample:
+    """Per-fit invariants of a positive 1-d sample, plus scratch arrays.
+
+    The shape estimate is invariant to rescaling x, so the MLE works on
+    x/max(x), which keeps x**beta from overflowing for large beta. Build
+    one per fit and pass it wherever the samples are expected; the scratch
+    arrays go when it does.
+    """
+
+    def __init__(self, x):
+        if np.any(x <= 0):
+            raise ValueError("samples must be positive")
+        self.x = x
+        self.scale_ref = float(x.max())
+        self.x_scaled = x / self.scale_ref
+        self.log_x_scaled = np.log(self.x_scaled)
+        self.log_x = np.log(x)
+        self.scratch = (np.empty(x.size), np.empty(x.size))
 
 
 def weighted_weibull_mle(
@@ -179,45 +221,52 @@ def weighted_weibull_mle(
     The shape is the root of the weighted profile-likelihood score equation,
     found by damped Newton iteration with a bisection fallback on the
     bracket ``BETA_BRACKET``; the scale then follows in closed form as
-    (sum w x^beta / sum w)^(1/beta).
+    (sum w x^beta / sum w)^(1/beta). ``samples`` may also be the prepared
+    sample of a fit, which spares recomputing its invariants.
 
     Raises DegenerateSamplesError when the samples carry no spread (the
-    likelihood is unbounded in beta) and NewtonDivergenceError, carrying the
-    last iterate, if the solver fails to converge.
+    likelihood is unbounded in beta), NewtonDivergenceError, carrying the
+    last iterate, if the solver fails to converge, and MixtureFitError if
+    the scale leaves the floating-point range.
     """
-    x = np.asarray(samples, dtype=float)
+    sample = samples if isinstance(samples, _Sample) else None
+    x = sample.x if sample else np.asarray(samples, dtype=float)
     w = np.asarray(weights, dtype=float)
     if x.shape != w.shape or x.ndim != 1:
         raise ValueError("samples and weights must be 1-d arrays of equal length")
     if x.size < 2:
         raise ValueError("need at least 2 samples")
-    if np.any(x <= 0):
-        raise ValueError("samples must be positive")
+    sample = sample or _Sample(x)
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")
     w_total = w.sum()
     if w_total <= 0:
         raise ValueError("total weight must be positive")
 
-    # beta is invariant to rescaling x; work on x/max(x) to avoid overflow
-    # in x**beta for large beta.
-    scale_ref = float(x.max())
-    x_scaled = x / scale_ref
-    log_x = np.log(x_scaled)
-    log_mean = float((w * log_x).sum() / w_total)
-
-    log_sd = math.sqrt(max(float((w * (log_x - log_mean) ** 2).sum() / w_total), 0.0))
+    x_scaled, log_x = sample.x_scaled, sample.log_x_scaled
+    t, tl = sample.scratch
+    log_mean = float(np.multiply(w, log_x, out=t).sum() / w_total)
+    dev = np.subtract(log_x, log_mean, out=t)
+    dev = np.multiply(w, np.multiply(dev, dev, out=dev), out=dev)
+    log_sd = math.sqrt(max(float(dev.sum() / w_total), 0.0))
     if log_sd < 1e-9:
         raise DegenerateSamplesError(
             "samples are (effectively) all identical; shape parameter is unbounded"
         )
 
+    def weighted_power(beta):
+        """w * x_scaled**beta, written into t."""
+        return np.multiply(w, _power(x_scaled, beta, t), out=t)
+
     def score(beta):
-        a0, a1, _ = _profile_terms(x_scaled, w, log_x, beta)
+        a0 = weighted_power(beta).sum()
+        a1 = np.multiply(t, log_x, out=tl).sum()
         return a1 / a0 - 1.0 / beta - log_mean
 
     def score_and_derivative(beta):
-        a0, a1, a2 = _profile_terms(x_scaled, w, log_x, beta)
+        a0 = weighted_power(beta).sum()
+        a1 = np.multiply(t, log_x, out=tl).sum()
+        a2 = np.multiply(tl, log_x, out=tl).sum()
         ratio = a1 / a0
         g = ratio - 1.0 / beta - log_mean
         gp = (a2 / a0 - ratio * ratio) + 1.0 / (beta * beta)
@@ -226,9 +275,11 @@ def weighted_weibull_mle(
     # The score equation is monotone increasing on the bracket; a root
     # outside it means a component sharper/flatter than the parameter space
     # allows (e.g. near-identical samples), so clamp to the boundary, which
-    # is the constrained maximizer.
+    # is the constrained maximizer. a1/a0 averages log(x/max(x)) <= 0, so
+    # score(lo) >= 0 needs -1/lo - log_mean >= 0; the rounding of each step
+    # is monotone, so skipping score(lo) otherwise changes no result.
     lo, hi = BETA_BRACKET
-    if score(lo) >= 0:
+    if -1.0 / lo - log_mean >= 0 and score(lo) >= 0:
         beta = lo
     elif score(hi) <= 0:
         beta = hi
@@ -256,21 +307,36 @@ def weighted_weibull_mle(
                 last_beta=beta,
             )
 
-    a0 = float((w * x_scaled**beta).sum())
-    alpha = scale_ref * (a0 / w_total) ** (1.0 / beta)
-    return WeibullParams(alpha=alpha, beta=beta)
+    a0 = float(weighted_power(beta).sum())
+    alpha = sample.scale_ref * (a0 / w_total) ** (1.0 / beta)
+    return _component(alpha, beta)
+
+
+# exponents for which ``array ** e`` may take a dedicated ufunc
+# (square, sqrt, reciprocal, ...) instead of ``np.power``
+_POWER_FAST_PATHS = (-1.0, 0.0, 0.5, 1.0, 2.0)
+
+
+def _power(base, beta: float, out):
+    """``base ** beta`` written into ``out``, with the operator's exact results."""
+    if beta in _POWER_FAST_PATHS:
+        out[...] = base**beta
+        return out
+    return np.power(base, beta, out=out)
 
 
 def _moment_init(x) -> WeibullParams:
     """Method-of-moments starting point for one component."""
-    mean = float(np.mean(x))
-    sd = float(np.std(x))
+    # scores near the float limit overflow here; _component reports that
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(x))
+        sd = float(np.std(x))
     if sd < 1e-12 or mean <= 0:
-        return WeibullParams(alpha=max(mean, 1e-12), beta=1.0)
+        return _component(max(mean, 1e-12), 1.0)
     beta = (mean / sd) ** 1.086
     beta = min(max(beta, 0.05), 40.0)
     alpha = mean / math.gamma(1.0 + 1.0 / beta)
-    return WeibullParams(alpha=alpha, beta=beta)
+    return _component(alpha, beta)
 
 
 def em_fit(scores, config: FitConfig | None = None) -> MixtureFit:
@@ -278,9 +344,10 @@ def em_fit(scores, config: FitConfig | None = None) -> MixtureFit:
 
     Initialization splits the sorted scores at the median and seeds each
     component with method-of-moments estimates, which makes the fit fully
-    deterministic. Raises ValueError for fewer than 10 samples and
+    deterministic. Raises ValueError for fewer than 10 samples,
     DegenerateSamplesError / ComponentCollapseError when the data cannot
-    support two components.
+    support two components and MixtureFitError when a parameter leaves the
+    floating-point range.
     """
     config = config or FitConfig()
     x = np.asarray(scores, dtype=float)
@@ -296,26 +363,32 @@ def em_fit(scores, config: FitConfig | None = None) -> MixtureFit:
     x_sorted = np.sort(x)
     half = x.size // 2
     params = [_moment_init(x_sorted[:half]), _moment_init(x_sorted[half:])]
+    del x_sorted
     k = np.array([0.5, 0.5])
 
+    sample = _Sample(x)
+    a, b = sample.scratch
+    lp = np.empty((x.size, 2))
+    resp = np.empty((x.size, 2))
     trace: list[float] = []
     prev_ll = -math.inf
     converged = False
     iterations = 0
-    resp = None
     for iterations in range(1, config.max_iters + 1):
         # E-step in log space
-        lp = np.stack(
-            [np.log(k[j]) + weibull_logpdf(x, params[j]) for j in range(2)], axis=1
-        )
-        m = lp.max(axis=1, keepdims=True)
+        for j in range(2):
+            _logpdf_into(sample.log_x, params[j], a, b)
+            np.add(np.log(k[j]), a, out=lp[:, j])
+        m = np.maximum(lp[:, 0], lp[:, 1], out=a)
         with np.errstate(invalid="ignore"):
-            log_norm = m + np.log(np.exp(lp - m).sum(axis=1, keepdims=True))
+            e = np.exp(np.subtract(lp, m[:, None], out=resp), out=resp)
+            np.add(e[:, 0], e[:, 1], out=b)
+            log_norm = np.add(m, np.log(b, out=b), out=a)
         if not np.all(np.isfinite(log_norm)):
             raise DegenerateSamplesError(
                 "a sample has zero density under both components"
             )
-        resp = np.exp(lp - log_norm)
+        np.exp(np.subtract(lp, log_norm[:, None], out=resp), out=resp)
         ll = float(log_norm.sum())
         trace.append(ll)
         if math.isfinite(prev_ll) and abs(ll - prev_ll) <= config.tol * max(
@@ -339,7 +412,7 @@ def em_fit(scores, config: FitConfig | None = None) -> MixtureFit:
             try:
                 new_params.append(
                     weighted_weibull_mle(
-                        x, w, config.newton_tol, config.newton_max_iters
+                        sample, w, config.newton_tol, config.newton_max_iters
                     )
                 )
             except DegenerateSamplesError:
@@ -347,13 +420,15 @@ def em_fit(scores, config: FitConfig | None = None) -> MixtureFit:
                 # (common on lattice-valued metrics, e.g. everything
                 # memorized from epoch one). The boundary-constrained
                 # estimate is the sharpest allowed spike at that atom.
-                center = math.exp(float((w * np.log(x)).sum() / w_sum))
-                new_params.append(
-                    WeibullParams(alpha=center, beta=BETA_BRACKET[1])
-                )
+                log_center = np.multiply(w, sample.log_x, out=a).sum() / w_sum
+                center = math.exp(float(log_center))
+                new_params.append(_component(center, BETA_BRACKET[1]))
         params = new_params
+        # reduced down the (n, 2) array: a sum of each column on its own
+        # would add in another order and round differently
         k = resp.mean(axis=0)
 
+    del lp, resp
     fit = MixtureFit(
         k_clean=float(k[0]),
         k_noisy=float(k[1]),
@@ -365,11 +440,12 @@ def em_fit(scores, config: FitConfig | None = None) -> MixtureFit:
     )
     fit = identify_components(fit)
     if not fit.degenerate:
-        fit.degenerate = _prefers_single_component(x, trace[-1], config)
+        fit.degenerate = _prefers_single_component(sample, trace[-1], config)
     return fit
 
 
-def _prefers_single_component(x, mixture_ll: float, config: FitConfig) -> bool:
+def _prefers_single_component(sample: _Sample, mixture_ll: float,
+                              config: FitConfig) -> bool:
     """BIC check: does one Weibull explain the scores as well as two?
 
     A two-component fit that fails this comparison found no second
@@ -377,14 +453,16 @@ def _prefers_single_component(x, mixture_ll: float, config: FitConfig) -> bool:
     still well-defined, but the caller should not trust the clean/noisy
     split.
     """
+    n = sample.x.size
     try:
         single = weighted_weibull_mle(
-            x, np.ones_like(x), config.newton_tol, config.newton_max_iters
+            sample, np.ones(n), config.newton_tol, config.newton_max_iters
         )
     except (DegenerateSamplesError, NewtonDivergenceError):
         return True
-    single_ll = float(weibull_logpdf(x, single).sum())
-    return 2.0 * (mixture_ll - single_ll) <= 3.0 * math.log(x.size)
+    logpdf = _logpdf_into(sample.log_x, single, *sample.scratch)
+    single_ll = float(logpdf.sum())
+    return 2.0 * (mixture_ll - single_ll) <= 3.0 * math.log(n)
 
 
 def identify_components(fit: MixtureFit) -> MixtureFit:
@@ -422,7 +500,8 @@ def fit_metric_scores(scores, config: FitConfig | None = None) -> MixtureFit:
     leaves the fitted components, and hence the selected set, unchanged.
     The returned fit records the translation so ``threshold`` reports in
     the original score units. Fewer than 10 scores, or fewer than 3
-    distinct ones, raise DegenerateSamplesError.
+    distinct ones, raise DegenerateSamplesError; non-finite scores, or a
+    spread the shifted scores cannot hold, raise MixtureFitError.
     """
     config = config or FitConfig()
     raw = np.asarray(scores, dtype=float)
@@ -435,6 +514,8 @@ def fit_metric_scores(scores, config: FitConfig | None = None) -> MixtureFit:
         raise DegenerateSamplesError(
             "fewer than 3 distinct score values; a two-component fit is meaningless"
         )
+    if not math.isfinite(float(distinct[-1]) - float(distinct[0])):
+        raise MixtureFitError("scores are not finite or span beyond the float range")
     # the fit depends only on the score multiset, never on the caller's
     # ordering, so dither assignment is keyed to the sorted array
     values = np.sort(raw)
@@ -449,6 +530,8 @@ def fit_metric_scores(scores, config: FitConfig | None = None) -> MixtureFit:
         dither[at_min] = np.abs(dither[at_min])
         values = values + dither
     shifted, shift = shift_to_support(values, config.shift_epsilon)
+    if not math.isfinite(shifted.max()):
+        raise MixtureFitError("dequantized scores span beyond the float range")
     fit = em_fit(shifted, config)
     fit.shift = shift
     fit.epsilon = config.shift_epsilon

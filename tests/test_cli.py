@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import math
 from pathlib import Path
@@ -17,6 +19,10 @@ from mfselect.logio import (
     write_dataset_csv,
 )
 from mfselect.trainer import make_blobs
+
+import mixture_reference
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def base_config(tmp_path, **round_overrides):
@@ -528,3 +534,96 @@ def test_run_duplicate_dataset_id_exits_3(tmp_path, capsys):
     assert cli.main(["run", "-c", str(path)]) == 3
     err = capsys.readouterr().err
     assert "duplicate id '7'" in err and "line 9" in err
+
+
+@pytest.mark.parametrize("field, line", [("label", 1), ("true_label", 2)])
+def test_select_label_beyond_int64_exits_3_naming_line(tmp_path, capsys, field, line):
+    path = write_config(tmp_path)
+    records = [{"id": "a", "label": 0, "true_label": 0, "seq": [0, 1]},
+               {"id": "b", "label": 0, "true_label": 0, "seq": [1, 1]}]
+    records[line - 1][field] = 99999999999999999999
+    log = tmp_path / "log.jsonl"
+    log.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert cli.main(["select", "-c", str(path), "--log", str(log),
+                     "--set", "round.strategy=ratio"]) == 3
+    err = capsys.readouterr().err
+    assert f"(line {line})" in err and "int64" in err
+
+
+def test_select_non_finite_fit_falls_back_to_ratio(tmp_path, capsys):
+    # lambda = 1e306 puts the full-metric scores near the largest double,
+    # where the moment start of the EM overflows
+    config = yaml.safe_load((REPO / "configs" / "simulate.yaml").read_text())
+    config["output_dir"] = str(tmp_path / "sim")
+    path = write_config(tmp_path, config)
+    assert cli.main(["simulate", "-c", str(path)]) == 0
+    assert cli.main(["select", "-c", str(path), "-o", str(tmp_path / "sel"),
+                     "--log", str(tmp_path / "sim" / "simulated_log.jsonl"),
+                     "--set", "round.lambda=1.0e+306", "--set", "round.metric=full"]) == 0
+    assert "fell back to ratio selection" in capsys.readouterr().out
+    assert not (tmp_path / "sel" / "mixture.json").exists()
+    assert len(read_ids(tmp_path / "sel" / "selected_ids.txt")) == 9000
+
+
+def test_write_scores_csv_matches_per_row_writer(tmp_path):
+    scores = {"plain": 1.5, 'with,comma': -0.0, 'with "quote"': 0.0, "nan": math.nan,
+              "inf": math.inf, "-inf": -math.inf, "again": 1.5, "zero": 0.0,
+              "neg": -0.0, "np": np.float64(0.1), "tiny": 5e-324}
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["id", "score"])
+    for i, score in scores.items():
+        writer.writerow([i, repr(float(score))])
+    cli.write_scores_csv(tmp_path / "scores.csv", scores)
+    assert (tmp_path / "scores.csv").read_bytes() == expected.getvalue().encode()
+    cli.write_scores_csv(tmp_path / "empty.csv", {})
+    assert (tmp_path / "empty.csv").read_bytes() == b"id,score\r\n"
+
+
+# sha256 of `select` outputs after `simulate` on configs/simulate.yaml, as the
+# fit that recomputes every invariant wrote them. scores.csv and
+# selected_ids.txt hold exactly rounded arithmetic only; mixture.json holds EM
+# floats, whose last bits follow the platform's exp, log and power, so its
+# digest applies where those match NUMERICS_DIGEST.
+GOLDEN_SELECT = {
+    "simplified": {
+        "scores.csv": "fa756f8b94266f72f858c6aa03a29f1be5905901faef2d875f2b7f0b5ae4059a",
+        "selected_ids.txt": "82370060aa7a6f464f15bb0267210fe3901cea8d46517e5cd499ef20154014fa",
+        "mixture.json": "df18c8a0ef22650ef236a7154eec57c51302528f3f71cfee2f7856a6a8e880f3",
+    },
+    "full": {
+        "scores.csv": "fa6dfe0b013e5a272d41a85e69e15f1bb15ade8f11b3e4c4f5a25f3ade3ba17a",
+        "selected_ids.txt": "db02fc94586374a72cc10bc38bd83685c2dd83102193fb9b9a52301479ea46f6",
+        "mixture.json": "52f47784d3ddd12dce7da86985c22b2d28778e1a35dc294d8bf41f3eb922e740",
+    },
+}
+NUMERICS_DIGEST = "c43c0beb6fd33246288ce9843e6c0920628024a285148e29b39c0ce38666f980"
+
+
+def numerics_digest() -> str:
+    grid = np.linspace(-30.0, 30.0, 4097)
+    pos = np.exp(grid)
+    h = hashlib.sha256()
+    for arr in (np.exp(grid), np.log(pos), np.power(pos, 0.37), np.power(pos, 4.2)):
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("metric", ["simplified", "full"])
+def test_simulate_select_outputs_match_golden(tmp_path, monkeypatch, metric):
+    config = str(REPO / "configs" / "simulate.yaml")
+    assert cli.main(["simulate", "-c", config, "-o", str(tmp_path / "sim")]) == 0
+    argv = ["select", "-c", config, "--set", f"round.metric={metric}",
+            "--log", str(tmp_path / "sim" / "simulated_log.jsonl")]
+    assert cli.main(argv + ["-o", str(tmp_path / "sel")]) == 0
+    # the same command with the reference fit writes the same bytes on any platform
+    monkeypatch.setattr(selection_mod, "fit_metric_scores",
+                        mixture_reference.fit_metric_scores)
+    assert cli.main(argv + ["-o", str(tmp_path / "ref")]) == 0
+    digests = tree_digest(tmp_path / "sel")
+    assert digests == tree_digest(tmp_path / "ref")
+    golden = GOLDEN_SELECT[metric]
+    assert digests["scores.csv"] == golden["scores.csv"]
+    assert digests["selected_ids.txt"] == golden["selected_ids.txt"]
+    if numerics_digest() == NUMERICS_DIGEST:
+        assert digests["mixture.json"] == golden["mixture.json"]

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from mfselect.errors import (
@@ -19,10 +21,13 @@ from mfselect.mixture import (
     identify_components,
     shift_to_support,
     threshold,
+    weibull_logpdf,
     weibull_mean,
     weibull_pdf,
     weighted_weibull_mle,
 )
+
+import mixture_reference
 
 
 def sample_mixture(n, seed=7):
@@ -328,3 +333,133 @@ def test_component_collapse_reported():
     x = np.concatenate([2.0 + 0.05 * rng.random(400), [2000.0]])
     with pytest.raises((ComponentCollapseError, DegenerateSamplesError)):
         em_fit(x, FitConfig())
+
+
+# ---------------------------------------------------------------------------
+# bit-identity with the straightforward formulas (tests/mixture_reference.py)
+
+
+def fit_outcome(fit_fn, scores, config):
+    """The fit as canonical JSON text (so -0.0 and 0.0 differ), or the exception type."""
+    try:
+        return json.dumps(fit_fn(scores, config).to_json_dict(), sort_keys=True)
+    except Exception as exc:  # compared by type with the reference's
+        return type(exc)
+
+
+@st.composite
+def score_multisets(draw):
+    """Lattice, continuous and normal score multisets of 10 to 2000 values."""
+    kind = draw(st.sampled_from(["lattice", "continuous", "normal"]))
+    n = draw(st.integers(10, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "lattice":
+        step = draw(st.sampled_from([1.0, 0.5, 1 / 3]))
+        scores = step * rng.integers(-draw(st.integers(1, 60)), 60, n)
+    elif kind == "continuous":
+        in_first = rng.random(n) < draw(st.floats(0.05, 0.95))
+        scores = np.where(in_first, rng.weibull(draw(st.floats(0.3, 5.0)), n),
+                          draw(st.floats(1.0, 20.0)) * rng.weibull(3.0, n))
+    else:
+        scores = np.concatenate([rng.normal(-40, 4, n // 2),
+                                 rng.normal(draw(st.floats(-45, 45)), 8, n - n // 2)])
+    config = FitConfig(seed=draw(st.integers(0, 3)), dequantize=draw(st.booleans()))
+    return scores, config
+
+
+@settings(max_examples=60, deadline=None)
+@given(score_multisets())
+def test_fit_is_bit_identical_to_reference(case):
+    scores, config = case
+    assert fit_outcome(fit_metric_scores, scores, config) == fit_outcome(
+        mixture_reference.fit_metric_scores, scores, config
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 300), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-6, 1.0, 1e6]))
+def test_public_mle_and_logpdf_match_reference(n, seed, scale):
+    rng = np.random.default_rng(seed)
+    x = scale * (rng.weibull(rng.uniform(0.3, 6.0), n) + 1e-9)
+    w = rng.random(n) * (rng.random(n) < 0.8)
+    w[0] += 0.1
+
+    def outcome(mle):
+        try:
+            return mle(x, w)
+        except Exception as exc:
+            return type(exc)
+
+    assert outcome(weighted_weibull_mle) == outcome(mixture_reference.weighted_weibull_mle)
+    p = WeibullParams(float(np.median(x)), rng.uniform(0.05, 40.0))
+    assert np.array_equal(weibull_logpdf(x, p), mixture_reference.weibull_logpdf(x, p))
+    assert weibull_logpdf(float(x[0]), p) == mixture_reference.weibull_logpdf(float(x[0]), p)
+
+
+# ---------------------------------------------------------------------------
+# adversarial multisets: a finite fit or a MixtureFitError, nothing else
+
+
+@st.composite
+def adversarial_multisets(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["outlier", "ties", "magnitude", "span"]))
+    if kind == "outlier":
+        # ties on two values and one far outlier
+        n = draw(st.integers(10, 3000))
+        scores = rng.integers(0, 2, n).astype(float)
+        scores[rng.integers(n)] = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(
+            st.integers(1, 300))
+    elif kind == "ties":
+        # at least 10^4 ties on 3 values
+        n = draw(st.integers(10_000, 12_000))
+        values = np.array(draw(st.lists(st.integers(-50, 50), min_size=3, max_size=3,
+                                        unique=True)), dtype=float)
+        scores = values[rng.integers(0, 3, n)]
+    elif kind == "magnitude":
+        # 1e12 magnitudes and offsets on lattice and continuous scores
+        n = draw(st.integers(10, 3000))
+        base = rng.integers(0, 50, n).astype(float) + rng.random(n) * draw(st.booleans())
+        scores = (base * draw(st.sampled_from([1.0, 1e12, 1e-12]))
+                  + draw(st.sampled_from([0.0, 1e12, -1e12])))
+    else:
+        # spans near the largest double
+        n = draw(st.integers(10, 3000))
+        top = draw(st.sampled_from([1e306, 1e307, 1e308, 1.7e308]))
+        scores = top * rng.random(n) * draw(st.sampled_from([1.0, -1.0]))
+        if draw(st.booleans()):
+            scores[: n // 2] *= -1.0
+    return scores, FitConfig(dequantize=draw(st.booleans()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(adversarial_multisets())
+def test_fit_is_finite_or_raises_mixture_fit_error(case):
+    scores, config = case
+    with np.errstate(all="ignore"):
+        try:
+            fit = fit_metric_scores(scores, config)
+        except MixtureFitError:
+            return
+    doc = fit.to_json_dict()
+    numbers = [doc["k_clean"], doc["k_noisy"], doc["shift"], doc["threshold"],
+               *doc["clean"].values(), *doc["noisy"].values(), *doc["loglik_trace"]]
+    assert all(math.isfinite(v) for v in numbers)
+
+
+def test_non_finite_moment_start_raises_mixture_fit_error():
+    rng = np.random.default_rng(0)
+    with np.errstate(all="ignore"), pytest.raises(MixtureFitError):
+        fit_metric_scores(-rng.random(1000) * 1e308)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_scores_raise_mixture_fit_error(bad):
+    with pytest.raises(MixtureFitError):
+        fit_metric_scores(np.r_[np.arange(20.0), bad])
+
+
+def test_scores_spanning_beyond_float_range_raise_mixture_fit_error():
+    with pytest.raises(MixtureFitError):
+        fit_metric_scores(np.r_[-1.7e308, np.arange(20.0), 1.7e308])
