@@ -28,7 +28,6 @@ from .selection import (
     SelectionResult,
     compare_strategies,
     run_multiround,
-    run_round,
     select_round,
     select_by_ratio,
     select_by_threshold,

@@ -11,7 +11,7 @@ directory alone.
 Exit codes: 0 success, 2 configuration error (including a config value
 of the wrong type), 3 data/log format error (including an unreadable
 ``state.json`` on ``--resume``), 4 numerical failure (mixture collapse
-without a fallback).
+without a fallback, or training that diverged).
 """
 
 from __future__ import annotations
@@ -359,8 +359,8 @@ def write_stats_csv(path: Path, rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def write_scores_csv(path: Path, scores: dict) -> None:
-    values = np.fromiter(scores.values(), dtype=float, count=len(scores))
+def write_scores_csv(path: Path, ids, values) -> None:
+    values = np.asarray(values, dtype=float)
     # metric scores take few distinct values: format each one once, keyed on
     # its bit pattern so that -0.0 and 0.0 keep their own repr
     distinct, which = np.unique(values.view(np.int64), return_inverse=True)
@@ -368,11 +368,12 @@ def write_scores_csv(path: Path, scores: dict) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "score"])
-        writer.writerows(zip(scores, map(texts.__getitem__, which.tolist())))
+        writer.writerows(zip(ids, map(texts.__getitem__, which.tolist())))
 
 
-def read_scores_csv(path: Path) -> dict:
-    scores = {}
+def read_scores_csv(path: Path) -> tuple[list, np.ndarray]:
+    """The id and score columns of a scores file, in file order."""
+    ids, values = [], []
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -382,10 +383,11 @@ def read_scores_csv(path: Path) -> dict:
             if not row:
                 continue
             try:
-                scores[row[0]] = float(row[1])
+                values.append(float(row[1]))
             except (IndexError, ValueError) as exc:
                 raise LogFormatError(str(exc), path=path, line=lineno)
-    return scores
+            ids.append(row[0])
+    return ids, np.array(values, dtype=float)
 
 
 def mixture_from_json(doc: dict) -> MixtureFit:
@@ -449,7 +451,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     outdir = cfg.output_dir
     outdir.mkdir(parents=True, exist_ok=True)
     logio.write_prediction_log(outdir / "simulated_log.jsonl", log)
-    write_json(outdir / "clean_mask.json", log.clean_mask())
+    write_json(outdir / "clean_mask.json", dict(zip(log.ids, log.clean_mask().tolist())))
     capture_config(cfg, outdir)
     print(f"wrote {len(log)} records to {outdir / 'simulated_log.jsonl'}")
     return 0
@@ -536,7 +538,7 @@ def run_pipeline(cfg: ExperimentConfig, outdir: Path, resume: bool = False) -> l
             outdir / f"log_round{k}.jsonl",
             replace(log, labels=ds.observed_labels[pos], true_labels=ds.true_labels[pos]),
         )
-        write_scores_csv(outdir / f"scores_round{k}.csv", result.metric_scores)
+        write_scores_csv(outdir / f"scores_round{k}.csv", log.ids, result.scores)
         logio.write_ids(outdir / f"selected_ids_round{k}.txt", result.selected_ids)
         if result.fit is not None:
             write_fit_json(outdir / f"mixture_round{k}.json", result.fit)
@@ -630,42 +632,44 @@ def cmd_select(cfg: ExperimentConfig, log_path) -> int:
                                  path=log_path)
         _check_small_loss_epoch(cfg.round_config, log.bits.shape[1])
     result = selection.select_round(log, cfg.round_config, cfg.fit_config, 1)
-    scores = result.metric_scores
 
     outdir = cfg.output_dir
     outdir.mkdir(parents=True, exist_ok=True)
-    write_scores_csv(outdir / "scores.csv", scores)
+    write_scores_csv(outdir / "scores.csv", log.ids, result.scores)
     logio.write_ids(outdir / "selected_ids.txt", result.selected_ids)
     if result.fit is not None:
         write_fit_json(outdir / "mixture.json", result.fit)
-    clean_mask = log.clean_mask()
-    if clean_mask is not None:
-        write_json(outdir / "clean_mask.json", clean_mask)
-        stats = evaluation.selection_precision_recall(result.selected_ids, clean_mask, 1)
+    clean = log.clean_mask()
+    if clean is not None:
+        write_json(outdir / "clean_mask.json", dict(zip(log.ids, clean.tolist())))
+        stats = evaluation.selection_precision_recall(result.keep, clean, 1)
         write_stats_csv(
             outdir / "stats.csv",
             [[1, stats.kept, stats.precision, stats.recall, None, result.threshold,
               None if result.fit is None else result.fit.converged]],
         )
         print(
-            f"selected {stats.kept}/{len(scores)} "
+            f"selected {stats.kept}/{len(log)} "
             f"(precision={_fmt(stats.precision) or 'n/a'} recall={_fmt(stats.recall) or 'n/a'})"
         )
     else:
-        print(f"selected {len(result.selected_ids)}/{len(scores)}")
+        print(f"selected {len(result.selected_ids)}/{len(log)}")
     if result.warning:
         print(result.warning)
     capture_config(cfg, outdir)
     return 0
 
 
-def _load_clean_mask(outputs: Path) -> dict:
+def _load_clean_mask(outputs: Path) -> tuple[list, np.ndarray]:
+    """The ground truth in an outputs dir: training ids and their clean mask."""
     dataset_csv = outputs / "dataset.csv"
     if dataset_csv.exists():
-        return logio.read_dataset_csv(dataset_csv).clean_mask()
+        ds = logio.read_dataset_csv(dataset_csv)
+        return ds.train_ids, ds.clean_mask()
     mask_json = outputs / "clean_mask.json"
     if mask_json.exists():
-        return {k: bool(v) for k, v in json.loads(mask_json.read_text()).items()}
+        doc = json.loads(mask_json.read_text())
+        return list(doc), np.array([bool(v) for v in doc.values()], dtype=bool)
     raise LogFormatError(
         "no ground truth in outputs dir (need dataset.csv or clean_mask.json)",
         path=outputs,
@@ -685,25 +689,37 @@ def _discover_rounds(outputs: Path) -> list[tuple[int, Path]]:
 
 def cmd_eval(cfg: ExperimentConfig, outputs: Path | None, bins: int) -> int:
     outputs = Path(outputs) if outputs else cfg.output_dir
-    mask = _load_clean_mask(outputs)
+    truth_ids, clean = _load_clean_mask(outputs)
+    row_of = {i: row for row, i in enumerate(truth_ids)}
+
+    def truth_rows(ids, path) -> np.ndarray:
+        try:
+            return np.array([row_of[i] for i in ids], dtype=np.intp)
+        except KeyError as exc:
+            raise LogFormatError(f"id {exc.args[0]!r} is not in the ground truth",
+                                 path=path) from None
+
     rows = []
     for round_index, scores_path in _discover_rounds(outputs):
-        scores = read_scores_csv(scores_path)
-        suffix = f"_round{round_index}" if scores_path.stem != "scores" else ""
-        ids_path = outputs / f"selected_ids{suffix or '_round1'}.txt"
-        if not ids_path.exists():
-            ids_path = outputs / "selected_ids.txt"
-        selected = logio.read_ids(ids_path)
-        stats = evaluation.selection_precision_recall(selected, mask, round_index)
+        score_ids, values = read_scores_csv(scores_path)
+        names = (f"selected_ids_round{round_index}.txt", "selected_ids.txt")
+        ids_path = next((outputs / n for n in names if (outputs / n).exists()), None)
+        if ids_path is None:
+            raise LogFormatError(f"no selected ids for round {round_index} "
+                                 f"(need {names[0]} or {names[1]})", path=outputs)
+        selected = np.zeros(clean.size, dtype=bool)
+        selected[truth_rows(logio.read_ids(ids_path), ids_path)] = True
+        stats = evaluation.selection_precision_recall(selected, clean, round_index)
         rows.append([round_index, stats.kept, stats.precision, stats.recall,
                      None, None, None])
         fit = None
-        fit_path = outputs / f"mixture{suffix or '_round' + str(round_index)}.json"
+        fit_path = outputs / f"mixture_round{round_index}.json"
         if not fit_path.exists():
             fit_path = outputs / "mixture.json"
         if fit_path.exists():
             fit = mixture_from_json(json.loads(fit_path.read_text()))
-        hist_csv, overlay = evaluation.histogram_export(scores, mask, bins, fit)
+        hist_csv, overlay = evaluation.histogram_export(
+            values, clean[truth_rows(score_ids, scores_path)], bins, fit)
         (outputs / f"histogram_round{round_index}.csv").write_text(hist_csv)
         if overlay is not None:
             write_json(outputs / f"overlay_round{round_index}.json", overlay)
@@ -840,7 +856,7 @@ def main(argv=None) -> int:
     except (LogFormatError, TrainerCommandError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except MixtureFitError as exc:
+    except (MixtureFitError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
 

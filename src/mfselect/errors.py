@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: ConfigError -> 2, log/data format
-errors -> 3, mixture-fit failures without a fallback -> 4.
+errors -> 3, mixture-fit failures without a fallback and the trainer's
+FloatingPointError on a diverging loss -> 4.
 """
 
 

@@ -1,11 +1,12 @@
 """Selection quality scoring and plot-data export.
 
-Precision and recall treat the clean class as positive: precision is the
-clean fraction of what was kept, recall the kept fraction of everything
-clean. Selecting the whole set therefore scores recall 1.0 and precision
-equal to the clean fraction. Undefined ratios (empty selection, no clean
-instances) are reported as absent rather than 0 so degenerate rounds stay
-visible.
+Selections and ground truth are bool arrays over the same rows: the kept
+rows and the clean ones. Precision and recall treat the clean class as
+positive: precision is the clean fraction of what was kept, recall the
+kept fraction of everything clean. Selecting the whole set therefore
+scores recall 1.0 and precision equal to the clean fraction. Undefined
+ratios (empty selection, no clean instances) are reported as absent
+rather than 0 so degenerate rounds stay visible.
 """
 
 from __future__ import annotations
@@ -28,17 +29,17 @@ class SelectionStats:
     round_index: int = 0
 
 
-def selection_precision_recall(selected_ids, clean_mask, round_index: int = 0) -> SelectionStats:
-    """Score a selected id set against a ground-truth clean mask."""
-    selected = list(selected_ids)
-    missing = [i for i in selected if i not in clean_mask]
-    if missing:
-        raise ValueError(
-            f"clean mask does not cover selected ids, e.g. {missing[:5]}"
-        )
-    true_kept = sum(1 for i in selected if clean_mask[i])
-    n_clean = sum(1 for v in clean_mask.values() if v)
-    precision = true_kept / len(selected) if selected else None
+def selection_precision_recall(selected, clean, round_index: int = 0) -> SelectionStats:
+    """Score a keep mask against the clean mask of the same rows."""
+    selected = np.asarray(selected, dtype=bool)
+    clean = np.asarray(clean, dtype=bool)
+    if selected.shape != clean.shape:
+        raise ValueError(f"selection and clean mask cover different rows "
+                         f"({selected.size} vs {clean.size})")
+    kept = int(np.count_nonzero(selected))
+    true_kept = int(np.count_nonzero(selected & clean))
+    n_clean = int(np.count_nonzero(clean))
+    precision = true_kept / kept if kept else None
     recall = true_kept / n_clean if n_clean else None
     if precision is None or recall is None:
         f1 = None
@@ -50,7 +51,7 @@ def selection_precision_recall(selected_ids, clean_mask, round_index: int = 0) -
         precision=precision,
         recall=recall,
         f1=f1,
-        kept=len(selected),
+        kept=kept,
         round_index=round_index,
     )
 
@@ -63,22 +64,22 @@ def test_accuracy(model, features, labels) -> float:
     return float(np.mean(model.predict(np.asarray(features)) == labels))
 
 
-def histogram_export(scores, clean_mask, bins: int, fit: MixtureFit | None = None):
+def histogram_export(values, is_clean, bins: int, fit: MixtureFit | None = None):
     """Per-bin clean/noisy counts plus mixture-density samples for overlay.
 
-    Returns (csv_text, overlay_dict). The CSV holds bin edges and counts
-    split by ground truth; the overlay dict samples the fitted component
-    densities over the score range in original score units (None when no
-    fit is given).
+    ``values`` are the scores and ``is_clean`` the ground truth of the same
+    rows. Returns (csv_text, overlay_dict). The CSV holds bin edges and
+    counts split by ground truth; the overlay dict samples the fitted
+    component densities over the score range in original score units (None
+    when no fit is given).
     """
     if bins < 2:
         raise ValueError("bins must be >= 2")
-    ids = list(scores)
-    missing = [i for i in ids if i not in clean_mask]
-    if missing:
-        raise ValueError(f"clean mask does not cover score ids, e.g. {missing[:5]}")
-    values = np.array([scores[i] for i in ids], dtype=float)
-    is_clean = np.array([clean_mask[i] for i in ids], dtype=bool)
+    values = np.asarray(values, dtype=float)
+    is_clean = np.asarray(is_clean, dtype=bool)
+    if values.shape != is_clean.shape:
+        raise ValueError(f"scores and clean mask cover different rows "
+                         f"({values.size} vs {is_clean.size})")
     lo, hi = float(values.min()), float(values.max())
     edges = np.histogram_bin_edges(values, bins=bins, range=(lo, hi) if lo < hi else None)
     clean_counts, _ = np.histogram(values[is_clean], bins=edges)

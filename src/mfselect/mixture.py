@@ -162,8 +162,9 @@ def _logpdf_into(log_x, p: WeibullParams, out, tmp):
 
 
 def weibull_mean(p: WeibullParams) -> float:
-    """alpha * Gamma(1 + 1/beta)."""
-    return p.alpha * math.gamma(1.0 + 1.0 / p.beta)
+    """alpha * Gamma(1 + 1/beta); inf when that overflows."""
+    with np.errstate(over="ignore"):
+        return p.alpha * math.gamma(1.0 + 1.0 / p.beta)
 
 
 def shift_to_support(scores, epsilon: float = 1e-3):
@@ -258,18 +259,22 @@ def weighted_weibull_mle(
         """w * x_scaled**beta, written into t."""
         return np.multiply(w, _power(x_scaled, beta, t), out=t)
 
+    # Power sums that underflow to 0 make the score NaN; the Newton loop
+    # takes a NaN step as a miss and bisects, so numpy need not warn.
     def score(beta):
         a0 = weighted_power(beta).sum()
         a1 = np.multiply(t, log_x, out=tl).sum()
-        return a1 / a0 - 1.0 / beta - log_mean
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return a1 / a0 - 1.0 / beta - log_mean
 
     def score_and_derivative(beta):
         a0 = weighted_power(beta).sum()
         a1 = np.multiply(t, log_x, out=tl).sum()
         a2 = np.multiply(tl, log_x, out=tl).sum()
-        ratio = a1 / a0
-        g = ratio - 1.0 / beta - log_mean
-        gp = (a2 / a0 - ratio * ratio) + 1.0 / (beta * beta)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ratio = a1 / a0
+            g = ratio - 1.0 / beta - log_mean
+            gp = (a2 / a0 - ratio * ratio) + 1.0 / (beta * beta)
         return g, gp
 
     # The score equation is monotone increasing on the bracket; a root

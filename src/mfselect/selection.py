@@ -7,14 +7,17 @@ the trained model) to the next round. Ratio-based and small-loss selectors
 are provided as baselines and as the fallback when the mixture fit
 degenerates.
 
-Instance ids are opaque strings and every selector keeps the input order
-of its scores; ties at a ratio cut go to the earlier instance.
+A round's selection is two arrays over the rows of its log: the float64
+``scores`` and the bool ``keep`` mask. Every selector takes arrays and
+returns the mask; ties at a ratio cut go to the earlier row. Instance ids
+are opaque strings, and ``selected_ids`` lists the kept ones in log order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import compress
 
 import numpy as np
 
@@ -53,9 +56,17 @@ class RoundConfig:
 
 @dataclass
 class SelectionResult:
+    """One round's selection over the rows of its log.
+
+    ``scores`` holds the round's metric scores and ``keep`` marks the kept
+    rows, whichever strategy made the cut; ``selected_ids`` lists the ids
+    of the kept rows in log order.
+    """
+
     round_index: int
+    scores: np.ndarray
+    keep: np.ndarray
     selected_ids: list
-    metric_scores: dict
     threshold: float | None = None
     fit: MixtureFit | None = None
     stats: evaluation.SelectionStats | None = None
@@ -71,159 +82,91 @@ class MultiRoundResult:
     truncated: bool = False
 
 
-def select_by_threshold(scores, tau: float, round_index: int = 0) -> SelectionResult:
-    """Keep every instance whose score is strictly below ``tau``."""
-    if not scores:
-        raise ValueError("scores must be nonempty")
-    selected = [i for i, s in scores.items() if s < tau]
-    warning = None
-    if not selected:
-        warning = f"threshold {tau:.6g} lies below every score; selection is empty"
-    return SelectionResult(
-        round_index=round_index,
-        selected_ids=selected,
-        metric_scores=dict(scores),
-        threshold=tau,
-        warning=warning,
-    )
+def select_by_threshold(scores, tau: float) -> np.ndarray:
+    """Mask of the scores strictly below ``tau``."""
+    return np.asarray(scores, dtype=float) < tau
 
 
-def select_by_ratio(scores, ratio: float, round_index: int = 0) -> SelectionResult:
-    """Keep the ceil(ratio * n) smallest-scoring instances.
+def select_by_ratio(scores, ratio: float) -> np.ndarray:
+    """Mask of the ceil(ratio * n) smallest scores.
 
-    The kept ids stay in input order. Ties at the cut are broken by input
-    position, which makes the selection deterministic.
+    Ties at the cut go to the earlier position, which makes the selection
+    deterministic.
     """
     if not 0 < ratio <= 1:
         raise ValueError("ratio must be in (0, 1]")
-    if not scores:
+    scores = np.asarray(scores, dtype=float)
+    if not scores.size:
         raise ValueError("scores must be nonempty")
-    keep = math.ceil(ratio * len(scores))
-    values = np.fromiter(scores.values(), dtype=float, count=len(scores))
-    kept = np.zeros(values.size, dtype=bool)
-    kept[np.argsort(values, kind="stable")[:keep]] = True
-    selected = [i for i, k in zip(scores, kept.tolist()) if k]
-    return SelectionResult(
-        round_index=round_index,
-        selected_ids=selected,
-        metric_scores=dict(scores),
-    )
+    keep = np.zeros(scores.size, dtype=bool)
+    keep[np.argsort(scores, kind="stable")[:math.ceil(ratio * scores.size)]] = True
+    return keep
 
 
-def small_loss_select(
-    ids, losses, ratio: float, epoch: int | None = None, round_index: int = 0
-) -> SelectionResult:
-    """Keep the ratio fraction with the smallest loss at the chosen epoch.
+def small_loss_select(losses, ratio: float, epoch: int | None = None) -> np.ndarray:
+    """Mask of the ratio fraction of rows with the smallest loss at ``epoch``.
 
-    ``losses`` is the (n, E) per-epoch loss matrix whose rows follow
-    ``ids``; ``epoch`` indexes its columns (None means the final epoch).
+    ``losses`` is the (n, E) per-epoch loss matrix; ``epoch`` indexes its
+    columns (None means the final epoch).
     """
-    at_epoch = np.asarray(losses)[:, -1 if epoch is None else epoch]
-    return select_by_ratio(dict(zip(ids, at_epoch.tolist())), ratio,
-                           round_index=round_index)
+    return select_by_ratio(np.asarray(losses)[:, -1 if epoch is None else epoch], ratio)
 
 
 def _apply_strategy(scores, log, config: RoundConfig, fit_config: FitConfig,
                     round_index: int) -> SelectionResult:
+    """Select among the rows of ``log``, whose metric scores are ``scores``."""
+    tau = fit = warning = None
+    used_fallback = False
     if config.strategy == "mixture_threshold":
-        if len(set(scores.values())) == 1:
+        if scores.min() == scores.max():
             # every instance scored identically: no separation evidence, and
             # a ratio cut would drop instances purely by position; keep them all
-            return SelectionResult(
-                round_index=round_index,
-                selected_ids=list(scores),
-                metric_scores=dict(scores),
-                warning="all scores identical; kept the full set",
-            )
-        try:
-            fit = fit_metric_scores(list(scores.values()), fit_config)
-            if fit.degenerate:
-                # no separable noisy component: the clean/noisy roles are
-                # arbitrary, so thresholding at the noisy scale would cut
-                # instances at random; keep everything instead
-                return SelectionResult(
-                    round_index=round_index,
-                    selected_ids=list(scores),
-                    metric_scores=dict(scores),
-                    fit=fit,
-                    warning="degenerate mixture fit (no separable noisy "
-                    "component); kept the full set",
-                )
-            tau = threshold(fit, fit_config.threshold_rule)
-            result = select_by_threshold(scores, tau, round_index=round_index)
-            result.fit = fit
-            return result
-        except MixtureFitError as exc:
-            result = select_by_ratio(scores, config.ratio, round_index=round_index)
-            result.used_fallback = True
-            result.warning = f"mixture fit failed ({exc}); fell back to ratio selection"
-            return result
-    if config.strategy == "ratio":
-        return select_by_ratio(scores, config.ratio, round_index=round_index)
-    # small_loss
-    if log.losses is None:
-        raise LogFormatError("the small_loss strategy needs 'losses' in every record")
-    return small_loss_select(log.ids, log.losses, config.ratio,
-                             epoch=config.small_loss_epoch, round_index=round_index)
+            keep = np.ones(scores.size, dtype=bool)
+            warning = "all scores identical; kept the full set"
+        else:
+            try:
+                fit = fit_metric_scores(scores, fit_config)
+            except MixtureFitError as exc:
+                keep = select_by_ratio(scores, config.ratio)
+                used_fallback = True
+                warning = f"mixture fit failed ({exc}); fell back to ratio selection"
+            else:
+                if fit.degenerate:
+                    # no separable noisy component: the clean/noisy roles are
+                    # arbitrary, so thresholding at the noisy scale would cut
+                    # instances at random; keep everything instead
+                    keep = np.ones(scores.size, dtype=bool)
+                    warning = ("degenerate mixture fit (no separable noisy "
+                               "component); kept the full set")
+                else:
+                    tau = threshold(fit, fit_config.threshold_rule)
+                    keep = select_by_threshold(scores, tau)
+                    if not keep.any():
+                        warning = (f"threshold {tau:.6g} lies below every score; "
+                                   "selection is empty")
+    elif config.strategy == "ratio":
+        keep = select_by_ratio(scores, config.ratio)
+    else:  # small_loss
+        if log.losses is None:
+            raise LogFormatError("the small_loss strategy needs 'losses' in every record")
+        keep = small_loss_select(log.losses, config.ratio, config.small_loss_epoch)
+    return SelectionResult(
+        round_index=round_index,
+        scores=scores,
+        keep=keep,
+        selected_ids=list(compress(log.ids, keep.tolist())),
+        threshold=tau,
+        fit=fit,
+        used_fallback=used_fallback,
+        warning=warning,
+    )
 
 
 def select_round(log, config: RoundConfig, fit_config: FitConfig | None = None,
                  round_index: int = 1) -> SelectionResult:
-    """Score one round's log and apply the configured selection strategy.
-
-    ``metric_scores`` of the result holds the round's metric scores, in the
-    log's order, whichever strategy made the cut.
-    """
-    values = score_sequences(log.bits, config.metric_kind, config.lam)
-    scores = dict(zip(log.ids, values.tolist()))
-    result = _apply_strategy(scores, log, config, fit_config or FitConfig(), round_index)
-    result.metric_scores = scores
-    return result
-
-
-def run_round(
-    dataset,
-    trainer,
-    config: RoundConfig,
-    fit_config: FitConfig | None = None,
-    ids=None,
-    round_index: int = 1,
-    clean_mask=None,
-):
-    """Train for one round, score the dynamics, and select.
-
-    Returns (SelectionResult, trainer); the trainer keeps its model state
-    for the next round. When ``clean_mask`` is given the result carries
-    precision/recall against it, and when the dataset has a test split and
-    the trainer can predict, the round's test accuracy as well.
-    """
-    result, _ = _train_and_select(dataset, trainer, config, fit_config, ids,
-                                  round_index, clean_mask)
-    return result, trainer
-
-
-def _train_and_select(dataset, trainer, config, fit_config, ids, round_index,
-                      clean_mask):
-    ids = list(dataset.train_ids if ids is None else ids)
-    if not ids:
-        raise ValueError("cannot run a round on an empty training set")
-
-    log = trainer.fit_round(dataset, ids, config.epochs)
-    result = select_round(log, config, fit_config, round_index)
-
-    if clean_mask is not None:
-        result.stats = evaluation.selection_precision_recall(
-            result.selected_ids, clean_mask, round_index=round_index
-        )
-    if hasattr(trainer, "predict") and dataset is not None:
-        test_pos = getattr(dataset, "test_positions", None)
-        if test_pos is not None and len(test_pos):
-            result.test_accuracy = evaluation.test_accuracy(
-                trainer,
-                dataset.features[test_pos],
-                dataset.true_labels[test_pos],
-            )
-    return result, log
+    """Score one round's log and apply the configured selection strategy."""
+    scores = score_sequences(log.bits, config.metric_kind, config.lam)
+    return _apply_strategy(scores, log, config, fit_config or FitConfig(), round_index)
 
 
 def run_multiround(
@@ -248,15 +191,31 @@ def run_multiround(
     truncated, if a round selects nothing.
     """
     current_ids = list(dataset.train_ids if ids is None else ids)
-    full_mask = dataset.clean_mask() if hasattr(dataset, "clean_mask") else None
+    clean = dataset.clean_mask() if hasattr(dataset, "clean_mask") else None
+    if clean is not None:
+        # the current rows within the original training set, so that recall
+        # counts against every clean instance the run started with
+        rows = (np.arange(clean.size) if ids is None else np.searchsorted(
+            dataset.train_positions, dataset.positions_of(current_ids)))
+    test_pos = getattr(dataset, "test_positions", None)
     rounds: list[SelectionResult] = []
     truncated = False
     for round_index in range(start_round, config.rounds + 1):
+        if not current_ids:
+            raise ValueError("cannot run a round on an empty training set")
         if config.reset_model_per_round and round_index > 1 and hasattr(trainer, "reset"):
             trainer.reset()
-        result, log = _train_and_select(
-            dataset, trainer, config, fit_config, current_ids, round_index, full_mask
-        )
+        log = trainer.fit_round(dataset, current_ids, config.epochs)
+        result = select_round(log, config, fit_config, round_index)
+        if clean is not None:
+            rows = rows[result.keep]
+            selected = np.zeros(clean.size, dtype=bool)
+            selected[rows] = True
+            result.stats = evaluation.selection_precision_recall(selected, clean, round_index)
+        if test_pos is not None and len(test_pos) and hasattr(trainer, "predict"):
+            result.test_accuracy = evaluation.test_accuracy(
+                trainer, dataset.features[test_pos], dataset.true_labels[test_pos]
+            )
         rounds.append(result)
         if on_round is not None:
             on_round(result, log)

@@ -68,11 +68,10 @@ class ToyDataset:
         except KeyError as exc:
             raise KeyError(f"unknown instance id {exc.args[0]!r}") from None
 
-    def clean_mask(self) -> dict:
-        """id -> True when the observed training label matches the truth."""
+    def clean_mask(self) -> np.ndarray:
+        """Per training row, in ``train_ids`` order: observed label == true label."""
         pos = self.train_positions
-        eq = self.observed_labels[pos] == self.true_labels[pos]
-        return dict(zip(self.ids[pos].tolist(), eq.tolist()))
+        return self.observed_labels[pos] == self.true_labels[pos]
 
     def noise_ratio(self) -> float:
         pos = self.train_positions
@@ -281,11 +280,11 @@ class RoundLog:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def clean_mask(self) -> dict | None:
-        """id -> True when the observed label matches the truth; None without truth."""
+    def clean_mask(self) -> np.ndarray | None:
+        """True for each row whose observed label matches the truth; None without truth."""
         if self.true_labels is None:
             return None
-        return dict(zip(self.ids, (self.labels == self.true_labels).tolist()))
+        return self.labels == self.true_labels
 
 
 def cosine_lr(base_lr: float, epoch: int, total_epochs: int) -> float:

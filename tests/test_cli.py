@@ -296,7 +296,8 @@ def test_run_resume_after_emptied_selection_matches_full_run(tmp_path, monkeypat
     def strategy(scores, log, config, fit_config, round_index):
         if round_index == empty_round:
             return selection_mod.SelectionResult(
-                round_index=round_index, selected_ids=[], metric_scores=dict(scores)
+                round_index=round_index, scores=scores,
+                keep=np.zeros(scores.size, dtype=bool), selected_ids=[],
             )
         return real_strategy(scores, log, config, fit_config, round_index)
 
@@ -469,6 +470,54 @@ def test_eval_writes_histograms_and_stats(tmp_path):
     assert {"x", "density_clean", "density_noisy", "threshold"} <= set(overlay)
 
 
+def simulate_and_select(tmp_path) -> tuple[Path, Path]:
+    """Config path and outputs dir of `simulate` + `select` on configs/simulate.yaml."""
+    config = yaml.safe_load((REPO / "configs" / "simulate.yaml").read_text())
+    config["output_dir"] = str(tmp_path / "out")
+    config["simulate"].update(n_clean=300, n_noisy=300)
+    path = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "-c", str(path)]) == 0
+    assert cli.main(["select", "-c", str(path),
+                     "--log", str(out / "simulated_log.jsonl")]) == 0
+    return path, out
+
+
+def test_eval_after_select_matches_select_stats(tmp_path):
+    path, out = simulate_and_select(tmp_path)
+    assert cli.main(["eval", "-c", str(path)]) == 0
+    select_row = (out / "stats.csv").read_text().splitlines()[1].split(",")
+    eval_row = (out / "eval_stats.csv").read_text().splitlines()[1].split(",")
+    assert eval_row[:4] == select_row[:4]  # round, kept, precision, recall
+    hist = (out / "histogram_round1.csv").read_text().strip().splitlines()[1:]
+    assert sum(int(r.split(",")[2]) for r in hist) == 300  # clean rows
+
+
+@pytest.mark.parametrize("name", ["selected_ids.txt", "scores.csv"])
+def test_eval_id_outside_ground_truth_exits_3(tmp_path, capsys, name):
+    path, out = simulate_and_select(tmp_path)
+    with (out / name).open("a") as fh:
+        fh.write("zzz_unknown\n" if name.endswith(".txt") else "zzz_unknown,1.0\r\n")
+    assert cli.main(["eval", "-c", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and name in err and "'zzz_unknown'" in err
+
+
+def test_eval_missing_selected_ids_exits_3(tmp_path, capsys):
+    path, out = simulate_and_select(tmp_path)
+    (out / "selected_ids.txt").unlink()
+    assert cli.main(["eval", "-c", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "selected_ids.txt" in err
+
+
+def test_run_divergent_training_exits_4(tmp_path, capsys):
+    path = write_config(tmp_path, base_config(tmp_path, rounds=1, epochs=3))
+    assert cli.main(["run", "-c", str(path), "--set", "trainer.learning_rate=1.0e+30"]) == 4
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "non-finite loss" in err
+
+
 def test_report_trend_starts_with_select_all_round(tmp_path):
     path = write_config(tmp_path)
     cli.main(["run", "-c", str(path)])
@@ -574,9 +623,13 @@ def test_write_scores_csv_matches_per_row_writer(tmp_path):
     writer.writerow(["id", "score"])
     for i, score in scores.items():
         writer.writerow([i, repr(float(score))])
-    cli.write_scores_csv(tmp_path / "scores.csv", scores)
+    cli.write_scores_csv(tmp_path / "scores.csv", list(scores), list(scores.values()))
     assert (tmp_path / "scores.csv").read_bytes() == expected.getvalue().encode()
-    cli.write_scores_csv(tmp_path / "empty.csv", {})
+    ids, values = cli.read_scores_csv(tmp_path / "scores.csv")
+    assert ids == list(scores)
+    assert values.view(np.int64).tolist() == np.array(list(scores.values())).view(
+        np.int64).tolist()  # bit for bit: -0.0, nan and 5e-324 survive
+    cli.write_scores_csv(tmp_path / "empty.csv", [], [])
     assert (tmp_path / "empty.csv").read_bytes() == b"id,score\r\n"
 
 

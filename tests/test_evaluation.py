@@ -13,6 +13,19 @@ from mfselect.evaluation import test_accuracy as compute_accuracy
 from mfselect.mixture import FitConfig, fit_metric_scores, threshold
 
 
+def pr(selected_ids, clean_mask, round_index=0):
+    """selection_precision_recall on the masks of an id list and an id -> clean dict."""
+    chosen = set(selected_ids)
+    return selection_precision_recall([i in chosen for i in clean_mask],
+                                      list(clean_mask.values()), round_index)
+
+
+def hist(scores, clean_mask, bins, fit=None):
+    """histogram_export on the values of an id -> score dict."""
+    return histogram_export(list(scores.values()), [clean_mask[i] for i in scores],
+                            bins, fit)
+
+
 def brute_force_pr(selected, clean_mask):
     selected = set(selected)
     clean = {i for i, v in clean_mask.items() if v}
@@ -30,7 +43,7 @@ def brute_force_pr(selected, clean_mask):
 def test_perfect_selection():
     mask = {i: i % 2 == 0 for i in range(10)}
     clean = [i for i in range(10) if i % 2 == 0]
-    stats = selection_precision_recall(clean, mask)
+    stats = pr(clean, mask)
     assert stats.precision == 1.0
     assert stats.recall == 1.0
     assert stats.f1 == 1.0
@@ -39,7 +52,7 @@ def test_perfect_selection():
 
 def test_select_all_baseline():
     mask = {i: i >= 20 for i in range(100)}  # 20% noise
-    stats = selection_precision_recall(list(range(100)), mask)
+    stats = pr(list(range(100)), mask)
     assert stats.precision == pytest.approx(0.8)
     assert stats.recall == 1.0
 
@@ -47,14 +60,14 @@ def test_select_all_baseline():
 def test_partial_selection_counts():
     mask = {i: i < 100 for i in range(120)}
     selected = list(range(85)) + list(range(100, 105))  # 85 clean + 5 noisy
-    stats = selection_precision_recall(selected, mask)
+    stats = pr(selected, mask)
     assert stats.precision == pytest.approx(85 / 90)
     assert stats.recall == pytest.approx(0.85)
 
 
 def test_empty_selection_has_absent_precision():
     mask = {0: True, 1: False}
-    stats = selection_precision_recall([], mask)
+    stats = pr([], mask)
     assert stats.precision is None
     assert stats.recall == 0.0
     assert stats.f1 is None
@@ -63,14 +76,14 @@ def test_empty_selection_has_absent_precision():
 
 def test_no_clean_instances_has_absent_recall():
     mask = {0: False, 1: False}
-    stats = selection_precision_recall([0], mask)
+    stats = pr([0], mask)
     assert stats.precision == 0.0
     assert stats.recall is None
 
 
 def test_uncovered_ids_rejected():
     with pytest.raises(ValueError, match="cover"):
-        selection_precision_recall([0, 99], {0: True})
+        selection_precision_recall(np.array([True, True]), np.array([True]))
 
 
 def test_matches_brute_force_on_random_subsets():
@@ -79,7 +92,7 @@ def test_matches_brute_force_on_random_subsets():
         n = int(rng.integers(2, 200))
         mask = {i: bool(rng.random() < 0.6) for i in range(n)}
         selected = [i for i in range(n) if rng.random() < 0.5]
-        stats = selection_precision_recall(selected, mask)
+        stats = pr(selected, mask)
         p, r = brute_force_pr(selected, mask)
         assert stats.precision == p
         assert stats.recall == r
@@ -128,7 +141,7 @@ def test_accuracy_empty_split_rejected():
 def test_histogram_single_value_occupies_one_bin():
     scores = {i: 2.5 for i in range(8)}
     mask = {i: i < 4 for i in range(8)}
-    text, overlay = histogram_export(scores, mask, bins=5)
+    text, overlay = hist(scores, mask, bins=5)
     rows = list(csv.reader(io.StringIO(text)))[1:]
     occupied = [r for r in rows if int(r[2]) + int(r[3]) > 0]
     assert len(occupied) == 1
@@ -138,7 +151,7 @@ def test_histogram_single_value_occupies_one_bin():
 def test_histogram_two_bins_splits_counts():
     scores = {"a": -1.0, "b": -1.0, "c": 1.0, "d": 1.0}
     mask = {k: True for k in scores}
-    text, _ = histogram_export(scores, mask, bins=2)
+    text, _ = hist(scores, mask, bins=2)
     rows = list(csv.reader(io.StringIO(text)))[1:]
     assert [int(r[2]) for r in rows] == [2, 2]
 
@@ -147,7 +160,7 @@ def test_histogram_counts_sum_and_edges_cover_range():
     rng = np.random.default_rng(2)
     scores = {i: float(v) for i, v in enumerate(rng.normal(0, 3, size=500))}
     mask = {i: bool(rng.random() < 0.5) for i in scores}
-    text, _ = histogram_export(scores, mask, bins=13)
+    text, _ = hist(scores, mask, bins=13)
     rows = list(csv.reader(io.StringIO(text)))[1:]
     assert len(rows) == 13
     total = sum(int(r[2]) + int(r[3]) for r in rows)
@@ -163,7 +176,7 @@ def test_histogram_overlay_densities():
     scores = {i: float(v) for i, v in enumerate(raw)}
     mask = {i: i < 400 for i in scores}
     fit = fit_metric_scores(raw, FitConfig())
-    text, overlay = histogram_export(scores, mask, bins=20, fit=fit)
+    text, overlay = hist(scores, mask, bins=20, fit=fit)
     assert overlay is not None
     assert len(overlay["x"]) == len(overlay["density_clean"]) == 256
     assert overlay["threshold"] == pytest.approx(threshold(fit))
@@ -180,6 +193,6 @@ def test_histogram_overlay_densities():
 
 def test_histogram_validates_input():
     with pytest.raises(ValueError):
-        histogram_export({0: 1.0}, {0: True}, bins=1)
+        histogram_export(np.array([1.0]), np.array([True]), bins=1)
     with pytest.raises(ValueError, match="cover"):
-        histogram_export({0: 1.0, 1: 2.0}, {0: True}, bins=4)
+        histogram_export(np.array([1.0, 2.0]), np.array([True]), bins=4)

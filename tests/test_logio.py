@@ -141,7 +141,7 @@ def test_prediction_log_losses_and_truth_only_when_complete(tmp_path):
     path.write_text("".join(path.read_text().splitlines(keepends=True)[:2]))
     log = read_prediction_log(path)
     assert log.losses.shape == (2, 2)
-    assert log.clean_mask() == {"a": True, "b": False}
+    assert log.clean_mask().tolist() == [True, False]
 
 
 def test_simulated_log_encodes_mask(tmp_path):
@@ -149,10 +149,10 @@ def test_simulated_log_encodes_mask(tmp_path):
     mask = {"clean_00000": True, "clean_00001": True, "noisy_00000": False}
     assert log.ids == list(mask)  # clean first, each block in index order
     assert log.labels.tolist() == [0, 0, 1] and log.true_labels.tolist() == [0, 0, 0]
-    assert log.clean_mask() == mask
+    assert log.clean_mask().tolist() == list(mask.values())
     path = tmp_path / "sim.jsonl"
     write_prediction_log(path, log)
-    assert read_prediction_log(path).clean_mask() == mask
+    assert read_prediction_log(path).clean_mask().tolist() == list(mask.values())
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -374,6 +375,20 @@ def test_fit_is_bit_identical_to_reference(case):
     assert fit_outcome(fit_metric_scores, scores, config) == fit_outcome(
         mixture_reference.fit_metric_scores, scores, config
     )
+
+
+def test_underflowing_power_sums_fit_without_numpy_warnings():
+    # one score far above the rest: the M-step's weighted power sums underflow
+    # to 0 and weibull_mean overflows; the fit still matches the reference
+    rng = np.random.default_rng(0)
+    scores = np.r_[rng.choice([1e12, 2e12, 3e12], size=10_000), 1e300]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outcome = fit_outcome(fit_metric_scores, scores, FitConfig())
+    with np.errstate(all="ignore"):  # the reference formulas still warn
+        reference = fit_outcome(mixture_reference.fit_metric_scores, scores, FitConfig())
+    assert outcome == reference
+    assert isinstance(outcome, str)  # a fit, not an exception
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,15 +8,16 @@ from hypothesis import strategies as st
 import mfselect.selection as selection_mod
 from mfselect.dynamics import score_sequences
 from mfselect.errors import LogFormatError
+from mfselect.evaluation import selection_precision_recall
 from mfselect.mixture import FitConfig, fit_metric_scores, threshold
 from mfselect.selection import (
     RoundConfig,
     SelectionResult,
     compare_strategies,
     run_multiround,
-    run_round,
     select_by_ratio,
     select_by_threshold,
+    select_round,
     small_loss_select,
 )
 from mfselect.trainer import (
@@ -63,6 +66,8 @@ class FakeTrainer:
 
 
 class FakeDataset:
+    """Training ids only: no ground truth, no test split."""
+
     def __init__(self, ids):
         self._ids = list(ids)
 
@@ -70,26 +75,43 @@ class FakeDataset:
     def train_ids(self):
         return list(self._ids)
 
-    def clean_mask(self):
-        return {i: True for i in self._ids}
+
+def kept(scores, keep):
+    """The keys of ``scores`` whose rows a mask over its values keeps."""
+    return [i for i, k in zip(scores, keep.tolist()) if k]
+
+
+def values(scores):
+    return np.array(list(scores.values()), dtype=float)
+
+
+def one_round(dataset, trainer, config):
+    """The single round of ``run_multiround`` with ``config.rounds == 1``."""
+    multi = run_multiround(dataset, trainer, config, FitConfig())
+    assert len(multi.rounds) == 1 and multi.final_ids == multi.rounds[0].selected_ids
+    return multi.rounds[0]
 
 
 # ---------------------------------------------------------------------------
 # select_by_threshold
 
 
-def test_threshold_selection_examples():
+def test_threshold_selection_examples(monkeypatch):
     scores = {"a": -5.0, "b": 0.0, "c": 4.0}
-    assert select_by_threshold(scores, 1.0).selected_ids == ["a", "b"]
-    assert select_by_threshold(scores, 5.0).selected_ids == ["a", "b", "c"]
-    result = select_by_threshold({"a": 2.0}, 2.0)
-    assert result.selected_ids == []
-    assert result.warning is not None
+    assert kept(scores, select_by_threshold(values(scores), 1.0)) == ["a", "b"]
+    assert kept(scores, select_by_threshold(values(scores), 5.0)) == ["a", "b", "c"]
+    assert not select_by_threshold(np.array([2.0]), 2.0).any()
+    # a round whose threshold lies below every score says so
+    monkeypatch.setattr(selection_mod, "threshold", lambda fit, rule: -math.inf)
+    result = select_round(simulate_dynamics(50, 50, epochs=20, seed=0),
+                          RoundConfig(epochs=20), FitConfig())
+    assert result.selected_ids == [] and not result.keep.any()
+    assert "selection is empty" in result.warning
 
 
 def test_threshold_strictness_is_exclusive():
     scores = {i: float(i) for i in range(5)}
-    assert select_by_threshold(scores, 3.0).selected_ids == [0, 1, 2]
+    assert kept(scores, select_by_threshold(values(scores), 3.0)) == [0, 1, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -98,18 +120,19 @@ def test_threshold_strictness_is_exclusive():
 
 def test_ratio_selection_examples():
     scores = {i: float(i + 1) for i in range(10)}  # 1..10
-    assert select_by_ratio(scores, 0.9).selected_ids == list(range(9))
-    assert select_by_ratio(scores, 1.0).selected_ids == list(range(10))
-    assert select_by_ratio({"a": 1.0, "b": 1.0, "c": 2.0}, 1 / 3).selected_ids == ["a"]
+    assert kept(scores, select_by_ratio(values(scores), 0.9)) == list(range(9))
+    assert kept(scores, select_by_ratio(values(scores), 1.0)) == list(range(10))
+    ties = {"a": 1.0, "b": 1.0, "c": 2.0}
+    assert kept(ties, select_by_ratio(values(ties), 1 / 3)) == ["a"]
 
 
 def test_ratio_selection_cut_is_clean():
     rng = np.random.default_rng(0)
     scores = {i: float(v) for i, v in enumerate(rng.normal(size=100))}
-    result = select_by_ratio(scores, 0.35)
-    kept = set(result.selected_ids)
-    max_kept = max(scores[i] for i in kept)
-    min_rejected = min(scores[i] for i in scores if i not in kept)
+    keep = select_by_ratio(values(scores), 0.35)
+    chosen = set(kept(scores, keep))
+    max_kept = max(scores[i] for i in chosen)
+    min_rejected = min(scores[i] for i in scores if i not in chosen)
     assert max_kept <= min_rejected
 
 
@@ -120,8 +143,8 @@ def test_ratio_selection_cut_is_clean():
 )
 def test_ratio_nesting(scores, r1, r2):
     lo, hi = sorted((r1, r2))
-    small = set(select_by_ratio(scores, lo).selected_ids)
-    big = set(select_by_ratio(scores, hi).selected_ids)
+    small = set(kept(scores, select_by_ratio(values(scores), lo)))
+    big = set(kept(scores, select_by_ratio(values(scores), hi)))
     assert small <= big
 
 
@@ -137,17 +160,17 @@ def test_ratio_nesting(scores, r1, r2):
     st.floats(0.1, 1.0),
 )
 def test_ratio_invariant_under_monotone_transform(scores, ratio):
-    base = select_by_ratio(scores, ratio).selected_ids
+    base = kept(scores, select_by_ratio(values(scores), ratio))
     for transform in (lambda v: 3.0 * v + 7.0, lambda v: v**3, np.exp):
         mapped = {i: float(transform(v)) for i, v in scores.items()}
-        assert select_by_ratio(mapped, ratio).selected_ids == base
+        assert kept(mapped, select_by_ratio(values(mapped), ratio)) == base
 
 
 def test_ratio_validates_input():
     with pytest.raises(ValueError):
-        select_by_ratio({"a": 1.0}, 0.0)
+        select_by_ratio(np.array([1.0]), 0.0)
     with pytest.raises(ValueError):
-        select_by_ratio({}, 0.5)
+        select_by_ratio(np.array([]), 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +180,9 @@ def test_ratio_validates_input():
 def test_small_loss_ranks_at_chosen_epoch():
     ids = ["a", "b", "c"]
     losses = np.array([[2.0, 0.1], [0.1, 2.3], [1.0, 0.2]])
-    assert small_loss_select(ids, losses, 2 / 3).selected_ids == ["a", "c"]
-    assert small_loss_select(ids, losses, 2 / 3, epoch=0).selected_ids == ["b", "c"]
-    assert small_loss_select(ids, losses, 1.0).selected_ids == ["a", "b", "c"]
+    assert kept(ids, small_loss_select(losses, 2 / 3)) == ["a", "c"]
+    assert kept(ids, small_loss_select(losses, 2 / 3, epoch=0)) == ["b", "c"]
+    assert kept(ids, small_loss_select(losses, 1.0)) == ["a", "b", "c"]
 
 
 def test_small_loss_beats_chance_on_dominated_losses():
@@ -175,10 +198,60 @@ def test_small_loss_beats_chance_on_dominated_losses():
     for i in range(n_noisy):
         losses[f"n{i:03d}"] = [float(1.0 + rng.exponential(1.0))]
         clean_mask[f"n{i:03d}"] = False
-    result = small_loss_select(list(losses), np.array(list(losses.values())), 0.7)
-    kept_clean = sum(clean_mask[i] for i in result.selected_ids)
-    precision = kept_clean / len(result.selected_ids)
+    selected = kept(losses, small_loss_select(np.array(list(losses.values())), 0.7))
+    kept_clean = sum(clean_mask[i] for i in selected)
+    precision = kept_clean / len(selected)
     assert precision >= n_clean / (n_clean + n_noisy)
+
+
+# ---------------------------------------------------------------------------
+# the array selectors pinned to the per-row logic they replaced
+
+
+def oracle_ratio(scores, ratio):
+    """Keep the ceil(ratio * n) smallest, ties to the earlier row."""
+    order = sorted(range(len(scores)), key=lambda i: (scores[i], i))
+    chosen = set(order[:math.ceil(ratio * len(scores))])
+    return [i in chosen for i in range(len(scores))]
+
+
+def oracle_precision_recall(selected, clean):
+    """Precision, recall and kept count from an id list and an id -> clean dict."""
+    true_kept = sum(1 for i in selected if clean[i])
+    n_clean = sum(1 for v in clean.values() if v)
+    return (true_kept / len(selected) if selected else None,
+            true_kept / n_clean if n_clean else None, len(selected))
+
+
+# few distinct values, both zeros among them, so that ties at the ratio cut
+# and a threshold equal to a score come up often
+ROW_SCORES = st.lists(
+    st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.5, 3.0, math.inf])
+    | st.floats(-1e6, 1e6, allow_nan=False),
+    min_size=1, max_size=40,
+)
+
+
+@given(ROW_SCORES, st.data())
+def test_array_selectors_match_per_row_oracle(scores, data):
+    n = len(scores)
+    tau = data.draw(st.sampled_from(scores) | st.sampled_from([-0.0, 0.0])
+                    | st.floats(allow_nan=False))
+    ratio = data.draw(st.floats(0.0, 1.0, exclude_min=True))
+    epoch = data.draw(st.sampled_from([None, 0, 1, -2]))
+    arr = np.array(scores)
+    assert select_by_threshold(arr, tau).tolist() == [s < tau for s in scores]
+    assert select_by_ratio(arr, ratio).tolist() == oracle_ratio(scores, ratio)
+    losses = np.column_stack([arr[::-1], arr])
+    column = losses[:, -1 if epoch is None else epoch].tolist()
+    assert small_loss_select(losses, ratio, epoch).tolist() == oracle_ratio(column, ratio)
+
+    selected = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    clean = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    stats = selection_precision_recall(np.array(selected), np.array(clean))
+    ids = [i for i in range(n) if selected[i]]
+    assert (stats.precision, stats.recall, stats.kept) == oracle_precision_recall(
+        ids, dict(enumerate(clean)))
 
 
 # ---------------------------------------------------------------------------
@@ -187,42 +260,37 @@ def test_small_loss_beats_chance_on_dominated_losses():
 
 def simulated_scores(seed=0, n=1500):
     log = simulate_dynamics(n // 2, n // 2, epochs=50, seed=seed)
-    scores = score_sequences(log.bits, "simplified", 1.0)
-    return dict(zip(log.ids, scores.tolist())), log.clean_mask()
+    return score_sequences(log.bits, "simplified", 1.0)
 
 
 def test_selected_set_invariant_under_score_translation():
-    scores, _ = simulated_scores(seed=4)
+    scores = simulated_scores(seed=4)
     config = FitConfig()
 
-    def run(score_map):
-        fit = fit_metric_scores([score_map[i] for i in sorted(score_map)], config)
-        return select_by_threshold(score_map, threshold(fit)).selected_ids
+    def run(values):
+        fit = fit_metric_scores(values, config)
+        return select_by_threshold(values, threshold(fit)).tolist()
 
     base = run(scores)
-    assert base  # sanity: nonempty
+    assert any(base)  # sanity: nonempty
     for c in (-57.25, 3.0, 1_000.0):
-        shifted = {i: v + c for i, v in scores.items()}
-        assert run(shifted) == base
+        assert run(scores + c) == base
 
 
 def test_mixture_threshold_never_cuts_minimum_scores():
-    scores, _ = simulated_scores(seed=9)
-    fit = fit_metric_scores([scores[i] for i in sorted(scores)], FitConfig())
+    scores = simulated_scores(seed=9)
+    fit = fit_metric_scores(scores, FitConfig())
     tau = threshold(fit)
-    assert tau > min(scores.values())
+    assert tau > scores.min()
 
 
 # ---------------------------------------------------------------------------
-# run_round
+# one round of run_multiround
 
 
 def test_run_round_beats_clean_fraction_on_noisy_benchmark():
     ds = benchmark_dataset()
-    result, trainer = run_round(
-        ds, benchmark_trainer(), RoundConfig(epochs=30), FitConfig(),
-        clean_mask=ds.clean_mask(),
-    )
+    result = one_round(ds, benchmark_trainer(), RoundConfig(epochs=30))
     assert not result.used_fallback
     assert result.stats.precision > 0.6
     assert result.test_accuracy is not None
@@ -232,15 +300,13 @@ def test_run_round_retains_clean_data():
     # 0% noise, well-separated blobs: nearly everything should survive
     ds = make_blobs(4, 500, 8, 5.0, seed=7, test_per_class=125)
     trainer = SGDTrainer(8, 4, TrainerConfig(learning_rate=0.05, seed=3))
-    result, _ = run_round(ds, trainer, RoundConfig(epochs=30), FitConfig())
+    result = one_round(ds, trainer, RoundConfig(epochs=30))
     assert len(result.selected_ids) >= 0.95 * len(ds.train_ids)
 
 
 def test_run_round_single_epoch_falls_back_to_ratio():
     ds = benchmark_dataset()
-    result, _ = run_round(
-        ds, benchmark_trainer(), RoundConfig(epochs=1, ratio=0.9), FitConfig()
-    )
+    result = one_round(ds, benchmark_trainer(), RoundConfig(epochs=1, ratio=0.9))
     assert result.used_fallback
     assert len(result.selected_ids) == int(np.ceil(0.9 * len(ds.train_ids)))
     assert "fell back" in result.warning
@@ -250,8 +316,8 @@ def test_run_round_identical_scores_keep_everything():
     ids = list(range(20))
     seqs = {i: np.array([0, 1, 1, 1], dtype=np.int8) for i in ids}
     trainer = FakeTrainer(seqs)
-    result, _ = run_round(FakeDataset(ids), trainer, RoundConfig(epochs=4), FitConfig())
-    assert result.selected_ids == ids
+    result = one_round(FakeDataset(ids), trainer, RoundConfig(epochs=4))
+    assert result.selected_ids == ids and result.keep.all()
     assert "identical" in result.warning
 
 
@@ -266,7 +332,7 @@ def test_run_round_degenerate_fit_keeps_everything():
         flips = rng.integers(0, 4)
         bits[rng.choice(30, size=flips, replace=False)] = 0
         seqs[i] = bits
-    result, _ = run_round(FakeDataset(ids), FakeTrainer(seqs), RoundConfig(epochs=30), FitConfig())
+    result = one_round(FakeDataset(ids), FakeTrainer(seqs), RoundConfig(epochs=30))
     if result.fit is not None and not result.used_fallback:
         if result.fit.degenerate:
             assert result.selected_ids == ids
@@ -274,7 +340,7 @@ def test_run_round_degenerate_fit_keeps_everything():
 
 def test_run_round_requires_nonempty_ids():
     with pytest.raises(ValueError):
-        run_round(FakeDataset([]), FakeTrainer({}), RoundConfig(), FitConfig())
+        run_multiround(FakeDataset([]), FakeTrainer({}), RoundConfig(), FitConfig())
 
 
 def test_small_loss_strategy_through_run_round():
@@ -287,11 +353,12 @@ def test_small_loss_strategy_through_run_round():
         "d": np.array([3.0, 1.0]),
     }
     cfg = RoundConfig(epochs=2, strategy="small_loss", ratio=0.5)
-    result, _ = run_round(FakeDataset(ids), FakeTrainer(seqs, losses), cfg, FitConfig())
+    result = one_round(FakeDataset(ids), FakeTrainer(seqs, losses), cfg)
     assert result.selected_ids == ["a", "c"]
+    assert result.keep.tolist() == [True, False, True, False]
     # a trainer whose log has no losses is a data error (exit 3), not a crash
     with pytest.raises(LogFormatError, match="'losses' in every record"):
-        run_round(FakeDataset(ids), FakeTrainer(seqs), cfg, FitConfig())
+        run_multiround(FakeDataset(ids), FakeTrainer(seqs), cfg, FitConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -302,13 +369,13 @@ def test_multiround_single_round_equals_run_round():
     ds = benchmark_dataset()
     cfg = RoundConfig(epochs=10, rounds=1)
     multi = run_multiround(ds, benchmark_trainer(), cfg, FitConfig())
-    single, _ = run_round(
-        ds, benchmark_trainer(), cfg, FitConfig(),
-        ids=ds.train_ids, round_index=1, clean_mask=ds.clean_mask(),
-    )
+    log = benchmark_trainer().fit_round(ds, ds.train_ids, cfg.epochs)
+    single = select_round(log, cfg, FitConfig())
     assert len(multi.rounds) == 1
     assert multi.rounds[0].selected_ids == single.selected_ids
     assert multi.final_ids == single.selected_ids
+    assert np.array_equal(multi.rounds[0].scores, single.scores)
+    assert multi.rounds[0].stats == selection_precision_recall(single.keep, ds.clean_mask(), 1)
 
 
 def test_multiround_rounds_shrink_and_precision_trend():
@@ -319,6 +386,11 @@ def test_multiround_rounds_shrink_and_precision_trend():
     assert not result.truncated
     sizes = [len(r.selected_ids) for r in result.rounds]
     assert sizes[0] >= sizes[1] >= sizes[2]
+    # every round's stats count against the clean instances of the original set
+    is_clean = dict(zip(ds.train_ids, ds.clean_mask().tolist()))
+    for r in result.rounds:
+        assert (r.stats.precision, r.stats.recall, r.stats.kept) == oracle_precision_recall(
+            r.selected_ids, is_clean)
     # selections nest: each round's input is the previous round's output
     ids_by_round = [set(r.selected_ids) for r in result.rounds]
     assert ids_by_round[2] <= ids_by_round[1] <= ids_by_round[0]
@@ -354,9 +426,8 @@ def test_multiround_truncates_on_empty_selection(monkeypatch):
     seqs = {i: np.array([0, 1, 0, 1], dtype=np.int8) for i in ids}
 
     def empty_strategy(scores, log, config, fit_config, round_index):
-        return SelectionResult(
-            round_index=round_index, selected_ids=[], metric_scores=dict(scores)
-        )
+        return SelectionResult(round_index=round_index, scores=scores,
+                               keep=np.zeros(scores.size, dtype=bool), selected_ids=[])
 
     monkeypatch.setattr(selection_mod, "_apply_strategy", empty_strategy)
     result = run_multiround(

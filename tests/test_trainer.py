@@ -238,9 +238,8 @@ def test_simulate_deterministic_chains():
         p_forget_noisy=0.0,
     )
     log = simulate_dynamics(3, 2, model, epochs=6, seed=0)
-    mask = log.clean_mask()
-    for i, bits in zip(log.ids, log.bits.tolist()):
-        if mask[i]:
+    for clean, bits in zip(log.clean_mask(), log.bits.tolist()):
+        if clean:
             assert bits == [0, 1, 1, 1, 1, 1]
         else:
             assert bits == [0, 0, 0, 0, 0, 0]
@@ -249,7 +248,7 @@ def test_simulate_deterministic_chains():
 def test_simulate_shapes_and_mask():
     log = simulate_dynamics(10, 20, DynamicsModel(), epochs=15, seed=3)
     assert len(log) == 30
-    assert sum(log.clean_mask().values()) == 10
+    assert log.clean_mask().sum() == 10
     assert log.bits.shape == (30, 15) and log.bits.dtype == np.int8
     again = simulate_dynamics(10, 20, DynamicsModel(), epochs=15, seed=3)
     assert again.ids == log.ids
