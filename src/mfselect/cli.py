@@ -10,7 +10,7 @@ directory alone.
 
 Exit codes: 0 success, 2 configuration error (including a config value
 of the wrong type), 3 data/log format error (including an unreadable
-``state.json`` on ``--resume``), 4 numerical failure (mixture collapse
+``state.json`` or model checkpoint on ``--resume``), 4 numerical failure (mixture collapse
 without a fallback, or training that diverged).
 """
 
@@ -23,7 +23,10 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+import types
+import typing
+from dataclasses import dataclass, field, fields, replace
+from itertools import count, takewhile
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +39,7 @@ from .errors import (
     MixtureFitError,
     TrainerCommandError,
 )
-from .mixture import FitConfig, MixtureFit, WeibullParams
+from .mixture import FitConfig, MixtureFit
 from .selection import RoundConfig
 from .trainer import (
     DynamicsModel,
@@ -59,37 +62,34 @@ DEFAULT_BINS = 40
 
 @dataclass
 class ExperimentConfig:
-    """Validated view of one experiment config file."""
+    """Validated view of one experiment config file.
+
+    ``trainer`` is the built-in sgd trainer's ``TrainerConfig``, or the
+    section itself for an external trainer.
+    """
 
     raw: dict
     output_dir: Path
     dataset: dict | None = None
     noise: dict | None = None
-    trainer: dict | None = None
+    trainer: TrainerConfig | dict | None = None
     round_config: RoundConfig = field(default_factory=RoundConfig)
     fit_config: FitConfig = field(default_factory=FitConfig)
     simulate: dict | None = None
 
     @classmethod
     def from_dict(cls, raw: dict, output_dir: str | None = None) -> "ExperimentConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a mapping")
         out = output_dir or raw.get("output_dir")
         if not out:
             raise ConfigError("output_dir is required (config key or --output-dir)")
         cfg = cls(raw=raw, output_dir=Path(out))
         cfg.dataset = _validate_dataset(raw.get("dataset"))
         cfg.noise = _validate_noise(raw.get("noise"))
-        cfg.trainer = _validate_trainer(raw.get("trainer"))
-        cfg.round_config = _build_round(raw.get("round") or {})
-        cfg.fit_config = _build_fit(raw.get("fit") or {})
+        cfg.trainer = _parse_trainer(raw.get("trainer"))
+        cfg.round_config = _build(RoundConfig, raw.get("round") or {}, "round")
+        cfg.fit_config = _build(FitConfig, raw.get("fit") or {}, "fit")
         cfg.simulate = raw.get("simulate")
         return cfg
-
-    def require(self, *sections: str) -> None:
-        for name in sections:
-            if getattr(self, name if name != "round" else "round_config") is None:
-                raise ConfigError(f"config section {name!r} is required for this command")
 
 
 def _reject_unknown(section: dict, allowed: set, where: str) -> None:
@@ -99,10 +99,53 @@ def _reject_unknown(section: dict, allowed: set, where: str) -> None:
 
 
 def _check_type(value, kind, name: str) -> None:
-    """ConfigError naming ``name`` unless ``value`` is a ``kind`` (float: any number)."""
+    """ConfigError naming ``name`` unless ``value`` is a ``kind``.
+
+    ``kind`` is a type or a field annotation: float takes any number,
+    ``X | None`` takes None too, and ``list[X]`` any list.
+    """
+    if isinstance(kind, types.UnionType):  # X | None
+        if value is None:
+            return
+        kind = typing.get_args(kind)[0]
+    kind = typing.get_origin(kind) or kind
     expected = (int, float) if kind is float else kind
     if not isinstance(value, expected) or isinstance(value, bool) != (kind is bool):
         raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
+
+
+# config keys that differ from the name of their dataclass field
+CONFIG_NAMES = {"lam": "lambda", "metric_kind": "metric"}
+# the simulate keys beside the DynamicsModel ones: simulate_dynamics' sizes
+SIMULATE_SIZES = ("n_clean", "n_noisy", "epochs", "seed")
+
+
+def config_keys(cls) -> dict:
+    """Config key -> field name, for each field of the dataclass ``cls``."""
+    return {CONFIG_NAMES.get(f.name, f.name): f.name for f in fields(cls)}
+
+
+def _build(cls, section: dict, where: str, extra=()):
+    """``cls`` from a config section; bad keys and values are ConfigErrors.
+
+    The section's keys are the fields of ``cls`` (see ``config_keys``) plus
+    the ``extra`` keys that the caller reads itself; absent fields keep the
+    dataclass defaults. A value that does not match its field's annotation
+    is rejected by key, so a YAML string such as ``1e8`` never reaches the
+    dataclass.
+    """
+    keys = config_keys(cls)
+    _reject_unknown(section, set(keys) | set(extra), where)
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for key, name in keys.items():
+        if key in section:
+            value = kwargs[name] = section[key]
+            _check_type(value, hints[name], f"{where}.{key}")
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}")
 
 
 # make_blobs parameters, by type; all but test_per_class are required
@@ -152,68 +195,22 @@ def _validate_noise(section):
     return section
 
 
-def _validate_trainer(section):
+def _parse_trainer(section):
+    """The sgd trainer's ``TrainerConfig``, or an external trainer's section."""
     if section is None:
         return None
     kind = section.get("kind", "sgd")
-    if kind == "sgd":
-        _reject_unknown(
-            section,
-            {"kind", "learning_rate", "momentum", "batch_size", "schedule",
-             "arch", "hidden", "seed"},
-            "trainer",
-        )
-        if "seed" not in section:
-            raise ConfigError("trainer.seed is required (seeds are explicit)")
-    elif kind == "external":
+    if kind == "external":
         _reject_unknown(section, {"kind", "command", "seed"}, "trainer")
         if not section.get("command"):
             raise ConfigError("trainer.command is required for an external trainer")
-    else:
+        return section
+    if kind != "sgd":
         raise ConfigError(f"trainer.kind must be sgd or external, got {kind!r}")
-    return section
-
-
-def _build(cls, section: dict, where: str, keys, renames=None):
-    """``cls`` from the ``keys`` of a config section; bad values are ConfigErrors.
-
-    ``renames`` maps a config key to its ``cls`` field where the names
-    differ; absent keys keep the dataclass defaults. A value whose type is
-    not its field default's (any number for a float field) is rejected by
-    key, so a YAML string such as ``1e8`` never reaches the dataclass.
-    """
-    kwargs = {}
-    for key in keys:
-        if key not in section:
-            continue
-        name = (renames or {}).get(key, key)
-        value = kwargs[name] = section[key]
-        default = cls.__dataclass_fields__[name].default
-        if default is not None:
-            _check_type(value, type(default), f"{where}.{key}")
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}")
-
-
-ROUND_KEYS = ("epochs", "rounds", "lambda", "metric", "strategy", "ratio",
-              "reset_model_per_round", "small_loss_epoch")
-FIT_KEYS = ("tol", "max_iters", "shift_epsilon", "seed", "newton_tol",
-            "newton_max_iters", "threshold_rule", "dequantize")
-TRAINER_KEYS = ("learning_rate", "momentum", "batch_size", "schedule", "arch",
-                "hidden", "seed")
-DYNAMICS_KEYS = ("p_memorize_clean", "p_forget_clean", "p_memorize_noisy",
-                 "p_forget_noisy", "ramp")
-SIMULATE_SIZES = ("n_clean", "n_noisy", "epochs", "seed")
-
-
-def _build_round(section) -> RoundConfig:
-    _reject_unknown(section, set(ROUND_KEYS), "round")
-    if section.get("small_loss_epoch") is not None:
-        _check_type(section["small_loss_epoch"], int, "round.small_loss_epoch")
-    return _build(RoundConfig, section, "round", ROUND_KEYS,
-                  renames={"lambda": "lam", "metric": "metric_kind"})
+    config = _build(TrainerConfig, section, "trainer", extra=("kind",))
+    if "seed" not in section:
+        raise ConfigError("trainer.seed is required (seeds are explicit)")
+    return config
 
 
 def _check_small_loss_epoch(rc: RoundConfig, epochs: int) -> None:
@@ -224,11 +221,6 @@ def _check_small_loss_epoch(rc: RoundConfig, epochs: int) -> None:
                           f"{epochs} epochs (need {-epochs} <= k < {epochs})")
 
 
-def _build_fit(section) -> FitConfig:
-    _reject_unknown(section, set(FIT_KEYS), "fit")
-    return _build(FitConfig, section, "fit", FIT_KEYS)
-
-
 def load_config(path, overrides=(), output_dir=None) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
@@ -237,6 +229,8 @@ def load_config(path, overrides=(), output_dir=None) -> ExperimentConfig:
         raw = yaml.safe_load(path.read_text())
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse {path}: {exc}")
+    if not isinstance(raw, dict):
+        raise ConfigError("config root must be a mapping")
     for item in overrides:
         raw = _apply_override(raw, item)
     return ExperimentConfig.from_dict(raw, output_dir=output_dir)
@@ -297,26 +291,24 @@ def build_trainer(cfg: ExperimentConfig, ds: ToyDataset, workdir: Path):
     section = cfg.trainer
     if section is None:
         raise ConfigError("config section 'trainer' is required for this command")
-    if section.get("kind", "sgd") == "external":
-        dataset_file = workdir / "dataset.csv"
-        return logio.ExternalTrainer(
-            section["command"], dataset_file, workdir / "external",
-            seed=section.get("seed", 0),
-        )
-    tcfg = _build(TrainerConfig, section, "trainer", TRAINER_KEYS)
-    return SGDTrainer(ds.features.shape[1], ds.n_classes, tcfg)
+    if isinstance(section, TrainerConfig):
+        return SGDTrainer(ds.features.shape[1], ds.n_classes, section)
+    return logio.ExternalTrainer(
+        section["command"], workdir / "dataset.csv", workdir / "external",
+        seed=section.get("seed", 0),
+    )
 
 
 def build_dynamics_model(cfg: ExperimentConfig) -> tuple[DynamicsModel, dict]:
     section = cfg.simulate
     if section is None:
         raise ConfigError("config section 'simulate' is required for this command")
-    _reject_unknown(section, set(SIMULATE_SIZES) | set(DYNAMICS_KEYS), "simulate")
+    model = _build(DynamicsModel, section, "simulate", extra=SIMULATE_SIZES)
     for key in SIMULATE_SIZES:
         if key not in section:
             raise ConfigError(f"simulate.{key} is required")
         _check_type(section[key], int, f"simulate.{key}")
-    return _build(DynamicsModel, section, "simulate", DYNAMICS_KEYS), section
+    return model, section
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +320,6 @@ def write_json(path: Path, doc) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     os.replace(tmp, path)
-
-
-def write_fit_json(path: Path, fit: MixtureFit) -> None:
-    write_json(path, {**fit.to_json_dict(), "epsilon": fit.epsilon})
 
 
 def capture_config(cfg: ExperimentConfig, outdir: Path) -> None:
@@ -390,52 +378,30 @@ def read_scores_csv(path: Path) -> tuple[list, np.ndarray]:
     return ids, np.array(values, dtype=float)
 
 
-def mixture_from_json(doc: dict) -> MixtureFit:
-    return MixtureFit(
-        k_clean=doc["k_clean"],
-        k_noisy=doc["k_noisy"],
-        clean=WeibullParams(**doc["clean"]),
-        noisy=WeibullParams(**doc["noisy"]),
-        shift=doc["shift"],
-        epsilon=doc.get("epsilon", 0.0),
-        loglik_trace=doc.get("loglik_trace", []),
-        iterations=doc.get("iterations", 0),
-        converged=doc.get("converged", True),
-        degenerate=doc.get("degenerate", False),
-    )
+# a checkpoint's arrays, by state_dict key: one <stem>_<index>.npy file each
+CHECKPOINT_ARRAYS = {"params": "param", "velocity": "velocity"}
 
 
 def save_model(trainer: SGDTrainer, outdir: Path) -> None:
+    """Write ``trainer.state_dict()``: its arrays as .npy files, the rest as meta.json."""
+    state = trainer.state_dict()
     outdir.mkdir(parents=True, exist_ok=True)
-    for idx, param in enumerate(trainer.net.params):
-        np.save(outdir / f"param_{idx}.npy", param)
-    for idx, vel in enumerate(trainer.velocity):
-        np.save(outdir / f"velocity_{idx}.npy", vel)
-    write_json(
-        outdir / "meta.json",
-        {"config": asdict(trainer.config), "dim": trainer.dim,
-         "n_classes": trainer.n_classes,
-         "rng_state": _jsonable(trainer.rng.bit_generator.state)},
-    )
+    for key, stem in CHECKPOINT_ARRAYS.items():
+        for idx, array in enumerate(state.pop(key)):
+            np.save(outdir / f"{stem}_{idx}.npy", array)
+    write_json(outdir / "meta.json", state)
 
 
 def load_model(outdir: Path) -> SGDTrainer:
-    meta = json.loads((outdir / "meta.json").read_text())
-    trainer = SGDTrainer(meta["dim"], meta["n_classes"], TrainerConfig(**meta["config"]))
-    for idx, param in enumerate(trainer.net.params):
-        param[...] = np.load(outdir / f"param_{idx}.npy")
-    for idx, vel in enumerate(trainer.velocity):
-        vel[...] = np.load(outdir / f"velocity_{idx}.npy")
-    trainer.rng.bit_generator.state = meta["rng_state"]
-    return trainer
-
-
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, np.integer):
-        return int(value)
-    return value
+    try:
+        state = json.loads((outdir / "meta.json").read_text())
+        for key, stem in CHECKPOINT_ARRAYS.items():
+            paths = takewhile(Path.exists, (outdir / f"{stem}_{idx}.npy" for idx in count()))
+            state[key] = [np.load(path) for path in paths]
+        return SGDTrainer.from_state_dict(state)
+    except (OSError, KeyError, TypeError, ValueError) as exc:  # JSON errors included
+        raise LogFormatError(f"cannot resume from a damaged model checkpoint: "
+                             f"{type(exc).__name__}: {exc}", path=outdir) from None
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +424,6 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 
 
 def cmd_inject_noise(cfg: ExperimentConfig) -> int:
-    cfg.require("dataset")
     ds = apply_noise(build_dataset(cfg), cfg)
     outdir = cfg.output_dir
     outdir.mkdir(parents=True, exist_ok=True)
@@ -502,14 +467,14 @@ def run_pipeline(cfg: ExperimentConfig, outdir: Path, resume: bool = False) -> l
     what each round leaves behind. Returns the stats rows (one per
     completed round).
     """
-    cfg.require("dataset", "trainer")
-    outdir.mkdir(parents=True, exist_ok=True)
     ds = apply_noise(build_dataset(cfg), cfg)
+    trainer = build_trainer(cfg, ds, outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
     logio.write_dataset_csv(outdir / "dataset.csv", ds)
     capture_config(cfg, outdir)
 
     state_path = outdir / "state.json"
-    start_round, ids, stats_rows, trainer = 1, None, [], None
+    start_round, ids, stats_rows = 1, None, []
     if resume and state_path.exists():
         state = _read_state(state_path)
         if state.get("config") != cfg.raw:
@@ -527,8 +492,6 @@ def run_pipeline(cfg: ExperimentConfig, outdir: Path, resume: bool = False) -> l
         model_dir = outdir / f"model_round{done}"
         if model_dir.exists():
             trainer = load_model(model_dir)
-    if trainer is None:
-        trainer = build_trainer(cfg, ds, outdir)
 
     def on_round(result, log):
         k = result.round_index
@@ -541,7 +504,7 @@ def run_pipeline(cfg: ExperimentConfig, outdir: Path, resume: bool = False) -> l
         write_scores_csv(outdir / f"scores_round{k}.csv", log.ids, result.scores)
         logio.write_ids(outdir / f"selected_ids_round{k}.txt", result.selected_ids)
         if result.fit is not None:
-            write_fit_json(outdir / f"mixture_round{k}.json", result.fit)
+            write_json(outdir / f"mixture_round{k}.json", result.fit.to_json_dict())
         stats_rows.append(_stats_row(result))
         write_stats_csv(outdir / "stats.csv", stats_rows)
         if isinstance(trainer, SGDTrainer):
@@ -638,16 +601,12 @@ def cmd_select(cfg: ExperimentConfig, log_path) -> int:
     write_scores_csv(outdir / "scores.csv", log.ids, result.scores)
     logio.write_ids(outdir / "selected_ids.txt", result.selected_ids)
     if result.fit is not None:
-        write_fit_json(outdir / "mixture.json", result.fit)
+        write_json(outdir / "mixture.json", result.fit.to_json_dict())
     clean = log.clean_mask()
     if clean is not None:
         write_json(outdir / "clean_mask.json", dict(zip(log.ids, clean.tolist())))
-        stats = evaluation.selection_precision_recall(result.keep, clean, 1)
-        write_stats_csv(
-            outdir / "stats.csv",
-            [[1, stats.kept, stats.precision, stats.recall, None, result.threshold,
-              None if result.fit is None else result.fit.converged]],
-        )
+        stats = result.stats = evaluation.selection_precision_recall(result.keep, clean)
+        write_stats_csv(outdir / "stats.csv", [_stats_row(result)])
         print(
             f"selected {stats.kept}/{len(log)} "
             f"(precision={_fmt(stats.precision) or 'n/a'} recall={_fmt(stats.recall) or 'n/a'})"
@@ -688,6 +647,8 @@ def _discover_rounds(outputs: Path) -> list[tuple[int, Path]]:
 
 
 def cmd_eval(cfg: ExperimentConfig, outputs: Path | None, bins: int) -> int:
+    if bins < 2:
+        raise ConfigError(f"--bins must be >= 2, got {bins}")
     outputs = Path(outputs) if outputs else cfg.output_dir
     truth_ids, clean = _load_clean_mask(outputs)
     row_of = {i: row for row, i in enumerate(truth_ids)}
@@ -709,7 +670,7 @@ def cmd_eval(cfg: ExperimentConfig, outputs: Path | None, bins: int) -> int:
                                  f"(need {names[0]} or {names[1]})", path=outputs)
         selected = np.zeros(clean.size, dtype=bool)
         selected[truth_rows(logio.read_ids(ids_path), ids_path)] = True
-        stats = evaluation.selection_precision_recall(selected, clean, round_index)
+        stats = evaluation.selection_precision_recall(selected, clean)
         rows.append([round_index, stats.kept, stats.precision, stats.recall,
                      None, None, None])
         fit = None
@@ -717,7 +678,11 @@ def cmd_eval(cfg: ExperimentConfig, outputs: Path | None, bins: int) -> int:
         if not fit_path.exists():
             fit_path = outputs / "mixture.json"
         if fit_path.exists():
-            fit = mixture_from_json(json.loads(fit_path.read_text()))
+            try:
+                fit = MixtureFit.from_json_dict(json.loads(fit_path.read_text()))
+            except (KeyError, TypeError, ValueError) as exc:  # JSON errors included
+                raise LogFormatError(f"not a mixture fit: {type(exc).__name__}: {exc}",
+                                     path=fit_path) from None
         hist_csv, overlay = evaluation.histogram_export(
             values, clean[truth_rows(score_ids, scores_path)], bins, fit)
         (outputs / f"histogram_round{round_index}.csv").write_text(hist_csv)
@@ -762,8 +727,7 @@ def cmd_report(cfg: ExperimentConfig, outputs: Path | None, compare: bool) -> in
 
 
 def _write_comparison(cfg: ExperimentConfig, outputs: Path) -> int:
-    cfg.require("dataset", "trainer")
-    if cfg.trainer.get("kind", "sgd") != "sgd":
+    if isinstance(cfg.trainer, dict):  # an external trainer's section
         raise ConfigError("report --compare needs the built-in sgd trainer")
     _check_small_loss_epoch(cfg.round_config, cfg.round_config.epochs)
     ds = apply_noise(build_dataset(cfg), cfg)

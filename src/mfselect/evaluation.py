@@ -24,12 +24,10 @@ from .mixture import MixtureFit, threshold, weibull_pdf
 class SelectionStats:
     precision: float | None
     recall: float | None
-    f1: float | None
     kept: int
-    round_index: int = 0
 
 
-def selection_precision_recall(selected, clean, round_index: int = 0) -> SelectionStats:
+def selection_precision_recall(selected, clean) -> SelectionStats:
     """Score a keep mask against the clean mask of the same rows."""
     selected = np.asarray(selected, dtype=bool)
     clean = np.asarray(clean, dtype=bool)
@@ -41,19 +39,7 @@ def selection_precision_recall(selected, clean, round_index: int = 0) -> Selecti
     n_clean = int(np.count_nonzero(clean))
     precision = true_kept / kept if kept else None
     recall = true_kept / n_clean if n_clean else None
-    if precision is None or recall is None:
-        f1 = None
-    elif precision + recall == 0:
-        f1 = 0.0
-    else:
-        f1 = 2.0 * precision * recall / (precision + recall)
-    return SelectionStats(
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        kept=kept,
-        round_index=round_index,
-    )
+    return SelectionStats(precision=precision, recall=recall, kept=kept)
 
 
 def test_accuracy(model, features, labels) -> float:

@@ -15,8 +15,10 @@ valid layout is read line by line, with the same checks and the same
 result, and every format error comes from that line reader. Datasets are CSV
 files with header
 ``id,feature_0..feature_{d-1},observed_label,true_label,split``. Selected
-ids are stored one per line. Ids are opaque strings everywhere: ``007`` and
-``7`` are two instances, and files keep their input row order.
+ids are stored one per line, exactly as given, so an id may hold any
+character but a line break; the dataset and log readers reject one that
+does. Ids are opaque strings everywhere: ``007`` and ``7`` are two
+instances, and files keep their input row order.
 
 An external trainer is any command that, given a dataset file, a selected-
 ids file, an epoch count and a seed, writes such a prediction log; it can
@@ -102,7 +104,8 @@ def _read_canonical_log(path) -> RoundLog | None:
     with Path(path).open() as fh:
         try:
             while lines := fh.readlines(_CHUNK_CHARS):
-                rows = _CANONICAL_RECORD.findall("".join(lines))
+                chunk = "".join(lines)
+                rows = _CANONICAL_RECORD.findall(chunk)
                 if len(rows) != len(lines):
                     return None
                 raw_ids, raw_labels, seqs, raw_true = zip(*rows)
@@ -116,7 +119,10 @@ def _read_canonical_log(path) -> RoundLog | None:
                 if chunk_bits.max() > 1 or text.count(b", ") != chunk_bits.size:
                     return None
                 bits.append(chunk_bits.astype(np.int8).reshape(len(rows), -1))
-                ids += [json.loads(f'"{i}"') if "\\" in i else i for i in raw_ids]
+                chunk_ids = [json.loads(f'"{i}"') if "\\" in i else i for i in raw_ids]
+                if "\\" in chunk and any("\n" in i for i in chunk_ids):
+                    return None  # an escaped line break in an id
+                ids += chunk_ids
                 labels.append(np.array(raw_labels, dtype=np.int64))
                 if true_labels is not None and "null" in raw_true:
                     true_labels = None
@@ -165,6 +171,9 @@ def _read_log_lines(path) -> RoundLog:
                 raise LogFormatError("'losses' must be null or match 'seq' length",
                                      path=path, line=lineno)
             rec_id = str(raw["id"])
+            if "\n" in rec_id:
+                raise LogFormatError(f"id {rec_id!r} holds a line break",
+                                     path=path, line=lineno)
             if rec_id in seen:
                 raise LogFormatError(f"duplicate id {rec_id!r}", path=path, line=lineno)
             seen.add(rec_id)
@@ -200,8 +209,10 @@ def write_ids(path, ids) -> None:
 
 
 def read_ids(path) -> list[str]:
-    lines = (line.strip() for line in Path(path).read_text().splitlines())
-    return [line for line in lines if line]
+    """The ids ``write_ids`` wrote, exactly: one per "\\n"-ended line."""
+    with Path(path).open(newline="") as fh:
+        ids = fh.read().split("\n")
+    return ids[:-1] if ids[-1] == "" else ids
 
 
 def write_dataset_csv(path, ds: ToyDataset) -> None:
@@ -246,6 +257,9 @@ def read_dataset_csv(path) -> ToyDataset:
                 raise LogFormatError(
                     f"expected {len(header)} fields, got {len(row)}", path=path, line=lineno
                 )
+            if "\n" in row[0]:
+                raise LogFormatError(f"id {row[0]!r} holds a line break",
+                                     path=path, line=lineno)
             if row[0] in seen:
                 raise LogFormatError(f"duplicate id {row[0]!r}", path=path, line=lineno)
             seen.add(row[0])

@@ -25,7 +25,7 @@ round falls back to the ratio cut.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -109,18 +109,15 @@ class MixtureFit:
     degenerate: bool = False
 
     def to_json_dict(self) -> dict:
-        return {
-            "k_clean": self.k_clean,
-            "k_noisy": self.k_noisy,
-            "clean": asdict(self.clean),
-            "noisy": asdict(self.noisy),
-            "shift": self.shift,
-            "threshold": threshold(self),
-            "loglik_trace": list(self.loglik_trace),
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "degenerate": self.degenerate,
-        }
+        """Every field as JSON data, plus the fit's threshold."""
+        return {**asdict(self), "threshold": threshold(self)}
+
+    @classmethod
+    def from_json_dict(cls, doc: dict) -> "MixtureFit":
+        """The fit that ``to_json_dict`` wrote ``doc`` from."""
+        kwargs = {f.name: doc[f.name] for f in fields(cls)}
+        return cls(**{**kwargs, "clean": WeibullParams(**doc["clean"]),
+                      "noisy": WeibullParams(**doc["noisy"])})
 
 
 def weibull_pdf(x, p: WeibullParams):

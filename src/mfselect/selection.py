@@ -211,7 +211,7 @@ def run_multiround(
             rows = rows[result.keep]
             selected = np.zeros(clean.size, dtype=bool)
             selected[rows] = True
-            result.stats = evaluation.selection_precision_recall(selected, clean, round_index)
+            result.stats = evaluation.selection_precision_recall(selected, clean)
         if test_pos is not None and len(test_pos) and hasattr(trainer, "predict"):
             result.test_accuracy = evaluation.test_accuracy(
                 trainer, dataset.features[test_pos], dataset.true_labels[test_pos]

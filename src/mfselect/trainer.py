@@ -14,7 +14,7 @@ gradient step, which is what the selection metrics assume.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -212,6 +212,9 @@ class SoftmaxNet:
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.logits(x).argmax(axis=1)
 
+    # a diverging step overflows here; the trainer reports the non-finite
+    # losses itself, so numpy's warnings would only repeat it
+    @np.errstate(over="ignore", invalid="ignore")
     def loss_and_grads(self, x: np.ndarray, y: np.ndarray):
         """Logits, per-sample cross-entropy losses and mean-loss gradients."""
         if self.hidden:
@@ -370,18 +373,28 @@ class SGDTrainer:
         return self.net.predict(features)
 
     def state_dict(self) -> dict:
+        """Everything a checkpoint holds; ``from_state_dict`` rebuilds the trainer.
+
+        ``params`` and ``velocity`` are lists of array copies; every other
+        value is plain JSON data.
+        """
         return {
+            "config": asdict(self.config),
+            "dim": self.dim,
+            "n_classes": self.n_classes,
             "params": [p.copy() for p in self.net.params],
             "velocity": [v.copy() for v in self.velocity],
             "rng_state": self.rng.bit_generator.state,
         }
 
-    def load_state_dict(self, state: dict):
-        for p, saved in zip(self.net.params, state["params"]):
-            p[...] = saved
-        for v, saved in zip(self.velocity, state["velocity"]):
-            v[...] = saved
-        self.rng.bit_generator.state = state["rng_state"]
+    @classmethod
+    def from_state_dict(cls, state: dict) -> "SGDTrainer":
+        trainer = cls(state["dim"], state["n_classes"], TrainerConfig(**state["config"]))
+        for array, saved in zip(trainer.net.params + trainer.velocity,
+                                state["params"] + state["velocity"], strict=True):
+            array[...] = saved
+        trainer.rng.bit_generator.state = state["rng_state"]
+        return trainer
 
 
 @dataclass

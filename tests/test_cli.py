@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,8 @@ from mfselect.logio import (
     read_prediction_log,
     write_dataset_csv,
 )
-from mfselect.trainer import make_blobs
+from mfselect.mixture import FitConfig
+from mfselect.trainer import DynamicsModel, TrainerConfig, make_blobs
 
 import mixture_reference
 
@@ -117,6 +119,41 @@ def test_missing_config_exit_code(tmp_path):
     assert cli.main(["run", "-c", str(tmp_path / "nope.yaml")]) == 2
 
 
+def test_empty_config_with_override_exits_2(tmp_path, capsys):
+    path = tmp_path / "empty.yaml"
+    path.write_text("")
+    assert cli.main(["run", "-c", str(path), "--set", "round.epochs=3"]) == 2
+    assert "config root must be a mapping" in capsys.readouterr().err
+
+
+def readme_config_block() -> str:
+    text = (REPO / "README.md").read_text()
+    return text.split("### Config reference", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_config_reference_lists_exactly_the_accepted_keys(tmp_path):
+    block = readme_config_block()
+    # the block as written is a config the CLI accepts
+    config = yaml.safe_load(block)
+    config["output_dir"] = str(tmp_path / "out")
+    cli.build_dynamics_model(cli.ExperimentConfig.from_dict(config))
+    # commented-out alternatives ("# key: value") are keys too
+    listed = yaml.safe_load(re.sub(r"^(\s*)# (\w+:)", r"\1\2", block, flags=re.M))
+    sections = {
+        "round": set(cli.config_keys(selection_mod.RoundConfig)),
+        "fit": set(cli.config_keys(FitConfig)),
+        # kind picks sgd or external; command is the external trainer's
+        "trainer": set(cli.config_keys(TrainerConfig)) | {"kind", "command"},
+        "simulate": set(cli.config_keys(DynamicsModel)) | set(cli.SIMULATE_SIZES),
+        "dataset": {"blobs", "csv"},
+        "noise": {"type", "ratio", "seed", "class_map"},
+    }
+    assert set(listed) == {"output_dir"} | set(sections)
+    for name, keys in sections.items():
+        assert set(listed[name]) == keys, name
+    assert set(listed["dataset"]["blobs"]) == set(cli.BLOB_TYPES)
+
+
 @pytest.mark.parametrize(
     "command,override,key",
     [
@@ -134,11 +171,13 @@ def test_missing_config_exit_code(tmp_path):
         ("run", "dataset.blobs.per_class=0", "dataset.blobs"),
         ("inject-noise", "dataset.blobs.spread=wide", "dataset.blobs.spread"),
         ("run", "round.small_loss_epoch=last", "round.small_loss_epoch"),
+        # every section is parsed at load, also where the command never reads it
+        ("select --log unread.jsonl", "trainer.batch_size=0.5", "trainer.batch_size"),
     ],
 )
 def test_bad_config_value_exits_2_naming_key(tmp_path, capsys, command, override, key):
     path = write_config(tmp_path)
-    assert cli.main([command, "-c", str(path), "--set", override]) == 2
+    assert cli.main(command.split() + ["-c", str(path), "--set", override]) == 2
     assert key in capsys.readouterr().err
 
 
@@ -269,6 +308,20 @@ def test_run_resume_damaged_checkpoint_exits_3(tmp_path, capsys):
     state.write_text(text[: len(text) // 2])  # a crash mid-write
     assert cli.main(["run", "-c", str(path), "--resume"]) == 3
     assert "state.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["missing array", "truncated meta.json"])
+def test_run_resume_damaged_model_checkpoint_exits_3(tmp_path, capsys, damage):
+    path = write_config(tmp_path, base_config(tmp_path, rounds=2, epochs=4))
+    assert cli.main(["run", "-c", str(path)]) == 0
+    model = tmp_path / "out" / "model_round2"
+    if damage == "missing array":
+        (model / "velocity_1.npy").unlink()
+    else:
+        (model / "meta.json").write_text('{"config": {')
+    assert cli.main(["run", "-c", str(path), "--resume"]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "model_round2" in err
 
 
 def test_write_json_crash_mid_write_keeps_old_file(tmp_path, monkeypatch):
@@ -503,6 +556,28 @@ def test_eval_id_outside_ground_truth_exits_3(tmp_path, capsys, name):
     assert "data error" in err and name in err and "'zzz_unknown'" in err
 
 
+@pytest.mark.parametrize("damage", ["truncate", "drop epsilon"])
+def test_eval_damaged_mixture_json_exits_3(tmp_path, capsys, damage):
+    path, out = simulate_and_select(tmp_path)
+    fit_json = out / "mixture.json"
+    text = fit_json.read_text()
+    if damage == "truncate":
+        fit_json.write_text(text[: len(text) // 2])
+    else:
+        doc = json.loads(text)
+        del doc["epsilon"]
+        fit_json.write_text(json.dumps(doc))
+    assert cli.main(["eval", "-c", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "mixture.json" in err
+
+
+def test_eval_one_bin_exits_2(tmp_path, capsys):
+    path, out = simulate_and_select(tmp_path)
+    assert cli.main(["eval", "-c", str(path), "--bins", "1"]) == 2
+    assert "--bins" in capsys.readouterr().err
+
+
 def test_eval_missing_selected_ids_exits_3(tmp_path, capsys):
     path, out = simulate_and_select(tmp_path)
     (out / "selected_ids.txt").unlink()
@@ -511,6 +586,7 @@ def test_eval_missing_selected_ids_exits_3(tmp_path, capsys):
     assert "data error" in err and "selected_ids.txt" in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_run_divergent_training_exits_4(tmp_path, capsys):
     path = write_config(tmp_path, base_config(tmp_path, rounds=1, epochs=3))
     assert cli.main(["run", "-c", str(path), "--set", "trainer.learning_rate=1.0e+30"]) == 4
@@ -550,7 +626,7 @@ def csv_dataset_config(tmp_path, ids, **round_overrides):
     ds.ids = np.array(ids, dtype=object)
     data = tmp_path / "input.csv"
     write_dataset_csv(data, ds)
-    config = base_config(tmp_path, rounds=1, epochs=5, **round_overrides)
+    config = base_config(tmp_path, **{"rounds": 1, "epochs": 5, **round_overrides})
     config["dataset"] = {"csv": str(data)}
     config["noise"] = {"type": "none"}
     return write_config(tmp_path, config)
@@ -574,6 +650,40 @@ def test_run_accepts_mixed_id_shapes(tmp_path):
     assert cli.main(["run", "-c", str(path)]) == 0
     selected = read_ids(tmp_path / "out" / "selected_ids_round1.txt")
     assert selected == [i for i in ids if i in set(selected)]  # input order
+
+
+def test_ids_with_edge_whitespace_survive_run_resume_and_eval(tmp_path):
+    ids = [str(i) for i in range(40)]
+    ids[0], ids[1], ids[2] = " 0", "1 ", "\u2028x"
+    path = csv_dataset_config(tmp_path, ids, rounds=2, strategy="ratio", ratio=0.95)
+    assert cli.main(["run", "-c", str(path)]) == 0
+    out = tmp_path / "out"
+    full = tree_digest(out)
+    assert read_ids(out / "selected_ids_round1.txt")[:3] == ids[:3]
+    assert cli.main(["eval", "-c", str(path)]) == 0
+    # rewound to round 1 with the ids its id file holds, resume writes the same tree
+    state = json.loads((out / "state.json").read_text())
+    state.update(completed_rounds=1, stats_rows=state["stats_rows"][:1],
+                 current_ids=read_ids(out / "selected_ids_round1.txt"))
+    (out / "state.json").write_text(json.dumps(state, sort_keys=True, indent=2) + "\n")
+    for name in ("eval_stats.csv", "histogram_round1.csv", "histogram_round2.csv"):
+        (out / name).unlink()
+    assert cli.main(["run", "-c", str(path), "--resume"]) == 0
+    assert tree_digest(out) == full
+
+
+def test_id_with_line_break_exits_3_naming_line(tmp_path, capsys):
+    ids = [str(i) for i in range(20)]
+    ids[3] = "a\nb"
+    path = csv_dataset_config(tmp_path, ids)
+    assert cli.main(["run", "-c", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "line break" in err and "line 5" in err
+    log = tmp_path / "log.jsonl"
+    log.write_text('{"id": "a", "seq": [0, 1]}\n{"id": "a\\nb", "seq": [1, 1]}\n')
+    assert cli.main(["select", "-c", str(path), "--log", str(log)]) == 3
+    err = capsys.readouterr().err
+    assert "line break" in err and "line 2" in err
 
 
 def test_run_duplicate_dataset_id_exits_3(tmp_path, capsys):

@@ -13,11 +13,11 @@ from mfselect.evaluation import test_accuracy as compute_accuracy
 from mfselect.mixture import FitConfig, fit_metric_scores, threshold
 
 
-def pr(selected_ids, clean_mask, round_index=0):
+def pr(selected_ids, clean_mask):
     """selection_precision_recall on the masks of an id list and an id -> clean dict."""
     chosen = set(selected_ids)
     return selection_precision_recall([i in chosen for i in clean_mask],
-                                      list(clean_mask.values()), round_index)
+                                      list(clean_mask.values()))
 
 
 def hist(scores, clean_mask, bins, fit=None):
@@ -46,7 +46,6 @@ def test_perfect_selection():
     stats = pr(clean, mask)
     assert stats.precision == 1.0
     assert stats.recall == 1.0
-    assert stats.f1 == 1.0
     assert stats.kept == 5
 
 
@@ -70,7 +69,6 @@ def test_empty_selection_has_absent_precision():
     stats = pr([], mask)
     assert stats.precision is None
     assert stats.recall == 0.0
-    assert stats.f1 is None
     assert stats.kept == 0
 
 

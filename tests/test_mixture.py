@@ -326,6 +326,15 @@ def test_fit_json_round_trip_keys():
     assert parsed["threshold"] == pytest.approx(threshold(fit))
 
 
+def test_fit_json_reads_back_to_the_same_fit():
+    fit = fit_metric_scores(sample_mixture(1000, seed=29) - 5.0, FitConfig())
+    assert fit.shift != 0.0 and fit.epsilon != 0.0  # the support translation is kept
+    doc = json.loads(json.dumps(fit.to_json_dict(), sort_keys=True))
+    back = MixtureFit.from_json_dict(doc)
+    assert back == fit
+    assert back.to_json_dict() == doc
+
+
 def test_component_collapse_reported():
     # one extreme outlier - the far component's responsibility mass shrinks
     # below the floor once EM localizes it

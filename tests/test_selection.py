@@ -375,7 +375,7 @@ def test_multiround_single_round_equals_run_round():
     assert multi.rounds[0].selected_ids == single.selected_ids
     assert multi.final_ids == single.selected_ids
     assert np.array_equal(multi.rounds[0].scores, single.scores)
-    assert multi.rounds[0].stats == selection_precision_recall(single.keep, ds.clean_mask(), 1)
+    assert multi.rounds[0].stats == selection_precision_recall(single.keep, ds.clean_mask())
 
 
 def test_multiround_rounds_shrink_and_precision_trend():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare, mannwhitneyu
@@ -211,10 +213,13 @@ def test_trainer_state_round_trip():
     state = trainer.state_dict()
     log_a = trainer.fit_round(ds, ds.train_ids, epochs=3)
 
-    fresh = SGDTrainer(2, 3, TrainerConfig(seed=7))
-    fresh.load_state_dict(state)
+    # the checkpoint is JSON plus arrays: rebuild from a JSON-parsed copy
+    arrays = {key: state.pop(key) for key in ("params", "velocity")}
+    fresh = SGDTrainer.from_state_dict({**json.loads(json.dumps(state)), **arrays})
     log_b = fresh.fit_round(ds, ds.train_ids, epochs=3)
     assert np.array_equal(log_a.bits, log_b.bits)
+    assert np.array_equal(log_a.losses, log_b.losses)
+    assert fresh.config == trainer.config
 
 
 def test_trainer_config_validation():
