@@ -21,12 +21,12 @@ import concurrent.futures
 import csv
 import io
 import json
-import os
 import sys
 import types
 import typing
 from dataclasses import dataclass, field, fields, replace
-from itertools import count, takewhile
+from itertools import chain, count, takewhile
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -304,6 +304,8 @@ def build_dynamics_model(cfg: ExperimentConfig) -> tuple[DynamicsModel, dict]:
     if section is None:
         raise ConfigError("config section 'simulate' is required for this command")
     model = _build(DynamicsModel, section, "simulate", extra=SIMULATE_SIZES)
+    for e, mult in enumerate(model.ramp or ()):
+        _check_type(mult, float, f"simulate.ramp[{e}]")
     for key in SIMULATE_SIZES:
         if key not in section:
             raise ConfigError(f"simulate.{key} is required")
@@ -317,9 +319,28 @@ def build_dynamics_model(cfg: ExperimentConfig) -> tuple[DynamicsModel, dict]:
 
 def write_json(path: Path, doc) -> None:
     """Write ``doc`` atomically: a crash mid-write leaves the old file intact."""
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    os.replace(tmp, path)
+    with logio.atomic_path(path) as tmp:
+        tmp.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+
+
+def write_mask_json(path: Path, ids, mask) -> None:
+    """``write_json(path, dict(zip(ids, mask.tolist())))`` for unique ``ids``
+    and a bool array ``mask``, with the same bytes, written in pieces.
+
+    ``indent=2`` with sorted keys lays out one ``"id": true|false`` pair per
+    line, after two spaces, in id order; each id goes through json's own
+    string encoder.
+    """
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    flags = mask.tolist()
+    values = (": false", ": true")
+
+    def block(lo, hi):
+        pairs = [encode_basestring_ascii(ids[i]) + values[flags[i]] for i in order[lo:hi]]
+        return (",\n  " if lo else "{\n  ") + ",\n  ".join(pairs)
+
+    logio.write_atomic(path, chain(logio.row_blocks(len(order), block),
+                                   ["\n}\n" if order else "{}\n"]))
 
 
 def capture_config(cfg: ExperimentConfig, outdir: Path) -> None:
@@ -337,7 +358,7 @@ def _fmt(value) -> str:
 
 
 def write_stats_csv(path: Path, rows) -> None:
-    with path.open("w", newline="") as fh:
+    with logio.atomic_path(path) as tmp, tmp.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["round", "kept", "precision", "recall", "test_accuracy",
@@ -352,11 +373,17 @@ def write_scores_csv(path: Path, ids, values) -> None:
     # metric scores take few distinct values: format each one once, keyed on
     # its bit pattern so that -0.0 and 0.0 keep their own repr
     distinct, which = np.unique(values.view(np.int64), return_inverse=True)
-    texts = [repr(v) for v in distinct.view(np.float64).tolist()]
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "score"])
-        writer.writerows(zip(ids, map(texts.__getitem__, which.tolist())))
+    rests = ["," + repr(v) + "\r\n" for v in distinct.view(np.float64).tolist()]
+
+    def block(lo, hi):
+        # id field, then ",score\r\n", for each row: one join, no per-row string
+        fields = logio.csv_fields(ids[lo:hi])
+        parts = [""] * (2 * len(fields))
+        parts[::2] = fields
+        parts[1::2] = map(rests.__getitem__, which[lo:hi].tolist())
+        return "".join(parts)
+
+    logio.write_atomic(path, chain(["id,score\r\n"], logio.row_blocks(len(ids), block)))
 
 
 def read_scores_csv(path: Path) -> tuple[list, np.ndarray]:
@@ -410,14 +437,17 @@ def load_model(outdir: Path) -> SGDTrainer:
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     model, section = build_dynamics_model(cfg)
-    log = simulate_dynamics(
-        section["n_clean"], section["n_noisy"], model,
-        epochs=section["epochs"], seed=section["seed"],
-    )
+    try:
+        log = simulate_dynamics(
+            section["n_clean"], section["n_noisy"], model,
+            epochs=section["epochs"], seed=section["seed"],
+        )
+    except ValueError as exc:  # sizes out of range, or a ramp shorter than epochs
+        raise ConfigError(f"simulate: {exc}")
     outdir = cfg.output_dir
     outdir.mkdir(parents=True, exist_ok=True)
     logio.write_prediction_log(outdir / "simulated_log.jsonl", log)
-    write_json(outdir / "clean_mask.json", dict(zip(log.ids, log.clean_mask().tolist())))
+    write_mask_json(outdir / "clean_mask.json", log.ids, log.clean_mask())
     capture_config(cfg, outdir)
     print(f"wrote {len(log)} records to {outdir / 'simulated_log.jsonl'}")
     return 0
@@ -604,7 +634,7 @@ def cmd_select(cfg: ExperimentConfig, log_path) -> int:
         write_json(outdir / "mixture.json", result.fit.to_json_dict())
     clean = log.clean_mask()
     if clean is not None:
-        write_json(outdir / "clean_mask.json", dict(zip(log.ids, clean.tolist())))
+        write_mask_json(outdir / "clean_mask.json", log.ids, clean)
         stats = result.stats = evaluation.selection_precision_recall(result.keep, clean)
         write_stats_csv(outdir / "stats.csv", [_stats_row(result)])
         print(

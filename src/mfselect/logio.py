@@ -8,17 +8,22 @@ Prediction logs are newline-delimited JSON, one record per instance:
 ``seq`` has one entry per epoch of the round, so every record's ``seq``
 has the same length; ``losses`` is optional and only needed by the
 small-loss baseline. ``label`` and ``true_label`` must fit in int64. A log
-is read into one ``RoundLog``. A log without
-losses in the exact layout ``write_prediction_log`` emits is read in bulk:
-one anchored regex per chunk of lines and numpy for the bits. Any other
-valid layout is read line by line, with the same checks and the same
-result, and every format error comes from that line reader. Datasets are CSV
-files with header
+is read into one ``RoundLog``. A log without losses in the exact layout
+``write_prediction_log`` emits is read in bulk: chunks of about a megabyte
+of characters, each extended to the end of its last line, one anchored
+regex per chunk, and one numpy view of the chunk's ``seq`` text for the
+bits. Any other valid layout is read line by line, with the same checks
+and the same result, and every format error comes from that line reader.
+Datasets are CSV files with header
 ``id,feature_0..feature_{d-1},observed_label,true_label,split``. Selected
 ids are stored one per line, exactly as given, so an id may hold any
 character but a line break; the dataset and log readers reject one that
 does. Ids are opaque strings everywhere: ``007`` and ``7`` are two
 instances, and files keep their input row order.
+
+The per-row writers format blocks of ``BLOCK_ROWS`` rows at a time, with
+the bytes ``csv.writer`` writes (``csv_fields``), and replace their file
+atomically (``atomic_path``).
 
 An external trainer is any command that, given a dataset file, a selected-
 ids file, an epoch count and a seed, writes such a prediction log; it can
@@ -27,11 +32,14 @@ stand in for the built-in trainer in every pipeline.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
+import os
 import re
 import shlex
 import subprocess
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -96,29 +104,34 @@ def _read_canonical_log(path) -> RoundLog | None:
 
     Reads chunks of whole lines, so memory stays near one chunk plus the
     result. Returns None, without raising a format error, on the first
-    non-matching line (losses included), ragged ``seq``, duplicate id or
-    empty file; the line reader then decides.
+    non-matching line (losses included), ragged ``seq``, duplicate id, empty
+    file or last line without a line end; the line reader then decides.
     """
     ids, labels, true_labels, bits = [], [], [], []
     width = None
     with Path(path).open() as fh:
         try:
-            while lines := fh.readlines(_CHUNK_CHARS):
-                chunk = "".join(lines)
+            while chunk := fh.read(_CHUNK_CHARS):
+                chunk += fh.readline()
+                if chunk[-1] != "\n":
+                    return None
                 rows = _CANONICAL_RECORD.findall(chunk)
-                if len(rows) != len(lines):
+                if len(rows) != chunk.count("\n"):
                     return None
                 raw_ids, raw_labels, seqs, raw_true = zip(*rows)
                 width = width or len(seqs[0])
                 if width % 3 != 1 or set(map(len, seqs)) != {width}:
                     return None
-                # the regex admitted only "01, ": with a bit in every third
-                # byte and one ", " per bit, each seq reads "b, b, ..., b"
+                # the regex admitted only "01, ": every seq reads
+                # "b, b, ..., b" iff the joined text splits into 3-byte
+                # cells of a bit, "," and " "
                 text = (", ".join(seqs) + ", ").encode("ascii")
-                chunk_bits = np.frombuffer(text, dtype=np.uint8)[::3] - 48
-                if chunk_bits.max() > 1 or text.count(b", ") != chunk_bits.size:
+                cells = np.frombuffer(text, dtype=np.uint8).reshape(-1, 3)
+                chunk_bits = cells[:, 0] - 48
+                if (chunk_bits.max() > 1 or (cells[:, 1] != 44).any()
+                        or (cells[:, 2] != 32).any()):
                     return None
-                bits.append(chunk_bits.astype(np.int8).reshape(len(rows), -1))
+                bits.append(chunk_bits.view(np.int8).reshape(len(rows), -1))
                 chunk_ids = [json.loads(f'"{i}"') if "\\" in i else i for i in raw_ids]
                 if "\\" in chunk and any("\n" in i for i in chunk_ids):
                     return None  # an escaped line break in an id
@@ -204,8 +217,51 @@ def _read_log_lines(path) -> RoundLog:
     )
 
 
+# rows formatted per piece of a written file: enough that the per-piece
+# calls cost nothing, few enough that a piece stays near a megabyte
+BLOCK_ROWS = 10_000
+# the characters that make csv.writer (QUOTE_MINIMAL) quote a field
+_CSV_SPECIAL = ',"\r\n'
+
+
+@contextlib.contextmanager
+def atomic_path(path):
+    """A temp path to write in place of ``path``; it replaces ``path`` only
+    when the block completes, so a crash mid-write leaves the old file intact."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    yield tmp
+    os.replace(tmp, path)
+
+
+def write_atomic(path, pieces) -> None:
+    """Write the strings ``pieces`` to ``path`` as they are, atomically."""
+    with atomic_path(path) as tmp, tmp.open("w", newline="") as fh:
+        fh.writelines(pieces)
+
+
+def row_blocks(n: int, block):
+    """``block(lo, hi)`` for consecutive slices of ``n`` rows, ``BLOCK_ROWS`` each."""
+    return (block(lo, lo + BLOCK_ROWS) for lo in range(0, n, BLOCK_ROWS))
+
+
+def csv_fields(values) -> list[str]:
+    """``str`` of each value, quoted as ``csv.writer`` quotes a field.
+
+    A field holding ``,``, ``"``, ``\\r`` or ``\\n`` is wrapped in ``"`` with
+    its inner quotes doubled; any other is written as it is.
+    """
+    fields = list(map(str, values))
+    joined = "".join(fields)
+    if not any(c in joined for c in _CSV_SPECIAL):
+        return fields
+    return ['"' + f.replace('"', '""') + '"' if any(c in f for c in _CSV_SPECIAL) else f
+            for f in fields]
+
+
 def write_ids(path, ids) -> None:
-    Path(path).write_text("".join(f"{i}\n" for i in ids))
+    """One id per line, each ended by "\\n"; ``ids`` is a sequence."""
+    write_atomic(path, ["\n".join(map(str, ids)), "\n" if len(ids) else ""])
 
 
 def read_ids(path) -> list[str]:
@@ -216,20 +272,21 @@ def read_ids(path) -> list[str]:
 
 
 def write_dataset_csv(path, ds: ToyDataset) -> None:
+    """The bytes ``csv.writer`` writes for the header and one row per instance:
+    id, each feature as ``repr``, observed and true label, split."""
     dim = ds.features.shape[1]
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["id"]
-            + [f"feature_{j}" for j in range(dim)]
-            + ["observed_label", "true_label", "split"]
-        )
-        for row in range(len(ds.ids)):
-            writer.writerow(
-                [ds.ids[row]]
-                + [repr(float(v)) for v in ds.features[row]]
-                + [int(ds.observed_labels[row]), int(ds.true_labels[row]), ds.split[row]]
-            )
+    header = ["id", *(f"feature_{j}" for j in range(dim)),
+              "observed_label", "true_label", "split"]
+    # the features of a row, and the comma after them unless there are none
+    row = "{},{}" + ("," if dim else "") + "{},{},{}\r\n"
+
+    def block(lo, hi):
+        features = map(",".join, (map(repr, r) for r in ds.features[lo:hi].tolist()))
+        return "".join(map(row.format, csv_fields(ds.ids[lo:hi]), features,
+                           ds.observed_labels[lo:hi].tolist(),
+                           ds.true_labels[lo:hi].tolist(), csv_fields(ds.split[lo:hi])))
+
+    write_atomic(path, chain([",".join(header) + "\r\n"], row_blocks(len(ds.ids), block)))
 
 
 def read_dataset_csv(path) -> ToyDataset:

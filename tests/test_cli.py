@@ -164,6 +164,11 @@ def test_readme_config_reference_lists_exactly_the_accepted_keys(tmp_path):
         ("run", "fit.tol=1e-3", "fit.tol"),
         ("simulate", "simulate.p_forget_clean=high", "simulate.p_forget_clean"),
         ("simulate", "simulate.epochs=2.5", "simulate.epochs"),
+        ("simulate", "simulate.ramp=[a, b]", "simulate.ramp[0]"),
+        # out-of-range sizes and a short ramp reach simulate_dynamics
+        ("simulate", "simulate.ramp=[1.0, 2.0]", "ramp schedule shorter than the epoch count"),
+        ("simulate", "simulate.epochs=0", "epochs must be >= 1"),
+        ("simulate", "simulate.n_clean=-1", "need a positive number of instances"),
         # removed knob: now an unknown key
         ("run", "round.small_loss_best_validation=true", "small_loss_best_validation"),
         ("run", "noise.ratio=abc", "noise.ratio"),

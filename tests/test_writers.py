@@ -1,0 +1,137 @@
+"""The per-row writers against the per-row forms they replaced.
+
+Each oracle below is the writer as it was before it formatted whole blocks
+of rows at once: ``csv.writer`` rows, ``json.dumps(sort_keys=True,
+indent=2)`` and an f-string join. The bytes must match for any ids, any
+scores and any block size, including the empty set.
+"""
+
+import csv
+import io
+import json
+import math
+import os
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from mfselect import cli, logio
+from mfselect.trainer import ToyDataset
+
+# the characters csv quotes or json escapes, plus "" and non-ASCII text
+SPECIAL = [",", '"', "\r", "\n", "\\", "/", "\x00", "\x1f", "\x7f", " ", "\x85", "\u2028",
+           "\u00e9", "\U0001f600"]
+ids_text = st.text(alphabet=st.sampled_from(SPECIAL) | st.characters(exclude_categories=["Cs"]),
+                   max_size=6)
+SCORES = [-0.0, 0.0, math.nan, math.inf, -math.inf, 1e300, -1e300, 5e-324, 0.1]
+scores = st.sampled_from(SCORES) | st.floats()
+blocks = st.sampled_from([1, 2, 3, 10_000])
+property_settings = settings(max_examples=100, deadline=None,
+                             suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def csv_oracle(rows) -> bytes:
+    out = io.StringIO(newline="")
+    csv.writer(out).writerows(rows)
+    return out.getvalue().encode()
+
+
+@property_settings
+@given(rows=st.lists(st.tuples(ids_text, scores), max_size=12), block=blocks)
+def test_scores_csv_matches_csv_writer(tmp_path, rows, block):
+    ids = [i for i, _ in rows]
+    values = [v for _, v in rows]
+    with mock.patch.object(logio, "BLOCK_ROWS", block):
+        cli.write_scores_csv(tmp_path / "scores.csv", ids, values)
+    want = csv_oracle([["id", "score"]] + [[i, repr(float(v))] for i, v in rows])
+    assert (tmp_path / "scores.csv").read_bytes() == want
+
+
+@st.composite
+def datasets(draw):
+    n = draw(st.integers(0, 8))
+    dim = draw(st.integers(0, 3))
+    n_classes = draw(st.integers(1, 5))
+    labels = st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n)
+    return ToyDataset(
+        ids=np.array(draw(st.lists(ids_text, min_size=n, max_size=n)), dtype=object),
+        features=np.array(draw(st.lists(scores, min_size=n * dim, max_size=n * dim)),
+                          dtype=float).reshape(n, dim),
+        observed_labels=np.array(draw(labels), dtype=np.int64),
+        true_labels=np.array(draw(labels), dtype=np.int64),
+        n_classes=n_classes,
+        split=np.array(draw(st.lists(st.sampled_from(["train", "test", "a,b", 'q"', "x\ny"]),
+                                     min_size=n, max_size=n)), dtype="U5"),
+    )
+
+
+def dataset_oracle(ds) -> bytes:
+    dim = ds.features.shape[1]
+    header = (["id"] + [f"feature_{j}" for j in range(dim)]
+              + ["observed_label", "true_label", "split"])
+    return csv_oracle([header] + [
+        [ds.ids[row]] + [repr(float(v)) for v in ds.features[row]]
+        + [int(ds.observed_labels[row]), int(ds.true_labels[row]), ds.split[row]]
+        for row in range(len(ds.ids))
+    ])
+
+
+@property_settings
+@given(ds=datasets(), block=blocks)
+def test_dataset_csv_matches_csv_writer(tmp_path, ds, block):
+    with mock.patch.object(logio, "BLOCK_ROWS", block):
+        logio.write_dataset_csv(tmp_path / "dataset.csv", ds)
+    assert (tmp_path / "dataset.csv").read_bytes() == dataset_oracle(ds)
+
+
+@property_settings
+@given(pairs=st.dictionaries(ids_text, st.booleans(), max_size=12), block=blocks)
+def test_mask_json_matches_write_json(tmp_path, pairs, block):
+    ids = list(pairs)
+    with mock.patch.object(logio, "BLOCK_ROWS", block):
+        cli.write_mask_json(tmp_path / "mask.json", ids, np.array(list(pairs.values()), bool))
+    want = json.dumps(pairs, sort_keys=True, indent=2) + "\n"
+    assert (tmp_path / "mask.json").read_bytes() == want.encode()
+
+
+@property_settings
+@given(ids=st.lists(ids_text | st.integers(), max_size=12))
+def test_ids_file_matches_line_join(tmp_path, ids):
+    logio.write_ids(tmp_path / "ids.txt", ids)
+    assert (tmp_path / "ids.txt").read_bytes() == "".join(f"{i}\n" for i in ids).encode()
+
+
+WRITERS = {
+    "scores.csv": lambda path, k: cli.write_scores_csv(path, ["a", "b,c"], [k, 0.5]),
+    "selected_ids.txt": lambda path, k: logio.write_ids(path, ["a", str(k)]),
+    "clean_mask.json": lambda path, k: cli.write_mask_json(
+        path, ["a", "b"], np.array([k == 1, True])),
+    "stats.csv": lambda path, k: cli.write_stats_csv(
+        path, [[k, 10, 0.5, 0.25, None, 1.5, True]]),
+    "dataset.csv": lambda path, k: logio.write_dataset_csv(path, ToyDataset(
+        ids=np.array(["a", "b"], dtype=object), features=np.full((2, 2), float(k)),
+        observed_labels=np.array([0, 1]), true_labels=np.array([0, 0]), n_classes=2,
+        split=np.array(["train", "test"]))),
+    "state.json": lambda path, k: cli.write_json(path, {"completed_rounds": k}),
+}
+
+
+@pytest.mark.parametrize("name", WRITERS)
+def test_failure_before_rename_keeps_old_file(tmp_path, monkeypatch, name):
+    path = tmp_path / name
+    WRITERS[name](path, 1)
+    before = path.read_bytes()
+
+    def crash(src, dst):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(os, "replace", crash)
+    with pytest.raises(OSError, match="no space"):
+        WRITERS[name](path, 2)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    WRITERS[name](path, 2)
+    assert path.read_bytes() != before
