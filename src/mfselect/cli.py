@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
-import io
 import json
 import sys
 import types
@@ -65,7 +64,8 @@ class ExperimentConfig:
     """Validated view of one experiment config file.
 
     ``trainer`` is the built-in sgd trainer's ``TrainerConfig``, or the
-    section itself for an external trainer.
+    section itself for an external trainer; ``simulate`` is the simulate
+    section's ``DynamicsModel`` and the section itself, for its sizes.
     """
 
     raw: dict
@@ -75,7 +75,7 @@ class ExperimentConfig:
     trainer: TrainerConfig | dict | None = None
     round_config: RoundConfig = field(default_factory=RoundConfig)
     fit_config: FitConfig = field(default_factory=FitConfig)
-    simulate: dict | None = None
+    simulate: tuple[DynamicsModel, dict] | None = None
 
     @classmethod
     def from_dict(cls, raw: dict, output_dir: str | None = None) -> "ExperimentConfig":
@@ -88,7 +88,7 @@ class ExperimentConfig:
         cfg.trainer = _parse_trainer(raw.get("trainer"))
         cfg.round_config = _build(RoundConfig, raw.get("round") or {}, "round")
         cfg.fit_config = _build(FitConfig, raw.get("fit") or {}, "fit")
-        cfg.simulate = raw.get("simulate")
+        cfg.simulate = _parse_simulate(raw.get("simulate"))
         return cfg
 
 
@@ -213,6 +213,21 @@ def _parse_trainer(section):
     return config
 
 
+def _parse_simulate(section):
+    """The simulate section's ``DynamicsModel`` and the section, type-checked;
+    ``simulate_dynamics`` checks the sizes' ranges and the ramp's length."""
+    if section is None:
+        return None
+    model = _build(DynamicsModel, section, "simulate", extra=SIMULATE_SIZES)
+    for e, mult in enumerate(model.ramp or ()):
+        _check_type(mult, float, f"simulate.ramp[{e}]")
+    for key in SIMULATE_SIZES:
+        if key not in section:
+            raise ConfigError(f"simulate.{key} is required")
+        _check_type(section[key], int, f"simulate.{key}")
+    return model, section
+
+
 def _check_small_loss_epoch(rc: RoundConfig, epochs: int) -> None:
     """ConfigError unless ``round.small_loss_epoch`` indexes one of ``epochs``."""
     k = rc.small_loss_epoch
@@ -300,17 +315,9 @@ def build_trainer(cfg: ExperimentConfig, ds: ToyDataset, workdir: Path):
 
 
 def build_dynamics_model(cfg: ExperimentConfig) -> tuple[DynamicsModel, dict]:
-    section = cfg.simulate
-    if section is None:
+    if cfg.simulate is None:
         raise ConfigError("config section 'simulate' is required for this command")
-    model = _build(DynamicsModel, section, "simulate", extra=SIMULATE_SIZES)
-    for e, mult in enumerate(model.ramp or ()):
-        _check_type(mult, float, f"simulate.ramp[{e}]")
-    for key in SIMULATE_SIZES:
-        if key not in section:
-            raise ConfigError(f"simulate.{key} is required")
-        _check_type(section[key], int, f"simulate.{key}")
-    return model, section
+    return cfg.simulate
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +326,7 @@ def build_dynamics_model(cfg: ExperimentConfig) -> tuple[DynamicsModel, dict]:
 
 def write_json(path: Path, doc) -> None:
     """Write ``doc`` atomically: a crash mid-write leaves the old file intact."""
-    with logio.atomic_path(path) as tmp:
-        tmp.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    logio.write_atomic(path, [json.dumps(doc, sort_keys=True, indent=2), "\n"])
 
 
 def write_mask_json(path: Path, ids, mask) -> None:
@@ -357,15 +363,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_stats_csv(path: Path, rows) -> None:
-    with logio.atomic_path(path) as tmp, tmp.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["round", "kept", "precision", "recall", "test_accuracy",
-             "threshold", "converged"]
-        )
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+def write_table(path: Path, header, rows) -> None:
+    """A CSV table, every cell through ``_fmt``, written atomically with the
+    bytes ``csv.writer`` writes for rows of two or more cells."""
+    logio.write_atomic(path, [",".join(logio.csv_fields(map(_fmt, row))) + "\r\n"
+                              for row in chain([header], rows)])
+
+
+STATS_HEADER = ["round", "kept", "precision", "recall", "test_accuracy",
+                "threshold", "converged"]
 
 
 def write_scores_csv(path: Path, ids, values) -> None:
@@ -415,7 +421,8 @@ def save_model(trainer: SGDTrainer, outdir: Path) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     for key, stem in CHECKPOINT_ARRAYS.items():
         for idx, array in enumerate(state.pop(key)):
-            np.save(outdir / f"{stem}_{idx}.npy", array)
+            with logio.atomic_path(outdir / f"{stem}_{idx}.npy", "wb") as fh:
+                np.save(fh, array)
     write_json(outdir / "meta.json", state)
 
 
@@ -534,9 +541,10 @@ def run_pipeline(cfg: ExperimentConfig, outdir: Path, resume: bool = False) -> l
         write_scores_csv(outdir / f"scores_round{k}.csv", log.ids, result.scores)
         logio.write_ids(outdir / f"selected_ids_round{k}.txt", result.selected_ids)
         if result.fit is not None:
-            write_json(outdir / f"mixture_round{k}.json", result.fit.to_json_dict())
+            write_json(outdir / f"mixture_round{k}.json",
+                       result.fit.to_json_dict(cfg.fit_config.threshold_rule))
         stats_rows.append(_stats_row(result))
-        write_stats_csv(outdir / "stats.csv", stats_rows)
+        write_table(outdir / "stats.csv", STATS_HEADER, stats_rows)
         if isinstance(trainer, SGDTrainer):
             save_model(trainer, outdir / f"model_round{k}")
         write_json(
@@ -600,18 +608,12 @@ def _run_trials(cfg: ExperimentConfig, trials: int) -> int:
     metrics = {"precision": 2, "recall": 3, "test_accuracy": 4}
     outdir = cfg.output_dir
     outdir.mkdir(parents=True, exist_ok=True)
-    with (outdir / "aggregate.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "mean", "stddev", "trials"])
-        for name, col in metrics.items():
-            values = [row[col] for row in finals if row[col] is not None]
-            if not values:
-                writer.writerow([name, "", "", 0])
-                continue
-            writer.writerow(
-                [name, _fmt(float(np.mean(values))), _fmt(float(np.std(values))),
-                 len(values)]
-            )
+    rows = []
+    for name, col in metrics.items():
+        values = [row[col] for row in finals if row[col] is not None]
+        rows.append([name, float(np.mean(values)), float(np.std(values)), len(values)]
+                    if values else [name, None, None, 0])
+    write_table(outdir / "aggregate.csv", ["metric", "mean", "stddev", "trials"], rows)
     capture_config(cfg, outdir)
     print(f"aggregated {trials} trials into {outdir / 'aggregate.csv'}")
     return 0
@@ -631,12 +633,13 @@ def cmd_select(cfg: ExperimentConfig, log_path) -> int:
     write_scores_csv(outdir / "scores.csv", log.ids, result.scores)
     logio.write_ids(outdir / "selected_ids.txt", result.selected_ids)
     if result.fit is not None:
-        write_json(outdir / "mixture.json", result.fit.to_json_dict())
+        write_json(outdir / "mixture.json",
+                   result.fit.to_json_dict(cfg.fit_config.threshold_rule))
     clean = log.clean_mask()
     if clean is not None:
         write_mask_json(outdir / "clean_mask.json", log.ids, clean)
         stats = result.stats = evaluation.selection_precision_recall(result.keep, clean)
-        write_stats_csv(outdir / "stats.csv", [_stats_row(result)])
+        write_table(outdir / "stats.csv", STATS_HEADER, [_stats_row(result)])
         print(
             f"selected {stats.kept}/{len(log)} "
             f"(precision={_fmt(stats.precision) or 'n/a'} recall={_fmt(stats.recall) or 'n/a'})"
@@ -703,22 +706,23 @@ def cmd_eval(cfg: ExperimentConfig, outputs: Path | None, bins: int) -> int:
         stats = evaluation.selection_precision_recall(selected, clean)
         rows.append([round_index, stats.kept, stats.precision, stats.recall,
                      None, None, None])
-        fit = None
+        fit = tau = None
         fit_path = outputs / f"mixture_round{round_index}.json"
         if not fit_path.exists():
             fit_path = outputs / "mixture.json"
         if fit_path.exists():
             try:
-                fit = MixtureFit.from_json_dict(json.loads(fit_path.read_text()))
+                doc = json.loads(fit_path.read_text())
+                fit, tau = MixtureFit.from_json_dict(doc), float(doc["threshold"])
             except (KeyError, TypeError, ValueError) as exc:  # JSON errors included
                 raise LogFormatError(f"not a mixture fit: {type(exc).__name__}: {exc}",
                                      path=fit_path) from None
-        hist_csv, overlay = evaluation.histogram_export(
-            values, clean[truth_rows(score_ids, scores_path)], bins, fit)
-        (outputs / f"histogram_round{round_index}.csv").write_text(hist_csv)
+        header, hist_rows, overlay = evaluation.histogram_export(
+            values, clean[truth_rows(score_ids, scores_path)], bins, fit, tau)
+        write_table(outputs / f"histogram_round{round_index}.csv", header, hist_rows)
         if overlay is not None:
             write_json(outputs / f"overlay_round{round_index}.json", overlay)
-    write_stats_csv(outputs / "eval_stats.csv", rows)
+    write_table(outputs / "eval_stats.csv", STATS_HEADER, rows)
     print(f"evaluated {len(rows)} round(s) into {outputs / 'eval_stats.csv'}")
     return 0
 
@@ -726,11 +730,8 @@ def cmd_eval(cfg: ExperimentConfig, outputs: Path | None, bins: int) -> int:
 def _read_stats_csv(path: Path) -> list[dict]:
     if not path.exists():
         raise LogFormatError("stats.csv not found; run the pipeline first", path=path)
-    rows = []
     with path.open(newline="") as fh:
-        for row in csv.DictReader(fh):
-            rows.append(row)
-    return rows
+        return list(csv.DictReader(fh))
 
 
 def cmd_report(cfg: ExperimentConfig, outputs: Path | None, compare: bool) -> int:
@@ -738,20 +739,14 @@ def cmd_report(cfg: ExperimentConfig, outputs: Path | None, compare: bool) -> in
     outputs.mkdir(parents=True, exist_ok=True)
     if compare:
         return _write_comparison(cfg, outputs)
-    stats_rows = _read_stats_csv(outputs / "stats.csv")
-    trend = io.StringIO()
-    writer = csv.writer(trend)
-    writer.writerow(["round", "precision", "recall", "accuracy"])
+    rows = [[row["round"], row["precision"], row["recall"], row["test_accuracy"]]
+            for row in _read_stats_csv(outputs / "stats.csv")]
     dataset_csv = outputs / "dataset.csv"
     if dataset_csv.exists():
         # round 0: the untouched training set (select-all baseline)
         ds = logio.read_dataset_csv(dataset_csv)
-        writer.writerow([0, _fmt(1.0 - ds.noise_ratio()), _fmt(1.0), ""])
-    for row in stats_rows:
-        writer.writerow(
-            [row["round"], row["precision"], row["recall"], row["test_accuracy"]]
-        )
-    (outputs / "trend.csv").write_text(trend.getvalue())
+        rows.insert(0, [0, 1.0 - ds.noise_ratio(), 1.0, None])
+    write_table(outputs / "trend.csv", ["round", "precision", "recall", "accuracy"], rows)
     print(f"wrote {outputs / 'trend.csv'}")
     return 0
 
@@ -767,14 +762,9 @@ def _write_comparison(cfg: ExperimentConfig, outputs: Path) -> int:
         cfg.round_config,
         cfg.fit_config,
     )
-    with (outputs / "comparison.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["strategy", "kept", "precision", "recall", "accuracy"])
-        for row in rows:
-            writer.writerow(
-                [row["strategy"], row["kept"], _fmt(row["precision"]),
-                 _fmt(row["recall"]), _fmt(row["accuracy"])]
-            )
+    header = ["strategy", "kept", "precision", "recall", "accuracy"]
+    write_table(outputs / "comparison.csv", header,
+                [[row[key] for key in header] for row in rows])
     capture_config(cfg, outputs)
     print(f"wrote {outputs / 'comparison.csv'}")
     return 0

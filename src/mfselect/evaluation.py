@@ -11,8 +11,6 @@ rather than 0 so degenerate rounds stay visible.
 
 from __future__ import annotations
 
-import io
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,14 +48,16 @@ def test_accuracy(model, features, labels) -> float:
     return float(np.mean(model.predict(np.asarray(features)) == labels))
 
 
-def histogram_export(values, is_clean, bins: int, fit: MixtureFit | None = None):
+def histogram_export(values, is_clean, bins: int, fit: MixtureFit | None = None,
+                     tau: float | None = None):
     """Per-bin clean/noisy counts plus mixture-density samples for overlay.
 
     ``values`` are the scores and ``is_clean`` the ground truth of the same
-    rows. Returns (csv_text, overlay_dict). The CSV holds bin edges and
-    counts split by ground truth; the overlay dict samples the fitted
-    component densities over the score range in original score units (None
-    when no fit is given).
+    rows. Returns (header, rows, overlay_dict). Each row holds a bin's edges,
+    as ``repr`` text, and its counts split by ground truth; the overlay dict
+    samples the fitted component densities over the score range in original
+    score units, with the threshold ``tau`` (default: the fit's scale-rule
+    threshold), or is None when no fit is given.
     """
     if bins < 2:
         raise ValueError("bins must be >= 2")
@@ -71,14 +71,9 @@ def histogram_export(values, is_clean, bins: int, fit: MixtureFit | None = None)
     clean_counts, _ = np.histogram(values[is_clean], bins=edges)
     noisy_counts, _ = np.histogram(values[~is_clean], bins=edges)
 
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["bin_left", "bin_right", "clean_count", "noisy_count"])
-    for j in range(len(edges) - 1):
-        writer.writerow(
-            [repr(float(edges[j])), repr(float(edges[j + 1])),
-             int(clean_counts[j]), int(noisy_counts[j])]
-        )
+    edge_text = list(map(repr, edges.tolist()))
+    rows = list(zip(edge_text[:-1], edge_text[1:],
+                    clean_counts.tolist(), noisy_counts.tolist()))
 
     overlay = None
     if fit is not None:
@@ -89,6 +84,6 @@ def histogram_export(values, is_clean, bins: int, fit: MixtureFit | None = None)
             "x": x.tolist(),
             "density_clean": (fit.k_clean * weibull_pdf(shifted, fit.clean)).tolist(),
             "density_noisy": (fit.k_noisy * weibull_pdf(shifted, fit.noisy)).tolist(),
-            "threshold": threshold(fit),
+            "threshold": threshold(fit) if tau is None else tau,
         }
-    return buf.getvalue(), overlay
+    return ["bin_left", "bin_right", "clean_count", "noisy_count"], rows, overlay

@@ -21,9 +21,10 @@ character but a line break; the dataset and log readers reject one that
 does. Ids are opaque strings everywhere: ``007`` and ``7`` are two
 instances, and files keep their input row order.
 
-The per-row writers format blocks of ``BLOCK_ROWS`` rows at a time, with
-the bytes ``csv.writer`` writes (``csv_fields``), and replace their file
-atomically (``atomic_path``).
+Every output file is written through ``atomic_path``: to a temp file that
+replaces the target only once it is complete. The per-row writers format
+blocks of ``BLOCK_ROWS`` rows at a time, with the bytes ``csv.writer``
+writes (``csv_fields``).
 
 An external trainer is any command that, given a dataset file, a selected-
 ids file, an epoch count and a seed, writes such a prediction log; it can
@@ -61,12 +62,11 @@ def write_prediction_log(path, log: RoundLog) -> None:
     true_labels = [None] * n if log.true_labels is None else log.true_labels.tolist()
     losses = [None] * n if log.losses is None else log.losses.tolist()
     rows = zip(log.ids, log.labels.tolist(), true_labels, log.bits.tolist(), losses)
-    with Path(path).open("w") as fh:
-        fh.writelines(
-            _ENCODER.encode({"id": rec_id, "label": label, "true_label": true_label,
-                             "seq": seq, "losses": loss}) + "\n"
-            for rec_id, label, true_label, seq, loss in rows
-        )
+    write_atomic(path, (
+        _ENCODER.encode({"id": rec_id, "label": label, "true_label": true_label,
+                         "seq": seq, "losses": loss}) + "\n"
+        for rec_id, label, true_label, seq, loss in rows
+    ))
 
 
 # One record exactly as ``write_prediction_log`` lays it out for a log
@@ -225,18 +225,27 @@ _CSV_SPECIAL = ',"\r\n'
 
 
 @contextlib.contextmanager
-def atomic_path(path):
-    """A temp path to write in place of ``path``; it replaces ``path`` only
-    when the block completes, so a crash mid-write leaves the old file intact."""
+def atomic_path(path, mode="w"):
+    """A file opened in ``mode`` on ``<path>.tmp``, renamed to ``path`` when
+    the block completes: a crash mid-write leaves the old file intact, and a
+    failed write or rename removes the temp file before the error propagates.
+
+    Text is written as it is, without newline translation.
+    """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    yield tmp
-    os.replace(tmp, path)
+    try:
+        with tmp.open(mode, newline=None if "b" in mode else "") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_atomic(path, pieces) -> None:
     """Write the strings ``pieces`` to ``path`` as they are, atomically."""
-    with atomic_path(path) as tmp, tmp.open("w", newline="") as fh:
+    with atomic_path(path) as fh:
         fh.writelines(pieces)
 
 

@@ -108,9 +108,9 @@ class MixtureFit:
     converged: bool = True
     degenerate: bool = False
 
-    def to_json_dict(self) -> dict:
-        """Every field as JSON data, plus the fit's threshold."""
-        return {**asdict(self), "threshold": threshold(self)}
+    def to_json_dict(self, rule: str = "scale") -> dict:
+        """Every field as JSON data, plus the fit's threshold under ``rule``."""
+        return {**asdict(self), "threshold": threshold(self, rule)}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "MixtureFit":

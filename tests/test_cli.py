@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from mfselect.logio import (
     read_prediction_log,
     write_dataset_csv,
 )
-from mfselect.mixture import FitConfig
+from mfselect.mixture import FitConfig, MixtureFit, threshold
 from mfselect.trainer import DynamicsModel, TrainerConfig, make_blobs
 
 import mixture_reference
@@ -178,6 +179,7 @@ def test_readme_config_reference_lists_exactly_the_accepted_keys(tmp_path):
         ("run", "round.small_loss_epoch=last", "round.small_loss_epoch"),
         # every section is parsed at load, also where the command never reads it
         ("select --log unread.jsonl", "trainer.batch_size=0.5", "trainer.batch_size"),
+        ("select --log unread.jsonl", "simulate.epochs=abc", "simulate.epochs"),
     ],
 )
 def test_bad_config_value_exits_2_naming_key(tmp_path, capsys, command, override, key):
@@ -333,17 +335,25 @@ def test_write_json_crash_mid_write_keeps_old_file(tmp_path, monkeypatch):
     target = tmp_path / "state.json"
     cli.write_json(target, {"completed_rounds": 1})
     before = target.read_text()
+    real_open = Path.open
 
-    def crash(self, text, *args, **kwargs):
-        with open(self, "w") as fh:
+    def crashing_open(self, *args, **kwargs):
+        fh = real_open(self, *args, **kwargs)
+
+        def writelines(pieces):
+            text = "".join(pieces)
             fh.write(text[: len(text) // 2])
-        raise OSError("no space left on device")
+            raise OSError("no space left on device")
 
-    monkeypatch.setattr(Path, "write_text", crash)
+        fh.writelines = writelines
+        return fh
+
+    monkeypatch.setattr(Path, "open", crashing_open)
     with pytest.raises(OSError):
         cli.write_json(target, {"completed_rounds": 2})
     monkeypatch.undo()
     assert target.read_text() == before
+    assert list(tmp_path.iterdir()) == [target]  # the half-written temp file is gone
 
 
 @pytest.mark.parametrize("empty_round", [1, 2])
@@ -370,6 +380,55 @@ def test_run_resume_after_emptied_selection_matches_full_run(tmp_path, monkeypat
     assert read_ids(out / "selected_ids_final.txt") == trained_on
     assert cli.main(["run", "-c", str(path), "--resume"]) == 0
     assert tree_digest(out) == full
+
+
+@pytest.mark.parametrize("target,occurrence", [
+    ("log_round2.jsonl", 1),
+    ("stats.csv", 2),
+    ("model_round2/param_0.npy", 1),
+    ("state.json", 2),
+])
+def test_run_rename_failure_in_round_2_then_resume_matches_full_run(
+        tmp_path, monkeypatch, target, occurrence):
+    path = write_config(tmp_path, base_config(tmp_path, rounds=2, epochs=4))
+    assert cli.main(["run", "-c", str(path), "-o", str(tmp_path / "full")]) == 0
+    out = tmp_path / "crashed"
+    real_replace, seen = os.replace, []
+
+    def replace(src, dst):
+        if Path(dst) == out / target:
+            seen.append(dst)
+            if len(seen) == occurrence:
+                raise OSError("no space left on device")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(OSError, match="no space"):
+        cli.main(["run", "-c", str(path), "-o", str(out)])
+    monkeypatch.undo()
+    assert not list(out.rglob("*.tmp"))
+    assert json.loads((out / "state.json").read_text())["completed_rounds"] == 1
+    assert cli.main(["run", "-c", str(path), "-o", str(out), "--resume"]) == 0
+    assert tree_digest(out) == tree_digest(tmp_path / "full")
+
+
+def test_crossover_rule_gives_one_threshold_in_stats_fit_and_overlay(tmp_path):
+    config = yaml.safe_load((REPO / "configs" / "simulate.yaml").read_text())
+    config.update(output_dir=str(tmp_path / "out"), fit={"threshold_rule": "crossover"})
+    config["simulate"].update(n_clean=300, n_noisy=300)
+    path = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "-c", str(path)]) == 0
+    assert cli.main(["select", "-c", str(path),
+                     "--log", str(out / "simulated_log.jsonl")]) == 0
+    assert cli.main(["eval", "-c", str(path)]) == 0
+    doc = json.loads((out / "mixture.json").read_text())
+    tau = doc["threshold"]
+    assert tau == threshold(MixtureFit.from_json_dict(doc), "crossover")
+    assert tau != threshold(MixtureFit.from_json_dict(doc), "scale")
+    assert json.loads((out / "overlay_round1.json").read_text())["threshold"] == tau
+    stats = (out / "stats.csv").read_text().splitlines()
+    assert stats[1].split(",")[stats[0].split(",").index("threshold")] == f"{tau:.6f}"
 
 
 def test_run_small_round_falls_back_to_ratio(tmp_path, capsys):

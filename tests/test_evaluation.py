@@ -1,6 +1,3 @@
-import csv
-import io
-
 import numpy as np
 import pytest
 
@@ -139,8 +136,7 @@ def test_accuracy_empty_split_rejected():
 def test_histogram_single_value_occupies_one_bin():
     scores = {i: 2.5 for i in range(8)}
     mask = {i: i < 4 for i in range(8)}
-    text, overlay = hist(scores, mask, bins=5)
-    rows = list(csv.reader(io.StringIO(text)))[1:]
+    _, rows, overlay = hist(scores, mask, bins=5)
     occupied = [r for r in rows if int(r[2]) + int(r[3]) > 0]
     assert len(occupied) == 1
     assert overlay is None
@@ -149,8 +145,7 @@ def test_histogram_single_value_occupies_one_bin():
 def test_histogram_two_bins_splits_counts():
     scores = {"a": -1.0, "b": -1.0, "c": 1.0, "d": 1.0}
     mask = {k: True for k in scores}
-    text, _ = hist(scores, mask, bins=2)
-    rows = list(csv.reader(io.StringIO(text)))[1:]
+    _, rows, _ = hist(scores, mask, bins=2)
     assert [int(r[2]) for r in rows] == [2, 2]
 
 
@@ -158,8 +153,7 @@ def test_histogram_counts_sum_and_edges_cover_range():
     rng = np.random.default_rng(2)
     scores = {i: float(v) for i, v in enumerate(rng.normal(0, 3, size=500))}
     mask = {i: bool(rng.random() < 0.5) for i in scores}
-    text, _ = hist(scores, mask, bins=13)
-    rows = list(csv.reader(io.StringIO(text)))[1:]
+    _, rows, _ = hist(scores, mask, bins=13)
     assert len(rows) == 13
     total = sum(int(r[2]) + int(r[3]) for r in rows)
     assert total == 500
@@ -174,13 +168,12 @@ def test_histogram_overlay_densities():
     scores = {i: float(v) for i, v in enumerate(raw)}
     mask = {i: i < 400 for i in scores}
     fit = fit_metric_scores(raw, FitConfig())
-    text, overlay = hist(scores, mask, bins=20, fit=fit)
+    _, rows, overlay = hist(scores, mask, bins=20, fit=fit)
     assert overlay is not None
     assert len(overlay["x"]) == len(overlay["density_clean"]) == 256
     assert overlay["threshold"] == pytest.approx(threshold(fit))
     assert all(v >= 0 for v in overlay["density_clean"])
     # clean mass sits left of noisy mass
-    rows = list(csv.reader(io.StringIO(text)))[1:]
     centers = [(float(r[0]) + float(r[1])) / 2 for r in rows]
     clean_counts = [int(r[2]) for r in rows]
     noisy_counts = [int(r[3]) for r in rows]

@@ -3,7 +3,9 @@
 Each oracle below is the writer as it was before it formatted whole blocks
 of rows at once: ``csv.writer`` rows, ``json.dumps(sort_keys=True,
 indent=2)`` and an f-string join. The bytes must match for any ids, any
-scores and any block size, including the empty set.
+scores and any block size, including the empty set. ``cli.write_table``
+must write what ``csv.writer`` writes for its ``_fmt``-formatted cells, and
+every writer must leave the old file, and no temp file, when its rename fails.
 """
 
 import csv
@@ -19,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mfselect import cli, logio
-from mfselect.trainer import ToyDataset
+from mfselect.trainer import RoundLog, ToyDataset
 
 # the characters csv quotes or json escapes, plus "" and non-ASCII text
 SPECIAL = [",", '"', "\r", "\n", "\\", "/", "\x00", "\x1f", "\x7f", " ", "\x85", "\u2028",
@@ -104,18 +106,35 @@ def test_ids_file_matches_line_join(tmp_path, ids):
     assert (tmp_path / "ids.txt").read_bytes() == "".join(f"{i}\n" for i in ids).encode()
 
 
+cells = ids_text | scores | st.integers() | st.booleans() | st.none()
+
+
+@property_settings
+@given(width=st.integers(2, 5), data=st.data())
+def test_table_matches_csv_writer_of_formatted_cells(tmp_path, width, data):
+    row = st.lists(cells, min_size=width, max_size=width)
+    header = data.draw(row)
+    rows = data.draw(st.lists(row, max_size=6))
+    cli.write_table(tmp_path / "table.csv", header, rows)
+    want = csv_oracle([[cli._fmt(v) for v in r] for r in [header, *rows]])
+    assert (tmp_path / "table.csv").read_bytes() == want
+
+
 WRITERS = {
     "scores.csv": lambda path, k: cli.write_scores_csv(path, ["a", "b,c"], [k, 0.5]),
     "selected_ids.txt": lambda path, k: logio.write_ids(path, ["a", str(k)]),
     "clean_mask.json": lambda path, k: cli.write_mask_json(
         path, ["a", "b"], np.array([k == 1, True])),
-    "stats.csv": lambda path, k: cli.write_stats_csv(
-        path, [[k, 10, 0.5, 0.25, None, 1.5, True]]),
+    "stats.csv": lambda path, k: cli.write_table(
+        path, cli.STATS_HEADER, [[k, 10, 0.5, 0.25, None, 1.5, True]]),
     "dataset.csv": lambda path, k: logio.write_dataset_csv(path, ToyDataset(
         ids=np.array(["a", "b"], dtype=object), features=np.full((2, 2), float(k)),
         observed_labels=np.array([0, 1]), true_labels=np.array([0, 0]), n_classes=2,
         split=np.array(["train", "test"]))),
     "state.json": lambda path, k: cli.write_json(path, {"completed_rounds": k}),
+    "log.jsonl": lambda path, k: logio.write_prediction_log(path, RoundLog(
+        ids=["a", "b"], bits=np.full((2, 3), k % 2, dtype=np.int8), losses=None,
+        labels=np.array([0, 1]), true_labels=None)),
 }
 
 
@@ -133,5 +152,6 @@ def test_failure_before_rename_keeps_old_file(tmp_path, monkeypatch, name):
         WRITERS[name](path, 2)
     monkeypatch.undo()
     assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]  # the temp file is removed
     WRITERS[name](path, 2)
     assert path.read_bytes() != before
