@@ -9,11 +9,14 @@ Prediction logs are newline-delimited JSON, one record per instance:
 has the same length; ``losses`` is optional and only needed by the
 small-loss baseline. ``label`` and ``true_label`` must fit in int64. A log
 is read into one ``RoundLog``. A log without losses in the exact layout
-``write_prediction_log`` emits is read in bulk: chunks of about a megabyte
-of characters, each extended to the end of its last line, one anchored
-regex per chunk, and one numpy view of the chunk's ``seq`` text for the
-bits. Any other valid layout is read line by line, with the same checks
-and the same result, and every format error comes from that line reader.
+``write_prediction_log`` emits is read in bulk, as numpy bytes in chunks of
+about a megabyte of whole lines: from each line's end, the fixed text
+between the fields, the ints (an optional "-", no leading zero, at most 18
+digits; ``true_label`` may be null), the ``seq`` bits and their ", "
+separators, and the id, through ``json.loads`` if it holds an escape. Any
+other layout, raw non-ASCII included, is read line by line, each line
+decoded as UTF-8, with the same checks and the same result; every format
+error comes from that line reader.
 Datasets are CSV files with header
 ``id,feature_0..feature_{d-1},observed_label,true_label,split``. Selected
 ids are stored one per line, exactly as given, so an id may hold any
@@ -35,9 +38,9 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import json
 import os
-import re
 import shlex
 import subprocess
 from itertools import chain
@@ -70,19 +73,17 @@ def write_prediction_log(path, log: RoundLog) -> None:
 
 
 # One record exactly as ``write_prediction_log`` lays it out for a log
-# without losses: sorted keys, default separators, ASCII escapes. No
-# character class matches "\n", so a match is one whole line. Strings
-# exclude raw control characters and allow only JSON's escapes; integers
-# stop at 18 digits so they always fit in int64. ``seq`` is only checked for
-# its characters here; the reader checks its "0, 1, ..." layout.
-_STRING = r'"([^"\\\x00-\x1f]*(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})[^"\\\x00-\x1f]*)*)"'
-_INT = r"-?(?:0|[1-9][0-9]{0,17})"
-_CANONICAL_RECORD = re.compile(
-    rf'^\{{"id": {_STRING}, "label": ({_INT}), "losses": null, '
-    rf'"seq": \[([01, ]*)\], "true_label": ({_INT}|null)\}}\n',
-    re.M,
-)
-_CHUNK_CHARS = 1 << 20
+# without losses is fixed text around five fields; none after the id holds
+# a space, so the bulk reader finds each from the line's end:
+#   {"id": "<id>", "label": <int>, "losses": null, "seq": [<bits>], "true_label": <int|null>}
+_ID_HEAD, _LABEL_HEAD, _SEQ_HEAD, _TRUE_HEAD, _NULL, _BIT = (
+    np.frombuffer(text, np.uint8) for text in (
+        b'{"id": "', b'", "label": ', b', "losses": null, "seq": [', b'], "true_label": ',
+        b"null", b"1, "))
+_INT_WIDTH = 20  # the bytes before an int's end: a space, "-" and 18 digits fit
+# place value of each byte of that window; its first byte is never a digit
+_PLACES = np.array([0] + [10**p for p in range(18, -1, -1)], dtype=np.int64)
+_CHUNK_BYTES = 1 << 20
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 
@@ -100,67 +101,107 @@ def read_prediction_log(path) -> RoundLog:
 
 
 def _read_canonical_log(path) -> RoundLog | None:
-    """Read a log whose every line matches ``_CANONICAL_RECORD``, else None.
+    """Read a log whose every line is one canonical record, else None.
 
     Reads chunks of whole lines, so memory stays near one chunk plus the
-    result. Returns None, without raising a format error, on the first
-    non-matching line (losses included), ragged ``seq``, duplicate id, empty
+    result. Returns None, without raising a format error, on the first chunk
+    with another layout (losses included), ragged ``seq``, duplicate id, empty
     file or last line without a line end; the line reader then decides.
     """
-    ids, labels, true_labels, bits = [], [], [], []
-    width = None
-    with Path(path).open() as fh:
-        try:
-            while chunk := fh.read(_CHUNK_CHARS):
-                chunk += fh.readline()
-                if chunk[-1] != "\n":
-                    return None
-                rows = _CANONICAL_RECORD.findall(chunk)
-                if len(rows) != chunk.count("\n"):
-                    return None
-                raw_ids, raw_labels, seqs, raw_true = zip(*rows)
-                width = width or len(seqs[0])
-                if width % 3 != 1 or set(map(len, seqs)) != {width}:
-                    return None
-                # the regex admitted only "01, ": every seq reads
-                # "b, b, ..., b" iff the joined text splits into 3-byte
-                # cells of a bit, "," and " "
-                text = (", ".join(seqs) + ", ").encode("ascii")
-                cells = np.frombuffer(text, dtype=np.uint8).reshape(-1, 3)
-                chunk_bits = cells[:, 0] - 48
-                if (chunk_bits.max() > 1 or (cells[:, 1] != 44).any()
-                        or (cells[:, 2] != 32).any()):
-                    return None
-                bits.append(chunk_bits.view(np.int8).reshape(len(rows), -1))
-                chunk_ids = [json.loads(f'"{i}"') if "\\" in i else i for i in raw_ids]
-                if "\\" in chunk and any("\n" in i for i in chunk_ids):
-                    return None  # an escaped line break in an id
-                ids += chunk_ids
-                labels.append(np.array(raw_labels, dtype=np.int64))
-                if true_labels is not None and "null" in raw_true:
-                    true_labels = None
-                elif true_labels is not None:
-                    true_labels.append(np.array(raw_true, dtype=np.int64))
-        except UnicodeDecodeError:
-            return None
+    parts = []
+    with _open(path) as fh:
+        while chunk := fh.read(_CHUNK_BYTES):
+            chunk += fh.readline()
+            if not parts:  # the seq text of the first line sets the width
+                end = chunk.find(_TRUE_HEAD.tobytes())
+                width = end - chunk.rfind(b"[", 0, end) - 1
+            parts.append(_read_canonical_chunk(chunk, width))
+            if parts[-1] is None:
+                return None
+    ids = list(chain.from_iterable(part[0] for part in parts))
     if not ids or len(set(ids)) != len(ids):
         return None
-    return RoundLog(
-        ids=ids,
-        bits=np.concatenate(bits),
-        losses=None,
-        labels=np.concatenate(labels),
-        true_labels=None if true_labels is None else np.concatenate(true_labels),
-    )
+    _, bits, labels, true_labels = zip(*parts)
+    return RoundLog(ids=ids, bits=np.concatenate(bits), losses=None,
+                    labels=np.concatenate(labels), true_labels=None
+                    if any(t is None for t in true_labels) else np.concatenate(true_labels))
+
+
+def _read_canonical_chunk(chunk: bytes, width: int):
+    """(ids, bits, labels, true labels or None) of a chunk of lines that each
+    hold one canonical record with ``width`` bytes of seq text, else None."""
+    b = np.frombuffer(chunk, dtype=np.uint8)
+    ends = np.flatnonzero(b == 10)
+    # the shortest record is ``width`` + 67 bytes; as int8, a byte above 0x7f
+    # is negative, so "\n" must be the only byte below " "
+    if (chunk[-1:] != b"\n" or width < 1 or width % 3 != 1 or len(b) < width + 67
+            or np.count_nonzero(b.view(np.int8) < 32) != len(ends)):
+        return None
+    true_labels, ok, true_start = _ints_before(b, ends - 1)
+    null = ~ok & (true_start == ends - 5) & (_windows(b, 4, ends - 5) == _NULL).all(axis=1)
+    # the seq and the fixed text around it, which holds no "1": a bit's low
+    # bit is the only one left free
+    fixed = np.concatenate([_SEQ_HEAD, np.resize(_BIT, width), _TRUE_HEAD])
+    cells = _windows(b, len(fixed), true_start - len(fixed))
+    labels, label_ok, label_start = _ints_before(b, true_start - len(fixed))
+    id_start = np.r_[0, ends[:-1] + 1] + len(_ID_HEAD)
+    id_end = label_start - len(_LABEL_HEAD)
+    if not ((ok | null).all() and label_ok.all() and (b[ends - 1] == ord("}")).all()
+            and (id_end >= id_start).all()
+            and (_windows(b, len(_ID_HEAD), id_start - len(_ID_HEAD)) == _ID_HEAD).all()
+            and (_windows(b, len(_LABEL_HEAD), id_end) == _LABEL_HEAD).all()
+            and ((cells | (fixed == ord("1"))) == fixed).all()):
+        return None
+    # every id and the byte after it, gathered, that byte made a line end
+    sizes = id_end - id_start + 1
+    cut = np.cumsum(sizes)
+    text = b[np.arange(cut[-1]) + np.repeat(id_start + sizes - cut, sizes)]
+    text[cut - 1] = 10
+    text = text.tobytes().decode("ascii")
+    ids = text.split("\n")[:-1]
+    if "\\" in text or '"' in text:
+        try:  # an id holds an escape or a stray '"'
+            ids = [json.loads(f'"{i}"') if "\\" in i or '"' in i else i for i in ids]
+        except json.JSONDecodeError:
+            return None
+        if any("\n" in i for i in ids):
+            return None  # an escaped line break in an id
+    bits = cells[:, len(_SEQ_HEAD):len(_SEQ_HEAD) + width:3] & 1
+    return ids, bits.view(np.int8), labels, None if null.any() else true_labels
+
+
+def _windows(b, width: int, at):
+    """The ``width`` bytes of ``b`` from each of ``at``. A position before the
+    chunk reads its start instead; the line it belongs to fails its checks."""
+    return np.lib.stride_tricks.sliding_window_view(b, width)[np.maximum(at, 0)]
+
+
+def _ints_before(b, end):
+    """The token after the last space of the 20 bytes before each of ``end``: its
+    value, whether it is an int ("-" or not, no leading zero, 1 to 18 digits)
+    and where it starts."""
+    w = _windows(b, _INT_WIDTH, end - _INT_WIDTH)
+    # the column after the last space, or _INT_WIDTH without one
+    first = _INT_WIDTH - np.argmax(w[:, ::-1] == 32, axis=1)
+    lo = min(first.min(), _INT_WIDTH - 1)  # only the widest token's columns are read
+    w, first, rows = w[:, lo:], first - lo, np.arange(len(w))
+    last = w.shape[1] - 1
+    lead = first + (w[rows, np.minimum(first, last)] == ord("-"))  # the first digit's
+    digits = w - 48  # wraps every byte but a digit above 9
+    in_int = np.arange(last + 1) >= lead[:, None]
+    ok = ((lead + lo >= 2) & (lead <= last) & ((digits <= 9) | ~in_int).all(axis=1)
+          & ((digits[rows, np.minimum(lead, last)] > 0) | (lead == last)))
+    value = np.where(in_int, digits, 0) @ _PLACES[lo:]
+    return np.where(lead > first, -value, value), ok, end - _INT_WIDTH + lo + first
 
 
 def _read_log_lines(path) -> RoundLog:
     path = Path(path)
     ids, labels, true_labels, seqs, losses = [], [], [], [], []
     seen = set()
-    with path.open() as fh:
+    with _open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+            line = _utf8(line, path, lineno).strip()
             if not line:
                 continue
             try:
@@ -215,6 +256,23 @@ def _read_log_lines(path) -> RoundLog:
         labels=np.array(labels, dtype=np.int64),
         true_labels=None if None in true_labels else np.array(true_labels, dtype=np.int64),
     )
+
+
+def _open(path):
+    """``path`` opened to read bytes; failing that, a format error naming it."""
+    try:
+        return Path(path).open("rb")
+    except OSError as exc:
+        raise LogFormatError(f"cannot read the file: {exc.strerror or exc}", path=path)
+
+
+def _utf8(data: bytes, path, line: int = 1) -> str:
+    """``data``, from ``line`` of ``path`` on, as UTF-8, or a format error."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise LogFormatError(f"invalid UTF-8 byte {data[exc.start]:#04x}", path=path,
+                             line=line + data.count(b"\n", 0, exc.start))
 
 
 # rows formatted per piece of a written file: enough that the per-piece
@@ -300,7 +358,9 @@ def write_dataset_csv(path, ds: ToyDataset) -> None:
 
 def read_dataset_csv(path) -> ToyDataset:
     path = Path(path)
-    with path.open(newline="") as fh:
+    with _open(path) as fh:
+        text = _utf8(fh.read(), path)
+    with io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -373,6 +433,7 @@ def external_round(
         epochs=epochs,
         seed=seed,
     )
+    Path(out_file).unlink(missing_ok=True)  # an earlier run's log is not this round's
     proc = subprocess.run(
         shlex.split(command), capture_output=True, text=True, check=False
     )

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -526,6 +527,42 @@ def test_select_malformed_log_exit_code(tmp_path, capsys):
         bad.write_text('{"id": "a", "seq": [0, 1]}\n' + second + "\n")
         assert cli.main(["select", "-c", str(path), "--log", str(bad)]) == 3
         assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "invalid UTF-8"])
+def test_select_unreadable_log_exits_3_naming_it(tmp_path, capsys, case):
+    path = write_config(tmp_path)
+    log = tmp_path / "log.jsonl"
+    if case == "directory":
+        log.mkdir()
+    elif case == "invalid UTF-8":
+        log.write_bytes(b'{"id": "a", "seq": [0, 1]}\n{"id": "a\xff", "seq": [1, 1]}\n')
+    assert cli.main(["select", "-c", str(path), "--log", str(log)]) == 3
+    err = capsys.readouterr().err
+    assert str(log) in err
+    assert ("(line 2)" in err) == (case == "invalid UTF-8")
+
+
+def test_external_trainer_without_log_exits_3_naming_it(tmp_path, capsys):
+    path = csv_dataset_config(tmp_path, [str(i) for i in range(20)])
+    config = yaml.safe_load(path.read_text())
+    config["trainer"] = {"kind": "external", "command": f"{sys.executable} -c pass"}
+    path.write_text(yaml.safe_dump(config))
+    log = tmp_path / "out" / "external" / "log_round1.jsonl"
+    log.parent.mkdir(parents=True)
+    log.write_text("".join(json.dumps({"id": str(i), "seq": [0] * 5}) + "\n"
+                           for i in range(20)))  # an earlier run's log
+    assert cli.main(["run", "-c", str(path)]) == 3
+    assert str(log) in capsys.readouterr().err
+
+
+def test_dataset_csv_invalid_utf8_exits_3_naming_it(tmp_path, capsys):
+    path = csv_dataset_config(tmp_path, [str(i) for i in range(20)])
+    data = tmp_path / "input.csv"
+    data.write_bytes(data.read_bytes().replace(b"\n3,", b"\n3\xff,"))
+    assert cli.main(["run", "-c", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert str(data) in err and "UTF-8" in err and "(line 5)" in err
 
 
 def test_select_small_loss_without_losses_exits_3(tmp_path, capsys):

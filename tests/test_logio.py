@@ -161,8 +161,14 @@ def test_simulated_log_encodes_mask(tmp_path):
 
 def test_canonical_log_is_read_in_bulk(tmp_path, monkeypatch):
     path = tmp_path / "log.jsonl"
+    ids = ['a"b', "c\\d", "[x]", " y ", "e\tf", "\u00e9", "]", '", "label": 1']
+    big = 10**18 - 1  # the widest label the bulk reader takes
+    odd = RoundLog(ids=ids, bits=np.eye(8, 3, dtype=np.int8), losses=None,
+                   labels=np.array([big, -big, 0, -1, 7, 0, 1, 2]),
+                   true_labels=np.array([-big, big, 0, 0, 0, 0, 0, 0]))
     bulk = [sample_log(losses=False), sample_log(losses=False, truth=False),
-            simulate_dynamics(30, 20, epochs=7, seed=1)]
+            simulate_dynamics(30, 20, epochs=7, seed=1), odd,
+            RoundLog(ids, odd.bits, None, odd.labels, None)]  # true_label null on every row
     for log in bulk:
         write_prediction_log(path, log)
         assert_same_log(logio._read_canonical_log(path), log)
@@ -189,7 +195,9 @@ PERTURBATIONS = (
     "compact seq", "scrambled seq", "empty seq", "blank line", "no final newline",
     "duplicate id", "ragged seq", "non-numeric label", "null true_label",
     "control character", "bad escape", "prefixed line", "label over int64",
-    "unescaped id",
+    "unescaped id", "field text in id", "brackets in id", "odd label",
+    "misspelt null", "seq cell", "crlf", "renamed key", "raw quote in id",
+    "heads overlap", "no closing brace",
 )
 
 
@@ -266,6 +274,38 @@ def perturb(lines, kind, k, data):
         key = data.draw(st.sampled_from(["label", "true_label"]))
         rec[key] = data.draw(st.integers(2**63, 10**20) | st.integers(-(10**20), -(2**63) - 1))
         lines[k] = json.dumps(rec, sort_keys=True) + "\n"
+    elif kind == "field text in id":  # escaped in the line, so still an id
+        rec["id"] += data.draw(st.sampled_from(['", "label": ', '], "true_label": ']))
+        lines[k] = json.dumps(rec, sort_keys=True) + "\n"
+    elif kind == "brackets in id":
+        rec["id"] += data.draw(st.sampled_from(["[", "]", " ", "[0, 1]", " ], "]))
+        lines[k] = json.dumps(rec, sort_keys=True) + "\n"
+    elif kind in ("odd label", "misspelt null"):
+        key = "true_label" if kind == "misspelt null" else data.draw(
+            st.sampled_from(["label", "true_label"]))
+        token = data.draw(st.sampled_from(["nul", "nulll", "nnull", "-null"])
+                          if kind == "misspelt null"
+                          else st.sampled_from(["01", "+1", "1_0", "-01"])
+                          | st.integers(10**18, 2**63 - 1).map(str)
+                          | st.integers(-(2**63), -(10**18)).map(str))
+        rec[key] = "@"  # no id holds "@"
+        lines[k] = json.dumps(rec, sort_keys=True).replace('"@"', token) + "\n"
+    elif kind == "seq cell":  # one byte of the seq text, often one bit away
+        at = lines[k].index(seq_text) + data.draw(st.integers(1, len(seq_text) - 2))
+        char = data.draw(st.sampled_from([chr(ord(lines[k][at]) ^ 1), "2", "x", " "]))
+        lines[k] = lines[k][:at] + char + lines[k][at + 1:]
+    elif kind == "crlf":
+        lines[k] = lines[k].replace("\n", "\r\n")
+    elif kind == "renamed key":  # the line reader reads a missing label as 0
+        key = data.draw(st.sampled_from(["id", "label", "losses", "seq", "true_label"]))
+        lines[k] = lines[k].replace(f'"{key}"', f'"{key.upper()}"', 1)
+    elif kind == "raw quote in id":  # an extra key is valid JSON
+        text = data.draw(st.sampled_from(['"', 'x", "y": "']))
+        lines[k] = lines[k].replace('{"id": "', '{"id": "' + text, 1)
+    elif kind == "heads overlap":  # {"id": ", "label": ...
+        lines[k] = '{"id": ' + lines[k][lines[k].index('", "label": '):]
+    elif kind == "no closing brace":
+        lines[k] = lines[k][:-2] + data.draw(st.sampled_from(["]", " ", "0", "x"])) + "\n"
 
 
 def read_or_raise(reader, path):
@@ -305,7 +345,7 @@ def test_bulk_reader_matches_line_reader(tmp_path, log, chunk, data):
             perturb(lines, kind, data.draw(st.integers(0, len(lines) - 1)), data)
             path.write_text("".join(lines), encoding="utf-8", errors="surrogatepass")
         want = read_or_raise(logio._read_log_lines, path)
-        with mock.patch.object(logio, "_CHUNK_CHARS", chunk):
+        with mock.patch.object(logio, "_CHUNK_BYTES", chunk):
             assert_identical(read_or_raise(read_prediction_log, path), want)
         if kind is None and any("\n" in i for i in log.ids):
             # no id file can hold such an id, so both readers reject the log
