@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import io
 import json
 import sys
 import types
@@ -395,7 +396,7 @@ def write_scores_csv(path: Path, ids, values) -> None:
 def read_scores_csv(path: Path) -> tuple[list, np.ndarray]:
     """The id and score columns of a scores file, in file order."""
     ids, values = [], []
-    with path.open(newline="") as fh:
+    with io.StringIO(logio.read_text(path), newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["id", "score"]:

@@ -275,6 +275,13 @@ def _utf8(data: bytes, path, line: int = 1) -> str:
                              line=line + data.count(b"\n", 0, exc.start))
 
 
+def read_text(path) -> str:
+    """The whole file at ``path`` as strict UTF-8, newlines untranslated; a
+    format error naming the file if it cannot be read or decoded."""
+    with _open(path) as fh:
+        return _utf8(fh.read(), path)
+
+
 # rows formatted per piece of a written file: enough that the per-piece
 # calls cost nothing, few enough that a piece stays near a megabyte
 BLOCK_ROWS = 10_000
@@ -333,8 +340,7 @@ def write_ids(path, ids) -> None:
 
 def read_ids(path) -> list[str]:
     """The ids ``write_ids`` wrote, exactly: one per "\\n"-ended line."""
-    with Path(path).open(newline="") as fh:
-        ids = fh.read().split("\n")
+    ids = read_text(path).split("\n")
     return ids[:-1] if ids[-1] == "" else ids
 
 
@@ -358,9 +364,7 @@ def write_dataset_csv(path, ds: ToyDataset) -> None:
 
 def read_dataset_csv(path) -> ToyDataset:
     path = Path(path)
-    with _open(path) as fh:
-        text = _utf8(fh.read(), path)
-    with io.StringIO(text, newline="") as fh:
+    with io.StringIO(read_text(path), newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

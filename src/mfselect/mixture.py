@@ -13,7 +13,16 @@ Translation preserves score ordering, so the selected set is unchanged by
 the mapping. Lattice-valued scores are additionally dequantized before
 the shift; see ``fit_metric_scores``.
 
-``em_fit`` computes what every E- and M-step reuses once per fit: log x,
+``em_fit`` groups its sample once into distinct values, in first-occurrence
+order, each with its count. Every step after the moment start runs on those
+values, with each sum over the sample a sum weighted by the counts, so a
+fit costs in proportion to the number of distinct values, not of rows. On a
+tie-free sample every count is 1 and the values are the rows in order, so
+the fit equals the per-row fit bit for bit; with ties it agrees up to the
+order of summation. Lattice scores dithered by a whole lattice step (see
+``fit_metric_scores``) come out tie-free, one value per row.
+
+``em_fit`` also computes what every E- and M-step reuses once per fit: log x,
 x/max(x) and its log, in a private prepared sample that also holds the
 scratch arrays the steps write into. The steps keep the floating-point
 operations and their order of the straightforward formulas, so a fit is
@@ -346,10 +355,11 @@ def em_fit(scores, config: FitConfig | None = None) -> MixtureFit:
 
     Initialization splits the sorted scores at the median and seeds each
     component with method-of-moments estimates, which makes the fit fully
-    deterministic. Raises ValueError for fewer than 10 samples,
-    DegenerateSamplesError / ComponentCollapseError when the data cannot
-    support two components and MixtureFitError when a parameter leaves the
-    floating-point range.
+    deterministic. EM then runs on the distinct scores weighted by their
+    counts (see the module docstring). Raises ValueError for fewer than 10
+    samples, DegenerateSamplesError / ComponentCollapseError when the data
+    cannot support two components and MixtureFitError when a parameter
+    leaves the floating-point range.
     """
     config = config or FitConfig()
     x = np.asarray(scores, dtype=float)
@@ -357,21 +367,31 @@ def em_fit(scores, config: FitConfig | None = None) -> MixtureFit:
         raise ValueError("em_fit requires at least 10 samples")
     if np.any(x <= 0):
         raise ValueError("em_fit requires positive scores; shift them first")
-    if np.unique(x).size < 3:
+    sorted_values, first, sorted_counts = np.unique(
+        x, return_index=True, return_counts=True
+    )
+    if sorted_values.size < 3:
         raise DegenerateSamplesError(
             "fewer than 3 distinct score values; a two-component fit is meaningless"
         )
+    n = x.size
 
-    x_sorted = np.sort(x)
-    half = x.size // 2
+    # the repeated distinct values are np.sort(x), element for element
+    x_sorted = np.repeat(sorted_values, sorted_counts)
+    half = n // 2
     params = [_moment_init(x_sorted[:half]), _moment_init(x_sorted[half:])]
     del x_sorted
     k = np.array([0.5, 0.5])
 
-    sample = _Sample(x)
+    # every later step runs on the distinct values in first-occurrence order,
+    # each weighted by its count: a tie-free sample is its own rows, in order
+    order = np.argsort(first)
+    sample = _Sample(sorted_values[order])
+    counts = sorted_counts[order].astype(float)
+    m = counts.size
     a, b = sample.scratch
-    lp = np.empty((x.size, 2))
-    resp = np.empty((x.size, 2))
+    lp = np.empty((m, 2))
+    resp = np.empty((m, 2))
     trace: list[float] = []
     prev_ll = -math.inf
     converged = False
@@ -381,17 +401,17 @@ def em_fit(scores, config: FitConfig | None = None) -> MixtureFit:
         for j in range(2):
             _logpdf_into(sample.log_x, params[j], a, b)
             np.add(np.log(k[j]), a, out=lp[:, j])
-        m = np.maximum(lp[:, 0], lp[:, 1], out=a)
+        top = np.maximum(lp[:, 0], lp[:, 1], out=a)
         with np.errstate(invalid="ignore"):
-            e = np.exp(np.subtract(lp, m[:, None], out=resp), out=resp)
+            e = np.exp(np.subtract(lp, top[:, None], out=resp), out=resp)
             np.add(e[:, 0], e[:, 1], out=b)
-            log_norm = np.add(m, np.log(b, out=b), out=a)
+            log_norm = np.add(top, np.log(b, out=b), out=a)
         if not np.all(np.isfinite(log_norm)):
             raise DegenerateSamplesError(
                 "a sample has zero density under both components"
             )
         np.exp(np.subtract(lp, log_norm[:, None], out=resp), out=resp)
-        ll = float(log_norm.sum())
+        ll = float(np.multiply(counts, log_norm, out=b).sum())
         trace.append(ll)
         if math.isfinite(prev_ll) and abs(ll - prev_ll) <= config.tol * max(
             1.0, abs(prev_ll)
@@ -400,13 +420,14 @@ def em_fit(scores, config: FitConfig | None = None) -> MixtureFit:
             break
         prev_ll = ll
 
-        # M-step
+        # M-step, on each value's responsibility times its count
+        mass = np.multiply(resp, counts[:, None], out=lp)
         new_params = []
         for j in range(2):
-            w = resp[:, j]
+            w = mass[:, j]
             w_sum = float(w.sum())
-            if w_sum / x.size < MIN_COMPONENT_WEIGHT:
-                raise ComponentCollapseError(j, f"mixing weight {w_sum / x.size:.3g}")
+            if w_sum / n < MIN_COMPONENT_WEIGHT:
+                raise ComponentCollapseError(j, f"mixing weight {w_sum / n:.3g}")
             if w_sum < MIN_EFFECTIVE_SAMPLES:
                 raise ComponentCollapseError(
                     j, f"effective sample size {w_sum:.3g} below {MIN_EFFECTIVE_SAMPLES}"
@@ -426,11 +447,11 @@ def em_fit(scores, config: FitConfig | None = None) -> MixtureFit:
                 center = math.exp(float(log_center))
                 new_params.append(_component(center, BETA_BRACKET[1]))
         params = new_params
-        # a running sum down the (n, 2) array adds the rows in order, as
-        # resp.mean(axis=0) does, so k keeps that mean's bits at less cost; a
+        # a running sum down the (m, 2) array adds the rows in order, as
+        # mass.sum(axis=0) does, so k keeps that sum's bits at less cost; a
         # sum of each column on its own would add in another order and round
         # differently
-        k = np.cumsum(resp, axis=0, out=lp)[-1] / x.size
+        k = np.cumsum(mass, axis=0, out=resp)[-1] / n
 
     del lp, resp
     fit = MixtureFit(
@@ -444,29 +465,28 @@ def em_fit(scores, config: FitConfig | None = None) -> MixtureFit:
     )
     fit = identify_components(fit)
     if not fit.degenerate:
-        fit.degenerate = _prefers_single_component(sample, trace[-1], config)
+        fit.degenerate = _prefers_single_component(sample, counts, trace[-1], config)
     return fit
 
 
-def _prefers_single_component(sample: _Sample, mixture_ll: float,
+def _prefers_single_component(sample: _Sample, counts, mixture_ll: float,
                               config: FitConfig) -> bool:
     """BIC check: does one Weibull explain the scores as well as two?
 
-    A two-component fit that fails this comparison found no second
-    population worth the three extra parameters; thresholding such a fit is
-    still well-defined, but the caller should not trust the clean/noisy
-    split.
+    ``counts`` holds how often each of the sample's values occurs. A
+    two-component fit that fails this comparison found no second population
+    worth the three extra parameters; thresholding such a fit is still
+    well-defined, but the caller should not trust the clean/noisy split.
     """
-    n = sample.x.size
     try:
         single = weighted_weibull_mle(
-            sample, np.ones(n), config.newton_tol, config.newton_max_iters
+            sample, counts, config.newton_tol, config.newton_max_iters
         )
     except (DegenerateSamplesError, NewtonDivergenceError):
         return True
     logpdf = _logpdf_into(sample.log_x, single, *sample.scratch)
-    single_ll = float(logpdf.sum())
-    return 2.0 * (mixture_ll - single_ll) <= 3.0 * math.log(n)
+    single_ll = float(np.multiply(counts, logpdf, out=logpdf).sum())
+    return 2.0 * (mixture_ll - single_ll) <= 3.0 * math.log(counts.sum())
 
 
 def identify_components(fit: MixtureFit) -> MixtureFit:

@@ -2,8 +2,11 @@
 
 These are the fitting functions as they read before the fit reused its
 per-fit invariants and scratch arrays: every step recomputes log x, x/max(x)
-and its log from the samples and allocates its temporaries. The package's
-fit must give bit-identical results; tests compare the two.
+and its log from the samples and allocates its temporaries. Like the
+package's fit, ``em_fit`` groups the scores into distinct values with
+counts; ``em_fit_counts`` with unit counts on raw rows is the fit over every
+row. The package's fit must give bit-identical results; tests compare the
+two.
 """
 
 from __future__ import annotations
@@ -160,25 +163,43 @@ def _moment_init(x) -> WeibullParams:
 def em_fit(scores, config: FitConfig | None = None) -> MixtureFit:
     """Fit the two-component mixture to positive scores by EM.
 
-    Initialization splits the sorted scores at the median and seeds each
-    component with method-of-moments estimates, which makes the fit fully
-    deterministic. Raises ValueError for fewer than 10 samples and
-    DegenerateSamplesError / ComponentCollapseError when the data cannot
-    support two components.
+    The scores are grouped into their distinct values, in first-occurrence
+    order, each with its count, and ``em_fit_counts`` fits those. Raises
+    ValueError for fewer than 10 samples and DegenerateSamplesError /
+    ComponentCollapseError when the data cannot support two components.
     """
     config = config or FitConfig()
     x = np.asarray(scores, dtype=float)
-    if x.ndim != 1 or x.size < 10:
+    if x.ndim != 1:
         raise ValueError("em_fit requires at least 10 samples")
-    if np.any(x <= 0):
+    distinct, first, counts = np.unique(x, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return em_fit_counts(distinct[order], counts[order].astype(float), config)
+
+
+def em_fit_counts(values, counts, config: FitConfig) -> MixtureFit:
+    """EM on the sample that holds each of ``values`` ``counts[i]`` times.
+
+    Every sum over the sample is a sum over ``values`` weighted by
+    ``counts``. Called with unit counts on raw rows, this is the fit that
+    runs every step over every row.
+
+    Initialization splits the sorted sample at the median and seeds each
+    component with method-of-moments estimates, which makes the fit fully
+    deterministic.
+    """
+    n = counts.sum()
+    if n < 10:
+        raise ValueError("em_fit requires at least 10 samples")
+    if np.any(values <= 0):
         raise ValueError("em_fit requires positive scores; shift them first")
-    if np.unique(x).size < 3:
+    if np.unique(values).size < 3:
         raise DegenerateSamplesError(
             "fewer than 3 distinct score values; a two-component fit is meaningless"
         )
-
-    x_sorted = np.sort(x)
-    half = x.size // 2
+    ascending = np.argsort(values, kind="stable")
+    x_sorted = np.repeat(values[ascending], counts[ascending].astype(np.intp))
+    half = x_sorted.size // 2
     params = [_moment_init(x_sorted[:half]), _moment_init(x_sorted[half:])]
     k = np.array([0.5, 0.5])
 
@@ -190,7 +211,7 @@ def em_fit(scores, config: FitConfig | None = None) -> MixtureFit:
     for iterations in range(1, config.max_iters + 1):
         # E-step in log space
         lp = np.stack(
-            [np.log(k[j]) + weibull_logpdf(x, params[j]) for j in range(2)], axis=1
+            [np.log(k[j]) + weibull_logpdf(values, params[j]) for j in range(2)], axis=1
         )
         m = lp.max(axis=1, keepdims=True)
         with np.errstate(invalid="ignore"):
@@ -200,7 +221,7 @@ def em_fit(scores, config: FitConfig | None = None) -> MixtureFit:
                 "a sample has zero density under both components"
             )
         resp = np.exp(lp - log_norm)
-        ll = float(log_norm.sum())
+        ll = float((counts[:, None] * log_norm).sum())
         trace.append(ll)
         if math.isfinite(prev_ll) and abs(ll - prev_ll) <= config.tol * max(
             1.0, abs(prev_ll)
@@ -212,10 +233,10 @@ def em_fit(scores, config: FitConfig | None = None) -> MixtureFit:
         # M-step
         new_params = []
         for j in range(2):
-            w = resp[:, j]
+            w = resp[:, j] * counts
             w_sum = float(w.sum())
-            if w_sum / x.size < MIN_COMPONENT_WEIGHT:
-                raise ComponentCollapseError(j, f"mixing weight {w_sum / x.size:.3g}")
+            if w_sum / n < MIN_COMPONENT_WEIGHT:
+                raise ComponentCollapseError(j, f"mixing weight {w_sum / n:.3g}")
             if w_sum < MIN_EFFECTIVE_SAMPLES:
                 raise ComponentCollapseError(
                     j, f"effective sample size {w_sum:.3g} below {MIN_EFFECTIVE_SAMPLES}"
@@ -223,7 +244,7 @@ def em_fit(scores, config: FitConfig | None = None) -> MixtureFit:
             try:
                 new_params.append(
                     weighted_weibull_mle(
-                        x, w, config.newton_tol, config.newton_max_iters
+                        values, w, config.newton_tol, config.newton_max_iters
                     )
                 )
             except DegenerateSamplesError:
@@ -231,12 +252,12 @@ def em_fit(scores, config: FitConfig | None = None) -> MixtureFit:
                 # (common on lattice-valued metrics, e.g. everything
                 # memorized from epoch one). The boundary-constrained
                 # estimate is the sharpest allowed spike at that atom.
-                center = math.exp(float((w * np.log(x)).sum() / w_sum))
+                center = math.exp(float((w * np.log(values)).sum() / w_sum))
                 new_params.append(
                     WeibullParams(alpha=center, beta=BETA_BRACKET[1])
                 )
         params = new_params
-        k = resp.mean(axis=0)
+        k = (resp * counts[:, None]).sum(axis=0) / n
 
     fit = MixtureFit(
         k_clean=float(k[0]),
@@ -249,11 +270,12 @@ def em_fit(scores, config: FitConfig | None = None) -> MixtureFit:
     )
     fit = identify_components(fit)
     if not fit.degenerate:
-        fit.degenerate = _prefers_single_component(x, trace[-1], config)
+        fit.degenerate = _prefers_single_component(values, counts, trace[-1], config)
     return fit
 
 
-def _prefers_single_component(x, mixture_ll: float, config: FitConfig) -> bool:
+def _prefers_single_component(values, counts, mixture_ll: float,
+                              config: FitConfig) -> bool:
     """BIC check: does one Weibull explain the scores as well as two?
 
     A two-component fit that fails this comparison found no second
@@ -263,12 +285,12 @@ def _prefers_single_component(x, mixture_ll: float, config: FitConfig) -> bool:
     """
     try:
         single = weighted_weibull_mle(
-            x, np.ones_like(x), config.newton_tol, config.newton_max_iters
+            values, counts, config.newton_tol, config.newton_max_iters
         )
     except (DegenerateSamplesError, NewtonDivergenceError):
         return True
-    single_ll = float(weibull_logpdf(x, single).sum())
-    return 2.0 * (mixture_ll - single_ll) <= 3.0 * math.log(x.size)
+    single_ll = float((counts * weibull_logpdf(values, single)).sum())
+    return 2.0 * (mixture_ll - single_ll) <= 3.0 * math.log(counts.sum())
 
 
 def fit_metric_scores(scores, config: FitConfig | None = None) -> MixtureFit:

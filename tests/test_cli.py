@@ -657,6 +657,19 @@ def test_eval_id_outside_ground_truth_exits_3(tmp_path, capsys, name):
     assert "data error" in err and name in err and "'zzz_unknown'" in err
 
 
+@pytest.mark.parametrize("name", ["selected_ids.txt", "scores.csv"])
+def test_eval_invalid_utf8_exits_3_naming_the_file(tmp_path, capsys, name):
+    path, out = simulate_and_select(tmp_path)
+    with (out / name).open("ab") as fh:
+        fh.write(b"\xff\n")
+    last_line = (out / name).read_bytes().count(b"\n")
+    assert cli.main(["eval", "-c", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and str(out / name) in err
+    assert "invalid UTF-8 byte 0xff" in err and f"(line {last_line})" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("damage", ["truncate", "drop epsilon"])
 def test_eval_damaged_mixture_json_exits_3(tmp_path, capsys, damage):
     path, out = simulate_and_select(tmp_path)
@@ -845,7 +858,7 @@ def test_write_scores_csv_matches_per_row_writer(tmp_path):
 
 
 # sha256 of `select` outputs after `simulate` on configs/simulate.yaml, as the
-# fit that recomputes every invariant wrote them. scores.csv and
+# fit over distinct values with counts wrote them. scores.csv and
 # selected_ids.txt hold exactly rounded arithmetic only; mixture.json holds EM
 # floats, whose last bits follow the platform's exp, log and power, so its
 # digest applies where those match NUMERICS_DIGEST.
@@ -858,7 +871,7 @@ GOLDEN_SELECT = {
     "full": {
         "scores.csv": "fa6dfe0b013e5a272d41a85e69e15f1bb15ade8f11b3e4c4f5a25f3ade3ba17a",
         "selected_ids.txt": "db02fc94586374a72cc10bc38bd83685c2dd83102193fb9b9a52301479ea46f6",
-        "mixture.json": "52f47784d3ddd12dce7da86985c22b2d28778e1a35dc294d8bf41f3eb922e740",
+        "mixture.json": "089c8eb9ee94ce2b4fa3768285114ee854e6704eef4d4854df053bee7ed588c0",
     },
 }
 NUMERICS_DIGEST = "c43c0beb6fd33246288ce9843e6c0920628024a285148e29b39c0ce38666f980"

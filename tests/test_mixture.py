@@ -4,10 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from mfselect import mixture as mixture_mod
 from mfselect.errors import (
     ComponentCollapseError,
     DegenerateSamplesError,
@@ -384,6 +385,102 @@ def test_fit_is_bit_identical_to_reference(case):
     assert fit_outcome(fit_metric_scores, scores, config) == fit_outcome(
         mixture_reference.fit_metric_scores, scores, config
     )
+
+
+def per_row_em_fit(scores, config):
+    """The reference fit over every row: unit counts on the raw rows."""
+    return mixture_reference.em_fit_counts(scores, np.ones(scores.size), config)
+
+
+def positive_lattice(draw, rng, n):
+    """``n`` positive scores on a lattice of 3 to 60 values, so mostly ties."""
+    step = draw(st.sampled_from([1.0, 0.5, 1 / 3, 1 / 42]))
+    return step * rng.integers(0, draw(st.integers(3, 60)), n) + draw(
+        st.sampled_from([1e-3, 1.0, 17.5]))
+
+
+@st.composite
+def tie_free_samples(draw):
+    """Continuous and dithered-lattice positive samples of 10 to 2000 rows."""
+    n = draw(st.integers(10, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        in_first = rng.random(n) < draw(st.floats(0.05, 0.95))
+        x = np.where(in_first, rng.weibull(draw(st.floats(0.3, 5.0)), n),
+                     draw(st.floats(1.0, 20.0)) * rng.weibull(3.0, n))
+    else:
+        x = positive_lattice(draw, rng, n)
+        x = x + rng.uniform(0.0, 1e-3, n)
+    return x, FitConfig(tol=draw(st.sampled_from([1e-6, 1e-9])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tie_free_samples())
+def test_tie_free_fit_is_bit_identical_to_per_row_formulas(case):
+    x, config = case
+    assume(np.unique(x).size == x.size)
+    assert fit_outcome(em_fit, x, config) == fit_outcome(per_row_em_fit, x, config)
+
+
+@st.composite
+def tied_samples(draw):
+    """Positive lattice samples of 10 to 3000 rows, most of them tied."""
+    n = draw(st.integers(10, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return positive_lattice(draw, rng, n), FitConfig()
+
+
+@settings(max_examples=80, deadline=None)
+@given(tied_samples())
+def test_tied_fit_matches_per_row_fit_on_the_expanded_sample(case):
+    x, config = case
+    outcomes = []
+    for fit_fn in (em_fit, per_row_em_fit):
+        try:
+            outcomes.append(fit_fn(x, config))
+        except Exception as exc:  # compared by type
+            outcomes.append(type(exc))
+    grouped, per_row = outcomes
+    if isinstance(per_row, type) or isinstance(grouped, type):
+        assert grouped == per_row
+        return
+    assert grouped.degenerate == per_row.degenerate
+    tau, tau_rows = threshold(grouped), threshold(per_row)
+    assert abs(tau - tau_rows) <= 1e-9 * abs(tau_rows)
+    assert np.array_equal(x < tau, x < tau_rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tied_samples(), st.integers(0, 2**32 - 1))
+def test_fit_ignores_row_order_within_first_occurrence_order(case, seed):
+    x, config = case
+    # each distinct value once, in first-occurrence order, then the repeats
+    # shuffled: the same values, counts and first-occurrence order
+    _, first = np.unique(x, return_index=True)
+    first = np.sort(first)
+    repeats = np.delete(x, first)
+    np.random.default_rng(seed).shuffle(repeats)
+    reordered = np.concatenate([x[first], repeats])
+    assert fit_outcome(em_fit, reordered, config) == fit_outcome(em_fit, x, config)
+
+
+def test_em_passes_only_distinct_values_to_the_mle(monkeypatch):
+    rng = np.random.default_rng(0)
+    noisy = rng.random(100_000) < 0.3
+    x = 1.0 + rng.binomial(50, np.where(noisy, 0.8, 0.2)).astype(float)
+    distinct = np.unique(x).size
+    assert distinct <= 51
+    lengths = []
+    real_mle = mixture_mod.weighted_weibull_mle
+
+    def spy(samples, weights, *args):
+        lengths.append((np.shape(getattr(samples, "x", samples)), np.shape(weights)))
+        return real_mle(samples, weights, *args)
+
+    monkeypatch.setattr(mixture_mod, "weighted_weibull_mle", spy)
+    em_fit(x, FitConfig())
+    assert lengths
+    assert set(lengths) == {((distinct,), (distinct,))}
 
 
 def test_underflowing_power_sums_fit_without_numpy_warnings():
