@@ -242,7 +242,9 @@ def load_config(path, overrides=(), output_dir=None) -> ExperimentConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = yaml.safe_load(logio.read_text(path))
+    except LogFormatError as exc:
+        raise ConfigError(str(exc)) from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse {path}: {exc}")
     if not isinstance(raw, dict):
@@ -429,7 +431,7 @@ def save_model(trainer: SGDTrainer, outdir: Path) -> None:
 
 def load_model(outdir: Path) -> SGDTrainer:
     try:
-        state = json.loads((outdir / "meta.json").read_text())
+        state = json.loads(logio.read_text(outdir / "meta.json"))
         for key, stem in CHECKPOINT_ARRAYS.items():
             paths = takewhile(Path.exists, (outdir / f"{stem}_{idx}.npy" for idx in count()))
             state[key] = [np.load(path) for path in paths]
@@ -489,7 +491,7 @@ def _stats_row(result) -> list:
 
 def _read_state(path: Path) -> dict:
     try:
-        state = json.loads(path.read_text())
+        state = json.loads(logio.read_text(path))
     except json.JSONDecodeError as exc:
         raise LogFormatError(f"cannot resume from a damaged checkpoint: {exc.msg}",
                              path=path, line=exc.lineno)
@@ -661,7 +663,7 @@ def _load_clean_mask(outputs: Path) -> tuple[list, np.ndarray]:
         return ds.train_ids, ds.clean_mask()
     mask_json = outputs / "clean_mask.json"
     if mask_json.exists():
-        doc = json.loads(mask_json.read_text())
+        doc = json.loads(logio.read_text(mask_json))
         return list(doc), np.array([bool(v) for v in doc.values()], dtype=bool)
     raise LogFormatError(
         "no ground truth in outputs dir (need dataset.csv or clean_mask.json)",
@@ -713,7 +715,7 @@ def cmd_eval(cfg: ExperimentConfig, outputs: Path | None, bins: int) -> int:
             fit_path = outputs / "mixture.json"
         if fit_path.exists():
             try:
-                doc = json.loads(fit_path.read_text())
+                doc = json.loads(logio.read_text(fit_path))
                 fit, tau = MixtureFit.from_json_dict(doc), float(doc["threshold"])
             except (KeyError, TypeError, ValueError) as exc:  # JSON errors included
                 raise LogFormatError(f"not a mixture fit: {type(exc).__name__}: {exc}",
@@ -731,7 +733,7 @@ def cmd_eval(cfg: ExperimentConfig, outputs: Path | None, bins: int) -> int:
 def _read_stats_csv(path: Path) -> list[dict]:
     if not path.exists():
         raise LogFormatError("stats.csv not found; run the pipeline first", path=path)
-    with path.open(newline="") as fh:
+    with io.StringIO(logio.read_text(path), newline="") as fh:
         return list(csv.DictReader(fh))
 
 

@@ -533,16 +533,18 @@ def fit_metric_scores(scores, config: FitConfig | None = None) -> MixtureFit:
         raise ValueError("scores must be a 1-d sequence")
     if raw.size < 10:
         raise DegenerateSamplesError("need at least 10 scores to fit the mixture")
-    distinct = np.unique(raw)
+    # the fit depends only on the score multiset, never on the caller's
+    # ordering, so dither assignment is keyed to the sorted array
+    values = np.sort(raw)
+    # the first of each run of equal values; NaNs sort last and, as in
+    # np.unique, count as one value
+    distinct = values[np.r_[True, (values[1:] != values[:-1]) & ~np.isnan(values[:-1])]]
     if distinct.size < 3:
         raise DegenerateSamplesError(
             "fewer than 3 distinct score values; a two-component fit is meaningless"
         )
     if not math.isfinite(float(distinct[-1]) - float(distinct[0])):
         raise MixtureFitError("scores are not finite or span beyond the float range")
-    # the fit depends only on the score multiset, never on the caller's
-    # ordering, so dither assignment is keyed to the sorted array
-    values = np.sort(raw)
     if config.dequantize:
         step = float(np.diff(distinct).min())
         rng = np.random.default_rng(config.seed)

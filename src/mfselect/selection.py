@@ -15,6 +15,7 @@ are opaque strings, and ``selected_ids`` lists the kept ones in log order.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 from itertools import compress
@@ -169,6 +170,33 @@ def select_round(log, config: RoundConfig, fit_config: FitConfig | None = None,
     return _apply_strategy(scores, log, config, fit_config or FitConfig(), round_index)
 
 
+def _finish_round(dataset, trainer, log, config: RoundConfig,
+                  fit_config: FitConfig | None, round_index: int,
+                  on_round=None) -> SelectionResult:
+    """Select among the rows of one round's ``log`` and measure the selection.
+
+    Precision and recall count against the clean instances of the
+    *original* training set, so the round trend is comparable; test
+    accuracy is the trained model's. Either is left None when ``dataset``
+    or ``trainer`` cannot provide it. ``on_round(result, log)``, when given,
+    is called last.
+    """
+    result = select_round(log, config, fit_config, round_index)
+    if hasattr(dataset, "clean_mask"):
+        selected = np.zeros(len(dataset.ids), dtype=bool)
+        selected[dataset.positions_of(result.selected_ids)] = True
+        result.stats = evaluation.selection_precision_recall(
+            selected[dataset.train_positions], dataset.clean_mask())
+    test_pos = getattr(dataset, "test_positions", None)
+    if test_pos is not None and len(test_pos) and hasattr(trainer, "predict"):
+        result.test_accuracy = evaluation.test_accuracy(
+            trainer, dataset.features[test_pos], dataset.true_labels[test_pos]
+        )
+    if on_round is not None:
+        on_round(result, log)
+    return result
+
+
 def run_multiround(
     dataset,
     trainer,
@@ -191,13 +219,6 @@ def run_multiround(
     truncated, if a round selects nothing.
     """
     current_ids = list(dataset.train_ids if ids is None else ids)
-    clean = dataset.clean_mask() if hasattr(dataset, "clean_mask") else None
-    if clean is not None:
-        # the current rows within the original training set, so that recall
-        # counts against every clean instance the run started with
-        rows = (np.arange(clean.size) if ids is None else np.searchsorted(
-            dataset.train_positions, dataset.positions_of(current_ids)))
-    test_pos = getattr(dataset, "test_positions", None)
     rounds: list[SelectionResult] = []
     truncated = False
     for round_index in range(start_round, config.rounds + 1):
@@ -206,19 +227,9 @@ def run_multiround(
         if config.reset_model_per_round and round_index > 1 and hasattr(trainer, "reset"):
             trainer.reset()
         log = trainer.fit_round(dataset, current_ids, config.epochs)
-        result = select_round(log, config, fit_config, round_index)
-        if clean is not None:
-            rows = rows[result.keep]
-            selected = np.zeros(clean.size, dtype=bool)
-            selected[rows] = True
-            result.stats = evaluation.selection_precision_recall(selected, clean)
-        if test_pos is not None and len(test_pos) and hasattr(trainer, "predict"):
-            result.test_accuracy = evaluation.test_accuracy(
-                trainer, dataset.features[test_pos], dataset.true_labels[test_pos]
-            )
+        result = _finish_round(dataset, trainer, log, config, fit_config, round_index,
+                               on_round)
         rounds.append(result)
-        if on_round is not None:
-            on_round(result, log)
         del log  # free this round's sequences before the next round trains
         if not result.selected_ids:
             truncated = True
@@ -236,22 +247,27 @@ def compare_strategies(
 ):
     """Run the same benchmark once per strategy and tabulate the outcome.
 
-    ``make_trainer`` is a zero-argument factory so every strategy starts
-    from an identical model. Returns one dict per strategy with the final
-    round's kept count, precision, recall and test accuracy.
+    ``make_trainer`` is a zero-argument factory, called once. Round 1
+    trains once on the training ids, since its training does not depend on
+    the strategy, and every strategy selects from that one log. Each
+    strategy then runs its later rounds on its own copy of the trained
+    model, exactly as if it had trained round 1 itself. Returns one dict
+    per strategy with the final round's kept count, precision, recall and
+    test accuracy.
     """
+    trainer = make_trainer()
+    configs = [replace(config, strategy=strategy) for strategy in strategies]
+    log = trainer.fit_round(dataset, dataset.train_ids, config.epochs)
+    firsts = [_finish_round(dataset, trainer, log, cfg, fit_config, 1) for cfg in configs]
+    del log  # free round 1's sequences before round 2 trains
     rows = []
-    for strategy in strategies:
-        result = run_multiround(
-            dataset,
-            make_trainer(),
-            replace(config, strategy=strategy),
-            fit_config,
-        )
-        last = result.rounds[-1]
+    for cfg, last in zip(configs, firsts):
+        if config.rounds > 1 and last.selected_ids:
+            last = run_multiround(dataset, copy.deepcopy(trainer), cfg, fit_config,
+                                  ids=last.selected_ids, start_round=2).rounds[-1]
         rows.append(
             {
-                "strategy": strategy,
+                "strategy": cfg.strategy,
                 "kept": len(last.selected_ids),
                 "precision": last.stats.precision if last.stats else None,
                 "recall": last.stats.recall if last.stats else None,

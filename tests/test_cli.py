@@ -670,6 +670,32 @@ def test_eval_invalid_utf8_exits_3_naming_the_file(tmp_path, capsys, name):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("setup, name, command, code", [
+    ("select", "config.yaml", ["report"], 2),
+    ("run", "out/model_round2/meta.json", ["run", "--resume"], 3),
+    ("run", "out/state.json", ["run", "--resume"], 3),
+    ("select", "out/clean_mask.json", ["eval"], 3),
+    ("select", "out/mixture.json", ["eval"], 3),
+    ("run", "out/stats.csv", ["report"], 3),
+])
+def test_invalid_utf8_in_a_text_input_exits_naming_it(tmp_path, capsys, setup, name,
+                                                       command, code):
+    if setup == "select":
+        path, _ = simulate_and_select(tmp_path)
+    else:
+        path = write_config(tmp_path, base_config(tmp_path, rounds=2, epochs=4))
+        assert cli.main(["run", "-c", str(path)]) == 0
+    damaged = tmp_path / name
+    with damaged.open("ab") as fh:
+        fh.write(b"\xff\n")
+    last_line = damaged.read_bytes().count(b"\n")
+    capsys.readouterr()
+    assert cli.main([command[0], "-c", str(path), *command[1:]]) == code
+    err = capsys.readouterr().err
+    assert str(damaged) in err and "Traceback" not in err
+    assert f"invalid UTF-8 byte 0xff (line {last_line})" in err
+
+
 @pytest.mark.parametrize("damage", ["truncate", "drop epsilon"])
 def test_eval_damaged_mixture_json_exits_3(tmp_path, capsys, damage):
     path, out = simulate_and_select(tmp_path)

@@ -581,6 +581,15 @@ def test_non_finite_scores_raise_mixture_fit_error(bad):
         fit_metric_scores(np.r_[np.arange(20.0), bad])
 
 
+@pytest.mark.parametrize("n_nan", [1, 2, 3])
+def test_distinct_count_treats_nans_as_one_value(n_nan):
+    # as in np.unique, any number of NaNs is one distinct value
+    with pytest.raises(DegenerateSamplesError, match="fewer than 3 distinct"):
+        fit_metric_scores(np.r_[np.zeros(10), [math.nan] * n_nan])
+    with pytest.raises(MixtureFitError, match="not finite"):
+        fit_metric_scores(np.r_[np.zeros(5), np.ones(5), [math.nan] * n_nan])
+
+
 def test_scores_spanning_beyond_float_range_raise_mixture_fit_error():
     with pytest.raises(MixtureFitError):
         fit_metric_scores(np.r_[-1.7e308, np.arange(20.0), 1.7e308])

@@ -1,4 +1,6 @@
 import math
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from mfselect.errors import LogFormatError
 from mfselect.evaluation import selection_precision_recall
 from mfselect.mixture import FitConfig, fit_metric_scores, threshold
 from mfselect.selection import (
+    STRATEGIES,
     RoundConfig,
     SelectionResult,
     compare_strategies,
@@ -469,3 +472,79 @@ def test_compare_strategies_table_shape():
         assert set(row) == {"strategy", "kept", "precision", "recall", "accuracy"}
         assert 0 <= row["precision"] <= 1
         assert 0 <= row["recall"] <= 1
+
+
+def reference_compare(dataset, make_trainer, config, fit_config):
+    """Each strategy trains every round itself, round 1 included: the final
+    round of each and the table row made from it."""
+    finals, rows = [], []
+    for strategy in STRATEGIES:
+        last = run_multiround(dataset, make_trainer(), replace(config, strategy=strategy),
+                              fit_config).rounds[-1]
+        finals.append(last)
+        rows.append({"strategy": strategy, "kept": len(last.selected_ids),
+                     "precision": last.stats.precision, "recall": last.stats.recall,
+                     "accuracy": last.test_accuracy})
+    return finals, rows
+
+
+@pytest.mark.parametrize("case", ["one_round", "three_rounds", "reset_model", "truncated"])
+def test_compare_strategies_matches_per_strategy_training(case, monkeypatch):
+    ds = benchmark_dataset(noise=0.2, spread=4.0)
+    config = RoundConfig(epochs=10, rounds=1 if case == "one_round" else 3,
+                         reset_model_per_round=case == "reset_model")
+    if case == "truncated":
+        # the mixture strategy's round-2 selection empties; the others go on
+        apply_strategy = selection_mod._apply_strategy
+
+        def emptying(scores, log, config, fit_config, round_index):
+            result = apply_strategy(scores, log, config, fit_config, round_index)
+            if round_index == 2 and config.strategy == "mixture_threshold":
+                result.keep[:] = False
+                result.selected_ids = []
+            return result
+
+        monkeypatch.setattr(selection_mod, "_apply_strategy", emptying)
+    finals, expected_rows = reference_compare(ds, benchmark_trainer, config, FitConfig())
+
+    seen = {}
+    finish_round = selection_mod._finish_round
+
+    def spy(dataset, trainer, log, config, *args, **kwargs):
+        seen[config.strategy] = finish_round(dataset, trainer, log, config, *args, **kwargs)
+        return seen[config.strategy]
+
+    monkeypatch.setattr(selection_mod, "_finish_round", spy)
+    rows = compare_strategies(ds, benchmark_trainer, config, FitConfig())
+    assert rows == expected_rows
+    if case == "truncated":
+        assert rows[0]["kept"] == 0 and seen["mixture_threshold"].round_index == 2
+    for strategy, want in zip(STRATEGIES, finals):
+        got = seen[strategy]
+        assert got.round_index == want.round_index
+        assert got.scores.tobytes() == want.scores.tobytes()
+        assert np.array_equal(got.keep, want.keep)
+        assert got.selected_ids == want.selected_ids
+        assert got.stats == want.stats
+        assert got.test_accuracy == want.test_accuracy
+
+
+@pytest.mark.parametrize("rounds", [1, 3])
+def test_compare_strategies_trains_round_one_once(rounds, monkeypatch):
+    ds = benchmark_dataset(noise=0.2, spread=4.0)
+    fit_round = SGDTrainer.fit_round
+    calls, first_log = [], []
+
+    def spy(self, dataset, ids, epochs):
+        # round 1's log must be gone before any later round trains
+        calls.append(bool(first_log) and first_log[0]() is not None)
+        log = fit_round(self, dataset, ids, epochs)
+        if not first_log:
+            first_log.append(weakref.ref(log))
+        return log
+
+    monkeypatch.setattr(SGDTrainer, "fit_round", spy)
+    compare_strategies(ds, benchmark_trainer, RoundConfig(epochs=5, rounds=rounds),
+                       FitConfig())
+    assert len(calls) == 1 + len(STRATEGIES) * (rounds - 1)
+    assert not any(calls)
