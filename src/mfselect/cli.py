@@ -489,14 +489,24 @@ def _stats_row(result) -> list:
     ]
 
 
-def _read_state(path: Path) -> dict:
+def _read_json_object(path: Path, what: str) -> dict:
+    """The JSON object in ``path``; a data error naming the file otherwise."""
     try:
-        state = json.loads(logio.read_text(path))
+        doc = json.loads(logio.read_text(path))
     except json.JSONDecodeError as exc:
-        raise LogFormatError(f"cannot resume from a damaged checkpoint: {exc.msg}",
-                             path=path, line=exc.lineno)
-    if not isinstance(state, dict):
-        raise LogFormatError("cannot resume: checkpoint is not a JSON object", path=path)
+        raise LogFormatError(f"{what}: {exc.msg}", path=path, line=exc.lineno) from None
+    if not isinstance(doc, dict):
+        raise LogFormatError(f"{what}: not a JSON object", path=path)
+    return doc
+
+
+def _read_state(path: Path) -> dict:
+    state = _read_json_object(path, "cannot resume from a damaged checkpoint")
+    for key, kind in (("completed_rounds", int), ("current_ids", list),
+                      ("stats_rows", list)):
+        if type(state.get(key)) is not kind:  # bool is no int here
+            raise LogFormatError(f"cannot resume: checkpoint has no {kind.__name__} "
+                                 f"{key!r}", path=path)
     return state
 
 
@@ -663,8 +673,11 @@ def _load_clean_mask(outputs: Path) -> tuple[list, np.ndarray]:
         return ds.train_ids, ds.clean_mask()
     mask_json = outputs / "clean_mask.json"
     if mask_json.exists():
-        doc = json.loads(logio.read_text(mask_json))
-        return list(doc), np.array([bool(v) for v in doc.values()], dtype=bool)
+        doc = _read_json_object(mask_json, "not a clean mask")
+        if not all(isinstance(v, bool) for v in doc.values()):
+            raise LogFormatError("not a clean mask: a value is not true or false",
+                                 path=mask_json)
+        return list(doc), np.array(list(doc.values()), dtype=bool)
     raise LogFormatError(
         "no ground truth in outputs dir (need dataset.csv or clean_mask.json)",
         path=outputs,
@@ -714,10 +727,10 @@ def cmd_eval(cfg: ExperimentConfig, outputs: Path | None, bins: int) -> int:
         if not fit_path.exists():
             fit_path = outputs / "mixture.json"
         if fit_path.exists():
+            doc = _read_json_object(fit_path, "not a mixture fit")
             try:
-                doc = json.loads(logio.read_text(fit_path))
                 fit, tau = MixtureFit.from_json_dict(doc), float(doc["threshold"])
-            except (KeyError, TypeError, ValueError) as exc:  # JSON errors included
+            except (KeyError, TypeError, ValueError) as exc:
                 raise LogFormatError(f"not a mixture fit: {type(exc).__name__}: {exc}",
                                      path=fit_path) from None
         header, hist_rows, overlay = evaluation.histogram_export(
@@ -734,7 +747,13 @@ def _read_stats_csv(path: Path) -> list[dict]:
     if not path.exists():
         raise LogFormatError("stats.csv not found; run the pipeline first", path=path)
     with io.StringIO(logio.read_text(path), newline="") as fh:
-        return list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        missing = [c for c in ("round", "precision", "recall", "test_accuracy")
+                   if c not in (reader.fieldnames or [])]
+        if missing:
+            raise LogFormatError(f"stats.csv lacks column(s) {', '.join(missing)}",
+                                 path=path, line=1)
+        return list(reader)
 
 
 def cmd_report(cfg: ExperimentConfig, outputs: Path | None, compare: bool) -> int:

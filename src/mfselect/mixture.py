@@ -22,13 +22,14 @@ the fit equals the per-row fit bit for bit; with ties it agrees up to the
 order of summation. Lattice scores dithered by a whole lattice step (see
 ``fit_metric_scores``) come out tie-free, one value per row.
 
-``em_fit`` also computes what every E- and M-step reuses once per fit: log x,
-x/max(x) and its log, in a private prepared sample that also holds the
-scratch arrays the steps write into. The steps keep the floating-point
-operations and their order of the straightforward formulas, so a fit is
-bit-identical to one that recomputes everything. A fit whose parameters
-leave the floating-point range raises ``MixtureFitError``, so a selection
-round falls back to the ratio cut.
+Every step is a plain array expression with the floating-point operations,
+in their order, of the straightforward formulas. The E-step works on one
+array per component; each weighted MLE call computes x/max(x) and its log
+once and builds the power sums of each Newton step in one array; each
+mixing weight is a running sum in row order, the order in which a sum down
+both components' columns adds. A fit whose parameters leave the
+floating-point range raises ``MixtureFitError``, so a selection round falls
+back to the ratio cut.
 """
 
 from __future__ import annotations
@@ -149,22 +150,15 @@ def weibull_logpdf(x, p: WeibullParams):
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise ValueError("weibull_logpdf requires x > 0")
-    out = np.log(x, out=np.empty(x.shape))
-    _logpdf_into(out, p, out, np.empty(x.shape))
+    out = _logpdf(np.log(x), p)
     return out if out.ndim else float(out)
 
 
-def _logpdf_into(log_x, p: WeibullParams, out, tmp):
-    """Write the Weibull log-density at exp(log_x) into ``out``; ``tmp`` is scratch.
-
-    ``out`` may be ``log_x`` itself.
-    """
-    lz = np.subtract(log_x, math.log(p.alpha), out=out)
+def _logpdf(log_x, p: WeibullParams):
+    """The Weibull log-density at exp(log_x)."""
+    lz = log_x - math.log(p.alpha)
     with np.errstate(over="ignore"):
-        np.exp(np.multiply(p.beta, lz, out=tmp), out=tmp)
-    np.multiply(p.beta - 1.0, lz, out=out)
-    np.add(math.log(p.beta / p.alpha), out, out=out)
-    return np.subtract(out, tmp, out=out)
+        return math.log(p.beta / p.alpha) + (p.beta - 1.0) * lz - np.exp(p.beta * lz)
 
 
 def weibull_mean(p: WeibullParams) -> float:
@@ -197,26 +191,6 @@ def _component(alpha, beta) -> WeibullParams:
     return WeibullParams(alpha=alpha, beta=beta)
 
 
-class _Sample:
-    """Per-fit invariants of a positive 1-d sample, plus scratch arrays.
-
-    The shape estimate is invariant to rescaling x, so the MLE works on
-    x/max(x), which keeps x**beta from overflowing for large beta. Build
-    one per fit and pass it wherever the samples are expected; the scratch
-    arrays go when it does.
-    """
-
-    def __init__(self, x):
-        if np.any(x <= 0):
-            raise ValueError("samples must be positive")
-        self.x = x
-        self.scale_ref = float(x.max())
-        self.x_scaled = x / self.scale_ref
-        self.log_x_scaled = np.log(self.x_scaled)
-        self.log_x = np.log(x)
-        self.scratch = (np.empty(x.size), np.empty(x.size))
-
-
 def weighted_weibull_mle(
     samples,
     weights,
@@ -228,55 +202,49 @@ def weighted_weibull_mle(
     The shape is the root of the weighted profile-likelihood score equation,
     found by damped Newton iteration with a bisection fallback on the
     bracket ``BETA_BRACKET``; the scale then follows in closed form as
-    (sum w x^beta / sum w)^(1/beta). ``samples`` may also be the prepared
-    sample of a fit, which spares recomputing its invariants.
+    (sum w x^beta / sum w)^(1/beta).
 
     Raises DegenerateSamplesError when the samples carry no spread (the
     likelihood is unbounded in beta), NewtonDivergenceError, carrying the
     last iterate, if the solver fails to converge, and MixtureFitError if
     the scale leaves the floating-point range.
     """
-    sample = samples if isinstance(samples, _Sample) else None
-    x = sample.x if sample else np.asarray(samples, dtype=float)
+    x = np.asarray(samples, dtype=float)
     w = np.asarray(weights, dtype=float)
     if x.shape != w.shape or x.ndim != 1:
         raise ValueError("samples and weights must be 1-d arrays of equal length")
     if x.size < 2:
         raise ValueError("need at least 2 samples")
-    sample = sample or _Sample(x)
+    if np.any(x <= 0):
+        raise ValueError("samples must be positive")
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")
     w_total = w.sum()
     if w_total <= 0:
         raise ValueError("total weight must be positive")
 
-    x_scaled, log_x = sample.x_scaled, sample.log_x_scaled
-    t, tl = sample.scratch
-    log_mean = float(np.multiply(w, log_x, out=t).sum() / w_total)
-    dev = np.subtract(log_x, log_mean, out=t)
-    dev = np.multiply(w, np.multiply(dev, dev, out=dev), out=dev)
-    log_sd = math.sqrt(max(float(dev.sum() / w_total), 0.0))
+    # beta is invariant to rescaling x; work on x/max(x) to avoid overflow
+    # in x**beta for large beta.
+    scale_ref = float(x.max())
+    x_scaled = x / scale_ref
+    log_x = np.log(x_scaled)
+    log_mean = float((w * log_x).sum() / w_total)
+    log_sd = math.sqrt(max(float((w * (log_x - log_mean) ** 2).sum() / w_total), 0.0))
     if log_sd < 1e-9:
         raise DegenerateSamplesError(
             "samples are (effectively) all identical; shape parameter is unbounded"
         )
 
-    def weighted_power(beta):
-        """w * x_scaled**beta, written into t."""
-        return np.multiply(w, _power(x_scaled, beta, t), out=t)
-
     # Power sums that underflow to 0 make the score NaN; the Newton loop
     # takes a NaN step as a miss and bisects, so numpy need not warn.
-    def score(beta):
-        a0 = weighted_power(beta).sum()
-        a1 = np.multiply(t, log_x, out=tl).sum()
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return a1 / a0 - 1.0 / beta - log_mean
-
     def score_and_derivative(beta):
-        a0 = weighted_power(beta).sum()
-        a1 = np.multiply(t, log_x, out=tl).sum()
-        a2 = np.multiply(tl, log_x, out=tl).sum()
+        t = x_scaled**beta
+        t *= w
+        a0 = t.sum()
+        t *= log_x
+        a1 = t.sum()
+        t *= log_x
+        a2 = t.sum()
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             ratio = a1 / a0
             g = ratio - 1.0 / beta - log_mean
@@ -287,12 +255,12 @@ def weighted_weibull_mle(
     # outside it means a component sharper/flatter than the parameter space
     # allows (e.g. near-identical samples), so clamp to the boundary, which
     # is the constrained maximizer. a1/a0 averages log(x/max(x)) <= 0, so
-    # score(lo) >= 0 needs -1/lo - log_mean >= 0; the rounding of each step
-    # is monotone, so skipping score(lo) otherwise changes no result.
+    # g(lo) >= 0 needs -1/lo - log_mean >= 0; the rounding of each step is
+    # monotone, so skipping g(lo) otherwise changes no result.
     lo, hi = BETA_BRACKET
-    if -1.0 / lo - log_mean >= 0 and score(lo) >= 0:
+    if -1.0 / lo - log_mean >= 0 and score_and_derivative(lo)[0] >= 0:
         beta = lo
-    elif score(hi) <= 0:
+    elif score_and_derivative(hi)[0] <= 0:
         beta = hi
     else:
         # Moment start: Var(log X) = (pi^2/6)/beta^2 for a Weibull.
@@ -318,22 +286,9 @@ def weighted_weibull_mle(
                 last_beta=beta,
             )
 
-    a0 = float(weighted_power(beta).sum())
-    alpha = sample.scale_ref * (a0 / w_total) ** (1.0 / beta)
+    a0 = float((w * x_scaled**beta).sum())
+    alpha = scale_ref * (a0 / w_total) ** (1.0 / beta)
     return _component(alpha, beta)
-
-
-# exponents for which ``array ** e`` may take a dedicated ufunc
-# (square, sqrt, reciprocal, ...) instead of ``np.power``
-_POWER_FAST_PATHS = (-1.0, 0.0, 0.5, 1.0, 2.0)
-
-
-def _power(base, beta: float, out):
-    """``base ** beta`` written into ``out``, with the operator's exact results."""
-    if beta in _POWER_FAST_PATHS:
-        out[...] = base**beta
-        return out
-    return np.power(base, beta, out=out)
 
 
 def _moment_init(x) -> WeibullParams:
@@ -386,32 +341,24 @@ def em_fit(scores, config: FitConfig | None = None) -> MixtureFit:
     # every later step runs on the distinct values in first-occurrence order,
     # each weighted by its count: a tie-free sample is its own rows, in order
     order = np.argsort(first)
-    sample = _Sample(sorted_values[order])
+    values = sorted_values[order]
     counts = sorted_counts[order].astype(float)
-    m = counts.size
-    a, b = sample.scratch
-    lp = np.empty((m, 2))
-    resp = np.empty((m, 2))
+    log_x = np.log(values)
     trace: list[float] = []
     prev_ll = -math.inf
     converged = False
     iterations = 0
     for iterations in range(1, config.max_iters + 1):
-        # E-step in log space
-        for j in range(2):
-            _logpdf_into(sample.log_x, params[j], a, b)
-            np.add(np.log(k[j]), a, out=lp[:, j])
-        top = np.maximum(lp[:, 0], lp[:, 1], out=a)
+        # E-step in log space, one array per component
+        lp = [np.log(k[j]) + _logpdf(log_x, params[j]) for j in range(2)]
+        top = np.maximum(lp[0], lp[1])
         with np.errstate(invalid="ignore"):
-            e = np.exp(np.subtract(lp, top[:, None], out=resp), out=resp)
-            np.add(e[:, 0], e[:, 1], out=b)
-            log_norm = np.add(top, np.log(b, out=b), out=a)
+            log_norm = top + np.log(np.exp(lp[0] - top) + np.exp(lp[1] - top))
         if not np.all(np.isfinite(log_norm)):
             raise DegenerateSamplesError(
                 "a sample has zero density under both components"
             )
-        np.exp(np.subtract(lp, log_norm[:, None], out=resp), out=resp)
-        ll = float(np.multiply(counts, log_norm, out=b).sum())
+        ll = float((counts * log_norm).sum())
         trace.append(ll)
         if math.isfinite(prev_ll) and abs(ll - prev_ll) <= config.tol * max(
             1.0, abs(prev_ll)
@@ -421,10 +368,9 @@ def em_fit(scores, config: FitConfig | None = None) -> MixtureFit:
         prev_ll = ll
 
         # M-step, on each value's responsibility times its count
-        mass = np.multiply(resp, counts[:, None], out=lp)
-        new_params = []
+        new_params, k = [], []
         for j in range(2):
-            w = mass[:, j]
+            w = np.exp(lp[j] - log_norm) * counts
             w_sum = float(w.sum())
             if w_sum / n < MIN_COMPONENT_WEIGHT:
                 raise ComponentCollapseError(j, f"mixing weight {w_sum / n:.3g}")
@@ -435,7 +381,7 @@ def em_fit(scores, config: FitConfig | None = None) -> MixtureFit:
             try:
                 new_params.append(
                     weighted_weibull_mle(
-                        sample, w, config.newton_tol, config.newton_max_iters
+                        values, w, config.newton_tol, config.newton_max_iters
                     )
                 )
             except DegenerateSamplesError:
@@ -443,17 +389,12 @@ def em_fit(scores, config: FitConfig | None = None) -> MixtureFit:
                 # (common on lattice-valued metrics, e.g. everything
                 # memorized from epoch one). The boundary-constrained
                 # estimate is the sharpest allowed spike at that atom.
-                log_center = np.multiply(w, sample.log_x, out=a).sum() / w_sum
-                center = math.exp(float(log_center))
+                center = math.exp(float((w * log_x).sum() / w_sum))
                 new_params.append(_component(center, BETA_BRACKET[1]))
+            # a row-order sum, as sum(axis=0) of both columns adds: the same bits
+            k.append(np.cumsum(w)[-1] / n)
         params = new_params
-        # a running sum down the (m, 2) array adds the rows in order, as
-        # mass.sum(axis=0) does, so k keeps that sum's bits at less cost; a
-        # sum of each column on its own would add in another order and round
-        # differently
-        k = np.cumsum(mass, axis=0, out=resp)[-1] / n
 
-    del lp, resp
     fit = MixtureFit(
         k_clean=float(k[0]),
         k_noisy=float(k[1]),
@@ -465,27 +406,26 @@ def em_fit(scores, config: FitConfig | None = None) -> MixtureFit:
     )
     fit = identify_components(fit)
     if not fit.degenerate:
-        fit.degenerate = _prefers_single_component(sample, counts, trace[-1], config)
+        fit.degenerate = _prefers_single_component(values, counts, trace[-1], config)
     return fit
 
 
-def _prefers_single_component(sample: _Sample, counts, mixture_ll: float,
+def _prefers_single_component(values, counts, mixture_ll: float,
                               config: FitConfig) -> bool:
     """BIC check: does one Weibull explain the scores as well as two?
 
-    ``counts`` holds how often each of the sample's values occurs. A
+    ``counts`` holds how often each of ``values`` occurs. A
     two-component fit that fails this comparison found no second population
     worth the three extra parameters; thresholding such a fit is still
     well-defined, but the caller should not trust the clean/noisy split.
     """
     try:
         single = weighted_weibull_mle(
-            sample, counts, config.newton_tol, config.newton_max_iters
+            values, counts, config.newton_tol, config.newton_max_iters
         )
     except (DegenerateSamplesError, NewtonDivergenceError):
         return True
-    logpdf = _logpdf_into(sample.log_x, single, *sample.scratch)
-    single_ll = float(np.multiply(counts, logpdf, out=logpdf).sum())
+    single_ll = float((counts * weibull_logpdf(values, single)).sum())
     return 2.0 * (mixture_ll - single_ll) <= 3.0 * math.log(counts.sum())
 
 

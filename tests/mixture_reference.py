@@ -1,12 +1,12 @@
 """Straightforward mixture fit kept as the oracle for ``mfselect.mixture``.
 
-These are the fitting functions as they read before the fit reused its
-per-fit invariants and scratch arrays: every step recomputes log x, x/max(x)
-and its log from the samples and allocates its temporaries. Like the
-package's fit, ``em_fit`` groups the scores into distinct values with
-counts; ``em_fit_counts`` with unit counts on raw rows is the fit over every
-row. The package's fit must give bit-identical results; tests compare the
-two.
+The package's fit uses these same formulas, with two differences in form:
+its E-step works on one array per component instead of an (m, 2) array,
+and it sums each mixing weight with a running sum in row order, which adds
+as this module's ``sum(axis=0)`` does. Like the package's fit, ``em_fit``
+groups the scores into distinct values with counts; ``em_fit_counts`` with
+unit counts on raw rows is the fit over every row. The package's fit must
+give bit-identical results; tests compare the two.
 """
 
 from __future__ import annotations

@@ -712,6 +712,53 @@ def test_eval_damaged_mixture_json_exits_3(tmp_path, capsys, damage):
     assert "data error" in err and "mixture.json" in err
 
 
+@pytest.mark.parametrize("damage, line", [
+    ("a list", None), ("truncated", 1), ("non-bool values", None),
+])
+def test_eval_damaged_clean_mask_exits_3_naming_the_file(tmp_path, capsys, damage, line):
+    path, out = simulate_and_select(tmp_path)
+    mask_json = out / "clean_mask.json"
+    text = {"a list": "[1, 2]\n", "truncated": '{"a": ',
+            "non-bool values": mask_json.read_text().replace("true", "1")}[damage]
+    mask_json.write_text(text)
+    assert cli.main(["eval", "-c", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and str(mask_json) in err and "Traceback" not in err
+    if line is not None:
+        assert f"(line {line})" in err
+
+
+def test_report_stats_csv_without_its_columns_exits_3(tmp_path, capsys):
+    path, out = simulate_and_select(tmp_path)
+    (out / "stats.csv").write_text("a,b\n1,2\n")
+    assert cli.main(["report", "-c", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and f"{out / 'stats.csv'}: " in err and "Traceback" not in err
+    assert "round, precision, recall, test_accuracy (line 1)" in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("completed_rounds", None), ("completed_rounds", "2"), ("completed_rounds", True),
+    ("current_ids", None), ("current_ids", 5),
+    ("stats_rows", None), ("stats_rows", "rows"),
+])
+def test_run_resume_checkpoint_without_its_keys_exits_3(tmp_path, capsys, key, value):
+    path = write_config(tmp_path, base_config(tmp_path, rounds=2, epochs=4))
+    assert cli.main(["run", "-c", str(path)]) == 0
+    state_path = tmp_path / "out" / "state.json"
+    state = json.loads(state_path.read_text())
+    if value is None:
+        del state[key]
+    else:
+        state[key] = value
+    state_path.write_text(json.dumps(state))
+    capsys.readouterr()
+    assert cli.main(["run", "-c", str(path), "--resume"]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and str(state_path) in err and repr(key) in err
+    assert "Traceback" not in err
+
+
 def test_eval_one_bin_exits_2(tmp_path, capsys):
     path, out = simulate_and_select(tmp_path)
     assert cli.main(["eval", "-c", str(path), "--bins", "1"]) == 2

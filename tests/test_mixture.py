@@ -387,6 +387,19 @@ def test_fit_is_bit_identical_to_reference(case):
     )
 
 
+@pytest.mark.parametrize("dequantize", [True, False], ids=["dithered", "tied"])
+def test_large_lattice_fit_is_bit_identical_to_reference(dequantize):
+    # 10^5 lattice scores: dithered they are tie-free, so every step runs
+    # over 10^5 values; undithered they take 51 values with counts
+    rng = np.random.default_rng(0)
+    noisy = rng.random(100_000) < 0.3
+    scores = 1.5 * rng.binomial(50, np.where(noisy, 0.8, 0.2)) - 25.0
+    config = FitConfig(dequantize=dequantize)
+    outcome = fit_outcome(fit_metric_scores, scores, config)
+    assert isinstance(outcome, str)  # a fit, not an exception
+    assert outcome == fit_outcome(mixture_reference.fit_metric_scores, scores, config)
+
+
 def per_row_em_fit(scores, config):
     """The reference fit over every row: unit counts on the raw rows."""
     return mixture_reference.em_fit_counts(scores, np.ones(scores.size), config)
