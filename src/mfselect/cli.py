@@ -265,7 +265,9 @@ def _apply_override(raw: dict, item: str) -> dict:
         value = text
     node = raw
     for key in keys[:-1]:
-        node = node.setdefault(key, {})
+        if node.get(key) is None:  # a null section is an empty one
+            node[key] = {}
+        node = node[key]
         if not isinstance(node, dict):
             raise ConfigError(f"--set path {dotted!r} crosses a non-mapping node")
     node[keys[-1]] = value
@@ -510,13 +512,14 @@ def _read_state(path: Path) -> dict:
     return state
 
 
-def run_pipeline(cfg: ExperimentConfig, outdir: Path, resume: bool = False) -> list:
+def run_pipeline(cfg: ExperimentConfig, resume: bool = False) -> list:
     """One full multi-round pipeline with per-round artifacts and checkpoints.
 
     The rounds themselves run in ``selection.run_multiround``; this writes
-    what each round leaves behind. Returns the stats rows (one per
-    completed round).
+    what each round leaves behind in ``cfg.output_dir``. Returns the stats
+    rows (one per completed round).
     """
+    outdir = cfg.output_dir
     ds = apply_noise(build_dataset(cfg), cfg)
     trainer = build_trainer(cfg, ds, outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -554,8 +557,7 @@ def run_pipeline(cfg: ExperimentConfig, outdir: Path, resume: bool = False) -> l
         write_scores_csv(outdir / f"scores_round{k}.csv", log.ids, result.scores)
         logio.write_ids(outdir / f"selected_ids_round{k}.txt", result.selected_ids)
         if result.fit is not None:
-            write_json(outdir / f"mixture_round{k}.json",
-                       result.fit.to_json_dict(cfg.fit_config.threshold_rule))
+            write_json(outdir / f"mixture_round{k}.json", result.fit.to_json_dict())
         stats_rows.append(_stats_row(result))
         write_table(outdir / "stats.csv", STATS_HEADER, stats_rows)
         if isinstance(trainer, SGDTrainer):
@@ -589,7 +591,7 @@ def cmd_run(cfg: ExperimentConfig, trials: int = 1, resume: bool = False) -> int
     if cfg.round_config.strategy == "small_loss":
         _check_small_loss_epoch(cfg.round_config, cfg.round_config.epochs)
     if trials <= 1:
-        rows = run_pipeline(cfg, cfg.output_dir, resume=resume)
+        rows = run_pipeline(cfg, resume=resume)
         for row in rows:
             print(
                 f"round {row[0]}: kept={row[1]} precision={_fmt(row[2]) or 'n/a'} "
@@ -602,15 +604,14 @@ def cmd_run(cfg: ExperimentConfig, trials: int = 1, resume: bool = False) -> int
 def _trial_payload(cfg: ExperimentConfig, trial: int) -> dict:
     raw = json.loads(json.dumps(cfg.raw))  # deep copy
     for section, key in (("noise", "seed"), ("trainer", "seed"), ("fit", "seed")):
-        if raw.get(section, {}).get(key) is not None:
+        if (raw.get(section) or {}).get(key) is not None:  # null: no section
             raw[section][key] = raw[section][key] + trial
     raw["output_dir"] = str(cfg.output_dir / f"trial_{trial:02d}")
     return raw
 
 
 def _trial_worker(raw: dict) -> list:
-    cfg = ExperimentConfig.from_dict(raw)
-    return run_pipeline(cfg, cfg.output_dir)
+    return run_pipeline(ExperimentConfig.from_dict(raw))
 
 
 def _run_trials(cfg: ExperimentConfig, trials: int) -> int:
@@ -646,8 +647,7 @@ def cmd_select(cfg: ExperimentConfig, log_path) -> int:
     write_scores_csv(outdir / "scores.csv", log.ids, result.scores)
     logio.write_ids(outdir / "selected_ids.txt", result.selected_ids)
     if result.fit is not None:
-        write_json(outdir / "mixture.json",
-                   result.fit.to_json_dict(cfg.fit_config.threshold_rule))
+        write_json(outdir / "mixture.json", result.fit.to_json_dict())
     clean = log.clean_mask()
     if clean is not None:
         write_mask_json(outdir / "clean_mask.json", log.ids, clean)
@@ -687,7 +687,11 @@ def _load_clean_mask(outputs: Path) -> tuple[list, np.ndarray]:
 def _discover_rounds(outputs: Path) -> list[tuple[int, Path]]:
     rounds = []
     for path in sorted(outputs.glob("scores_round*.csv")):
-        rounds.append((int(path.stem.replace("scores_round", "")), path))
+        try:
+            rounds.append((int(path.stem[len("scores_round"):]), path))
+        except ValueError:
+            raise LogFormatError("a scores_round<N>.csv name needs an integer round N",
+                                 path=path) from None
     if not rounds and (outputs / "scores.csv").exists():
         rounds.append((1, outputs / "scores.csv"))
     if not rounds:
@@ -722,19 +726,19 @@ def cmd_eval(cfg: ExperimentConfig, outputs: Path | None, bins: int) -> int:
         stats = evaluation.selection_precision_recall(selected, clean)
         rows.append([round_index, stats.kept, stats.precision, stats.recall,
                      None, None, None])
-        fit = tau = None
+        fit = None
         fit_path = outputs / f"mixture_round{round_index}.json"
         if not fit_path.exists():
             fit_path = outputs / "mixture.json"
         if fit_path.exists():
             doc = _read_json_object(fit_path, "not a mixture fit")
             try:
-                fit, tau = MixtureFit.from_json_dict(doc), float(doc["threshold"])
+                fit = MixtureFit.from_json_dict(doc)
             except (KeyError, TypeError, ValueError) as exc:
                 raise LogFormatError(f"not a mixture fit: {type(exc).__name__}: {exc}",
                                      path=fit_path) from None
         header, hist_rows, overlay = evaluation.histogram_export(
-            values, clean[truth_rows(score_ids, scores_path)], bins, fit, tau)
+            values, clean[truth_rows(score_ids, scores_path)], bins, fit)
         write_table(outputs / f"histogram_round{round_index}.csv", header, hist_rows)
         if overlay is not None:
             write_json(outputs / f"overlay_round{round_index}.json", overlay)

@@ -48,16 +48,14 @@ def test_accuracy(model, features, labels) -> float:
     return float(np.mean(model.predict(np.asarray(features)) == labels))
 
 
-def histogram_export(values, is_clean, bins: int, fit: MixtureFit | None = None,
-                     tau: float | None = None):
+def histogram_export(values, is_clean, bins: int, fit: MixtureFit | None = None):
     """Per-bin clean/noisy counts plus mixture-density samples for overlay.
 
     ``values`` are the scores and ``is_clean`` the ground truth of the same
     rows. Returns (header, rows, overlay_dict). Each row holds a bin's edges,
     as ``repr`` text, and its counts split by ground truth; the overlay dict
     samples the fitted component densities over the score range in original
-    score units, with the threshold ``tau`` (default: the fit's scale-rule
-    threshold), or is None when no fit is given.
+    score units, with the fit's threshold, or is None when no fit is given.
     """
     if bins < 2:
         raise ValueError("bins must be >= 2")
@@ -84,6 +82,6 @@ def histogram_export(values, is_clean, bins: int, fit: MixtureFit | None = None,
             "x": x.tolist(),
             "density_clean": (fit.k_clean * weibull_pdf(shifted, fit.clean)).tolist(),
             "density_noisy": (fit.k_noisy * weibull_pdf(shifted, fit.noisy)).tolist(),
-            "threshold": threshold(fit) if tau is None else tau,
+            "threshold": threshold(fit),
         }
     return ["bin_left", "bin_right", "clean_count", "noisy_count"], rows, overlay

@@ -49,6 +49,10 @@ from .errors import (
 # Bracket for the shape-parameter profile score equation; the equation is
 # monotone increasing on it for non-degenerate data.
 BETA_BRACKET = (0.02, 50.0)
+# The shape solver stops once a Newton step moves beta by at most
+# NEWTON_TOL * max(1, beta), and gives up after NEWTON_MAX_ITERS steps.
+NEWTON_TOL = 1e-10
+NEWTON_MAX_ITERS = 100
 
 MIN_COMPONENT_WEIGHT = 1e-4
 MIN_EFFECTIVE_SAMPLES = 2.0
@@ -77,25 +81,19 @@ class FitConfig:
     max_iters: int = 500
     shift_epsilon: float = 1e-3
     seed: int = 0
-    newton_tol: float = 1e-10
-    newton_max_iters: int = 100
-    # "scale" thresholds at the noisy component's scale parameter; the
-    # "crossover" alternative thresholds where the weighted component
-    # densities are equal (tends to cut recall hard over multiple rounds).
-    threshold_rule: str = "scale"
     # metric scores live on a lattice (integer epoch counts); dequantizing
     # with one lattice step of seeded uniform dither before fitting keeps
     # the continuous mixture well-posed on heavily atomic distributions
     dequantize: bool = True
 
     def __post_init__(self):
-        for name in ("tol", "shift_epsilon", "newton_tol"):
+        for name in ("tol", "shift_epsilon"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.max_iters < 1 or self.newton_max_iters < 1:
-            raise ValueError("iteration limits must be positive")
-        if self.threshold_rule not in ("scale", "crossover"):
-            raise ValueError(f"unknown threshold_rule {self.threshold_rule!r}")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass
@@ -118,9 +116,9 @@ class MixtureFit:
     converged: bool = True
     degenerate: bool = False
 
-    def to_json_dict(self, rule: str = "scale") -> dict:
-        """Every field as JSON data, plus the fit's threshold under ``rule``."""
-        return {**asdict(self), "threshold": threshold(self, rule)}
+    def to_json_dict(self) -> dict:
+        """Every field as JSON data, plus the fit's threshold."""
+        return {**asdict(self), "threshold": threshold(self)}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "MixtureFit":
@@ -191,12 +189,7 @@ def _component(alpha, beta) -> WeibullParams:
     return WeibullParams(alpha=alpha, beta=beta)
 
 
-def weighted_weibull_mle(
-    samples,
-    weights,
-    newton_tol: float = 1e-10,
-    newton_max_iters: int = 100,
-) -> WeibullParams:
+def weighted_weibull_mle(samples, weights) -> WeibullParams:
     """Weighted maximum-likelihood Weibull parameters.
 
     The shape is the root of the weighted profile-likelihood score equation,
@@ -266,7 +259,7 @@ def weighted_weibull_mle(
         # Moment start: Var(log X) = (pi^2/6)/beta^2 for a Weibull.
         beta = min(max((math.pi / math.sqrt(6.0)) / log_sd, lo * 1.5), hi / 1.5)
         converged = False
-        for _ in range(newton_max_iters):
+        for _ in range(NEWTON_MAX_ITERS):
             g, gp = score_and_derivative(beta)
             if g < 0:
                 lo = beta
@@ -275,14 +268,14 @@ def weighted_weibull_mle(
             candidate = beta - g / gp
             if not (lo < candidate < hi) or not math.isfinite(candidate):
                 candidate = 0.5 * (lo + hi)
-            if abs(candidate - beta) <= newton_tol * max(1.0, abs(beta)):
+            if abs(candidate - beta) <= NEWTON_TOL * max(1.0, abs(beta)):
                 beta = candidate
                 converged = True
                 break
             beta = candidate
         if not converged:
             raise NewtonDivergenceError(
-                f"shape solver did not converge in {newton_max_iters} iterations",
+                f"shape solver did not converge in {NEWTON_MAX_ITERS} iterations",
                 last_beta=beta,
             )
 
@@ -379,11 +372,7 @@ def em_fit(scores, config: FitConfig | None = None) -> MixtureFit:
                     j, f"effective sample size {w_sum:.3g} below {MIN_EFFECTIVE_SAMPLES}"
                 )
             try:
-                new_params.append(
-                    weighted_weibull_mle(
-                        values, w, config.newton_tol, config.newton_max_iters
-                    )
-                )
+                new_params.append(weighted_weibull_mle(values, w))
             except DegenerateSamplesError:
                 # Responsibilities concentrated on a single score atom
                 # (common on lattice-valued metrics, e.g. everything
@@ -406,12 +395,11 @@ def em_fit(scores, config: FitConfig | None = None) -> MixtureFit:
     )
     fit = identify_components(fit)
     if not fit.degenerate:
-        fit.degenerate = _prefers_single_component(values, counts, trace[-1], config)
+        fit.degenerate = _prefers_single_component(values, counts, trace[-1])
     return fit
 
 
-def _prefers_single_component(values, counts, mixture_ll: float,
-                              config: FitConfig) -> bool:
+def _prefers_single_component(values, counts, mixture_ll: float) -> bool:
     """BIC check: does one Weibull explain the scores as well as two?
 
     ``counts`` holds how often each of ``values`` occurs. A
@@ -420,9 +408,7 @@ def _prefers_single_component(values, counts, mixture_ll: float,
     well-defined, but the caller should not trust the clean/noisy split.
     """
     try:
-        single = weighted_weibull_mle(
-            values, counts, config.newton_tol, config.newton_max_iters
-        )
+        single = weighted_weibull_mle(values, counts)
     except (DegenerateSamplesError, NewtonDivergenceError):
         return True
     single_ll = float((counts * weibull_logpdf(values, single)).sum())
@@ -504,47 +490,7 @@ def fit_metric_scores(scores, config: FitConfig | None = None) -> MixtureFit:
     return fit
 
 
-def threshold(fit: MixtureFit, rule: str = "scale") -> float:
-    """Selection threshold in original (unshifted) score units.
-
-    The default rule returns the noisy component's scale parameter; the
-    "crossover" rule returns the point between the component means where the
-    weighted densities are equal.
-    """
-    if rule == "scale":
-        shifted_tau = fit.noisy.alpha
-    elif rule == "crossover":
-        shifted_tau = _crossover_point(fit)
-    else:
-        raise ValueError(f"unknown threshold rule {rule!r}")
-    return float(shifted_tau + fit.shift - fit.epsilon)
-
-
-def _crossover_point(fit: MixtureFit) -> float:
-    """Equal-weighted-density point between the component means (shifted units)."""
-
-    def diff(x):
-        return (
-            math.log(fit.k_clean)
-            + weibull_logpdf(x, fit.clean)
-            - math.log(fit.k_noisy)
-            - weibull_logpdf(x, fit.noisy)
-        )
-
-    lo = weibull_mean(fit.clean)
-    hi = weibull_mean(fit.noisy)
-    if lo >= hi:
-        return fit.noisy.alpha
-    d_lo, d_hi = diff(lo), diff(hi)
-    if d_lo <= 0 or d_hi >= 0:
-        # densities never cross between the means; fall back to the scale rule
-        return fit.noisy.alpha
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if diff(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+def threshold(fit: MixtureFit) -> float:
+    """Selection threshold in original (unshifted) score units: the noisy
+    component's scale parameter alpha_2, mapped back through the shift."""
+    return float(fit.noisy.alpha + fit.shift - fit.epsilon)

@@ -140,7 +140,7 @@ def _apply_strategy(scores, log, config: RoundConfig, fit_config: FitConfig,
                     warning = ("degenerate mixture fit (no separable noisy "
                                "component); kept the full set")
                 else:
-                    tau = threshold(fit, fit_config.threshold_rule)
+                    tau = threshold(fit)
                     keep = select_by_threshold(scores, tau)
                     if not keep.any():
                         warning = (f"threshold {tau:.6g} lies below every score; "
@@ -243,9 +243,9 @@ def compare_strategies(
     make_trainer,
     config: RoundConfig,
     fit_config: FitConfig | None = None,
-    strategies=STRATEGIES,
 ):
-    """Run the same benchmark once per strategy and tabulate the outcome.
+    """Run the same benchmark once per strategy in ``STRATEGIES`` and
+    tabulate the outcome.
 
     ``make_trainer`` is a zero-argument factory, called once. Round 1
     trains once on the training ids, since its training does not depend on
@@ -256,7 +256,7 @@ def compare_strategies(
     test accuracy.
     """
     trainer = make_trainer()
-    configs = [replace(config, strategy=strategy) for strategy in strategies]
+    configs = [replace(config, strategy=strategy) for strategy in STRATEGIES]
     log = trainer.fit_round(dataset, dataset.train_ids, config.epochs)
     firsts = [_finish_round(dataset, trainer, log, cfg, fit_config, 1) for cfg in configs]
     del log  # free round 1's sequences before round 2 trains

@@ -245,7 +245,6 @@ class TrainerConfig:
     learning_rate: float = 0.01
     momentum: float = 0.9
     batch_size: int = 128
-    schedule: str = "cosine"
     arch: str = "softmax_linear"
     hidden: int = 64
     seed: int = 0
@@ -257,10 +256,10 @@ class TrainerConfig:
             raise ValueError("momentum must be in [0, 1)")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
-        if self.schedule != "cosine":
-            raise ValueError(f"unsupported schedule {self.schedule!r}")
         if self.arch not in ("softmax_linear", "mlp"):
             raise ValueError(f"unsupported arch {self.arch!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass

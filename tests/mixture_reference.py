@@ -242,11 +242,7 @@ def em_fit_counts(values, counts, config: FitConfig) -> MixtureFit:
                     j, f"effective sample size {w_sum:.3g} below {MIN_EFFECTIVE_SAMPLES}"
                 )
             try:
-                new_params.append(
-                    weighted_weibull_mle(
-                        values, w, config.newton_tol, config.newton_max_iters
-                    )
-                )
+                new_params.append(weighted_weibull_mle(values, w))
             except DegenerateSamplesError:
                 # Responsibilities concentrated on a single score atom
                 # (common on lattice-valued metrics, e.g. everything
@@ -270,12 +266,11 @@ def em_fit_counts(values, counts, config: FitConfig) -> MixtureFit:
     )
     fit = identify_components(fit)
     if not fit.degenerate:
-        fit.degenerate = _prefers_single_component(values, counts, trace[-1], config)
+        fit.degenerate = _prefers_single_component(values, counts, trace[-1])
     return fit
 
 
-def _prefers_single_component(values, counts, mixture_ll: float,
-                              config: FitConfig) -> bool:
+def _prefers_single_component(values, counts, mixture_ll: float) -> bool:
     """BIC check: does one Weibull explain the scores as well as two?
 
     A two-component fit that fails this comparison found no second
@@ -284,9 +279,7 @@ def _prefers_single_component(values, counts, mixture_ll: float,
     split.
     """
     try:
-        single = weighted_weibull_mle(
-            values, counts, config.newton_tol, config.newton_max_iters
-        )
+        single = weighted_weibull_mle(values, counts)
     except (DegenerateSamplesError, NewtonDivergenceError):
         return True
     single_ll = float((counts * weibull_logpdf(values, single)).sum())

@@ -117,6 +117,23 @@ def test_set_override_applies(tmp_path):
     assert cfg.round_config.rounds == 1
 
 
+@pytest.mark.parametrize("section", ["noise", "trainer", "fit"])
+def test_set_fills_a_null_section(tmp_path, section):
+    config = base_config(tmp_path)
+    config[section] = None
+    path = write_config(tmp_path, config)
+    cfg = cli.load_config(path, overrides=[f"{section}.seed=2"])
+    assert cfg.raw[section] == {"seed": 2}
+
+
+def test_trials_leave_a_null_section_null(tmp_path):
+    config = base_config(tmp_path)
+    config.update(noise=None, fit=None)
+    raw = cli._trial_payload(cli.ExperimentConfig.from_dict(config), 1)
+    assert raw["noise"] is None and raw["fit"] is None
+    assert raw["trainer"]["seed"] == config["trainer"]["seed"] + 1
+
+
 def test_missing_config_exit_code(tmp_path):
     assert cli.main(["run", "-c", str(tmp_path / "nope.yaml")]) == 2
 
@@ -171,8 +188,14 @@ def test_readme_config_reference_lists_exactly_the_accepted_keys(tmp_path):
         ("simulate", "simulate.ramp=[1.0, 2.0]", "ramp schedule shorter than the epoch count"),
         ("simulate", "simulate.epochs=0", "epochs must be >= 1"),
         ("simulate", "simulate.n_clean=-1", "need a positive number of instances"),
-        # removed knob: now an unknown key
+        # removed knobs: now unknown keys
         ("run", "round.small_loss_best_validation=true", "small_loss_best_validation"),
+        ("run", "fit.threshold_rule=scale", "threshold_rule"),
+        ("run", "fit.newton_tol=1.0e-10", "newton_tol"),
+        ("run", "trainer.schedule=cosine", "schedule"),
+        # a negative seed is out of range for numpy's generators
+        ("select --log unread.jsonl", "fit.seed=-1", "fit: seed must be nonnegative"),
+        ("run", "trainer.seed=-1", "trainer: seed must be nonnegative"),
         ("run", "noise.ratio=abc", "noise.ratio"),
         ("inject-noise", "noise.ratio=1.5", "noise"),
         ("run", "dataset.blobs.per_class=0", "dataset.blobs"),
@@ -318,18 +341,23 @@ def test_run_resume_damaged_checkpoint_exits_3(tmp_path, capsys):
     assert "state.json" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("damage", ["missing array", "truncated meta.json"])
+@pytest.mark.parametrize("damage", ["missing array", "truncated meta.json",
+                                    "a trainer setting that no longer exists"])
 def test_run_resume_damaged_model_checkpoint_exits_3(tmp_path, capsys, damage):
     path = write_config(tmp_path, base_config(tmp_path, rounds=2, epochs=4))
     assert cli.main(["run", "-c", str(path)]) == 0
     model = tmp_path / "out" / "model_round2"
     if damage == "missing array":
         (model / "velocity_1.npy").unlink()
-    else:
+    elif damage == "truncated meta.json":
         (model / "meta.json").write_text('{"config": {')
+    else:  # a checkpoint written while trainer.schedule was a setting
+        meta = json.loads((model / "meta.json").read_text())
+        meta["config"]["schedule"] = "cosine"
+        (model / "meta.json").write_text(json.dumps(meta))
     assert cli.main(["run", "-c", str(path), "--resume"]) == 3
     err = capsys.readouterr().err
-    assert "data error" in err and "model_round2" in err
+    assert "data error" in err and "model_round2" in err and "Traceback" not in err
 
 
 def test_write_json_crash_mid_write_keeps_old_file(tmp_path, monkeypatch):
@@ -411,25 +439,6 @@ def test_run_rename_failure_in_round_2_then_resume_matches_full_run(
     assert json.loads((out / "state.json").read_text())["completed_rounds"] == 1
     assert cli.main(["run", "-c", str(path), "-o", str(out), "--resume"]) == 0
     assert tree_digest(out) == tree_digest(tmp_path / "full")
-
-
-def test_crossover_rule_gives_one_threshold_in_stats_fit_and_overlay(tmp_path):
-    config = yaml.safe_load((REPO / "configs" / "simulate.yaml").read_text())
-    config.update(output_dir=str(tmp_path / "out"), fit={"threshold_rule": "crossover"})
-    config["simulate"].update(n_clean=300, n_noisy=300)
-    path = write_config(tmp_path, config)
-    out = tmp_path / "out"
-    assert cli.main(["simulate", "-c", str(path)]) == 0
-    assert cli.main(["select", "-c", str(path),
-                     "--log", str(out / "simulated_log.jsonl")]) == 0
-    assert cli.main(["eval", "-c", str(path)]) == 0
-    doc = json.loads((out / "mixture.json").read_text())
-    tau = doc["threshold"]
-    assert tau == threshold(MixtureFit.from_json_dict(doc), "crossover")
-    assert tau != threshold(MixtureFit.from_json_dict(doc), "scale")
-    assert json.loads((out / "overlay_round1.json").read_text())["threshold"] == tau
-    stats = (out / "stats.csv").read_text().splitlines()
-    assert stats[1].split(",")[stats[0].split(",").index("threshold")] == f"{tau:.6f}"
 
 
 def test_run_small_round_falls_back_to_ratio(tmp_path, capsys):
@@ -645,6 +654,26 @@ def test_eval_after_select_matches_select_stats(tmp_path):
     assert eval_row[:4] == select_row[:4]  # round, kept, precision, recall
     hist = (out / "histogram_round1.csv").read_text().strip().splitlines()[1:]
     assert sum(int(r.split(",")[2]) for r in hist) == 300  # clean rows
+
+
+def test_one_threshold_in_stats_fit_and_overlay(tmp_path):
+    path, out = simulate_and_select(tmp_path)
+    assert cli.main(["eval", "-c", str(path)]) == 0
+    doc = json.loads((out / "mixture.json").read_text())
+    tau = doc["threshold"]
+    assert tau == threshold(MixtureFit.from_json_dict(doc))
+    assert json.loads((out / "overlay_round1.json").read_text())["threshold"] == tau
+    stats = (out / "stats.csv").read_text().splitlines()
+    assert stats[1].split(",")[stats[0].split(",").index("threshold")] == f"{tau:.6f}"
+
+
+def test_eval_stray_scores_file_exits_3_naming_it(tmp_path, capsys):
+    path, out = simulate_and_select(tmp_path)
+    stray = out / "scores_round_old.csv"
+    stray.write_bytes((out / "scores.csv").read_bytes())
+    assert cli.main(["eval", "-c", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and str(stray) in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("name", ["selected_ids.txt", "scores.csv"])

@@ -13,6 +13,7 @@ from mfselect.errors import (
     ComponentCollapseError,
     DegenerateSamplesError,
     MixtureFitError,
+    NewtonDivergenceError,
 )
 from mfselect.mixture import (
     FitConfig,
@@ -28,6 +29,8 @@ from mfselect.mixture import (
     weibull_pdf,
     weighted_weibull_mle,
 )
+from mfselect.selection import RoundConfig, select_by_ratio, select_round
+from mfselect.trainer import simulate_dynamics
 
 import mixture_reference
 
@@ -144,6 +147,21 @@ def test_mle_input_validation():
         weighted_weibull_mle(np.array([1.0, -1.0]), np.ones(2))
     with pytest.raises(ValueError):
         weighted_weibull_mle(np.array([1.0, 2.0]), np.zeros(2))
+
+
+def test_newton_divergence_raises_and_the_round_falls_back_to_ratio(monkeypatch):
+    monkeypatch.setattr(mixture_mod, "NEWTON_MAX_ITERS", 1)
+    x = 3.0 * np.random.default_rng(42).weibull(2.0, size=1_000)
+    with pytest.raises(NewtonDivergenceError) as info:
+        weighted_weibull_mle(x, np.ones_like(x))
+    lo, hi = mixture_mod.BETA_BRACKET
+    assert lo < info.value.last_beta < hi
+    result = select_round(simulate_dynamics(300, 300, epochs=20, seed=0),
+                          RoundConfig(epochs=20), FitConfig())
+    assert result.used_fallback and result.fit is None
+    assert "shape solver did not converge" in result.warning
+    assert "fell back to ratio selection" in result.warning
+    assert np.array_equal(result.keep, select_by_ratio(result.scores, 0.9))
 
 
 # ---------------------------------------------------------------------------
@@ -280,18 +298,6 @@ def test_threshold_maps_back_through_shift():
     assert threshold(fit) == pytest.approx(4.0 - 1e-3)
     fit = make_fit(WeibullParams(0.5, 1.0), WeibullParams(1.0, 1.0))
     assert threshold(fit) == pytest.approx(1.0)
-
-
-def test_threshold_crossover_rule_sits_between_means():
-    x = sample_mixture(4000, seed=17)
-    fit = em_fit(x, FitConfig())
-    tau_scale = threshold(fit, "scale")
-    tau_cross = threshold(fit, "crossover")
-    assert weibull_mean(fit.clean) < tau_cross < weibull_mean(fit.noisy)
-    # the crossover rule is the aggressive one: it cuts deeper than alpha_2
-    assert tau_cross < tau_scale
-    with pytest.raises(ValueError):
-        threshold(fit, "nope")
 
 
 def test_fit_metric_scores_handles_negative_scores():
@@ -486,9 +492,9 @@ def test_em_passes_only_distinct_values_to_the_mle(monkeypatch):
     lengths = []
     real_mle = mixture_mod.weighted_weibull_mle
 
-    def spy(samples, weights, *args):
-        lengths.append((np.shape(getattr(samples, "x", samples)), np.shape(weights)))
-        return real_mle(samples, weights, *args)
+    def spy(samples, weights):
+        lengths.append((np.shape(samples), np.shape(weights)))
+        return real_mle(samples, weights)
 
     monkeypatch.setattr(mixture_mod, "weighted_weibull_mle", spy)
     em_fit(x, FitConfig())

@@ -105,7 +105,7 @@ def test_threshold_selection_examples(monkeypatch):
     assert kept(scores, select_by_threshold(values(scores), 5.0)) == ["a", "b", "c"]
     assert not select_by_threshold(np.array([2.0]), 2.0).any()
     # a round whose threshold lies below every score says so
-    monkeypatch.setattr(selection_mod, "threshold", lambda fit, rule: -math.inf)
+    monkeypatch.setattr(selection_mod, "threshold", lambda fit: -math.inf)
     result = select_round(simulate_dynamics(50, 50, epochs=20, seed=0),
                           RoundConfig(epochs=20), FitConfig())
     assert result.selected_ids == [] and not result.keep.any()
