@@ -80,6 +80,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict, output_dir: str | None = None) -> "ExperimentConfig":
+        _reject_unknown(raw, ROOT_KEYS)
         out = output_dir or raw.get("output_dir")
         if not out:
             raise ConfigError("output_dir is required (config key or --output-dir)")
@@ -93,10 +94,18 @@ class ExperimentConfig:
         return cfg
 
 
-def _reject_unknown(section: dict, allowed: set, where: str) -> None:
-    unknown = set(section) - allowed
+# the sections of a config file, and its one top-level value
+ROOT_KEYS = {"output_dir", "dataset", "noise", "trainer", "round", "fit", "simulate"}
+
+
+def _reject_unknown(section: dict, allowed: set, where: str = "") -> None:
+    """ConfigError unless the ``where`` section (the root when empty) is a
+    mapping; else one naming, by dotted path, each key not in ``allowed``."""
+    _check_type(section, dict, where or "config root")
+    unknown = sorted(map(str, set(section) - allowed))
     if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+        prefix = f"{where}." if where else ""
+        raise ConfigError("unknown config key(s): " + ", ".join(prefix + k for k in unknown))
 
 
 def _check_type(value, kind, name: str) -> None:
@@ -200,6 +209,7 @@ def _parse_trainer(section):
     """The sgd trainer's ``TrainerConfig``, or an external trainer's section."""
     if section is None:
         return None
+    _check_type(section, dict, "trainer")
     kind = section.get("kind", "sgd")
     if kind == "external":
         _reject_unknown(section, {"kind", "command", "seed"}, "trainer")
@@ -227,14 +237,6 @@ def _parse_simulate(section):
             raise ConfigError(f"simulate.{key} is required")
         _check_type(section[key], int, f"simulate.{key}")
     return model, section
-
-
-def _check_small_loss_epoch(rc: RoundConfig, epochs: int) -> None:
-    """ConfigError unless ``round.small_loss_epoch`` indexes one of ``epochs``."""
-    k = rc.small_loss_epoch
-    if k is not None and not -epochs <= k < epochs:
-        raise ConfigError(f"round.small_loss_epoch={k} is out of range for "
-                          f"{epochs} epochs (need {-epochs} <= k < {epochs})")
 
 
 def load_config(path, overrides=(), output_dir=None) -> ExperimentConfig:
@@ -434,6 +436,11 @@ def save_model(trainer: SGDTrainer, outdir: Path) -> None:
 def load_model(outdir: Path) -> SGDTrainer:
     try:
         state = json.loads(logio.read_text(outdir / "meta.json"))
+        unknown = set(state["config"]) - {f.name for f in fields(TrainerConfig)}
+        if unknown:
+            raise LogFormatError(f"cannot resume: the model checkpoint has trainer key(s) "
+                                 f"{sorted(unknown)} that this version does not know; "
+                                 "another version of mfselect wrote it", path=outdir)
         for key, stem in CHECKPOINT_ARRAYS.items():
             paths = takewhile(Path.exists, (outdir / f"{stem}_{idx}.npy" for idx in count()))
             state[key] = [np.load(path) for path in paths]
@@ -502,13 +509,27 @@ def _read_json_object(path: Path, what: str) -> dict:
     return doc
 
 
-def _read_state(path: Path) -> dict:
+def _read_state(path: Path, train_ids) -> dict:
+    """The checkpoint in ``path``; each of its ``current_ids`` must be one of
+    ``train_ids``."""
     state = _read_json_object(path, "cannot resume from a damaged checkpoint")
     for key, kind in (("completed_rounds", int), ("current_ids", list),
                       ("stats_rows", list)):
         if type(state.get(key)) is not kind:  # bool is no int here
             raise LogFormatError(f"cannot resume: checkpoint has no {kind.__name__} "
                                  f"{key!r}", path=path)
+    if state["completed_rounds"] < 0:
+        raise LogFormatError("cannot resume: checkpoint 'completed_rounds' is negative",
+                             path=path)
+    if not state["current_ids"] and not state.get("truncated"):
+        # only a round whose selection emptied leaves no ids, and it says so
+        raise LogFormatError("cannot resume: checkpoint 'current_ids' is empty but not "
+                             "marked truncated", path=path)
+    train = set(train_ids)
+    for i in state["current_ids"]:
+        if not isinstance(i, str) or i not in train:
+            raise LogFormatError(f"cannot resume: checkpoint 'current_ids' holds {i!r}, "
+                                 "which is not a training id", path=path)
     return state
 
 
@@ -529,7 +550,7 @@ def run_pipeline(cfg: ExperimentConfig, resume: bool = False) -> list:
     state_path = outdir / "state.json"
     start_round, ids, stats_rows = 1, None, []
     if resume and state_path.exists():
-        state = _read_state(state_path)
+        state = _read_state(state_path, ds.train_ids)
         if state.get("config") != cfg.raw:
             raise ConfigError(
                 "state.json belongs to a different config; rerun without --resume"
@@ -588,8 +609,6 @@ def run_pipeline(cfg: ExperimentConfig, resume: bool = False) -> list:
 
 
 def cmd_run(cfg: ExperimentConfig, trials: int = 1, resume: bool = False) -> int:
-    if cfg.round_config.strategy == "small_loss":
-        _check_small_loss_epoch(cfg.round_config, cfg.round_config.epochs)
     if trials <= 1:
         rows = run_pipeline(cfg, resume=resume)
         for row in rows:
@@ -635,11 +654,9 @@ def _run_trials(cfg: ExperimentConfig, trials: int) -> int:
 
 def cmd_select(cfg: ExperimentConfig, log_path) -> int:
     log = logio.read_prediction_log(log_path)
-    if cfg.round_config.strategy == "small_loss":
-        if log.losses is None:
-            raise LogFormatError("the small_loss strategy needs 'losses' in every record",
-                                 path=log_path)
-        _check_small_loss_epoch(cfg.round_config, log.bits.shape[1])
+    if cfg.round_config.strategy == "small_loss" and log.losses is None:
+        raise LogFormatError("the small_loss strategy needs 'losses' in every record",
+                             path=log_path)
     result = selection.select_round(log, cfg.round_config, cfg.fit_config, 1)
 
     outdir = cfg.output_dir
@@ -780,7 +797,6 @@ def cmd_report(cfg: ExperimentConfig, outputs: Path | None, compare: bool) -> in
 def _write_comparison(cfg: ExperimentConfig, outputs: Path) -> int:
     if isinstance(cfg.trainer, dict):  # an external trainer's section
         raise ConfigError("report --compare needs the built-in sgd trainer")
-    _check_small_loss_epoch(cfg.round_config, cfg.round_config.epochs)
     ds = apply_noise(build_dataset(cfg), cfg)
     rows = selection.compare_strategies(
         ds,

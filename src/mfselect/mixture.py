@@ -8,7 +8,8 @@ support shift) is the selection threshold.
 
 Scores can be negative while the Weibull support is x > 0, so scores are
 translated to positive support before fitting: shifted = s - shift +
-epsilon with shift = min(s), hence original = shifted + shift - epsilon.
+epsilon with shift = min(s) and epsilon = SHIFT_EPSILON, hence original =
+shifted + shift - epsilon.
 Translation preserves score ordering, so the selected set is unchanged by
 the mapping. Lattice-valued scores are additionally dequantized before
 the shift; see ``fit_metric_scores``.
@@ -53,6 +54,12 @@ BETA_BRACKET = (0.02, 50.0)
 # NEWTON_TOL * max(1, beta), and gives up after NEWTON_MAX_ITERS steps.
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITERS = 100
+# EM stops once the log-likelihood moves by at most EM_TOL * max(1, |ll|),
+# or after EM_MAX_ITERS iterations, and reports whether it converged.
+EM_TOL = 1e-6
+EM_MAX_ITERS = 500
+# the smallest shifted score: shifted = s - min(s) + SHIFT_EPSILON
+SHIFT_EPSILON = 1e-3
 
 MIN_COMPONENT_WEIGHT = 1e-4
 MIN_EFFECTIVE_SAMPLES = 2.0
@@ -77,9 +84,6 @@ class WeibullParams:
 
 @dataclass
 class FitConfig:
-    tol: float = 1e-6
-    max_iters: int = 500
-    shift_epsilon: float = 1e-3
     seed: int = 0
     # metric scores live on a lattice (integer epoch counts); dequantizing
     # with one lattice step of seeded uniform dither before fitting keeps
@@ -87,11 +91,6 @@ class FitConfig:
     dequantize: bool = True
 
     def __post_init__(self):
-        for name in ("tol", "shift_epsilon"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
@@ -165,19 +164,18 @@ def weibull_mean(p: WeibullParams) -> float:
         return p.alpha * math.gamma(1.0 + 1.0 / p.beta)
 
 
-def shift_to_support(scores, epsilon: float = 1e-3):
+def shift_to_support(scores):
     """Translate scores onto positive support.
 
-    Returns ``(shifted, shift)`` with shifted = scores - shift + epsilon
-    and shift = min(scores), so every output is >= epsilon > 0.
+    Returns ``(shifted, shift)`` with shifted = scores - shift +
+    SHIFT_EPSILON and shift = min(scores), so every output is >=
+    SHIFT_EPSILON > 0.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
     arr = np.asarray(scores, dtype=float)
     if arr.size == 0:
         raise ValueError("scores must be nonempty")
     shift = float(arr.min())
-    return arr - shift + epsilon, shift
+    return arr - shift + SHIFT_EPSILON, shift
 
 
 def _component(alpha, beta) -> WeibullParams:
@@ -298,7 +296,7 @@ def _moment_init(x) -> WeibullParams:
     return _component(alpha, beta)
 
 
-def em_fit(scores, config: FitConfig | None = None) -> MixtureFit:
+def em_fit(scores) -> MixtureFit:
     """Fit the two-component mixture to positive scores by EM.
 
     Initialization splits the sorted scores at the median and seeds each
@@ -309,7 +307,6 @@ def em_fit(scores, config: FitConfig | None = None) -> MixtureFit:
     cannot support two components and MixtureFitError when a parameter
     leaves the floating-point range.
     """
-    config = config or FitConfig()
     x = np.asarray(scores, dtype=float)
     if x.ndim != 1 or x.size < 10:
         raise ValueError("em_fit requires at least 10 samples")
@@ -341,7 +338,7 @@ def em_fit(scores, config: FitConfig | None = None) -> MixtureFit:
     prev_ll = -math.inf
     converged = False
     iterations = 0
-    for iterations in range(1, config.max_iters + 1):
+    for iterations in range(1, EM_MAX_ITERS + 1):
         # E-step in log space, one array per component
         lp = [np.log(k[j]) + _logpdf(log_x, params[j]) for j in range(2)]
         top = np.maximum(lp[0], lp[1])
@@ -353,7 +350,7 @@ def em_fit(scores, config: FitConfig | None = None) -> MixtureFit:
             )
         ll = float((counts * log_norm).sum())
         trace.append(ll)
-        if math.isfinite(prev_ll) and abs(ll - prev_ll) <= config.tol * max(
+        if math.isfinite(prev_ll) and abs(ll - prev_ll) <= EM_TOL * max(
             1.0, abs(prev_ll)
         ):
             converged = True
@@ -481,12 +478,12 @@ def fit_metric_scores(scores, config: FitConfig | None = None) -> MixtureFit:
         at_min = values == values[0]
         dither[at_min] = np.abs(dither[at_min])
         values = values + dither
-    shifted, shift = shift_to_support(values, config.shift_epsilon)
+    shifted, shift = shift_to_support(values)
     if not math.isfinite(shifted.max()):
         raise MixtureFitError("dequantized scores span beyond the float range")
-    fit = em_fit(shifted, config)
+    fit = em_fit(shifted)
     fit.shift = shift
-    fit.epsilon = config.shift_epsilon
+    fit.epsilon = SHIFT_EPSILON
     return fit
 
 

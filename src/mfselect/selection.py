@@ -38,9 +38,6 @@ class RoundConfig:
     metric_kind: str = "simplified"
     strategy: str = "mixture_threshold"
     ratio: float = 0.9
-    reset_model_per_round: bool = False
-    # small-loss ranks at this epoch index (None -> final)
-    small_loss_epoch: int | None = None
 
     def __post_init__(self):
         if self.epochs < 1 or self.rounds < 1:
@@ -104,13 +101,12 @@ def select_by_ratio(scores, ratio: float) -> np.ndarray:
     return keep
 
 
-def small_loss_select(losses, ratio: float, epoch: int | None = None) -> np.ndarray:
-    """Mask of the ratio fraction of rows with the smallest loss at ``epoch``.
+def small_loss_select(losses, ratio: float) -> np.ndarray:
+    """Mask of the ratio fraction of rows with the smallest final-epoch loss.
 
-    ``losses`` is the (n, E) per-epoch loss matrix; ``epoch`` indexes its
-    columns (None means the final epoch).
+    ``losses`` is the (n, E) per-epoch loss matrix.
     """
-    return select_by_ratio(np.asarray(losses)[:, -1 if epoch is None else epoch], ratio)
+    return select_by_ratio(np.asarray(losses)[:, -1], ratio)
 
 
 def _apply_strategy(scores, log, config: RoundConfig, fit_config: FitConfig,
@@ -150,7 +146,7 @@ def _apply_strategy(scores, log, config: RoundConfig, fit_config: FitConfig,
     else:  # small_loss
         if log.losses is None:
             raise LogFormatError("the small_loss strategy needs 'losses' in every record")
-        keep = small_loss_select(log.losses, config.ratio, config.small_loss_epoch)
+        keep = small_loss_select(log.losses, config.ratio)
     return SelectionResult(
         round_index=round_index,
         scores=scores,
@@ -212,8 +208,7 @@ def run_multiround(
     the dataset's training ids in row order), then on each round's
     selection. ``on_round(result, log)``, when given, is called after every
     round, before the next one starts. Sequences are rebuilt from scratch
-    every round; the model carries over unless
-    ``config.reset_model_per_round`` is set. Recall in the per-round stats
+    every round; the model carries over. Recall in the per-round stats
     is always measured against the clean instances of the *original*
     training set, so the round trend is comparable. Stops early, flagged
     truncated, if a round selects nothing.
@@ -224,8 +219,6 @@ def run_multiround(
     for round_index in range(start_round, config.rounds + 1):
         if not current_ids:
             raise ValueError("cannot run a round on an empty training set")
-        if config.reset_model_per_round and round_index > 1 and hasattr(trainer, "reset"):
-            trainer.reset()
         log = trainer.fit_round(dataset, current_ids, config.epochs)
         result = _finish_round(dataset, trainer, log, config, fit_config, round_index,
                                on_round)

@@ -298,9 +298,9 @@ def cosine_lr(base_lr: float, epoch: int, total_epochs: int) -> float:
 class SGDTrainer:
     """In-process trainer satisfying the per-round contract.
 
-    Model and optimizer state persist across rounds unless ``reset`` is
-    called. All randomness comes from the config seed, so identical
-    (dataset, config) pairs produce bit-identical prediction logs.
+    Model and optimizer state persist across rounds. All randomness comes
+    from the config seed, so identical (dataset, config) pairs produce
+    bit-identical prediction logs.
     """
 
     def __init__(self, dim: int, n_classes: int, config: TrainerConfig | None = None):
@@ -308,16 +308,9 @@ class SGDTrainer:
         self.dim = dim
         self.n_classes = n_classes
         self.rng = np.random.default_rng(self.config.seed)
-        self._init_model()
-
-    def _init_model(self):
         hidden = self.config.hidden if self.config.arch == "mlp" else None
-        self.net = SoftmaxNet(self.dim, self.n_classes, hidden, seed=self.config.seed)
+        self.net = SoftmaxNet(dim, n_classes, hidden, seed=self.config.seed)
         self.velocity = [np.zeros_like(p) for p in self.net.params]
-
-    def reset(self):
-        """Re-initialize model and optimizer state (the shuffle stream continues)."""
-        self._init_model()
 
     def train_epoch(self, features: np.ndarray, labels: np.ndarray,
                     learning_rate: float | None = None):

@@ -28,8 +28,15 @@ from mfselect.mixture import (
     MixtureFit,
     WeibullParams,
     identify_components,
-    shift_to_support,
 )
+
+# the fit's constants, kept here so that the oracle does not read them from
+# the package: EM stops when the log-likelihood moves by at most
+# EM_TOL * max(1, |ll|) or after EM_MAX_ITERS iterations, and the shifted
+# scores start at SHIFT_EPSILON
+EM_TOL = 1e-6
+EM_MAX_ITERS = 500
+SHIFT_EPSILON = 1e-3
 
 
 def weibull_logpdf(x, p: WeibullParams):
@@ -160,7 +167,7 @@ def _moment_init(x) -> WeibullParams:
     return WeibullParams(alpha=alpha, beta=beta)
 
 
-def em_fit(scores, config: FitConfig | None = None) -> MixtureFit:
+def em_fit(scores) -> MixtureFit:
     """Fit the two-component mixture to positive scores by EM.
 
     The scores are grouped into their distinct values, in first-occurrence
@@ -168,16 +175,15 @@ def em_fit(scores, config: FitConfig | None = None) -> MixtureFit:
     ValueError for fewer than 10 samples and DegenerateSamplesError /
     ComponentCollapseError when the data cannot support two components.
     """
-    config = config or FitConfig()
     x = np.asarray(scores, dtype=float)
     if x.ndim != 1:
         raise ValueError("em_fit requires at least 10 samples")
     distinct, first, counts = np.unique(x, return_index=True, return_counts=True)
     order = np.argsort(first)
-    return em_fit_counts(distinct[order], counts[order].astype(float), config)
+    return em_fit_counts(distinct[order], counts[order].astype(float))
 
 
-def em_fit_counts(values, counts, config: FitConfig) -> MixtureFit:
+def em_fit_counts(values, counts) -> MixtureFit:
     """EM on the sample that holds each of ``values`` ``counts[i]`` times.
 
     Every sum over the sample is a sum over ``values`` weighted by
@@ -208,7 +214,7 @@ def em_fit_counts(values, counts, config: FitConfig) -> MixtureFit:
     converged = False
     iterations = 0
     resp = None
-    for iterations in range(1, config.max_iters + 1):
+    for iterations in range(1, EM_MAX_ITERS + 1):
         # E-step in log space
         lp = np.stack(
             [np.log(k[j]) + weibull_logpdf(values, params[j]) for j in range(2)], axis=1
@@ -223,7 +229,7 @@ def em_fit_counts(values, counts, config: FitConfig) -> MixtureFit:
         resp = np.exp(lp - log_norm)
         ll = float((counts[:, None] * log_norm).sum())
         trace.append(ll)
-        if math.isfinite(prev_ll) and abs(ll - prev_ll) <= config.tol * max(
+        if math.isfinite(prev_ll) and abs(ll - prev_ll) <= EM_TOL * max(
             1.0, abs(prev_ll)
         ):
             converged = True
@@ -321,8 +327,8 @@ def fit_metric_scores(scores, config: FitConfig | None = None) -> MixtureFit:
         at_min = values == values[0]
         dither[at_min] = np.abs(dither[at_min])
         values = values + dither
-    shifted, shift = shift_to_support(values, config.shift_epsilon)
-    fit = em_fit(shifted, config)
+    shift = float(values.min())
+    fit = em_fit(values - shift + SHIFT_EPSILON)
     fit.shift = shift
-    fit.epsilon = config.shift_epsilon
+    fit.epsilon = SHIFT_EPSILON
     return fit

@@ -138,7 +138,7 @@ def test_criterion_3_em_properties():
     x = np.where(in_first, 2.0 * rng.weibull(1.5, n), 8.0 * rng.weibull(3.0, n))
 
     start = time.perf_counter()
-    fit = em_fit(x, FitConfig())
+    fit = em_fit(x)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
 
@@ -149,7 +149,7 @@ def test_criterion_3_em_properties():
         rng2 = np.random.default_rng(seed)
         mask = rng2.random(2000) < 0.5
         y = np.where(mask, 1.5 * rng2.weibull(1.2, 2000), 6.0 * rng2.weibull(2.5, 2000))
-        other = em_fit(y, FitConfig())
+        other = em_fit(y)
         assert np.all(np.diff(np.asarray(other.loglik_trace)) >= -1e-9)
 
     assert abs(fit.clean.alpha - 2.0) / 2.0 < 0.10

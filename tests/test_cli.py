@@ -103,6 +103,12 @@ def test_config_rejects_unknown_keys(tmp_path):
         cli.ExperimentConfig.from_dict(config)
 
 
+@pytest.mark.parametrize("name", sorted(p.name for p in (REPO / "configs").glob("*.yaml")))
+def test_shipped_config_loads(name):
+    cfg = cli.load_config(REPO / "configs" / name)
+    assert cfg.output_dir == Path("out") / Path(name).stem
+
+
 def test_external_trainer_requires_command(tmp_path):
     config = base_config(tmp_path)
     config["trainer"] = {"kind": "external"}
@@ -167,7 +173,7 @@ def test_readme_config_reference_lists_exactly_the_accepted_keys(tmp_path):
         "dataset": {"blobs", "csv"},
         "noise": {"type", "ratio", "seed", "class_map"},
     }
-    assert set(listed) == {"output_dir"} | set(sections)
+    assert set(listed) == cli.ROOT_KEYS == {"output_dir"} | set(sections)
     for name, keys in sections.items():
         assert set(listed[name]) == keys, name
     assert set(listed["dataset"]["blobs"]) == set(cli.BLOB_TYPES)
@@ -179,8 +185,6 @@ def test_readme_config_reference_lists_exactly_the_accepted_keys(tmp_path):
         ("run", "trainer.learning_rate=1e8", "trainer.learning_rate"),  # YAML 1.1: a string
         ("run", "trainer.batch_size=0.5", "trainer.batch_size"),
         ("run", "round.epochs=ten", "round.epochs"),
-        ("run", "round.reset_model_per_round=1", "round.reset_model_per_round"),
-        ("run", "fit.tol=1e-3", "fit.tol"),
         ("simulate", "simulate.p_forget_clean=high", "simulate.p_forget_clean"),
         ("simulate", "simulate.epochs=2.5", "simulate.epochs"),
         ("simulate", "simulate.ramp=[a, b]", "simulate.ramp[0]"),
@@ -193,6 +197,13 @@ def test_readme_config_reference_lists_exactly_the_accepted_keys(tmp_path):
         ("run", "fit.threshold_rule=scale", "threshold_rule"),
         ("run", "fit.newton_tol=1.0e-10", "newton_tol"),
         ("run", "trainer.schedule=cosine", "schedule"),
+        ("run", "round.reset_model_per_round=1", "round.reset_model_per_round"),
+        ("run", "round.reset_model_per_round=false", "round.reset_model_per_round"),
+        ("run", "fit.tol=1e-3", "fit.tol"),
+        ("run", "fit.max_iters=500", "fit.max_iters"),
+        ("select --log unread.jsonl", "fit.shift_epsilon=1.0e-3", "fit.shift_epsilon"),
+        ("run", "round.small_loss_epoch=last", "round.small_loss_epoch"),
+        ("report --compare", "round.small_loss_epoch=-1", "round.small_loss_epoch"),
         # a negative seed is out of range for numpy's generators
         ("select --log unread.jsonl", "fit.seed=-1", "fit: seed must be nonnegative"),
         ("run", "trainer.seed=-1", "trainer: seed must be nonnegative"),
@@ -200,7 +211,11 @@ def test_readme_config_reference_lists_exactly_the_accepted_keys(tmp_path):
         ("inject-noise", "noise.ratio=1.5", "noise"),
         ("run", "dataset.blobs.per_class=0", "dataset.blobs"),
         ("inject-noise", "dataset.blobs.spread=wide", "dataset.blobs.spread"),
-        ("run", "round.small_loss_epoch=last", "round.small_loss_epoch"),
+        # a misspelled section, and a section that is not a mapping
+        ("select --log unread.jsonl", "rounds.strategy=ratio", "unknown config key(s): rounds"),
+        ("run", "round=5", "round must be dict"),
+        ("select --log unread.jsonl", "trainer=[1]", "trainer must be dict"),
+        ("inject-noise", "dataset.blobs=5", "dataset.blobs must be dict"),
         # every section is parsed at load, also where the command never reads it
         ("select --log unread.jsonl", "trainer.batch_size=0.5", "trainer.batch_size"),
         ("select --log unread.jsonl", "simulate.epochs=abc", "simulate.epochs"),
@@ -358,6 +373,9 @@ def test_run_resume_damaged_model_checkpoint_exits_3(tmp_path, capsys, damage):
     assert cli.main(["run", "-c", str(path), "--resume"]) == 3
     err = capsys.readouterr().err
     assert "data error" in err and "model_round2" in err and "Traceback" not in err
+    if damage.startswith("a trainer setting"):
+        assert "'schedule'" in err and "another version" in err
+        assert "damaged model checkpoint" not in err
 
 
 def test_write_json_crash_mid_write_keeps_old_file(tmp_path, monkeypatch):
@@ -584,37 +602,6 @@ def test_select_small_loss_without_losses_exits_3(tmp_path, capsys):
     assert str(log) in err and "'losses' in every record" in err
 
 
-def test_select_small_loss_epoch_checked_against_log(tmp_path, capsys):
-    # round.epochs (10) is not the bound: the log has 3 epochs
-    path = write_config(tmp_path)
-    log = tmp_path / "log.jsonl"
-    log.write_text("".join(
-        json.dumps({"id": f"i{k}", "label": 0, "seq": [0, 1, 1],
-                    "losses": [1.0, 0.5, 0.1 * k]}) + "\n"
-        for k in range(20)
-    ))
-    argv = ["select", "-c", str(path), "-o", str(tmp_path / "sel"), "--log", str(log),
-            "--set", "round.strategy=small_loss"]
-    for k in (-3, 2):
-        assert cli.main(argv + ["--set", f"round.small_loss_epoch={k}"]) == 0
-    for k in (-4, 3, 5):
-        assert cli.main(argv + ["--set", f"round.small_loss_epoch={k}"]) == 2
-        assert "round.small_loss_epoch" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", [["run"], ["report", "--compare"]])
-def test_small_loss_epoch_checked_against_round_epochs(tmp_path, capsys, command):
-    path = write_config(tmp_path)
-    argv = command + ["-c", str(path), "--set", "round.strategy=small_loss",
-                      "--set", "round.epochs=3", "--set", "round.rounds=1"]
-    assert cli.main(argv + ["--set", "round.small_loss_epoch=3"]) == 2
-    assert "round.small_loss_epoch" in capsys.readouterr().err
-    out = tmp_path / "out"  # rejected before any training
-    assert not (out / "dataset.csv").exists() and not (out / "comparison.csv").exists()
-    for k in (-3, 2):  # the indices numpy accepts stay accepted
-        assert cli.main(argv + ["--set", f"round.small_loss_epoch={k}"]) == 0
-
-
 # ---------------------------------------------------------------------------
 # eval / report
 
@@ -768,7 +755,10 @@ def test_report_stats_csv_without_its_columns_exits_3(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [
     ("completed_rounds", None), ("completed_rounds", "2"), ("completed_rounds", True),
-    ("current_ids", None), ("current_ids", 5),
+    ("completed_rounds", -1), ("current_ids", None), ("current_ids", 5), ("current_ids", []),
+    # an id that is unknown, a test id (training ids are "0".."319") or no string
+    ("current_ids", ["nope"]), ("current_ids", ["330"]), ("current_ids", [5]),
+    ("current_ids", [None]), ("current_ids", [["0"]]),
     ("stats_rows", None), ("stats_rows", "rows"),
 ])
 def test_run_resume_checkpoint_without_its_keys_exits_3(tmp_path, capsys, key, value):

@@ -169,22 +169,20 @@ def test_newton_divergence_raises_and_the_round_falls_back_to_ratio(monkeypatch)
 
 
 def test_shift_examples():
-    shifted, shift = shift_to_support([-3.0, 0.0, 5.0], 1e-3)
+    shifted, shift = shift_to_support([-3.0, 0.0, 5.0])
     assert shift == -3.0
     assert shifted.tolist() == pytest.approx([1e-3, 3.001, 8.001])
-    shifted, shift = shift_to_support([2.0, 4.0], 0.5)
+    shifted, shift = shift_to_support([2.0, 4.0])
     assert shift == 2.0
-    assert shifted.tolist() == pytest.approx([0.5, 2.5])
-    shifted, shift = shift_to_support([0.0], 1e-3)
+    assert shifted.tolist() == pytest.approx([1e-3, 2.001])
+    shifted, shift = shift_to_support([0.0])
     assert shifted.tolist() == pytest.approx([1e-3])
     assert shift == 0.0
 
 
 def test_shift_rejects_bad_input():
     with pytest.raises(ValueError):
-        shift_to_support([], 1e-3)
-    with pytest.raises(ValueError):
-        shift_to_support([1.0], 0.0)
+        shift_to_support([])
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +191,7 @@ def test_shift_rejects_bad_input():
 
 def test_em_recovers_synthetic_mixture():
     x = sample_mixture(5000, seed=7)
-    fit = em_fit(x, FitConfig())
+    fit = em_fit(x)
     assert fit.converged
     assert abs(fit.clean.alpha - 2.0) / 2.0 < 0.10
     assert abs(fit.noisy.alpha - 8.0) / 8.0 < 0.10
@@ -207,7 +205,7 @@ def test_em_recovers_synthetic_mixture():
 
 def test_em_loglik_nondecreasing():
     for seed in (7, 21, 77):
-        fit = em_fit(sample_mixture(3000, seed=seed), FitConfig())
+        fit = em_fit(sample_mixture(3000, seed=seed))
         trace = np.asarray(fit.loglik_trace)
         assert trace.size == fit.iterations
         assert np.all(np.diff(trace) >= -1e-9)
@@ -217,7 +215,7 @@ def test_em_single_population_is_degenerate_or_collapses():
     rng = np.random.default_rng(3)
     x = 3.0 * rng.weibull(2.0, size=2000)
     try:
-        fit = em_fit(x, FitConfig())
+        fit = em_fit(x)
     except MixtureFitError:
         return
     assert fit.converged
@@ -226,25 +224,25 @@ def test_em_single_population_is_degenerate_or_collapses():
 
 def test_em_requires_ten_samples():
     with pytest.raises(ValueError):
-        em_fit(np.linspace(1, 2, 9), FitConfig())
+        em_fit(np.linspace(1, 2, 9))
 
 
 def test_em_requires_positive_scores():
     x = np.linspace(-1, 5, 50)
     with pytest.raises(ValueError):
-        em_fit(x, FitConfig())
+        em_fit(x)
 
 
 def test_em_rejects_two_valued_scores():
     x = np.array([1.0] * 30 + [2.0] * 30)
     with pytest.raises(DegenerateSamplesError):
-        em_fit(x, FitConfig())
+        em_fit(x)
 
 
 def test_em_deterministic():
     x = sample_mixture(2000, seed=9)
-    a = em_fit(x, FitConfig())
-    b = em_fit(x, FitConfig())
+    a = em_fit(x)
+    b = em_fit(x)
     assert a.clean == b.clean and a.noisy == b.noisy
     assert a.k_clean == b.k_clean
     assert a.loglik_trace == b.loglik_trace
@@ -349,17 +347,17 @@ def test_component_collapse_reported():
     rng = np.random.default_rng(0)
     x = np.concatenate([2.0 + 0.05 * rng.random(400), [2000.0]])
     with pytest.raises((ComponentCollapseError, DegenerateSamplesError)):
-        em_fit(x, FitConfig())
+        em_fit(x)
 
 
 # ---------------------------------------------------------------------------
 # bit-identity with the straightforward formulas (tests/mixture_reference.py)
 
 
-def fit_outcome(fit_fn, scores, config):
+def fit_outcome(fit_fn, *args):
     """The fit as canonical JSON text (so -0.0 and 0.0 differ), or the exception type."""
     try:
-        return json.dumps(fit_fn(scores, config).to_json_dict(), sort_keys=True)
+        return json.dumps(fit_fn(*args).to_json_dict(), sort_keys=True)
     except Exception as exc:  # compared by type with the reference's
         return type(exc)
 
@@ -406,9 +404,9 @@ def test_large_lattice_fit_is_bit_identical_to_reference(dequantize):
     assert outcome == fit_outcome(mixture_reference.fit_metric_scores, scores, config)
 
 
-def per_row_em_fit(scores, config):
+def per_row_em_fit(scores):
     """The reference fit over every row: unit counts on the raw rows."""
-    return mixture_reference.em_fit_counts(scores, np.ones(scores.size), config)
+    return mixture_reference.em_fit_counts(scores, np.ones(scores.size))
 
 
 def positive_lattice(draw, rng, n):
@@ -420,7 +418,8 @@ def positive_lattice(draw, rng, n):
 
 @st.composite
 def tie_free_samples(draw):
-    """Continuous and dithered-lattice positive samples of 10 to 2000 rows."""
+    """Continuous and dithered-lattice positive samples of 10 to 2000 rows,
+    each with an EM tolerance."""
     n = draw(st.integers(10, 2000))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
@@ -430,15 +429,18 @@ def tie_free_samples(draw):
     else:
         x = positive_lattice(draw, rng, n)
         x = x + rng.uniform(0.0, 1e-3, n)
-    return x, FitConfig(tol=draw(st.sampled_from([1e-6, 1e-9])))
+    return x, draw(st.sampled_from([1e-6, 1e-9]))
 
 
 @settings(max_examples=60, deadline=None)
 @given(tie_free_samples())
 def test_tie_free_fit_is_bit_identical_to_per_row_formulas(case):
-    x, config = case
+    x, tol = case
     assume(np.unique(x).size == x.size)
-    assert fit_outcome(em_fit, x, config) == fit_outcome(per_row_em_fit, x, config)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mixture_mod, "EM_TOL", tol)
+        mp.setattr(mixture_reference, "EM_TOL", tol)
+        assert fit_outcome(em_fit, x) == fit_outcome(per_row_em_fit, x)
 
 
 @st.composite
@@ -446,17 +448,16 @@ def tied_samples(draw):
     """Positive lattice samples of 10 to 3000 rows, most of them tied."""
     n = draw(st.integers(10, 3000))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return positive_lattice(draw, rng, n), FitConfig()
+    return positive_lattice(draw, rng, n)
 
 
 @settings(max_examples=80, deadline=None)
 @given(tied_samples())
-def test_tied_fit_matches_per_row_fit_on_the_expanded_sample(case):
-    x, config = case
+def test_tied_fit_matches_per_row_fit_on_the_expanded_sample(x):
     outcomes = []
     for fit_fn in (em_fit, per_row_em_fit):
         try:
-            outcomes.append(fit_fn(x, config))
+            outcomes.append(fit_fn(x))
         except Exception as exc:  # compared by type
             outcomes.append(type(exc))
     grouped, per_row = outcomes
@@ -471,8 +472,7 @@ def test_tied_fit_matches_per_row_fit_on_the_expanded_sample(case):
 
 @settings(max_examples=40, deadline=None)
 @given(tied_samples(), st.integers(0, 2**32 - 1))
-def test_fit_ignores_row_order_within_first_occurrence_order(case, seed):
-    x, config = case
+def test_fit_ignores_row_order_within_first_occurrence_order(x, seed):
     # each distinct value once, in first-occurrence order, then the repeats
     # shuffled: the same values, counts and first-occurrence order
     _, first = np.unique(x, return_index=True)
@@ -480,7 +480,7 @@ def test_fit_ignores_row_order_within_first_occurrence_order(case, seed):
     repeats = np.delete(x, first)
     np.random.default_rng(seed).shuffle(repeats)
     reordered = np.concatenate([x[first], repeats])
-    assert fit_outcome(em_fit, reordered, config) == fit_outcome(em_fit, x, config)
+    assert fit_outcome(em_fit, reordered) == fit_outcome(em_fit, x)
 
 
 def test_em_passes_only_distinct_values_to_the_mle(monkeypatch):
@@ -497,7 +497,7 @@ def test_em_passes_only_distinct_values_to_the_mle(monkeypatch):
         return real_mle(samples, weights)
 
     monkeypatch.setattr(mixture_mod, "weighted_weibull_mle", spy)
-    em_fit(x, FitConfig())
+    em_fit(x)
     assert lengths
     assert set(lengths) == {((distinct,), (distinct,))}
 

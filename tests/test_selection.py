@@ -50,7 +50,6 @@ class FakeTrainer:
     def __init__(self, sequences, losses=None):
         self.sequences = sequences
         self.losses = losses
-        self.reset_calls = 0
         self.fit_calls = []
 
     def fit_round(self, dataset, ids, epochs):
@@ -63,9 +62,6 @@ class FakeTrainer:
             labels=np.zeros(len(ids), dtype=np.int64),
             true_labels=None,
         )
-
-    def reset(self):
-        self.reset_calls += 1
 
 
 class FakeDataset:
@@ -183,8 +179,10 @@ def test_ratio_validates_input():
 def test_small_loss_ranks_at_chosen_epoch():
     ids = ["a", "b", "c"]
     losses = np.array([[2.0, 0.1], [0.1, 2.3], [1.0, 0.2]])
+    # the ranking uses the last column given: the final epoch, or an earlier
+    # one when the caller passes the columns up to it
     assert kept(ids, small_loss_select(losses, 2 / 3)) == ["a", "c"]
-    assert kept(ids, small_loss_select(losses, 2 / 3, epoch=0)) == ["b", "c"]
+    assert kept(ids, small_loss_select(losses[:, :1], 2 / 3)) == ["b", "c"]
     assert kept(ids, small_loss_select(losses, 1.0)) == ["a", "b", "c"]
 
 
@@ -241,13 +239,11 @@ def test_array_selectors_match_per_row_oracle(scores, data):
     tau = data.draw(st.sampled_from(scores) | st.sampled_from([-0.0, 0.0])
                     | st.floats(allow_nan=False))
     ratio = data.draw(st.floats(0.0, 1.0, exclude_min=True))
-    epoch = data.draw(st.sampled_from([None, 0, 1, -2]))
     arr = np.array(scores)
     assert select_by_threshold(arr, tau).tolist() == [s < tau for s in scores]
     assert select_by_ratio(arr, ratio).tolist() == oracle_ratio(scores, ratio)
     losses = np.column_stack([arr[::-1], arr])
-    column = losses[:, -1 if epoch is None else epoch].tolist()
-    assert small_loss_select(losses, ratio, epoch).tolist() == oracle_ratio(column, ratio)
+    assert small_loss_select(losses, ratio).tolist() == oracle_ratio(scores, ratio)
 
     selected = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
     clean = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
@@ -413,17 +409,6 @@ def test_multiround_deterministic():
         assert a.threshold == b.threshold
 
 
-def test_multiround_reset_model_per_round():
-    ids = list(range(30))
-    rng = np.random.default_rng(0)
-    seqs = {i: rng.integers(0, 2, size=12).astype(np.int8) for i in ids}
-    trainer = FakeTrainer(seqs)
-    cfg = RoundConfig(epochs=12, rounds=3, strategy="ratio", ratio=0.9,
-                      reset_model_per_round=True)
-    run_multiround(FakeDataset(ids), trainer, cfg, FitConfig())
-    assert trainer.reset_calls == 2  # rounds 2 and 3
-
-
 def test_multiround_truncates_on_empty_selection(monkeypatch):
     ids = list(range(12))
     seqs = {i: np.array([0, 1, 0, 1], dtype=np.int8) for i in ids}
@@ -488,11 +473,10 @@ def reference_compare(dataset, make_trainer, config, fit_config):
     return finals, rows
 
 
-@pytest.mark.parametrize("case", ["one_round", "three_rounds", "reset_model", "truncated"])
+@pytest.mark.parametrize("case", ["one_round", "three_rounds", "truncated"])
 def test_compare_strategies_matches_per_strategy_training(case, monkeypatch):
     ds = benchmark_dataset(noise=0.2, spread=4.0)
-    config = RoundConfig(epochs=10, rounds=1 if case == "one_round" else 3,
-                         reset_model_per_round=case == "reset_model")
+    config = RoundConfig(epochs=10, rounds=1 if case == "one_round" else 3)
     if case == "truncated":
         # the mixture strategy's round-2 selection empties; the others go on
         apply_strategy = selection_mod._apply_strategy
