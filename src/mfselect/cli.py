@@ -21,6 +21,7 @@ import concurrent.futures
 import csv
 import io
 import json
+import re
 import sys
 import types
 import typing
@@ -88,8 +89,8 @@ class ExperimentConfig:
         cfg.dataset = _validate_dataset(raw.get("dataset"))
         cfg.noise = _validate_noise(raw.get("noise"))
         cfg.trainer = _parse_trainer(raw.get("trainer"))
-        cfg.round_config = _build(RoundConfig, raw.get("round") or {}, "round")
-        cfg.fit_config = _build(FitConfig, raw.get("fit") or {}, "fit")
+        cfg.round_config = _build(RoundConfig, raw.get("round"), "round")
+        cfg.fit_config = _build(FitConfig, raw.get("fit"), "fit")
         cfg.simulate = _parse_simulate(raw.get("simulate"))
         return cfg
 
@@ -140,10 +141,12 @@ def _build(cls, section: dict, where: str, extra=()):
 
     The section's keys are the fields of ``cls`` (see ``config_keys``) plus
     the ``extra`` keys that the caller reads itself; absent fields keep the
-    dataclass defaults. A value that does not match its field's annotation
-    is rejected by key, so a YAML string such as ``1e8`` never reaches the
-    dataclass.
+    dataclass defaults, and so does every field of an absent (None)
+    section. A value that does not match its field's annotation is rejected
+    by key, so a YAML string such as ``1e8`` never reaches the dataclass.
     """
+    if section is None:
+        section = {}
     keys = config_keys(cls)
     _reject_unknown(section, set(keys) | set(extra), where)
     hints = typing.get_type_hints(cls)
@@ -155,7 +158,11 @@ def _build(cls, section: dict, where: str, extra=()):
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}")
+        # the message names the field; say it by its config key
+        message = str(exc)
+        for field_name, key in CONFIG_NAMES.items():
+            message = re.sub(rf"\b{field_name}\b", key, message)
+        raise ConfigError(f"{where}: {message}")
 
 
 # make_blobs parameters, by type; all but test_per_class are required
@@ -563,9 +570,15 @@ def run_pipeline(cfg: ExperimentConfig, resume: bool = False) -> list:
             start_round = cfg.round_config.rounds + 1
             ids = (logio.read_ids(outdir / f"selected_ids_round{done - 1}.txt")
                    if done > 1 else ds.train_ids)
-        model_dir = outdir / f"model_round{done}"
-        if model_dir.exists():
-            trainer = load_model(model_dir)
+        if isinstance(trainer, SGDTrainer):
+            # the built-in trainer carries its model over: going on with a
+            # fresh one would overwrite model_final with untrained weights
+            if done > cfg.round_config.rounds:
+                raise LogFormatError(f"cannot resume: checkpoint 'completed_rounds' is "
+                                     f"{done}, more than round.rounds "
+                                     f"({cfg.round_config.rounds})", path=state_path)
+            if done:  # a missing checkpoint fails here, naming its meta.json
+                trainer = load_model(outdir / f"model_round{done}")
 
     def on_round(result, log):
         k = result.round_index

@@ -182,8 +182,24 @@ def inject_asymmetric_noise(
     return replace(ds, observed_labels=observed)
 
 
+def _views(flat: np.ndarray, shapes) -> list:
+    """Consecutive pieces of the 1-d array ``flat``, one view per shape."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[start : start + size].reshape(shape))
+        start += size
+    return views
+
+
 class SoftmaxNet:
-    """Linear softmax classifier, optionally with one ReLU hidden layer."""
+    """Linear softmax classifier, optionally with one ReLU hidden layer.
+
+    ``params`` and ``grads`` are views of the flat buffers ``flat_params``
+    and ``flat_grads``, so that an optimizer can step every parameter at
+    once. A copy that must keep them joined goes through
+    ``SGDTrainer.state_dict``.
+    """
 
     def __init__(self, dim: int, n_classes: int, hidden: int | None = None, seed: int = 0):
         self.dim = dim
@@ -191,7 +207,7 @@ class SoftmaxNet:
         self.hidden = hidden
         rng = np.random.default_rng(seed)
         if hidden:
-            self.params = [
+            init = [
                 rng.normal(0.0, 1.0 / math.sqrt(dim), size=(dim, hidden)),
                 np.zeros(hidden),
                 rng.normal(0.0, 1.0 / math.sqrt(hidden), size=(hidden, n_classes)),
@@ -199,7 +215,12 @@ class SoftmaxNet:
             ]
         else:
             # zero init: the objective is convex, no symmetry to break
-            self.params = [np.zeros((dim, n_classes)), np.zeros(n_classes)]
+            init = [np.zeros((dim, n_classes)), np.zeros(n_classes)]
+        shapes = [p.shape for p in init]
+        self.flat_params = np.concatenate([p.ravel() for p in init])
+        self.params = _views(self.flat_params, shapes)
+        self.flat_grads = np.zeros_like(self.flat_params)
+        self.grads = _views(self.flat_grads, shapes)
 
     def logits(self, x: np.ndarray) -> np.ndarray:
         if self.hidden:
@@ -212,32 +233,40 @@ class SoftmaxNet:
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.logits(x).argmax(axis=1)
 
-    # a diverging step overflows here; the trainer reports the non-finite
-    # losses itself, so numpy's warnings would only repeat it
-    @np.errstate(over="ignore", invalid="ignore")
-    def loss_and_grads(self, x: np.ndarray, y: np.ndarray):
-        """Logits, per-sample cross-entropy losses and mean-loss gradients."""
+    def loss_and_grads(self, x: np.ndarray, target: np.ndarray, pick: np.ndarray,
+                       losses: np.ndarray) -> np.ndarray:
+        """Logits of the batch ``x``; the mean-loss gradients go into ``grads``.
+
+        ``target`` holds the batch's labels one-hot, and ``pick`` each label's
+        index into the flattened logits. Each sample's cross-entropy loss is
+        written into ``losses``. A diverging step overflows here: the caller
+        silences numpy's warnings and reports the non-finite losses itself.
+        """
         if self.hidden:
-            w1, b1, w2, b2 = self.params
+            w1, b1, w, b = self.params
             pre = x @ w1 + b1
             h = np.maximum(pre, 0.0)
-            z = h @ w2 + b2
         else:
-            z = self.logits(x)
+            w, b = self.params
+            h = x
+        z = h @ w + b
         z_max = z.max(axis=1, keepdims=True)
         log_norm = z_max + np.log(np.exp(z - z_max).sum(axis=1, keepdims=True))
-        losses = (log_norm[:, 0] - z[np.arange(len(y)), y])
+        np.subtract(log_norm[:, 0], z.take(pick), out=losses)
 
         probs = np.exp(z - log_norm)
-        probs[np.arange(len(y)), y] -= 1.0
-        probs /= len(y)
+        probs -= target
+        probs /= len(x)
         if self.hidden:
-            d_h = probs @ w2.T
-            d_h[pre <= 0] = 0.0
-            grads = [x.T @ d_h, d_h.sum(axis=0), h.T @ probs, probs.sum(axis=0)]
+            g_w1, g_b1, g_w, g_b = self.grads
+            d_h = np.where(pre <= 0, 0.0, probs @ w.T)
+            np.matmul(x.T, d_h, out=g_w1)
+            d_h.sum(axis=0, out=g_b1)
         else:
-            grads = [x.T @ probs, probs.sum(axis=0)]
-        return z, losses, grads
+            g_w, g_b = self.grads
+        np.matmul(h.T, probs, out=g_w)
+        probs.sum(axis=0, out=g_b)
+        return z
 
 
 @dataclass
@@ -300,7 +329,9 @@ class SGDTrainer:
 
     Model and optimizer state persist across rounds. All randomness comes
     from the config seed, so identical (dataset, config) pairs produce
-    bit-identical prediction logs.
+    bit-identical prediction logs. The parameters and the velocity are views
+    of flat buffers, so each momentum step is one pass over each buffer;
+    ``copy.deepcopy`` and ``pickle`` therefore go through ``state_dict``.
     """
 
     def __init__(self, dim: int, n_classes: int, config: TrainerConfig | None = None):
@@ -310,7 +341,16 @@ class SGDTrainer:
         self.rng = np.random.default_rng(self.config.seed)
         hidden = self.config.hidden if self.config.arch == "mlp" else None
         self.net = SoftmaxNet(dim, n_classes, hidden, seed=self.config.seed)
-        self.velocity = [np.zeros_like(p) for p in self.net.params]
+        self.flat_velocity = np.zeros_like(self.net.flat_params)
+        self.velocity = _views(self.flat_velocity, [p.shape for p in self.net.params])
+
+    # numpy copies each view of a flat buffer on its own, which would cut
+    # the copy's parameters loose from the buffer that the step updates
+    def __getstate__(self) -> dict:
+        return self.state_dict()
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(self.from_state_dict(state).__dict__)
 
     def train_epoch(self, features: np.ndarray, labels: np.ndarray,
                     learning_rate: float | None = None):
@@ -324,23 +364,33 @@ class SGDTrainer:
         n = len(labels)
         batch = min(self.config.batch_size, n)
         perm = self.rng.permutation(n)
-        preds = np.empty(n, dtype=np.int64)
-        losses = np.empty(n, dtype=float)
-        for start in range(0, n, batch):
-            idx = perm[start : start + batch]
-            x, y = features[idx], labels[idx]
-            logits, batch_losses, grads = self.net.loss_and_grads(x, y)
-            if not np.all(np.isfinite(batch_losses)):
-                raise FloatingPointError(
-                    f"non-finite loss in batch at offset {start} "
-                    f"(size {idx.size}, lr {lr:.3g})"
-                )
-            preds[idx] = logits.argmax(axis=1)
-            losses[idx] = batch_losses
-            for p, v, g in zip(self.net.params, self.velocity, grads):
-                v *= self.config.momentum
-                v += g
-                p -= lr * v
+        # the epoch's rows in batch order, gathered once: each batch is a slice
+        x, y = features[perm], labels[perm]
+        target = np.zeros((n, self.n_classes))
+        target[np.arange(n), y] = 1.0
+        pick = np.arange(n) % batch * self.n_classes + y
+        # predictions and losses in that order too, scattered back at the end
+        preds_perm = np.empty(n, dtype=np.int64)
+        losses_perm = np.empty(n, dtype=float)
+        params, velocity = self.net.flat_params, self.flat_velocity
+        grads, momentum = self.net.flat_grads, self.config.momentum
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, n, batch):
+                rows = slice(start, start + batch)
+                batch_losses = losses_perm[rows]
+                logits = self.net.loss_and_grads(x[rows], target[rows], pick[rows],
+                                                 batch_losses)
+                if not np.isfinite(batch_losses).all():
+                    raise FloatingPointError(
+                        f"non-finite loss in batch at offset {start} "
+                        f"(size {batch_losses.size}, lr {lr:.3g})"
+                    )
+                logits.argmax(axis=1, out=preds_perm[rows])
+                velocity *= momentum
+                velocity += grads
+                params -= lr * velocity
+        preds, losses = np.empty_like(preds_perm), np.empty_like(losses_perm)
+        preds[perm], losses[perm] = preds_perm, losses_perm
         return preds, losses
 
     def fit_round(self, dataset: ToyDataset, ids, epochs: int) -> RoundLog:

@@ -216,6 +216,12 @@ def test_readme_config_reference_lists_exactly_the_accepted_keys(tmp_path):
         ("run", "round=5", "round must be dict"),
         ("select --log unread.jsonl", "trainer=[1]", "trainer must be dict"),
         ("inject-noise", "dataset.blobs=5", "dataset.blobs must be dict"),
+        # a falsy non-mapping is no empty section
+        ("select --log unread.jsonl", "fit=false", "fit must be dict"),
+        ("select --log unread.jsonl", "round=0", "round must be dict"),
+        # a value out of range, named by its key where that is not its field's name
+        ("select --log unread.jsonl", "round.lambda=-1", "round: lambda must be nonnegative"),
+        ("select --log unread.jsonl", "round.metric=x", "round: unknown metric 'x'"),
         # every section is parsed at load, also where the command never reads it
         ("select --log unread.jsonl", "trainer.batch_size=0.5", "trainer.batch_size"),
         ("select --log unread.jsonl", "simulate.epochs=abc", "simulate.epochs"),
@@ -751,6 +757,30 @@ def test_report_stats_csv_without_its_columns_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "data error" in err and f"{out / 'stats.csv'}: " in err and "Traceback" not in err
     assert "round, precision, recall, test_accuracy (line 1)" in err
+
+
+@pytest.mark.parametrize("damage", ["deleted model checkpoint", "rounds beyond the config"])
+def test_run_resume_without_its_model_exits_3(tmp_path, capsys, damage):
+    # the built-in trainer must not go on from untrained weights
+    path = write_config(tmp_path, base_config(tmp_path, rounds=2, epochs=4))
+    assert cli.main(["run", "-c", str(path)]) == 0
+    out = tmp_path / "out"
+    if damage == "deleted model checkpoint":
+        for item in (out / "model_round2").iterdir():
+            item.unlink()
+        (out / "model_round2").rmdir()
+        named = str(out / "model_round2" / "meta.json")
+    else:
+        state = json.loads((out / "state.json").read_text())
+        state["completed_rounds"] = 3
+        (out / "state.json").write_text(json.dumps(state))
+        named = str(out / "state.json")
+    final = tree_digest(out / "model_final")
+    capsys.readouterr()
+    assert cli.main(["run", "-c", str(path), "--resume"]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and named in err and "Traceback" not in err
+    assert tree_digest(out / "model_final") == final
 
 
 @pytest.mark.parametrize("key, value", [

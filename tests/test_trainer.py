@@ -1,7 +1,12 @@
+import copy
 import json
+import pickle
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare, mannwhitneyu
 
 from mfselect.trainer import (
@@ -9,11 +14,14 @@ from mfselect.trainer import (
     SGDTrainer,
     TrainerConfig,
     circular_class_map,
+    cosine_lr,
     inject_asymmetric_noise,
     inject_symmetric_noise,
     make_blobs,
     simulate_dynamics,
 )
+
+import trainer_reference
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +228,79 @@ def test_trainer_state_round_trip():
     assert np.array_equal(log_a.bits, log_b.bits)
     assert np.array_equal(log_a.losses, log_b.losses)
     assert fresh.config == trainer.config
+
+
+# bit-identity with the straightforward trainer (tests/trainer_reference.py)
+
+COPIES = {
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda trainer: pickle.loads(pickle.dumps(trainer)),
+    "state_dict": lambda trainer: SGDTrainer.from_state_dict(trainer.state_dict()),
+}
+
+
+def assert_same_state(trainer, reference):
+    arrays = trainer.net.params + trainer.velocity
+    for got, want in zip(arrays, reference.params + reference.velocity, strict=True):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert trainer.rng.bit_generator.state == reference.rng.bit_generator.state
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    arch=st.sampled_from(["softmax_linear", "mlp"]),
+    dim=st.integers(1, 6),
+    hidden=st.integers(1, 8),
+    n_classes=st.integers(2, 5),
+    n=st.integers(1, 40),
+    batch_size=st.integers(1, 50),
+    learning_rate=st.sampled_from([0.0, 0.05, 0.5, 1.0e8, 1.0e300]),
+    momentum=st.sampled_from([0.0, 0.9]),
+    epochs=st.integers(1, 3),
+    rounds=st.integers(1, 3),
+    copy_how=st.sampled_from(sorted(COPIES)),
+    copy_after=st.integers(0, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_trainer_bit_identical_to_reference(arch, dim, hidden, n_classes, n, batch_size,
+                                            learning_rate, momentum, epochs, rounds,
+                                            copy_how, copy_after, seed):
+    """Predictions, losses, parameters, velocity and RNG state equal the
+    oracle's bit for bit, epoch by epoch, over rounds on changing subsets,
+    also when the trainer is copied after ``copy_after`` epochs; a diverging
+    step fails at the same batch with the same message."""
+    rng = np.random.default_rng(seed)
+    features = 3.0 * rng.normal(size=(n, dim))
+    labels = rng.integers(0, n_classes, size=n)
+    config = TrainerConfig(learning_rate=learning_rate, momentum=momentum,
+                           batch_size=batch_size, arch=arch, hidden=hidden,
+                           seed=seed % 1000)
+    trainer = SGDTrainer(dim, n_classes, config)
+    reference = trainer_reference.ReferenceTrainer(dim, n_classes, config)
+    assert_same_state(trainer, reference)
+    done = 0
+    for _ in range(rounds):
+        rows = np.sort(rng.choice(n, size=rng.integers(1, n + 1), replace=False))
+        x, y = features[rows], labels[rows]
+        for e in range(epochs):
+            if done == copy_after:
+                trainer = COPIES[copy_how](trainer)
+            lr = cosine_lr(learning_rate, e, epochs)
+            try:
+                # the oracle's momentum step may overflow outside its errstate
+                with np.errstate(over="ignore", invalid="ignore"):
+                    want_preds, want_losses = reference.train_epoch(x, y, lr)
+            except FloatingPointError as exc:
+                with pytest.raises(FloatingPointError, match=re.escape(str(exc))):
+                    trainer.train_epoch(x, y, lr)
+                assert_same_state(trainer, reference)
+                return
+            preds, losses = trainer.train_epoch(x, y, lr)
+            assert preds.dtype == want_preds.dtype and preds.tobytes() == want_preds.tobytes()
+            assert losses.dtype == want_losses.dtype
+            assert losses.tobytes() == want_losses.tobytes()
+            assert_same_state(trainer, reference)
+            done += 1
 
 
 def test_trainer_config_validation():
