@@ -343,24 +343,41 @@ def write_json(path: Path, doc) -> None:
     logio.write_atomic(path, [json.dumps(doc, sort_keys=True, indent=2), "\n"])
 
 
+# the characters json's ASCII string encoder writes as they are
+_JSON_PLAIN = bytes(c for c in range(32, 127) if c not in b'"\\')
+
+
 def write_mask_json(path: Path, ids, mask) -> None:
     """``write_json(path, dict(zip(ids, mask.tolist())))`` for unique ``ids``
     and a bool array ``mask``, with the same bytes, written in pieces.
 
     ``indent=2`` with sorted keys lays out one ``"id": true|false`` pair per
-    line, after two spaces, in id order; each id goes through json's own
-    string encoder.
+    line, after two spaces, in id order. The sorted ids are interleaved with
+    the fixed text between them and each block is joined once; the ids go
+    through json's string encoder only when one of them needs it (one test
+    of all ids joined).
     """
-    order = sorted(range(len(ids)), key=ids.__getitem__)
-    flags = mask.tolist()
-    values = (": false", ": true")
+    n = len(ids)
+    order = np.fromiter(sorted(range(n), key=ids.__getitem__), np.intp, n)
+    keys = np.array(ids, dtype=object)
+    joined = "".join(ids)
+    plain = joined.isascii() and not joined.encode("ascii").translate(None, _JSON_PLAIN)
+    q = '"' if plain else ""  # the quotes around an id, unless its encoder adds them
+    # the text from the end of an id to the start of the next
+    values = np.array([f"{q}: false,\n  {q}", f"{q}: true,\n  {q}"], dtype=object)
+    flags = mask.astype(np.intp)
 
     def block(lo, hi):
-        pairs = [encode_basestring_ascii(ids[i]) + values[flags[i]] for i in order[lo:hi]]
-        return (",\n  " if lo else "{\n  ") + ",\n  ".join(pairs)
+        rows = order[lo:hi]
+        names = keys[rows].tolist()
+        parts = [""] * (2 * len(rows))
+        parts[::2] = names if plain else map(encode_basestring_ascii, names)
+        parts[1::2] = values[flags[rows]].tolist()
+        if hi >= n:  # the last pair closes the object
+            parts[-1] = parts[-1].rstrip(',\n "') + "\n}\n"
+        return "".join(parts)
 
-    logio.write_atomic(path, chain(logio.row_blocks(len(order), block),
-                                   ["\n}\n" if order else "{}\n"]))
+    logio.write_atomic(path, chain(["{\n  " + q if n else "{}\n"], logio.row_blocks(n, block)))
 
 
 def capture_config(cfg: ExperimentConfig, outdir: Path) -> None:
@@ -393,14 +410,15 @@ def write_scores_csv(path: Path, ids, values) -> None:
     # metric scores take few distinct values: format each one once, keyed on
     # its bit pattern so that -0.0 and 0.0 keep their own repr
     distinct, which = np.unique(values.view(np.int64), return_inverse=True)
-    rests = ["," + repr(v) + "\r\n" for v in distinct.view(np.float64).tolist()]
+    rests = np.array(["," + repr(v) + "\r\n" for v in distinct.view(np.float64).tolist()],
+                     dtype=object)
 
     def block(lo, hi):
         # id field, then ",score\r\n", for each row: one join, no per-row string
         fields = logio.csv_fields(ids[lo:hi])
         parts = [""] * (2 * len(fields))
         parts[::2] = fields
-        parts[1::2] = map(rests.__getitem__, which[lo:hi].tolist())
+        parts[1::2] = rests[which[lo:hi]].tolist()
         return "".join(parts)
 
     logio.write_atomic(path, chain(["id,score\r\n"], logio.row_blocks(len(ids), block)))

@@ -27,7 +27,9 @@ instances, and files keep their input row order.
 Every output file is written through ``atomic_path``: to a temp file that
 replaces the target only once it is complete. The per-row writers format
 blocks of ``BLOCK_ROWS`` rows at a time, with the bytes ``csv.writer``
-writes (``csv_fields``).
+writes (``csv_fields``) or, for a log, the bytes json's encoder writes for
+each record; the log writer does not call that encoder, and no byte layout
+changed.
 
 An external trainer is any command that, given a dataset file, a selected-
 ids file, an epoch count and a seed, writes such a prediction log; it can
@@ -43,7 +45,8 @@ import json
 import os
 import shlex
 import subprocess
-from itertools import chain
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -57,19 +60,43 @@ from .errors import (
 from .trainer import RoundLog, ToyDataset
 
 
-_ENCODER = json.JSONEncoder(sort_keys=True)
-
-
 def write_prediction_log(path, log: RoundLog) -> None:
-    n = len(log)
-    true_labels = [None] * n if log.true_labels is None else log.true_labels.tolist()
-    losses = [None] * n if log.losses is None else log.losses.tolist()
-    rows = zip(log.ids, log.labels.tolist(), true_labels, log.bits.tolist(), losses)
-    write_atomic(path, (
-        _ENCODER.encode({"id": rec_id, "label": label, "true_label": true_label,
-                         "seq": seq, "losses": loss}) + "\n"
-        for rec_id, label, true_label, seq, loss in rows
-    ))
+    """Write ``log`` one record a line, with the bytes that
+    ``json.JSONEncoder(sort_keys=True)`` gives each record plus "\\n".
+
+    Each record is one f-string: the id through json's ASCII string encoder,
+    ints as they are, each loss as its ``repr`` (NaN and ±inf as ``NaN`` and
+    ``±Infinity``), a missing column as ``null``. The ``seq`` texts of a
+    block of rows come from one uint8 buffer; records are streamed.
+    """
+    epochs = log.bits.shape[1]
+
+    def block(lo, hi):
+        bits = log.bits[lo:hi]
+        # "b, b, ..., b\n" for each row: digits, ", " between them, a line end
+        text = np.empty((len(bits), 3 * epochs - 1), np.uint8)
+        text[:, 0::3] = bits + 48
+        text[:, 1::3] = ord(",")
+        text[:, 2::3] = ord(" ")
+        text[:, -1] = 10
+        seqs = text.tobytes().decode("ascii").split("\n")
+        true_labels = (repeat("null") if log.true_labels is None
+                       else log.true_labels[lo:hi].tolist())
+        if log.losses is None:
+            losses = repeat("null")
+        else:
+            part = log.losses[lo:hi]
+            losses = ("[" + ", ".join(map(repr, row)) + "]" for row in part.tolist())
+            if not np.isfinite(part).all():  # repr gives nan, inf and -inf
+                losses = (row.replace("nan", "NaN").replace("inf", "Infinity")
+                          for row in losses)
+        return (f'{{"id": {rec_id}, "label": {label}, "losses": {loss}, "seq": [{seq}], '
+                f'"true_label": {true_label}}}\n'
+                for rec_id, label, loss, seq, true_label in zip(
+                    map(encode_basestring_ascii, log.ids[lo:hi]),
+                    log.labels[lo:hi].tolist(), losses, seqs, true_labels))
+
+    write_atomic(path, chain.from_iterable(row_blocks(len(log), block)))
 
 
 # One record exactly as ``write_prediction_log`` lays it out for a log
@@ -131,14 +158,17 @@ def _read_canonical_chunk(chunk: bytes, width: int):
     """(ids, bits, labels, true labels or None) of a chunk of lines that each
     hold one canonical record with ``width`` bytes of seq text, else None."""
     b = np.frombuffer(chunk, dtype=np.uint8)
-    ends = np.flatnonzero(b == 10)
     # the shortest record is ``width`` + 67 bytes; as int8, a byte above 0x7f
-    # is negative, so "\n" must be the only byte below " "
-    if (chunk[-1:] != b"\n" or width < 1 or width % 3 != 1 or len(b) < width + 67
-            or np.count_nonzero(b.view(np.int8) < 32) != len(ends)):
+    # is negative, so the bytes below " " must all be line ends
+    if (chunk[-1:] != b"\n" or width < 1 or width % 3 != 1 or len(b) < width + 67):
+        return None
+    ends = np.flatnonzero(b.view(np.int8) < 32)
+    if not (b[ends] == 10).all():
         return None
     true_labels, ok, true_start = _ints_before(b, ends - 1)
-    null = ~ok & (true_start == ends - 5) & (_windows(b, 4, ends - 5) == _NULL).all(axis=1)
+    null = ~ok
+    if null.any():
+        null &= (true_start == ends - 5) & (_windows(b, 4, ends - 5) == _NULL).all(axis=1)
     # the seq and the fixed text around it, which holds no "1": a bit's low
     # bit is the only one left free
     fixed = np.concatenate([_SEQ_HEAD, np.resize(_BIT, width), _TRUE_HEAD])
@@ -171,9 +201,11 @@ def _read_canonical_chunk(chunk: bytes, width: int):
 
 
 def _windows(b, width: int, at):
-    """The ``width`` bytes of ``b`` from each of ``at``. A position before the
-    chunk reads its start instead; the line it belongs to fails its checks."""
-    return np.lib.stride_tricks.sliding_window_view(b, width)[np.maximum(at, 0)]
+    """The ``width`` bytes of ``b`` from each of ``at``, gathered as one
+    ``width``-byte item each. A position before the chunk reads its start
+    instead; the line it belongs to fails its checks."""
+    items = np.ndarray((len(b) - width + 1,), dtype=f"V{width}", buffer=b, strides=(1,))
+    return items[np.maximum(at, 0)].view(np.uint8).reshape(-1, width)
 
 
 def _ints_before(b, end):
@@ -325,8 +357,12 @@ def csv_fields(values) -> list[str]:
     A field holding ``,``, ``"``, ``\\r`` or ``\\n`` is wrapped in ``"`` with
     its inner quotes doubled; any other is written as it is.
     """
-    fields = list(map(str, values))
-    joined = "".join(fields)
+    fields = list(values)
+    try:
+        joined = "".join(fields)
+    except TypeError:  # not every value is a str yet
+        fields = list(map(str, fields))
+        joined = "".join(fields)
     if not any(c in joined for c in _CSV_SPECIAL):
         return fields
     return ['"' + f.replace('"', '""') + '"' if any(c in f for c in _CSV_SPECIAL) else f
@@ -335,7 +371,11 @@ def csv_fields(values) -> list[str]:
 
 def write_ids(path, ids) -> None:
     """One id per line, each ended by "\\n"; ``ids`` is a sequence."""
-    write_atomic(path, ["\n".join(map(str, ids)), "\n" if len(ids) else ""])
+    try:
+        text = "\n".join(ids)
+    except TypeError:  # not every id is a str yet
+        text = "\n".join(map(str, ids))
+    write_atomic(path, [text, "\n" if len(ids) else ""])
 
 
 def read_ids(path) -> list[str]:

@@ -5,7 +5,6 @@ lines. Tolerances and targets are pinned here and never loosened at
 runtime; benchmark configurations live in the helpers below.
 """
 
-import itertools
 import sys
 import time
 from dataclasses import replace
@@ -83,10 +82,10 @@ def test_criterion_1_metric_oracle_equivalence():
         bits = arr.tolist()
         d = segment(arr)
 
-        # independent oracle: stdlib groupby scan over the raw bit list
-        u, l = [], []
-        for status, group in itertools.groupby(bits):
-            (u if status == 0 else l).append(len(list(group)))
+        # independent oracle: the runs of each status, split out of the raw bytes
+        raw = bytes(bits)
+        u = list(map(len, filter(None, raw.split(b"\x01"))))
+        l = list(map(len, filter(None, raw.split(b"\x00"))))
         oracle_m = sum(u) / len(u) if u else 0.0
         oracle_f = sum(l) / len(l) if l else 0.0
 

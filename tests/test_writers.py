@@ -2,10 +2,13 @@
 
 Each oracle below is the writer as it was before it formatted whole blocks
 of rows at once: ``csv.writer`` rows, ``json.dumps(sort_keys=True,
-indent=2)`` and an f-string join. The bytes must match for any ids, any
-scores and any block size, including the empty set. ``cli.write_table``
-must write what ``csv.writer`` writes for its ``_fmt``-formatted cells, and
-every writer must leave the old file, and no temp file, when its rename fails.
+indent=2)``, an f-string join and, for prediction logs, json's encoder on
+each record. The bytes must match for any ids, any scores and any block
+size, including the empty set. All ids of an example come from one alphabet,
+so that lists of plain ids only (which json writes as they are) are as
+common as lists with escapes. ``cli.write_table`` must write what
+``csv.writer`` writes for its ``_fmt``-formatted cells, and every writer must
+leave the old file, and no temp file, when its rename fails.
 """
 
 import csv
@@ -17,8 +20,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
+from test_logio import ID_CHARS, LABELS
 
 from mfselect import cli, logio
 from mfselect.trainer import RoundLog, ToyDataset
@@ -26,13 +30,25 @@ from mfselect.trainer import RoundLog, ToyDataset
 # the characters csv quotes or json escapes, plus "" and non-ASCII text
 SPECIAL = [",", '"', "\r", "\n", "\\", "/", "\x00", "\x1f", "\x7f", " ", "\x85", "\u2028",
            "\u00e9", "\U0001f600"]
-ids_text = st.text(alphabet=st.sampled_from(SPECIAL) | st.characters(exclude_categories=["Cs"]),
-                   max_size=6)
+# the characters json's ASCII encoder writes as they are
+PLAIN = st.characters(min_codepoint=0x20, max_codepoint=0x7E, exclude_characters='"\\')
+# every id of one example is drawn from the same alphabet: plain text, plain
+# text and one of the ASCII characters nearest to it that json escapes, or any
+ids_text = st.shared(st.one_of(
+    st.just(PLAIN),
+    st.sampled_from(['"', "\\", "\x7f", "\x1f"]).map(lambda c: PLAIN | st.just(c)),
+    st.just(st.sampled_from(SPECIAL) | st.characters(exclude_categories=["Cs"])),
+), key="alphabet").flatmap(lambda alphabet: st.text(alphabet=alphabet, max_size=6))
+
 SCORES = [-0.0, 0.0, math.nan, math.inf, -math.inf, 1e300, -1e300, 5e-324, 0.1]
 scores = st.sampled_from(SCORES) | st.floats()
 blocks = st.sampled_from([1, 2, 3, 10_000])
 property_settings = settings(max_examples=100, deadline=None,
                              suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def plain_json(text: str) -> bool:
+    return json.dumps(text) == f'"{text}"'
 
 
 def csv_oracle(rows) -> bytes:
@@ -45,6 +61,7 @@ def csv_oracle(rows) -> bytes:
 @given(rows=st.lists(st.tuples(ids_text, scores), max_size=12), block=blocks)
 def test_scores_csv_matches_csv_writer(tmp_path, rows, block):
     ids = [i for i, _ in rows]
+    event("an id is quoted" if any(c in i for i in ids for c in ',"\r\n') else "no id quoted")
     values = [v for _, v in rows]
     with mock.patch.object(logio, "BLOCK_ROWS", block):
         cli.write_scores_csv(tmp_path / "scores.csv", ids, values)
@@ -91,8 +108,14 @@ def test_dataset_csv_matches_csv_writer(tmp_path, ds, block):
 
 @property_settings
 @given(pairs=st.dictionaries(ids_text, st.booleans(), max_size=12), block=blocks)
+# one id that json escapes among plain ones, for each character beside the plain range
+@example(pairs={"a": True, 'b"': False}, block=1)
+@example(pairs={"a\\": True, "b": True}, block=10_000)
+@example(pairs={"\x7f": False}, block=2)
+@example(pairs={"a": False, "\x1f": True}, block=3)
 def test_mask_json_matches_write_json(tmp_path, pairs, block):
     ids = list(pairs)
+    event("every id plain" if all(map(plain_json, ids)) else "an id escaped")
     with mock.patch.object(logio, "BLOCK_ROWS", block):
         cli.write_mask_json(tmp_path / "mask.json", ids, np.array(list(pairs.values()), bool))
     want = json.dumps(pairs, sort_keys=True, indent=2) + "\n"
@@ -102,8 +125,53 @@ def test_mask_json_matches_write_json(tmp_path, pairs, block):
 @property_settings
 @given(ids=st.lists(ids_text | st.integers(), max_size=12))
 def test_ids_file_matches_line_join(tmp_path, ids):
+    event("every id a str" if all(isinstance(i, str) for i in ids) else "an int id")
     logio.write_ids(tmp_path / "ids.txt", ids)
     assert (tmp_path / "ids.txt").read_bytes() == "".join(f"{i}\n" for i in ids).encode()
+
+
+# the encoder ``write_prediction_log`` once called for each record
+ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+def prediction_log_oracle(log) -> bytes:
+    n = len(log)
+    true_labels = [None] * n if log.true_labels is None else log.true_labels.tolist()
+    losses = [None] * n if log.losses is None else log.losses.tolist()
+    rows = zip(log.ids, log.labels.tolist(), true_labels, log.bits.tolist(), losses)
+    return "".join(
+        ENCODER.encode({"id": rec_id, "label": label, "true_label": true_label,
+                        "seq": seq, "losses": loss}) + "\n"
+        for rec_id, label, true_label, seq, loss in rows
+    ).encode()
+
+
+@st.composite
+def prediction_logs(draw):
+    n, epochs = draw(st.integers(0, 6)), draw(st.sampled_from([1, 2, 3, 7]))
+    ids = draw(st.lists(st.text(ID_CHARS, max_size=5), min_size=n, max_size=n, unique=True))
+    labels = st.sampled_from([-(2**63), 2**63 - 1]) | LABELS
+    losses = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324]) | st.floats()
+    return RoundLog(
+        ids=ids,
+        bits=np.array(draw(st.lists(st.integers(0, 1), min_size=n * epochs,
+                                    max_size=n * epochs)), dtype=np.int8).reshape(n, epochs),
+        losses=np.array(draw(st.lists(losses, min_size=n * epochs, max_size=n * epochs)),
+                        dtype=float).reshape(n, epochs) if draw(st.booleans()) else None,
+        labels=np.array(draw(st.lists(labels, min_size=n, max_size=n)), dtype=np.int64),
+        true_labels=np.array(draw(st.lists(labels, min_size=n, max_size=n)), dtype=np.int64)
+        if draw(st.booleans()) else None,
+    )
+
+
+@property_settings
+@given(log=prediction_logs(), block=blocks)
+def test_prediction_log_matches_encoder(tmp_path, log, block):
+    event("losses" if log.losses is not None else "no losses")
+    event("true labels" if log.true_labels is not None else "no true labels")
+    with mock.patch.object(logio, "BLOCK_ROWS", block):
+        logio.write_prediction_log(tmp_path / "log.jsonl", log)
+    assert (tmp_path / "log.jsonl").read_bytes() == prediction_log_oracle(log)
 
 
 cells = ids_text | scores | st.integers() | st.booleans() | st.none()
