@@ -534,9 +534,19 @@ def _read_json_object(path: Path, what: str) -> dict:
     return doc
 
 
-def _read_state(path: Path, train_ids) -> dict:
-    """The checkpoint in ``path``; each of its ``current_ids`` must be one of
-    ``train_ids``."""
+def _rows_of(row_of: dict, ids, path: Path, message: str) -> np.ndarray:
+    """``row_of[i]`` for each id ``i`` of ``ids``, in order; an id that is no
+    key is a data error naming ``path``: ``message`` formatted with the id."""
+    try:
+        return np.array([row_of[i] for i in ids], dtype=np.intp)
+    except (KeyError, TypeError):  # an unknown id, or one that cannot be a key
+        bad = next(i for i in ids if not isinstance(i, str) or i not in row_of)
+        raise LogFormatError(message.format(bad), path=path) from None
+
+
+def _read_state(path: Path, row_of: dict) -> tuple[dict, np.ndarray]:
+    """The checkpoint in ``path``, and its ``current_ids`` as dataset rows
+    through ``row_of``, which maps each training id to its row."""
     state = _read_json_object(path, "cannot resume from a damaged checkpoint")
     for key, kind in (("completed_rounds", int), ("current_ids", list),
                       ("stats_rows", list)):
@@ -550,12 +560,8 @@ def _read_state(path: Path, train_ids) -> dict:
         # only a round whose selection emptied leaves no ids, and it says so
         raise LogFormatError("cannot resume: checkpoint 'current_ids' is empty but not "
                              "marked truncated", path=path)
-    train = set(train_ids)
-    for i in state["current_ids"]:
-        if not isinstance(i, str) or i not in train:
-            raise LogFormatError(f"cannot resume: checkpoint 'current_ids' holds {i!r}, "
-                                 "which is not a training id", path=path)
-    return state
+    return state, _rows_of(row_of, state["current_ids"], path, "cannot resume: checkpoint "
+                           "'current_ids' holds {!r}, which is not a training id")
 
 
 def run_pipeline(cfg: ExperimentConfig, resume: bool = False) -> list:
@@ -573,21 +579,26 @@ def run_pipeline(cfg: ExperimentConfig, resume: bool = False) -> list:
     capture_config(cfg, outdir)
 
     state_path = outdir / "state.json"
-    start_round, ids, stats_rows = 1, None, []
+    start_round, rows, stats_rows = 1, None, []
     if resume and state_path.exists():
-        state = _read_state(state_path, ds.train_ids)
+        train = ds.train_positions
+        row_of = dict(zip(ds.ids[train].tolist(), train.tolist()))
+        state, rows = _read_state(state_path, row_of)
         if state.get("config") != cfg.raw:
             raise ConfigError(
                 "state.json belongs to a different config; rerun without --resume"
             )
         done = state["completed_rounds"]
-        start_round, ids, stats_rows = done + 1, state["current_ids"], state["stats_rows"]
+        start_round, stats_rows = done + 1, state["stats_rows"]
         if state.get("truncated"):
             # the selection emptied: no round is left to run, and the final
-            # ids are the ones the emptying round trained on
+            # rows are the ones the emptying round trained on
             start_round = cfg.round_config.rounds + 1
-            ids = (logio.read_ids(outdir / f"selected_ids_round{done - 1}.txt")
-                   if done > 1 else ds.train_ids)
+            rows = None
+            if done > 1:
+                ids_path = outdir / f"selected_ids_round{done - 1}.txt"
+                rows = _rows_of(row_of, logio.read_ids(ids_path), ids_path,
+                                "cannot resume: {!r} is not a training id")
         if isinstance(trainer, SGDTrainer):
             # the built-in trainer carries its model over: going on with a
             # fresh one would overwrite model_final with untrained weights
@@ -598,13 +609,12 @@ def run_pipeline(cfg: ExperimentConfig, resume: bool = False) -> list:
             if done:  # a missing checkpoint fails here, naming its meta.json
                 trainer = load_model(outdir / f"model_round{done}")
 
-    def on_round(result, log):
+    def on_round(result, log, rows):
         k = result.round_index
         # labels come from the dataset whichever trainer wrote the log
-        pos = ds.positions_of(log.ids)
         logio.write_prediction_log(
             outdir / f"log_round{k}.jsonl",
-            replace(log, labels=ds.observed_labels[pos], true_labels=ds.true_labels[pos]),
+            replace(log, labels=ds.observed_labels[rows], true_labels=ds.true_labels[rows]),
         )
         write_scores_csv(outdir / f"scores_round{k}.csv", log.ids, result.scores)
         logio.write_ids(outdir / f"selected_ids_round{k}.txt", result.selected_ids)
@@ -629,9 +639,9 @@ def run_pipeline(cfg: ExperimentConfig, resume: bool = False) -> list:
 
     multi = selection.run_multiround(
         ds, trainer, cfg.round_config, cfg.fit_config,
-        ids=ids, start_round=start_round, on_round=on_round,
+        rows=rows, start_round=start_round, on_round=on_round,
     )
-    logio.write_ids(outdir / "selected_ids_final.txt", multi.final_ids)
+    logio.write_ids(outdir / "selected_ids_final.txt", ds.ids[multi.final_rows])
     if isinstance(trainer, SGDTrainer):
         save_model(trainer, outdir / "model_final")
     if multi.truncated:
@@ -753,13 +763,7 @@ def cmd_eval(cfg: ExperimentConfig, outputs: Path | None, bins: int) -> int:
     outputs = Path(outputs) if outputs else cfg.output_dir
     truth_ids, clean = _load_clean_mask(outputs)
     row_of = {i: row for row, i in enumerate(truth_ids)}
-
-    def truth_rows(ids, path) -> np.ndarray:
-        try:
-            return np.array([row_of[i] for i in ids], dtype=np.intp)
-        except KeyError as exc:
-            raise LogFormatError(f"id {exc.args[0]!r} is not in the ground truth",
-                                 path=path) from None
+    unknown = "id {!r} is not in the ground truth"
 
     rows = []
     for round_index, scores_path in _discover_rounds(outputs):
@@ -770,7 +774,7 @@ def cmd_eval(cfg: ExperimentConfig, outputs: Path | None, bins: int) -> int:
             raise LogFormatError(f"no selected ids for round {round_index} "
                                  f"(need {names[0]} or {names[1]})", path=outputs)
         selected = np.zeros(clean.size, dtype=bool)
-        selected[truth_rows(logio.read_ids(ids_path), ids_path)] = True
+        selected[_rows_of(row_of, logio.read_ids(ids_path), ids_path, unknown)] = True
         stats = evaluation.selection_precision_recall(selected, clean)
         rows.append([round_index, stats.kept, stats.precision, stats.recall,
                      None, None, None])
@@ -786,7 +790,7 @@ def cmd_eval(cfg: ExperimentConfig, outputs: Path | None, bins: int) -> int:
                 raise LogFormatError(f"not a mixture fit: {type(exc).__name__}: {exc}",
                                      path=fit_path) from None
         header, hist_rows, overlay = evaluation.histogram_export(
-            values, clean[truth_rows(score_ids, scores_path)], bins, fit)
+            values, clean[_rows_of(row_of, score_ids, scores_path, unknown)], bins, fit)
         write_table(outputs / f"histogram_round{round_index}.csv", header, hist_rows)
         if overlay is not None:
             write_json(outputs / f"overlay_round{round_index}.json", overlay)

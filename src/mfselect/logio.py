@@ -463,12 +463,13 @@ def external_round(
     epochs: int,
     seed: int,
 ) -> RoundLog:
-    """Run one external-trainer round and validate its prediction log.
+    """Run one external-trainer round and return its prediction log in the
+    order of the ids in ``ids_file``.
 
     The command template may use the placeholders {dataset}, {ids}, {out},
     {epochs} and {seed}. The log must cover exactly the ids listed in
-    ``ids_file`` with sequences of ``epochs`` entries (the reader already
-    requires them to be of equal length).
+    ``ids_file``, in any order, with sequences of ``epochs`` entries (the
+    reader already requires them to be of equal length).
     """
     command = command_template.format(
         dataset=str(dataset_file),
@@ -485,29 +486,34 @@ def external_round(
         raise TrainerCommandError(command, proc.returncode, proc.stderr)
 
     log = read_prediction_log(out_file)
-    expected = read_ids(ids_file)
-    got = set(log.ids)
-    missing = set(expected) - got
-    if missing:
-        raise MissingIdsError(missing, path=out_file)
-    extra = got - set(expected)
-    if extra:
-        shown = ", ".join(sorted(extra)[:10])
+    ids = read_ids(ids_file)
+    row_of = {i: row for row, i in enumerate(log.ids)}
+    rows = np.array([row_of.pop(i, -1) for i in ids], dtype=np.intp)
+    if (rows < 0).any():
+        raise MissingIdsError([ids[k] for k in np.flatnonzero(rows < 0)], path=out_file)
+    if row_of:  # the log's ids that ids_file does not list
+        shown = ", ".join(sorted(row_of)[:10])
         raise LogFormatError(f"log contains unexpected ids: {shown}", path=out_file)
     if log.bits.shape[1] != epochs:
         raise RaggedSequenceError(
             f"sequences have length {log.bits.shape[1]}, expected {epochs}", path=out_file
         )
-    return log
+    return RoundLog(
+        ids=ids,
+        bits=log.bits[rows],
+        losses=None if log.losses is None else log.losses[rows],
+        labels=log.labels[rows],
+        true_labels=None if log.true_labels is None else log.true_labels[rows],
+    )
 
 
 class ExternalTrainer:
     """Round trainer backed by a subprocess command.
 
     Model state continuity across rounds is the external command's
-    responsibility; this bridge only hands it the surviving ids each round
-    and validates the log it returns. The command may list the ids in any
-    order; the returned log follows the order of the ids it was given.
+    responsibility; this bridge only hands it the ids of the surviving rows
+    each round and validates the log it returns. The command may list the
+    ids in any order; the returned log follows ``rows``.
     """
 
     def __init__(self, command_template: str, dataset_file, workdir, seed: int = 0):
@@ -517,27 +523,17 @@ class ExternalTrainer:
         self.seed = seed
         self.round_counter = 0
 
-    def fit_round(self, dataset, ids, epochs: int) -> RoundLog:
+    def fit_round(self, dataset, rows, epochs: int) -> RoundLog:
         self.round_counter += 1
         self.workdir.mkdir(parents=True, exist_ok=True)
         ids_file = self.workdir / f"ids_round{self.round_counter}.txt"
         out_file = self.workdir / f"log_round{self.round_counter}.jsonl"
-        ids = list(ids)
-        write_ids(ids_file, ids)
-        log = external_round(
+        write_ids(ids_file, dataset.ids[rows])
+        return external_round(
             self.command_template,
             self.dataset_file,
             ids_file,
             out_file,
             epochs,
             self.seed,
-        )
-        row_of = {i: row for row, i in enumerate(log.ids)}
-        rows = np.array([row_of[i] for i in ids], dtype=np.intp)
-        return RoundLog(
-            ids=ids,
-            bits=log.bits[rows],
-            losses=None if log.losses is None else log.losses[rows],
-            labels=log.labels[rows],
-            true_labels=None if log.true_labels is None else log.true_labels[rows],
         )

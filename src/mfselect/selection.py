@@ -11,6 +11,11 @@ A round's selection is two arrays over the rows of its log: the float64
 ``scores`` and the bool ``keep`` mask. Every selector takes arrays and
 returns the mask; ties at a ratio cut go to the earlier row. Instance ids
 are opaque strings, and ``selected_ids`` lists the kept ones in log order.
+
+The round loop carries dataset row positions, an intp array ``rows``: a
+round trainer's ``fit_round(dataset, rows, epochs)`` logs ``rows[r]`` in
+its row ``r``, and the next round trains on ``rows[keep]``. Ids stand for
+rows only where a file is written or read.
 """
 
 from __future__ import annotations
@@ -76,7 +81,7 @@ class SelectionResult:
 @dataclass
 class MultiRoundResult:
     rounds: list[SelectionResult]
-    final_ids: list
+    final_rows: np.ndarray  # the rows the last round kept, or trained on if it kept none
     truncated: bool = False
 
 
@@ -166,21 +171,22 @@ def select_round(log, config: RoundConfig, fit_config: FitConfig | None = None,
     return _apply_strategy(scores, log, config, fit_config or FitConfig(), round_index)
 
 
-def _finish_round(dataset, trainer, log, config: RoundConfig,
+def _finish_round(dataset, trainer, log, rows, config: RoundConfig,
                   fit_config: FitConfig | None, round_index: int,
                   on_round=None) -> SelectionResult:
-    """Select among the rows of one round's ``log`` and measure the selection.
+    """Select among the rows of one round's ``log``, trained on the dataset
+    rows ``rows``, and measure the selection.
 
     Precision and recall count against the clean instances of the
     *original* training set, so the round trend is comparable; test
     accuracy is the trained model's. Either is left None when ``dataset``
-    or ``trainer`` cannot provide it. ``on_round(result, log)``, when given,
-    is called last.
+    or ``trainer`` cannot provide it. ``on_round(result, log, rows)``, when
+    given, is called last.
     """
     result = select_round(log, config, fit_config, round_index)
     if hasattr(dataset, "clean_mask"):
         selected = np.zeros(len(dataset.ids), dtype=bool)
-        selected[dataset.positions_of(result.selected_ids)] = True
+        selected[rows] = result.keep
         result.stats = evaluation.selection_precision_recall(
             selected[dataset.train_positions], dataset.clean_mask())
     test_pos = getattr(dataset, "test_positions", None)
@@ -189,7 +195,7 @@ def _finish_round(dataset, trainer, log, config: RoundConfig,
             trainer, dataset.features[test_pos], dataset.true_labels[test_pos]
         )
     if on_round is not None:
-        on_round(result, log)
+        on_round(result, log, rows)
     return result
 
 
@@ -198,37 +204,37 @@ def run_multiround(
     trainer,
     config: RoundConfig,
     fit_config: FitConfig | None = None,
-    ids=None,
+    rows=None,
     start_round: int = 1,
     on_round=None,
 ) -> MultiRoundResult:
     """Iterate selection rounds, each training on the previous survivors.
 
-    Rounds ``start_round``..``config.rounds`` run on ``ids`` first (default:
-    the dataset's training ids in row order), then on each round's
-    selection. ``on_round(result, log)``, when given, is called after every
-    round, before the next one starts. Sequences are rebuilt from scratch
-    every round; the model carries over. Recall in the per-round stats
-    is always measured against the clean instances of the *original*
-    training set, so the round trend is comparable. Stops early, flagged
-    truncated, if a round selects nothing.
+    Rounds ``start_round``..``config.rounds`` run on the dataset rows
+    ``rows`` first (default: ``dataset.train_positions``), then on the rows
+    each round kept. ``on_round(result, log, rows)``, when given, is called
+    after every round, before the next one starts. Sequences are rebuilt
+    from scratch every round; the model carries over. Recall in the
+    per-round stats is always measured against the clean instances of the
+    *original* training set, so the round trend is comparable. Stops early,
+    flagged truncated, if a round selects nothing.
     """
-    current_ids = list(dataset.train_ids if ids is None else ids)
+    rows = np.asarray(dataset.train_positions if rows is None else rows, dtype=np.intp)
     rounds: list[SelectionResult] = []
     truncated = False
     for round_index in range(start_round, config.rounds + 1):
-        if not current_ids:
+        if not rows.size:
             raise ValueError("cannot run a round on an empty training set")
-        log = trainer.fit_round(dataset, current_ids, config.epochs)
-        result = _finish_round(dataset, trainer, log, config, fit_config, round_index,
-                               on_round)
+        log = trainer.fit_round(dataset, rows, config.epochs)
+        result = _finish_round(dataset, trainer, log, rows, config, fit_config,
+                               round_index, on_round)
         rounds.append(result)
         del log  # free this round's sequences before the next round trains
-        if not result.selected_ids:
+        if not result.keep.any():
             truncated = True
             break
-        current_ids = result.selected_ids
-    return MultiRoundResult(rounds=rounds, final_ids=current_ids, truncated=truncated)
+        rows = rows[result.keep]
+    return MultiRoundResult(rounds=rounds, final_rows=rows, truncated=truncated)
 
 
 def compare_strategies(
@@ -241,7 +247,7 @@ def compare_strategies(
     tabulate the outcome.
 
     ``make_trainer`` is a zero-argument factory, called once. Round 1
-    trains once on the training ids, since its training does not depend on
+    trains once on the training rows, since its training does not depend on
     the strategy, and every strategy selects from that one log. Each
     strategy then runs its later rounds on its own copy of the trained
     model, exactly as if it had trained round 1 itself. Returns one dict
@@ -250,15 +256,17 @@ def compare_strategies(
     """
     trainer = make_trainer()
     configs = [replace(config, strategy=strategy) for strategy in STRATEGIES]
-    log = trainer.fit_round(dataset, dataset.train_ids, config.epochs)
-    firsts = [_finish_round(dataset, trainer, log, cfg, fit_config, 1) for cfg in configs]
+    rows = dataset.train_positions
+    log = trainer.fit_round(dataset, rows, config.epochs)
+    firsts = [_finish_round(dataset, trainer, log, rows, cfg, fit_config, 1)
+              for cfg in configs]
     del log  # free round 1's sequences before round 2 trains
-    rows = []
+    table = []
     for cfg, last in zip(configs, firsts):
-        if config.rounds > 1 and last.selected_ids:
+        if config.rounds > 1 and last.keep.any():
             last = run_multiround(dataset, copy.deepcopy(trainer), cfg, fit_config,
-                                  ids=last.selected_ids, start_round=2).rounds[-1]
-        rows.append(
+                                  rows=rows[last.keep], start_round=2).rounds[-1]
+        table.append(
             {
                 "strategy": cfg.strategy,
                 "kept": len(last.selected_ids),
@@ -267,4 +275,4 @@ def compare_strategies(
                 "accuracy": last.test_accuracy,
             }
         )
-    return rows
+    return table

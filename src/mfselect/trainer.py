@@ -60,14 +60,6 @@ class ToyDataset:
     def train_ids(self) -> list:
         return self.ids[self.train_positions].tolist()
 
-    def positions_of(self, ids) -> np.ndarray:
-        """Row positions for the given ids, in the given order."""
-        lookup = {v: i for i, v in enumerate(self.ids.tolist())}
-        try:
-            return np.array([lookup[i] for i in ids], dtype=np.intp)
-        except KeyError as exc:
-            raise KeyError(f"unknown instance id {exc.args[0]!r}") from None
-
     def clean_mask(self) -> np.ndarray:
         """Per training row, in ``train_ids`` order: observed label == true label."""
         pos = self.train_positions
@@ -393,23 +385,21 @@ class SGDTrainer:
         preds[perm], losses[perm] = preds_perm, losses_perm
         return preds, losses
 
-    def fit_round(self, dataset: ToyDataset, ids, epochs: int) -> RoundLog:
-        """Train for ``epochs`` epochs on the given ids and log the dynamics."""
+    def fit_round(self, dataset: ToyDataset, rows, epochs: int) -> RoundLog:
+        """Train ``epochs`` epochs on the dataset rows ``rows``; log row r is rows[r]."""
         if epochs < 1:
             raise ValueError("epochs must be >= 1")
-        ids = list(ids)
-        pos = dataset.positions_of(ids)
-        x = dataset.features[pos]
-        y = dataset.observed_labels[pos]
-        seq = np.empty((len(ids), epochs), dtype=np.int8)
-        loss_hist = np.empty((len(ids), epochs), dtype=float)
+        x = dataset.features[rows]
+        y = dataset.observed_labels[rows]
+        seq = np.empty((len(y), epochs), dtype=np.int8)
+        loss_hist = np.empty((len(y), epochs), dtype=float)
         for e in range(epochs):
             lr = cosine_lr(self.config.learning_rate, e, epochs)
             preds, losses = self.train_epoch(x, y, lr)
             seq[:, e] = preds == y
             loss_hist[:, e] = losses
-        return RoundLog(ids=ids, bits=seq, losses=loss_hist, labels=y,
-                        true_labels=dataset.true_labels[pos])
+        return RoundLog(ids=dataset.ids[rows].tolist(), bits=seq, losses=loss_hist,
+                        labels=y, true_labels=dataset.true_labels[rows])
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         return self.net.predict(features)

@@ -229,7 +229,7 @@ def test_criterion_6_trainer_end_to_end():
 
     baseline = bench_trainer()
     for _ in range(3):
-        baseline.fit_round(ds, ds.train_ids, 30)
+        baseline.fit_round(ds, ds.train_positions, 30)
     baseline_acc = compute_accuracy(
         baseline, ds.features[ds.test_positions], ds.true_labels[ds.test_positions]
     )
@@ -282,7 +282,7 @@ def test_criterion_7_baseline_comparison():
 def test_criterion_8_external_protocol_is_the_scale_path(tmp_path):
     ds = make_blobs(3, 20, 2, 3.0, seed=1)
     trainer = SGDTrainer(2, 3, TrainerConfig(seed=2))
-    inproc = trainer.fit_round(ds, ds.train_ids, epochs=4)
+    inproc = trainer.fit_round(ds, ds.train_positions, epochs=4)
     log_path = tmp_path / "precomputed.jsonl"
     write_prediction_log(log_path, replace(inproc, losses=None))
     copier = tmp_path / "copy.py"
@@ -291,7 +291,7 @@ def test_criterion_8_external_protocol_is_the_scale_path(tmp_path):
         f"{sys.executable} {copier} {log_path} {{out}}",
         tmp_path / "dataset.csv", tmp_path / "work", seed=0,
     )
-    external = bridge.fit_round(ds, ds.train_ids, epochs=4)
+    external = bridge.fit_round(ds, ds.train_positions, epochs=4)
     assert external.ids == inproc.ids
     assert np.array_equal(external.bits, inproc.bits)
     report(

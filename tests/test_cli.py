@@ -409,9 +409,8 @@ def test_write_json_crash_mid_write_keeps_old_file(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == [target]  # the half-written temp file is gone
 
 
-@pytest.mark.parametrize("empty_round", [1, 2])
-def test_run_resume_after_emptied_selection_matches_full_run(tmp_path, monkeypatch,
-                                                             empty_round):
+def empty_selection_in(monkeypatch, empty_round):
+    """Make round ``empty_round`` of every run select nothing."""
     real_strategy = selection_mod._apply_strategy
 
     def strategy(scores, log, config, fit_config, round_index):
@@ -423,6 +422,12 @@ def test_run_resume_after_emptied_selection_matches_full_run(tmp_path, monkeypat
         return real_strategy(scores, log, config, fit_config, round_index)
 
     monkeypatch.setattr(selection_mod, "_apply_strategy", strategy)
+
+
+@pytest.mark.parametrize("empty_round", [1, 2])
+def test_run_resume_after_emptied_selection_matches_full_run(tmp_path, monkeypatch,
+                                                             empty_round):
+    empty_selection_in(monkeypatch, empty_round)
     path = write_config(tmp_path, base_config(tmp_path, rounds=3, epochs=4))
     assert cli.main(["run", "-c", str(path)]) == 0
     out = tmp_path / "out"
@@ -433,6 +438,28 @@ def test_run_resume_after_emptied_selection_matches_full_run(tmp_path, monkeypat
     assert read_ids(out / "selected_ids_final.txt") == trained_on
     assert cli.main(["run", "-c", str(path), "--resume"]) == 0
     assert tree_digest(out) == full
+
+
+# an unknown id, and a test id (training ids are "0".."319")
+@pytest.mark.parametrize("foreign", ["not-a-training-id", "330"])
+def test_run_resume_after_emptied_selection_rejects_a_foreign_id(tmp_path, monkeypatch,
+                                                                 capsys, foreign):
+    # the final ids of a run whose round 2 emptied are round 1's selection,
+    # read back from its id file on resume
+    empty_selection_in(monkeypatch, 2)
+    path = write_config(tmp_path, base_config(tmp_path, rounds=3, epochs=4))
+    assert cli.main(["run", "-c", str(path)]) == 0
+    out = tmp_path / "out"
+    final = (out / "selected_ids_final.txt").read_bytes()
+    ids_path = out / "selected_ids_round1.txt"
+    with ids_path.open("a") as fh:
+        fh.write(foreign + "\n")
+    capsys.readouterr()
+    assert cli.main(["run", "-c", str(path), "--resume"]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and str(ids_path) in err and repr(foreign) in err
+    assert "Traceback" not in err
+    assert (out / "selected_ids_final.txt").read_bytes() == final
 
 
 @pytest.mark.parametrize("target,occurrence", [
@@ -463,6 +490,55 @@ def test_run_rename_failure_in_round_2_then_resume_matches_full_run(
     assert json.loads((out / "state.json").read_text())["completed_rounds"] == 1
     assert cli.main(["run", "-c", str(path), "-o", str(out), "--resume"]) == 0
     assert tree_digest(out) == tree_digest(tmp_path / "full")
+
+
+# an external trainer that lists its records in reverse and gets every label
+# wrong; an instance's chance of a 1 bit depends on whether its label is noisy
+EXTERNAL_STUB = """\
+import csv, json, random, sys
+dataset, ids_file, out, epochs, seed = sys.argv[1:]
+with open(dataset, newline="") as fh:
+    rows = {row["id"]: row for row in csv.DictReader(fh)}
+with open(ids_file, newline="") as fh:
+    ids = fh.read().split("\\n")[:-1]
+rng = random.Random(int(seed) + len(ids))
+with open(out, "w") as fh:
+    for i in reversed(ids):
+        p = 0.8 if rows[i]["observed_label"] == rows[i]["true_label"] else 0.3
+        seq = [int(rng.random() < p) for _ in range(int(epochs))]
+        fh.write(json.dumps({"id": i, "label": 99, "seq": seq}) + "\\n")
+"""
+
+
+def test_run_external_trainer_rounds_then_resume(tmp_path):
+    stub = tmp_path / "stub.py"
+    stub.write_text(EXTERNAL_STUB)
+    config = base_config(tmp_path, rounds=3, epochs=20)
+    config["trainer"] = {"kind": "external", "seed": 5, "command":
+                         f"{sys.executable} {stub} {{dataset}} {{ids}} {{out}} {{epochs}} {{seed}}"}
+    path = write_config(tmp_path, config)
+    assert cli.main(["run", "-c", str(path)]) == 0
+    out = tmp_path / "out"
+    ds = read_dataset_csv(out / "dataset.csv")
+    labels = dict(zip(ds.ids.tolist(), zip(ds.observed_labels.tolist(),
+                                           ds.true_labels.tolist())))
+    trained_on = ds.train_ids
+    for k in (1, 2, 3):
+        # the round's log follows the ids it trained on, with the dataset's labels
+        assert read_ids(out / "external" / f"ids_round{k}.txt") == trained_on
+        log = read_prediction_log(out / f"log_round{k}.jsonl")
+        assert log.ids == trained_on
+        assert list(zip(log.labels.tolist(), log.true_labels.tolist())) == [
+            labels[i] for i in trained_on]
+        kept = read_ids(out / f"selected_ids_round{k}.txt")
+        chosen = set(kept)
+        assert kept and kept == [i for i in trained_on if i in chosen]
+        trained_on = kept
+    assert read_ids(out / "selected_ids_final.txt") == trained_on
+    assert len(trained_on) < len(ds.train_ids)
+    full = tree_digest(out)
+    assert cli.main(["run", "-c", str(path), "--resume"]) == 0
+    assert tree_digest(out) == full
 
 
 def test_run_small_round_falls_back_to_ratio(tmp_path, capsys):

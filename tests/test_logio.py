@@ -1,5 +1,6 @@
 import json
 import sys
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -471,7 +472,7 @@ def test_external_trainer_echoes_precomputed_log(tmp_path):
     in-process round exactly."""
     ds = make_blobs(3, 30, 2, 2.0, seed=6)
     trainer = SGDTrainer(2, 3, TrainerConfig(seed=11))
-    inproc = trainer.fit_round(ds, ds.train_ids, epochs=5)
+    inproc = trainer.fit_round(ds, ds.train_positions, epochs=5)
 
     precomputed = tmp_path / "precomputed.jsonl"
     write_prediction_log(precomputed, inproc)
@@ -484,7 +485,7 @@ def test_external_trainer_echoes_precomputed_log(tmp_path):
         tmp_path / "work",
         seed=0,
     )
-    external = bridge.fit_round(ds, ds.train_ids, epochs=5)
+    external = bridge.fit_round(ds, ds.train_positions, epochs=5)
     assert external.ids == inproc.ids
     assert np.array_equal(external.bits, inproc.bits)
     assert np.allclose(external.losses, inproc.losses)
@@ -510,7 +511,9 @@ def test_external_trainer_returns_caller_order_for_shuffled_log(tmp_path):
         f"{sys.executable} {copier} {shuffled} {{out}}",
         tmp_path / "data.csv", tmp_path / "work", seed=0,
     )
-    log = bridge.fit_round(None, ids, epochs=2)
+    # a dataset whose rows 1..4 hold the ids
+    dataset = SimpleNamespace(ids=np.array(["x", *ids], dtype=object))
+    log = bridge.fit_round(dataset, np.arange(1, n + 1), epochs=2)
     assert log.ids == ids
     assert log.bits.tolist() == [[k % 2, 1] for k in range(n)]
     assert log.losses.tolist() == [[1.0, float(k)] for k in range(n)]

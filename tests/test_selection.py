@@ -52,8 +52,8 @@ class FakeTrainer:
         self.losses = losses
         self.fit_calls = []
 
-    def fit_round(self, dataset, ids, epochs):
-        ids = list(ids)
+    def fit_round(self, dataset, rows, epochs):
+        ids = dataset.ids[rows].tolist()
         self.fit_calls.append((ids, epochs))
         return RoundLog(
             ids=ids,
@@ -65,14 +65,14 @@ class FakeTrainer:
 
 
 class FakeDataset:
-    """Training ids only: no ground truth, no test split."""
+    """Ids only, every row a training row: no ground truth, no test split."""
 
     def __init__(self, ids):
-        self._ids = list(ids)
+        self.ids = np.array(ids, dtype=object)
 
     @property
-    def train_ids(self):
-        return list(self._ids)
+    def train_positions(self):
+        return np.arange(len(self.ids))
 
 
 def kept(scores, keep):
@@ -87,7 +87,8 @@ def values(scores):
 def one_round(dataset, trainer, config):
     """The single round of ``run_multiround`` with ``config.rounds == 1``."""
     multi = run_multiround(dataset, trainer, config, FitConfig())
-    assert len(multi.rounds) == 1 and multi.final_ids == multi.rounds[0].selected_ids
+    assert len(multi.rounds) == 1
+    assert dataset.ids[multi.final_rows].tolist() == multi.rounds[0].selected_ids
     return multi.rounds[0]
 
 
@@ -368,32 +369,41 @@ def test_multiround_single_round_equals_run_round():
     ds = benchmark_dataset()
     cfg = RoundConfig(epochs=10, rounds=1)
     multi = run_multiround(ds, benchmark_trainer(), cfg, FitConfig())
-    log = benchmark_trainer().fit_round(ds, ds.train_ids, cfg.epochs)
+    log = benchmark_trainer().fit_round(ds, ds.train_positions, cfg.epochs)
     single = select_round(log, cfg, FitConfig())
     assert len(multi.rounds) == 1
     assert multi.rounds[0].selected_ids == single.selected_ids
-    assert multi.final_ids == single.selected_ids
+    assert ds.ids[multi.final_rows].tolist() == single.selected_ids
     assert np.array_equal(multi.rounds[0].scores, single.scores)
     assert multi.rounds[0].stats == selection_precision_recall(single.keep, ds.clean_mask())
 
 
 def test_multiround_rounds_shrink_and_precision_trend():
-    ds = benchmark_dataset()
-    result = run_multiround(
-        ds, benchmark_trainer(), RoundConfig(epochs=30, rounds=3), FitConfig()
-    )
-    assert not result.truncated
-    sizes = [len(r.selected_ids) for r in result.rounds]
-    assert sizes[0] >= sizes[1] >= sizes[2]
-    # every round's stats count against the clean instances of the original set
-    is_clean = dict(zip(ds.train_ids, ds.clean_mask().tolist()))
-    for r in result.rounds:
-        assert (r.stats.precision, r.stats.recall, r.stats.kept) == oracle_precision_recall(
-            r.selected_ids, is_clean)
-    # selections nest: each round's input is the previous round's output
-    ids_by_round = [set(r.selected_ids) for r in result.rounds]
-    assert ids_by_round[2] <= ids_by_round[1] <= ids_by_round[0]
-    assert result.rounds[-1].stats.precision > result.rounds[0].stats.precision
+    blobs = benchmark_dataset()
+    # the same rows shuffled: test rows among the training rows and ids out of
+    # row order, so that a training row's index is not its dataset position
+    order = np.random.default_rng(0).permutation(len(blobs.ids))
+    shuffled = replace(blobs, ids=blobs.ids[order], features=blobs.features[order],
+                       observed_labels=blobs.observed_labels[order],
+                       true_labels=blobs.true_labels[order], split=blobs.split[order])
+    assert not np.array_equal(shuffled.train_positions, np.arange(len(order) * 4 // 5))
+    for ds in (blobs, shuffled):
+        result = run_multiround(
+            ds, benchmark_trainer(), RoundConfig(epochs=30, rounds=3), FitConfig()
+        )
+        assert not result.truncated
+        sizes = [len(r.selected_ids) for r in result.rounds]
+        assert sizes[0] >= sizes[1] >= sizes[2]
+        # every round's stats count against the clean instances of the original set
+        is_clean = dict(zip(ds.train_ids, ds.clean_mask().tolist()))
+        for r in result.rounds:
+            assert (r.stats.precision, r.stats.recall, r.stats.kept) == (
+                oracle_precision_recall(r.selected_ids, is_clean))
+        # selections nest: each round's input is the previous round's output
+        ids_by_round = [set(r.selected_ids) for r in result.rounds]
+        assert ids_by_round[2] <= ids_by_round[1] <= ids_by_round[0]
+        assert ds.ids[result.final_rows].tolist() == result.rounds[-1].selected_ids
+        assert result.rounds[-1].stats.precision > result.rounds[0].stats.precision
 
 
 def test_multiround_deterministic():
@@ -432,7 +442,7 @@ def test_multiround_sequences_reset_each_round():
     run_multiround(ds, trainer, cfg, FitConfig())
     # every fit_round call produced sequences of exactly the round's epochs
     # (would be longer if they accumulated across rounds)
-    log = trainer.fit_round(ds, sorted(ds.train_ids)[:50], 5)
+    log = trainer.fit_round(ds, ds.train_positions[:50], 5)
     assert log.bits.shape == (50, 5)
 
 
@@ -494,8 +504,9 @@ def test_compare_strategies_matches_per_strategy_training(case, monkeypatch):
     seen = {}
     finish_round = selection_mod._finish_round
 
-    def spy(dataset, trainer, log, config, *args, **kwargs):
-        seen[config.strategy] = finish_round(dataset, trainer, log, config, *args, **kwargs)
+    def spy(dataset, trainer, log, rows, config, *args, **kwargs):
+        seen[config.strategy] = finish_round(dataset, trainer, log, rows, config, *args,
+                                             **kwargs)
         return seen[config.strategy]
 
     monkeypatch.setattr(selection_mod, "_finish_round", spy)
@@ -519,10 +530,10 @@ def test_compare_strategies_trains_round_one_once(rounds, monkeypatch):
     fit_round = SGDTrainer.fit_round
     calls, first_log = [], []
 
-    def spy(self, dataset, ids, epochs):
+    def spy(self, dataset, rows, epochs):
         # round 1's log must be gone before any later round trains
         calls.append(bool(first_log) and first_log[0]() is not None)
-        log = fit_round(self, dataset, ids, epochs)
+        log = fit_round(self, dataset, rows, epochs)
         if not first_log:
             first_log.append(weakref.ref(log))
         return log

@@ -56,7 +56,7 @@ def test_make_blobs_deterministic():
 def test_nearly_separable_blobs_are_learned():
     ds = make_blobs(3, 100, 4, 25.0, seed=2)
     trainer = SGDTrainer(4, 3, TrainerConfig(learning_rate=0.1, seed=0))
-    log = trainer.fit_round(ds, ds.train_ids, epochs=20)
+    log = trainer.fit_round(ds, ds.train_positions, epochs=20)
     train_acc = np.mean(
         trainer.predict(ds.features[ds.train_positions])
         == ds.observed_labels[ds.train_positions]
@@ -170,7 +170,7 @@ def test_fit_round_deterministic_given_seed():
     logs = []
     for _ in range(2):
         trainer = SGDTrainer(3, 4, TrainerConfig(seed=21))
-        logs.append(trainer.fit_round(ds, ds.train_ids, epochs=5))
+        logs.append(trainer.fit_round(ds, ds.train_positions, epochs=5))
     assert np.array_equal(logs[0].bits, logs[1].bits)
     assert np.array_equal(logs[0].losses, logs[1].losses)
 
@@ -178,7 +178,7 @@ def test_fit_round_deterministic_given_seed():
 def test_fit_round_shapes_and_loss_alignment():
     ds = make_blobs(3, 40, 2, 1.5, seed=4)
     trainer = SGDTrainer(2, 3, TrainerConfig(batch_size=32, seed=2))
-    log = trainer.fit_round(ds, ds.train_ids, epochs=7)
+    log = trainer.fit_round(ds, ds.train_positions, epochs=7)
     assert log.ids == ds.train_ids
     assert log.bits.shape == (len(log), 7) and log.bits.dtype == np.int8
     assert log.losses.shape == (len(log), 7)
@@ -194,7 +194,7 @@ def test_statuses_recorded_before_update():
     # so the sequence must match predictions of the frozen model
     ds = make_blobs(3, 30, 2, 3.0, seed=5)
     trainer = SGDTrainer(2, 3, TrainerConfig(learning_rate=0.0, seed=3))
-    log = trainer.fit_round(ds, ds.train_ids, epochs=3)
+    log = trainer.fit_round(ds, ds.train_positions, epochs=3)
     frozen_preds = trainer.predict(ds.features[ds.train_positions])
     for row in range(len(log)):
         expected = int(frozen_preds[row] == ds.observed_labels[ds.train_positions][row])
@@ -206,7 +206,7 @@ def test_mlp_arch_trains():
     trainer = SGDTrainer(
         6, 4, TrainerConfig(arch="mlp", hidden=16, learning_rate=0.1, seed=4)
     )
-    trainer.fit_round(ds, ds.train_ids, epochs=15)
+    trainer.fit_round(ds, ds.train_positions, epochs=15)
     acc = np.mean(
         trainer.predict(ds.features[ds.train_positions])
         == ds.observed_labels[ds.train_positions]
@@ -217,14 +217,14 @@ def test_mlp_arch_trains():
 def test_trainer_state_round_trip():
     ds = make_blobs(3, 60, 2, 1.0, seed=12)
     trainer = SGDTrainer(2, 3, TrainerConfig(seed=7))
-    trainer.fit_round(ds, ds.train_ids, epochs=3)
+    trainer.fit_round(ds, ds.train_positions, epochs=3)
     state = trainer.state_dict()
-    log_a = trainer.fit_round(ds, ds.train_ids, epochs=3)
+    log_a = trainer.fit_round(ds, ds.train_positions, epochs=3)
 
     # the checkpoint is JSON plus arrays: rebuild from a JSON-parsed copy
     arrays = {key: state.pop(key) for key in ("params", "velocity")}
     fresh = SGDTrainer.from_state_dict({**json.loads(json.dumps(state)), **arrays})
-    log_b = fresh.fit_round(ds, ds.train_ids, epochs=3)
+    log_b = fresh.fit_round(ds, ds.train_positions, epochs=3)
     assert np.array_equal(log_a.bits, log_b.bits)
     assert np.array_equal(log_a.losses, log_b.losses)
     assert fresh.config == trainer.config
