@@ -25,7 +25,7 @@ import re
 import sys
 import types
 import typing
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from itertools import chain, count, takewhile
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -62,37 +62,113 @@ DEFAULT_BINS = 40
 
 
 @dataclass
-class ExperimentConfig:
-    """Validated view of one experiment config file.
+class BlobsConfig:
+    """``make_blobs``' parameters; all but ``test_per_class`` are required."""
 
-    ``trainer`` is the built-in sgd trainer's ``TrainerConfig``, or the
-    section itself for an external trainer; ``simulate`` is the simulate
-    section's ``DynamicsModel`` and the section itself, for its sizes.
-    """
+    n_classes: int
+    per_class: int
+    dim: int
+    spread: float
+    seed: int
+    test_per_class: int = 0
+
+
+@dataclass
+class DatasetConfig:
+    """The dataset section: exactly one source, blobs or a dataset CSV."""
+
+    blobs: BlobsConfig | None = None
+    csv: str | None = None
+
+    def __post_init__(self):
+        if (self.blobs is None) == (self.csv is None):
+            raise ValueError("name exactly one source: blobs or csv")
+
+
+@dataclass
+class NoiseConfig:
+    """The noise section; ``type: none`` leaves the labels as they are."""
+
+    type: str = "none"
+    ratio: float | None = None
+    seed: int | None = None
+    class_map: str | dict[int | str, int] | None = None
+
+    def __post_init__(self):
+        if self.type not in ("none", "symmetric", "asymmetric"):
+            raise ValueError(f"type must be none|symmetric|asymmetric, got {self.type!r}")
+        if self.type != "none" and None in (self.ratio, self.seed):
+            raise ValueError(f"{self.type} noise needs a ratio and a seed (seeds are explicit)")
+        if self.type == "asymmetric" and not (self.class_map == "circular"
+                                              or isinstance(self.class_map, dict)):
+            raise ValueError("asymmetric noise needs a class_map: 'circular' or a mapping")
+        if isinstance(self.class_map, dict):  # JSON writes each class key as a string
+            self.class_map = {int(k): v for k, v in self.class_map.items()}
+
+
+@dataclass(kw_only=True)
+class SGDConfig(TrainerConfig):
+    """The built-in trainer's section: a ``TrainerConfig`` with an explicit seed."""
+
+    seed: int = field()  # no default: without field(), TrainerConfig's would do
+
+
+@dataclass
+class ExternalTrainerConfig:
+    """An external trainer's section: its command template and seed."""
+
+    command: str
+    seed: int = 0
+
+
+@dataclass(kw_only=True)
+class SimulateConfig(DynamicsModel):
+    """The simulate section: the chain's parameters and ``simulate_dynamics``' sizes."""
+
+    n_clean: int
+    n_noisy: int
+    epochs: int
+    seed: int
+
+
+@dataclass
+class ExperimentConfig:
+    """Validated view of one experiment config file; ``raw`` is the file's
+    mapping as given, and each section is its dataclass (None when absent)."""
 
     raw: dict
     output_dir: Path
-    dataset: dict | None = None
-    noise: dict | None = None
-    trainer: TrainerConfig | dict | None = None
-    round_config: RoundConfig = field(default_factory=RoundConfig)
-    fit_config: FitConfig = field(default_factory=FitConfig)
-    simulate: tuple[DynamicsModel, dict] | None = None
+    dataset: DatasetConfig | None
+    noise: NoiseConfig
+    trainer: SGDConfig | ExternalTrainerConfig | None
+    round_config: RoundConfig
+    fit_config: FitConfig
+    simulate: SimulateConfig | None
 
     @classmethod
     def from_dict(cls, raw: dict, output_dir: str | None = None) -> "ExperimentConfig":
         _reject_unknown(raw, ROOT_KEYS)
+        _check_type(raw.get("output_dir"), str | None, "output_dir")
         out = output_dir or raw.get("output_dir")
         if not out:
             raise ConfigError("output_dir is required (config key or --output-dir)")
-        cfg = cls(raw=raw, output_dir=Path(out))
-        cfg.dataset = _validate_dataset(raw.get("dataset"))
-        cfg.noise = _validate_noise(raw.get("noise"))
-        cfg.trainer = _parse_trainer(raw.get("trainer"))
-        cfg.round_config = _build(RoundConfig, raw.get("round"), "round")
-        cfg.fit_config = _build(FitConfig, raw.get("fit"), "fit")
-        cfg.simulate = _parse_simulate(raw.get("simulate"))
-        return cfg
+
+        def optional(kind, key):  # an absent or null section is None
+            return None if raw.get(key) is None else _build(kind, raw[key], key)
+
+        trainer = raw.get("trainer")
+        if trainer is not None:  # kind alone picks the dataclass for the other keys
+            _check_type(trainer, dict, "trainer")
+            kind = trainer.get("kind", "sgd")
+            if kind not in ("sgd", "external"):
+                raise ConfigError(f"trainer.kind must be sgd or external, got {kind!r}")
+            trainer = _build(SGDConfig if kind == "sgd" else ExternalTrainerConfig,
+                             {k: v for k, v in trainer.items() if k != "kind"}, "trainer")
+        return cls(raw=raw, output_dir=Path(out), dataset=optional(DatasetConfig, "dataset"),
+                   noise=_build(NoiseConfig, raw.get("noise"), "noise"), trainer=trainer,
+                   round_config=_build(RoundConfig, raw.get("round"), "round"),
+                   fit_config=_build(FitConfig, raw.get("fit"), "fit"),
+                   simulate=optional(SimulateConfig, "simulate"))
 
 
 # the sections of a config file, and its one top-level value
@@ -112,23 +188,31 @@ def _reject_unknown(section: dict, allowed: set, where: str = "") -> None:
 def _check_type(value, kind, name: str) -> None:
     """ConfigError naming ``name`` unless ``value`` is a ``kind``.
 
-    ``kind`` is a type or a field annotation: float takes any number,
-    ``X | None`` takes None too, and ``list[X]`` any list.
+    ``kind`` is a type or a field annotation: float takes any number, bool
+    is no int, a union takes a value of any of its members, ``list[X]`` and
+    ``dict[K, X]`` check each element (and key), naming it ``name[i]``, and
+    a string must not be empty.
     """
-    if isinstance(kind, types.UnionType):  # X | None
-        if value is None:
-            return
-        kind = typing.get_args(kind)[0]
-    kind = typing.get_origin(kind) or kind
-    expected = (int, float) if kind is float else kind
-    if not isinstance(value, expected) or isinstance(value, bool) != (kind is bool):
-        raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
+    def is_a(kind):  # at the top level
+        kind = typing.get_origin(kind) or kind
+        expected = (int, float) if kind is float else kind
+        return isinstance(value, expected) and isinstance(value, bool) == (kind is bool)
+
+    if isinstance(kind, types.UnionType):  # the member of the value's own type
+        kind = next(filter(is_a, typing.get_args(kind)), kind)
+    if isinstance(kind, types.UnionType) or not is_a(kind):
+        raise ConfigError(f"{name} must be {getattr(kind, '__name__', kind)}, got {value!r}")
+    if value == "":
+        raise ConfigError(f"{name} must not be empty")
+    if typing.get_origin(kind) in (list, dict):  # each element, by its index or key
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            if isinstance(value, dict):
+                _check_type(key, typing.get_args(kind)[0], f"{name} key {key!r}")
+            _check_type(item, typing.get_args(kind)[-1], f"{name}[{key!r}]")
 
 
 # config keys that differ from the name of their dataclass field
 CONFIG_NAMES = {"lam": "lambda", "metric_kind": "metric"}
-# the simulate keys beside the DynamicsModel ones: simulate_dynamics' sizes
-SIMULATE_SIZES = ("n_clean", "n_noisy", "epochs", "seed")
 
 
 def config_keys(cls) -> dict:
@@ -136,25 +220,34 @@ def config_keys(cls) -> dict:
     return {CONFIG_NAMES.get(f.name, f.name): f.name for f in fields(cls)}
 
 
-def _build(cls, section: dict, where: str, extra=()):
+def _build(cls, section: dict, where: str):
     """``cls`` from a config section; bad keys and values are ConfigErrors.
 
-    The section's keys are the fields of ``cls`` (see ``config_keys``) plus
-    the ``extra`` keys that the caller reads itself; absent fields keep the
-    dataclass defaults, and so does every field of an absent (None)
-    section. A value that does not match its field's annotation is rejected
-    by key, so a YAML string such as ``1e8`` never reaches the dataclass.
+    The section's keys are the fields of ``cls`` (see ``config_keys``). A
+    field without a default is required; the others keep their defaults
+    when absent, as all do in an absent (None) section. A value that does
+    not match its field's annotation is rejected by key, so a YAML string
+    such as ``1e8`` never reaches the dataclass; a dataclass-typed field is
+    built from its mapping the same way.
     """
     if section is None:
         section = {}
-    keys = config_keys(cls)
-    _reject_unknown(section, set(keys) | set(extra), where)
+    _reject_unknown(section, set(config_keys(cls)), where)
     hints = typing.get_type_hints(cls)
     kwargs = {}
-    for key, name in keys.items():
-        if key in section:
-            value = kwargs[name] = section[key]
-            _check_type(value, hints[name], f"{where}.{key}")
+    for f in fields(cls):
+        key = CONFIG_NAMES.get(f.name, f.name)
+        if key not in section:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"{where}.{key} is required")
+            continue
+        value = section[key]
+        nested = next(filter(is_dataclass, typing.get_args(hints[f.name])), None)
+        if nested is not None and value is not None:
+            value = _build(nested, value, f"{where}.{key}")
+        else:
+            _check_type(value, hints[f.name], f"{where}.{key}")
+        kwargs[f.name] = value
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -163,87 +256,6 @@ def _build(cls, section: dict, where: str, extra=()):
         for field_name, key in CONFIG_NAMES.items():
             message = re.sub(rf"\b{field_name}\b", key, message)
         raise ConfigError(f"{where}: {message}")
-
-
-# make_blobs parameters, by type; all but test_per_class are required
-BLOB_TYPES = {"n_classes": int, "per_class": int, "dim": int, "spread": float,
-              "seed": int, "test_per_class": int}
-
-
-def _validate_dataset(section):
-    if section is None:
-        return None
-    _reject_unknown(section, {"blobs", "csv"}, "dataset")
-    sources = [k for k in ("blobs", "csv") if section.get(k) is not None]
-    if len(sources) != 1:
-        raise ConfigError("dataset must name exactly one source: blobs or csv")
-    if "csv" in sources:
-        _check_type(section["csv"], str, "dataset.csv")
-        return section
-    blobs = section["blobs"]
-    _reject_unknown(blobs, set(BLOB_TYPES), "dataset.blobs")
-    for key, kind in BLOB_TYPES.items():
-        if key in blobs:
-            _check_type(blobs[key], kind, f"dataset.blobs.{key}")
-        elif key != "test_per_class":
-            raise ConfigError(f"dataset.blobs.{key} is required (seeds are explicit)")
-    return section
-
-
-def _validate_noise(section):
-    if section is None:
-        return None
-    _reject_unknown(section, {"type", "ratio", "seed", "class_map"}, "noise")
-    kind = section.get("type", "none")
-    if kind not in ("none", "symmetric", "asymmetric"):
-        raise ConfigError(f"noise.type must be none|symmetric|asymmetric, got {kind!r}")
-    if kind != "none":
-        if "ratio" not in section:
-            raise ConfigError("noise.ratio is required")
-        if "seed" not in section:
-            raise ConfigError("noise.seed is required (seeds are explicit)")
-        _check_type(section["ratio"], float, "noise.ratio")
-        _check_type(section["seed"], int, "noise.seed")
-    if kind == "asymmetric":
-        class_map = section.get("class_map")
-        if class_map != "circular" and not isinstance(class_map, dict):
-            raise ConfigError("noise.class_map must be 'circular' or a class -> class "
-                              "mapping for asymmetric noise")
-    return section
-
-
-def _parse_trainer(section):
-    """The sgd trainer's ``TrainerConfig``, or an external trainer's section."""
-    if section is None:
-        return None
-    _check_type(section, dict, "trainer")
-    kind = section.get("kind", "sgd")
-    if kind == "external":
-        _reject_unknown(section, {"kind", "command", "seed"}, "trainer")
-        if not section.get("command"):
-            raise ConfigError("trainer.command is required for an external trainer")
-        return section
-    if kind != "sgd":
-        raise ConfigError(f"trainer.kind must be sgd or external, got {kind!r}")
-    config = _build(TrainerConfig, section, "trainer", extra=("kind",))
-    if "seed" not in section:
-        raise ConfigError("trainer.seed is required (seeds are explicit)")
-    return config
-
-
-def _parse_simulate(section):
-    """The simulate section's ``DynamicsModel`` and the section, type-checked;
-    ``simulate_dynamics`` checks the sizes' ranges and the ramp's length."""
-    if section is None:
-        return None
-    model = _build(DynamicsModel, section, "simulate", extra=SIMULATE_SIZES)
-    for e, mult in enumerate(model.ramp or ()):
-        _check_type(mult, float, f"simulate.ramp[{e}]")
-    for key in SIMULATE_SIZES:
-        if key not in section:
-            raise ConfigError(f"simulate.{key} is required")
-        _check_type(section[key], int, f"simulate.{key}")
-    return model, section
 
 
 def load_config(path, overrides=(), output_dir=None) -> ExperimentConfig:
@@ -287,51 +299,45 @@ def _apply_override(raw: dict, item: str) -> dict:
 # builders
 
 
+def _section(cfg: ExperimentConfig, name: str):
+    """The ``name`` section of ``cfg``; a config error when it is absent."""
+    value = getattr(cfg, name)
+    if value is None:
+        raise ConfigError(f"config section {name!r} is required for this command")
+    return value
+
+
 def build_dataset(cfg: ExperimentConfig) -> ToyDataset:
-    section = cfg.dataset
-    if section is None:
-        raise ConfigError("config section 'dataset' is required for this command")
-    if section.get("csv"):
-        return logio.read_dataset_csv(section["csv"])
+    source = _section(cfg, "dataset")
+    if source.csv is not None:
+        return logio.read_dataset_csv(source.csv)
     try:
-        return make_blobs(**section["blobs"])
+        return make_blobs(**vars(source.blobs))
     except ValueError as exc:
         raise ConfigError(f"dataset.blobs: {exc}")
 
 
 def apply_noise(ds: ToyDataset, cfg: ExperimentConfig) -> ToyDataset:
-    section = cfg.noise
-    if section is None or section.get("type", "none") == "none":
-        return ds
+    noise = cfg.noise
     try:
-        if section["type"] == "symmetric":
-            return inject_symmetric_noise(ds, section["ratio"], section["seed"])
-        class_map = section["class_map"]
-        if class_map == "circular":
-            class_map = circular_class_map(ds.n_classes)
-        else:
-            class_map = {int(k): int(v) for k, v in class_map.items()}
-        return inject_asymmetric_noise(ds, section["ratio"], class_map, section["seed"])
+        if noise.type == "symmetric":
+            return inject_symmetric_noise(ds, noise.ratio, noise.seed)
+        if noise.type == "asymmetric":
+            class_map = noise.class_map
+            if class_map == "circular":
+                class_map = circular_class_map(ds.n_classes)
+            return inject_asymmetric_noise(ds, noise.ratio, class_map, noise.seed)
     except ValueError as exc:
         raise ConfigError(f"noise: {exc}")
+    return ds
 
 
 def build_trainer(cfg: ExperimentConfig, ds: ToyDataset, workdir: Path):
-    section = cfg.trainer
-    if section is None:
-        raise ConfigError("config section 'trainer' is required for this command")
-    if isinstance(section, TrainerConfig):
-        return SGDTrainer(ds.features.shape[1], ds.n_classes, section)
-    return logio.ExternalTrainer(
-        section["command"], workdir / "dataset.csv", workdir / "external",
-        seed=section.get("seed", 0),
-    )
-
-
-def build_dynamics_model(cfg: ExperimentConfig) -> tuple[DynamicsModel, dict]:
-    if cfg.simulate is None:
-        raise ConfigError("config section 'simulate' is required for this command")
-    return cfg.simulate
+    config = _section(cfg, "trainer")
+    if isinstance(config, TrainerConfig):
+        return SGDTrainer(ds.features.shape[1], ds.n_classes, config)
+    return logio.ExternalTrainer(config.command, workdir / "dataset.csv",
+                                 workdir / "external", seed=config.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -480,12 +486,9 @@ def load_model(outdir: Path) -> SGDTrainer:
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
-    model, section = build_dynamics_model(cfg)
+    sim = _section(cfg, "simulate")
     try:
-        log = simulate_dynamics(
-            section["n_clean"], section["n_noisy"], model,
-            epochs=section["epochs"], seed=section["seed"],
-        )
+        log = simulate_dynamics(sim.n_clean, sim.n_noisy, sim, epochs=sim.epochs, seed=sim.seed)
     except ValueError as exc:  # sizes out of range, or a ramp shorter than epochs
         raise ConfigError(f"simulate: {exc}")
     outdir = cfg.output_dir
@@ -585,9 +588,8 @@ def run_pipeline(cfg: ExperimentConfig, resume: bool = False) -> list:
         row_of = dict(zip(ds.ids[train].tolist(), train.tolist()))
         state, rows = _read_state(state_path, row_of)
         if state.get("config") != cfg.raw:
-            raise ConfigError(
-                "state.json belongs to a different config; rerun without --resume"
-            )
+            raise ConfigError("state.json belongs to a different config; "
+                              "rerun without --resume")
         done = state["completed_rounds"]
         start_round, stats_rows = done + 1, state["stats_rows"]
         if state.get("truncated"):
@@ -608,6 +610,8 @@ def run_pipeline(cfg: ExperimentConfig, resume: bool = False) -> list:
                                      f"({cfg.round_config.rounds})", path=state_path)
             if done:  # a missing checkpoint fails here, naming its meta.json
                 trainer = load_model(outdir / f"model_round{done}")
+        else:  # the external trainer's files go on from the next round's number
+            trainer.round_counter = done
 
     def on_round(result, log, rows):
         k = result.round_index
@@ -830,15 +834,11 @@ def cmd_report(cfg: ExperimentConfig, outputs: Path | None, compare: bool) -> in
 
 
 def _write_comparison(cfg: ExperimentConfig, outputs: Path) -> int:
-    if isinstance(cfg.trainer, dict):  # an external trainer's section
+    if isinstance(cfg.trainer, ExternalTrainerConfig):
         raise ConfigError("report --compare needs the built-in sgd trainer")
     ds = apply_noise(build_dataset(cfg), cfg)
-    rows = selection.compare_strategies(
-        ds,
-        lambda: build_trainer(cfg, ds, outputs),
-        cfg.round_config,
-        cfg.fit_config,
-    )
+    rows = selection.compare_strategies(ds, lambda: build_trainer(cfg, ds, outputs),
+                                        cfg.round_config, cfg.fit_config)
     header = ["strategy", "kept", "precision", "recall", "accuracy"]
     write_table(outputs / "comparison.csv", header,
                 [[row[key] for key in header] for row in rows])
@@ -898,19 +898,15 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, overrides=args.overrides,
                           output_dir=args.output_dir)
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
-        if args.command == "inject-noise":
-            return cmd_inject_noise(cfg)
-        if args.command == "run":
-            return cmd_run(cfg, trials=args.trials, resume=args.resume)
-        if args.command == "select":
-            return cmd_select(cfg, args.log)
-        if args.command == "eval":
-            return cmd_eval(cfg, args.dir, args.bins)
-        if args.command == "report":
-            return cmd_report(cfg, args.dir, args.compare)
-        raise ConfigError(f"unknown command {args.command!r}")
+        commands = {
+            "simulate": lambda: cmd_simulate(cfg),
+            "inject-noise": lambda: cmd_inject_noise(cfg),
+            "run": lambda: cmd_run(cfg, trials=args.trials, resume=args.resume),
+            "select": lambda: cmd_select(cfg, args.log),
+            "eval": lambda: cmd_eval(cfg, args.dir, args.bins),
+            "report": lambda: cmd_report(cfg, args.dir, args.compare),
+        }
+        return commands[args.command]()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

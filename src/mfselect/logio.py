@@ -511,9 +511,10 @@ class ExternalTrainer:
     """Round trainer backed by a subprocess command.
 
     Model state continuity across rounds is the external command's
-    responsibility; this bridge only hands it the ids of the surviving rows
-    each round and validates the log it returns. The command may list the
-    ids in any order; the returned log follows ``rows``.
+    responsibility; this bridge hands it the ids of the surviving rows in
+    files numbered by round (``round_counter`` is the last round it ran) and
+    validates the log it returns. The command may list the ids in any
+    order; the returned log follows ``rows``.
     """
 
     def __init__(self, command_template: str, dataset_file, workdir, seed: int = 0):

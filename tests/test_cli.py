@@ -22,7 +22,7 @@ from mfselect.logio import (
     write_dataset_csv,
 )
 from mfselect.mixture import FitConfig, MixtureFit, threshold
-from mfselect.trainer import DynamicsModel, TrainerConfig, make_blobs
+from mfselect.trainer import TrainerConfig, make_blobs
 
 import mixture_reference
 
@@ -161,22 +161,23 @@ def test_readme_config_reference_lists_exactly_the_accepted_keys(tmp_path):
     # the block as written is a config the CLI accepts
     config = yaml.safe_load(block)
     config["output_dir"] = str(tmp_path / "out")
-    cli.build_dynamics_model(cli.ExperimentConfig.from_dict(config))
+    assert isinstance(cli.ExperimentConfig.from_dict(config).simulate, cli.SimulateConfig)
     # commented-out alternatives ("# key: value") are keys too
     listed = yaml.safe_load(re.sub(r"^(\s*)# (\w+:)", r"\1\2", block, flags=re.M))
     sections = {
         "round": set(cli.config_keys(selection_mod.RoundConfig)),
         "fit": set(cli.config_keys(FitConfig)),
         # kind picks sgd or external; command is the external trainer's
-        "trainer": set(cli.config_keys(TrainerConfig)) | {"kind", "command"},
-        "simulate": set(cli.config_keys(DynamicsModel)) | set(cli.SIMULATE_SIZES),
-        "dataset": {"blobs", "csv"},
-        "noise": {"type", "ratio", "seed", "class_map"},
+        "trainer": (set(cli.config_keys(TrainerConfig)) | {"kind"}
+                    | set(cli.config_keys(cli.ExternalTrainerConfig))),
+        "simulate": set(cli.config_keys(cli.SimulateConfig)),
+        "dataset": set(cli.config_keys(cli.DatasetConfig)),
+        "noise": set(cli.config_keys(cli.NoiseConfig)),
     }
     assert set(listed) == cli.ROOT_KEYS == {"output_dir"} | set(sections)
     for name, keys in sections.items():
         assert set(listed[name]) == keys, name
-    assert set(listed["dataset"]["blobs"]) == set(cli.BLOB_TYPES)
+    assert set(listed["dataset"]["blobs"]) == set(cli.config_keys(cli.BlobsConfig))
 
 
 @pytest.mark.parametrize(
@@ -225,6 +226,18 @@ def test_readme_config_reference_lists_exactly_the_accepted_keys(tmp_path):
         # every section is parsed at load, also where the command never reads it
         ("select --log unread.jsonl", "trainer.batch_size=0.5", "trainer.batch_size"),
         ("select --log unread.jsonl", "simulate.epochs=abc", "simulate.epochs"),
+        ("select --log unread.jsonl", "noise={type: none, ratio: abc}", "noise.ratio"),
+        ("select --log unread.jsonl", "trainer={kind: external, command: x, seed: abc}",
+         "trainer.seed"),
+        # values that reached a traceback (exit 1)
+        ("inject-noise", "output_dir=5", "output_dir"),
+        ("inject-noise", 'dataset={csv: ""}', "dataset.csv"),
+        ("run", "trainer={kind: external, command: 123}", "trainer.command"),
+        ("inject-noise", "noise={type: asymmetric, ratio: 0.5, seed: 1, class_map: {0: [1]}}",
+         "noise.class_map"),
+        # a class key that is no class: int() would have made it class 0
+        ("inject-noise", "noise={type: asymmetric, ratio: 0.5, seed: 1, class_map: {0.5: 1}}",
+         "noise.class_map key 0.5"),
     ],
 )
 def test_bad_config_value_exits_2_naming_key(tmp_path, capsys, command, override, key):
@@ -286,6 +299,24 @@ def test_inject_noise_ratio_zero_unchanged(tmp_path):
     assert np.array_equal(ds.observed_labels, ds.true_labels)
 
 
+def test_inject_noise_json_class_map_keys_are_classes(tmp_path):
+    # JSON writes every key as a string; {"0": 1} flips class 0 as {0: 1} does
+    config = base_config(tmp_path)
+    config["noise"] = {"type": "asymmetric", "ratio": 0.5, "seed": 3, "class_map": {0: 1}}
+    yaml_path = write_config(tmp_path, config)
+    config["output_dir"] = str(tmp_path / "json")
+    config["noise"]["class_map"] = {"0": 1}
+    json_path = tmp_path / "config.json"
+    json_path.write_text(json.dumps(config))
+    assert cli.load_config(json_path).noise.class_map == {0: 1}
+    assert cli.main(["inject-noise", "-c", str(yaml_path)]) == 0
+    assert cli.main(["inject-noise", "-c", str(json_path)]) == 0
+    ds = read_dataset_csv(tmp_path / "out" / "dataset.csv")
+    assert ds.noise_ratio() > 0
+    assert ((tmp_path / "json" / "dataset.csv").read_bytes()
+            == (tmp_path / "out" / "dataset.csv").read_bytes())
+
+
 def test_inject_noise_circular_full_flip(tmp_path):
     config = base_config(tmp_path)
     config["noise"] = {"type": "asymmetric", "ratio": 1.0, "seed": 2,
@@ -337,17 +368,21 @@ def test_run_rerun_is_byte_identical(tmp_path):
     assert tree_digest(tmp_path / "out") == first
 
 
+def rewind_to_round_1(out: Path) -> None:
+    """Rewind the checkpoint in ``out`` to the end of round 1."""
+    state = json.loads((out / "state.json").read_text())
+    state["completed_rounds"] = 1
+    state["stats_rows"] = state["stats_rows"][:1]
+    state["current_ids"] = read_ids(out / "selected_ids_round1.txt")
+    (out / "state.json").write_text(json.dumps(state, sort_keys=True, indent=2) + "\n")
+
+
 def test_run_resume_matches_full_run(tmp_path):
     path = write_config(tmp_path)
     cli.main(["run", "-c", str(path)])
     out = tmp_path / "out"
     full = tree_digest(out)
-    # rewind the checkpoint to the end of round 1 and resume
-    state = json.loads((out / "state.json").read_text())
-    state["completed_rounds"] = 1
-    state["stats_rows"] = state["stats_rows"][:1]
-    state["current_ids"] = [str(i) for i in read_ids(out / "selected_ids_round1.txt")]
-    (out / "state.json").write_text(json.dumps(state, sort_keys=True, indent=2) + "\n")
+    rewind_to_round_1(out)
     assert cli.main(["run", "-c", str(path), "--resume"]) == 0
     assert tree_digest(out) == full
 
@@ -537,6 +572,10 @@ def test_run_external_trainer_rounds_then_resume(tmp_path):
     assert read_ids(out / "selected_ids_final.txt") == trained_on
     assert len(trained_on) < len(ds.train_ids)
     full = tree_digest(out)
+    assert cli.main(["run", "-c", str(path), "--resume"]) == 0
+    assert tree_digest(out) == full
+    # resumed after round 1, the external files keep their round numbers
+    rewind_to_round_1(out)
     assert cli.main(["run", "-c", str(path), "--resume"]) == 0
     assert tree_digest(out) == full
 
