@@ -17,9 +17,7 @@ without a fallback, or training that diverged).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
-import csv
-import io
+import functools
 import json
 import re
 import sys
@@ -220,6 +218,10 @@ def config_keys(cls) -> dict:
     return {CONFIG_NAMES.get(f.name, f.name): f.name for f in fields(cls)}
 
 
+# evaluating a class's string annotations costs more than the rest of a build
+_type_hints = functools.cache(typing.get_type_hints)
+
+
 def _build(cls, section: dict, where: str):
     """``cls`` from a config section; bad keys and values are ConfigErrors.
 
@@ -233,7 +235,7 @@ def _build(cls, section: dict, where: str):
     if section is None:
         section = {}
     _reject_unknown(section, set(config_keys(cls)), where)
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     kwargs = {}
     for f in fields(cls):
         key = CONFIG_NAMES.get(f.name, f.name)
@@ -400,11 +402,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_table(path: Path, header, rows) -> None:
-    """A CSV table, every cell through ``_fmt``, written atomically with the
-    bytes ``csv.writer`` writes for rows of two or more cells."""
-    logio.write_atomic(path, [",".join(logio.csv_fields(map(_fmt, row))) + "\r\n"
-                              for row in chain([header], rows)])
+def write_summary(path: Path, header, rows) -> None:
+    """The table of ``rows``, lists of cells, each cell through ``_fmt``."""
+    logio.write_table(path, header, [[_fmt(row[j]) for row in rows]
+                                     for j in range(len(header))])
 
 
 STATS_HEADER = ["round", "kept", "precision", "recall", "test_accuracy",
@@ -412,41 +413,17 @@ STATS_HEADER = ["round", "kept", "precision", "recall", "test_accuracy",
 
 
 def write_scores_csv(path: Path, ids, values) -> None:
-    values = np.asarray(values, dtype=float)
-    # metric scores take few distinct values: format each one once, keyed on
-    # its bit pattern so that -0.0 and 0.0 keep their own repr
-    distinct, which = np.unique(values.view(np.int64), return_inverse=True)
-    rests = np.array(["," + repr(v) + "\r\n" for v in distinct.view(np.float64).tolist()],
-                     dtype=object)
-
-    def block(lo, hi):
-        # id field, then ",score\r\n", for each row: one join, no per-row string
-        fields = logio.csv_fields(ids[lo:hi])
-        parts = [""] * (2 * len(fields))
-        parts[::2] = fields
-        parts[1::2] = rests[which[lo:hi]].tolist()
-        return "".join(parts)
-
-    logio.write_atomic(path, chain(["id,score\r\n"], logio.row_blocks(len(ids), block)))
+    """The scores table: each id and its score as ``repr``."""
+    logio.write_table(path, ["id", "score"], [ids, np.asarray(values, dtype=float)])
 
 
 def read_scores_csv(path: Path) -> tuple[list, np.ndarray]:
     """The id and score columns of a scores file, in file order."""
-    ids, values = [], []
-    with io.StringIO(logio.read_text(path), newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["id", "score"]:
-            raise LogFormatError("expected header id,score", path=path, line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                values.append(float(row[1]))
-            except (IndexError, ValueError) as exc:
-                raise LogFormatError(str(exc), path=path, line=lineno)
-            ids.append(row[0])
-    return ids, np.array(values, dtype=float)
+    header, columns = logio.read_table(path)
+    if header != ["id", "score"]:
+        raise LogFormatError("expected header id,score", path=path, line=1)
+    ids, scores = columns
+    return ids, logio.parse_cells(path, scores, float)
 
 
 # a checkpoint's arrays, by state_dict key: one <stem>_<index>.npy file each
@@ -625,7 +602,7 @@ def run_pipeline(cfg: ExperimentConfig, resume: bool = False) -> list:
         if result.fit is not None:
             write_json(outdir / f"mixture_round{k}.json", result.fit.to_json_dict())
         stats_rows.append(_stats_row(result))
-        write_table(outdir / "stats.csv", STATS_HEADER, stats_rows)
+        write_summary(outdir / "stats.csv", STATS_HEADER, stats_rows)
         if isinstance(trainer, SGDTrainer):
             save_model(trainer, outdir / f"model_round{k}")
         write_json(
@@ -679,6 +656,8 @@ def _trial_worker(raw: dict) -> list:
 
 
 def _run_trials(cfg: ExperimentConfig, trials: int) -> int:
+    import concurrent.futures  # here, not at the top: only --trials starts a pool
+
     payloads = [_trial_payload(cfg, t) for t in range(trials)]
     with concurrent.futures.ProcessPoolExecutor(max_workers=min(trials, 4)) as pool:
         results = list(pool.map(_trial_worker, payloads))
@@ -691,7 +670,7 @@ def _run_trials(cfg: ExperimentConfig, trials: int) -> int:
         values = [row[col] for row in finals if row[col] is not None]
         rows.append([name, float(np.mean(values)), float(np.std(values)), len(values)]
                     if values else [name, None, None, 0])
-    write_table(outdir / "aggregate.csv", ["metric", "mean", "stddev", "trials"], rows)
+    write_summary(outdir / "aggregate.csv", ["metric", "mean", "stddev", "trials"], rows)
     capture_config(cfg, outdir)
     print(f"aggregated {trials} trials into {outdir / 'aggregate.csv'}")
     return 0
@@ -714,7 +693,7 @@ def cmd_select(cfg: ExperimentConfig, log_path) -> int:
     if clean is not None:
         write_mask_json(outdir / "clean_mask.json", log.ids, clean)
         stats = result.stats = evaluation.selection_precision_recall(result.keep, clean)
-        write_table(outdir / "stats.csv", STATS_HEADER, [_stats_row(result)])
+        write_summary(outdir / "stats.csv", STATS_HEADER, [_stats_row(result)])
         print(
             f"selected {stats.kept}/{len(log)} "
             f"(precision={_fmt(stats.precision) or 'n/a'} recall={_fmt(stats.recall) or 'n/a'})"
@@ -795,25 +774,23 @@ def cmd_eval(cfg: ExperimentConfig, outputs: Path | None, bins: int) -> int:
                                      path=fit_path) from None
         header, hist_rows, overlay = evaluation.histogram_export(
             values, clean[_rows_of(row_of, score_ids, scores_path, unknown)], bins, fit)
-        write_table(outputs / f"histogram_round{round_index}.csv", header, hist_rows)
+        write_summary(outputs / f"histogram_round{round_index}.csv", header, hist_rows)
         if overlay is not None:
             write_json(outputs / f"overlay_round{round_index}.json", overlay)
-    write_table(outputs / "eval_stats.csv", STATS_HEADER, rows)
+    write_summary(outputs / "eval_stats.csv", STATS_HEADER, rows)
     print(f"evaluated {len(rows)} round(s) into {outputs / 'eval_stats.csv'}")
     return 0
 
 
-def _read_stats_csv(path: Path) -> list[dict]:
-    if not path.exists():
-        raise LogFormatError("stats.csv not found; run the pipeline first", path=path)
-    with io.StringIO(logio.read_text(path), newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in ("round", "precision", "recall", "test_accuracy")
-                   if c not in (reader.fieldnames or [])]
-        if missing:
-            raise LogFormatError(f"stats.csv lacks column(s) {', '.join(missing)}",
-                                 path=path, line=1)
-        return list(reader)
+def _read_trend(path: Path) -> list[list[str]]:
+    """The round, precision, recall and test accuracy of each row of a stats file."""
+    header, columns = logio.read_table(path)
+    names = ["round", "precision", "recall", "test_accuracy"]
+    missing = [c for c in names if c not in header]
+    if missing:
+        raise LogFormatError(f"stats.csv lacks column(s) {', '.join(missing)}",
+                             path=path, line=1)
+    return [list(row) for row in zip(*(columns[header.index(c)] for c in names))]
 
 
 def cmd_report(cfg: ExperimentConfig, outputs: Path | None, compare: bool) -> int:
@@ -821,14 +798,13 @@ def cmd_report(cfg: ExperimentConfig, outputs: Path | None, compare: bool) -> in
     outputs.mkdir(parents=True, exist_ok=True)
     if compare:
         return _write_comparison(cfg, outputs)
-    rows = [[row["round"], row["precision"], row["recall"], row["test_accuracy"]]
-            for row in _read_stats_csv(outputs / "stats.csv")]
+    rows = _read_trend(outputs / "stats.csv")
     dataset_csv = outputs / "dataset.csv"
     if dataset_csv.exists():
         # round 0: the untouched training set (select-all baseline)
         ds = logio.read_dataset_csv(dataset_csv)
         rows.insert(0, [0, 1.0 - ds.noise_ratio(), 1.0, None])
-    write_table(outputs / "trend.csv", ["round", "precision", "recall", "accuracy"], rows)
+    write_summary(outputs / "trend.csv", ["round", "precision", "recall", "accuracy"], rows)
     print(f"wrote {outputs / 'trend.csv'}")
     return 0
 
@@ -840,8 +816,8 @@ def _write_comparison(cfg: ExperimentConfig, outputs: Path) -> int:
     rows = selection.compare_strategies(ds, lambda: build_trainer(cfg, ds, outputs),
                                         cfg.round_config, cfg.fit_config)
     header = ["strategy", "kept", "precision", "recall", "accuracy"]
-    write_table(outputs / "comparison.csv", header,
-                [[row[key] for key in header] for row in rows])
+    write_summary(outputs / "comparison.csv", header,
+                  [[row[key] for key in header] for row in rows])
     capture_config(cfg, outputs)
     print(f"wrote {outputs / 'comparison.csv'}")
     return 0

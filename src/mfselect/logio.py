@@ -17,7 +17,8 @@ separators, and the id, through ``json.loads`` if it holds an escape. Any
 other layout, raw non-ASCII included, is read line by line, each line
 decoded as UTF-8, with the same checks and the same result; every format
 error comes from that line reader.
-Datasets are CSV files with header
+Every CSV table is written by ``write_table`` and read by ``read_table``;
+datasets have header
 ``id,feature_0..feature_{d-1},observed_label,true_label,split``. Selected
 ids are stored one per line, exactly as given, so an id may hold any
 character but a line break; the dataset and log readers reject one that
@@ -25,8 +26,8 @@ does. Ids are opaque strings everywhere: ``007`` and ``7`` are two
 instances, and files keep their input row order.
 
 Every output file is written through ``atomic_path``: to a temp file that
-replaces the target only once it is complete. The per-row writers format
-blocks of ``BLOCK_ROWS`` rows at a time, with the bytes ``csv.writer``
+replaces the target only once it is complete. The table and log writers
+format blocks of ``BLOCK_ROWS`` rows at a time, with the bytes ``csv.writer``
 writes (``csv_fields``) or, for a log, the bytes json's encoder writes for
 each record; the log writer does not call that encoder, and no byte layout
 changed.
@@ -384,75 +385,97 @@ def read_ids(path) -> list[str]:
     return ids[:-1] if ids[-1] == "" else ids
 
 
-def write_dataset_csv(path, ds: ToyDataset) -> None:
-    """The bytes ``csv.writer`` writes for the header and one row per instance:
-    id, each feature as ``repr``, observed and true label, split."""
-    dim = ds.features.shape[1]
-    header = ["id", *(f"feature_{j}" for j in range(dim)),
-              "observed_label", "true_label", "split"]
-    # the features of a row, and the comma after them unless there are none
-    row = "{},{}" + ("," if dim else "") + "{},{},{}\r\n"
+def write_table(path, header, columns) -> None:
+    """Write ``header`` and one row per position of ``columns`` (one sequence
+    per header cell) with the bytes ``csv.writer`` writes, for two or more
+    columns: a float64 array as ``repr``, made once per distinct bit pattern
+    (-0.0 and 0.0 keep their own), any other column through ``csv_fields``.
+    A block of rows joins one row's pieces repeated, each cell's slot filled
+    from its column."""
+    n = len(columns[0])
+    piece, fill = [], []  # one row's pieces (None: a cell), and (slot, (lo, hi) -> texts)
+    for j, column in enumerate(columns):
+        before, after = "," if j else "", "\r\n" if j == len(columns) - 1 else ""
+        if isinstance(column, np.ndarray) and column.dtype == np.float64:
+            # each distinct repr carries the separators around it: one slot, no pieces
+            distinct, which = np.unique(column.view(np.int64), return_inverse=True)
+            reprs = np.array([before + repr(v) + after for v in distinct.view(np.float64).tolist()],
+                             dtype=object)
+            fill.append((len(piece), lambda lo, hi, r=reprs, w=which: r[w[lo:hi]].tolist()))
+            piece.append(None)
+        else:
+            piece += [before] if before else []
+            fill.append((len(piece), lambda lo, hi, c=column: csv_fields(c[lo:hi])))
+            piece += [None, after] if after else [None]
 
     def block(lo, hi):
-        features = map(",".join, (map(repr, r) for r in ds.features[lo:hi].tolist()))
-        return "".join(map(row.format, csv_fields(ds.ids[lo:hi]), features,
-                           ds.observed_labels[lo:hi].tolist(),
-                           ds.true_labels[lo:hi].tolist(), csv_fields(ds.split[lo:hi])))
+        parts = piece * (min(hi, n) - lo)
+        for slot, texts in fill:
+            parts[slot::len(piece)] = texts(lo, hi)
+        return "".join(parts)
 
-    write_atomic(path, chain([",".join(header) + "\r\n"], row_blocks(len(ds.ids), block)))
+    write_atomic(path, chain([",".join(csv_fields(header)) + "\r\n"], row_blocks(n, block)))
+
+
+def read_table(path) -> tuple[list[str], list[list[str]]]:
+    """The header (empty for an empty file) and the columns, one list of cells
+    per header cell, of the CSV table at ``path``. A row whose width differs
+    from the header's (a blank line has none) is a LogFormatError naming the
+    file and the line: data row ``k`` is line ``k + 2``."""
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    try:
+        header, *rows = list(reader) or [[]]
+    except csv.Error as exc:  # a field over csv's size limit
+        raise LogFormatError(str(exc), path=path, line=reader.line_num) from None
+    for line, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise LogFormatError(f"expected {len(header)} fields, got {len(row)}",
+                                 path=path, line=line)
+    return header, [[row[j] for row in rows] for j in range(len(header))]
+
+
+def parse_cells(path, cells, kind) -> np.ndarray:
+    """``kind`` of each cell of a ``read_table`` column of ``path``, as an
+    array of that dtype; a cell it rejects is a LogFormatError naming the
+    cell's line."""
+    values = []
+    for line, cell in enumerate(cells, start=2):
+        try:
+            values.append(kind(cell))
+        except (ValueError, OverflowError) as exc:  # overflow: an int beyond int64
+            raise LogFormatError(str(exc), path=path, line=line) from None
+    return np.array(values, dtype=kind)
+
+
+def write_dataset_csv(path, ds: ToyDataset) -> None:
+    """The dataset table: id, features as ``repr``, observed and true label, split."""
+    dim = ds.features.shape[1]
+    write_table(path, ["id", *(f"feature_{j}" for j in range(dim)), "observed_label",
+                       "true_label", "split"],
+                [ds.ids, *ds.features.T, ds.observed_labels, ds.true_labels, ds.split])
 
 
 def read_dataset_csv(path) -> ToyDataset:
-    path = Path(path)
-    with io.StringIO(read_text(path), newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise LogFormatError("empty dataset file", path=path, line=1)
-        expected_tail = ["observed_label", "true_label", "split"]
-        if header[:1] != ["id"] or header[-3:] != expected_tail:
-            raise LogFormatError(
-                "header must be id,feature_*,observed_label,true_label,split",
-                path=path,
-                line=1,
-            )
-        dim = len(header) - 4
-        ids, feats, observed, true, split = [], [], [], [], []
-        seen = set()
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise LogFormatError(
-                    f"expected {len(header)} fields, got {len(row)}", path=path, line=lineno
-                )
-            if "\n" in row[0]:
-                raise LogFormatError(f"id {row[0]!r} holds a line break",
-                                     path=path, line=lineno)
-            if row[0] in seen:
-                raise LogFormatError(f"duplicate id {row[0]!r}", path=path, line=lineno)
-            seen.add(row[0])
-            try:
-                feats.append([float(v) for v in row[1 : 1 + dim]])
-                observed.append(int(row[1 + dim]))
-                true.append(int(row[2 + dim]))
-            except ValueError as exc:
-                raise LogFormatError(str(exc), path=path, line=lineno)
-            ids.append(row[0])
-            split.append(row[3 + dim])
+    header, columns = read_table(path)
+    if header[:1] != ["id"] or header[-3:] != ["observed_label", "true_label", "split"]:
+        raise LogFormatError("header must be id,feature_*,observed_label,true_label,split",
+                             path=path, line=1)
+    ids, *features, observed, true, split = columns
     if not ids:
         raise LogFormatError("dataset has no rows", path=path, line=2)
-    observed = np.asarray(observed, dtype=np.int64)
-    true = np.asarray(true, dtype=np.int64)
-    return ToyDataset(
-        ids=np.asarray(ids, dtype=object),
-        features=np.asarray(feats, dtype=float),
-        observed_labels=observed,
-        true_labels=true,
-        n_classes=int(max(observed.max(), true.max())) + 1,
-        split=np.asarray(split, dtype="U5"),
-    )
+    seen = set()
+    for line, rec_id in enumerate(ids, start=2):
+        if "\n" in rec_id:
+            raise LogFormatError(f"id {rec_id!r} holds a line break", path=path, line=line)
+        if rec_id in seen:
+            raise LogFormatError(f"duplicate id {rec_id!r}", path=path, line=line)
+        seen.add(rec_id)
+    features = np.array([parse_cells(path, c, float) for c in features], dtype=float)
+    observed, true = (parse_cells(path, c, np.int64) for c in (observed, true))
+    return ToyDataset(ids=np.asarray(ids, dtype=object),
+                      features=features.reshape(-1, len(ids)).T.copy(), observed_labels=observed,
+                      true_labels=true, n_classes=int(max(observed.max(), true.max())) + 1,
+                      split=np.asarray(split, dtype="U5"))
 
 
 def external_round(

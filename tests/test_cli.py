@@ -874,6 +874,42 @@ def test_report_stats_csv_without_its_columns_exits_3(tmp_path, capsys):
     assert "round, precision, recall, test_accuracy (line 1)" in err
 
 
+def damage_row(path: Path, line: int, damage: str) -> None:
+    """Cut the row on ``line`` of a CSV file to its first cell, add a cell to
+    it, or make its first cell longer than csv's field size limit."""
+    lines = path.read_bytes().split(b"\r\n")
+    cells = lines[line - 1].split(b",")
+    cells = {"short row": cells[:1], "extra cell": cells + [b"x"],
+             "huge field": [b"x" * 200_000] + cells[1:]}[damage]
+    lines[line - 1] = b",".join(cells)
+    path.write_bytes(b"\r\n".join(lines))
+
+
+@pytest.mark.parametrize("damage, message", [
+    ("short row", "expected 7 fields, got 1"), ("extra cell", "expected 7 fields, got 8"),
+])
+def test_report_stats_csv_row_of_wrong_width_exits_3(tmp_path, capsys, damage, message):
+    path, out = simulate_and_select(tmp_path)
+    damage_row(out / "stats.csv", 2, damage)
+    assert cli.main(["report", "-c", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert f"data error: {out / 'stats.csv'}: {message} (line 2)" in err
+    assert "Traceback" not in err and not (out / "trend.csv").exists()
+
+
+@pytest.mark.parametrize("damage, message", [
+    ("short row", "expected 2 fields, got 1"), ("extra cell", "expected 2 fields, got 3"),
+    ("huge field", "field larger than field limit"),
+])
+def test_eval_scores_csv_bad_row_exits_3(tmp_path, capsys, damage, message):
+    path, out = simulate_and_select(tmp_path)
+    damage_row(out / "scores.csv", 3, damage)
+    assert cli.main(["eval", "-c", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert f"data error: {out / 'scores.csv'}: {message}" in err and "(line 3)" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("damage", ["deleted model checkpoint", "rounds beyond the config"])
 def test_run_resume_without_its_model_exits_3(tmp_path, capsys, damage):
     # the built-in trainer must not go on from untrained weights

@@ -385,6 +385,14 @@ def test_dataset_csv_ids_are_strings_and_unique(tmp_path):
         read_dataset_csv(path)
 
 
+def test_dataset_csv_label_beyond_int64_names_its_line(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("id,feature_0,observed_label,true_label,split\n"
+                    "a,0.5,0,0,train\nb,1.5,1,99999999999999999999,train\n")
+    with pytest.raises(LogFormatError, match=r"too large.*\(line 3\)"):
+        read_dataset_csv(path)
+
+
 def test_dataset_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("id,x,y\n1,2,3\n")

@@ -6,9 +6,11 @@ indent=2)``, an f-string join and, for prediction logs, json's encoder on
 each record. The bytes must match for any ids, any scores and any block
 size, including the empty set. All ids of an example come from one alphabet,
 so that lists of plain ids only (which json writes as they are) are as
-common as lists with escapes. ``cli.write_table`` must write what
-``csv.writer`` writes for its ``_fmt``-formatted cells, and every writer must
-leave the old file, and no temp file, when its rename fails.
+common as lists with escapes. Every CSV file comes from ``logio.write_table``:
+for scores, dataset and ``_fmt``-formatted summary columns it must write what
+``csv.writer`` writes, and ``logio.read_table`` must give back the cells it
+wrote. Every writer must leave the old file, and no temp file, when its
+rename fails.
 """
 
 import csv
@@ -64,7 +66,8 @@ def test_scores_csv_matches_csv_writer(tmp_path, rows, block):
     event("an id is quoted" if any(c in i for i in ids for c in ',"\r\n') else "no id quoted")
     values = [v for _, v in rows]
     with mock.patch.object(logio, "BLOCK_ROWS", block):
-        cli.write_scores_csv(tmp_path / "scores.csv", ids, values)
+        logio.write_table(tmp_path / "scores.csv", ["id", "score"],
+                          [ids, np.asarray(values, dtype=float)])
     want = csv_oracle([["id", "score"]] + [[i, repr(float(v))] for i, v in rows])
     assert (tmp_path / "scores.csv").read_bytes() == want
 
@@ -183,9 +186,28 @@ def test_table_matches_csv_writer_of_formatted_cells(tmp_path, width, data):
     row = st.lists(cells, min_size=width, max_size=width)
     header = data.draw(row)
     rows = data.draw(st.lists(row, max_size=6))
-    cli.write_table(tmp_path / "table.csv", header, rows)
+    logio.write_table(tmp_path / "table.csv", [cli._fmt(v) for v in header],
+                      [[cli._fmt(r[j]) for r in rows] for j in range(width)])
     want = csv_oracle([[cli._fmt(v) for v in r] for r in [header, *rows]])
     assert (tmp_path / "table.csv").read_bytes() == want
+
+
+@property_settings
+@given(width=st.integers(2, 4), n=st.integers(0, 12), data=st.data(), block=blocks)
+def test_table_round_trip_matches_csv_writer(tmp_path, width, n, data, block):
+    header = data.draw(st.lists(ids_text, min_size=width, max_size=width))
+    # each column holds text cells, or float64 values that it writes as their repr
+    columns = [data.draw(st.lists(ids_text, min_size=n, max_size=n)) if data.draw(st.booleans())
+               else np.array(data.draw(st.lists(scores, min_size=n, max_size=n)), dtype=float)
+               for _ in range(width)]
+    cells = [[repr(v) for v in c.tolist()] if isinstance(c, np.ndarray) else c for c in columns]
+    rows = [list(row) for row in zip(*cells)]
+    event("a cell is quoted" if any(c in cell for r in rows for cell in r for c in ',"\r\n')
+          else "no cell quoted")
+    with mock.patch.object(logio, "BLOCK_ROWS", block):
+        logio.write_table(tmp_path / "table.csv", header, columns)
+    assert (tmp_path / "table.csv").read_bytes() == csv_oracle([header, *rows])
+    assert logio.read_table(tmp_path / "table.csv") == (header, cells)
 
 
 WRITERS = {
@@ -193,7 +215,7 @@ WRITERS = {
     "selected_ids.txt": lambda path, k: logio.write_ids(path, ["a", str(k)]),
     "clean_mask.json": lambda path, k: cli.write_mask_json(
         path, ["a", "b"], np.array([k == 1, True])),
-    "stats.csv": lambda path, k: cli.write_table(
+    "stats.csv": lambda path, k: cli.write_summary(
         path, cli.STATS_HEADER, [[k, 10, 0.5, 0.25, None, 1.5, True]]),
     "dataset.csv": lambda path, k: logio.write_dataset_csv(path, ToyDataset(
         ids=np.array(["a", "b"], dtype=object), features=np.full((2, 2), float(k)),
