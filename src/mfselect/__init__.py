@@ -1,14 +1,6 @@
 """Clean-sample selection for noisy labels via per-instance learning dynamics."""
 
-from .dynamics import (
-    SegmentDecomposition,
-    forgetting_difficulty,
-    memorization_difficulty,
-    metric_full,
-    metric_simplified,
-    score_sequences,
-    segment,
-)
+from .dynamics import score_sequences
 from .mixture import (
     FitConfig,
     MixtureFit,

@@ -790,7 +790,16 @@ def _read_trend(path: Path) -> list[list[str]]:
     if missing:
         raise LogFormatError(f"stats.csv lacks column(s) {', '.join(missing)}",
                              path=path, line=1)
-    return [list(row) for row in zip(*(columns[header.index(c)] for c in names))]
+    picked = [columns[header.index(c)] for c in names]
+    for name, cells in zip(names, picked):
+        kind = int if name == "round" else float
+        for line, cell in enumerate(cells, start=2):
+            if cell:
+                try:
+                    kind(cell)
+                except ValueError as exc:
+                    raise LogFormatError(f"{name}: {exc}", path=path, line=line) from None
+    return [list(row) for row in zip(*picked)]
 
 
 def cmd_report(cfg: ExperimentConfig, outputs: Path | None, compare: bool) -> int:

@@ -424,14 +424,17 @@ def read_table(path) -> tuple[list[str], list[list[str]]]:
     file and the line: data row ``k`` is line ``k + 2``."""
     reader = csv.reader(io.StringIO(read_text(path), newline=""))
     try:
-        header, *rows = list(reader) or [[]]
+        header = next(reader, [])
+        columns = [[] for _ in header]
+        for line, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise LogFormatError(f"expected {len(header)} fields, got {len(row)}",
+                                     path=path, line=line)
+            for column, cell in zip(columns, row):
+                column.append(cell)
     except csv.Error as exc:  # a field over csv's size limit
         raise LogFormatError(str(exc), path=path, line=reader.line_num) from None
-    for line, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise LogFormatError(f"expected {len(header)} fields, got {len(row)}",
-                                 path=path, line=line)
-    return header, [[row[j] for row in rows] for j in range(len(header))]
+    return header, columns
 
 
 def parse_cells(path, cells, kind) -> np.ndarray:
@@ -472,6 +475,9 @@ def read_dataset_csv(path) -> ToyDataset:
         seen.add(rec_id)
     features = np.array([parse_cells(path, c, float) for c in features], dtype=float)
     observed, true = (parse_cells(path, c, np.int64) for c in (observed, true))
+    negative = np.flatnonzero((observed < 0) | (true < 0))
+    if negative.size:
+        raise LogFormatError("labels must be nonnegative", path=path, line=int(negative[0]) + 2)
     return ToyDataset(ids=np.asarray(ids, dtype=object),
                       features=features.reshape(-1, len(ids)).T.copy(), observed_labels=observed,
                       true_labels=true, n_classes=int(max(observed.max(), true.max())) + 1,

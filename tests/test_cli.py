@@ -897,6 +897,34 @@ def test_report_stats_csv_row_of_wrong_width_exits_3(tmp_path, capsys, damage, m
     assert "Traceback" not in err and not (out / "trend.csv").exists()
 
 
+@pytest.mark.parametrize("column, cell, message", [
+    ("round", "1.5", "invalid literal for int()"),
+    ("precision", "abc", "could not convert string to float"),
+    ("recall", " ", "could not convert string to float"),
+    ("test_accuracy", "0.5x", "could not convert string to float"),
+])
+def test_report_stats_csv_cell_not_a_number_exits_3(tmp_path, capsys, column, cell, message):
+    path, out = simulate_and_select(tmp_path)
+    stats = out / "stats.csv"
+    lines = stats.read_bytes().split(b"\r\n")
+    cells = lines[1].split(b",")
+    cells[lines[0].split(b",").index(column.encode())] = cell.encode()
+    lines[1] = b",".join(cells)
+    stats.write_bytes(b"\r\n".join(lines))
+    assert cli.main(["report", "-c", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert f"data error: {stats}: {column}: {message}" in err and "(line 2)" in err
+    assert "Traceback" not in err and not (out / "trend.csv").exists()
+
+
+def test_report_copies_stats_cells_as_text(tmp_path):
+    path, out = simulate_and_select(tmp_path)
+    stats = (out / "stats.csv").read_text().splitlines()[1].split(",")
+    assert cli.main(["report", "-c", str(path)]) == 0
+    trend = (out / "trend.csv").read_bytes().split(b"\r\n")
+    assert trend[1].decode() == ",".join(stats[:1] + stats[2:5])
+
+
 @pytest.mark.parametrize("damage, message", [
     ("short row", "expected 2 fields, got 1"), ("extra cell", "expected 2 fields, got 3"),
     ("huge field", "field larger than field limit"),
@@ -1080,6 +1108,23 @@ def test_run_duplicate_dataset_id_exits_3(tmp_path, capsys):
     assert cli.main(["run", "-c", str(path)]) == 3
     err = capsys.readouterr().err
     assert "duplicate id '7'" in err and "line 9" in err
+
+
+@pytest.mark.parametrize("labels, line", [
+    ([(0, 0), (-1, 0)], 3), ([(0, 0), (1, -2)], 3), ([(-1, -1), (1, 1)], 2),
+])
+def test_inject_noise_negative_label_exits_3_naming_line(tmp_path, capsys, labels, line):
+    data = tmp_path / "neg.csv"
+    data.write_text("id,feature_0,observed_label,true_label,split\n"
+                    + "".join(f"r{k},0.5,{o},{t},train\n" for k, (o, t) in enumerate(labels)))
+    config = base_config(tmp_path)
+    config["dataset"] = {"csv": str(data)}
+    config["noise"] = {"type": "none"}
+    path = write_config(tmp_path, config)
+    assert cli.main(["inject-noise", "-c", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert f"data error: {data}: labels must be nonnegative (line {line})" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("field, line", [("label", 1), ("true_label", 2)])
