@@ -519,29 +519,28 @@ def _rows_of(row_of: dict, ids, path: Path, message: str) -> np.ndarray:
     key is a data error naming ``path``: ``message`` formatted with the id."""
     try:
         return np.array([row_of[i] for i in ids], dtype=np.intp)
-    except (KeyError, TypeError):  # an unknown id, or one that cannot be a key
-        bad = next(i for i in ids if not isinstance(i, str) or i not in row_of)
-        raise LogFormatError(message.format(bad), path=path) from None
+    except KeyError as exc:
+        raise LogFormatError(message.format(exc.args[0]), path=path) from None
 
 
-def _read_state(path: Path, row_of: dict) -> tuple[dict, np.ndarray]:
-    """The checkpoint in ``path``, and its ``current_ids`` as dataset rows
-    through ``row_of``, which maps each training id to its row."""
+def _read_state(path: Path) -> dict:
+    """The checkpoint in ``path``: the rounds it completed and its config."""
     state = _read_json_object(path, "cannot resume from a damaged checkpoint")
-    for key, kind in (("completed_rounds", int), ("current_ids", list),
-                      ("stats_rows", list)):
-        if type(state.get(key)) is not kind:  # bool is no int here
-            raise LogFormatError(f"cannot resume: checkpoint has no {kind.__name__} "
-                                 f"{key!r}", path=path)
-    if state["completed_rounds"] < 0:
-        raise LogFormatError("cannot resume: checkpoint 'completed_rounds' is negative",
+    done = state.get("completed_rounds")
+    if type(done) is not int or done < 0:  # bool is no int here
+        raise LogFormatError("cannot resume: checkpoint has no nonnegative int "
+                             "'completed_rounds'", path=path)
+    return state
+
+
+def _read_stats_rows(path: Path, k: int) -> list:
+    """The first ``k`` rows of the stats table at ``path``, as text cells; a
+    crash after its write leaves rows beyond the checkpoint's."""
+    header, columns = logio.read_table(path)
+    if header != STATS_HEADER or len(columns[0]) < k:
+        raise LogFormatError(f"cannot resume: not a stats table of {k} or more rows",
                              path=path)
-    if not state["current_ids"] and not state.get("truncated"):
-        # only a round whose selection emptied leaves no ids, and it says so
-        raise LogFormatError("cannot resume: checkpoint 'current_ids' is empty but not "
-                             "marked truncated", path=path)
-    return state, _rows_of(row_of, state["current_ids"], path, "cannot resume: checkpoint "
-                           "'current_ids' holds {!r}, which is not a training id")
+    return [list(row) for row in zip(*columns)][:k]
 
 
 def run_pipeline(cfg: ExperimentConfig, resume: bool = False) -> list:
@@ -561,23 +560,11 @@ def run_pipeline(cfg: ExperimentConfig, resume: bool = False) -> list:
     state_path = outdir / "state.json"
     start_round, rows, stats_rows = 1, None, []
     if resume and state_path.exists():
-        train = ds.train_positions
-        row_of = dict(zip(ds.ids[train].tolist(), train.tolist()))
-        state, rows = _read_state(state_path, row_of)
+        state = _read_state(state_path)
         if state.get("config") != cfg.raw:
             raise ConfigError("state.json belongs to a different config; "
                               "rerun without --resume")
         done = state["completed_rounds"]
-        start_round, stats_rows = done + 1, state["stats_rows"]
-        if state.get("truncated"):
-            # the selection emptied: no round is left to run, and the final
-            # rows are the ones the emptying round trained on
-            start_round = cfg.round_config.rounds + 1
-            rows = None
-            if done > 1:
-                ids_path = outdir / f"selected_ids_round{done - 1}.txt"
-                rows = _rows_of(row_of, logio.read_ids(ids_path), ids_path,
-                                "cannot resume: {!r} is not a training id")
         if isinstance(trainer, SGDTrainer):
             # the built-in trainer carries its model over: going on with a
             # fresh one would overwrite model_final with untrained weights
@@ -589,6 +576,24 @@ def run_pipeline(cfg: ExperimentConfig, resume: bool = False) -> list:
                 trainer = load_model(outdir / f"model_round{done}")
         else:  # the external trainer's files go on from the next round's number
             trainer.round_counter = done
+        train = ds.train_positions
+        row_of = dict(zip(ds.ids[train].tolist(), train.tolist()))
+
+        def kept_rows(k):
+            """The dataset rows round ``k`` kept, read from its id file."""
+            path = outdir / f"selected_ids_round{k}.txt"
+            return _rows_of(row_of, logio.read_ids(path), path,
+                            "cannot resume: {!r} is not a training id")
+
+        start_round = done + 1
+        if done:
+            stats_rows = _read_stats_rows(outdir / "stats.csv", done)
+            rows = kept_rows(done)
+            if not rows.size:
+                # the selection emptied: no round is left to run, and the
+                # final rows are the ones the emptying round trained on
+                start_round = cfg.round_config.rounds + 1
+                rows = kept_rows(done - 1) if done > 1 else None
 
     def on_round(result, log, rows):
         k = result.round_index
@@ -605,16 +610,8 @@ def run_pipeline(cfg: ExperimentConfig, resume: bool = False) -> list:
         write_summary(outdir / "stats.csv", STATS_HEADER, stats_rows)
         if isinstance(trainer, SGDTrainer):
             save_model(trainer, outdir / f"model_round{k}")
-        write_json(
-            state_path,
-            {
-                "completed_rounds": k,
-                "current_ids": result.selected_ids,
-                "stats_rows": stats_rows,
-                "truncated": not result.selected_ids,
-                "config": cfg.raw,
-            },
-        )
+        # written last, it commits the round: resume reads the files above
+        write_json(state_path, {"completed_rounds": k, "config": cfg.raw})
         if result.warning:
             print(f"round {k}: {result.warning}")
 
@@ -631,15 +628,16 @@ def run_pipeline(cfg: ExperimentConfig, resume: bool = False) -> list:
 
 
 def cmd_run(cfg: ExperimentConfig, trials: int = 1, resume: bool = False) -> int:
-    if trials <= 1:
-        rows = run_pipeline(cfg, resume=resume)
-        for row in rows:
-            print(
-                f"round {row[0]}: kept={row[1]} precision={_fmt(row[2]) or 'n/a'} "
-                f"recall={_fmt(row[3]) or 'n/a'} accuracy={_fmt(row[4]) or 'n/a'}"
-            )
-        return 0
-    return _run_trials(cfg, trials)
+    if trials > 1:  # each trial starts afresh: resumed stats rows are rounded text
+        if resume:
+            raise ConfigError(f"--resume cannot be combined with --trials {trials}")
+        return _run_trials(cfg, trials)
+    for row in run_pipeline(cfg, resume=resume):
+        print(
+            f"round {row[0]}: kept={row[1]} precision={_fmt(row[2]) or 'n/a'} "
+            f"recall={_fmt(row[3]) or 'n/a'} accuracy={_fmt(row[4]) or 'n/a'}"
+        )
+    return 0
 
 
 def _trial_payload(cfg: ExperimentConfig, trial: int) -> dict:

@@ -19,6 +19,7 @@ from mfselect.logio import (
     read_dataset_csv,
     read_ids,
     read_prediction_log,
+    read_table,
     write_dataset_csv,
 )
 from mfselect.mixture import FitConfig, MixtureFit, threshold
@@ -358,6 +359,8 @@ def test_run_outputs_and_stats(tmp_path):
     ids2 = read_ids(out / "selected_ids_round2.txt")
     assert set(ids2) <= set(ids1)
     assert read_ids(out / "selected_ids_final.txt") == ids2
+    # the checkpoint holds the round count and the config; the round's files the rest
+    assert set(json.loads((out / "state.json").read_text())) == {"completed_rounds", "config"}
 
 
 def test_run_rerun_is_byte_identical(tmp_path):
@@ -372,19 +375,54 @@ def rewind_to_round_1(out: Path) -> None:
     """Rewind the checkpoint in ``out`` to the end of round 1."""
     state = json.loads((out / "state.json").read_text())
     state["completed_rounds"] = 1
-    state["stats_rows"] = state["stats_rows"][:1]
-    state["current_ids"] = read_ids(out / "selected_ids_round1.txt")
     (out / "state.json").write_text(json.dumps(state, sort_keys=True, indent=2) + "\n")
 
 
-def test_run_resume_matches_full_run(tmp_path):
+def round_lines(text: str) -> list[str]:
+    return [line for line in text.splitlines() if " kept=" in line]
+
+
+def test_run_resume_matches_full_run(tmp_path, capsys):
     path = write_config(tmp_path)
     cli.main(["run", "-c", str(path)])
     out = tmp_path / "out"
     full = tree_digest(out)
+    printed = round_lines(capsys.readouterr().out)
+    assert len(printed) == 2
     rewind_to_round_1(out)
     assert cli.main(["run", "-c", str(path), "--resume"]) == 0
     assert tree_digest(out) == full
+    # round 1's line comes from stats.csv's text, round 2's from the round itself
+    assert round_lines(capsys.readouterr().out) == printed
+
+
+def test_run_resume_reads_a_checkpoint_with_the_old_keys(tmp_path):
+    # older versions also wrote current_ids, stats_rows and truncated; resume ignores them
+    path = write_config(tmp_path)
+    assert cli.main(["run", "-c", str(path)]) == 0
+    out = tmp_path / "out"
+    full = tree_digest(out)
+    row = [cells[0] for cells in read_table(out / "stats.csv")[1]]
+    state = json.loads((out / "state.json").read_text())
+    state.update(completed_rounds=1, current_ids=read_ids(out / "selected_ids_round1.txt"),
+                 stats_rows=[[json.loads(cell) if cell else None for cell in row]],
+                 truncated=False)
+    (out / "state.json").write_text(json.dumps(state, sort_keys=True, indent=2) + "\n")
+    assert cli.main(["run", "-c", str(path), "--resume"]) == 0
+    assert tree_digest(out) == full
+
+
+def test_stats_rows_read_back_as_text_rewrite_the_same_bytes(tmp_path):
+    # resume writes the completed rounds' stats rows back from stats.csv's text
+    rows = [[1, 250, 0.9, None, -0.125, -1.5e-07, True],
+            [2, 0, None, 1.0, -0.0, -3.0, False],
+            [3, 12, 1 / 3, 0.5, None, None, None]]
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    cli.write_summary(first, cli.STATS_HEADER, rows)
+    header, columns = read_table(first)
+    assert header == cli.STATS_HEADER
+    cli.write_summary(second, header, [list(cells) for cells in zip(*columns)])
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_run_resume_damaged_checkpoint_exits_3(tmp_path, capsys):
@@ -467,7 +505,7 @@ def test_run_resume_after_emptied_selection_matches_full_run(tmp_path, monkeypat
     assert cli.main(["run", "-c", str(path)]) == 0
     out = tmp_path / "out"
     full = tree_digest(out)
-    assert json.loads((out / "state.json").read_text())["truncated"]
+    assert read_ids(out / f"selected_ids_round{empty_round}.txt") == []
     trained_on = (read_ids(out / "selected_ids_round1.txt") if empty_round == 2
                   else read_dataset_csv(out / "dataset.csv").train_ids)
     assert read_ids(out / "selected_ids_final.txt") == trained_on
@@ -476,17 +514,24 @@ def test_run_resume_after_emptied_selection_matches_full_run(tmp_path, monkeypat
 
 
 # an unknown id, and a test id (training ids are "0".."319")
-@pytest.mark.parametrize("foreign", ["not-a-training-id", "330"])
+@pytest.mark.parametrize("empty_round, foreign", [
+    pytest.param(2, "not-a-training-id", id="not-a-training-id"),
+    pytest.param(2, "330", id="330"),
+    pytest.param(None, "not-a-training-id", id="not-emptied-not-a-training-id"),
+    pytest.param(None, "330", id="not-emptied-330"),
+])
 def test_run_resume_after_emptied_selection_rejects_a_foreign_id(tmp_path, monkeypatch,
-                                                                 capsys, foreign):
-    # the final ids of a run whose round 2 emptied are round 1's selection,
-    # read back from its id file on resume
-    empty_selection_in(monkeypatch, 2)
+                                                                 capsys, empty_round, foreign):
+    # resume reads the kept ids from the last round's id file; when round 2
+    # emptied, the final ids are round 1's selection, read from its id file
+    if empty_round:
+        empty_selection_in(monkeypatch, empty_round)
     path = write_config(tmp_path, base_config(tmp_path, rounds=3, epochs=4))
     assert cli.main(["run", "-c", str(path)]) == 0
     out = tmp_path / "out"
     final = (out / "selected_ids_final.txt").read_bytes()
-    ids_path = out / "selected_ids_round1.txt"
+    ids_path = out / f"selected_ids_round{1 if empty_round else 3}.txt"
+    assert read_ids(ids_path)
     with ids_path.open("a") as fh:
         fh.write(foreign + "\n")
     capsys.readouterr()
@@ -964,11 +1009,7 @@ def test_run_resume_without_its_model_exits_3(tmp_path, capsys, damage):
 
 @pytest.mark.parametrize("key, value", [
     ("completed_rounds", None), ("completed_rounds", "2"), ("completed_rounds", True),
-    ("completed_rounds", -1), ("current_ids", None), ("current_ids", 5), ("current_ids", []),
-    # an id that is unknown, a test id (training ids are "0".."319") or no string
-    ("current_ids", ["nope"]), ("current_ids", ["330"]), ("current_ids", [5]),
-    ("current_ids", [None]), ("current_ids", [["0"]]),
-    ("stats_rows", None), ("stats_rows", "rows"),
+    ("completed_rounds", -1),
 ])
 def test_run_resume_checkpoint_without_its_keys_exits_3(tmp_path, capsys, key, value):
     path = write_config(tmp_path, base_config(tmp_path, rounds=2, epochs=4))
@@ -985,6 +1026,43 @@ def test_run_resume_checkpoint_without_its_keys_exits_3(tmp_path, capsys, key, v
     err = capsys.readouterr().err
     assert "data error" in err and str(state_path) in err and repr(key) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, damage", [
+    ("stats.csv", "a row short"), ("stats.csv", "another header"), ("stats.csv", "deleted"),
+    ("selected_ids_round2.txt", "deleted"),
+])
+def test_run_resume_without_the_round_files_it_reads_exits_3(tmp_path, capsys, name, damage):
+    # the checkpoint holds the round count; the kept ids and stats rows are
+    # read from the files each round writes before it
+    path = write_config(tmp_path, base_config(tmp_path, rounds=2, epochs=4))
+    assert cli.main(["run", "-c", str(path)]) == 0
+    out = tmp_path / "out"
+    damaged = out / name
+    if damage == "deleted":
+        damaged.unlink()
+    else:
+        lines = damaged.read_bytes().split(b"\r\n")
+        if damage == "a row short":
+            del lines[2]
+        else:
+            lines[0] = lines[0].replace(b"converged", b"fit_converged")
+        damaged.write_bytes(b"\r\n".join(lines))
+    before = tree_digest(out)
+    capsys.readouterr()
+    assert cli.main(["run", "-c", str(path), "--resume"]) == 3
+    err = capsys.readouterr().err
+    assert f"data error: {damaged}: " in err and "Traceback" not in err
+    assert tree_digest(out) == before
+
+
+def test_run_trials_with_resume_exits_2(tmp_path, capsys):
+    # a trial would rerun from scratch over its checkpoint: say so instead
+    path = write_config(tmp_path)
+    assert cli.main(["run", "-c", str(path), "--trials", "2", "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "--resume" in err and "--trials 2" in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
 def test_eval_one_bin_exits_2(tmp_path, capsys):
@@ -1076,10 +1154,9 @@ def test_ids_with_edge_whitespace_survive_run_resume_and_eval(tmp_path):
     full = tree_digest(out)
     assert read_ids(out / "selected_ids_round1.txt")[:3] == ids[:3]
     assert cli.main(["eval", "-c", str(path)]) == 0
-    # rewound to round 1 with the ids its id file holds, resume writes the same tree
+    # rewound to round 1, resume reads the ids its id file holds and writes the same tree
     state = json.loads((out / "state.json").read_text())
-    state.update(completed_rounds=1, stats_rows=state["stats_rows"][:1],
-                 current_ids=read_ids(out / "selected_ids_round1.txt"))
+    state["completed_rounds"] = 1
     (out / "state.json").write_text(json.dumps(state, sort_keys=True, indent=2) + "\n")
     for name in ("eval_stats.csv", "histogram_round1.csv", "histogram_round2.csv"):
         (out / name).unlink()
