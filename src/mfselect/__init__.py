@@ -45,7 +45,6 @@ from .evaluation import (
 )
 from .logio import (
     ExternalTrainer,
-    external_round,
     read_dataset_csv,
     read_prediction_log,
     write_dataset_csv,

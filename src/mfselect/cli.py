@@ -10,8 +10,8 @@ directory alone.
 
 Exit codes: 0 success, 2 configuration error (including a config value
 of the wrong type), 3 data/log format error (including an unreadable
-``state.json`` or model checkpoint on ``--resume``), 4 numerical failure (mixture collapse
-without a fallback, or training that diverged).
+``state.json`` or model checkpoint on ``--resume``), 4 numerical failure (training
+that diverged).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import re
 import sys
 import types
 import typing
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from itertools import chain, count, takewhile
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -412,6 +412,28 @@ STATS_HEADER = ["round", "kept", "precision", "recall", "test_accuracy",
                 "threshold", "converged"]
 
 
+def _true_or_false(cell: str) -> None:
+    if cell not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {cell!r}")
+
+
+# what checks each stats column's cells; an empty cell passes every check
+STATS_KINDS = dict(zip(STATS_HEADER, [int, int, float, float, float, float, _true_or_false]))
+
+
+def _check_stats_cells(path: Path, header, columns) -> None:
+    """A data error naming ``path``, the column and the line of the first
+    cell of a ``STATS_HEADER`` column that its check rejects."""
+    for name, cells in zip(header, columns):
+        kind = STATS_KINDS.get(name)
+        for line, cell in enumerate(cells if kind else (), start=2):
+            if cell:
+                try:
+                    kind(cell)
+                except ValueError as exc:
+                    raise LogFormatError(f"{name}: {exc}", path=path, line=line) from None
+
+
 def write_scores_csv(path: Path, ids, values) -> None:
     """The scores table: each id and its score as ``repr``."""
     logio.write_table(path, ["id", "score"], [ids, np.asarray(values, dtype=float)])
@@ -540,7 +562,9 @@ def _read_stats_rows(path: Path, k: int) -> list:
     if header != STATS_HEADER or len(columns[0]) < k:
         raise LogFormatError(f"cannot resume: not a stats table of {k} or more rows",
                              path=path)
-    return [list(row) for row in zip(*columns)][:k]
+    columns = [cells[:k] for cells in columns]
+    _check_stats_cells(path, header, columns)
+    return [list(row) for row in zip(*columns)]
 
 
 def run_pipeline(cfg: ExperimentConfig, resume: bool = False) -> list:
@@ -553,10 +577,8 @@ def run_pipeline(cfg: ExperimentConfig, resume: bool = False) -> list:
     outdir = cfg.output_dir
     ds = apply_noise(build_dataset(cfg), cfg)
     trainer = build_trainer(cfg, ds, outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    logio.write_dataset_csv(outdir / "dataset.csv", ds)
-    capture_config(cfg, outdir)
-
+    # the resume point is read in full before anything is written: a refused
+    # resume leaves the run it refuses as it was
     state_path = outdir / "state.json"
     start_round, rows, stats_rows = 1, None, []
     if resume and state_path.exists():
@@ -594,14 +616,13 @@ def run_pipeline(cfg: ExperimentConfig, resume: bool = False) -> list:
                 # final rows are the ones the emptying round trained on
                 start_round = cfg.round_config.rounds + 1
                 rows = kept_rows(done - 1) if done > 1 else None
+    outdir.mkdir(parents=True, exist_ok=True)
+    logio.write_dataset_csv(outdir / "dataset.csv", ds)
+    capture_config(cfg, outdir)
 
     def on_round(result, log, rows):
         k = result.round_index
-        # labels come from the dataset whichever trainer wrote the log
-        logio.write_prediction_log(
-            outdir / f"log_round{k}.jsonl",
-            replace(log, labels=ds.observed_labels[rows], true_labels=ds.true_labels[rows]),
-        )
+        logio.write_prediction_log(outdir / f"log_round{k}.jsonl", log)
         write_scores_csv(outdir / f"scores_round{k}.csv", log.ids, result.scores)
         logio.write_ids(outdir / f"selected_ids_round{k}.txt", result.selected_ids)
         if result.fit is not None:
@@ -738,10 +759,10 @@ def _discover_rounds(outputs: Path) -> list[tuple[int, Path]]:
     return sorted(rounds)
 
 
-def cmd_eval(cfg: ExperimentConfig, outputs: Path | None, bins: int) -> int:
+def cmd_eval(cfg: ExperimentConfig, bins: int) -> int:
     if bins < 2:
         raise ConfigError(f"--bins must be >= 2, got {bins}")
-    outputs = Path(outputs) if outputs else cfg.output_dir
+    outputs = cfg.output_dir
     truth_ids, clean = _load_clean_mask(outputs)
     row_of = {i: row for row, i in enumerate(truth_ids)}
     unknown = "id {!r} is not in the ground truth"
@@ -788,20 +809,12 @@ def _read_trend(path: Path) -> list[list[str]]:
     if missing:
         raise LogFormatError(f"stats.csv lacks column(s) {', '.join(missing)}",
                              path=path, line=1)
-    picked = [columns[header.index(c)] for c in names]
-    for name, cells in zip(names, picked):
-        kind = int if name == "round" else float
-        for line, cell in enumerate(cells, start=2):
-            if cell:
-                try:
-                    kind(cell)
-                except ValueError as exc:
-                    raise LogFormatError(f"{name}: {exc}", path=path, line=line) from None
-    return [list(row) for row in zip(*picked)]
+    _check_stats_cells(path, header, columns)
+    return [list(row) for row in zip(*(columns[header.index(c)] for c in names))]
 
 
-def cmd_report(cfg: ExperimentConfig, outputs: Path | None, compare: bool) -> int:
-    outputs = Path(outputs) if outputs else cfg.output_dir
+def cmd_report(cfg: ExperimentConfig, compare: bool) -> int:
+    outputs = cfg.output_dir
     outputs.mkdir(parents=True, exist_ok=True)
     if compare:
         return _write_comparison(cfg, outputs)
@@ -820,7 +833,7 @@ def _write_comparison(cfg: ExperimentConfig, outputs: Path) -> int:
     if isinstance(cfg.trainer, ExternalTrainerConfig):
         raise ConfigError("report --compare needs the built-in sgd trainer")
     ds = apply_noise(build_dataset(cfg), cfg)
-    rows = selection.compare_strategies(ds, lambda: build_trainer(cfg, ds, outputs),
+    rows = selection.compare_strategies(ds, build_trainer(cfg, ds, outputs),
                                         cfg.round_config, cfg.fit_config)
     header = ["strategy", "kept", "precision", "recall", "accuracy"]
     write_summary(outputs / "comparison.csv", header,
@@ -865,12 +878,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     eval_p = sub.add_parser("eval", help="score selections against ground truth")
     common(eval_p)
-    eval_p.add_argument("--dir", help="outputs dir (defaults to output_dir)")
     eval_p.add_argument("--bins", type=int, default=DEFAULT_BINS)
 
     report_p = sub.add_parser("report", help="trend table or strategy comparison")
     common(report_p)
-    report_p.add_argument("--dir", help="outputs dir (defaults to output_dir)")
     report_p.add_argument("--compare", action="store_true",
                           help="run all strategies and tabulate them")
     return parser
@@ -886,8 +897,8 @@ def main(argv=None) -> int:
             "inject-noise": lambda: cmd_inject_noise(cfg),
             "run": lambda: cmd_run(cfg, trials=args.trials, resume=args.resume),
             "select": lambda: cmd_select(cfg, args.log),
-            "eval": lambda: cmd_eval(cfg, args.dir, args.bins),
-            "report": lambda: cmd_report(cfg, args.dir, args.compare),
+            "eval": lambda: cmd_eval(cfg, args.bins),
+            "report": lambda: cmd_report(cfg, args.compare),
         }
         return commands[args.command]()
     except ConfigError as exc:

@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: ConfigError -> 2, log/data format
-errors -> 3, mixture-fit failures without a fallback and the trainer's
-FloatingPointError on a diverging loss -> 4.
+errors -> 3, and the trainer's FloatingPointError on a diverging loss -> 4.
+A MixtureFitError does not reach the CLI: the selection round that fits
+falls back to ratio selection.
 """
 
 

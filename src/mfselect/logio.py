@@ -484,58 +484,6 @@ def read_dataset_csv(path) -> ToyDataset:
                       split=np.asarray(split, dtype="U5"))
 
 
-def external_round(
-    command_template: str,
-    dataset_file,
-    ids_file,
-    out_file,
-    epochs: int,
-    seed: int,
-) -> RoundLog:
-    """Run one external-trainer round and return its prediction log in the
-    order of the ids in ``ids_file``.
-
-    The command template may use the placeholders {dataset}, {ids}, {out},
-    {epochs} and {seed}. The log must cover exactly the ids listed in
-    ``ids_file``, in any order, with sequences of ``epochs`` entries (the
-    reader already requires them to be of equal length).
-    """
-    command = command_template.format(
-        dataset=str(dataset_file),
-        ids=str(ids_file),
-        out=str(out_file),
-        epochs=epochs,
-        seed=seed,
-    )
-    Path(out_file).unlink(missing_ok=True)  # an earlier run's log is not this round's
-    proc = subprocess.run(
-        shlex.split(command), capture_output=True, text=True, check=False
-    )
-    if proc.returncode != 0:
-        raise TrainerCommandError(command, proc.returncode, proc.stderr)
-
-    log = read_prediction_log(out_file)
-    ids = read_ids(ids_file)
-    row_of = {i: row for row, i in enumerate(log.ids)}
-    rows = np.array([row_of.pop(i, -1) for i in ids], dtype=np.intp)
-    if (rows < 0).any():
-        raise MissingIdsError([ids[k] for k in np.flatnonzero(rows < 0)], path=out_file)
-    if row_of:  # the log's ids that ids_file does not list
-        shown = ", ".join(sorted(row_of)[:10])
-        raise LogFormatError(f"log contains unexpected ids: {shown}", path=out_file)
-    if log.bits.shape[1] != epochs:
-        raise RaggedSequenceError(
-            f"sequences have length {log.bits.shape[1]}, expected {epochs}", path=out_file
-        )
-    return RoundLog(
-        ids=ids,
-        bits=log.bits[rows],
-        losses=None if log.losses is None else log.losses[rows],
-        labels=log.labels[rows],
-        true_labels=None if log.true_labels is None else log.true_labels[rows],
-    )
-
-
 class ExternalTrainer:
     """Round trainer backed by a subprocess command.
 
@@ -543,7 +491,8 @@ class ExternalTrainer:
     responsibility; this bridge hands it the ids of the surviving rows in
     files numbered by round (``round_counter`` is the last round it ran) and
     validates the log it returns. The command may list the ids in any
-    order; the returned log follows ``rows``.
+    order; the returned log follows ``rows``, and its labels are the
+    dataset's, whatever labels the command wrote.
     """
 
     def __init__(self, command_template: str, dataset_file, workdir, seed: int = 0):
@@ -554,16 +503,40 @@ class ExternalTrainer:
         self.round_counter = 0
 
     def fit_round(self, dataset, rows, epochs: int) -> RoundLog:
+        """Run the command on the dataset rows ``rows``; log row r is rows[r].
+
+        The command template may use the placeholders {dataset}, {ids},
+        {out}, {epochs} and {seed}. The log must cover exactly the ids of
+        ``rows``, in any order, with sequences of ``epochs`` entries (the
+        reader already requires them to be of equal length).
+        """
         self.round_counter += 1
         self.workdir.mkdir(parents=True, exist_ok=True)
         ids_file = self.workdir / f"ids_round{self.round_counter}.txt"
         out_file = self.workdir / f"log_round{self.round_counter}.jsonl"
-        write_ids(ids_file, dataset.ids[rows])
-        return external_round(
-            self.command_template,
-            self.dataset_file,
-            ids_file,
-            out_file,
-            epochs,
-            self.seed,
-        )
+        ids = dataset.ids[rows].tolist()
+        write_ids(ids_file, ids)
+        command = self.command_template.format(
+            dataset=str(self.dataset_file), ids=str(ids_file), out=str(out_file),
+            epochs=epochs, seed=self.seed)
+        out_file.unlink(missing_ok=True)  # an earlier run's log is not this round's
+        proc = subprocess.run(shlex.split(command), capture_output=True, text=True, check=False)
+        if proc.returncode != 0:
+            raise TrainerCommandError(command, proc.returncode, proc.stderr)
+
+        log = read_prediction_log(out_file)
+        row_of = {i: row for row, i in enumerate(log.ids)}
+        order = np.array([row_of.pop(i, -1) for i in ids], dtype=np.intp)
+        if (order < 0).any():
+            raise MissingIdsError([ids[k] for k in np.flatnonzero(order < 0)], path=out_file)
+        if row_of:  # the log's ids that ``rows`` does not hold
+            shown = ", ".join(sorted(row_of)[:10])
+            raise LogFormatError(f"log contains unexpected ids: {shown}", path=out_file)
+        if log.bits.shape[1] != epochs:
+            raise RaggedSequenceError(
+                f"sequences have length {log.bits.shape[1]}, expected {epochs}", path=out_file
+            )
+        return RoundLog(ids=ids, bits=log.bits[order],
+                        losses=None if log.losses is None else log.losses[order],
+                        labels=dataset.observed_labels[rows],
+                        true_labels=dataset.true_labels[rows])

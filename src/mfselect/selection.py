@@ -239,22 +239,20 @@ def run_multiround(
 
 def compare_strategies(
     dataset,
-    make_trainer,
+    trainer,
     config: RoundConfig,
     fit_config: FitConfig | None = None,
 ):
     """Run the same benchmark once per strategy in ``STRATEGIES`` and
     tabulate the outcome.
 
-    ``make_trainer`` is a zero-argument factory, called once. Round 1
-    trains once on the training rows, since its training does not depend on
-    the strategy, and every strategy selects from that one log. Each
-    strategy then runs its later rounds on its own copy of the trained
-    model, exactly as if it had trained round 1 itself. Returns one dict
-    per strategy with the final round's kept count, precision, recall and
-    test accuracy.
+    ``trainer`` trains round 1 once on the training rows, since its
+    training does not depend on the strategy, and every strategy selects
+    from that one log. Each strategy then runs its later rounds on its own
+    copy of the trained model, exactly as if it had trained round 1 itself;
+    ``trainer`` is left as round 1 left it. Returns one dict per strategy
+    with the final round's kept count, precision, recall and test accuracy.
     """
-    trainer = make_trainer()
     configs = [replace(config, strategy=strategy) for strategy in STRATEGIES]
     rows = dataset.train_positions
     log = trainer.fit_round(dataset, rows, config.epochs)

@@ -254,7 +254,7 @@ def test_criterion_6_trainer_end_to_end():
 def test_criterion_7_baseline_comparison():
     ds = bench_dataset(noise=0.2, spread=4.0)
     rows = compare_strategies(
-        ds, bench_trainer, RoundConfig(epochs=30, rounds=3), FitConfig()
+        ds, bench_trainer(), RoundConfig(epochs=30, rounds=3), FitConfig()
     )
     assert [r["strategy"] for r in rows] == ["mixture_threshold", "ratio",
                                              "small_loss"]

@@ -942,20 +942,32 @@ def test_report_stats_csv_row_of_wrong_width_exits_3(tmp_path, capsys, damage, m
     assert "Traceback" not in err and not (out / "trend.csv").exists()
 
 
-@pytest.mark.parametrize("column, cell, message", [
+# a stats.csv cell its column rejects, and the message that names it
+BAD_STATS_CELLS = [
     ("round", "1.5", "invalid literal for int()"),
     ("precision", "abc", "could not convert string to float"),
     ("recall", " ", "could not convert string to float"),
     ("test_accuracy", "0.5x", "could not convert string to float"),
-])
-def test_report_stats_csv_cell_not_a_number_exits_3(tmp_path, capsys, column, cell, message):
-    path, out = simulate_and_select(tmp_path)
-    stats = out / "stats.csv"
+    ("kept", "3.0", "invalid literal for int()"),
+    ("threshold", "x", "could not convert string to float"),
+    ("converged", "yes", "expected true or false, got 'yes'"),
+]
+
+
+def set_stats_cell(stats: Path, column: str, cell: str) -> None:
+    """Set ``column`` of the first row of the stats table ``stats`` to ``cell``."""
     lines = stats.read_bytes().split(b"\r\n")
     cells = lines[1].split(b",")
     cells[lines[0].split(b",").index(column.encode())] = cell.encode()
     lines[1] = b",".join(cells)
     stats.write_bytes(b"\r\n".join(lines))
+
+
+@pytest.mark.parametrize("column, cell, message", BAD_STATS_CELLS)
+def test_report_stats_csv_cell_not_a_number_exits_3(tmp_path, capsys, column, cell, message):
+    path, out = simulate_and_select(tmp_path)
+    stats = out / "stats.csv"
+    set_stats_cell(stats, column, cell)
     assert cli.main(["report", "-c", str(path)]) == 3
     err = capsys.readouterr().err
     assert f"data error: {stats}: {column}: {message}" in err and "(line 2)" in err
@@ -1053,6 +1065,45 @@ def test_run_resume_without_the_round_files_it_reads_exits_3(tmp_path, capsys, n
     assert cli.main(["run", "-c", str(path), "--resume"]) == 3
     err = capsys.readouterr().err
     assert f"data error: {damaged}: " in err and "Traceback" not in err
+    assert tree_digest(out) == before
+
+
+@pytest.mark.parametrize("column, cell, message", BAD_STATS_CELLS)
+def test_run_resume_with_a_bad_stats_cell_exits_3(tmp_path, capsys, column, cell, message):
+    # resume copies the completed rounds' stats rows forward: each cell is
+    # checked as report checks it
+    path = write_config(tmp_path, base_config(tmp_path, rounds=2, epochs=4))
+    assert cli.main(["run", "-c", str(path)]) == 0
+    out = tmp_path / "out"
+    rewind_to_round_1(out)
+    stats = out / "stats.csv"
+    set_stats_cell(stats, column, cell)
+    before = tree_digest(out)
+    capsys.readouterr()
+    assert cli.main(["run", "-c", str(path), "--resume"]) == 3
+    err = capsys.readouterr().err
+    assert f"data error: {stats}: {column}: {message}" in err and "(line 2)" in err
+    assert "Traceback" not in err and tree_digest(out) == before
+
+
+@pytest.mark.parametrize("damage", [None, "truncated state.json"])
+def test_refused_resume_leaves_the_run_as_it_was(tmp_path, capsys, damage):
+    # another noise seed would rewrite dataset.csv and config_used.json, the
+    # ground truth and config that the run's files were made from
+    path = write_config(tmp_path, base_config(tmp_path, rounds=1, epochs=4))
+    assert cli.main(["run", "-c", str(path)]) == 0
+    out = tmp_path / "out"
+    if damage:
+        text = (out / "state.json").read_text()
+        (out / "state.json").write_text(text[: len(text) // 2])
+    dataset, config = (out / "dataset.csv").read_bytes(), (out / "config_used.json").read_bytes()
+    before = tree_digest(out)
+    capsys.readouterr()
+    code = cli.main(["run", "-c", str(path), "--resume", "--set", "noise.seed=99"])
+    assert code == (3 if damage else 2)
+    assert "Traceback" not in capsys.readouterr().err
+    assert (out / "dataset.csv").read_bytes() == dataset
+    assert (out / "config_used.json").read_bytes() == config
     assert tree_digest(out) == before
 
 

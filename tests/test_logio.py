@@ -17,7 +17,6 @@ from mfselect.errors import (
 )
 from mfselect.logio import (
     ExternalTrainer,
-    external_round,
     read_dataset_csv,
     read_ids,
     read_prediction_log,
@@ -50,6 +49,8 @@ with open(out_file, "w") as fh:
             n = 4
         rec = {"id": i, "label": 0, "true_label": 0,
                "seq": [0] + [1] * (n - 1), "losses": None}
+        if mode == "label99":
+            rec.update(label=99, true_label=None)
         fh.write(json.dumps(rec) + "\\n")
     if mode == "extra":
         fh.write(json.dumps({"id": "ghost", "label": 0, "true_label": 0,
@@ -420,59 +421,52 @@ def test_ids_file_keeps_every_id_exactly(tmp_path):
 # external trainer bridge
 
 
+def stub_round(tmp_path, command, ids, epochs):
+    """One ``ExternalTrainer`` round of ``command`` on a dataset of ``ids``,
+    labelled 1, 2, ... and truly 0, all rows trained on."""
+    n = len(ids)
+    dataset = SimpleNamespace(ids=np.array(ids, dtype=object),
+                              observed_labels=np.arange(1, n + 1), true_labels=np.zeros(n, int))
+    bridge = ExternalTrainer(command, tmp_path / "d.csv", tmp_path / "work", seed=0)
+    return bridge.fit_round(dataset, np.arange(n), epochs)
+
+
 def test_external_round_happy_path(tmp_path, stub):
-    ids_file = tmp_path / "ids.txt"
-    write_ids(ids_file, ["a", "b", "c"])
-    log = external_round(
-        stub("ok"), tmp_path / "data.csv", ids_file, tmp_path / "out.jsonl", 4, 0
-    )
+    log = stub_round(tmp_path, stub("ok"), ["a", "b", "c"], 4)
     assert set(log.ids) == {"a", "b", "c"}
     assert log.bits.shape == (3, 4)
 
 
 def test_external_round_missing_id(tmp_path, stub):
-    ids_file = tmp_path / "ids.txt"
-    write_ids(ids_file, ["a", "b"])
     with pytest.raises(MissingIdsError, match="a"):
-        external_round(
-            stub("drop_first"), tmp_path / "d.csv", ids_file, tmp_path / "o.jsonl", 4, 0
-        )
+        stub_round(tmp_path, stub("drop_first"), ["a", "b"], 4)
 
 
 def test_external_round_extra_id(tmp_path, stub):
-    ids_file = tmp_path / "ids.txt"
-    write_ids(ids_file, ["a"])
     with pytest.raises(LogFormatError, match="ghost"):
-        external_round(
-            stub("extra"), tmp_path / "d.csv", ids_file, tmp_path / "o.jsonl", 4, 0
-        )
+        stub_round(tmp_path, stub("extra"), ["a"], 4)
 
 
 def test_external_round_ragged_sequences(tmp_path, stub):
-    ids_file = tmp_path / "ids.txt"
-    write_ids(ids_file, ["a", "b"])
     with pytest.raises(RaggedSequenceError):
-        external_round(
-            stub("ragged"), tmp_path / "d.csv", ids_file, tmp_path / "o.jsonl", 4, 0
-        )
+        stub_round(tmp_path, stub("ragged"), ["a", "b"], 4)
 
 
 def test_external_round_wrong_epoch_count(tmp_path, stub):
-    ids_file = tmp_path / "ids.txt"
-    write_ids(ids_file, ["a", "b"])
     with pytest.raises(RaggedSequenceError, match="expected 9"):
-        external_round(
-            stub("fixed4"), tmp_path / "d.csv", ids_file, tmp_path / "o.jsonl", 9, 0
-        )
+        stub_round(tmp_path, stub("fixed4"), ["a", "b"], 9)
 
 
 def test_external_round_nonzero_exit(tmp_path, stub):
-    ids_file = tmp_path / "ids.txt"
-    write_ids(ids_file, ["a"])
     with pytest.raises(TrainerCommandError, match="status 3"):
-        external_round(
-            stub("fail"), tmp_path / "d.csv", ids_file, tmp_path / "o.jsonl", 4, 0
-        )
+        stub_round(tmp_path, stub("fail"), ["a"], 4)
+
+
+def test_external_round_returns_the_datasets_labels(tmp_path, stub):
+    # the command writes label 99 and no true label: the log carries the dataset's
+    log = stub_round(tmp_path, stub("label99"), ["a", "b", "c"], 4)
+    assert log.labels.tolist() == [1, 2, 3]
+    assert log.true_labels.tolist() == [0, 0, 0]
 
 
 def test_external_trainer_echoes_precomputed_log(tmp_path):
@@ -519,10 +513,13 @@ def test_external_trainer_returns_caller_order_for_shuffled_log(tmp_path):
         f"{sys.executable} {copier} {shuffled} {{out}}",
         tmp_path / "data.csv", tmp_path / "work", seed=0,
     )
-    # a dataset whose rows 1..4 hold the ids
-    dataset = SimpleNamespace(ids=np.array(["x", *ids], dtype=object))
+    # a dataset whose rows 1..4 hold the ids; the log's labels are its own
+    dataset = SimpleNamespace(ids=np.array(["x", *ids], dtype=object),
+                              observed_labels=np.array([7, *range(n)]),
+                              true_labels=np.array([7, *reversed(range(n))]))
     log = bridge.fit_round(dataset, np.arange(1, n + 1), epochs=2)
     assert log.ids == ids
     assert log.bits.tolist() == [[k % 2, 1] for k in range(n)]
     assert log.losses.tolist() == [[1.0, float(k)] for k in range(n)]
-    assert log.labels.tolist() == list(range(n)) and log.true_labels is None
+    assert log.labels.tolist() == list(range(n))
+    assert log.true_labels.tolist() == list(reversed(range(n)))

@@ -454,7 +454,7 @@ def test_compare_strategies_table_shape():
     ds = benchmark_dataset(noise=0.2, spread=4.0)
     rows = compare_strategies(
         ds,
-        lambda: benchmark_trainer(),
+        benchmark_trainer(),
         RoundConfig(epochs=20, rounds=2),
         FitConfig(),
     )
@@ -510,7 +510,7 @@ def test_compare_strategies_matches_per_strategy_training(case, monkeypatch):
         return seen[config.strategy]
 
     monkeypatch.setattr(selection_mod, "_finish_round", spy)
-    rows = compare_strategies(ds, benchmark_trainer, config, FitConfig())
+    rows = compare_strategies(ds, benchmark_trainer(), config, FitConfig())
     assert rows == expected_rows
     if case == "truncated":
         assert rows[0]["kept"] == 0 and seen["mixture_threshold"].round_index == 2
@@ -539,7 +539,7 @@ def test_compare_strategies_trains_round_one_once(rounds, monkeypatch):
         return log
 
     monkeypatch.setattr(SGDTrainer, "fit_round", spy)
-    compare_strategies(ds, benchmark_trainer, RoundConfig(epochs=5, rounds=rounds),
+    compare_strategies(ds, benchmark_trainer(), RoundConfig(epochs=5, rounds=rounds),
                        FitConfig())
     assert len(calls) == 1 + len(STRATEGIES) * (rounds - 1)
     assert not any(calls)
