@@ -5,14 +5,9 @@ from .mixture import (
     FitConfig,
     MixtureFit,
     WeibullParams,
-    em_fit,
     fit_metric_scores,
-    identify_components,
-    shift_to_support,
     threshold,
-    weibull_mean,
     weibull_pdf,
-    weighted_weibull_mle,
 )
 from .selection import (
     MultiRoundResult,

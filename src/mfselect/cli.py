@@ -445,6 +445,8 @@ def read_scores_csv(path: Path) -> tuple[list, np.ndarray]:
     if header != ["id", "score"]:
         raise LogFormatError("expected header id,score", path=path, line=1)
     ids, scores = columns
+    if not ids:
+        raise LogFormatError("scores table has no rows", path=path, line=2)
     return ids, logio.parse_cells(path, scores, float)
 
 

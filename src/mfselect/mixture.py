@@ -25,12 +25,12 @@ order of summation. Lattice scores dithered by a whole lattice step (see
 
 Every step is a plain array expression with the floating-point operations,
 in their order, of the straightforward formulas. The E-step works on one
-array per component; each weighted MLE call computes x/max(x) and its log
-once and builds the power sums of each Newton step in one array; each
-mixing weight is a running sum in row order, the order in which a sum down
-both components' columns adds. A fit whose parameters leave the
+array per component; x/max(x) and its log are computed once per fit, and
+each weighted MLE call builds the power sums of each Newton step in one
+array; each mixing weight is a running sum in row order, the order in which
+a sum down both components' columns adds. A fit whose parameters leave the
 floating-point range raises ``MixtureFitError``, so a selection round falls
-back to the ratio cut.
+back to the ratio cut. Only ``fit_metric_scores`` checks the fit's input.
 """
 
 from __future__ import annotations
@@ -121,7 +121,11 @@ class MixtureFit:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "MixtureFit":
-        """The fit that ``to_json_dict`` wrote ``doc`` from."""
+        """The fit that ``to_json_dict`` wrote ``doc`` from; ValueError naming
+        a number field that holds anything but an int or a float."""
+        for name in ("k_clean", "k_noisy", "shift", "epsilon"):
+            if type(doc[name]) not in (int, float):
+                raise ValueError(f"{name} must be a number, got {doc[name]!r}")
         kwargs = {f.name: doc[f.name] for f in fields(cls)}
         return cls(**{**kwargs, "clean": WeibullParams(**doc["clean"]),
                       "noisy": WeibullParams(**doc["noisy"])})
@@ -138,21 +142,9 @@ def weibull_pdf(x, p: WeibullParams):
     return out if out.ndim else float(out)
 
 
-def weibull_logpdf(x, p: WeibullParams):
-    """Log-density; preferred inside EM for numerical stability.
-
-    Returns -inf where the density underflows (sharp components far from
-    their scale), which the EM treats as zero responsibility.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("weibull_logpdf requires x > 0")
-    out = _logpdf(np.log(x), p)
-    return out if out.ndim else float(out)
-
-
 def _logpdf(log_x, p: WeibullParams):
-    """The Weibull log-density at exp(log_x)."""
+    """The Weibull log-density at exp(log_x); -inf where it underflows, which
+    the EM treats as zero responsibility."""
     lz = log_x - math.log(p.alpha)
     with np.errstate(over="ignore"):
         return math.log(p.beta / p.alpha) + (p.beta - 1.0) * lz - np.exp(p.beta * lz)
@@ -164,20 +156,6 @@ def weibull_mean(p: WeibullParams) -> float:
         return p.alpha * math.gamma(1.0 + 1.0 / p.beta)
 
 
-def shift_to_support(scores):
-    """Translate scores onto positive support.
-
-    Returns ``(shifted, shift)`` with shifted = scores - shift +
-    SHIFT_EPSILON and shift = min(scores), so every output is >=
-    SHIFT_EPSILON > 0.
-    """
-    arr = np.asarray(scores, dtype=float)
-    if arr.size == 0:
-        raise ValueError("scores must be nonempty")
-    shift = float(arr.min())
-    return arr - shift + SHIFT_EPSILON, shift
-
-
 def _component(alpha, beta) -> WeibullParams:
     """Fitted component parameters; MixtureFitError if they left float range."""
     if not (0 < alpha < math.inf and 0 < beta < math.inf):
@@ -187,38 +165,24 @@ def _component(alpha, beta) -> WeibullParams:
     return WeibullParams(alpha=alpha, beta=beta)
 
 
-def weighted_weibull_mle(samples, weights) -> WeibullParams:
-    """Weighted maximum-likelihood Weibull parameters.
+def weighted_weibull_mle(x_scaled, log_x, scale_ref: float, w) -> WeibullParams:
+    """Weighted maximum-likelihood Weibull parameters of x_scaled * scale_ref.
+
+    ``em_fit`` passes positive values over their max ``scale_ref`` (beta is
+    invariant to rescaling, and values <= 1 keep x**beta from overflowing),
+    their log, and nonnegative weights with a positive total.
 
     The shape is the root of the weighted profile-likelihood score equation,
     found by damped Newton iteration with a bisection fallback on the
     bracket ``BETA_BRACKET``; the scale then follows in closed form as
-    (sum w x^beta / sum w)^(1/beta).
+    scale_ref * (sum w x_scaled^beta / sum w)^(1/beta).
 
     Raises DegenerateSamplesError when the samples carry no spread (the
     likelihood is unbounded in beta), NewtonDivergenceError, carrying the
     last iterate, if the solver fails to converge, and MixtureFitError if
     the scale leaves the floating-point range.
     """
-    x = np.asarray(samples, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if x.shape != w.shape or x.ndim != 1:
-        raise ValueError("samples and weights must be 1-d arrays of equal length")
-    if x.size < 2:
-        raise ValueError("need at least 2 samples")
-    if np.any(x <= 0):
-        raise ValueError("samples must be positive")
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
     w_total = w.sum()
-    if w_total <= 0:
-        raise ValueError("total weight must be positive")
-
-    # beta is invariant to rescaling x; work on x/max(x) to avoid overflow
-    # in x**beta for large beta.
-    scale_ref = float(x.max())
-    x_scaled = x / scale_ref
-    log_x = np.log(x_scaled)
     log_mean = float((w * log_x).sum() / w_total)
     log_sd = math.sqrt(max(float((w * (log_x - log_mean) ** 2).sum() / w_total), 0.0))
     if log_sd < 1e-9:
@@ -299,29 +263,24 @@ def _moment_init(x) -> WeibullParams:
 def em_fit(scores) -> MixtureFit:
     """Fit the two-component mixture to positive scores by EM.
 
+    ``scores`` is a float array of at least 10 finite positive values.
     Initialization splits the sorted scores at the median and seeds each
     component with method-of-moments estimates, which makes the fit fully
     deterministic. EM then runs on the distinct scores weighted by their
-    counts (see the module docstring). Raises ValueError for fewer than 10
-    samples, DegenerateSamplesError / ComponentCollapseError when the data
-    cannot support two components and MixtureFitError when a parameter
-    leaves the floating-point range.
+    counts (see the module docstring). Raises DegenerateSamplesError /
+    ComponentCollapseError when the data cannot support two components and
+    MixtureFitError when a parameter leaves the floating-point range.
     """
-    x = np.asarray(scores, dtype=float)
-    if x.ndim != 1 or x.size < 10:
-        raise ValueError("em_fit requires at least 10 samples")
-    if np.any(x <= 0):
-        raise ValueError("em_fit requires positive scores; shift them first")
     sorted_values, first, sorted_counts = np.unique(
-        x, return_index=True, return_counts=True
+        scores, return_index=True, return_counts=True
     )
     if sorted_values.size < 3:
         raise DegenerateSamplesError(
             "fewer than 3 distinct score values; a two-component fit is meaningless"
         )
-    n = x.size
+    n = scores.size
 
-    # the repeated distinct values are np.sort(x), element for element
+    # the repeated distinct values are np.sort(scores), element for element
     x_sorted = np.repeat(sorted_values, sorted_counts)
     half = n // 2
     params = [_moment_init(x_sorted[:half]), _moment_init(x_sorted[half:])]
@@ -334,6 +293,8 @@ def em_fit(scores) -> MixtureFit:
     values = sorted_values[order]
     counts = sorted_counts[order].astype(float)
     log_x = np.log(values)
+    x_scaled = values / sorted_values[-1]
+    scaled = (x_scaled, np.log(x_scaled), float(sorted_values[-1]))
     trace: list[float] = []
     prev_ll = -math.inf
     converged = False
@@ -369,7 +330,7 @@ def em_fit(scores) -> MixtureFit:
                     j, f"effective sample size {w_sum:.3g} below {MIN_EFFECTIVE_SAMPLES}"
                 )
             try:
-                new_params.append(weighted_weibull_mle(values, w))
+                new_params.append(weighted_weibull_mle(*scaled, w))
             except DegenerateSamplesError:
                 # Responsibilities concentrated on a single score atom
                 # (common on lattice-valued metrics, e.g. everything
@@ -392,23 +353,24 @@ def em_fit(scores) -> MixtureFit:
     )
     fit = identify_components(fit)
     if not fit.degenerate:
-        fit.degenerate = _prefers_single_component(values, counts, trace[-1])
+        fit.degenerate = _prefers_single_component(scaled, log_x, counts, trace[-1])
     return fit
 
 
-def _prefers_single_component(values, counts, mixture_ll: float) -> bool:
+def _prefers_single_component(scaled, log_x, counts, mixture_ll: float) -> bool:
     """BIC check: does one Weibull explain the scores as well as two?
 
-    ``counts`` holds how often each of ``values`` occurs. A
-    two-component fit that fails this comparison found no second population
-    worth the three extra parameters; thresholding such a fit is still
-    well-defined, but the caller should not trust the clean/noisy split.
+    ``scaled`` holds the MLE's first arguments, ``log_x`` the log of the
+    values and ``counts`` how often each occurs. A two-component fit that
+    fails this comparison found no second population worth the three extra
+    parameters; thresholding such a fit is still well-defined, but the
+    caller should not trust the clean/noisy split.
     """
     try:
-        single = weighted_weibull_mle(values, counts)
+        single = weighted_weibull_mle(*scaled, counts)
     except (DegenerateSamplesError, NewtonDivergenceError):
         return True
-    single_ll = float((counts * weibull_logpdf(values, single)).sum())
+    single_ll = float((counts * _logpdf(log_x, single)).sum())
     return 2.0 * (mixture_ll - single_ll) <= 3.0 * math.log(counts.sum())
 
 
@@ -478,7 +440,8 @@ def fit_metric_scores(scores, config: FitConfig | None = None) -> MixtureFit:
         at_min = values == values[0]
         dither[at_min] = np.abs(dither[at_min])
         values = values + dither
-    shifted, shift = shift_to_support(values)
+    shift = float(values.min())
+    shifted = values - shift + SHIFT_EPSILON
     if not math.isfinite(shifted.max()):
         raise MixtureFitError("dequantized scores span beyond the float range")
     fit = em_fit(shifted)

@@ -894,6 +894,31 @@ def test_eval_damaged_mixture_json_exits_3(tmp_path, capsys, damage):
     assert "data error" in err and "mixture.json" in err
 
 
+@pytest.mark.parametrize("name, value", [
+    ("k_clean", "x"), ("k_noisy", True), ("shift", None), ("epsilon", [0.001]),
+])
+def test_eval_wrong_typed_fit_number_exits_3(tmp_path, capsys, name, value):
+    path, out = simulate_and_select(tmp_path)
+    fit_json = out / "mixture.json"
+    doc = json.loads(fit_json.read_text())
+    doc[name] = value
+    fit_json.write_text(json.dumps(doc))
+    assert cli.main(["eval", "-c", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert f"data error: {fit_json}: not a mixture fit" in err
+    assert f"{name} must be a number" in err and "Traceback" not in err
+
+
+def test_eval_scores_table_without_rows_exits_3(tmp_path, capsys):
+    path, out = simulate_and_select(tmp_path)
+    scores = out / "scores.csv"
+    scores.write_bytes(scores.read_bytes().split(b"\r\n")[0] + b"\r\n")
+    assert cli.main(["eval", "-c", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert f"data error: {scores}: scores table has no rows (line 2)" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("damage, line", [
     ("a list", None), ("truncated", 1), ("non-bool values", None),
 ])

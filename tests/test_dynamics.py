@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -184,3 +185,21 @@ def test_score_sequences_equals_scalar_metrics(epochs):
             got = score_sequences(bits, kind, lam)
             assert got.dtype == np.float64
             assert got.tolist() == want, (kind, lam)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3, finding B: score_sequences "
+                   "rounds M and F separately, then subtracts")
+def test_equal_exact_full_scores_are_equal_floats():
+    # every 12-epoch status, grouped by its exact M - F: today 4 of the 61
+    # exact values get two floats, e.g. 2/3 as 0.6666666666666665 and ...667
+    bits = np.array(list(itertools.product([0, 1], repeat=12)), dtype=np.int8)
+    floats = {}
+    for row, value in zip(bits.tolist(), score_sequences(bits, "full", 1.0).tolist()):
+        runs = runs_oracle(row)
+        u = [n for s, n in runs if s == 0]
+        l = [n for s, n in runs if s == 1]
+        m = Fraction(sum(u), len(u)) if u else Fraction(0)
+        f = Fraction(sum(l), len(l)) if l else Fraction(0)
+        floats.setdefault(m - f, set()).add(value)
+    assert len(floats) == 61
+    assert {exact: v for exact, v in floats.items() if len(v) > 1} == {}

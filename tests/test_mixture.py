@@ -22,9 +22,7 @@ from mfselect.mixture import (
     em_fit,
     fit_metric_scores,
     identify_components,
-    shift_to_support,
     threshold,
-    weibull_logpdf,
     weibull_mean,
     weibull_pdf,
     weighted_weibull_mle,
@@ -98,23 +96,32 @@ def test_mean_matches_monte_carlo():
 # weighted MLE
 
 
+def mle(samples, weights):
+    """``weighted_weibull_mle`` of a positive sample, its arguments built as
+    ``em_fit`` builds them: (x / max, log of that, max)."""
+    x = np.asarray(samples, dtype=float)
+    x_scaled = x / x.max()
+    return weighted_weibull_mle(x_scaled, np.log(x_scaled), float(x.max()),
+                                np.asarray(weights, dtype=float))
+
+
 def test_mle_consistency_unit_weights():
     rng = np.random.default_rng(42)
     x = 3.0 * rng.weibull(2.0, size=10_000)
-    p = weighted_weibull_mle(x, np.ones_like(x))
+    p = mle(x, np.ones_like(x))
     assert abs(p.alpha - 3.0) / 3.0 < 0.03
     assert abs(p.beta - 2.0) / 2.0 < 0.05
 
 
 def test_mle_degenerate_identical_samples():
     with pytest.raises(DegenerateSamplesError):
-        weighted_weibull_mle(np.ones(50), np.ones(50))
+        mle(np.ones(50), np.ones(50))
 
 
 def test_mle_beats_grid_on_two_samples():
     x = np.array([1.0, math.e])
     w = np.ones(2)
-    fitted = weighted_weibull_mle(x, w)
+    fitted = mle(x, w)
 
     def loglik(params):
         with np.errstate(divide="ignore"):
@@ -134,26 +141,17 @@ def test_mle_respects_weights():
     junk = np.full(500, 123.4)
     merged = np.concatenate([x, junk])
     w = np.concatenate([np.ones_like(x), np.zeros_like(junk)])
-    a = weighted_weibull_mle(x, np.ones_like(x))
-    b = weighted_weibull_mle(merged, w)
+    a = mle(x, np.ones_like(x))
+    b = mle(merged, w)
     assert b.alpha == pytest.approx(a.alpha, rel=1e-9)
     assert b.beta == pytest.approx(a.beta, rel=1e-9)
-
-
-def test_mle_input_validation():
-    with pytest.raises(ValueError):
-        weighted_weibull_mle(np.array([1.0]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        weighted_weibull_mle(np.array([1.0, -1.0]), np.ones(2))
-    with pytest.raises(ValueError):
-        weighted_weibull_mle(np.array([1.0, 2.0]), np.zeros(2))
 
 
 def test_newton_divergence_raises_and_the_round_falls_back_to_ratio(monkeypatch):
     monkeypatch.setattr(mixture_mod, "NEWTON_MAX_ITERS", 1)
     x = 3.0 * np.random.default_rng(42).weibull(2.0, size=1_000)
     with pytest.raises(NewtonDivergenceError) as info:
-        weighted_weibull_mle(x, np.ones_like(x))
+        mle(x, np.ones_like(x))
     lo, hi = mixture_mod.BETA_BRACKET
     assert lo < info.value.last_beta < hi
     result = select_round(simulate_dynamics(300, 300, epochs=20, seed=0),
@@ -168,21 +166,22 @@ def test_newton_divergence_raises_and_the_round_falls_back_to_ratio(monkeypatch)
 # support shift
 
 
-def test_shift_examples():
-    shifted, shift = shift_to_support([-3.0, 0.0, 5.0])
-    assert shift == -3.0
-    assert shifted.tolist() == pytest.approx([1e-3, 3.001, 8.001])
-    shifted, shift = shift_to_support([2.0, 4.0])
-    assert shift == 2.0
-    assert shifted.tolist() == pytest.approx([1e-3, 2.001])
-    shifted, shift = shift_to_support([0.0])
-    assert shifted.tolist() == pytest.approx([1e-3])
-    assert shift == 0.0
+def test_shift_examples(monkeypatch):
+    # the EM fits shifted = s - min(s) + SHIFT_EPSILON; the fit records both
+    fitted = []
+    real_em_fit = mixture_mod.em_fit
 
+    def spy(shifted):
+        fitted.append(shifted.copy())
+        return real_em_fit(shifted)
 
-def test_shift_rejects_bad_input():
-    with pytest.raises(ValueError):
-        shift_to_support([])
+    monkeypatch.setattr(mixture_mod, "em_fit", spy)
+    for offset in (-3.0, 0.0, 2.0):
+        raw = np.r_[offset, sample_mixture(300) + offset]
+        fit = fit_metric_scores(raw, FitConfig(dequantize=False))
+        assert fit.shift == offset and fit.epsilon == 1e-3
+        assert np.array_equal(fitted[-1], np.sort(raw) - offset + 1e-3)
+        assert fitted[-1].min() == 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -222,15 +221,10 @@ def test_em_single_population_is_degenerate_or_collapses():
     assert fit.degenerate
 
 
-def test_em_requires_ten_samples():
-    with pytest.raises(ValueError):
-        em_fit(np.linspace(1, 2, 9))
-
-
-def test_em_requires_positive_scores():
-    x = np.linspace(-1, 5, 50)
-    with pytest.raises(ValueError):
-        em_fit(x)
+def test_fit_requires_ten_scores():
+    for n in (0, 9):
+        with pytest.raises(DegenerateSamplesError, match="at least 10 scores"):
+            fit_metric_scores(np.linspace(1, 2, n))
 
 
 def test_em_rejects_two_valued_scores():
@@ -489,17 +483,21 @@ def test_em_passes_only_distinct_values_to_the_mle(monkeypatch):
     x = 1.0 + rng.binomial(50, np.where(noisy, 0.8, 0.2)).astype(float)
     distinct = np.unique(x).size
     assert distinct <= 51
-    lengths = []
+    calls = []
     real_mle = mixture_mod.weighted_weibull_mle
 
-    def spy(samples, weights):
-        lengths.append((np.shape(samples), np.shape(weights)))
-        return real_mle(samples, weights)
+    def spy(x_scaled, log_x, scale_ref, w):
+        calls.append((x_scaled, log_x, w.shape))
+        return real_mle(x_scaled, log_x, scale_ref, w)
 
     monkeypatch.setattr(mixture_mod, "weighted_weibull_mle", spy)
     em_fit(x)
-    assert lengths
-    assert set(lengths) == {((distinct,), (distinct,))}
+    assert len(calls) > 1
+    # one scaled sample per fit: every call gets the same two arrays
+    x_scaled, log_x, _ = calls[0]
+    assert all(c[0] is x_scaled and c[1] is log_x for c in calls)
+    assert x_scaled.shape == log_x.shape == (distinct,)
+    assert {c[2] for c in calls} == {(distinct,)}
 
 
 def test_underflowing_power_sums_fit_without_numpy_warnings():
@@ -531,10 +529,10 @@ def test_public_mle_and_logpdf_match_reference(n, seed, scale):
         except Exception as exc:
             return type(exc)
 
-    assert outcome(weighted_weibull_mle) == outcome(mixture_reference.weighted_weibull_mle)
+    assert outcome(mle) == outcome(mixture_reference.weighted_weibull_mle)
     p = WeibullParams(float(np.median(x)), rng.uniform(0.05, 40.0))
-    assert np.array_equal(weibull_logpdf(x, p), mixture_reference.weibull_logpdf(x, p))
-    assert weibull_logpdf(float(x[0]), p) == mixture_reference.weibull_logpdf(float(x[0]), p)
+    assert np.array_equal(mixture_mod._logpdf(np.log(x), p),
+                          mixture_reference.weibull_logpdf(x, p))
 
 
 # ---------------------------------------------------------------------------
