@@ -540,11 +540,17 @@ def _read_json_object(path: Path, what: str) -> dict:
 
 def _rows_of(row_of: dict, ids, path: Path, message: str) -> np.ndarray:
     """``row_of[i]`` for each id ``i`` of ``ids``, in order; an id that is no
-    key is a data error naming ``path``: ``message`` formatted with the id."""
+    key is a data error naming ``path``: ``message`` formatted with the id.
+    So is an id that ``ids`` holds twice."""
     try:
-        return np.array([row_of[i] for i in ids], dtype=np.intp)
+        rows = np.array([row_of[i] for i in ids], dtype=np.intp)
     except KeyError as exc:
         raise LogFormatError(message.format(exc.args[0]), path=path) from None
+    repeated = np.bincount(rows)[rows] > 1
+    if repeated.any():
+        raise LogFormatError(f"id {ids[repeated.argmax()]!r} appears more than once",
+                             path=path)
+    return rows
 
 
 def _read_state(path: Path) -> dict:
@@ -772,20 +778,16 @@ def cmd_eval(cfg: ExperimentConfig, bins: int) -> int:
     rows = []
     for round_index, scores_path in _discover_rounds(outputs):
         score_ids, values = read_scores_csv(scores_path)
-        names = (f"selected_ids_round{round_index}.txt", "selected_ids.txt")
-        ids_path = next((outputs / n for n in names if (outputs / n).exists()), None)
-        if ids_path is None:
-            raise LogFormatError(f"no selected ids for round {round_index} "
-                                 f"(need {names[0]} or {names[1]})", path=outputs)
+        # select's files carry no round; a run's carry their round's number
+        suffix = "" if scores_path.name == "scores.csv" else f"_round{round_index}"
+        ids_path = outputs / f"selected_ids{suffix}.txt"
         selected = np.zeros(clean.size, dtype=bool)
         selected[_rows_of(row_of, logio.read_ids(ids_path), ids_path, unknown)] = True
         stats = evaluation.selection_precision_recall(selected, clean)
         rows.append([round_index, stats.kept, stats.precision, stats.recall,
                      None, None, None])
         fit = None
-        fit_path = outputs / f"mixture_round{round_index}.json"
-        if not fit_path.exists():
-            fit_path = outputs / "mixture.json"
+        fit_path = outputs / f"mixture{suffix}.json"
         if fit_path.exists():
             doc = _read_json_object(fit_path, "not a mixture fit")
             try:

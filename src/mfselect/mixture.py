@@ -122,10 +122,14 @@ class MixtureFit:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "MixtureFit":
         """The fit that ``to_json_dict`` wrote ``doc`` from; ValueError naming
-        a number field that holds anything but an int or a float."""
-        for name in ("k_clean", "k_noisy", "shift", "epsilon"):
-            if type(doc[name]) not in (int, float):
-                raise ValueError(f"{name} must be a number, got {doc[name]!r}")
+        a number field, such as ``noisy.alpha``, that holds anything but an
+        int or a float (a bool is neither)."""
+        numbers = [(name, doc[name]) for name in ("k_clean", "k_noisy", "shift", "epsilon")]
+        numbers += [(f"{part}.{key}", doc[part][key])
+                    for part in ("clean", "noisy") for key in ("alpha", "beta")]
+        for name, value in numbers:
+            if type(value) not in (int, float):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         kwargs = {f.name: doc[f.name] for f in fields(cls)}
         return cls(**{**kwargs, "clean": WeibullParams(**doc["clean"]),
                       "noisy": WeibullParams(**doc["noisy"])})

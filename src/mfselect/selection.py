@@ -172,16 +172,14 @@ def select_round(log, config: RoundConfig, fit_config: FitConfig | None = None,
 
 
 def _finish_round(dataset, trainer, log, rows, config: RoundConfig,
-                  fit_config: FitConfig | None, round_index: int,
-                  on_round=None) -> SelectionResult:
+                  fit_config: FitConfig | None, round_index: int) -> SelectionResult:
     """Select among the rows of one round's ``log``, trained on the dataset
     rows ``rows``, and measure the selection.
 
     Precision and recall count against the clean instances of the
     *original* training set, so the round trend is comparable; test
     accuracy is the trained model's. Either is left None when ``dataset``
-    or ``trainer`` cannot provide it. ``on_round(result, log, rows)``, when
-    given, is called last.
+    or ``trainer`` cannot provide it.
     """
     result = select_round(log, config, fit_config, round_index)
     if hasattr(dataset, "clean_mask"):
@@ -194,8 +192,6 @@ def _finish_round(dataset, trainer, log, rows, config: RoundConfig,
         result.test_accuracy = evaluation.test_accuracy(
             trainer, dataset.features[test_pos], dataset.true_labels[test_pos]
         )
-    if on_round is not None:
-        on_round(result, log, rows)
     return result
 
 
@@ -227,7 +223,9 @@ def run_multiround(
             raise ValueError("cannot run a round on an empty training set")
         log = trainer.fit_round(dataset, rows, config.epochs)
         result = _finish_round(dataset, trainer, log, rows, config, fit_config,
-                               round_index, on_round)
+                               round_index)
+        if on_round is not None:
+            on_round(result, log, rows)
         rounds.append(result)
         del log  # free this round's sequences before the next round trains
         if not result.keep.any():

@@ -184,83 +184,6 @@ def _views(flat: np.ndarray, shapes) -> list:
     return views
 
 
-class SoftmaxNet:
-    """Linear softmax classifier, optionally with one ReLU hidden layer.
-
-    ``params`` and ``grads`` are views of the flat buffers ``flat_params``
-    and ``flat_grads``, so that an optimizer can step every parameter at
-    once. A copy that must keep them joined goes through
-    ``SGDTrainer.state_dict``.
-    """
-
-    def __init__(self, dim: int, n_classes: int, hidden: int | None = None, seed: int = 0):
-        self.dim = dim
-        self.n_classes = n_classes
-        self.hidden = hidden
-        rng = np.random.default_rng(seed)
-        if hidden:
-            init = [
-                rng.normal(0.0, 1.0 / math.sqrt(dim), size=(dim, hidden)),
-                np.zeros(hidden),
-                rng.normal(0.0, 1.0 / math.sqrt(hidden), size=(hidden, n_classes)),
-                np.zeros(n_classes),
-            ]
-        else:
-            # zero init: the objective is convex, no symmetry to break
-            init = [np.zeros((dim, n_classes)), np.zeros(n_classes)]
-        shapes = [p.shape for p in init]
-        self.flat_params = np.concatenate([p.ravel() for p in init])
-        self.params = _views(self.flat_params, shapes)
-        self.flat_grads = np.zeros_like(self.flat_params)
-        self.grads = _views(self.flat_grads, shapes)
-
-    def logits(self, x: np.ndarray) -> np.ndarray:
-        if self.hidden:
-            w1, b1, w2, b2 = self.params
-            h = np.maximum(x @ w1 + b1, 0.0)
-            return h @ w2 + b2
-        w, b = self.params
-        return x @ w + b
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.logits(x).argmax(axis=1)
-
-    def loss_and_grads(self, x: np.ndarray, target: np.ndarray, pick: np.ndarray,
-                       losses: np.ndarray) -> np.ndarray:
-        """Logits of the batch ``x``; the mean-loss gradients go into ``grads``.
-
-        ``target`` holds the batch's labels one-hot, and ``pick`` each label's
-        index into the flattened logits. Each sample's cross-entropy loss is
-        written into ``losses``. A diverging step overflows here: the caller
-        silences numpy's warnings and reports the non-finite losses itself.
-        """
-        if self.hidden:
-            w1, b1, w, b = self.params
-            pre = x @ w1 + b1
-            h = np.maximum(pre, 0.0)
-        else:
-            w, b = self.params
-            h = x
-        z = h @ w + b
-        z_max = z.max(axis=1, keepdims=True)
-        log_norm = z_max + np.log(np.exp(z - z_max).sum(axis=1, keepdims=True))
-        np.subtract(log_norm[:, 0], z.take(pick), out=losses)
-
-        probs = np.exp(z - log_norm)
-        probs -= target
-        probs /= len(x)
-        if self.hidden:
-            g_w1, g_b1, g_w, g_b = self.grads
-            d_h = np.where(pre <= 0, 0.0, probs @ w.T)
-            np.matmul(x.T, d_h, out=g_w1)
-            d_h.sum(axis=0, out=g_b1)
-        else:
-            g_w, g_b = self.grads
-        np.matmul(h.T, probs, out=g_w)
-        probs.sum(axis=0, out=g_b)
-        return z
-
-
 @dataclass
 class TrainerConfig:
     learning_rate: float = 0.01
@@ -319,11 +242,15 @@ def cosine_lr(base_lr: float, epoch: int, total_epochs: int) -> float:
 class SGDTrainer:
     """In-process trainer satisfying the per-round contract.
 
-    Model and optimizer state persist across rounds. All randomness comes
-    from the config seed, so identical (dataset, config) pairs produce
-    bit-identical prediction logs. The parameters and the velocity are views
-    of flat buffers, so each momentum step is one pass over each buffer;
-    ``copy.deepcopy`` and ``pickle`` therefore go through ``state_dict``.
+    A linear softmax classifier, with one ReLU hidden layer when
+    ``config.arch`` is "mlp", trained by SGD with momentum. Model and
+    optimizer state persist across rounds. The config seed seeds the initial
+    parameters and, as a separate stream, the shuffle order, so identical
+    (dataset, config) pairs produce bit-identical prediction logs.
+    ``params``, ``grads`` and ``velocity`` are views of the flat buffers
+    ``flat_params``, ``flat_grads`` and ``flat_velocity``, so each momentum
+    step is one pass over each buffer; ``copy.deepcopy`` and ``pickle``
+    therefore go through ``state_dict``.
     """
 
     def __init__(self, dim: int, n_classes: int, config: TrainerConfig | None = None):
@@ -331,10 +258,25 @@ class SGDTrainer:
         self.dim = dim
         self.n_classes = n_classes
         self.rng = np.random.default_rng(self.config.seed)
-        hidden = self.config.hidden if self.config.arch == "mlp" else None
-        self.net = SoftmaxNet(dim, n_classes, hidden, seed=self.config.seed)
-        self.flat_velocity = np.zeros_like(self.net.flat_params)
-        self.velocity = _views(self.flat_velocity, [p.shape for p in self.net.params])
+        hidden = self.hidden = self.config.hidden if self.config.arch == "mlp" else None
+        init_rng = np.random.default_rng(self.config.seed)
+        if hidden:
+            init = [
+                init_rng.normal(0.0, 1.0 / math.sqrt(dim), size=(dim, hidden)),
+                np.zeros(hidden),
+                init_rng.normal(0.0, 1.0 / math.sqrt(hidden), size=(hidden, n_classes)),
+                np.zeros(n_classes),
+            ]
+        else:
+            # zero init: the objective is convex, no symmetry to break
+            init = [np.zeros((dim, n_classes)), np.zeros(n_classes)]
+        shapes = [p.shape for p in init]
+        self.flat_params = np.concatenate([p.ravel() for p in init])
+        self.flat_grads = np.zeros_like(self.flat_params)
+        self.flat_velocity = np.zeros_like(self.flat_params)
+        self.params = _views(self.flat_params, shapes)
+        self.grads = _views(self.flat_grads, shapes)
+        self.velocity = _views(self.flat_velocity, shapes)
 
     # numpy copies each view of a flat buffer on its own, which would cut
     # the copy's parameters loose from the buffer that the step updates
@@ -343,6 +285,41 @@ class SGDTrainer:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(self.from_state_dict(state).__dict__)
+
+    def loss_and_grads(self, x: np.ndarray, target: np.ndarray, pick: np.ndarray,
+                       losses: np.ndarray) -> np.ndarray:
+        """Logits of the batch ``x``; the mean-loss gradients go into ``grads``.
+
+        ``target`` holds the batch's labels one-hot, and ``pick`` each label's
+        index into the flattened logits. Each sample's cross-entropy loss is
+        written into ``losses``. A diverging step overflows here: the caller
+        silences numpy's warnings and reports the non-finite losses itself.
+        """
+        if self.hidden:
+            w1, b1, w, b = self.params
+            pre = x @ w1 + b1
+            h = np.maximum(pre, 0.0)
+        else:
+            w, b = self.params
+            h = x
+        z = h @ w + b
+        z_max = z.max(axis=1, keepdims=True)
+        log_norm = z_max + np.log(np.exp(z - z_max).sum(axis=1, keepdims=True))
+        np.subtract(log_norm[:, 0], z.take(pick), out=losses)
+
+        probs = np.exp(z - log_norm)
+        probs -= target
+        probs /= len(x)
+        if self.hidden:
+            g_w1, g_b1, g_w, g_b = self.grads
+            d_h = np.where(pre <= 0, 0.0, probs @ w.T)
+            np.matmul(x.T, d_h, out=g_w1)
+            d_h.sum(axis=0, out=g_b1)
+        else:
+            g_w, g_b = self.grads
+        np.matmul(h.T, probs, out=g_w)
+        probs.sum(axis=0, out=g_b)
+        return z
 
     def train_epoch(self, features: np.ndarray, labels: np.ndarray,
                     learning_rate: float | None = None):
@@ -364,14 +341,14 @@ class SGDTrainer:
         # predictions and losses in that order too, scattered back at the end
         preds_perm = np.empty(n, dtype=np.int64)
         losses_perm = np.empty(n, dtype=float)
-        params, velocity = self.net.flat_params, self.flat_velocity
-        grads, momentum = self.net.flat_grads, self.config.momentum
+        params, velocity = self.flat_params, self.flat_velocity
+        grads, momentum = self.flat_grads, self.config.momentum
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, n, batch):
                 rows = slice(start, start + batch)
                 batch_losses = losses_perm[rows]
-                logits = self.net.loss_and_grads(x[rows], target[rows], pick[rows],
-                                                 batch_losses)
+                logits = self.loss_and_grads(x[rows], target[rows], pick[rows],
+                                             batch_losses)
                 if not np.isfinite(batch_losses).all():
                     raise FloatingPointError(
                         f"non-finite loss in batch at offset {start} "
@@ -402,7 +379,12 @@ class SGDTrainer:
                         labels=y, true_labels=dataset.true_labels[rows])
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        return self.net.predict(features)
+        if self.hidden:
+            w1, b1, w, b = self.params
+            features = np.maximum(features @ w1 + b1, 0.0)
+        else:
+            w, b = self.params
+        return (features @ w + b).argmax(axis=1)
 
     def state_dict(self) -> dict:
         """Everything a checkpoint holds; ``from_state_dict`` rebuilds the trainer.
@@ -414,7 +396,7 @@ class SGDTrainer:
             "config": asdict(self.config),
             "dim": self.dim,
             "n_classes": self.n_classes,
-            "params": [p.copy() for p in self.net.params],
+            "params": [p.copy() for p in self.params],
             "velocity": [v.copy() for v in self.velocity],
             "rng_state": self.rng.bit_generator.state,
         }
@@ -422,7 +404,7 @@ class SGDTrainer:
     @classmethod
     def from_state_dict(cls, state: dict) -> "SGDTrainer":
         trainer = cls(state["dim"], state["n_classes"], TrainerConfig(**state["config"]))
-        for array, saved in zip(trainer.net.params + trainer.velocity,
+        for array, saved in zip(trainer.params + trainer.velocity,
                                 state["params"] + state["velocity"], strict=True):
             array[...] = saved
         trainer.rng.bit_generator.state = state["rng_state"]

@@ -840,6 +840,33 @@ def test_eval_id_outside_ground_truth_exits_3(tmp_path, capsys, name):
 
 
 @pytest.mark.parametrize("name", ["selected_ids.txt", "scores.csv"])
+def test_eval_repeated_id_exits_3_naming_the_file(tmp_path, capsys, name):
+    path, out = simulate_and_select(tmp_path)
+    repeated = out / name
+    lines = repeated.read_bytes().splitlines(keepends=True)
+    first = lines[0] if name.endswith(".txt") else lines[1]
+    repeated.write_bytes(b"".join(lines) + first)
+    assert cli.main(["eval", "-c", str(path)]) == 3
+    err = capsys.readouterr().err
+    repeated_id = first.decode().rstrip("\r\n").split(",")[0]
+    assert f"data error: {repeated}: id {repeated_id!r} appears more than once" in err
+    assert "Traceback" not in err
+
+
+def test_eval_of_a_run_reads_only_its_round_files(tmp_path, capsys):
+    # a select's selected_ids.txt in a run's outputs dir stands in for no round
+    path = write_config(tmp_path, base_config(tmp_path, rounds=1, epochs=4))
+    assert cli.main(["run", "-c", str(path)]) == 0
+    out = tmp_path / "out"
+    (out / "selected_ids_round1.txt").rename(out / "selected_ids.txt")
+    capsys.readouterr()
+    assert cli.main(["eval", "-c", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert f"data error: {out / 'selected_ids_round1.txt'}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["selected_ids.txt", "scores.csv"])
 def test_eval_invalid_utf8_exits_3_naming_the_file(tmp_path, capsys, name):
     path, out = simulate_and_select(tmp_path)
     with (out / name).open("ab") as fh:
@@ -896,12 +923,14 @@ def test_eval_damaged_mixture_json_exits_3(tmp_path, capsys, damage):
 
 @pytest.mark.parametrize("name, value", [
     ("k_clean", "x"), ("k_noisy", True), ("shift", None), ("epsilon", [0.001]),
+    ("noisy.alpha", True), ("clean.beta", True),
 ])
 def test_eval_wrong_typed_fit_number_exits_3(tmp_path, capsys, name, value):
     path, out = simulate_and_select(tmp_path)
     fit_json = out / "mixture.json"
     doc = json.loads(fit_json.read_text())
-    doc[name] = value
+    part, _, key = name.rpartition(".")
+    (doc[part] if part else doc)[key] = value
     fit_json.write_text(json.dumps(doc))
     assert cli.main(["eval", "-c", str(path)]) == 3
     err = capsys.readouterr().err
@@ -1090,6 +1119,25 @@ def test_run_resume_without_the_round_files_it_reads_exits_3(tmp_path, capsys, n
     assert cli.main(["run", "-c", str(path), "--resume"]) == 3
     err = capsys.readouterr().err
     assert f"data error: {damaged}: " in err and "Traceback" not in err
+    assert tree_digest(out) == before
+
+
+def test_run_resume_with_a_repeated_kept_id_exits_3(tmp_path, capsys):
+    # round 2 would train twice on a row its id file names twice
+    path = write_config(tmp_path, base_config(tmp_path, rounds=2, epochs=4))
+    assert cli.main(["run", "-c", str(path)]) == 0
+    out = tmp_path / "out"
+    rewind_to_round_1(out)
+    ids_path = out / "selected_ids_round1.txt"
+    kept = read_ids(ids_path)
+    with ids_path.open("a") as fh:
+        fh.write(kept[0] + "\n")
+    before = tree_digest(out)
+    capsys.readouterr()
+    assert cli.main(["run", "-c", str(path), "--resume"]) == 3
+    err = capsys.readouterr().err
+    assert f"data error: {ids_path}: id {kept[0]!r} appears more than once" in err
+    assert "Traceback" not in err
     assert tree_digest(out) == before
 
 

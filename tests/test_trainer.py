@@ -157,10 +157,10 @@ def test_train_epoch_zero_lr_freezes_model():
     trainer = SGDTrainer(4, 3, TrainerConfig(learning_rate=0.0, seed=1))
     x = ds.features[ds.train_positions]
     y = ds.observed_labels[ds.train_positions]
-    before = [p.copy() for p in trainer.net.params]
+    before = [p.copy() for p in trainer.params]
     preds1, _ = trainer.train_epoch(x, y)
     preds2, _ = trainer.train_epoch(x, y)
-    for p, q in zip(before, trainer.net.params):
+    for p, q in zip(before, trainer.params):
         assert np.array_equal(p, q)
     assert np.array_equal(preds1, preds2)
 
@@ -240,7 +240,7 @@ COPIES = {
 
 
 def assert_same_state(trainer, reference):
-    arrays = trainer.net.params + trainer.velocity
+    arrays = trainer.params + trainer.velocity
     for got, want in zip(arrays, reference.params + reference.velocity, strict=True):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert trainer.rng.bit_generator.state == reference.rng.bit_generator.state
