@@ -9,9 +9,9 @@ byte-identical content and any artifact is reproducible from its output
 directory alone.
 
 Exit codes: 0 success, 2 configuration error (including a config value
-of the wrong type), 3 data/log format error (including an unreadable
-``state.json`` or model checkpoint on ``--resume``), 4 numerical failure (training
-that diverged).
+of the wrong type), 3 data error (a bad or unreadable input, such as
+``state.json`` on ``--resume``, an output that cannot be written, or a
+failed external trainer command), 4 numerical failure (training that diverged).
 """
 
 from __future__ import annotations
@@ -32,12 +32,7 @@ import numpy as np
 import yaml
 
 from . import evaluation, logio, selection
-from .errors import (
-    ConfigError,
-    LogFormatError,
-    MixtureFitError,
-    TrainerCommandError,
-)
+from .errors import ConfigError, LogFormatError
 from .mixture import FitConfig, MixtureFit
 from .selection import RoundConfig
 from .trainer import (
@@ -117,6 +112,12 @@ class ExternalTrainerConfig:
 
     command: str
     seed: int = 0
+
+    def __post_init__(self):
+        try:
+            logio.split_command(self.command)
+        except ValueError as exc:  # named by key: _build would name only the section
+            raise ConfigError(f"trainer.command: {exc}") from None
 
 
 @dataclass(kw_only=True)
@@ -457,7 +458,6 @@ CHECKPOINT_ARRAYS = {"params": "param", "velocity": "velocity"}
 def save_model(trainer: SGDTrainer, outdir: Path) -> None:
     """Write ``trainer.state_dict()``: its arrays as .npy files, the rest as meta.json."""
     state = trainer.state_dict()
-    outdir.mkdir(parents=True, exist_ok=True)
     for key, stem in CHECKPOINT_ARRAYS.items():
         for idx, array in enumerate(state.pop(key)):
             with logio.atomic_path(outdir / f"{stem}_{idx}.npy", "wb") as fh:
@@ -493,7 +493,6 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     except ValueError as exc:  # sizes out of range, or a ramp shorter than epochs
         raise ConfigError(f"simulate: {exc}")
     outdir = cfg.output_dir
-    outdir.mkdir(parents=True, exist_ok=True)
     logio.write_prediction_log(outdir / "simulated_log.jsonl", log)
     write_mask_json(outdir / "clean_mask.json", log.ids, log.clean_mask())
     capture_config(cfg, outdir)
@@ -504,7 +503,6 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 def cmd_inject_noise(cfg: ExperimentConfig) -> int:
     ds = apply_noise(build_dataset(cfg), cfg)
     outdir = cfg.output_dir
-    outdir.mkdir(parents=True, exist_ok=True)
     logio.write_dataset_csv(outdir / "dataset.csv", ds)
     capture_config(cfg, outdir)
     print(
@@ -624,7 +622,6 @@ def run_pipeline(cfg: ExperimentConfig, resume: bool = False) -> list:
                 # final rows are the ones the emptying round trained on
                 start_round = cfg.round_config.rounds + 1
                 rows = kept_rows(done - 1) if done > 1 else None
-    outdir.mkdir(parents=True, exist_ok=True)
     logio.write_dataset_csv(outdir / "dataset.csv", ds)
     capture_config(cfg, outdir)
 
@@ -691,7 +688,6 @@ def _run_trials(cfg: ExperimentConfig, trials: int) -> int:
     finals = [rows[-1] for rows in results if rows]
     metrics = {"precision": 2, "recall": 3, "test_accuracy": 4}
     outdir = cfg.output_dir
-    outdir.mkdir(parents=True, exist_ok=True)
     rows = []
     for name, col in metrics.items():
         values = [row[col] for row in finals if row[col] is not None]
@@ -711,7 +707,6 @@ def cmd_select(cfg: ExperimentConfig, log_path) -> int:
     result = selection.select_round(log, cfg.round_config, cfg.fit_config, 1)
 
     outdir = cfg.output_dir
-    outdir.mkdir(parents=True, exist_ok=True)
     write_scores_csv(outdir / "scores.csv", log.ids, result.scores)
     logio.write_ids(outdir / "selected_ids.txt", result.selected_ids)
     if result.fit is not None:
@@ -819,7 +814,6 @@ def _read_trend(path: Path) -> list[list[str]]:
 
 def cmd_report(cfg: ExperimentConfig, compare: bool) -> int:
     outputs = cfg.output_dir
-    outputs.mkdir(parents=True, exist_ok=True)
     if compare:
         return _write_comparison(cfg, outputs)
     rows = _read_trend(outputs / "stats.csv")
@@ -908,10 +902,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (LogFormatError, TrainerCommandError) as exc:
+    except LogFormatError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except (MixtureFitError, FloatingPointError) as exc:
+    except FloatingPointError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
 

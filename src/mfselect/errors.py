@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: ConfigError -> 2, log/data format
-errors -> 3, and the trainer's FloatingPointError on a diverging loss -> 4.
+The CLI maps these onto exit codes: ConfigError -> 2, LogFormatError -> 3
+(every data or file error: a bad input, a failed write, a trainer command
+that fails) and the trainer's FloatingPointError on a diverging loss -> 4.
 A MixtureFitError does not reach the CLI: the selection round that fits
 falls back to ratio selection.
 """
@@ -12,7 +13,8 @@ class ConfigError(Exception):
 
 
 class LogFormatError(Exception):
-    """A prediction log or dataset file violates its documented format."""
+    """A data error: an input that cannot be read or breaks its format, an
+    output that cannot be written, or an external trainer command that fails."""
 
     def __init__(self, message, path=None, line=None):
         if line is not None:
@@ -22,32 +24,6 @@ class LogFormatError(Exception):
         super().__init__(message)
         self.path = path
         self.line = line
-
-
-class MissingIdsError(LogFormatError):
-    """A prediction log does not cover every requested instance id."""
-
-    def __init__(self, ids, path=None):
-        self.ids = sorted(ids, key=str)
-        shown = ", ".join(str(i) for i in self.ids[:10])
-        more = "" if len(self.ids) <= 10 else f" (+{len(self.ids) - 10} more)"
-        super().__init__(f"log is missing ids: {shown}{more}", path=path)
-
-
-class RaggedSequenceError(LogFormatError):
-    """Prediction sequences within one round differ in length."""
-
-
-class TrainerCommandError(Exception):
-    """An external trainer command exited abnormally."""
-
-    def __init__(self, command, returncode, stderr=""):
-        self.command = command
-        self.returncode = returncode
-        self.stderr = stderr
-        tail = stderr.strip().splitlines()[-1] if stderr.strip() else ""
-        detail = f": {tail}" if tail else ""
-        super().__init__(f"trainer command exited with status {returncode}{detail}")
 
 
 class MixtureFitError(Exception):

@@ -25,12 +25,12 @@ character but a line break; the dataset and log readers reject one that
 does. Ids are opaque strings everywhere: ``007`` and ``7`` are two
 instances, and files keep their input row order.
 
-Every output file is written through ``atomic_path``: to a temp file that
-replaces the target only once it is complete. The table and log writers
-format blocks of ``BLOCK_ROWS`` rows at a time, with the bytes ``csv.writer``
-writes (``csv_fields``) or, for a log, the bytes json's encoder writes for
-each record; the log writer does not call that encoder, and no byte layout
-changed.
+Every output file is written through ``atomic_path``, which makes its
+directory: to a temp file that replaces the target only once it is
+complete. The table and log writers format blocks of ``BLOCK_ROWS`` rows at
+a time, with the bytes ``csv.writer`` writes (``csv_fields``) or, for a log,
+the bytes json's encoder writes for each record; the log writer does not
+call that encoder, and no byte layout changed.
 
 An external trainer is any command that, given a dataset file, a selected-
 ids file, an epoch count and a seed, writes such a prediction log; it can
@@ -52,12 +52,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    LogFormatError,
-    MissingIdsError,
-    RaggedSequenceError,
-    TrainerCommandError,
-)
+from .errors import LogFormatError
 from .trainer import RoundLog, ToyDataset
 
 
@@ -249,7 +244,7 @@ def _read_log_lines(path) -> RoundLog:
                 raise LogFormatError("'seq' must be a nonempty list of 0/1",
                                      path=path, line=lineno)
             if seqs and len(seq) != len(seqs[0]):
-                raise RaggedSequenceError(
+                raise LogFormatError(
                     f"'seq' has {len(seq)} entries, the first record has {len(seqs[0])}",
                     path=path, line=lineno,
                 )
@@ -324,21 +319,27 @@ _CSV_SPECIAL = ',"\r\n'
 
 @contextlib.contextmanager
 def atomic_path(path, mode="w"):
-    """A file opened in ``mode`` on ``<path>.tmp``, renamed to ``path`` when
-    the block completes: a crash mid-write leaves the old file intact, and a
-    failed write or rename removes the temp file before the error propagates.
+    """A file opened in ``mode`` on ``<path>.tmp``, its directories made first,
+    renamed to ``path`` when the block completes: a crash mid-write leaves the
+    old file intact, and a failed write or rename removes the temp file before
+    the error propagates. An ``OSError`` of the directories, the write or the
+    rename becomes a LogFormatError naming ``path``.
 
     Text is written as it is, without newline translation.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with tmp.open(mode, newline=None if "b" in mode else "") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            with tmp.open(mode, newline=None if "b" in mode else "") as fh:
+                yield fh
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise LogFormatError(f"cannot write the file: {exc}", path=path) from None
 
 
 def write_atomic(path, pieces) -> None:
@@ -484,6 +485,24 @@ def read_dataset_csv(path) -> ToyDataset:
                       split=np.asarray(split, dtype="U5"))
 
 
+def split_command(template: str) -> list[str]:
+    """An external trainer's command template split like a shell line, before
+    its placeholders are filled: a filled-in path with spaces stays one argument.
+    A ValueError names a blank template, an unbalanced quote or a placeholder
+    other than {dataset}, {ids}, {out}, {epochs} and {seed}."""
+    args = shlex.split(template)  # a ValueError on an unbalanced quote
+    if not args:
+        raise ValueError("the template names no command")
+    try:
+        for arg in args:
+            arg.format(dataset="d.csv", ids="ids.txt", out="log.jsonl", epochs=1, seed=0)
+    except (LookupError, AttributeError, TypeError, ValueError) as exc:
+        what = f"unknown placeholder {{{exc.args[0]}}}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"{what}; the placeholders are {{dataset}}, {{ids}}, {{out}}, "
+                         "{epochs} and {seed}") from None
+    return args
+
+
 class ExternalTrainer:
     """Round trainer backed by a subprocess command.
 
@@ -496,7 +515,7 @@ class ExternalTrainer:
     """
 
     def __init__(self, command_template: str, dataset_file, workdir, seed: int = 0):
-        self.command_template = command_template
+        self.command = split_command(command_template)
         self.dataset_file = Path(dataset_file)
         self.workdir = Path(workdir)
         self.seed = seed
@@ -505,37 +524,42 @@ class ExternalTrainer:
     def fit_round(self, dataset, rows, epochs: int) -> RoundLog:
         """Run the command on the dataset rows ``rows``; log row r is rows[r].
 
-        The command template may use the placeholders {dataset}, {ids},
-        {out}, {epochs} and {seed}. The log must cover exactly the ids of
-        ``rows``, in any order, with sequences of ``epochs`` entries (the
-        reader already requires them to be of equal length).
+        The log must cover exactly the ids of ``rows``, in any order, with
+        sequences of ``epochs`` entries (the reader already requires them to
+        be of equal length).
         """
         self.round_counter += 1
-        self.workdir.mkdir(parents=True, exist_ok=True)
         ids_file = self.workdir / f"ids_round{self.round_counter}.txt"
         out_file = self.workdir / f"log_round{self.round_counter}.jsonl"
         ids = dataset.ids[rows].tolist()
         write_ids(ids_file, ids)
-        command = self.command_template.format(
-            dataset=str(self.dataset_file), ids=str(ids_file), out=str(out_file),
-            epochs=epochs, seed=self.seed)
+        command = [arg.format(dataset=str(self.dataset_file), ids=str(ids_file),
+                              out=str(out_file), epochs=epochs, seed=self.seed)
+                   for arg in self.command]
         out_file.unlink(missing_ok=True)  # an earlier run's log is not this round's
-        proc = subprocess.run(shlex.split(command), capture_output=True, text=True, check=False)
-        if proc.returncode != 0:
-            raise TrainerCommandError(command, proc.returncode, proc.stderr)
+        try:
+            proc = subprocess.run(command, capture_output=True, text=True, check=False)
+        except OSError as exc:  # e.g. no such executable
+            raise LogFormatError(f"cannot start the trainer command {shlex.join(command)}: "
+                                 f"{exc.strerror or exc}") from None
+        if proc.returncode != 0:  # named with the last line of its stderr, if any
+            message = [f"trainer command exited with status {proc.returncode}"]
+            raise LogFormatError(": ".join(message + proc.stderr.strip().splitlines()[-1:]))
 
         log = read_prediction_log(out_file)
         row_of = {i: row for row, i in enumerate(log.ids)}
         order = np.array([row_of.pop(i, -1) for i in ids], dtype=np.intp)
         if (order < 0).any():
-            raise MissingIdsError([ids[k] for k in np.flatnonzero(order < 0)], path=out_file)
+            missing = sorted(str(ids[k]) for k in np.flatnonzero(order < 0))
+            more = "" if len(missing) <= 10 else f" (+{len(missing) - 10} more)"
+            raise LogFormatError(f"log is missing ids: {', '.join(missing[:10])}{more}",
+                                 path=out_file)
         if row_of:  # the log's ids that ``rows`` does not hold
             shown = ", ".join(sorted(row_of)[:10])
             raise LogFormatError(f"log contains unexpected ids: {shown}", path=out_file)
         if log.bits.shape[1] != epochs:
-            raise RaggedSequenceError(
-                f"sequences have length {log.bits.shape[1]}, expected {epochs}", path=out_file
-            )
+            raise LogFormatError(f"sequences have length {log.bits.shape[1]}, expected {epochs}",
+                                 path=out_file)
         return RoundLog(ids=ids, bits=log.bits[order],
                         losses=None if log.losses is None else log.losses[order],
                         labels=dataset.observed_labels[rows],

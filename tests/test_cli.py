@@ -14,7 +14,7 @@ import yaml
 
 import mfselect.selection as selection_mod
 from mfselect import cli
-from mfselect.errors import ConfigError
+from mfselect.errors import ConfigError, LogFormatError
 from mfselect.logio import (
     read_dataset_csv,
     read_ids,
@@ -475,7 +475,7 @@ def test_write_json_crash_mid_write_keeps_old_file(tmp_path, monkeypatch):
         return fh
 
     monkeypatch.setattr(Path, "open", crashing_open)
-    with pytest.raises(OSError):
+    with pytest.raises(LogFormatError, match="state.json: cannot write the file: no space"):
         cli.write_json(target, {"completed_rounds": 2})
     monkeypatch.undo()
     assert target.read_text() == before
@@ -549,7 +549,7 @@ def test_run_resume_after_emptied_selection_rejects_a_foreign_id(tmp_path, monke
     ("state.json", 2),
 ])
 def test_run_rename_failure_in_round_2_then_resume_matches_full_run(
-        tmp_path, monkeypatch, target, occurrence):
+        tmp_path, monkeypatch, capsys, target, occurrence):
     path = write_config(tmp_path, base_config(tmp_path, rounds=2, epochs=4))
     assert cli.main(["run", "-c", str(path), "-o", str(tmp_path / "full")]) == 0
     out = tmp_path / "crashed"
@@ -563,9 +563,9 @@ def test_run_rename_failure_in_round_2_then_resume_matches_full_run(
         real_replace(src, dst)
 
     monkeypatch.setattr(os, "replace", replace)
-    with pytest.raises(OSError, match="no space"):
-        cli.main(["run", "-c", str(path), "-o", str(out)])
+    assert cli.main(["run", "-c", str(path), "-o", str(out)]) == 3
     monkeypatch.undo()
+    assert f"{out / target}: cannot write the file: no space" in capsys.readouterr().err
     assert not list(out.rglob("*.tmp"))
     assert json.loads((out / "state.json").read_text())["completed_rounds"] == 1
     assert cli.main(["run", "-c", str(path), "-o", str(out), "--resume"]) == 0
@@ -747,6 +747,65 @@ def test_external_trainer_without_log_exits_3_naming_it(tmp_path, capsys):
                            for i in range(20)))  # an earlier run's log
     assert cli.main(["run", "-c", str(path)]) == 3
     assert str(log) in capsys.readouterr().err
+
+
+def external_config(tmp_path, command, **round_overrides):
+    config = base_config(tmp_path, **round_overrides)
+    config["trainer"] = {"kind": "external", "seed": 5, "command": command}
+    return write_config(tmp_path, config)
+
+
+@pytest.mark.parametrize("command, message", [
+    ("  ", "names no command"),
+    ("python train.py {nope} {out}", "unknown placeholder {nope}"),
+    ('python "train.py {out}', "No closing quotation"),
+], ids=["blank", "unknown placeholder", "unbalanced quote"])
+def test_bad_trainer_command_exits_2_writing_nothing(tmp_path, capsys, command, message):
+    assert cli.main(["run", "-c", str(external_config(tmp_path, command))]) == 2
+    err = capsys.readouterr().err
+    assert "trainer.command" in err and message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_trainer_command_that_cannot_start_exits_3_naming_it(tmp_path, capsys):
+    path = external_config(tmp_path, "no-such-trainer-xyz {ids} {out}")
+    assert cli.main(["run", "-c", str(path)]) == 3
+    assert "cannot start the trainer command no-such-trainer-xyz" in capsys.readouterr().err
+
+
+def test_trainer_command_argument_with_a_space_arrives_whole(tmp_path):
+    # the stub takes exactly five arguments: a path split at its space fails it
+    stub = tmp_path / "stub.py"
+    stub.write_text(EXTERNAL_STUB)
+    path = external_config(tmp_path, f"{sys.executable} {stub} {{dataset}} {{ids}} {{out}} "
+                                     "{epochs} {seed}", rounds=1, epochs=5)
+    for out in ("plain", "with space"):
+        assert cli.main(["run", "-c", str(path), "-o", str(tmp_path / out)]) == 0
+    assert tree_digest(tmp_path / "with space") == tree_digest(tmp_path / "plain")
+
+
+def test_select_onto_a_directory_exits_3_naming_the_file(tmp_path, capsys):
+    path = write_config(tmp_path)
+    assert cli.main(["simulate", "-c", str(path)]) == 0
+    sel = tmp_path / "sel"
+    (sel / "scores.csv").mkdir(parents=True)
+    assert cli.main(["select", "-c", str(path), "-o", str(sel),
+                     "--log", str(tmp_path / "out" / "simulated_log.jsonl")]) == 3
+    assert f"{sel / 'scores.csv'}: cannot write the file" in capsys.readouterr().err
+    assert [p.name for p in sel.iterdir()] == ["scores.csv"]  # no temp file left
+
+
+def test_simulate_into_a_regular_file_exits_3_naming_it(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert cli.main(["simulate", "-c", str(write_config(tmp_path)), "-o", str(afile)]) == 3
+    assert f"{afile / 'simulated_log.jsonl'}: cannot write the file" in capsys.readouterr().err
+
+
+def test_failed_report_leaves_no_directory_behind(tmp_path):
+    path = write_config(tmp_path)
+    assert cli.main(["report", "-c", str(path), "-o", str(tmp_path / "nodir")]) == 3
+    assert not (tmp_path / "nodir").exists()
 
 
 def test_dataset_csv_invalid_utf8_exits_3_naming_it(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import json
+import re
+import shlex
 import sys
 from types import SimpleNamespace
 from unittest import mock
@@ -9,12 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mfselect import logio
-from mfselect.errors import (
-    LogFormatError,
-    MissingIdsError,
-    RaggedSequenceError,
-    TrainerCommandError,
-)
+from mfselect.errors import LogFormatError
 from mfselect.logio import (
     ExternalTrainer,
     read_dataset_csv,
@@ -126,7 +123,7 @@ def test_prediction_log_validates_seq_and_losses(tmp_path):
             read_prediction_log(path)
         assert info.value.line == 2, second
     path.write_text('{"id": "a", "seq": [0]}\n{"id": "b", "seq": [0, 1]}\n')
-    with pytest.raises(RaggedSequenceError):
+    with pytest.raises(LogFormatError, match="entries"):
         read_prediction_log(path)
 
 
@@ -417,6 +414,30 @@ def test_ids_file_keeps_every_id_exactly(tmp_path):
     assert read_ids(path) == []
 
 
+def test_write_makes_the_missing_directories(tmp_path):
+    path = tmp_path / "a" / "b" / "ids.txt"
+    write_ids(path, ["x"])
+    assert read_ids(path) == ["x"]
+
+
+def test_write_onto_a_directory_is_a_data_error_naming_it(tmp_path):
+    path = tmp_path / "ids.txt"
+    path.mkdir()
+    message = f"^{re.escape(str(path))}: cannot write the file: .*Is a directory"
+    with pytest.raises(LogFormatError, match=message):
+        write_ids(path, ["x"])
+    assert path.is_dir() and list(tmp_path.iterdir()) == [path]  # no temp file left
+
+
+def test_write_under_a_regular_file_is_a_data_error_naming_it(tmp_path):
+    parent = tmp_path / "afile"
+    parent.write_text("")
+    message = f"^{re.escape(str(parent / 'ids.txt'))}: cannot write the file"
+    with pytest.raises(LogFormatError, match=message):
+        write_ids(parent / "ids.txt", ["x"])
+    assert parent.read_text() == ""
+
+
 # ---------------------------------------------------------------------------
 # external trainer bridge
 
@@ -438,7 +459,7 @@ def test_external_round_happy_path(tmp_path, stub):
 
 
 def test_external_round_missing_id(tmp_path, stub):
-    with pytest.raises(MissingIdsError, match="a"):
+    with pytest.raises(LogFormatError, match="missing ids: a"):
         stub_round(tmp_path, stub("drop_first"), ["a", "b"], 4)
 
 
@@ -448,18 +469,53 @@ def test_external_round_extra_id(tmp_path, stub):
 
 
 def test_external_round_ragged_sequences(tmp_path, stub):
-    with pytest.raises(RaggedSequenceError):
+    with pytest.raises(LogFormatError, match="entries"):
         stub_round(tmp_path, stub("ragged"), ["a", "b"], 4)
 
 
 def test_external_round_wrong_epoch_count(tmp_path, stub):
-    with pytest.raises(RaggedSequenceError, match="expected 9"):
+    with pytest.raises(LogFormatError, match="expected 9"):
         stub_round(tmp_path, stub("fixed4"), ["a", "b"], 9)
 
 
 def test_external_round_nonzero_exit(tmp_path, stub):
-    with pytest.raises(TrainerCommandError, match="status 3"):
+    with pytest.raises(LogFormatError, match="status 3: boom"):
         stub_round(tmp_path, stub("fail"), ["a"], 4)
+
+
+def test_external_command_that_cannot_start_is_a_data_error(tmp_path):
+    with pytest.raises(LogFormatError,
+                       match="cannot start the trainer command no-such-trainer-xyz .*log_round1"):
+        stub_round(tmp_path, "no-such-trainer-xyz {out}", ["a"], 4)
+
+
+@pytest.mark.parametrize("template, match", [
+    ("  ", "names no command"),
+    ("train {nope} {out}", r"unknown placeholder \{nope\}"),
+    ("train '{out}", "No closing quotation"),
+    ("train {} {out}", "Replacement index 0"),
+    ("train {out", "expected '}'"),
+], ids=["blank", "unknown placeholder", "unbalanced quote", "positional", "open brace"])
+def test_bad_command_template_is_refused_before_any_round(tmp_path, template, match):
+    with pytest.raises(ValueError, match=match):
+        ExternalTrainer(template, tmp_path / "d.csv", tmp_path / "work")
+    assert not (tmp_path / "work").exists()
+
+
+def test_command_template_is_split_before_its_placeholders_are_filled(tmp_path):
+    # each argument arrives whole: a filled-in path with a space, and a quoted one
+    script = tmp_path / "my stub.py"
+    script.write_text("import json, sys\n"
+                      "json.dump(sys.argv[1:], open(sys.argv[-1] + '.argv', 'w'))\n"
+                      "sys.exit(1)\n")
+    work = tmp_path / "with space"
+    template = f"{sys.executable} {shlex.quote(str(script))} \"a b\" {{ids}} {{out}}"
+    bridge = ExternalTrainer(template, tmp_path / "d.csv", work)
+    dataset = SimpleNamespace(ids=np.array(["a"], dtype=object))
+    with pytest.raises(LogFormatError, match="status 1"):
+        bridge.fit_round(dataset, np.arange(1), 4)
+    argv = json.loads((work / "log_round1.jsonl.argv").read_text())
+    assert argv == ["a b", str(work / "ids_round1.txt"), str(work / "log_round1.jsonl")]
 
 
 def test_external_round_returns_the_datasets_labels(tmp_path, stub):

@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 from test_logio import ID_CHARS, LABELS
 
 from mfselect import cli, logio
+from mfselect.errors import LogFormatError
 from mfselect.trainer import RoundLog, ToyDataset
 
 # the characters csv quotes or json escapes, plus "" and non-ASCII text
@@ -238,7 +239,7 @@ def test_failure_before_rename_keeps_old_file(tmp_path, monkeypatch, name):
         raise OSError("no space left on device")
 
     monkeypatch.setattr(os, "replace", crash)
-    with pytest.raises(OSError, match="no space"):
+    with pytest.raises(LogFormatError, match=f"{name}: cannot write the file: no space"):
         WRITERS[name](path, 2)
     monkeypatch.undo()
     assert path.read_bytes() == before
