@@ -187,10 +187,10 @@ def _reject_unknown(section: dict, allowed: set, where: str = "") -> None:
 def _check_type(value, kind, name: str) -> None:
     """ConfigError naming ``name`` unless ``value`` is a ``kind``.
 
-    ``kind`` is a type or a field annotation: float takes any number, bool
-    is no int, a union takes a value of any of its members, ``list[X]`` and
-    ``dict[K, X]`` check each element (and key), naming it ``name[i]``, and
-    a string must not be empty.
+    ``kind`` is a type or a field annotation: float takes any finite number,
+    bool is no int, a union takes a value of any of its members, ``list[X]``
+    and ``dict[K, X]`` check each element (and key), naming it ``name[i]``,
+    and a string must not be empty.
     """
     def is_a(kind):  # at the top level
         kind = typing.get_origin(kind) or kind
@@ -203,6 +203,8 @@ def _check_type(value, kind, name: str) -> None:
         raise ConfigError(f"{name} must be {getattr(kind, '__name__', kind)}, got {value!r}")
     if value == "":
         raise ConfigError(f"{name} must not be empty")
+    if kind is float and not -np.inf < value < np.inf:  # NaN included
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
     if typing.get_origin(kind) in (list, dict):  # each element, by its index or key
         for key, item in value.items() if isinstance(value, dict) else enumerate(value):
             if isinstance(value, dict):
@@ -422,17 +424,20 @@ def _true_or_false(cell: str) -> None:
 STATS_KINDS = dict(zip(STATS_HEADER, [int, int, float, float, float, float, _true_or_false]))
 
 
-def _check_stats_cells(path: Path, header, columns) -> None:
-    """A data error naming ``path``, the column and the line of the first
-    cell of a ``STATS_HEADER`` column that its check rejects."""
+def _read_stats(path: Path) -> list[list[str]]:
+    """The rows of the stats table at ``path`` as text; a data error naming it
+    unless the header is ``STATS_HEADER`` and each cell passes its column's check."""
+    header, columns = logio.read_table(path)
+    if header != STATS_HEADER:
+        raise LogFormatError(f"expected header {','.join(STATS_HEADER)}", path=path, line=1)
     for name, cells in zip(header, columns):
-        kind = STATS_KINDS.get(name)
-        for line, cell in enumerate(cells if kind else (), start=2):
+        for line, cell in enumerate(cells, start=2):
             if cell:
                 try:
-                    kind(cell)
+                    STATS_KINDS[name](cell)
                 except ValueError as exc:
                     raise LogFormatError(f"{name}: {exc}", path=path, line=line) from None
+    return [list(row) for row in zip(*columns)]
 
 
 def write_scores_csv(path: Path, ids, values) -> None:
@@ -449,6 +454,22 @@ def read_scores_csv(path: Path) -> tuple[list, np.ndarray]:
     if not ids:
         raise LogFormatError("scores table has no rows", path=path, line=2)
     return ids, logio.parse_cells(path, scores, float)
+
+
+def round_files(outdir: Path, suffix: str) -> tuple[Path, Path, Path]:
+    """The scores, kept-ids and mixture-fit files of one round in ``outdir``;
+    ``suffix`` is ``_round<k>`` for a run's round k and empty for a select."""
+    return (outdir / f"scores{suffix}.csv", outdir / f"selected_ids{suffix}.txt",
+            outdir / f"mixture{suffix}.json")
+
+
+def write_round(outdir: Path, suffix: str, log, result) -> None:
+    """Write a round's ``round_files``; the mixture fit only when it has one."""
+    scores_path, ids_path, fit_path = round_files(outdir, suffix)
+    write_scores_csv(scores_path, log.ids, result.scores)
+    logio.write_ids(ids_path, result.selected_ids)
+    if result.fit is not None:
+        write_json(fit_path, result.fit.to_json_dict())
 
 
 # a checkpoint's arrays, by state_dict key: one <stem>_<index>.npy file each
@@ -536,21 +557,6 @@ def _read_json_object(path: Path, what: str) -> dict:
     return doc
 
 
-def _rows_of(row_of: dict, ids, path: Path, message: str) -> np.ndarray:
-    """``row_of[i]`` for each id ``i`` of ``ids``, in order; an id that is no
-    key is a data error naming ``path``: ``message`` formatted with the id.
-    So is an id that ``ids`` holds twice."""
-    try:
-        rows = np.array([row_of[i] for i in ids], dtype=np.intp)
-    except KeyError as exc:
-        raise LogFormatError(message.format(exc.args[0]), path=path) from None
-    repeated = np.bincount(rows)[rows] > 1
-    if repeated.any():
-        raise LogFormatError(f"id {ids[repeated.argmax()]!r} appears more than once",
-                             path=path)
-    return rows
-
-
 def _read_state(path: Path) -> dict:
     """The checkpoint in ``path``: the rounds it completed and its config."""
     state = _read_json_object(path, "cannot resume from a damaged checkpoint")
@@ -559,18 +565,6 @@ def _read_state(path: Path) -> dict:
         raise LogFormatError("cannot resume: checkpoint has no nonnegative int "
                              "'completed_rounds'", path=path)
     return state
-
-
-def _read_stats_rows(path: Path, k: int) -> list:
-    """The first ``k`` rows of the stats table at ``path``, as text cells; a
-    crash after its write leaves rows beyond the checkpoint's."""
-    header, columns = logio.read_table(path)
-    if header != STATS_HEADER or len(columns[0]) < k:
-        raise LogFormatError(f"cannot resume: not a stats table of {k} or more rows",
-                             path=path)
-    columns = [cells[:k] for cells in columns]
-    _check_stats_cells(path, header, columns)
-    return [list(row) for row in zip(*columns)]
 
 
 def run_pipeline(cfg: ExperimentConfig, resume: bool = False) -> list:
@@ -609,13 +603,16 @@ def run_pipeline(cfg: ExperimentConfig, resume: bool = False) -> list:
 
         def kept_rows(k):
             """The dataset rows round ``k`` kept, read from its id file."""
-            path = outdir / f"selected_ids_round{k}.txt"
-            return _rows_of(row_of, logio.read_ids(path), path,
-                            "cannot resume: {!r} is not a training id")
+            path = round_files(outdir, f"_round{k}")[1]
+            return logio.rows_of(row_of, logio.read_ids(path), path,
+                                 "cannot resume: ids that are not training ids")
 
         start_round = done + 1
         if done:
-            stats_rows = _read_stats_rows(outdir / "stats.csv", done)
+            stats_rows = _read_stats(outdir / "stats.csv")[:done]  # a crash may leave more
+            if len(stats_rows) < done:
+                raise LogFormatError(f"cannot resume: fewer than {done} stats rows",
+                                     path=outdir / "stats.csv")
             rows = kept_rows(done)
             if not rows.size:
                 # the selection emptied: no round is left to run, and the
@@ -628,10 +625,7 @@ def run_pipeline(cfg: ExperimentConfig, resume: bool = False) -> list:
     def on_round(result, log, rows):
         k = result.round_index
         logio.write_prediction_log(outdir / f"log_round{k}.jsonl", log)
-        write_scores_csv(outdir / f"scores_round{k}.csv", log.ids, result.scores)
-        logio.write_ids(outdir / f"selected_ids_round{k}.txt", result.selected_ids)
-        if result.fit is not None:
-            write_json(outdir / f"mixture_round{k}.json", result.fit.to_json_dict())
+        write_round(outdir, f"_round{k}", log, result)
         stats_rows.append(_stats_row(result))
         write_summary(outdir / "stats.csv", STATS_HEADER, stats_rows)
         if isinstance(trainer, SGDTrainer):
@@ -654,6 +648,8 @@ def run_pipeline(cfg: ExperimentConfig, resume: bool = False) -> list:
 
 
 def cmd_run(cfg: ExperimentConfig, trials: int = 1, resume: bool = False) -> int:
+    if trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {trials}")
     if trials > 1:  # each trial starts afresh: resumed stats rows are rounded text
         if resume:
             raise ConfigError(f"--resume cannot be combined with --trials {trials}")
@@ -707,10 +703,7 @@ def cmd_select(cfg: ExperimentConfig, log_path) -> int:
     result = selection.select_round(log, cfg.round_config, cfg.fit_config, 1)
 
     outdir = cfg.output_dir
-    write_scores_csv(outdir / "scores.csv", log.ids, result.scores)
-    logio.write_ids(outdir / "selected_ids.txt", result.selected_ids)
-    if result.fit is not None:
-        write_json(outdir / "mixture.json", result.fit.to_json_dict())
+    write_round(outdir, "", log, result)
     clean = log.clean_mask()
     if clean is not None:
         write_mask_json(outdir / "clean_mask.json", log.ids, clean)
@@ -747,19 +740,19 @@ def _load_clean_mask(outputs: Path) -> tuple[list, np.ndarray]:
     )
 
 
-def _discover_rounds(outputs: Path) -> list[tuple[int, Path]]:
+def _discover_rounds(outputs: Path) -> list[tuple[int, str]]:
+    """(round, ``round_files`` suffix) of each round in ``outputs``, by round."""
     rounds = []
-    for path in sorted(outputs.glob("scores_round*.csv")):
+    for path in outputs.glob("scores_round*.csv"):
+        suffix = path.stem[len("scores"):]
         try:
-            rounds.append((int(path.stem[len("scores_round"):]), path))
+            rounds.append((int(suffix[len("_round"):]), suffix))
         except ValueError:
             raise LogFormatError("a scores_round<N>.csv name needs an integer round N",
                                  path=path) from None
-    if not rounds and (outputs / "scores.csv").exists():
-        rounds.append((1, outputs / "scores.csv"))
-    if not rounds:
+    if not rounds and not (outputs / "scores.csv").exists():
         raise LogFormatError("no score files found in outputs dir", path=outputs)
-    return sorted(rounds)
+    return sorted(rounds) or [(1, "")]  # a select's files carry no round
 
 
 def cmd_eval(cfg: ExperimentConfig, bins: int) -> int:
@@ -768,21 +761,22 @@ def cmd_eval(cfg: ExperimentConfig, bins: int) -> int:
     outputs = cfg.output_dir
     truth_ids, clean = _load_clean_mask(outputs)
     row_of = {i: row for row, i in enumerate(truth_ids)}
-    unknown = "id {!r} is not in the ground truth"
+    unknown = "ids not in the ground truth"
 
     rows = []
-    for round_index, scores_path in _discover_rounds(outputs):
+    for round_index, suffix in _discover_rounds(outputs):
+        scores_path, ids_path, fit_path = round_files(outputs, suffix)
         score_ids, values = read_scores_csv(scores_path)
-        # select's files carry no round; a run's carry their round's number
-        suffix = "" if scores_path.name == "scores.csv" else f"_round{round_index}"
-        ids_path = outputs / f"selected_ids{suffix}.txt"
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:  # no histogram bins span it
+            raise LogFormatError(f"score {values[bad[0]]} is not finite",
+                                 path=scores_path, line=int(bad[0]) + 2)
         selected = np.zeros(clean.size, dtype=bool)
-        selected[_rows_of(row_of, logio.read_ids(ids_path), ids_path, unknown)] = True
+        selected[logio.rows_of(row_of, logio.read_ids(ids_path), ids_path, unknown)] = True
         stats = evaluation.selection_precision_recall(selected, clean)
         rows.append([round_index, stats.kept, stats.precision, stats.recall,
                      None, None, None])
         fit = None
-        fit_path = outputs / f"mixture{suffix}.json"
         if fit_path.exists():
             doc = _read_json_object(fit_path, "not a mixture fit")
             try:
@@ -791,7 +785,7 @@ def cmd_eval(cfg: ExperimentConfig, bins: int) -> int:
                 raise LogFormatError(f"not a mixture fit: {type(exc).__name__}: {exc}",
                                      path=fit_path) from None
         header, hist_rows, overlay = evaluation.histogram_export(
-            values, clean[_rows_of(row_of, score_ids, scores_path, unknown)], bins, fit)
+            values, clean[logio.rows_of(row_of, score_ids, scores_path, unknown)], bins, fit)
         write_summary(outputs / f"histogram_round{round_index}.csv", header, hist_rows)
         if overlay is not None:
             write_json(outputs / f"overlay_round{round_index}.json", overlay)
@@ -800,23 +794,12 @@ def cmd_eval(cfg: ExperimentConfig, bins: int) -> int:
     return 0
 
 
-def _read_trend(path: Path) -> list[list[str]]:
-    """The round, precision, recall and test accuracy of each row of a stats file."""
-    header, columns = logio.read_table(path)
-    names = ["round", "precision", "recall", "test_accuracy"]
-    missing = [c for c in names if c not in header]
-    if missing:
-        raise LogFormatError(f"stats.csv lacks column(s) {', '.join(missing)}",
-                             path=path, line=1)
-    _check_stats_cells(path, header, columns)
-    return [list(row) for row in zip(*(columns[header.index(c)] for c in names))]
-
-
 def cmd_report(cfg: ExperimentConfig, compare: bool) -> int:
     outputs = cfg.output_dir
     if compare:
         return _write_comparison(cfg, outputs)
-    rows = _read_trend(outputs / "stats.csv")
+    # round, precision, recall and test accuracy
+    rows = [[row[0], *row[2:5]] for row in _read_stats(outputs / "stats.csv")]
     dataset_csv = outputs / "dataset.csv"
     if dataset_csv.exists():
         # round 0: the untouched training set (select-all baseline)

@@ -386,6 +386,21 @@ def read_ids(path) -> list[str]:
     return ids[:-1] if ids[-1] == "" else ids
 
 
+def rows_of(row_of: dict, ids, path, unknown: str) -> np.ndarray:
+    """``row_of[i]`` for each id ``i`` of ``ids``, in order. A LogFormatError
+    naming ``path`` if an id is no key (``unknown``, then up to ten of them,
+    sorted, as ``repr``) or if ``ids`` holds an id twice."""
+    rows = np.fromiter((row_of.get(i, -1) for i in ids), np.intp, len(ids))
+    missing = sorted({ids[k] for k in np.flatnonzero(rows < 0)})
+    if missing:
+        more = f" (+{len(missing) - 10} more)" if len(missing) > 10 else ""
+        raise LogFormatError(f"{unknown}: {', '.join(map(repr, missing[:10]))}{more}", path=path)
+    repeated = np.bincount(rows)[rows] > 1
+    if repeated.any():
+        raise LogFormatError(f"id {ids[repeated.argmax()]!r} appears more than once", path=path)
+    return rows
+
+
 def write_table(path, header, columns) -> None:
     """Write ``header`` and one row per position of ``columns`` (one sequence
     per header cell) with the bytes ``csv.writer`` writes, for two or more
@@ -536,9 +551,14 @@ class ExternalTrainer:
         command = [arg.format(dataset=str(self.dataset_file), ids=str(ids_file),
                               out=str(out_file), epochs=epochs, seed=self.seed)
                    for arg in self.command]
-        out_file.unlink(missing_ok=True)  # an earlier run's log is not this round's
-        try:
-            proc = subprocess.run(command, capture_output=True, text=True, check=False)
+        try:  # an earlier run's log is not this round's
+            out_file.unlink(missing_ok=True)
+        except OSError as exc:  # e.g. a directory stands there
+            raise LogFormatError(f"cannot remove the earlier log: {exc.strerror or exc}",
+                                 path=out_file) from None
+        try:  # the command's output is read only for its last stderr line
+            proc = subprocess.run(command, capture_output=True, encoding="utf-8",
+                                  errors="replace", check=False)
         except OSError as exc:  # e.g. no such executable
             raise LogFormatError(f"cannot start the trainer command {shlex.join(command)}: "
                                  f"{exc.strerror or exc}") from None
@@ -547,15 +567,10 @@ class ExternalTrainer:
             raise LogFormatError(": ".join(message + proc.stderr.strip().splitlines()[-1:]))
 
         log = read_prediction_log(out_file)
-        row_of = {i: row for row, i in enumerate(log.ids)}
-        order = np.array([row_of.pop(i, -1) for i in ids], dtype=np.intp)
-        if (order < 0).any():
-            missing = sorted(str(ids[k]) for k in np.flatnonzero(order < 0))
-            more = "" if len(missing) <= 10 else f" (+{len(missing) - 10} more)"
-            raise LogFormatError(f"log is missing ids: {', '.join(missing[:10])}{more}",
-                                 path=out_file)
-        if row_of:  # the log's ids that ``rows`` does not hold
-            shown = ", ".join(sorted(row_of)[:10])
+        order = rows_of({i: row for row, i in enumerate(log.ids)}, ids, out_file,
+                        "log is missing ids")
+        if len(log) > len(ids):  # the log's ids that ``rows`` does not hold
+            shown = ", ".join(sorted(set(log.ids).difference(ids))[:10])
             raise LogFormatError(f"log contains unexpected ids: {shown}", path=out_file)
         if log.bits.shape[1] != epochs:
             raise LogFormatError(f"sequences have length {log.bits.shape[1]}, expected {epochs}",

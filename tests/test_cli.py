@@ -224,6 +224,12 @@ def test_readme_config_reference_lists_exactly_the_accepted_keys(tmp_path):
         # a value out of range, named by its key where that is not its field's name
         ("select --log unread.jsonl", "round.lambda=-1", "round: lambda must be nonnegative"),
         ("select --log unread.jsonl", "round.metric=x", "round: unknown metric 'x'"),
+        # a float that is no finite number: NaN slipped through every range check
+        ("select --log unread.jsonl", "round.lambda=.nan",
+         "round.lambda must be a finite number, got nan"),
+        ("run", "trainer.learning_rate=.nan", "trainer.learning_rate must be a finite number"),
+        ("run", "trainer.learning_rate=.inf", "trainer.learning_rate must be a finite number"),
+        ("simulate", "simulate.ramp=[1.0, -.inf]", "simulate.ramp[1] must be a finite number"),
         # every section is parsed at load, also where the command never reads it
         ("select --log unread.jsonl", "trainer.batch_size=0.5", "trainer.batch_size"),
         ("select --log unread.jsonl", "simulate.epochs=abc", "simulate.epochs"),
@@ -898,6 +904,39 @@ def test_eval_id_outside_ground_truth_exits_3(tmp_path, capsys, name):
     assert "data error" in err and name in err and "'zzz_unknown'" in err
 
 
+def test_eval_unknown_ids_are_listed_sorted_with_a_count_of_the_rest(tmp_path, capsys):
+    path, out = simulate_and_select(tmp_path)
+    ids_path = out / "selected_ids.txt"
+    with ids_path.open("a") as fh:
+        fh.write("".join(f"zz{k:02d}\n" for k in range(12, 0, -1)))
+    assert cli.main(["eval", "-c", str(path)]) == 3
+    shown = ", ".join(repr(f"zz{k:02d}") for k in range(1, 11))
+    assert capsys.readouterr().err == (
+        f"data error: {ids_path}: ids not in the ground truth: {shown} (+2 more)\n")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("damage", ["lambda=1.0e+308", "nan cell"])
+def test_eval_non_finite_score_exits_3_naming_its_line(tmp_path, capsys, damage):
+    # no histogram bin spans an infinite score
+    path, out = simulate_and_select(tmp_path)
+    scores = out / "scores.csv"
+    if damage == "nan cell":
+        lines = scores.read_bytes().split(b"\r\n")
+        lines[3] = lines[3].split(b",")[0] + b",nan"
+        scores.write_bytes(b"\r\n".join(lines))
+    else:  # lam times the memorized epochs overflows to -inf
+        assert cli.main(["select", "-c", str(path), "--log", str(out / "simulated_log.jsonl"),
+                         "--set", "round.lambda=1.0e+308"]) == 0
+    line = int(np.flatnonzero(~np.isfinite(cli.read_scores_csv(scores)[1]))[0]) + 2
+    capsys.readouterr()
+    assert cli.main(["eval", "-c", str(path)]) == 3
+    err = capsys.readouterr().err
+    value = "nan" if damage == "nan cell" else "-inf"
+    assert f"data error: {scores}: score {value} is not finite (line {line})" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("name", ["selected_ids.txt", "scores.csv"])
 def test_eval_repeated_id_exits_3_naming_the_file(tmp_path, capsys, name):
     path, out = simulate_and_select(tmp_path)
@@ -1029,7 +1068,8 @@ def test_report_stats_csv_without_its_columns_exits_3(tmp_path, capsys):
     assert cli.main(["report", "-c", str(path)]) == 3
     err = capsys.readouterr().err
     assert "data error" in err and f"{out / 'stats.csv'}: " in err and "Traceback" not in err
-    assert "round, precision, recall, test_accuracy (line 1)" in err
+    assert ("expected header round,kept,precision,recall,test_accuracy,threshold,converged"
+            " (line 1)") in err
 
 
 def damage_row(path: Path, line: int, damage: str) -> None:
@@ -1181,6 +1221,25 @@ def test_run_resume_without_the_round_files_it_reads_exits_3(tmp_path, capsys, n
     assert tree_digest(out) == before
 
 
+def test_report_and_resume_reject_a_reheaded_stats_csv_alike(tmp_path, capsys):
+    # the four columns report reads are all there; only the header differs
+    path = write_config(tmp_path, base_config(tmp_path, rounds=2, epochs=4))
+    assert cli.main(["run", "-c", str(path)]) == 0
+    out = tmp_path / "out"
+    stats = out / "stats.csv"
+    stats.write_bytes(stats.read_bytes().replace(b"converged", b"fit_converged", 1))
+    rewind_to_round_1(out)
+    before = tree_digest(out)
+    capsys.readouterr()
+    errors = []
+    for command in (["report"], ["run", "--resume"]):
+        assert cli.main(command + ["-c", str(path)]) == 3
+        errors.append(capsys.readouterr().err)
+    header = ",".join(cli.STATS_HEADER)
+    assert errors == [f"data error: {stats}: expected header {header} (line 1)\n"] * 2
+    assert tree_digest(out) == before
+
+
 def test_run_resume_with_a_repeated_kept_id_exits_3(tmp_path, capsys):
     # round 2 would train twice on a row its id file names twice
     path = write_config(tmp_path, base_config(tmp_path, rounds=2, epochs=4))
@@ -1237,6 +1296,14 @@ def test_refused_resume_leaves_the_run_as_it_was(tmp_path, capsys, damage):
     assert (out / "dataset.csv").read_bytes() == dataset
     assert (out / "config_used.json").read_bytes() == config
     assert tree_digest(out) == before
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_run_trials_below_1_exits_2(tmp_path, capsys, trials):
+    path = write_config(tmp_path)
+    assert cli.main(["run", "-c", str(path), "--trials", str(trials)]) == 2
+    assert f"config error: --trials must be >= 1, got {trials}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_trials_with_resume_exits_2(tmp_path, capsys):

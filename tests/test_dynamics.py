@@ -118,6 +118,13 @@ def test_negative_lambda_rejected():
             score([0, 1], kind, -0.1)
 
 
+@pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+def test_non_finite_lambda_rejected(lam):
+    for kind in ("full", "simplified"):
+        with pytest.raises(ValueError, match="lam must be finite and nonnegative"):
+            score([0, 1], kind, lam)
+
+
 @given(bit_lists, st.floats(0, 5))
 def test_full_metric_matches_oracle(bits, lam):
     assert score(bits, "full", lam) == metric_full_oracle(bits, lam)

@@ -37,6 +37,11 @@ ids = [l.strip() for l in open(ids_file) if l.strip()]
 if mode == "fail":
     sys.stderr.write("boom\\n")
     sys.exit(3)
+if mode == "fail_bytes":
+    sys.stderr.buffer.write(b"\\xff boom\\n")
+    sys.exit(3)
+if mode == "junk_stdout":
+    sys.stdout.buffer.write(b"\\xff\\xfe junk\\n")
 with open(out_file, "w") as fh:
     for k, i in enumerate(ids):
         if mode == "drop_first" and k == 0:
@@ -459,7 +464,7 @@ def test_external_round_happy_path(tmp_path, stub):
 
 
 def test_external_round_missing_id(tmp_path, stub):
-    with pytest.raises(LogFormatError, match="missing ids: a"):
+    with pytest.raises(LogFormatError, match="missing ids: 'a'"):
         stub_round(tmp_path, stub("drop_first"), ["a", "b"], 4)
 
 
@@ -481,6 +486,25 @@ def test_external_round_wrong_epoch_count(tmp_path, stub):
 def test_external_round_nonzero_exit(tmp_path, stub):
     with pytest.raises(LogFormatError, match="status 3: boom"):
         stub_round(tmp_path, stub("fail"), ["a"], 4)
+
+
+def test_external_round_nonzero_exit_with_stderr_that_is_not_utf8(tmp_path, stub):
+    with pytest.raises(LogFormatError, match="status 3: \ufffd boom$"):
+        stub_round(tmp_path, stub("fail_bytes"), ["a"], 4)
+
+
+def test_external_round_ignores_stdout_that_is_not_utf8(tmp_path, stub):
+    log = stub_round(tmp_path, stub("junk_stdout"), ["a", "b"], 4)
+    assert log.ids == ["a", "b"] and log.bits.shape == (2, 4)
+
+
+def test_external_round_with_a_directory_at_its_log_path_is_a_data_error(tmp_path, stub):
+    blocked = tmp_path / "work" / "log_round1.jsonl"
+    blocked.mkdir(parents=True)
+    message = f"^{re.escape(str(blocked))}: cannot remove the earlier log: Is a directory"
+    with pytest.raises(LogFormatError, match=message):
+        stub_round(tmp_path, stub("ok"), ["a"], 4)
+    assert blocked.is_dir()
 
 
 def test_external_command_that_cannot_start_is_a_data_error(tmp_path):
