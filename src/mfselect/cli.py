@@ -424,9 +424,10 @@ def _true_or_false(cell: str) -> None:
 STATS_KINDS = dict(zip(STATS_HEADER, [int, int, float, float, float, float, _true_or_false]))
 
 
-def _read_stats(path: Path) -> list[list[str]]:
-    """The rows of the stats table at ``path`` as text; a data error naming it
-    unless the header is ``STATS_HEADER`` and each cell passes its column's check."""
+def _read_stats(path: Path, done: int | None) -> list[list[str]]:
+    """The first ``done`` rows (all when None) of the stats table at ``path`` as text;
+    a data error naming it unless the header is ``STATS_HEADER``, each cell passes
+    its column's check and ``done`` rows are there (a crash may leave more)."""
     header, columns = logio.read_table(path)
     if header != STATS_HEADER:
         raise LogFormatError(f"expected header {','.join(STATS_HEADER)}", path=path, line=1)
@@ -437,7 +438,10 @@ def _read_stats(path: Path) -> list[list[str]]:
                     STATS_KINDS[name](cell)
                 except ValueError as exc:
                     raise LogFormatError(f"{name}: {exc}", path=path, line=line) from None
-    return [list(row) for row in zip(*columns)]
+    rows = [list(row) for row in zip(*columns)][:done]
+    if done is not None and len(rows) < done:
+        raise LogFormatError(f"fewer than the {done} rows state.json committed", path=path)
+    return rows
 
 
 def write_scores_csv(path: Path, ids, values) -> None:
@@ -464,12 +468,14 @@ def round_files(outdir: Path, suffix: str) -> tuple[Path, Path, Path]:
 
 
 def write_round(outdir: Path, suffix: str, log, result) -> None:
-    """Write a round's ``round_files``; the mixture fit only when it has one."""
+    """Write a round's ``round_files``; without a mixture fit, remove an earlier one."""
     scores_path, ids_path, fit_path = round_files(outdir, suffix)
     write_scores_csv(scores_path, log.ids, result.scores)
     logio.write_ids(ids_path, result.selected_ids)
     if result.fit is not None:
         write_json(fit_path, result.fit.to_json_dict())
+    else:
+        logio.remove_earlier(fit_path, "fit")
 
 
 # a checkpoint's arrays, by state_dict key: one <stem>_<index>.npy file each
@@ -533,6 +539,12 @@ def cmd_inject_noise(cfg: ExperimentConfig) -> int:
     return 0
 
 
+def _check_lambda(lam: float, epochs: int) -> None:
+    """A config error unless round.lambda times the scored logs' ``epochs`` is finite."""
+    if not lam * epochs <= sys.float_info.max:  # an int lambda multiplies exactly
+        raise ConfigError(f"round.lambda: {lam} times {epochs} epochs is not finite")
+
+
 def _stats_row(result) -> list:
     st = result.stats
     return [
@@ -559,12 +571,17 @@ def _read_json_object(path: Path, what: str) -> dict:
 
 def _read_state(path: Path) -> dict:
     """The checkpoint in ``path``: the rounds it completed and its config."""
-    state = _read_json_object(path, "cannot resume from a damaged checkpoint")
+    state = _read_json_object(path, "damaged checkpoint")
     done = state.get("completed_rounds")
     if type(done) is not int or done < 0:  # bool is no int here
-        raise LogFormatError("cannot resume: checkpoint has no nonnegative int "
-                             "'completed_rounds'", path=path)
+        raise LogFormatError("checkpoint has no nonnegative int 'completed_rounds'", path=path)
     return state
+
+
+def _completed_rounds(outputs: Path) -> int | None:
+    """The rounds ``state.json`` in ``outputs`` committed; None without one (a select)."""
+    state_path = outputs / "state.json"
+    return _read_state(state_path)["completed_rounds"] if state_path.exists() else None
 
 
 def run_pipeline(cfg: ExperimentConfig, resume: bool = False) -> list:
@@ -598,27 +615,15 @@ def run_pipeline(cfg: ExperimentConfig, resume: bool = False) -> list:
                 trainer = load_model(outdir / f"model_round{done}")
         else:  # the external trainer's files go on from the next round's number
             trainer.round_counter = done
-        train = ds.train_positions
-        row_of = dict(zip(ds.ids[train].tolist(), train.tolist()))
-
-        def kept_rows(k):
-            """The dataset rows round ``k`` kept, read from its id file."""
-            path = round_files(outdir, f"_round{k}")[1]
-            return logio.rows_of(row_of, logio.read_ids(path), path,
-                                 "cannot resume: ids that are not training ids")
-
         start_round = done + 1
         if done:
-            stats_rows = _read_stats(outdir / "stats.csv")[:done]  # a crash may leave more
-            if len(stats_rows) < done:
-                raise LogFormatError(f"cannot resume: fewer than {done} stats rows",
-                                     path=outdir / "stats.csv")
-            rows = kept_rows(done)
-            if not rows.size:
-                # the selection emptied: no round is left to run, and the
-                # final rows are the ones the emptying round trained on
-                start_round = cfg.round_config.rounds + 1
-                rows = kept_rows(done - 1) if done > 1 else None
+            stats_rows = _read_stats(outdir / "stats.csv", done)
+            path = round_files(outdir, f"_round{done}")[1]
+            rows = logio.rows_of(dict(zip(ds.train_ids, ds.train_positions.tolist())),
+                                 logio.read_ids(path), path,
+                                 "cannot resume: ids that are not training ids")
+            if not rows.size:  # only an older version left a round that kept none
+                raise LogFormatError("cannot resume: the round kept no ids", path=path)
     logio.write_dataset_csv(outdir / "dataset.csv", ds)
     capture_config(cfg, outdir)
 
@@ -642,14 +647,13 @@ def run_pipeline(cfg: ExperimentConfig, resume: bool = False) -> list:
     logio.write_ids(outdir / "selected_ids_final.txt", ds.ids[multi.final_rows])
     if isinstance(trainer, SGDTrainer):
         save_model(trainer, outdir / "model_final")
-    if multi.truncated:
-        print("selection emptied; stopped early")
     return stats_rows
 
 
 def cmd_run(cfg: ExperimentConfig, trials: int = 1, resume: bool = False) -> int:
     if trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {trials}")
+    _check_lambda(cfg.round_config.lam, cfg.round_config.epochs)
     if trials > 1:  # each trial starts afresh: resumed stats rows are rounded text
         if resume:
             raise ConfigError(f"--resume cannot be combined with --trials {trials}")
@@ -700,6 +704,7 @@ def cmd_select(cfg: ExperimentConfig, log_path) -> int:
     if cfg.round_config.strategy == "small_loss" and log.losses is None:
         raise LogFormatError("the small_loss strategy needs 'losses' in every record",
                              path=log_path)
+    _check_lambda(cfg.round_config.lam, log.bits.shape[1])
     result = selection.select_round(log, cfg.round_config, cfg.fit_config, 1)
 
     outdir = cfg.output_dir
@@ -740,21 +745,6 @@ def _load_clean_mask(outputs: Path) -> tuple[list, np.ndarray]:
     )
 
 
-def _discover_rounds(outputs: Path) -> list[tuple[int, str]]:
-    """(round, ``round_files`` suffix) of each round in ``outputs``, by round."""
-    rounds = []
-    for path in outputs.glob("scores_round*.csv"):
-        suffix = path.stem[len("scores"):]
-        try:
-            rounds.append((int(suffix[len("_round"):]), suffix))
-        except ValueError:
-            raise LogFormatError("a scores_round<N>.csv name needs an integer round N",
-                                 path=path) from None
-    if not rounds and not (outputs / "scores.csv").exists():
-        raise LogFormatError("no score files found in outputs dir", path=outputs)
-    return sorted(rounds) or [(1, "")]  # a select's files carry no round
-
-
 def cmd_eval(cfg: ExperimentConfig, bins: int) -> int:
     if bins < 2:
         raise ConfigError(f"--bins must be >= 2, got {bins}")
@@ -763,8 +753,10 @@ def cmd_eval(cfg: ExperimentConfig, bins: int) -> int:
     row_of = {i: row for row, i in enumerate(truth_ids)}
     unknown = "ids not in the ground truth"
 
+    done = _completed_rounds(outputs)
+    rounds = [(1, "")] if done is None else [(k, f"_round{k}") for k in range(1, done + 1)]
     rows = []
-    for round_index, suffix in _discover_rounds(outputs):
+    for round_index, suffix in rounds:
         scores_path, ids_path, fit_path = round_files(outputs, suffix)
         score_ids, values = read_scores_csv(scores_path)
         bad = np.flatnonzero(~np.isfinite(values))
@@ -799,7 +791,8 @@ def cmd_report(cfg: ExperimentConfig, compare: bool) -> int:
     if compare:
         return _write_comparison(cfg, outputs)
     # round, precision, recall and test accuracy
-    rows = [[row[0], *row[2:5]] for row in _read_stats(outputs / "stats.csv")]
+    rows = [[row[0], *row[2:5]]
+            for row in _read_stats(outputs / "stats.csv", _completed_rounds(outputs))]
     dataset_csv = outputs / "dataset.csv"
     if dataset_csv.exists():
         # round 0: the untouched training set (select-all baseline)

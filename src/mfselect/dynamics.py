@@ -20,15 +20,15 @@ def score_sequences(bits, metric_kind: str = "simplified", lam: float = 1.0):
     no run having difficulty 0. ``simplified`` drops the run counts: the
     misclassified epochs minus ``lam`` times the memorized epochs.
 
-    Raises ValueError on a matrix with no epochs or a ``lam`` below 0, inf or NaN.
+    Raises ValueError on no epochs or a ``lam`` that is negative, NaN or overflows the scores.
     """
     if metric_kind not in ("full", "simplified"):
         raise ValueError(f"metric_kind must be 'full' or 'simplified', got {metric_kind!r}")
-    if not 0 <= lam < np.inf:  # NaN included
-        raise ValueError(f"lam must be finite and nonnegative, got {lam}")
     bits = np.asarray(bits)
     if bits.shape[1] == 0:
         raise ValueError("cannot score an empty sequence: no epochs recorded")
+    if not 0 <= float(lam) * bits.shape[1] < np.inf:  # NaN included; no overflow warning
+        raise ValueError(f"lam must be finite and nonnegative, also times the epochs, got {lam}")
     memorized = np.count_nonzero(bits, axis=1)
     misclassified = bits.shape[1] - memorized
     if metric_kind == "simplified":

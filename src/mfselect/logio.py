@@ -342,6 +342,15 @@ def atomic_path(path, mode="w"):
         raise LogFormatError(f"cannot write the file: {exc}", path=path) from None
 
 
+def remove_earlier(path, what: str) -> None:
+    """Remove the file an earlier run left at ``path``, if any, or raise a LogFormatError."""
+    try:
+        Path(path).unlink(missing_ok=True)
+    except OSError as exc:
+        raise LogFormatError(f"cannot remove the earlier {what}: {exc.strerror or exc}",
+                             path=path) from None
+
+
 def write_atomic(path, pieces) -> None:
     """Write the strings ``pieces`` to ``path`` as they are, atomically."""
     with atomic_path(path) as fh:
@@ -476,12 +485,17 @@ def write_dataset_csv(path, ds: ToyDataset) -> None:
 
 def read_dataset_csv(path) -> ToyDataset:
     header, columns = read_table(path)
-    if header[:1] != ["id"] or header[-3:] != ["observed_label", "true_label", "split"]:
-        raise LogFormatError("header must be id,feature_*,observed_label,true_label,split",
-                             path=path, line=1)
+    if (len(header) < 5 or header[0] != "id"
+            or header[-3:] != ["observed_label", "true_label", "split"]):
+        raise LogFormatError("header must be id, then one or more feature columns, then "
+                             "observed_label,true_label,split", path=path, line=1)
     ids, *features, observed, true, split = columns
-    if not ids:
-        raise LogFormatError("dataset has no rows", path=path, line=2)
+    wrong = np.flatnonzero(~np.isin(split, ["train", "test"]))
+    if wrong.size:
+        raise LogFormatError(f"split must be train or test, got {split[wrong[0]]!r}",
+                             path=path, line=int(wrong[0]) + 2)
+    if "train" not in split:
+        raise LogFormatError("dataset has no train row", path=path)
     seen = set()
     for line, rec_id in enumerate(ids, start=2):
         if "\n" in rec_id:
@@ -551,11 +565,7 @@ class ExternalTrainer:
         command = [arg.format(dataset=str(self.dataset_file), ids=str(ids_file),
                               out=str(out_file), epochs=epochs, seed=self.seed)
                    for arg in self.command]
-        try:  # an earlier run's log is not this round's
-            out_file.unlink(missing_ok=True)
-        except OSError as exc:  # e.g. a directory stands there
-            raise LogFormatError(f"cannot remove the earlier log: {exc.strerror or exc}",
-                                 path=out_file) from None
+        remove_earlier(out_file, "log")  # an earlier run's log is not this round's
         try:  # the command's output is read only for its last stderr line
             proc = subprocess.run(command, capture_output=True, encoding="utf-8",
                                   errors="replace", check=False)

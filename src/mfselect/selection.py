@@ -81,8 +81,7 @@ class SelectionResult:
 @dataclass
 class MultiRoundResult:
     rounds: list[SelectionResult]
-    final_rows: np.ndarray  # the rows the last round kept, or trained on if it kept none
-    truncated: bool = False
+    final_rows: np.ndarray  # the rows the last round kept
 
 
 def select_by_threshold(scores, tau: float) -> np.ndarray:
@@ -128,11 +127,6 @@ def _apply_strategy(scores, log, config: RoundConfig, fit_config: FitConfig,
         else:
             try:
                 fit = fit_metric_scores(scores, fit_config)
-            except MixtureFitError as exc:
-                keep = select_by_ratio(scores, config.ratio)
-                used_fallback = True
-                warning = f"mixture fit failed ({exc}); fell back to ratio selection"
-            else:
                 if fit.degenerate:
                     # no separable noisy component: the clean/noisy roles are
                     # arbitrary, so thresholding at the noisy scale would cut
@@ -143,9 +137,13 @@ def _apply_strategy(scores, log, config: RoundConfig, fit_config: FitConfig,
                 else:
                     tau = threshold(fit)
                     keep = select_by_threshold(scores, tau)
-                    if not keep.any():
-                        warning = (f"threshold {tau:.6g} lies below every score; "
-                                   "selection is empty")
+                    if not keep.any():  # a round always keeps rows
+                        raise MixtureFitError(f"threshold {tau:.6g} lies below every score")
+            except MixtureFitError as exc:
+                tau = fit = None
+                keep = select_by_ratio(scores, config.ratio)
+                used_fallback = True
+                warning = f"mixture fit failed ({exc}); fell back to ratio selection"
     elif config.strategy == "ratio":
         keep = select_by_ratio(scores, config.ratio)
     else:  # small_loss
@@ -212,15 +210,14 @@ def run_multiround(
     after every round, before the next one starts. Sequences are rebuilt
     from scratch every round; the model carries over. Recall in the
     per-round stats is always measured against the clean instances of the
-    *original* training set, so the round trend is comparable. Stops early,
-    flagged truncated, if a round selects nothing.
+    *original* training set, so the round trend is comparable. Every round
+    keeps at least one row.
     """
     rows = np.asarray(dataset.train_positions if rows is None else rows, dtype=np.intp)
+    if not rows.size:
+        raise ValueError("cannot run a round on an empty training set")
     rounds: list[SelectionResult] = []
-    truncated = False
     for round_index in range(start_round, config.rounds + 1):
-        if not rows.size:
-            raise ValueError("cannot run a round on an empty training set")
         log = trainer.fit_round(dataset, rows, config.epochs)
         result = _finish_round(dataset, trainer, log, rows, config, fit_config,
                                round_index)
@@ -228,11 +225,8 @@ def run_multiround(
             on_round(result, log, rows)
         rounds.append(result)
         del log  # free this round's sequences before the next round trains
-        if not result.keep.any():
-            truncated = True
-            break
         rows = rows[result.keep]
-    return MultiRoundResult(rounds=rounds, final_rows=rows, truncated=truncated)
+    return MultiRoundResult(rounds=rounds, final_rows=rows)
 
 
 def compare_strategies(
@@ -259,7 +253,7 @@ def compare_strategies(
     del log  # free round 1's sequences before round 2 trains
     table = []
     for cfg, last in zip(configs, firsts):
-        if config.rounds > 1 and last.keep.any():
+        if config.rounds > 1:
             last = run_multiround(dataset, copy.deepcopy(trainer), cfg, fit_config,
                                   rows=rows[last.keep], start_round=2).rounds[-1]
         table.append(

@@ -202,6 +202,8 @@ class TrainerConfig:
             raise ValueError("batch_size must be positive")
         if self.arch not in ("softmax_linear", "mlp"):
             raise ValueError(f"unsupported arch {self.arch!r}")
+        if self.hidden < 1:
+            raise ValueError(f"hidden must be >= 1, got {self.hidden}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 

@@ -236,6 +236,9 @@ def test_readme_config_reference_lists_exactly_the_accepted_keys(tmp_path):
         ("select --log unread.jsonl", "noise={type: none, ratio: abc}", "noise.ratio"),
         ("select --log unread.jsonl", "trainer={kind: external, command: x, seed: abc}",
          "trainer.seed"),
+        # a hidden layer of no units: 0 trained the linear model, -5 reached a traceback
+        ("inject-noise", "trainer.hidden=0", "trainer: hidden must be >= 1, got 0"),
+        ("run", "trainer.hidden=-5", "trainer: hidden must be >= 1, got -5"),
         # values that reached a traceback (exit 1)
         ("inject-noise", "output_dir=5", "output_dir"),
         ("inject-noise", 'dataset={csv: ""}', "dataset.csv"),
@@ -488,55 +491,18 @@ def test_write_json_crash_mid_write_keeps_old_file(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == [target]  # the half-written temp file is gone
 
 
-def empty_selection_in(monkeypatch, empty_round):
-    """Make round ``empty_round`` of every run select nothing."""
-    real_strategy = selection_mod._apply_strategy
-
-    def strategy(scores, log, config, fit_config, round_index):
-        if round_index == empty_round:
-            return selection_mod.SelectionResult(
-                round_index=round_index, scores=scores,
-                keep=np.zeros(scores.size, dtype=bool), selected_ids=[],
-            )
-        return real_strategy(scores, log, config, fit_config, round_index)
-
-    monkeypatch.setattr(selection_mod, "_apply_strategy", strategy)
-
-
-@pytest.mark.parametrize("empty_round", [1, 2])
-def test_run_resume_after_emptied_selection_matches_full_run(tmp_path, monkeypatch,
-                                                             empty_round):
-    empty_selection_in(monkeypatch, empty_round)
-    path = write_config(tmp_path, base_config(tmp_path, rounds=3, epochs=4))
-    assert cli.main(["run", "-c", str(path)]) == 0
-    out = tmp_path / "out"
-    full = tree_digest(out)
-    assert read_ids(out / f"selected_ids_round{empty_round}.txt") == []
-    trained_on = (read_ids(out / "selected_ids_round1.txt") if empty_round == 2
-                  else read_dataset_csv(out / "dataset.csv").train_ids)
-    assert read_ids(out / "selected_ids_final.txt") == trained_on
-    assert cli.main(["run", "-c", str(path), "--resume"]) == 0
-    assert tree_digest(out) == full
-
-
 # an unknown id, and a test id (training ids are "0".."319")
-@pytest.mark.parametrize("empty_round, foreign", [
-    pytest.param(2, "not-a-training-id", id="not-a-training-id"),
-    pytest.param(2, "330", id="330"),
-    pytest.param(None, "not-a-training-id", id="not-emptied-not-a-training-id"),
-    pytest.param(None, "330", id="not-emptied-330"),
+@pytest.mark.parametrize("foreign", [
+    pytest.param("not-a-training-id", id="not-emptied-not-a-training-id"),
+    pytest.param("330", id="not-emptied-330"),
 ])
-def test_run_resume_after_emptied_selection_rejects_a_foreign_id(tmp_path, monkeypatch,
-                                                                 capsys, empty_round, foreign):
-    # resume reads the kept ids from the last round's id file; when round 2
-    # emptied, the final ids are round 1's selection, read from its id file
-    if empty_round:
-        empty_selection_in(monkeypatch, empty_round)
+def test_run_resume_after_emptied_selection_rejects_a_foreign_id(tmp_path, capsys, foreign):
+    # resume reads the kept ids from the last round's id file
     path = write_config(tmp_path, base_config(tmp_path, rounds=3, epochs=4))
     assert cli.main(["run", "-c", str(path)]) == 0
     out = tmp_path / "out"
     final = (out / "selected_ids_final.txt").read_bytes()
-    ids_path = out / f"selected_ids_round{1 if empty_round else 3}.txt"
+    ids_path = out / "selected_ids_round3.txt"
     assert read_ids(ids_path)
     with ids_path.open("a") as fh:
         fh.write(foreign + "\n")
@@ -546,6 +512,44 @@ def test_run_resume_after_emptied_selection_rejects_a_foreign_id(tmp_path, monke
     assert "data error" in err and str(ids_path) in err and repr(foreign) in err
     assert "Traceback" not in err
     assert (out / "selected_ids_final.txt").read_bytes() == final
+
+
+@pytest.mark.parametrize("case", ["a shorter run over it", "a rewound checkpoint"])
+def test_eval_and_report_read_the_rounds_state_json_committed(tmp_path, capsys, case):
+    # the 3-round run's files of rounds 2 and 3 stay, but state.json commits
+    # round 1 only: eval and report read what a 1-round run leaves
+    one_round = write_config(tmp_path, base_config(tmp_path, rounds=1, epochs=4), "one.yaml")
+    assert cli.main(["run", "-c", str(one_round), "-o", str(tmp_path / "one")]) == 0
+    three = write_config(tmp_path, base_config(tmp_path, rounds=3, epochs=4), "three.yaml")
+    assert cli.main(["run", "-c", str(three)]) == 0
+    out = tmp_path / "out"
+    if case == "a shorter run over it":
+        assert cli.main(["run", "-c", str(one_round)]) == 0
+    else:  # as a crash in round 2, after its stats.csv row, would leave it
+        rewind_to_round_1(out)
+    assert (out / "scores_round3.csv").exists()
+    for command in ("eval", "report"):
+        for where in (out, tmp_path / "one"):
+            assert cli.main([command, "-c", str(one_round), "-o", str(where)]) == 0
+    for name in ("eval_stats.csv", "histogram_round1.csv", "trend.csv"):
+        assert (out / name).read_bytes() == (tmp_path / "one" / name).read_bytes(), name
+    assert not (out / "histogram_round2.csv").exists()
+
+
+def test_run_resume_on_an_empty_kept_ids_file_exits_3(tmp_path, capsys):
+    # only an older version left a round that kept no row; resume names its file
+    path = write_config(tmp_path, base_config(tmp_path, rounds=2, epochs=4))
+    assert cli.main(["run", "-c", str(path)]) == 0
+    out = tmp_path / "out"
+    rewind_to_round_1(out)
+    ids_path = out / "selected_ids_round1.txt"
+    ids_path.write_text("")
+    before = tree_digest(out)
+    capsys.readouterr()
+    assert cli.main(["run", "-c", str(path), "--resume"]) == 3
+    err = capsys.readouterr().err
+    assert err == f"data error: {ids_path}: cannot resume: the round kept no ids\n"
+    assert tree_digest(out) == before
 
 
 @pytest.mark.parametrize("target,occurrence", [
@@ -885,13 +889,47 @@ def test_one_threshold_in_stats_fit_and_overlay(tmp_path):
     assert stats[1].split(",")[stats[0].split(",").index("threshold")] == f"{tau:.6f}"
 
 
-def test_eval_stray_scores_file_exits_3_naming_it(tmp_path, capsys):
+def test_a_selection_without_a_fit_removes_the_earlier_fit(tmp_path, capsys):
+    # eval would draw the earlier fit's threshold beside a ratio selection
     path, out = simulate_and_select(tmp_path)
-    stray = out / "scores_round_old.csv"
-    stray.write_bytes((out / "scores.csv").read_bytes())
-    assert cli.main(["eval", "-c", str(path)]) == 3
+    assert (out / "mixture.json").exists()
+    ratio = ["select", "-c", str(path), "--log", str(out / "simulated_log.jsonl"),
+             "--set", "round.strategy=ratio"]
+    assert cli.main(ratio) == 0
+    assert not (out / "mixture.json").exists()
+    assert cli.main(["eval", "-c", str(path)]) == 0
+    assert not (out / "overlay_round1.json").exists()
+    (out / "mixture.json").mkdir()  # a directory cannot be removed as a file
+    capsys.readouterr()
+    assert cli.main(ratio) == 3
     err = capsys.readouterr().err
-    assert "data error" in err and str(stray) in err and "Traceback" not in err
+    assert err.startswith(f"data error: {out / 'mixture.json'}: cannot remove the earlier fit")
+
+
+@pytest.mark.parametrize("command, stray", [
+    ("select", "scores_round_old.csv"),
+    ("run", "scores_round_old.csv"),
+    ("run", "scores_round01.csv"),  # once a second round 1
+    ("run", "scores_round1_0.csv"),  # once round 10
+])
+def test_eval_does_not_evaluate_a_stray_scores_file(tmp_path, capsys, command, stray):
+    # state.json alone names a run's rounds, and a select has one: no file
+    # name is parsed for a round
+    if command == "select":
+        path, out = simulate_and_select(tmp_path)
+        scores = out / "scores.csv"
+    else:
+        path = write_config(tmp_path, base_config(tmp_path, rounds=1, epochs=4))
+        assert cli.main(["run", "-c", str(path)]) == 0
+        out = tmp_path / "out"
+        scores = out / "scores_round1.csv"
+    assert cli.main(["eval", "-c", str(path)]) == 0
+    before = tree_digest(out)
+    (out / stray).write_bytes(scores.read_bytes())
+    capsys.readouterr()
+    assert cli.main(["eval", "-c", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("evaluated 1 round(s)")
+    assert {k: v for k, v in tree_digest(out).items() if k != stray} == before
 
 
 @pytest.mark.parametrize("name", ["selected_ids.txt", "scores.csv"])
@@ -915,26 +953,36 @@ def test_eval_unknown_ids_are_listed_sorted_with_a_count_of_the_rest(tmp_path, c
         f"data error: {ids_path}: ids not in the ground truth: {shown} (+2 more)\n")
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("damage", ["lambda=1.0e+308", "nan cell"])
 def test_eval_non_finite_score_exits_3_naming_its_line(tmp_path, capsys, damage):
-    # no histogram bin spans an infinite score
+    # no histogram bin spans an infinite score; the -inf cell stands for the
+    # scores select once wrote for round.lambda=1.0e+308, which it now refuses
     path, out = simulate_and_select(tmp_path)
     scores = out / "scores.csv"
-    if damage == "nan cell":
-        lines = scores.read_bytes().split(b"\r\n")
-        lines[3] = lines[3].split(b",")[0] + b",nan"
-        scores.write_bytes(b"\r\n".join(lines))
-    else:  # lam times the memorized epochs overflows to -inf
-        assert cli.main(["select", "-c", str(path), "--log", str(out / "simulated_log.jsonl"),
-                         "--set", "round.lambda=1.0e+308"]) == 0
-    line = int(np.flatnonzero(~np.isfinite(cli.read_scores_csv(scores)[1]))[0]) + 2
+    value = "nan" if damage == "nan cell" else "-inf"
+    lines = scores.read_bytes().split(b"\r\n")
+    lines[3] = lines[3].split(b",")[0] + b"," + value.encode()
+    scores.write_bytes(b"\r\n".join(lines))
     capsys.readouterr()
     assert cli.main(["eval", "-c", str(path)]) == 3
     err = capsys.readouterr().err
-    value = "nan" if damage == "nan cell" else "-inf"
-    assert f"data error: {scores}: score {value} is not finite (line {line})" in err
+    assert f"data error: {scores}: score {value} is not finite (line 4)" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, epochs", [("select", 30), ("run", 4)])
+def test_an_overflowing_lambda_exits_2_naming_it(tmp_path, capsys, command, epochs):
+    # lambda times the epochs of the logs it scores would overflow the scores
+    # to -inf: select checks the log's 30 epochs, run its round.epochs
+    path = write_config(tmp_path, base_config(tmp_path, rounds=1, epochs=4))
+    assert cli.main(["simulate", "-c", str(path), "-o", str(tmp_path / "sim")]) == 0
+    log = ["--log", str(tmp_path / "sim" / "simulated_log.jsonl")] if command == "select" else []
+    capsys.readouterr()
+    assert cli.main([command, "-c", str(path), "--set", "round.lambda=1.0e+308", *log]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: round.lambda: 1e+308 times {epochs} epochs is not finite\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("name", ["selected_ids.txt", "scores.csv"])
@@ -1452,6 +1500,30 @@ def test_inject_noise_negative_label_exits_3_naming_line(tmp_path, capsys, label
     err = capsys.readouterr().err
     assert f"data error: {data}: labels must be nonnegative (line {line})" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("table, message", [
+    pytest.param("a,0.5,0,0,train\nb,1.5,1,1,training\n",
+                 "split must be train or test, got 'training' (line 3)", id="training"),
+    pytest.param("a,0.5,0,0,train\nb,1.5,1,1,tests\n",
+                 "split must be train or test, got 'tests' (line 3)", id="tests"),
+    pytest.param("a,0.5,0,0,test\nb,1.5,1,1,test\n", "dataset has no train row",
+                 id="no train row"),
+    pytest.param("a,0,0,train\n", "header must be id, then one or more feature columns, "
+                 "then observed_label,true_label,split (line 1)", id="no feature column"),
+])
+def test_run_on_a_dataset_csv_that_is_no_dataset_exits_3(tmp_path, capsys, table, message):
+    data = tmp_path / "bad.csv"
+    header = ("id,observed_label,true_label,split\n" if table.count(",") == 3
+              else "id,feature_0,observed_label,true_label,split\n")
+    data.write_text(header + table)
+    config = base_config(tmp_path)
+    config["dataset"] = {"csv": str(data)}
+    config["noise"] = {"type": "none"}
+    path = write_config(tmp_path, config)
+    assert cli.main(["run", "-c", str(path)]) == 3
+    assert capsys.readouterr().err == f"data error: {data}: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("field, line", [("label", 1), ("true_label", 2)])

@@ -125,6 +125,18 @@ def test_non_finite_lambda_rejected(lam):
             score([0, 1], kind, lam)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", ["full", "simplified"])
+def test_lambda_that_overflows_times_the_epochs_rejected(kind):
+    # lam times the 2 epochs overflows at 1e308, not at 8e307
+    message = r"^lam must be finite and nonnegative, also times the epochs, got 1e\+308$"
+    with pytest.raises(ValueError, match=message):
+        score([0, 1], kind, 1e308)
+    with pytest.raises(ValueError, match=message):
+        score_sequences(np.array([[0, 1]]), kind, np.float64(1e308))
+    assert np.isfinite(score([0, 1], kind, 8e307))
+
+
 @given(bit_lists, st.floats(0, 5))
 def test_full_metric_matches_oracle(bits, lam):
     assert score(bits, "full", lam) == metric_full_oracle(bits, lam)

@@ -1,10 +1,11 @@
 import math
 import weakref
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mfselect.selection as selection_mod
@@ -15,7 +16,6 @@ from mfselect.mixture import FitConfig, fit_metric_scores, threshold
 from mfselect.selection import (
     STRATEGIES,
     RoundConfig,
-    SelectionResult,
     compare_strategies,
     run_multiround,
     select_by_ratio,
@@ -101,12 +101,34 @@ def test_threshold_selection_examples(monkeypatch):
     assert kept(scores, select_by_threshold(values(scores), 1.0)) == ["a", "b"]
     assert kept(scores, select_by_threshold(values(scores), 5.0)) == ["a", "b", "c"]
     assert not select_by_threshold(np.array([2.0]), 2.0).any()
-    # a round whose threshold lies below every score says so
+    # a threshold below every score would keep no row: the round falls back
+    # to ratio selection and says why
     monkeypatch.setattr(selection_mod, "threshold", lambda fit: -math.inf)
-    result = select_round(simulate_dynamics(50, 50, epochs=20, seed=0),
-                          RoundConfig(epochs=20), FitConfig())
-    assert result.selected_ids == [] and not result.keep.any()
-    assert "selection is empty" in result.warning
+    config = RoundConfig(epochs=20)
+    result = select_round(simulate_dynamics(50, 50, epochs=20, seed=0), config, FitConfig())
+    assert result.used_fallback and result.fit is None and result.threshold is None
+    assert np.array_equal(result.keep, select_by_ratio(result.scores, config.ratio))
+    assert result.warning == ("mixture fit failed (threshold -inf lies below every score); "
+                              "fell back to ratio selection")
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), epochs=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       metric=st.sampled_from(["full", "simplified"]), strategy=st.sampled_from(STRATEGIES),
+       ratio=st.floats(0.01, 1.0), lam=st.floats(0.0, 5.0), below_every_score=st.booleans())
+def test_every_strategy_keeps_a_row_of_any_nonempty_log(n, epochs, seed, metric, strategy,
+                                                         ratio, lam, below_every_score):
+    rng = np.random.default_rng(seed)
+    log = RoundLog(ids=[str(i) for i in range(n)],
+                   bits=(rng.random((n, epochs)) < rng.random((n, 1))).astype(np.int8),
+                   losses=rng.random((n, epochs)), labels=np.zeros(n, dtype=np.int64),
+                   true_labels=None)
+    config = RoundConfig(epochs=epochs, lam=lam, metric_kind=metric, strategy=strategy,
+                         ratio=ratio)
+    below = (lambda fit: -math.inf) if below_every_score else threshold
+    with mock.patch.object(selection_mod, "threshold", below):
+        result = select_round(log, config, FitConfig())
+    assert result.keep.any() and result.selected_ids
 
 
 def test_threshold_strictness_is_exclusive():
@@ -391,7 +413,6 @@ def test_multiround_rounds_shrink_and_precision_trend():
         result = run_multiround(
             ds, benchmark_trainer(), RoundConfig(epochs=30, rounds=3), FitConfig()
         )
-        assert not result.truncated
         sizes = [len(r.selected_ids) for r in result.rounds]
         assert sizes[0] >= sizes[1] >= sizes[2]
         # every round's stats count against the clean instances of the original set
@@ -417,22 +438,6 @@ def test_multiround_deterministic():
     for a, b in zip(runs[0].rounds, runs[1].rounds):
         assert a.selected_ids == b.selected_ids
         assert a.threshold == b.threshold
-
-
-def test_multiround_truncates_on_empty_selection(monkeypatch):
-    ids = list(range(12))
-    seqs = {i: np.array([0, 1, 0, 1], dtype=np.int8) for i in ids}
-
-    def empty_strategy(scores, log, config, fit_config, round_index):
-        return SelectionResult(round_index=round_index, scores=scores,
-                               keep=np.zeros(scores.size, dtype=bool), selected_ids=[])
-
-    monkeypatch.setattr(selection_mod, "_apply_strategy", empty_strategy)
-    result = run_multiround(
-        FakeDataset(ids), FakeTrainer(seqs), RoundConfig(epochs=4, rounds=5), FitConfig()
-    )
-    assert result.truncated
-    assert len(result.rounds) == 1
 
 
 def test_multiround_sequences_reset_each_round():
@@ -483,22 +488,10 @@ def reference_compare(dataset, make_trainer, config, fit_config):
     return finals, rows
 
 
-@pytest.mark.parametrize("case", ["one_round", "three_rounds", "truncated"])
+@pytest.mark.parametrize("case", ["one_round", "three_rounds"])
 def test_compare_strategies_matches_per_strategy_training(case, monkeypatch):
     ds = benchmark_dataset(noise=0.2, spread=4.0)
     config = RoundConfig(epochs=10, rounds=1 if case == "one_round" else 3)
-    if case == "truncated":
-        # the mixture strategy's round-2 selection empties; the others go on
-        apply_strategy = selection_mod._apply_strategy
-
-        def emptying(scores, log, config, fit_config, round_index):
-            result = apply_strategy(scores, log, config, fit_config, round_index)
-            if round_index == 2 and config.strategy == "mixture_threshold":
-                result.keep[:] = False
-                result.selected_ids = []
-            return result
-
-        monkeypatch.setattr(selection_mod, "_apply_strategy", emptying)
     finals, expected_rows = reference_compare(ds, benchmark_trainer, config, FitConfig())
 
     seen = {}
@@ -512,8 +505,6 @@ def test_compare_strategies_matches_per_strategy_training(case, monkeypatch):
     monkeypatch.setattr(selection_mod, "_finish_round", spy)
     rows = compare_strategies(ds, benchmark_trainer(), config, FitConfig())
     assert rows == expected_rows
-    if case == "truncated":
-        assert rows[0]["kept"] == 0 and seen["mixture_threshold"].round_index == 2
     for strategy, want in zip(STRATEGIES, finals):
         got = seen[strategy]
         assert got.round_index == want.round_index
