@@ -515,7 +515,7 @@ def test_run_resume_after_emptied_selection_rejects_a_foreign_id(tmp_path, capsy
 
 
 @pytest.mark.parametrize("case", ["a shorter run over it", "a rewound checkpoint"])
-def test_eval_and_report_read_the_rounds_state_json_committed(tmp_path, capsys, case):
+def test_eval_and_report_read_the_rounds_state_json_committed(tmp_path, case):
     # the 3-round run's files of rounds 2 and 3 stay, but state.json commits
     # round 1 only: eval and report read what a 1-round run leaves
     one_round = write_config(tmp_path, base_config(tmp_path, rounds=1, epochs=4), "one.yaml")
@@ -525,7 +525,7 @@ def test_eval_and_report_read_the_rounds_state_json_committed(tmp_path, capsys, 
     out = tmp_path / "out"
     if case == "a shorter run over it":
         assert cli.main(["run", "-c", str(one_round)]) == 0
-    else:  # as a crash in round 2, after its stats.csv row, would leave it
+    else:  # as a crash before state.json committed round 2 leaves it, and more
         rewind_to_round_1(out)
     assert (out / "scores_round3.csv").exists()
     for command in ("eval", "report"):
@@ -1502,21 +1502,23 @@ def test_inject_noise_negative_label_exits_3_naming_line(tmp_path, capsys, label
     assert "Traceback" not in err
 
 
+DATASET_HEADER = "id,feature_0,observed_label,true_label,split\n"
+
+
 @pytest.mark.parametrize("table, message", [
-    pytest.param("a,0.5,0,0,train\nb,1.5,1,1,training\n",
+    pytest.param(DATASET_HEADER + "a,0.5,0,0,train\nb,1.5,1,1,training\n",
                  "split must be train or test, got 'training' (line 3)", id="training"),
-    pytest.param("a,0.5,0,0,train\nb,1.5,1,1,tests\n",
+    pytest.param(DATASET_HEADER + "a,0.5,0,0,train\nb,1.5,1,1,tests\n",
                  "split must be train or test, got 'tests' (line 3)", id="tests"),
-    pytest.param("a,0.5,0,0,test\nb,1.5,1,1,test\n", "dataset has no train row",
-                 id="no train row"),
-    pytest.param("a,0,0,train\n", "header must be id, then one or more feature columns, "
-                 "then observed_label,true_label,split (line 1)", id="no feature column"),
+    pytest.param(DATASET_HEADER + "a,0.5,0,0,test\nb,1.5,1,1,test\n",
+                 "dataset has no train row", id="no train row"),
+    pytest.param("id,observed_label,true_label,split\na,0,0,train\n",
+                 "header must be id, then one or more feature columns, then "
+                 "observed_label,true_label,split (line 1)", id="no feature column"),
 ])
 def test_run_on_a_dataset_csv_that_is_no_dataset_exits_3(tmp_path, capsys, table, message):
     data = tmp_path / "bad.csv"
-    header = ("id,observed_label,true_label,split\n" if table.count(",") == 3
-              else "id,feature_0,observed_label,true_label,split\n")
-    data.write_text(header + table)
+    data.write_text(table)
     config = base_config(tmp_path)
     config["dataset"] = {"csv": str(data)}
     config["noise"] = {"type": "none"}
