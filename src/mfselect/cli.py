@@ -17,10 +17,13 @@ failed external trainer command), 4 numerical failure (training that diverged).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import os
 import re
 import sys
+import traceback
 import types
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
@@ -584,6 +587,68 @@ def _completed_rounds(outputs: Path) -> int | None:
     return _read_state(state_path)["completed_rounds"] if state_path.exists() else None
 
 
+@contextlib.contextmanager
+def _round_writer():
+    """Yield ``submit(write, then)``, which runs ``write()`` in a forked child
+    process while the caller goes on, and ``then()`` here once that child
+    has succeeded.
+
+    One child runs at a time: ``submit`` and the end of the block first
+    wait for the previous one, so the writes finish in the order submitted
+    and no child outlives the block, whatever ends it. The child sees this
+    process as it was at the fork. A LogFormatError in the child is raised
+    again here with its message; any other failure of the child raises a
+    RuntimeError with the child's traceback. Without ``os.fork`` the write
+    runs in this process.
+    """
+    running = []  # the child's pid, the read end of its pipe, and its then
+
+    def wait():
+        if running:
+            pid, fd, then = running.pop()
+            try:  # read to EOF before the wait: a long report cannot block the child
+                with open(fd, "rb") as pipe:
+                    report = pipe.read().decode(errors="surrogatepass")
+            finally:
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if status and report.startswith("L"):
+                raise LogFormatError(report[1:])
+            if status:  # an exception's traceback, or a signal's negative number
+                raise RuntimeError(f"the round writer exited with status {status}\n"
+                                   f"{report[1:]}".rstrip())
+            then()
+
+    def submit(write, then):
+        wait()
+        if not hasattr(os, "fork"):
+            write()
+            then()
+            return
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child leaves only by _exit: no atexit, no return to the caller
+            status = 1
+            try:
+                os.close(read_fd)
+                with open(write_fd, "wb") as pipe:
+                    try:
+                        write()
+                        status = 0
+                    except LogFormatError as exc:
+                        pipe.write(f"L{exc}".encode(errors="surrogatepass"))
+                    except BaseException:
+                        pipe.write(f"E{traceback.format_exc()}".encode(errors="surrogatepass"))
+            finally:
+                os._exit(status)
+        os.close(write_fd)
+        running.append((pid, read_fd, then))
+
+    try:
+        yield submit
+    finally:
+        wait()
+
+
 def run_pipeline(cfg: ExperimentConfig, resume: bool = False) -> list:
     """One full multi-round pipeline with per-round artifacts and checkpoints.
 
@@ -629,21 +694,29 @@ def run_pipeline(cfg: ExperimentConfig, resume: bool = False) -> list:
 
     def on_round(result, log, rows):
         k = result.round_index
-        logio.write_prediction_log(outdir / f"log_round{k}.jsonl", log)
-        write_round(outdir, f"_round{k}", log, result)
         stats_rows.append(_stats_row(result))
-        write_summary(outdir / "stats.csv", STATS_HEADER, stats_rows)
-        if isinstance(trainer, SGDTrainer):
-            save_model(trainer, outdir / f"model_round{k}")
-        # written last, it commits the round: resume reads the files above
-        write_json(state_path, {"completed_rounds": k, "config": cfg.raw})
-        if result.warning:
-            print(f"round {k}: {result.warning}")
 
-    multi = selection.run_multiround(
-        ds, trainer, cfg.round_config, cfg.fit_config,
-        rows=rows, start_round=start_round, on_round=on_round,
-    )
+        def write():
+            logio.write_prediction_log(outdir / f"log_round{k}.jsonl", log)
+            write_round(outdir, f"_round{k}", log, result)
+            write_summary(outdir / "stats.csv", STATS_HEADER, stats_rows)
+            if isinstance(trainer, SGDTrainer):
+                save_model(trainer, outdir / f"model_round{k}")
+            # written last, it commits the round: resume reads the files above
+            write_json(state_path, {"completed_rounds": k, "config": cfg.raw})
+
+        def then():
+            if result.warning:
+                print(f"round {k}: {result.warning}")
+
+        submit(write, then)
+
+    # round k's files are written while round k+1 trains
+    with _round_writer() as submit:
+        multi = selection.run_multiround(
+            ds, trainer, cfg.round_config, cfg.fit_config,
+            rows=rows, start_round=start_round, on_round=on_round,
+        )
     logio.write_ids(outdir / "selected_ids_final.txt", ds.ids[multi.final_rows])
     if isinstance(trainer, SGDTrainer):
         save_model(trainer, outdir / "model_final")

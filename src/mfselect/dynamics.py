@@ -27,7 +27,11 @@ def score_sequences(bits, metric_kind: str = "simplified", lam: float = 1.0):
     bits = np.asarray(bits)
     if bits.shape[1] == 0:
         raise ValueError("cannot score an empty sequence: no epochs recorded")
-    if not 0 <= float(lam) * bits.shape[1] < np.inf:  # NaN included; no overflow warning
+    try:
+        finite = 0 <= float(lam) * bits.shape[1] < np.inf  # NaN included; no overflow warning
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
         raise ValueError(f"lam must be finite and nonnegative, also times the epochs, got {lam}")
     memorized = np.count_nonzero(bits, axis=1)
     misclassified = bits.shape[1] - memorized

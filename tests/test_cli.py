@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import shutil
 import sys
 from pathlib import Path
 
@@ -563,12 +564,14 @@ def test_run_rename_failure_in_round_2_then_resume_matches_full_run(
     path = write_config(tmp_path, base_config(tmp_path, rounds=2, epochs=4))
     assert cli.main(["run", "-c", str(path), "-o", str(tmp_path / "full")]) == 0
     out = tmp_path / "crashed"
-    real_replace, seen = os.replace, []
+    real_replace, seen = os.replace, tmp_path / "replaced"
 
     def replace(src, dst):
         if Path(dst) == out / target:
-            seen.append(dst)
-            if len(seen) == occurrence:
+            # counted in a file: a round's files are written in a child process
+            with seen.open("a") as fh:
+                fh.write(".")
+            if seen.stat().st_size == occurrence:
                 raise OSError("no space left on device")
         real_replace(src, dst)
 
@@ -580,6 +583,94 @@ def test_run_rename_failure_in_round_2_then_resume_matches_full_run(
     assert json.loads((out / "state.json").read_text())["completed_rounds"] == 1
     assert cli.main(["run", "-c", str(path), "-o", str(out), "--resume"]) == 0
     assert tree_digest(out) == tree_digest(tmp_path / "full")
+
+
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_run_blocked_round_2_log_exits_3_then_resume_matches_full_run(
+        tmp_path, monkeypatch, capsys):
+    path = write_config(tmp_path, base_config(tmp_path, rounds=3, epochs=4))
+    assert cli.main(["run", "-c", str(path), "-o", str(tmp_path / "full")]) == 0
+    out = tmp_path / "out"
+    errors = []
+    for fork in (False, True):  # the in-process write is the reference
+        with monkeypatch.context() as patch:
+            if not fork:
+                patch.delattr(os, "fork")
+            shutil.rmtree(out, ignore_errors=True)
+            (out / "log_round2.jsonl").mkdir(parents=True)
+            capsys.readouterr()
+            assert cli.main(["run", "-c", str(path)]) == 3
+            errors.append(capsys.readouterr().err)
+        assert json.loads((out / "state.json").read_text())["completed_rounds"] == 1
+        assert not (out / "scores_round2.csv").exists()
+    assert errors[0] == errors[1]
+    assert errors[1].startswith(f"data error: {out / 'log_round2.jsonl'}: cannot write the file")
+    assert "Traceback" not in errors[1]
+    (out / "log_round2.jsonl").rmdir()
+    assert cli.main(["run", "-c", str(path), "--resume"]) == 0
+    assert tree_digest(out) == tree_digest(tmp_path / "full")
+    assert_no_child_process()
+
+
+def test_run_diverging_in_round_2_exits_4_with_round_1_committed(
+        tmp_path, monkeypatch, capsys):
+    path = write_config(tmp_path, base_config(tmp_path, rounds=2, epochs=4))
+    assert cli.main(["run", "-c", str(path), "-o", str(tmp_path / "full")]) == 0
+    real_fit_round, calls = cli.SGDTrainer.fit_round, []
+
+    def fit_round(self, *args, **kwargs):
+        calls.append(1)  # training runs in this process
+        if len(calls) == 2:
+            raise FloatingPointError("non-finite loss")
+        return real_fit_round(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli.SGDTrainer, "fit_round", fit_round)
+    capsys.readouterr()
+    assert cli.main(["run", "-c", str(path)]) == 4
+    assert capsys.readouterr().err == "numerical failure: non-finite loss\n"
+    out, full = tmp_path / "out", tree_digest(tmp_path / "full")
+    assert json.loads((out / "state.json").read_text())["completed_rounds"] == 1
+    stats = (tmp_path / "full" / "stats.csv").read_text().splitlines(keepends=True)
+    assert (out / "stats.csv").read_text() == "".join(stats[:2])
+    written = tree_digest(out)
+    assert {name for name in full if "round2" not in name and "final" not in name} == (
+        set(written))
+    assert all(full[name] == digest for name, digest in written.items()
+               if name not in ("stats.csv", "state.json"))
+    assert_no_child_process()
+
+
+@pytest.mark.parametrize("fork", [True, False])
+def test_run_with_a_failing_model_write_never_exits_0(tmp_path, monkeypatch, fork):
+    path = write_config(tmp_path, base_config(tmp_path, rounds=2, epochs=4))
+
+    def save_model(trainer, outdir):
+        raise RuntimeError("the model cannot be saved")
+
+    monkeypatch.setattr(cli, "save_model", save_model)
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    with pytest.raises(RuntimeError, match="the model cannot be saved"):
+        cli.main(["run", "-c", str(path)])
+    # round 1 stops at its model, before its checkpoint
+    assert (tmp_path / "out" / "stats.csv").exists()
+    assert not (tmp_path / "out" / "state.json").exists()
+    assert_no_child_process()
+
+
+def test_run_without_fork_writes_the_same_tree(tmp_path, monkeypatch, capsys):
+    path = write_config(tmp_path, base_config(tmp_path, rounds=3, epochs=4))
+    assert cli.main(["run", "-c", str(path), "-o", str(tmp_path / "forked")]) == 0
+    forked = capsys.readouterr()
+    monkeypatch.delattr(os, "fork")
+    assert cli.main(["run", "-c", str(path), "-o", str(tmp_path / "in_process")]) == 0
+    assert capsys.readouterr() == forked
+    assert tree_digest(tmp_path / "in_process") == tree_digest(tmp_path / "forked")
+    assert_no_child_process()
 
 
 # an external trainer that lists its records in reverse and gets every label

@@ -125,6 +125,13 @@ def test_non_finite_lambda_rejected(lam):
             score([0, 1], kind, lam)
 
 
+@pytest.mark.parametrize("kind", ["full", "simplified"])
+def test_int_lambda_beyond_the_float_range_rejected(kind):
+    for lam in (10**400, -10**400):  # float(lam) overflows
+        with pytest.raises(ValueError, match="lam must be finite and nonnegative"):
+            score_sequences(np.array([[0, 1]]), kind, lam)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("kind", ["full", "simplified"])
 def test_lambda_that_overflows_times_the_epochs_rejected(kind):
