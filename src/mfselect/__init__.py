@@ -10,7 +10,6 @@ from .mixture import (
     weibull_pdf,
 )
 from .selection import (
-    MultiRoundResult,
     RoundConfig,
     SelectionResult,
     compare_strategies,

@@ -589,9 +589,9 @@ def _completed_rounds(outputs: Path) -> int | None:
 
 @contextlib.contextmanager
 def _round_writer():
-    """Yield ``submit(write, then)``, which runs ``write()`` in a forked child
-    process while the caller goes on, and ``then()`` here once that child
-    has succeeded.
+    """Yield ``submit(write, message)``, which runs ``write()`` in a forked
+    child process while the caller goes on, and prints ``message``, if
+    there is one, here once that child has succeeded.
 
     One child runs at a time: ``submit`` and the end of the block first
     wait for the previous one, so the writes finish in the order submitted
@@ -601,11 +601,11 @@ def _round_writer():
     RuntimeError with the child's traceback. Without ``os.fork`` the write
     runs in this process.
     """
-    running = []  # the child's pid, the read end of its pipe, and its then
+    running = []  # the child's pid, the read end of its pipe, and its message
 
     def wait():
         if running:
-            pid, fd, then = running.pop()
+            pid, fd, message = running.pop()
             try:  # read to EOF before the wait: a long report cannot block the child
                 with open(fd, "rb") as pipe:
                     report = pipe.read().decode(errors="surrogatepass")
@@ -616,13 +616,15 @@ def _round_writer():
             if status:  # an exception's traceback, or a signal's negative number
                 raise RuntimeError(f"the round writer exited with status {status}\n"
                                    f"{report[1:]}".rstrip())
-            then()
+            if message:
+                print(message)
 
-    def submit(write, then):
+    def submit(write, message):
         wait()
         if not hasattr(os, "fork"):
             write()
-            then()
+            if message:
+                print(message)
             return
         read_fd, write_fd = os.pipe()
         pid = os.fork()
@@ -641,12 +643,24 @@ def _round_writer():
             finally:
                 os._exit(status)
         os.close(write_fd)
-        running.append((pid, read_fd, then))
+        running.append((pid, read_fd, message))
 
     try:
         yield submit
     finally:
         wait()
+
+
+def _write_run_round(cfg: ExperimentConfig, trainer, log, result, stats_rows) -> None:
+    """Write the files of a run's round ``result``, ``state.json`` last."""
+    outdir, k = cfg.output_dir, result.round_index
+    logio.write_prediction_log(outdir / f"log_round{k}.jsonl", log)
+    write_round(outdir, f"_round{k}", log, result)
+    write_summary(outdir / "stats.csv", STATS_HEADER, stats_rows)
+    if isinstance(trainer, SGDTrainer):
+        save_model(trainer, outdir / f"model_round{k}")
+    # written last, it commits the round: resume reads the files above
+    write_json(outdir / "state.json", {"completed_rounds": k, "config": cfg.raw})
 
 
 def run_pipeline(cfg: ExperimentConfig, resume: bool = False) -> list:
@@ -662,7 +676,7 @@ def run_pipeline(cfg: ExperimentConfig, resume: bool = False) -> list:
     # the resume point is read in full before anything is written: a refused
     # resume leaves the run it refuses as it was
     state_path = outdir / "state.json"
-    start_round, rows, stats_rows = 1, None, []
+    start_round, rows, final_ids, stats_rows = 1, None, None, []
     if resume and state_path.exists():
         state = _read_state(state_path)
         if state.get("config") != cfg.raw:
@@ -684,40 +698,24 @@ def run_pipeline(cfg: ExperimentConfig, resume: bool = False) -> list:
         if done:
             stats_rows = _read_stats(outdir / "stats.csv", done)
             path = round_files(outdir, f"_round{done}")[1]
+            final_ids = logio.read_ids(path)
             rows = logio.rows_of(dict(zip(ds.train_ids, ds.train_positions.tolist())),
-                                 logio.read_ids(path), path,
-                                 "cannot resume: ids that are not training ids")
+                                 final_ids, path, "cannot resume: ids that are not training ids")
             if not rows.size:  # only an older version left a round that kept none
                 raise LogFormatError("cannot resume: the round kept no ids", path=path)
     logio.write_dataset_csv(outdir / "dataset.csv", ds)
     capture_config(cfg, outdir)
 
-    def on_round(result, log, rows):
-        k = result.round_index
-        stats_rows.append(_stats_row(result))
-
-        def write():
-            logio.write_prediction_log(outdir / f"log_round{k}.jsonl", log)
-            write_round(outdir, f"_round{k}", log, result)
-            write_summary(outdir / "stats.csv", STATS_HEADER, stats_rows)
-            if isinstance(trainer, SGDTrainer):
-                save_model(trainer, outdir / f"model_round{k}")
-            # written last, it commits the round: resume reads the files above
-            write_json(state_path, {"completed_rounds": k, "config": cfg.raw})
-
-        def then():
-            if result.warning:
-                print(f"round {k}: {result.warning}")
-
-        submit(write, then)
-
     # round k's files are written while round k+1 trains
     with _round_writer() as submit:
-        multi = selection.run_multiround(
-            ds, trainer, cfg.round_config, cfg.fit_config,
-            rows=rows, start_round=start_round, on_round=on_round,
-        )
-    logio.write_ids(outdir / "selected_ids_final.txt", ds.ids[multi.final_rows])
+        for result, log in selection.run_multiround(ds, trainer, cfg.round_config,
+                                                    cfg.fit_config, rows, start_round):
+            stats_rows.append(_stats_row(result))
+            submit(functools.partial(_write_run_round, cfg, trainer, log, result, stats_rows),
+                   result.warning and f"round {result.round_index}: {result.warning}")
+            del log  # free this round's sequences before the next round trains
+            final_ids = result.selected_ids
+    logio.write_ids(outdir / "selected_ids_final.txt", final_ids)
     if isinstance(trainer, SGDTrainer):
         save_model(trainer, outdir / "model_final")
     return stats_rows
@@ -758,7 +756,7 @@ def _run_trials(cfg: ExperimentConfig, trials: int) -> int:
     payloads = [_trial_payload(cfg, t) for t in range(trials)]
     with concurrent.futures.ProcessPoolExecutor(max_workers=min(trials, 4)) as pool:
         results = list(pool.map(_trial_worker, payloads))
-    finals = [rows[-1] for rows in results if rows]
+    finals = [rows[-1] for rows in results]
     metrics = {"precision": 2, "recall": 3, "test_accuracy": 4}
     outdir = cfg.output_dir
     rows = []
@@ -854,6 +852,14 @@ def cmd_eval(cfg: ExperimentConfig, bins: int) -> int:
         write_summary(outputs / f"histogram_round{round_index}.csv", header, hist_rows)
         if overlay is not None:
             write_json(outputs / f"overlay_round{round_index}.json", overlay)
+        else:  # an earlier fit's overlay is not this round's
+            logio.remove_earlier(outputs / f"overlay_round{round_index}.json", "overlay")
+    # an earlier eval's files for rounds that this one does not evaluate
+    for k in count(len(rounds) + 1):
+        if not (outputs / f"histogram_round{k}.csv").exists():
+            break
+        logio.remove_earlier(outputs / f"histogram_round{k}.csv", "histogram")
+        logio.remove_earlier(outputs / f"overlay_round{k}.json", "overlay")
     write_summary(outputs / "eval_stats.csv", STATS_HEADER, rows)
     print(f"evaluated {len(rows)} round(s) into {outputs / 'eval_stats.csv'}")
     return 0

@@ -579,9 +579,9 @@ class ExternalTrainer:
         log = read_prediction_log(out_file)
         order = rows_of({i: row for row, i in enumerate(log.ids)}, ids, out_file,
                         "log is missing ids")
-        if len(log) > len(ids):  # the log's ids that ``rows`` does not hold
-            shown = ", ".join(sorted(set(log.ids).difference(ids))[:10])
-            raise LogFormatError(f"log contains unexpected ids: {shown}", path=out_file)
+        if len(log) > len(ids):  # the log holds ids that ``rows`` does not
+            rows_of({i: row for row, i in enumerate(ids)}, log.ids, out_file,
+                    "log contains unexpected ids")
         if log.bits.shape[1] != epochs:
             raise LogFormatError(f"sequences have length {log.bits.shape[1]}, expected {epochs}",
                                  path=out_file)

@@ -12,10 +12,11 @@ A round's selection is two arrays over the rows of its log: the float64
 returns the mask; ties at a ratio cut go to the earlier row. Instance ids
 are opaque strings, and ``selected_ids`` lists the kept ones in log order.
 
-The round loop carries dataset row positions, an intp array ``rows``: a
-round trainer's ``fit_round(dataset, rows, epochs)`` logs ``rows[r]`` in
-its row ``r``, and the next round trains on ``rows[keep]``. Ids stand for
-rows only where a file is written or read.
+The round loop, the generator ``run_multiround``, trains a round only when
+the caller asks for it. It carries dataset row positions, an intp array
+``rows``: a round trainer's ``fit_round(dataset, rows, epochs)`` logs
+``rows[r]`` in its row ``r``, and the next round trains on ``rows[keep]``.
+Ids stand for rows only where a file is written or read.
 """
 
 from __future__ import annotations
@@ -76,12 +77,6 @@ class SelectionResult:
     test_accuracy: float | None = None
     used_fallback: bool = False
     warning: str | None = None
-
-
-@dataclass
-class MultiRoundResult:
-    rounds: list[SelectionResult]
-    final_rows: np.ndarray  # the rows the last round kept
 
 
 def select_by_threshold(scores, tau: float) -> np.ndarray:
@@ -200,33 +195,27 @@ def run_multiround(
     fit_config: FitConfig | None = None,
     rows=None,
     start_round: int = 1,
-    on_round=None,
-) -> MultiRoundResult:
-    """Iterate selection rounds, each training on the previous survivors.
+):
+    """Yield ``(result, log)`` for each round, each training on the previous survivors.
 
     Rounds ``start_round``..``config.rounds`` run on the dataset rows
     ``rows`` first (default: ``dataset.train_positions``), then on the rows
-    each round kept. ``on_round(result, log, rows)``, when given, is called
-    after every round, before the next one starts. Sequences are rebuilt
-    from scratch every round; the model carries over. Recall in the
-    per-round stats is always measured against the clean instances of the
-    *original* training set, so the round trend is comparable. Every round
-    keeps at least one row.
+    each round kept. A round trains when the next item is asked for, and
+    no log is held across rounds. Sequences are rebuilt every round; the
+    model carries over. Recall in the per-round stats is always measured
+    against the clean instances of the *original* training set, so the
+    round trend is comparable. Every round keeps at least one row.
     """
     rows = np.asarray(dataset.train_positions if rows is None else rows, dtype=np.intp)
     if not rows.size:
         raise ValueError("cannot run a round on an empty training set")
-    rounds: list[SelectionResult] = []
     for round_index in range(start_round, config.rounds + 1):
         log = trainer.fit_round(dataset, rows, config.epochs)
         result = _finish_round(dataset, trainer, log, rows, config, fit_config,
                                round_index)
-        if on_round is not None:
-            on_round(result, log, rows)
-        rounds.append(result)
+        yield result, log
         del log  # free this round's sequences before the next round trains
         rows = rows[result.keep]
-    return MultiRoundResult(rounds=rounds, final_rows=rows)
 
 
 def compare_strategies(
@@ -254,8 +243,9 @@ def compare_strategies(
     table = []
     for cfg, last in zip(configs, firsts):
         if config.rounds > 1:
-            last = run_multiround(dataset, copy.deepcopy(trainer), cfg, fit_config,
-                                  rows=rows[last.keep], start_round=2).rounds[-1]
+            for last, log in run_multiround(dataset, copy.deepcopy(trainer), cfg, fit_config,
+                                            rows=rows[last.keep], start_round=2):
+                del log  # free this round's sequences before the next round trains
         table.append(
             {
                 "strategy": cfg.strategy,

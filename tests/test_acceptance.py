@@ -217,10 +217,10 @@ def test_criterion_5_simulated_dynamics_end_to_end():
 def test_criterion_6_trainer_end_to_end():
     start = time.perf_counter()
     ds = bench_dataset(noise=0.4, spread=2.0)
-    result = run_multiround(
+    rounds = [result for result, _ in run_multiround(
         ds, bench_trainer(), RoundConfig(epochs=30, rounds=3), FitConfig()
-    )
-    r1, r3 = result.rounds[0], result.rounds[-1]
+    )]
+    r1, r3 = rounds[0], rounds[-1]
     assert r3.stats.precision > r1.stats.precision
     assert r3.stats.recall < r1.stats.recall
 

@@ -984,6 +984,8 @@ def test_a_selection_without_a_fit_removes_the_earlier_fit(tmp_path, capsys):
     # eval would draw the earlier fit's threshold beside a ratio selection
     path, out = simulate_and_select(tmp_path)
     assert (out / "mixture.json").exists()
+    assert cli.main(["eval", "-c", str(path)]) == 0
+    assert (out / "overlay_round1.json").exists()  # drawn from the fit
     ratio = ["select", "-c", str(path), "--log", str(out / "simulated_log.jsonl"),
              "--set", "round.strategy=ratio"]
     assert cli.main(ratio) == 0
@@ -995,6 +997,32 @@ def test_a_selection_without_a_fit_removes_the_earlier_fit(tmp_path, capsys):
     assert cli.main(ratio) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"data error: {out / 'mixture.json'}: cannot remove the earlier fit")
+    (out / "mixture.json").rmdir()
+    (out / "overlay_round1.json").mkdir()
+    assert cli.main(["eval", "-c", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {out / 'overlay_round1.json'}: "
+                          "cannot remove the earlier overlay")
+
+
+def test_eval_removes_its_files_of_rounds_it_no_longer_evaluates(tmp_path, capsys):
+    path = write_config(tmp_path, base_config(tmp_path, rounds=3, epochs=6))
+    out = tmp_path / "out"
+    assert cli.main(["run", "-c", str(path)]) == 0
+    assert cli.main(["eval", "-c", str(path)]) == 0
+    stale = [f"{stem}_round{k}.{ext}" for k in (2, 3)
+             for stem, ext in (("histogram", "csv"), ("overlay", "json"))]
+    assert all((out / name).exists() for name in stale)
+    shorter = write_config(tmp_path, base_config(tmp_path, rounds=1, epochs=6), "short.yaml")
+    assert cli.main(["run", "-c", str(shorter)]) == 0
+    capsys.readouterr()
+    assert cli.main(["eval", "-c", str(shorter)]) == 0
+    assert capsys.readouterr().out.startswith("evaluated 1 round(s)")
+    assert not any((out / name).exists() for name in stale)
+    assert (out / "histogram_round1.csv").exists()
+    assert len((out / "eval_stats.csv").read_text().splitlines()) == 2
+    # the longer run's own files stay; state.json says no command reads them
+    assert (out / "log_round3.jsonl").exists() and (out / "model_round3").is_dir()
 
 
 @pytest.mark.parametrize("command, stray", [

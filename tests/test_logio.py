@@ -57,6 +57,10 @@ with open(out_file, "w") as fh:
     if mode == "extra":
         fh.write(json.dumps({"id": "ghost", "label": 0, "true_label": 0,
                              "seq": [0] * epochs}) + "\\n")
+    if mode == "extra12":
+        for k in range(12):
+            fh.write(json.dumps({"id": f"ghost{k:02d}", "label": 0, "true_label": 0,
+                                 "seq": [0] * epochs}) + "\\n")
 """
 
 
@@ -469,8 +473,16 @@ def test_external_round_missing_id(tmp_path, stub):
 
 
 def test_external_round_extra_id(tmp_path, stub):
-    with pytest.raises(LogFormatError, match="ghost"):
+    with pytest.raises(LogFormatError, match="unexpected ids: 'ghost'$"):
         stub_round(tmp_path, stub("extra"), ["a"], 4)
+
+
+def test_external_round_many_extra_ids(tmp_path, stub):
+    # the format of rows_of's unknown ids: sorted, repr, ten, then a count
+    shown = ", ".join(f"'ghost{k:02d}'" for k in range(10))
+    with pytest.raises(LogFormatError) as info:
+        stub_round(tmp_path, stub("extra12"), ["a"], 4)
+    assert str(info.value).endswith(f"log contains unexpected ids: {shown} (+2 more)")
 
 
 def test_external_round_ragged_sequences(tmp_path, stub):

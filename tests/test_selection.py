@@ -84,12 +84,26 @@ def values(scores):
     return np.array(list(scores.values()), dtype=float)
 
 
+def results(rounds):
+    """The results that the ``(result, log)`` items of ``rounds`` carry."""
+    return [result for result, _ in rounds]
+
+
+def final_rows(dataset, rounds):
+    """The dataset rows that the last of ``rounds`` kept, round 1 having
+    trained on the training rows."""
+    rows = dataset.train_positions
+    for result in rounds:
+        rows = rows[result.keep]
+    return rows
+
+
 def one_round(dataset, trainer, config):
     """The single round of ``run_multiround`` with ``config.rounds == 1``."""
-    multi = run_multiround(dataset, trainer, config, FitConfig())
-    assert len(multi.rounds) == 1
-    assert dataset.ids[multi.final_rows].tolist() == multi.rounds[0].selected_ids
-    return multi.rounds[0]
+    multi = results(run_multiround(dataset, trainer, config, FitConfig()))
+    assert len(multi) == 1
+    assert dataset.ids[final_rows(dataset, multi)].tolist() == multi[0].selected_ids
+    return multi[0]
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +375,9 @@ def test_run_round_degenerate_fit_keeps_everything():
 
 
 def test_run_round_requires_nonempty_ids():
-    with pytest.raises(ValueError):
-        run_multiround(FakeDataset([]), FakeTrainer({}), RoundConfig(), FitConfig())
+    rounds = run_multiround(FakeDataset([]), FakeTrainer({}), RoundConfig(), FitConfig())
+    with pytest.raises(ValueError):  # at the first item, not at the call
+        next(rounds)
 
 
 def test_small_loss_strategy_through_run_round():
@@ -380,7 +395,7 @@ def test_small_loss_strategy_through_run_round():
     assert result.keep.tolist() == [True, False, True, False]
     # a trainer whose log has no losses is a data error (exit 3), not a crash
     with pytest.raises(LogFormatError, match="'losses' in every record"):
-        run_multiround(FakeDataset(ids), FakeTrainer(seqs), cfg, FitConfig())
+        list(run_multiround(FakeDataset(ids), FakeTrainer(seqs), cfg, FitConfig()))
 
 
 # ---------------------------------------------------------------------------
@@ -390,14 +405,14 @@ def test_small_loss_strategy_through_run_round():
 def test_multiround_single_round_equals_run_round():
     ds = benchmark_dataset()
     cfg = RoundConfig(epochs=10, rounds=1)
-    multi = run_multiround(ds, benchmark_trainer(), cfg, FitConfig())
+    multi = results(run_multiround(ds, benchmark_trainer(), cfg, FitConfig()))
     log = benchmark_trainer().fit_round(ds, ds.train_positions, cfg.epochs)
     single = select_round(log, cfg, FitConfig())
-    assert len(multi.rounds) == 1
-    assert multi.rounds[0].selected_ids == single.selected_ids
-    assert ds.ids[multi.final_rows].tolist() == single.selected_ids
-    assert np.array_equal(multi.rounds[0].scores, single.scores)
-    assert multi.rounds[0].stats == selection_precision_recall(single.keep, ds.clean_mask())
+    assert len(multi) == 1
+    assert multi[0].selected_ids == single.selected_ids
+    assert ds.ids[final_rows(ds, multi)].tolist() == single.selected_ids
+    assert np.array_equal(multi[0].scores, single.scores)
+    assert multi[0].stats == selection_precision_recall(single.keep, ds.clean_mask())
 
 
 def test_multiround_rounds_shrink_and_precision_trend():
@@ -410,32 +425,32 @@ def test_multiround_rounds_shrink_and_precision_trend():
                        true_labels=blobs.true_labels[order], split=blobs.split[order])
     assert not np.array_equal(shuffled.train_positions, np.arange(len(order) * 4 // 5))
     for ds in (blobs, shuffled):
-        result = run_multiround(
+        rounds = results(run_multiround(
             ds, benchmark_trainer(), RoundConfig(epochs=30, rounds=3), FitConfig()
-        )
-        sizes = [len(r.selected_ids) for r in result.rounds]
+        ))
+        sizes = [len(r.selected_ids) for r in rounds]
         assert sizes[0] >= sizes[1] >= sizes[2]
         # every round's stats count against the clean instances of the original set
         is_clean = dict(zip(ds.train_ids, ds.clean_mask().tolist()))
-        for r in result.rounds:
+        for r in rounds:
             assert (r.stats.precision, r.stats.recall, r.stats.kept) == (
                 oracle_precision_recall(r.selected_ids, is_clean))
         # selections nest: each round's input is the previous round's output
-        ids_by_round = [set(r.selected_ids) for r in result.rounds]
+        ids_by_round = [set(r.selected_ids) for r in rounds]
         assert ids_by_round[2] <= ids_by_round[1] <= ids_by_round[0]
-        assert ds.ids[result.final_rows].tolist() == result.rounds[-1].selected_ids
-        assert result.rounds[-1].stats.precision > result.rounds[0].stats.precision
+        assert ds.ids[final_rows(ds, rounds)].tolist() == rounds[-1].selected_ids
+        assert rounds[-1].stats.precision > rounds[0].stats.precision
 
 
 def test_multiround_deterministic():
     ds = benchmark_dataset()
     runs = [
-        run_multiround(
+        results(run_multiround(
             ds, benchmark_trainer(), RoundConfig(epochs=15, rounds=2), FitConfig()
-        )
+        ))
         for _ in range(2)
     ]
-    for a, b in zip(runs[0].rounds, runs[1].rounds):
+    for a, b in zip(runs[0], runs[1]):
         assert a.selected_ids == b.selected_ids
         assert a.threshold == b.threshold
 
@@ -444,11 +459,56 @@ def test_multiround_sequences_reset_each_round():
     ds = benchmark_dataset()
     trainer = benchmark_trainer()
     cfg = RoundConfig(epochs=7, rounds=2)
-    run_multiround(ds, trainer, cfg, FitConfig())
+    list(run_multiround(ds, trainer, cfg, FitConfig()))
     # every fit_round call produced sequences of exactly the round's epochs
     # (would be longer if they accumulated across rounds)
     log = trainer.fit_round(ds, ds.train_positions[:50], 5)
     assert log.bits.shape == (50, 5)
+
+
+def three_round_fake():
+    """A FakeDataset, a FakeTrainer and a 3-round config in which every
+    round keeps 90% of its rows (one epoch: a ratio fallback)."""
+    ids = [f"i{k:02d}" for k in range(40)]
+    seqs = {i: np.array([k % 2], dtype=np.int8) for k, i in enumerate(ids)}
+    return FakeDataset(ids), FakeTrainer(seqs), RoundConfig(epochs=1, rounds=3)
+
+
+def test_multiround_trains_a_round_only_when_asked():
+    dataset, trainer, config = three_round_fake()
+    rounds = run_multiround(dataset, trainer, config, FitConfig())
+    assert trainer.fit_calls == []
+    result, log = next(rounds)
+    assert len(trainer.fit_calls) == 1 and result.round_index == 1
+    assert log.ids == dataset.ids.tolist()
+    next(rounds)
+    assert len(trainer.fit_calls) == 2
+    assert trainer.fit_calls[1][0] == result.selected_ids
+
+
+def test_multiround_holds_no_log_across_rounds():
+    dataset, trainer, config = three_round_fake()
+    fit_round, earlier = trainer.fit_round, []
+
+    def spy(dataset, rows, epochs):
+        # the previous round's log must be gone before this round trains
+        assert all(ref() is None for ref in earlier)
+        log = fit_round(dataset, rows, epochs)
+        earlier.append(weakref.ref(log))
+        return log
+
+    trainer.fit_round = spy
+    for result, log in run_multiround(dataset, trainer, config, FitConfig()):
+        del log  # as a caller that writes a round and goes on does
+    assert len(earlier) == 3
+
+
+def test_multiround_stopped_after_round_1_trains_nothing_more():
+    dataset, trainer, config = three_round_fake()
+    for result, log in run_multiround(dataset, trainer, config, FitConfig()):
+        break
+    assert result.round_index == 1
+    assert len(trainer.fit_calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +539,8 @@ def reference_compare(dataset, make_trainer, config, fit_config):
     round of each and the table row made from it."""
     finals, rows = [], []
     for strategy in STRATEGIES:
-        last = run_multiround(dataset, make_trainer(), replace(config, strategy=strategy),
-                              fit_config).rounds[-1]
+        last = results(run_multiround(dataset, make_trainer(),
+                                      replace(config, strategy=strategy), fit_config))[-1]
         finals.append(last)
         rows.append({"strategy": strategy, "kept": len(last.selected_ids),
                      "precision": last.stats.precision, "recall": last.stats.recall,
