@@ -27,8 +27,7 @@ import traceback
 import types
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
-from itertools import chain, count, takewhile
-from json.encoder import encode_basestring_ascii
+from itertools import compress, count, takewhile
 from pathlib import Path
 
 import numpy as np
@@ -357,41 +356,20 @@ def write_json(path: Path, doc) -> None:
     logio.write_atomic(path, [json.dumps(doc, sort_keys=True, indent=2), "\n"])
 
 
-# the characters json's ASCII string encoder writes as they are
-_JSON_PLAIN = bytes(c for c in range(32, 127) if c not in b'"\\')
+# the ground truth of a simulate or select, both files in log order
+TRUTH_FILES = ("clean_ids.txt", "noisy_ids.txt")
 
 
-def write_mask_json(path: Path, ids, mask) -> None:
-    """``write_json(path, dict(zip(ids, mask.tolist())))`` for unique ``ids``
-    and a bool array ``mask``, with the same bytes, written in pieces.
-
-    ``indent=2`` with sorted keys lays out one ``"id": true|false`` pair per
-    line, after two spaces, in id order. The sorted ids are interleaved with
-    the fixed text between them and each block is joined once; the ids go
-    through json's string encoder only when one of them needs it (one test
-    of all ids joined).
-    """
-    n = len(ids)
-    order = np.fromiter(sorted(range(n), key=ids.__getitem__), np.intp, n)
-    keys = np.array(ids, dtype=object)
-    joined = "".join(ids)
-    plain = joined.isascii() and not joined.encode("ascii").translate(None, _JSON_PLAIN)
-    q = '"' if plain else ""  # the quotes around an id, unless its encoder adds them
-    # the text from the end of an id to the start of the next
-    values = np.array([f"{q}: false,\n  {q}", f"{q}: true,\n  {q}"], dtype=object)
-    flags = mask.astype(np.intp)
-
-    def block(lo, hi):
-        rows = order[lo:hi]
-        names = keys[rows].tolist()
-        parts = [""] * (2 * len(rows))
-        parts[::2] = names if plain else map(encode_basestring_ascii, names)
-        parts[1::2] = values[flags[rows]].tolist()
-        if hi >= n:  # the last pair closes the object
-            parts[-1] = parts[-1].rstrip(',\n "') + "\n}\n"
-        return "".join(parts)
-
-    logio.write_atomic(path, chain(["{\n  " + q if n else "{}\n"], logio.row_blocks(n, block)))
+def write_truth(outdir: Path, ids, clean) -> None:
+    """Write the ``TRUTH_FILES`` of ``ids``: those whose ``clean`` flag is set,
+    then the others. With no truth (``clean`` None), remove an earlier pair."""
+    paths = [outdir / name for name in TRUTH_FILES]
+    if clean is None:
+        for path in paths:
+            logio.remove_earlier(path, "ground truth")
+    else:
+        for path, flags in zip(paths, (clean, ~clean)):
+            logio.write_ids(path, list(compress(ids, flags.tolist())))
 
 
 def capture_config(cfg: ExperimentConfig, outdir: Path) -> None:
@@ -507,7 +485,7 @@ def load_model(outdir: Path) -> SGDTrainer:
             paths = takewhile(Path.exists, (outdir / f"{stem}_{idx}.npy" for idx in count()))
             state[key] = [np.load(path) for path in paths]
         return SGDTrainer.from_state_dict(state)
-    except (OSError, KeyError, TypeError, ValueError) as exc:  # JSON errors included
+    except (OSError, EOFError, KeyError, TypeError, ValueError) as exc:  # JSON errors included
         raise LogFormatError(f"cannot resume from a damaged model checkpoint: "
                              f"{type(exc).__name__}: {exc}", path=outdir) from None
 
@@ -524,7 +502,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         raise ConfigError(f"simulate: {exc}")
     outdir = cfg.output_dir
     logio.write_prediction_log(outdir / "simulated_log.jsonl", log)
-    write_mask_json(outdir / "clean_mask.json", log.ids, log.clean_mask())
+    write_truth(outdir, log.ids, log.clean_mask())
     capture_config(cfg, outdir)
     print(f"wrote {len(log)} records to {outdir / 'simulated_log.jsonl'}")
     return 0
@@ -703,6 +681,9 @@ def run_pipeline(cfg: ExperimentConfig, resume: bool = False) -> list:
                                  final_ids, path, "cannot resume: ids that are not training ids")
             if not rows.size:  # only an older version left a round that kept none
                 raise LogFormatError("cannot resume: the round kept no ids", path=path)
+            if stats_rows[-1][1] != str(rows.size):  # a truncated file reads as fewer ids
+                raise LogFormatError(f"cannot resume: {rows.size} ids, but row {done} of "
+                                     f"stats.csv says kept={stats_rows[-1][1]}", path=path)
     logio.write_dataset_csv(outdir / "dataset.csv", ds)
     capture_config(cfg, outdir)
 
@@ -781,47 +762,47 @@ def cmd_select(cfg: ExperimentConfig, log_path) -> int:
     outdir = cfg.output_dir
     write_round(outdir, "", log, result)
     clean = log.clean_mask()
+    write_truth(outdir, log.ids, clean)  # without one, an earlier select's truth goes
+    summary = f"selected {len(result.selected_ids)}/{len(log)}"
     if clean is not None:
-        write_mask_json(outdir / "clean_mask.json", log.ids, clean)
         stats = result.stats = evaluation.selection_precision_recall(result.keep, clean)
-        write_summary(outdir / "stats.csv", STATS_HEADER, [_stats_row(result)])
-        print(
-            f"selected {stats.kept}/{len(log)} "
-            f"(precision={_fmt(stats.precision) or 'n/a'} recall={_fmt(stats.recall) or 'n/a'})"
-        )
-    else:
-        print(f"selected {len(result.selected_ids)}/{len(log)}")
+        summary += (f" (precision={_fmt(stats.precision) or 'n/a'} "
+                    f"recall={_fmt(stats.recall) or 'n/a'})")
+    write_summary(outdir / "stats.csv", STATS_HEADER, [_stats_row(result)])
+    print(summary)
     if result.warning:
         print(result.warning)
     capture_config(cfg, outdir)
     return 0
 
 
-def _load_clean_mask(outputs: Path) -> tuple[list, np.ndarray]:
-    """The ground truth in an outputs dir: training ids and their clean mask."""
+def _load_clean_mask(outputs: Path) -> tuple[dict, np.ndarray]:
+    """The ground truth in an outputs dir: the row of each training id, and
+    the rows' clean mask. It is ``dataset.csv`` when there is one, else the
+    ``TRUTH_FILES``, whose clean ids come first."""
     dataset_csv = outputs / "dataset.csv"
     if dataset_csv.exists():
-        ds = logio.read_dataset_csv(dataset_csv)
-        return ds.train_ids, ds.clean_mask()
-    mask_json = outputs / "clean_mask.json"
-    if mask_json.exists():
-        doc = _read_json_object(mask_json, "not a clean mask")
-        if not all(isinstance(v, bool) for v in doc.values()):
-            raise LogFormatError("not a clean mask: a value is not true or false",
-                                 path=mask_json)
-        return list(doc), np.array(list(doc.values()), dtype=bool)
-    raise LogFormatError(
-        "no ground truth in outputs dir (need dataset.csv or clean_mask.json)",
-        path=outputs,
-    )
+        ds = logio.read_dataset_csv(dataset_csv)  # it rejects a repeated id itself
+        return dict(zip(ds.train_ids, range(len(ds.train_ids)))), ds.clean_mask()
+    paths = [outputs / name for name in TRUTH_FILES]
+    if not any(path.exists() for path in paths):  # with one of them, read_ids names the other
+        raise LogFormatError("no ground truth in outputs dir (need dataset.csv, "
+                             f"or {' and '.join(TRUTH_FILES)})", path=outputs)
+    clean_ids, noisy_ids = map(logio.read_ids, paths)
+    ids = clean_ids + noisy_ids
+    row_of = dict(zip(ids, range(len(ids))))
+    if len(row_of) < len(ids):  # the first repeated id, named in the file of its last listing
+        first = next(k for k, i in enumerate(ids) if row_of[i] != k)
+        raise LogFormatError(f"id {ids[first]!r} appears more than once in the ground truth",
+                             path=paths[row_of[ids[first]] >= len(clean_ids)])
+    return row_of, np.arange(len(ids)) < len(clean_ids)
 
 
 def cmd_eval(cfg: ExperimentConfig, bins: int) -> int:
     if bins < 2:
         raise ConfigError(f"--bins must be >= 2, got {bins}")
     outputs = cfg.output_dir
-    truth_ids, clean = _load_clean_mask(outputs)
-    row_of = {i: row for row, i in enumerate(truth_ids)}
+    row_of, clean = _load_clean_mask(outputs)
     unknown = "ids not in the ground truth"
 
     done = _completed_rounds(outputs)

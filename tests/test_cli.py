@@ -22,9 +22,10 @@ from mfselect.logio import (
     read_prediction_log,
     read_table,
     write_dataset_csv,
+    write_prediction_log,
 )
 from mfselect.mixture import FitConfig, MixtureFit, threshold
-from mfselect.trainer import TrainerConfig, make_blobs
+from mfselect.trainer import RoundLog, TrainerConfig, make_blobs
 
 import mixture_reference
 
@@ -268,8 +269,12 @@ def test_simulate_outputs(tmp_path):
     log = read_prediction_log(out / "simulated_log.jsonl")
     assert len(log) == 400
     assert log.bits.shape == (400, 30)
-    mask = json.loads((out / "clean_mask.json").read_text())
-    assert sum(mask.values()) == 200
+    # the truth: the clean ids, then the noisy ones, each in log order
+    clean = log.clean_mask().tolist()
+    assert read_ids(out / "clean_ids.txt") == [i for i, c in zip(log.ids, clean) if c]
+    assert read_ids(out / "noisy_ids.txt") == [i for i, c in zip(log.ids, clean) if not c]
+    assert sum(clean) == 200
+    assert not (out / "clean_mask.json").exists()
     assert (out / "config_used.json").exists()
 
 
@@ -445,7 +450,7 @@ def test_run_resume_damaged_checkpoint_exits_3(tmp_path, capsys):
     assert "state.json" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("damage", ["missing array", "truncated meta.json",
+@pytest.mark.parametrize("damage", ["missing array", "empty array", "truncated meta.json",
                                     "a trainer setting that no longer exists"])
 def test_run_resume_damaged_model_checkpoint_exits_3(tmp_path, capsys, damage):
     path = write_config(tmp_path, base_config(tmp_path, rounds=2, epochs=4))
@@ -453,6 +458,8 @@ def test_run_resume_damaged_model_checkpoint_exits_3(tmp_path, capsys, damage):
     model = tmp_path / "out" / "model_round2"
     if damage == "missing array":
         (model / "velocity_1.npy").unlink()
+    elif damage == "empty array":  # np.load raises EOFError
+        (model / "param_0.npy").write_bytes(b"")
     elif damage == "truncated meta.json":
         (model / "meta.json").write_text('{"config": {')
     else:  # a checkpoint written while trainer.schedule was a setting
@@ -550,6 +557,24 @@ def test_run_resume_on_an_empty_kept_ids_file_exits_3(tmp_path, capsys):
     assert cli.main(["run", "-c", str(path), "--resume"]) == 3
     err = capsys.readouterr().err
     assert err == f"data error: {ids_path}: cannot resume: the round kept no ids\n"
+    assert tree_digest(out) == before
+
+
+def test_run_resume_on_a_truncated_kept_ids_file_exits_3(tmp_path, capsys):
+    # a file cut short holds fewer ids than the round's stats row says it kept
+    path = write_config(tmp_path, base_config(tmp_path, rounds=2, epochs=4))
+    assert cli.main(["run", "-c", str(path)]) == 0
+    out = tmp_path / "out"
+    rewind_to_round_1(out)
+    ids_path = out / "selected_ids_round1.txt"
+    ids = read_ids(ids_path)
+    ids_path.write_text("\n".join(ids[: len(ids) // 2]))  # no final newline either
+    before = tree_digest(out)
+    capsys.readouterr()
+    assert cli.main(["run", "-c", str(path), "--resume"]) == 3
+    err = capsys.readouterr().err
+    assert err == (f"data error: {ids_path}: cannot resume: {len(ids) // 2} ids, "
+                   f"but row 1 of stats.csv says kept={len(ids)}\n")
     assert tree_digest(out) == before
 
 
@@ -1148,9 +1173,10 @@ def test_eval_invalid_utf8_exits_3_naming_the_file(tmp_path, capsys, name):
     ("select", "config.yaml", ["report"], 2),
     ("run", "out/model_round2/meta.json", ["run", "--resume"], 3),
     ("run", "out/state.json", ["run", "--resume"], 3),
-    ("select", "out/clean_mask.json", ["eval"], 3),
+    ("select", "out/clean_ids.txt", ["eval"], 3),
     ("select", "out/mixture.json", ["eval"], 3),
     ("run", "out/stats.csv", ["report"], 3),
+    ("select", "out/noisy_ids.txt", ["eval"], 3),
 ])
 def test_invalid_utf8_in_a_text_input_exits_naming_it(tmp_path, capsys, setup, name,
                                                        command, code):
@@ -1213,20 +1239,53 @@ def test_eval_scores_table_without_rows_exits_3(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("damage, line", [
-    ("a list", None), ("truncated", 1), ("non-bool values", None),
+@pytest.mark.parametrize("damage", [
+    "an id in both files", "an id twice in one file", "no clean_ids.txt", "no noisy_ids.txt",
+    "neither file",
 ])
-def test_eval_damaged_clean_mask_exits_3_naming_the_file(tmp_path, capsys, damage, line):
+def test_eval_damaged_ground_truth_exits_3_naming_the_file(tmp_path, capsys, damage):
     path, out = simulate_and_select(tmp_path)
-    mask_json = out / "clean_mask.json"
-    text = {"a list": "[1, 2]\n", "truncated": '{"a": ',
-            "non-bool values": mask_json.read_text().replace("true", "1")}[damage]
-    mask_json.write_text(text)
+    clean, noisy = out / "clean_ids.txt", out / "noisy_ids.txt"
+    first = read_ids(clean)[0]
+    if damage in ("an id in both files", "an id twice in one file"):
+        named = noisy if damage == "an id in both files" else clean
+        with named.open("a") as fh:  # named in the file that lists it a second time
+            fh.write(first + "\n")
+        message = f"id {first!r} appears more than once in the ground truth"
+    elif damage == "neither file":
+        clean.unlink()
+        noisy.unlink()
+        named, message = out, ("no ground truth in outputs dir (need dataset.csv, "
+                               "or clean_ids.txt and noisy_ids.txt)")
+    else:
+        named = clean if damage == "no clean_ids.txt" else noisy
+        named.unlink()
+        message = "cannot read the file"
     assert cli.main(["eval", "-c", str(path)]) == 3
     err = capsys.readouterr().err
-    assert "data error" in err and str(mask_json) in err and "Traceback" not in err
-    if line is not None:
-        assert f"(line {line})" in err
+    assert err.startswith(f"data error: {named}: {message}") and "Traceback" not in err
+
+
+def test_select_of_a_log_without_truth_removes_the_earlier_truth_and_stats(tmp_path, capsys):
+    # a select of a log with truth, then one of a log without it into the same dir:
+    # report and eval must not read the first select's stats row or truth
+    path, out = simulate_and_select(tmp_path)
+    log = read_prediction_log(out / "simulated_log.jsonl")
+    unlabelled = tmp_path / "unlabelled.jsonl"
+    write_prediction_log(unlabelled, RoundLog(
+        ids=[f"x{k:05d}" for k in range(len(log))], bits=log.bits, losses=None,
+        labels=log.labels, true_labels=None))
+    assert cli.main(["select", "-c", str(path), "--log", str(unlabelled)]) == 0
+    assert not (out / "clean_ids.txt").exists() and not (out / "noisy_ids.txt").exists()
+    kept = len(read_ids(out / "selected_ids.txt"))
+    _, columns = read_table(out / "stats.csv")
+    assert [cells[0] for cells in columns][:4] == ["1", str(kept), "", ""]
+    assert cli.main(["report", "-c", str(path)]) == 0
+    assert (out / "trend.csv").read_bytes() == b"round,precision,recall,accuracy\r\n1,,,\r\n"
+    capsys.readouterr()
+    assert cli.main(["eval", "-c", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {out}: no ground truth") and "Traceback" not in err
 
 
 def test_report_stats_csv_without_its_columns_exits_3(tmp_path, capsys):

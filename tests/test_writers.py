@@ -1,16 +1,15 @@
 """The per-row writers against the per-row forms they replaced.
 
 Each oracle below is the writer as it was before it formatted whole blocks
-of rows at once: ``csv.writer`` rows, ``json.dumps(sort_keys=True,
-indent=2)``, an f-string join and, for prediction logs, json's encoder on
-each record. The bytes must match for any ids, any scores and any block
-size, including the empty set. All ids of an example come from one alphabet,
-so that lists of plain ids only (which json writes as they are) are as
-common as lists with escapes. Every CSV file comes from ``logio.write_table``:
-for scores, dataset and ``_fmt``-formatted summary columns it must write what
-``csv.writer`` writes, and ``logio.read_table`` must give back the cells it
-wrote. Every writer must leave the old file, and no temp file, when its
-rename fails.
+of rows at once: ``csv.writer`` rows, an f-string join and, for prediction
+logs, json's encoder on each record. The bytes must match for any ids, any
+scores and any block size, including the empty set. All ids of an example
+come from one alphabet, so that lists of plain ids only (which json writes
+as they are) are as common as lists with escapes. Every CSV file comes from
+``logio.write_table``: for scores, dataset and ``_fmt``-formatted summary
+columns it must write what ``csv.writer`` writes, and ``logio.read_table``
+must give back the cells it wrote. Every writer must leave the old file, and
+no temp file, when its rename fails.
 """
 
 import csv
@@ -22,7 +21,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, event, example, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 from test_logio import ID_CHARS, LABELS
 
@@ -48,10 +47,6 @@ scores = st.sampled_from(SCORES) | st.floats()
 blocks = st.sampled_from([1, 2, 3, 10_000])
 property_settings = settings(max_examples=100, deadline=None,
                              suppress_health_check=[HealthCheck.function_scoped_fixture])
-
-
-def plain_json(text: str) -> bool:
-    return json.dumps(text) == f'"{text}"'
 
 
 def csv_oracle(rows) -> bytes:
@@ -108,22 +103,6 @@ def test_dataset_csv_matches_csv_writer(tmp_path, ds, block):
     with mock.patch.object(logio, "BLOCK_ROWS", block):
         logio.write_dataset_csv(tmp_path / "dataset.csv", ds)
     assert (tmp_path / "dataset.csv").read_bytes() == dataset_oracle(ds)
-
-
-@property_settings
-@given(pairs=st.dictionaries(ids_text, st.booleans(), max_size=12), block=blocks)
-# one id that json escapes among plain ones, for each character beside the plain range
-@example(pairs={"a": True, 'b"': False}, block=1)
-@example(pairs={"a\\": True, "b": True}, block=10_000)
-@example(pairs={"\x7f": False}, block=2)
-@example(pairs={"a": False, "\x1f": True}, block=3)
-def test_mask_json_matches_write_json(tmp_path, pairs, block):
-    ids = list(pairs)
-    event("every id plain" if all(map(plain_json, ids)) else "an id escaped")
-    with mock.patch.object(logio, "BLOCK_ROWS", block):
-        cli.write_mask_json(tmp_path / "mask.json", ids, np.array(list(pairs.values()), bool))
-    want = json.dumps(pairs, sort_keys=True, indent=2) + "\n"
-    assert (tmp_path / "mask.json").read_bytes() == want.encode()
 
 
 @property_settings
@@ -214,8 +193,6 @@ def test_table_round_trip_matches_csv_writer(tmp_path, width, n, data, block):
 WRITERS = {
     "scores.csv": lambda path, k: cli.write_scores_csv(path, ["a", "b,c"], [k, 0.5]),
     "selected_ids.txt": lambda path, k: logio.write_ids(path, ["a", str(k)]),
-    "clean_mask.json": lambda path, k: cli.write_mask_json(
-        path, ["a", "b"], np.array([k == 1, True])),
     "stats.csv": lambda path, k: cli.write_summary(
         path, cli.STATS_HEADER, [[k, 10, 0.5, 0.25, None, 1.5, True]]),
     "dataset.csv": lambda path, k: logio.write_dataset_csv(path, ToyDataset(
