@@ -576,10 +576,12 @@ def _round_writer():
     and no child outlives the block, whatever ends it. The child sees this
     process as it was at the fork. A LogFormatError in the child is raised
     again here with its message; any other failure of the child raises a
-    RuntimeError with the child's traceback. Without ``os.fork`` the write
-    runs in this process.
+    RuntimeError with the child's traceback. Without ``os.fork``, on one CPU
+    (where a child only takes turns) or when the fork fails, it writes here.
     """
     running = []  # the child's pid, the read end of its pipe, and its message
+    forks = hasattr(os, "fork") and (not hasattr(os, "sched_getaffinity")
+                                     or len(os.sched_getaffinity(0)) > 1)
 
     def wait():
         if running:
@@ -599,13 +601,10 @@ def _round_writer():
 
     def submit(write, message):
         wait()
-        if not hasattr(os, "fork"):
-            write()
-            if message:
-                print(message)
-            return
         read_fd, write_fd = os.pipe()
-        pid = os.fork()
+        pid = None
+        with contextlib.suppress(OSError):  # a failed fork (say, EAGAIN) made no child
+            pid = os.fork() if forks else None
         if pid == 0:  # the child leaves only by _exit: no atexit, no return to the caller
             status = 1
             try:
@@ -621,7 +620,13 @@ def _round_writer():
             finally:
                 os._exit(status)
         os.close(write_fd)
-        running.append((pid, read_fd, message))
+        if pid is None:  # no child: write here
+            os.close(read_fd)
+            write()
+            if message:
+                print(message)
+        else:
+            running.append((pid, read_fd, message))
 
     try:
         yield submit
@@ -684,11 +689,12 @@ def run_pipeline(cfg: ExperimentConfig, resume: bool = False) -> list:
             if stats_rows[-1][1] != str(rows.size):  # a truncated file reads as fewer ids
                 raise LogFormatError(f"cannot resume: {rows.size} ids, but row {done} of "
                                      f"stats.csv says kept={stats_rows[-1][1]}", path=path)
-    logio.write_dataset_csv(outdir / "dataset.csv", ds)
     capture_config(cfg, outdir)
 
-    # round k's files are written while round k+1 trains
+    # each write overlaps the next round's training; an external command reads dataset.csv first
     with _round_writer() as submit:
+        write_dataset = functools.partial(logio.write_dataset_csv, outdir / "dataset.csv", ds)
+        submit(write_dataset, None) if isinstance(trainer, SGDTrainer) else write_dataset()
         for result, log in selection.run_multiround(ds, trainer, cfg.round_config,
                                                     cfg.fit_config, rows, start_round):
             stats_rows.append(_stats_row(result))

@@ -8,11 +8,12 @@ Prediction logs are newline-delimited JSON, one record per instance:
 ``seq`` has one entry per epoch of the round, so every record's ``seq``
 has the same length; ``losses`` is optional and only needed by the
 small-loss baseline. ``label`` and ``true_label`` must fit in int64. A log
-is read into one ``RoundLog``. A log without losses in the exact layout
-``write_prediction_log`` emits is read in bulk, as numpy bytes in chunks of
-about a megabyte of whole lines: from each line's end, the fixed text
-between the fields, the ints (an optional "-", no leading zero, at most 18
-digits; ``true_label`` may be null), the ``seq`` bits and their ", "
+is read into one ``RoundLog``; mfselect writes its losses to the ``.npy``
+sidecar of ``losses_path`` instead. A log without inline losses in the exact
+layout ``write_prediction_log`` emits is read in bulk, as numpy bytes in
+chunks of about a megabyte of whole lines: from each line's end, the fixed
+text between the fields, the ints (an optional "-", no leading zero, at most
+18 digits; ``true_label`` may be null), the ``seq`` bits and their ", "
 separators, and the id, through ``json.loads`` if it holds an escape. Any
 other layout, raw non-ASCII included, is read line by line, each line
 decoded as UTF-8, with the same checks and the same result; every format
@@ -30,7 +31,7 @@ directory: to a temp file that replaces the target only once it is
 complete. The table and log writers format blocks of ``BLOCK_ROWS`` rows at
 a time, with the bytes ``csv.writer`` writes (``csv_fields``) or, for a log,
 the bytes json's encoder writes for each record; the log writer does not
-call that encoder, and no byte layout changed.
+call that encoder.
 
 An external trainer is any command that, given a dataset file, a selected-
 ids file, an epoch count and a seed, writes such a prediction log; it can
@@ -56,14 +57,18 @@ from .errors import LogFormatError
 from .trainer import RoundLog, ToyDataset
 
 
+def losses_path(path) -> Path:  # log_round2.jsonl: log_round2.losses.npy
+    return Path(path).with_suffix(".losses.npy")
+
+
 def write_prediction_log(path, log: RoundLog) -> None:
     """Write ``log`` one record a line, with the bytes that
-    ``json.JSONEncoder(sort_keys=True)`` gives each record plus "\\n".
+    ``json.JSONEncoder(sort_keys=True)`` gives each record plus "\\n"; its
+    losses, if any, with ``np.save`` to ``losses_path(path)``, else remove that.
 
     Each record is one f-string: the id through json's ASCII string encoder,
-    ints as they are, each loss as its ``repr`` (NaN and ±inf as ``NaN`` and
-    ``±Infinity``), a missing column as ``null``. The ``seq`` texts of a
-    block of rows come from one uint8 buffer; records are streamed.
+    ints as they are, null for losses and a missing column. The ``seq`` texts
+    of a block of rows come from one uint8 buffer; records are streamed.
     """
     epochs = log.bits.shape[1]
 
@@ -78,21 +83,18 @@ def write_prediction_log(path, log: RoundLog) -> None:
         seqs = text.tobytes().decode("ascii").split("\n")
         true_labels = (repeat("null") if log.true_labels is None
                        else log.true_labels[lo:hi].tolist())
-        if log.losses is None:
-            losses = repeat("null")
-        else:
-            part = log.losses[lo:hi]
-            losses = ("[" + ", ".join(map(repr, row)) + "]" for row in part.tolist())
-            if not np.isfinite(part).all():  # repr gives nan, inf and -inf
-                losses = (row.replace("nan", "NaN").replace("inf", "Infinity")
-                          for row in losses)
-        return (f'{{"id": {rec_id}, "label": {label}, "losses": {loss}, "seq": [{seq}], '
+        return (f'{{"id": {rec_id}, "label": {label}, "losses": null, "seq": [{seq}], '
                 f'"true_label": {true_label}}}\n'
-                for rec_id, label, loss, seq, true_label in zip(
+                for rec_id, label, seq, true_label in zip(
                     map(encode_basestring_ascii, log.ids[lo:hi]),
-                    log.labels[lo:hi].tolist(), losses, seqs, true_labels))
+                    log.labels[lo:hi].tolist(), seqs, true_labels))
 
     write_atomic(path, chain.from_iterable(row_blocks(len(log), block)))
+    if log.losses is None:
+        remove_earlier(losses_path(path), "losses")
+    else:
+        with atomic_path(losses_path(path), "wb") as fh:
+            np.save(fh, np.asarray(log.losses, dtype=np.float64))
 
 
 # One record exactly as ``write_prediction_log`` lays it out for a log
@@ -114,13 +116,23 @@ def read_prediction_log(path) -> RoundLog:
     """Parse a prediction log, reporting the offending line on bad input.
 
     Every ``seq`` must have the first record's length. ``losses`` and
-    ``true_labels`` of the result are None unless every record has them.
-    A log without losses in ``write_prediction_log``'s exact layout is read
-    in bulk; any other (valid or not) is read line by line, which gives the
-    same result or names the bad line.
+    ``true_labels`` of the result are None unless every record has them, or
+    the (records, epochs) float64 sidecar ``losses_path(path)`` holds them.
+    A log without inline losses in ``write_prediction_log``'s exact layout is
+    read in bulk; any other (valid or not) is read line by line, which gives
+    the same result or names the bad line.
     """
-    log = _read_canonical_log(path)
-    return _read_log_lines(path) if log is None else log
+    inline = not (sidecar := losses_path(path)).exists()
+    log = _read_canonical_log(path) or _read_log_lines(path, inline)  # a log is never empty
+    if not inline:
+        try:  # mapped: a truncated file fails before any data is read
+            losses = np.load(sidecar, mmap_mode="r", allow_pickle=False)
+        except (OSError, ValueError, EOFError) as exc:
+            raise LogFormatError(f"cannot read the losses: {exc}", path=sidecar) from None
+        if getattr(losses, "dtype", None) != np.float64 or losses.shape != log.bits.shape:
+            raise LogFormatError(f"must be float64 of shape {log.bits.shape}", path=sidecar)
+        log.losses = np.array(losses)
+    return log
 
 
 def _read_canonical_log(path) -> RoundLog | None:
@@ -223,7 +235,7 @@ def _ints_before(b, end):
     return np.where(lead > first, -value, value), ok, end - _INT_WIDTH + lo + first
 
 
-def _read_log_lines(path) -> RoundLog:
+def _read_log_lines(path, inline: bool = True) -> RoundLog:
     path = Path(path)
     ids, labels, true_labels, seqs, losses = [], [], [], [], []
     seen = set()
@@ -249,9 +261,9 @@ def _read_log_lines(path) -> RoundLog:
                     path=path, line=lineno,
                 )
             loss = raw.get("losses")
-            if loss is not None and (not isinstance(loss, list) or len(loss) != len(seq)):
-                raise LogFormatError("'losses' must be null or match 'seq' length",
-                                     path=path, line=lineno)
+            if not (loss is None or inline and isinstance(loss, list) and len(loss) == len(seq)):
+                what = "or match 'seq' length" if inline else f"beside {losses_path(path)}"
+                raise LogFormatError(f"'losses' must be null {what}", path=path, line=lineno)
             rec_id = str(raw["id"])
             if "\n" in rec_id:
                 raise LogFormatError(f"id {rec_id!r} holds a line break",
@@ -566,6 +578,7 @@ class ExternalTrainer:
                               out=str(out_file), epochs=epochs, seed=self.seed)
                    for arg in self.command]
         remove_earlier(out_file, "log")  # an earlier run's log is not this round's
+        remove_earlier(losses_path(out_file), "losses")
         try:  # the command's output is read only for its last stderr line
             proc = subprocess.run(command, capture_output=True, encoding="utf-8",
                                   errors="replace", check=False)

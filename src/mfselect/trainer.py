@@ -289,8 +289,8 @@ class SGDTrainer:
         self.__dict__.update(self.from_state_dict(state).__dict__)
 
     def loss_and_grads(self, x: np.ndarray, target: np.ndarray, pick: np.ndarray,
-                       losses: np.ndarray) -> np.ndarray:
-        """Logits of the batch ``x``; the mean-loss gradients go into ``grads``.
+                       losses: np.ndarray, z: np.ndarray) -> None:
+        """The batch ``x``'s logits go into ``z``, its mean-loss gradients into ``grads``.
 
         ``target`` holds the batch's labels one-hot, and ``pick`` each label's
         index into the flattened logits. Each sample's cross-entropy loss is
@@ -299,12 +299,14 @@ class SGDTrainer:
         """
         if self.hidden:
             w1, b1, w, b = self.params
-            pre = x @ w1 + b1
+            pre = x @ w1
+            pre += b1
             h = np.maximum(pre, 0.0)
         else:
             w, b = self.params
             h = x
-        z = h @ w + b
+        np.matmul(h, w, out=z)
+        z += b
         z_max = z.max(axis=1, keepdims=True)
         log_norm = z_max + np.log(np.exp(z - z_max).sum(axis=1, keepdims=True))
         np.subtract(log_norm[:, 0], z.take(pick), out=losses)
@@ -314,14 +316,14 @@ class SGDTrainer:
         probs /= len(x)
         if self.hidden:
             g_w1, g_b1, g_w, g_b = self.grads
-            d_h = np.where(pre <= 0, 0.0, probs @ w.T)
+            d_h = probs @ w.T
+            d_h *= pre > 0  # -0.0 where a select gave 0.0: the step's sums absorb the sign
             np.matmul(x.T, d_h, out=g_w1)
             d_h.sum(axis=0, out=g_b1)
         else:
             g_w, g_b = self.grads
         np.matmul(h.T, probs, out=g_w)
         probs.sum(axis=0, out=g_b)
-        return z
 
     def train_epoch(self, features: np.ndarray, labels: np.ndarray,
                     learning_rate: float | None = None):
@@ -340,8 +342,8 @@ class SGDTrainer:
         target = np.zeros((n, self.n_classes))
         target[np.arange(n), y] = 1.0
         pick = np.arange(n) % batch * self.n_classes + y
-        # predictions and losses in that order too, scattered back at the end
-        preds_perm = np.empty(n, dtype=np.int64)
+        # logits and losses in that order too, scattered back at the end
+        logits = np.empty((n, self.n_classes))
         losses_perm = np.empty(n, dtype=float)
         params, velocity = self.flat_params, self.flat_velocity
         grads, momentum = self.flat_grads, self.config.momentum
@@ -349,19 +351,18 @@ class SGDTrainer:
             for start in range(0, n, batch):
                 rows = slice(start, start + batch)
                 batch_losses = losses_perm[rows]
-                logits = self.loss_and_grads(x[rows], target[rows], pick[rows],
-                                             batch_losses)
+                self.loss_and_grads(x[rows], target[rows], pick[rows], batch_losses,
+                                    logits[rows])
                 if not np.isfinite(batch_losses).all():
                     raise FloatingPointError(
                         f"non-finite loss in batch at offset {start} "
                         f"(size {batch_losses.size}, lr {lr:.3g})"
                     )
-                logits.argmax(axis=1, out=preds_perm[rows])
                 velocity *= momentum
                 velocity += grads
                 params -= lr * velocity
-        preds, losses = np.empty_like(preds_perm), np.empty_like(losses_perm)
-        preds[perm], losses[perm] = preds_perm, losses_perm
+        preds, losses = np.empty(n, dtype=np.int64), np.empty_like(losses_perm)
+        preds[perm], losses[perm] = logits.argmax(axis=1), losses_perm
         return preds, losses
 
     def fit_round(self, dataset: ToyDataset, rows, epochs: int) -> RoundLog:

@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -358,7 +359,9 @@ def test_run_outputs_and_stats(tmp_path):
         "dataset.csv",
         "stats.csv",
         "log_round1.jsonl",
+        "log_round1.losses.npy",
         "log_round2.jsonl",
+        "log_round2.losses.npy",
         "scores_round1.csv",
         "selected_ids_round1.txt",
         "selected_ids_final.txt",
@@ -698,6 +701,36 @@ def test_run_without_fork_writes_the_same_tree(tmp_path, monkeypatch, capsys):
     assert_no_child_process()
 
 
+def test_run_when_fork_fails_writes_in_process(tmp_path, monkeypatch, capsys):
+    path = write_config(tmp_path, base_config(tmp_path, rounds=3, epochs=4))
+    assert cli.main(["run", "-c", str(path), "-o", str(tmp_path / "forked")]) == 0
+    forked = capsys.readouterr()
+
+    def fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", fork)
+    assert cli.main(["run", "-c", str(path), "-o", str(tmp_path / "in_process")]) == 0
+    assert capsys.readouterr() == forked
+    assert tree_digest(tmp_path / "in_process") == tree_digest(tmp_path / "forked")
+    assert_no_child_process()
+
+
+def test_run_on_one_cpu_does_not_fork(tmp_path, monkeypatch, capsys):
+    path = write_config(tmp_path, base_config(tmp_path, rounds=3, epochs=4))
+    assert cli.main(["run", "-c", str(path), "-o", str(tmp_path / "forked")]) == 0
+    forked = capsys.readouterr()
+
+    def fork():
+        raise AssertionError("forked on one CPU")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "fork", fork)
+    assert cli.main(["run", "-c", str(path), "-o", str(tmp_path / "one_cpu")]) == 0
+    assert capsys.readouterr() == forked
+    assert tree_digest(tmp_path / "one_cpu") == tree_digest(tmp_path / "forked")
+
+
 # an external trainer that lists its records in reverse and gets every label
 # wrong; an instance's chance of a 1 bit depends on whether its label is noisy
 EXTERNAL_STUB = """\
@@ -951,6 +984,79 @@ def test_select_small_loss_without_losses_exits_3(tmp_path, capsys):
                      "--log", str(log), "--set", "round.strategy=small_loss"]) == 3
     err = capsys.readouterr().err
     assert str(log) in err and "'losses' in every record" in err
+
+
+def test_select_small_loss_on_a_run_log_keeps_the_run_selection(tmp_path):
+    path = write_config(tmp_path, base_config(tmp_path, rounds=1, strategy="small_loss"))
+    assert cli.main(["run", "-c", str(path)]) == 0
+    out, sel = tmp_path / "out", tmp_path / "sel"
+    assert (out / "log_round1.losses.npy").stat().st_size > 0
+    assert '"losses": [' not in (out / "log_round1.jsonl").read_text()
+    assert cli.main(["select", "-c", str(path), "-o", str(sel), "--log",
+                     str(out / "log_round1.jsonl"), "--set", "round.strategy=small_loss"]) == 0
+    assert ((sel / "selected_ids.txt").read_bytes()
+            == (out / "selected_ids_round1.txt").read_bytes())
+
+
+def damage_sidecar(log, sidecar, defect):
+    """Leave ``sidecar``, the losses of the log at ``log``, with ``defect``."""
+    if defect == "empty":
+        sidecar.write_bytes(b"")
+    elif defect == "truncated":
+        sidecar.write_bytes(sidecar.read_bytes()[:-8])
+    elif defect == "wrong shape":
+        np.save(sidecar, np.zeros((3, 4)))
+    elif defect == "int dtype":
+        np.save(sidecar, np.load(sidecar).astype(np.int64))
+    elif defect == "pickled object array":
+        np.save(sidecar, np.load(sidecar).astype(object), allow_pickle=True)
+    elif defect == "npz archive":
+        losses = np.load(sidecar)
+        with sidecar.open("wb") as fh:
+            np.savez(fh, losses=losses)
+    elif defect == "a directory":
+        sidecar.unlink()
+        sidecar.mkdir()
+    elif defect == "inline losses as well":  # the sidecar stays as it is
+        lines = [json.loads(line) for line in log.read_text().splitlines()]
+        log.write_text("".join(json.dumps(dict(rec, losses=[1.0] * len(rec["seq"])),
+                                          sort_keys=True) + "\n" for rec in lines))
+
+
+@pytest.mark.parametrize("defect", ["empty", "truncated", "wrong shape", "int dtype",
+                                    "pickled object array", "npz archive", "a directory",
+                                    "inline losses as well"])
+def test_select_on_a_damaged_losses_sidecar_exits_3_naming_it(tmp_path, capsys, defect):
+    path = write_config(tmp_path)
+    log, sidecar = tmp_path / "log.jsonl", tmp_path / "log.losses.npy"
+    rng = np.random.default_rng(0)
+    bits = (rng.random((40, 6)) < 0.6).astype(np.int8)
+    write_prediction_log(log, RoundLog(
+        ids=[f"x{k}" for k in range(40)], bits=bits, losses=rng.random((40, 6)),
+        labels=np.zeros(40, dtype=np.int64), true_labels=None))
+    damage_sidecar(log, sidecar, defect)
+    for strategy in ("small_loss", "mixture_threshold"):  # every select reads the losses
+        assert cli.main(["select", "-c", str(path), "-o", str(tmp_path / "sel"), "--log",
+                         str(log), "--set", f"round.strategy={strategy}"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(sidecar) in err, err
+        assert "Traceback" not in err and err.count("\n") == 1
+
+
+def test_external_trainer_run_removes_a_stale_losses_sidecar(tmp_path):
+    stub = tmp_path / "stub.py"
+    stub.write_text(EXTERNAL_STUB)
+    config = base_config(tmp_path, rounds=1, epochs=5)
+    config["trainer"] = {"kind": "external", "seed": 5, "command":
+                         f"{sys.executable} {stub} {{dataset}} {{ids}} {{out}} {{epochs}} {{seed}}"}
+    path = write_config(tmp_path, config)
+    # an earlier command's losses, of the shape this round's log will have
+    stale = tmp_path / "out" / "external" / "log_round1.losses.npy"
+    stale.parent.mkdir(parents=True)
+    np.save(stale, np.zeros((320, 5)))
+    assert cli.main(["run", "-c", str(path)]) == 0
+    assert not stale.exists()
+    assert not (tmp_path / "out" / "log_round1.losses.npy").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 import re
 import shlex
 import sys
+from dataclasses import replace
 from types import SimpleNamespace
 from unittest import mock
 
@@ -180,14 +181,15 @@ def test_canonical_log_is_read_in_bulk(tmp_path, monkeypatch):
     for log in bulk:
         write_prediction_log(path, log)
         assert_same_log(logio._read_canonical_log(path), log)
+    # a log with losses is canonical too: its losses go to the sidecar
     write_prediction_log(path, sample_log())
-    assert logio._read_canonical_log(path) is None  # logs with losses: line reader
+    assert_same_log(logio._read_canonical_log(path), replace(sample_log(), losses=None))
 
-    def line_reader(path):
+    def line_reader(path, inline=True):
         raise AssertionError("the line reader was called on a canonical log")
 
     monkeypatch.setattr(logio, "_read_log_lines", line_reader)
-    for log in bulk:
+    for log in bulk + [sample_log()]:
         write_prediction_log(path, log)
         assert_same_log(read_prediction_log(path), log)
 
@@ -345,7 +347,15 @@ def assert_identical(got, want):
 @given(log=round_logs(), chunk=st.sampled_from([1, 64, 1 << 20]), data=st.data())
 def test_bulk_reader_matches_line_reader(tmp_path, log, chunk, data):
     path = tmp_path / "log.jsonl"
-    write_prediction_log(path, log)
+    if log.losses is None:
+        write_prediction_log(path, log)
+    else:  # losses in the records, as an external trainer may write them
+        path.write_text("".join(
+            json.dumps({"id": i, "label": label, "losses": losses, "seq": seq,
+                        "true_label": truth}, sort_keys=True) + "\n"
+            for i, label, losses, seq, truth in zip(
+                log.ids, log.labels.tolist(), log.losses.tolist(), log.bits.tolist(),
+                [None] * len(log) if log.true_labels is None else log.true_labels.tolist())))
     written = path.read_text()
     for kind in (None,) + PERTURBATIONS:
         if kind is not None:
@@ -561,6 +571,15 @@ def test_external_round_returns_the_datasets_labels(tmp_path, stub):
     assert log.true_labels.tolist() == [0, 0, 0]
 
 
+# a command that copies the log given first, and its losses sidecar, to {out}
+COPIER = """\
+import shutil, sys
+from mfselect.logio import losses_path
+shutil.copy(sys.argv[1], sys.argv[2])
+shutil.copy(losses_path(sys.argv[1]), losses_path(sys.argv[2]))
+"""
+
+
 def test_external_trainer_echoes_precomputed_log(tmp_path):
     """A stub that copies a precomputed in-process log must reproduce the
     in-process round exactly."""
@@ -572,7 +591,7 @@ def test_external_trainer_echoes_precomputed_log(tmp_path):
     write_prediction_log(precomputed, inproc)
 
     copier = tmp_path / "copy_log.py"
-    copier.write_text("import shutil, sys; shutil.copy(sys.argv[1], sys.argv[2])\n")
+    copier.write_text(COPIER)
     bridge = ExternalTrainer(
         f"{sys.executable} {copier} {precomputed} {{out}}",
         tmp_path / "data.csv",
@@ -582,7 +601,7 @@ def test_external_trainer_echoes_precomputed_log(tmp_path):
     external = bridge.fit_round(ds, ds.train_positions, epochs=5)
     assert external.ids == inproc.ids
     assert np.array_equal(external.bits, inproc.bits)
-    assert np.allclose(external.losses, inproc.losses)
+    assert external.losses.tobytes() == inproc.losses.tobytes()
 
 
 def test_external_trainer_returns_caller_order_for_shuffled_log(tmp_path):
@@ -600,7 +619,7 @@ def test_external_trainer_returns_caller_order_for_shuffled_log(tmp_path):
         ),
     )
     copier = tmp_path / "copy_log.py"
-    copier.write_text("import shutil, sys; shutil.copy(sys.argv[1], sys.argv[2])\n")
+    copier.write_text(COPIER)
     bridge = ExternalTrainer(
         f"{sys.executable} {copier} {shuffled} {{out}}",
         tmp_path / "data.csv", tmp_path / "work", seed=0,

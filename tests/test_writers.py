@@ -2,7 +2,8 @@
 
 Each oracle below is the writer as it was before it formatted whole blocks
 of rows at once: ``csv.writer`` rows, an f-string join and, for prediction
-logs, json's encoder on each record. The bytes must match for any ids, any
+logs, json's encoder on each record with null losses (the losses go, bit for
+bit, to the ``.losses.npy`` sidecar). The bytes must match for any ids, any
 scores and any block size, including the empty set. All ids of an example
 come from one alphabet, so that lists of plain ids only (which json writes
 as they are) are as common as lists with escapes. Every CSV file comes from
@@ -118,14 +119,14 @@ ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 def prediction_log_oracle(log) -> bytes:
+    """The log's records with null losses: its losses go to the sidecar."""
     n = len(log)
     true_labels = [None] * n if log.true_labels is None else log.true_labels.tolist()
-    losses = [None] * n if log.losses is None else log.losses.tolist()
-    rows = zip(log.ids, log.labels.tolist(), true_labels, log.bits.tolist(), losses)
+    rows = zip(log.ids, log.labels.tolist(), true_labels, log.bits.tolist())
     return "".join(
         ENCODER.encode({"id": rec_id, "label": label, "true_label": true_label,
-                        "seq": seq, "losses": loss}) + "\n"
-        for rec_id, label, true_label, seq, loss in rows
+                        "seq": seq, "losses": None}) + "\n"
+        for rec_id, label, true_label, seq in rows
     ).encode()
 
 
@@ -148,13 +149,30 @@ def prediction_logs(draw):
 
 
 @property_settings
-@given(log=prediction_logs(), block=blocks)
-def test_prediction_log_matches_encoder(tmp_path, log, block):
+@given(log=prediction_logs(), block=blocks, stale=st.booleans())
+def test_prediction_log_matches_encoder(tmp_path, log, block, stale):
     event("losses" if log.losses is not None else "no losses")
     event("true labels" if log.true_labels is not None else "no true labels")
+    path, sidecar = tmp_path / "log.jsonl", tmp_path / "log.losses.npy"
+    sidecar.unlink(missing_ok=True)
+    if stale:  # an earlier log's losses: a log without losses removes them
+        np.save(sidecar, np.ones((2, 9)))
     with mock.patch.object(logio, "BLOCK_ROWS", block):
-        logio.write_prediction_log(tmp_path / "log.jsonl", log)
-    assert (tmp_path / "log.jsonl").read_bytes() == prediction_log_oracle(log)
+        logio.write_prediction_log(path, log)
+    assert path.read_bytes() == prediction_log_oracle(log)
+    if log.losses is None:
+        assert not sidecar.exists()
+    else:  # bit for bit: every NaN payload, -0.0 and subnormals included
+        losses = np.load(sidecar, allow_pickle=False)
+        assert losses.dtype == np.float64 and losses.shape == log.losses.shape
+        assert losses.tobytes() == log.losses.tobytes()
+    if len(log) and not any("\n" in i for i in log.ids):  # else no reader takes the log
+        back = logio.read_prediction_log(path)
+        assert back.ids == log.ids
+        for name in ("bits", "losses", "labels", "true_labels"):
+            got, want = getattr(back, name), getattr(log, name)
+            assert (got is None) == (want is None), name
+            assert got is None or (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), name
 
 
 cells = ids_text | scores | st.integers() | st.booleans() | st.none()
