@@ -27,7 +27,7 @@ import traceback
 import types
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
-from itertools import compress, count, takewhile
+from itertools import count, takewhile
 from pathlib import Path
 
 import numpy as np
@@ -369,7 +369,7 @@ def write_truth(outdir: Path, ids, clean) -> None:
             logio.remove_earlier(path, "ground truth")
     else:
         for path, flags in zip(paths, (clean, ~clean)):
-            logio.write_ids(path, list(compress(ids, flags.tolist())))
+            logio.write_ids(path, selection.ids_where(ids, flags))
 
 
 def capture_config(cfg: ExperimentConfig, outdir: Path) -> None:

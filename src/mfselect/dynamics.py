@@ -20,11 +20,14 @@ def score_sequences(bits, metric_kind: str = "simplified", lam: float = 1.0):
     no run having difficulty 0. ``simplified`` drops the run counts: the
     misclassified epochs minus ``lam`` times the memorized epochs.
 
-    Raises ValueError on no epochs or a ``lam`` that is negative, NaN or overflows the scores.
+    Raises ValueError on input that is not 2-D, no epochs or a ``lam`` that
+    is negative, NaN or overflows the scores.
     """
     if metric_kind not in ("full", "simplified"):
         raise ValueError(f"metric_kind must be 'full' or 'simplified', got {metric_kind!r}")
     bits = np.asarray(bits)
+    if bits.ndim != 2:
+        raise ValueError(f"bits must be an (n, E) matrix, got shape {bits.shape}")
     if bits.shape[1] == 0:
         raise ValueError("cannot score an empty sequence: no epochs recorded")
     try:
@@ -33,12 +36,14 @@ def score_sequences(bits, metric_kind: str = "simplified", lam: float = 1.0):
         finite = False
     if not finite:
         raise ValueError(f"lam must be finite and nonnegative, also times the epochs, got {lam}")
-    memorized = np.count_nonzero(bits, axis=1)
+    # int32 sums of bools beat count_nonzero along a short row; int32 would
+    # wrap only on a row of 2**31 epochs, 2 GiB of bits
+    memorized = (bits != 0).sum(axis=1, dtype=np.int32)
     misclassified = bits.shape[1] - memorized
     if metric_kind == "simplified":
         return misclassified - float(lam) * memorized
     # runs alternate in status, so the first status fixes both run counts
-    n_runs = 1 + np.count_nonzero(bits[:, 1:] != bits[:, :-1], axis=1)
+    n_runs = 1 + (bits[:, 1:] != bits[:, :-1]).sum(axis=1, dtype=np.int32)
     n_memorized = (n_runs + bits[:, 0]) // 2
     n_misclassified = n_runs - n_memorized
     memorization = np.divide(misclassified, n_misclassified, out=np.zeros(len(bits)),

@@ -105,7 +105,17 @@ def small_loss_select(losses, ratio: float) -> np.ndarray:
 
     ``losses`` is the (n, E) per-epoch loss matrix.
     """
-    return select_by_ratio(np.asarray(losses)[:, -1], ratio)
+    losses = np.asarray(losses)
+    if losses.ndim != 2:
+        raise ValueError(f"losses must be an (n, E) matrix, got shape {losses.shape}")
+    return select_by_ratio(losses[:, -1], ratio)
+
+
+def ids_where(ids, mask) -> list:
+    """The ids whose ``mask`` entry is true, in order; a non-bool mask keeps
+    the ids at its nonzero entries."""
+    # a bool array's bytes are each 0 or 1: compress reads them with no list built
+    return list(compress(ids, np.asarray(mask, dtype=bool).tobytes()))
 
 
 def _apply_strategy(scores, log, config: RoundConfig, fit_config: FitConfig,
@@ -149,7 +159,7 @@ def _apply_strategy(scores, log, config: RoundConfig, fit_config: FitConfig,
         round_index=round_index,
         scores=scores,
         keep=keep,
-        selected_ids=list(compress(log.ids, keep.tolist())),
+        selected_ids=ids_where(log.ids, keep),
         threshold=tau,
         fit=fit,
         used_fallback=used_fallback,

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -81,6 +82,17 @@ def test_score_sequences_no_epochs_rejected():
     for kind in ("full", "simplified"):
         with pytest.raises(ValueError, match="no epochs"):
             score_sequences(np.zeros((3, 0), dtype=np.int8), kind)
+
+
+@pytest.mark.parametrize("kind", ["full", "simplified"])
+@pytest.mark.parametrize("bits, shape", [
+    ([0, 1, 1], "(3,)"),
+    (np.zeros((2, 3, 4), dtype=np.int8), "(2, 3, 4)"),
+    (np.int8(1), "()"),
+])
+def test_score_sequences_rejects_input_not_2d(bits, shape, kind):
+    with pytest.raises(ValueError, match=re.escape(f"an (n, E) matrix, got shape {shape}")):
+        score_sequences(bits, kind)
 
 
 # ---------------------------------------------------------------------------

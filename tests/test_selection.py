@@ -1,11 +1,12 @@
 import math
+import re
 import weakref
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mfselect.selection as selection_mod
@@ -17,6 +18,7 @@ from mfselect.selection import (
     STRATEGIES,
     RoundConfig,
     compare_strategies,
+    ids_where,
     run_multiround,
     select_by_ratio,
     select_by_threshold,
@@ -223,6 +225,15 @@ def test_small_loss_ranks_at_chosen_epoch():
     assert kept(ids, small_loss_select(losses, 1.0)) == ["a", "b", "c"]
 
 
+@pytest.mark.parametrize("losses, shape", [
+    ([0.1, 0.2], "(2,)"),
+    (np.zeros((2, 3, 4)), "(2, 3, 4)"),
+])
+def test_small_loss_rejects_losses_not_2d(losses, shape):
+    with pytest.raises(ValueError, match=re.escape(f"an (n, E) matrix, got shape {shape}")):
+        small_loss_select(losses, 0.5)
+
+
 def test_small_loss_beats_chance_on_dominated_losses():
     # noisy losses stochastically dominate clean ones, so ranking by loss
     # must keep a cleaner-than-chance subset
@@ -288,6 +299,33 @@ def test_array_selectors_match_per_row_oracle(scores, data):
     ids = [i for i in range(n) if selected[i]]
     assert (stats.precision, stats.recall, stats.kept) == oracle_precision_recall(
         ids, dict(enumerate(clean)))
+
+
+MASK_LAYOUTS = {
+    "bool": lambda flags: flags != 0,
+    "int": lambda flags: flags,  # any nonzero entry keeps its id, -1 and 2 too
+    "strided": lambda flags: np.stack([flags != 0, flags == 0], axis=1)[:, 0],
+    "list": lambda flags: flags.tolist(),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(flags=st.lists(st.integers(-1, 2), max_size=40),
+       layout=st.sampled_from(sorted(MASK_LAYOUTS)), id_array=st.booleans())
+@example(flags=[], layout="bool", id_array=False)  # no ids
+@example(flags=[1] * 5, layout="bool", id_array=False)  # all kept
+@example(flags=[0] * 5, layout="bool", id_array=True)  # none kept
+@example(flags=[1, 0, 1, 1, 0], layout="strided", id_array=False)
+@example(flags=[2, 0, -1, 0, 1], layout="int", id_array=True)
+def test_ids_where_matches_per_row_oracle(flags, layout, id_array):
+    ids = [f"id{k}" for k in range(len(flags))]
+    if id_array:  # a dataset's ids are an object array
+        ids = np.array(ids, dtype=object)
+    mask = MASK_LAYOUTS[layout](np.array(flags, dtype=np.int64))
+    if layout == "strided" and len(flags) > 1:
+        assert not mask.flags.c_contiguous
+    got = ids_where(ids, mask)
+    assert type(got) is list and got == [i for i, k in zip(ids, mask) if k]
 
 
 # ---------------------------------------------------------------------------
