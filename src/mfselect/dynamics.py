@@ -11,9 +11,13 @@ memorize and slow to forget score low and are the likely-clean ones.
 
 import numpy as np
 
+ROW_BLOCK = 8192  # rows per block of status counts: 400 KB of bools at 50 epochs
+
 
 def score_sequences(bits, metric_kind: str = "simplified", lam: float = 1.0):
     """Score every row of an (n, E) 0/1 status matrix at once.
+
+    Any nonzero entry counts as memorized.
 
     Returns a float64 array in row order. ``full`` is the memorization
     difficulty minus ``lam`` times the forgetting difficulty, a status with
@@ -36,15 +40,27 @@ def score_sequences(bits, metric_kind: str = "simplified", lam: float = 1.0):
         finite = False
     if not finite:
         raise ValueError(f"lam must be finite and nonnegative, also times the epochs, got {lam}")
-    # int32 sums of bools beat count_nonzero along a short row; int32 would
-    # wrap only on a row of 2**31 epochs, 2 GiB of bits
-    memorized = (bits != 0).sum(axis=1, dtype=np.int32)
+    # The counts go block by block of rows, so the bool status of a block
+    # and its changes stay small; for the whole matrix they would hold two
+    # more copies of its bits. int32 sums of bools beat count_nonzero along
+    # a short row; int32 would wrap only on a row of 2**31 epochs.
+    full = metric_kind == "full"
+    memorized = np.empty(len(bits), dtype=np.int32)
+    changes = np.empty_like(memorized)
+    first = np.empty(len(bits), dtype=bool)
+    for start in range(0, len(bits), ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        status = bits[rows] != 0
+        status.sum(axis=1, dtype=np.int32, out=memorized[rows])
+        if full:
+            (status[:, 1:] != status[:, :-1]).sum(axis=1, dtype=np.int32, out=changes[rows])
+            first[rows] = status[:, 0]
     misclassified = bits.shape[1] - memorized
-    if metric_kind == "simplified":
+    if not full:
         return misclassified - float(lam) * memorized
     # runs alternate in status, so the first status fixes both run counts
-    n_runs = 1 + (bits[:, 1:] != bits[:, :-1]).sum(axis=1, dtype=np.int32)
-    n_memorized = (n_runs + bits[:, 0]) // 2
+    n_runs = changes + 1
+    n_memorized = (n_runs + first) // 2
     n_misclassified = n_runs - n_memorized
     memorization = np.divide(misclassified, n_misclassified, out=np.zeros(len(bits)),
                              where=n_misclassified > 0)

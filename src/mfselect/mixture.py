@@ -194,8 +194,6 @@ def weighted_weibull_mle(x_scaled, log_x, scale_ref: float, w) -> WeibullParams:
             "samples are (effectively) all identical; shape parameter is unbounded"
         )
 
-    # Power sums that underflow to 0 make the score NaN; the Newton loop
-    # takes a NaN step as a miss and bisects, so numpy need not warn.
     def score_and_derivative(beta):
         t = x_scaled**beta
         t *= w
@@ -204,46 +202,49 @@ def weighted_weibull_mle(x_scaled, log_x, scale_ref: float, w) -> WeibullParams:
         a1 = t.sum()
         t *= log_x
         a2 = t.sum()
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ratio = a1 / a0
-            g = ratio - 1.0 / beta - log_mean
-            gp = (a2 / a0 - ratio * ratio) + 1.0 / (beta * beta)
+        ratio = a1 / a0
+        g = ratio - 1.0 / beta - log_mean
+        gp = (a2 / a0 - ratio * ratio) + 1.0 / (beta * beta)
         return g, gp
 
-    # The score equation is monotone increasing on the bracket; a root
-    # outside it means a component sharper/flatter than the parameter space
-    # allows (e.g. near-identical samples), so clamp to the boundary, which
-    # is the constrained maximizer. a1/a0 averages log(x/max(x)) <= 0, so
-    # g(lo) >= 0 needs -1/lo - log_mean >= 0; the rounding of each step is
-    # monotone, so skipping g(lo) otherwise changes no result.
-    lo, hi = BETA_BRACKET
-    if -1.0 / lo - log_mean >= 0 and score_and_derivative(lo)[0] >= 0:
-        beta = lo
-    elif score_and_derivative(hi)[0] <= 0:
-        beta = hi
-    else:
-        # Moment start: Var(log X) = (pi^2/6)/beta^2 for a Weibull.
-        beta = min(max((math.pi / math.sqrt(6.0)) / log_sd, lo * 1.5), hi / 1.5)
-        converged = False
-        for _ in range(NEWTON_MAX_ITERS):
-            g, gp = score_and_derivative(beta)
-            if g < 0:
-                lo = beta
-            else:
-                hi = beta
-            candidate = beta - g / gp
-            if not (lo < candidate < hi) or not math.isfinite(candidate):
-                candidate = 0.5 * (lo + hi)
-            if abs(candidate - beta) <= NEWTON_TOL * max(1.0, abs(beta)):
+    # Power sums that underflow to 0 make the score NaN; the Newton loop
+    # takes a NaN step as a miss and bisects, so numpy need not warn. The
+    # errstate is entered once per solve, not once per score (~1.5 us each).
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # The score equation is monotone increasing on the bracket; a root
+        # outside it means a component sharper/flatter than the parameter space
+        # allows (e.g. near-identical samples), so clamp to the boundary, which
+        # is the constrained maximizer. a1/a0 averages log(x/max(x)) <= 0, so
+        # g(lo) >= 0 needs -1/lo - log_mean >= 0; the rounding of each step is
+        # monotone, so skipping g(lo) otherwise changes no result.
+        lo, hi = BETA_BRACKET
+        if -1.0 / lo - log_mean >= 0 and score_and_derivative(lo)[0] >= 0:
+            beta = lo
+        elif score_and_derivative(hi)[0] <= 0:
+            beta = hi
+        else:
+            # Moment start: Var(log X) = (pi^2/6)/beta^2 for a Weibull.
+            beta = min(max((math.pi / math.sqrt(6.0)) / log_sd, lo * 1.5), hi / 1.5)
+            converged = False
+            for _ in range(NEWTON_MAX_ITERS):
+                g, gp = score_and_derivative(beta)
+                if g < 0:
+                    lo = beta
+                else:
+                    hi = beta
+                candidate = beta - g / gp
+                if not (lo < candidate < hi) or not math.isfinite(candidate):
+                    candidate = 0.5 * (lo + hi)
+                if abs(candidate - beta) <= NEWTON_TOL * max(1.0, abs(beta)):
+                    beta = candidate
+                    converged = True
+                    break
                 beta = candidate
-                converged = True
-                break
-            beta = candidate
-        if not converged:
-            raise NewtonDivergenceError(
-                f"shape solver did not converge in {NEWTON_MAX_ITERS} iterations",
-                last_beta=beta,
-            )
+            if not converged:
+                raise NewtonDivergenceError(
+                    f"shape solver did not converge in {NEWTON_MAX_ITERS} iterations",
+                    last_beta=beta,
+                )
 
     a0 = float((w * x_scaled**beta).sum())
     alpha = scale_ref * (a0 / w_total) ** (1.0 / beta)

@@ -289,13 +289,14 @@ class SGDTrainer:
         self.__dict__.update(self.from_state_dict(state).__dict__)
 
     def loss_and_grads(self, x: np.ndarray, target: np.ndarray, pick: np.ndarray,
-                       losses: np.ndarray, z: np.ndarray) -> None:
+                       losses: np.ndarray, z: np.ndarray, zt: np.ndarray) -> None:
         """The batch ``x``'s logits go into ``z``, its mean-loss gradients into ``grads``.
 
         ``target`` holds the batch's labels one-hot, and ``pick`` each label's
         index into the flattened logits. Each sample's cross-entropy loss is
-        written into ``losses``. A diverging step overflows here: the caller
-        silences numpy's warnings and reports the non-finite losses itself.
+        written into ``losses``, and the transposed logits into ``zt``. A
+        diverging step overflows here: the caller silences numpy's warnings
+        and reports the non-finite losses itself.
         """
         if self.hidden:
             w1, b1, w, b = self.params
@@ -307,11 +308,26 @@ class SGDTrainer:
             h = x
         np.matmul(h, w, out=z)
         z += b
-        z_max = z.max(axis=1, keepdims=True)
-        log_norm = z_max + np.log(np.exp(z - z_max).sum(axis=1, keepdims=True))
-        np.subtract(log_norm[:, 0], z.take(pick), out=losses)
+        # The log-sum-exp runs on the transposed logits, where each reduction
+        # is a few passes over rows of the batch's length, not a loop over
+        # short rows. A max is exact in any order. Below 8 classes numpy
+        # adds a row's terms in order, as the column sum does; from 8 on it
+        # sums a row pairwise, so the terms are summed as rows there.
+        np.copyto(zt, z.T)
+        z_max = zt.max(axis=0)
+        if self.n_classes < 8:
+            zt -= z_max
+            np.exp(zt, out=zt)
+            log_norm = zt.sum(axis=0)
+        else:
+            terms = z - z_max[:, None]
+            np.exp(terms, out=terms)
+            log_norm = terms.sum(axis=1)
+        np.log(log_norm, out=log_norm)
+        log_norm += z_max
+        np.subtract(log_norm, z.take(pick), out=losses)
 
-        probs = np.exp(z - log_norm)
+        probs = np.exp(z - log_norm[:, None])
         probs -= target
         probs /= len(x)
         if self.hidden:
@@ -342,8 +358,10 @@ class SGDTrainer:
         target = np.zeros((n, self.n_classes))
         target[np.arange(n), y] = 1.0
         pick = np.arange(n) % batch * self.n_classes + y
-        # logits and losses in that order too, scattered back at the end
+        # logits and losses in that order too, scattered back at the end,
+        # and the transposed logits that loss_and_grads works on
         logits = np.empty((n, self.n_classes))
+        logits_t = np.empty((self.n_classes, n))
         losses_perm = np.empty(n, dtype=float)
         params, velocity = self.flat_params, self.flat_velocity
         grads, momentum = self.flat_grads, self.config.momentum
@@ -352,7 +370,7 @@ class SGDTrainer:
                 rows = slice(start, start + batch)
                 batch_losses = losses_perm[rows]
                 self.loss_and_grads(x[rows], target[rows], pick[rows], batch_losses,
-                                    logits[rows])
+                                    logits[rows], logits_t[:, rows])
                 if not np.isfinite(batch_losses).all():
                     raise FloatingPointError(
                         f"non-finite loss in batch at offset {start} "

@@ -225,6 +225,19 @@ def test_score_sequences_equals_scalar_metrics(epochs):
             assert got.tolist() == want, (kind, lam)
 
 
+@pytest.mark.parametrize("kind", ["full", "simplified"])
+def test_any_nonzero_status_scores_as_memorized(kind):
+    """A status matrix with entries 0-3 scores like its 0/1 mask."""
+    rng = np.random.default_rng(3)
+    bits = rng.integers(0, 4, size=(300, 12))
+    bits[0, 0] = 2  # the first status is where the run counts start
+    mask = (bits != 0).astype(np.int8)
+    want = score_sequences(mask, kind, 0.7)
+    assert score_sequences(bits, kind, 0.7).tobytes() == want.tobytes()
+    assert score_sequences(bits != 0, kind, 0.7).tobytes() == want.tobytes()
+    assert score_sequences([[2, 0]], kind).tolist() == score_sequences([[1, 0]], kind).tolist()
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 3, finding B: score_sequences "
                    "rounds M and F separately, then subtracts")
 def test_equal_exact_full_scores_are_equal_floats():

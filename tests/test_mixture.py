@@ -147,6 +147,23 @@ def test_mle_respects_weights():
     assert b.beta == pytest.approx(a.beta, rel=1e-9)
 
 
+def test_mle_restores_numpy_error_state(monkeypatch):
+    """The solver silences numpy only while it runs: the caller's error
+    state is back after a normal return and after each of its raises."""
+    x = 3.0 * np.random.default_rng(42).weibull(2.0, size=1_000)
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        before = np.geterr()
+        mle(x, np.ones_like(x))
+        assert np.geterr() == before
+        with pytest.raises(DegenerateSamplesError):
+            mle(np.ones(50), np.ones(50))
+        assert np.geterr() == before
+        monkeypatch.setattr(mixture_mod, "NEWTON_MAX_ITERS", 1)
+        with pytest.raises(NewtonDivergenceError):
+            mle(x, np.ones_like(x))
+        assert np.geterr() == before
+
+
 def test_newton_divergence_raises_and_the_round_falls_back_to_ratio(monkeypatch):
     monkeypatch.setattr(mixture_mod, "NEWTON_MAX_ITERS", 1)
     x = 3.0 * np.random.default_rng(42).weibull(2.0, size=1_000)

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare, mannwhitneyu
 
@@ -246,6 +246,11 @@ def assert_same_state(trainer, reference):
     assert trainer.rng.bit_generator.state == reference.rng.bit_generator.state
 
 
+PARTIAL_BATCHES = dict(dim=3, hidden=5, n=37, batch_size=8, learning_rate=0.05,
+                       momentum=0.9, epochs=2, rounds=2, copy_how="pickle",
+                       copy_after=2, seed=8)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     arch=st.sampled_from(["softmax_linear", "mlp"]),
@@ -262,6 +267,14 @@ def assert_same_state(trainer, reference):
     copy_after=st.integers(0, 9),
     seed=st.integers(0, 2**32 - 1),
 )
+# both sides of the trainer's 8-class rule for the softmax normalizer, in
+# every run: 27 then all 37 rows, each with a partial last batch of 8
+@example(arch="softmax_linear", n_classes=7, **PARTIAL_BATCHES)
+@example(arch="softmax_linear", n_classes=8, **PARTIAL_BATCHES)
+@example(arch="softmax_linear", n_classes=12, **PARTIAL_BATCHES)
+@example(arch="mlp", n_classes=7, **PARTIAL_BATCHES)
+@example(arch="mlp", n_classes=8, **PARTIAL_BATCHES)
+@example(arch="mlp", n_classes=12, **PARTIAL_BATCHES)
 def test_trainer_bit_identical_to_reference(arch, dim, hidden, n_classes, n, batch_size,
                                             learning_rate, momentum, epochs, rounds,
                                             copy_how, copy_after, seed):
