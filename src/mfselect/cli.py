@@ -27,7 +27,7 @@ import traceback
 import types
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
-from itertools import count, takewhile
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -459,32 +459,23 @@ def write_round(outdir: Path, suffix: str, log, result) -> None:
         logio.remove_earlier(fit_path, "fit")
 
 
-# a checkpoint's arrays, by state_dict key: one <stem>_<index>.npy file each
-CHECKPOINT_ARRAYS = {"params": "param", "velocity": "velocity"}
-
-
 def save_model(trainer: SGDTrainer, outdir: Path) -> None:
-    """Write ``trainer.state_dict()``: its arrays as .npy files, the rest as meta.json."""
+    """Write ``trainer.state_dict()``: params.npy, velocity.npy and the RNG state
+    as meta.json. The run's config and dataset decide the rest of the trainer."""
     state = trainer.state_dict()
-    for key, stem in CHECKPOINT_ARRAYS.items():
-        for idx, array in enumerate(state.pop(key)):
-            with logio.atomic_path(outdir / f"{stem}_{idx}.npy", "wb") as fh:
-                np.save(fh, array)
+    for key in ("params", "velocity"):
+        with logio.atomic_path(outdir / f"{key}.npy", "wb") as fh:
+            np.save(fh, state.pop(key))
     write_json(outdir / "meta.json", state)
 
 
-def load_model(outdir: Path) -> SGDTrainer:
+def load_model(trainer: SGDTrainer, outdir: Path) -> None:
+    """Fill ``trainer``, as ``build_trainer`` made it, from the checkpoint in ``outdir``."""
     try:
-        state = json.loads(logio.read_text(outdir / "meta.json"))
-        unknown = set(state["config"]) - {f.name for f in fields(TrainerConfig)}
-        if unknown:
-            raise LogFormatError(f"cannot resume: the model checkpoint has trainer key(s) "
-                                 f"{sorted(unknown)} that this version does not know; "
-                                 "another version of mfselect wrote it", path=outdir)
-        for key, stem in CHECKPOINT_ARRAYS.items():
-            paths = takewhile(Path.exists, (outdir / f"{stem}_{idx}.npy" for idx in count()))
-            state[key] = [np.load(path) for path in paths]
-        return SGDTrainer.from_state_dict(state)
+        state = {"rng_state": json.loads(logio.read_text(outdir / "meta.json"))["rng_state"]}
+        for key in ("params", "velocity"):  # mapped: a huge shape fails the check, not a read
+            state[key] = np.load(outdir / f"{key}.npy", mmap_mode="r")
+        trainer.from_state_dict(state)
     except (OSError, EOFError, KeyError, TypeError, ValueError) as exc:  # JSON errors included
         raise LogFormatError(f"cannot resume from a damaged model checkpoint: "
                              f"{type(exc).__name__}: {exc}", path=outdir) from None
@@ -666,15 +657,13 @@ def run_pipeline(cfg: ExperimentConfig, resume: bool = False) -> list:
             raise ConfigError("state.json belongs to a different config; "
                               "rerun without --resume")
         done = state["completed_rounds"]
+        if done > cfg.round_config.rounds:
+            raise LogFormatError(f"cannot resume: checkpoint 'completed_rounds' is "
+                                 f"{done}, more than round.rounds "
+                                 f"({cfg.round_config.rounds})", path=state_path)
         if isinstance(trainer, SGDTrainer):
-            # the built-in trainer carries its model over: going on with a
-            # fresh one would overwrite model_final with untrained weights
-            if done > cfg.round_config.rounds:
-                raise LogFormatError(f"cannot resume: checkpoint 'completed_rounds' is "
-                                     f"{done}, more than round.rounds "
-                                     f"({cfg.round_config.rounds})", path=state_path)
             if done:  # a missing checkpoint fails here, naming its meta.json
-                trainer = load_model(outdir / f"model_round{done}")
+                load_model(trainer, outdir / f"model_round{done}")
         else:  # the external trainer's files go on from the next round's number
             trainer.round_counter = done
         start_round = done + 1

@@ -13,8 +13,9 @@ gradient step, which is what the selection metrics assume.
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -252,7 +253,8 @@ class SGDTrainer:
     ``params``, ``grads`` and ``velocity`` are views of the flat buffers
     ``flat_params``, ``flat_grads`` and ``flat_velocity``, so each momentum
     step is one pass over each buffer; ``copy.deepcopy`` and ``pickle``
-    therefore go through ``state_dict``.
+    therefore build a trainer from the same (dim, n_classes, config) and
+    fill it through ``from_state_dict``.
     """
 
     def __init__(self, dim: int, n_classes: int, config: TrainerConfig | None = None):
@@ -282,11 +284,11 @@ class SGDTrainer:
 
     # numpy copies each view of a flat buffer on its own, which would cut
     # the copy's parameters loose from the buffer that the step updates
-    def __getstate__(self) -> dict:
-        return self.state_dict()
+    def __reduce__(self):
+        return type(self), (self.dim, self.n_classes, self.config), self.state_dict()
 
     def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(self.from_state_dict(state).__dict__)
+        self.from_state_dict(state)
 
     def loss_and_grads(self, x: np.ndarray, target: np.ndarray, pick: np.ndarray,
                        losses: np.ndarray, z: np.ndarray, zt: np.ndarray) -> None:
@@ -408,28 +410,41 @@ class SGDTrainer:
         return (features @ w + b).argmax(axis=1)
 
     def state_dict(self) -> dict:
-        """Everything a checkpoint holds; ``from_state_dict`` rebuilds the trainer.
-
-        ``params`` and ``velocity`` are lists of array copies; every other
-        value is plain JSON data.
-        """
+        """What training changes, which ``from_state_dict`` sets again: copies of
+        ``flat_params`` and ``flat_velocity``, and the shuffle stream's state."""
         return {
-            "config": asdict(self.config),
-            "dim": self.dim,
-            "n_classes": self.n_classes,
-            "params": [p.copy() for p in self.params],
-            "velocity": [v.copy() for v in self.velocity],
+            "params": self.flat_params.copy(),
+            "velocity": self.flat_velocity.copy(),
             "rng_state": self.rng.bit_generator.state,
         }
 
-    @classmethod
-    def from_state_dict(cls, state: dict) -> "SGDTrainer":
-        trainer = cls(state["dim"], state["n_classes"], TrainerConfig(**state["config"]))
-        for array, saved in zip(trainer.params + trainer.velocity,
-                                state["params"] + state["velocity"], strict=True):
-            array[...] = saved
-        trainer.rng.bit_generator.state = state["rng_state"]
-        return trainer
+    def from_state_dict(self, state: dict) -> None:
+        """Set this trainer to ``state``, as ``state_dict`` returns it.
+
+        A ValueError leaves the trainer as it was unless ``params`` and
+        ``velocity`` have this trainer's dtype and shape, and numpy takes
+        ``rng_state`` and reads it back as the same ints: numpy takes a float,
+        which may have lost an int's low bits.
+        """
+        for key, buffer in (("params", self.flat_params), ("velocity", self.flat_velocity)):
+            saved = np.asarray(state[key])
+            if saved.dtype != buffer.dtype or saved.shape != buffer.shape:
+                raise ValueError(f"{key}: expected a {buffer.dtype} array of shape "
+                                 f"{buffer.shape}, got a {saved.dtype} array of shape "
+                                 f"{saved.shape}")
+        bit_generator = type(self.rng.bit_generator)()
+        try:
+            bit_generator.state = state["rng_state"]
+            # as JSON text, where 1.0 and True are not 1
+            same = (json.dumps(bit_generator.state, sort_keys=True)
+                    == json.dumps(state["rng_state"], sort_keys=True))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"rng_state: {type(exc).__name__}: {exc}") from None
+        if not same:
+            raise ValueError("rng_state: numpy reads it back with other values or types")
+        self.flat_params[...] = state["params"]
+        self.flat_velocity[...] = state["velocity"]
+        self.rng = np.random.Generator(bit_generator)
 
 
 @dataclass

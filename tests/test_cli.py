@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import errno
 import hashlib
 import io
@@ -453,28 +454,91 @@ def test_run_resume_damaged_checkpoint_exits_3(tmp_path, capsys):
     assert "state.json" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("damage", ["missing array", "empty array", "truncated meta.json",
-                                    "a trainer setting that no longer exists"])
+def base_trainer(dim=8, hidden=16):
+    """A trainer as ``base_config``'s run builds it, or one sized for another dim or hidden."""
+    return cli.SGDTrainer(dim, 4, TrainerConfig(learning_rate=0.05, arch="mlp",
+                                                hidden=hidden, seed=3))
+
+
+def write_older_layout(model: Path) -> None:
+    """Rewrite the checkpoint in ``model`` as older versions wrote it: one
+    file per layer, and the trainer's settings in meta.json."""
+    trainer = base_trainer()
+    cli.load_model(trainer, model)
+    for key, stem, arrays in (("params", "param", trainer.params),
+                              ("velocity", "velocity", trainer.velocity)):
+        (model / f"{key}.npy").unlink()
+        for idx, array in enumerate(arrays):
+            np.save(model / f"{stem}_{idx}.npy", array)
+    meta = json.loads((model / "meta.json").read_text())
+    meta.update(config=dataclasses.asdict(trainer.config), dim=8, n_classes=4)
+    (model / "meta.json").write_text(json.dumps(meta))
+
+
+def write_huge_header(model: Path) -> None:
+    """A params.npy whose header claims 80 TB and that holds no data."""
+    with (model / "params.npy").open("wb") as fh:
+        np.lib.format.write_array_header_1_0(
+            fh, {"descr": "<f8", "fortran_order": False, "shape": (10**13,)})
+
+
+def damage_rng_state(model: Path, change) -> None:
+    meta = json.loads((model / "meta.json").read_text())
+    change(meta["rng_state"]["state"])
+    (model / "meta.json").write_text(json.dumps(meta))
+
+
+MODEL_DAMAGES = {
+    "missing array": lambda model: (model / "velocity.npy").unlink(),
+    "empty array": lambda model: (model / "params.npy").write_bytes(b""),  # np.load: EOFError
+    "truncated meta.json": lambda model: (model / "meta.json").write_text('{"rng_state": {'),
+    "a (1,) params and a float32 (1, 32) velocity": lambda model: (
+        np.save(model / "params.npy", np.zeros(1)),
+        np.save(model / "velocity.npy", np.zeros((1, 32), dtype=np.float32))),
+    "a header that claims a huge array": write_huge_header,
+    "arrays for another dim": lambda model: cli.save_model(base_trainer(dim=9), model),
+    "arrays for another hidden": lambda model: cli.save_model(base_trainer(hidden=17), model),
+    "an rng_state int of -1": lambda model: damage_rng_state(
+        model, lambda state: state.update(state=-1)),
+    "a float inc in rng_state": lambda model: damage_rng_state(
+        model, lambda state: state.update(inc=float(state["inc"]))),
+    "the older layout": write_older_layout,
+}
+
+
+@pytest.mark.parametrize("damage", MODEL_DAMAGES)
 def test_run_resume_damaged_model_checkpoint_exits_3(tmp_path, capsys, damage):
     path = write_config(tmp_path, base_config(tmp_path, rounds=2, epochs=4))
     assert cli.main(["run", "-c", str(path)]) == 0
     model = tmp_path / "out" / "model_round2"
-    if damage == "missing array":
-        (model / "velocity_1.npy").unlink()
-    elif damage == "empty array":  # np.load raises EOFError
-        (model / "param_0.npy").write_bytes(b"")
-    elif damage == "truncated meta.json":
-        (model / "meta.json").write_text('{"config": {')
-    else:  # a checkpoint written while trainer.schedule was a setting
-        meta = json.loads((model / "meta.json").read_text())
-        meta["config"]["schedule"] = "cosine"
-        (model / "meta.json").write_text(json.dumps(meta))
+    MODEL_DAMAGES[damage](model)
+    before = tree_digest(tmp_path / "out")
+    capsys.readouterr()
     assert cli.main(["run", "-c", str(path), "--resume"]) == 3
     err = capsys.readouterr().err
     assert "data error" in err and "model_round2" in err and "Traceback" not in err
-    if damage.startswith("a trainer setting"):
-        assert "'schedule'" in err and "another version" in err
-        assert "damaged model checkpoint" not in err
+    assert tree_digest(tmp_path / "out") == before
+    if damage == "the older layout":  # rerun it without --resume
+        assert "params.npy" in err
+
+
+@pytest.mark.parametrize("key, value", [("config", {"learning_rate": 0.5}), ("dim", 9),
+                                        ("config", {"hidden": 10**12})])
+def test_run_resume_ignores_trainer_settings_in_meta_json(tmp_path, key, value):
+    # the run's config builds the trainer: a checkpoint holds what training changed
+    path = write_config(tmp_path, base_config(tmp_path, rounds=3, epochs=4))
+    assert cli.main(["run", "-c", str(path)]) == 0
+    out = tmp_path / "out"
+    full = tree_digest(out)
+    state = json.loads((out / "state.json").read_text())
+    state["completed_rounds"] = 2
+    (out / "state.json").write_text(json.dumps(state, sort_keys=True, indent=2) + "\n")
+    meta_path = out / "model_round2" / "meta.json"
+    meta_path.write_text(json.dumps({**json.loads(meta_path.read_text()), key: value}))
+    assert cli.main(["run", "-c", str(path), "--resume"]) == 0
+    resumed = tree_digest(out)
+    assert resumed.pop("model_round2/meta.json") != full.pop("model_round2/meta.json")
+    assert resumed == full
 
 
 def test_write_json_crash_mid_write_keeps_old_file(tmp_path, monkeypatch):
@@ -584,7 +648,7 @@ def test_run_resume_on_a_truncated_kept_ids_file_exits_3(tmp_path, capsys):
 @pytest.mark.parametrize("target,occurrence", [
     ("log_round2.jsonl", 1),
     ("stats.csv", 2),
-    ("model_round2/param_0.npy", 1),
+    ("model_round2/params.npy", 1),
     ("state.json", 2),
 ])
 def test_run_rename_failure_in_round_2_then_resume_matches_full_run(
@@ -782,6 +846,28 @@ def test_run_external_trainer_rounds_then_resume(tmp_path):
     rewind_to_round_1(out)
     assert cli.main(["run", "-c", str(path), "--resume"]) == 0
     assert tree_digest(out) == full
+
+
+def test_run_external_trainer_resume_beyond_the_configs_rounds_exits_3(tmp_path, capsys):
+    # the rule the built-in trainer follows, checked before stats.csv is read
+    stub = tmp_path / "stub.py"
+    stub.write_text(EXTERNAL_STUB)
+    config = base_config(tmp_path, rounds=2, epochs=10)
+    config["trainer"] = {"kind": "external", "seed": 5, "command":
+                         f"{sys.executable} {stub} {{dataset}} {{ids}} {{out}} {{epochs}} {{seed}}"}
+    path = write_config(tmp_path, config)
+    assert cli.main(["run", "-c", str(path)]) == 0
+    out = tmp_path / "out"
+    state = json.loads((out / "state.json").read_text())
+    state["completed_rounds"] = 5
+    (out / "state.json").write_text(json.dumps(state, sort_keys=True, indent=2) + "\n")
+    before = tree_digest(out)
+    capsys.readouterr()
+    assert cli.main(["run", "-c", str(path), "--resume"]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: {out / 'state.json'}: cannot resume: checkpoint 'completed_rounds' "
+        "is 5, more than round.rounds (2)\n")
+    assert tree_digest(out) == before
 
 
 def test_run_small_round_falls_back_to_ratio(tmp_path, capsys):

@@ -221,13 +221,28 @@ def test_trainer_state_round_trip():
     state = trainer.state_dict()
     log_a = trainer.fit_round(ds, ds.train_positions, epochs=3)
 
-    # the checkpoint is JSON plus arrays: rebuild from a JSON-parsed copy
+    # a checkpoint is two arrays and the RNG state as JSON: fill a trainer
+    # built from the same config from a JSON-parsed copy
     arrays = {key: state.pop(key) for key in ("params", "velocity")}
-    fresh = SGDTrainer.from_state_dict({**json.loads(json.dumps(state)), **arrays})
+    assert list(state) == ["rng_state"]
+    fresh = SGDTrainer(2, 3, TrainerConfig(seed=7))
+    fresh.from_state_dict({**json.loads(json.dumps(state)), **arrays})
     log_b = fresh.fit_round(ds, ds.train_positions, epochs=3)
     assert np.array_equal(log_a.bits, log_b.bits)
     assert np.array_equal(log_a.losses, log_b.losses)
-    assert fresh.config == trainer.config
+
+
+def refilled(trainer):
+    """A trainer built from ``trainer``'s shape and config, filled from its state_dict."""
+    fresh = SGDTrainer(trainer.dim, trainer.n_classes, trainer.config)
+    fresh.from_state_dict(trainer.state_dict())
+    return fresh
+
+
+def arrays_of_another_kind(array: np.ndarray) -> list:
+    """``array`` as shapes (), (1,), (n, 1), (n - 1,) and (n + 1,), then as float32 and int64."""
+    return [np.array(array[0]), array[:1].copy(), array[:, None].copy(), array[:-1].copy(),
+            np.append(array, 0.0), array.astype(np.float32), array.astype(np.int64)]
 
 
 # bit-identity with the straightforward trainer (tests/trainer_reference.py)
@@ -235,8 +250,45 @@ def test_trainer_state_round_trip():
 COPIES = {
     "deepcopy": copy.deepcopy,
     "pickle": lambda trainer: pickle.loads(pickle.dumps(trainer)),
-    "state_dict": lambda trainer: SGDTrainer.from_state_dict(trainer.state_dict()),
+    "state_dict": refilled,
 }
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    arch=st.sampled_from(["softmax_linear", "mlp"]),
+    dim=st.integers(1, 6),
+    hidden=st.integers(1, 8),
+    n_classes=st.integers(2, 12),
+)
+def test_from_state_dict_refuses_another_kind_of_state(arch, dim, hidden, n_classes):
+    """Arrays of another shape or dtype and RNG states that numpy refuses,
+    or takes as another state, raise a ValueError and leave the trainer as
+    it was; the exact state round-trips bit for bit, also through COPIES."""
+    config = TrainerConfig(learning_rate=0.05, batch_size=4, arch=arch, hidden=hidden, seed=1)
+    trained = SGDTrainer(dim, n_classes, config)
+    rng = np.random.default_rng(dim * 100 + n_classes)
+    trained.train_epoch(rng.normal(size=(9, dim)), rng.integers(0, n_classes, size=9))
+    state = trained.state_dict()
+    trainer = SGDTrainer(dim, n_classes, config)
+    untouched = SGDTrainer(dim, n_classes, config)
+    for key in ("params", "velocity"):
+        for array in arrays_of_another_kind(state[key]):
+            with pytest.raises(ValueError, match=f"^{key}: expected a float64 array"):
+                trainer.from_state_dict({**state, key: array})
+            assert_same_state(trainer, untouched)
+    for outer, inner in (("state", "state"), ("state", "inc"), (None, "uinteger")):
+        for value in (-1, 2**200, "the int as a float"):
+            rng_state = copy.deepcopy(state["rng_state"])
+            node = rng_state[outer] if outer else rng_state
+            node[inner] = value if isinstance(value, int) else float(node[inner])
+            with pytest.raises(ValueError, match="^rng_state: "):
+                trainer.from_state_dict({**state, "rng_state": rng_state})
+            assert_same_state(trainer, untouched)
+    trainer.from_state_dict(state)
+    assert_same_state(trainer, trained)
+    for make_copy in COPIES.values():
+        assert_same_state(make_copy(trained), trained)
 
 
 def assert_same_state(trainer, reference):
