@@ -356,7 +356,7 @@ def write_json(path: Path, doc) -> None:
     logio.write_atomic(path, [json.dumps(doc, sort_keys=True, indent=2), "\n"])
 
 
-# the ground truth of a simulate or select, both files in log order
+# the ground truth of a simulate, select or run, both files in log order
 TRUTH_FILES = ("clean_ids.txt", "noisy_ids.txt")
 
 
@@ -479,6 +479,10 @@ def load_model(trainer: SGDTrainer, outdir: Path) -> None:
     except (OSError, EOFError, KeyError, TypeError, ValueError) as exc:  # JSON errors included
         raise LogFormatError(f"cannot resume from a damaged model checkpoint: "
                              f"{type(exc).__name__}: {exc}", path=outdir) from None
+    for key in ("params", "velocity"):  # as a momentum step that overflowed leaves them
+        if not np.isfinite(state[key]).all():
+            raise FloatingPointError(f"{outdir / key}.npy: cannot resume from a checkpoint "
+                                     "that holds a NaN or an infinity")
 
 
 # ---------------------------------------------------------------------------
@@ -557,26 +561,28 @@ def _completed_rounds(outputs: Path) -> int | None:
 
 
 @contextlib.contextmanager
-def _round_writer():
-    """Yield ``submit(write, message)``, which runs ``write()`` in a forked
-    child process while the caller goes on, and prints ``message``, if
-    there is one, here once that child has succeeded.
+def _round_writer(outdir: Path):
+    """Yield ``submit(write, what, message)``, which runs ``write()`` in a
+    forked child process while the caller goes on, and prints ``message``,
+    if there is one, here once that child has succeeded.
 
     One child runs at a time: ``submit`` and the end of the block first
     wait for the previous one, so the writes finish in the order submitted
     and no child outlives the block, whatever ends it. The child sees this
     process as it was at the fork. A LogFormatError in the child is raised
-    again here with its message; any other failure of the child raises a
-    RuntimeError with the child's traceback. Without ``os.fork``, on one CPU
-    (where a child only takes turns) or when the fork fails, it writes here.
+    again here with its message, and so is one naming ``outdir`` and
+    ``what`` the child wrote when it ends without a report (a signal, say);
+    any other failure of the child raises a RuntimeError with the child's
+    traceback. Without ``os.fork``, on one CPU (where a child only takes
+    turns) or when the fork fails, it writes here.
     """
-    running = []  # the child's pid, the read end of its pipe, and its message
+    running = []  # the child's pid, the read end of its pipe, what it writes and its message
     forks = hasattr(os, "fork") and (not hasattr(os, "sched_getaffinity")
                                      or len(os.sched_getaffinity(0)) > 1)
 
     def wait():
         if running:
-            pid, fd, message = running.pop()
+            pid, fd, what, message = running.pop()
             try:  # read to EOF before the wait: a long report cannot block the child
                 with open(fd, "rb") as pipe:
                     report = pipe.read().decode(errors="surrogatepass")
@@ -584,13 +590,18 @@ def _round_writer():
                 status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             if status and report.startswith("L"):
                 raise LogFormatError(report[1:])
-            if status:  # an exception's traceback, or a signal's negative number
+            if status and not report:  # killed, or gone by os._exit: not a bug of the write
+                how = (f"was killed by signal {-status}" if status < 0
+                       else f"exited with status {status}")
+                raise LogFormatError(f"the process writing {what} {how} before it finished",
+                                     path=outdir)
+            if status:  # an exception's traceback
                 raise RuntimeError(f"the round writer exited with status {status}\n"
                                    f"{report[1:]}".rstrip())
             if message:
                 print(message)
 
-    def submit(write, message):
+    def submit(write, what, message):
         wait()
         read_fd, write_fd = os.pipe()
         pid = None
@@ -617,7 +628,7 @@ def _round_writer():
             if message:
                 print(message)
         else:
-            running.append((pid, read_fd, message))
+            running.append((pid, read_fd, what, message))
 
     try:
         yield submit
@@ -681,14 +692,20 @@ def run_pipeline(cfg: ExperimentConfig, resume: bool = False) -> list:
     capture_config(cfg, outdir)
 
     # each write overlaps the next round's training; an external command reads dataset.csv first
-    with _round_writer() as submit:
-        write_dataset = functools.partial(logio.write_dataset_csv, outdir / "dataset.csv", ds)
-        submit(write_dataset, None) if isinstance(trainer, SGDTrainer) else write_dataset()
+    with _round_writer(outdir) as submit:
+        def write_inputs():
+            logio.write_dataset_csv(outdir / "dataset.csv", ds)
+            write_truth(outdir, ds.train_ids, ds.clean_mask())
+        if isinstance(trainer, SGDTrainer):
+            submit(write_inputs, "dataset.csv and the ground truth", None)
+        else:
+            write_inputs()
         for result, log in selection.run_multiround(ds, trainer, cfg.round_config,
                                                     cfg.fit_config, rows, start_round):
+            k = result.round_index
             stats_rows.append(_stats_row(result))
             submit(functools.partial(_write_run_round, cfg, trainer, log, result, stats_rows),
-                   result.warning and f"round {result.round_index}: {result.warning}")
+                   f"round {k}", result.warning and f"round {k}: {result.warning}")
             del log  # free this round's sequences before the next round trains
             final_ids = result.selected_ids
     logio.write_ids(outdir / "selected_ids_final.txt", final_ids)
@@ -772,17 +789,12 @@ def cmd_select(cfg: ExperimentConfig, log_path) -> int:
 
 
 def _load_clean_mask(outputs: Path) -> tuple[dict, np.ndarray]:
-    """The ground truth in an outputs dir: the row of each training id, and
-    the rows' clean mask. It is ``dataset.csv`` when there is one, else the
-    ``TRUTH_FILES``, whose clean ids come first."""
-    dataset_csv = outputs / "dataset.csv"
-    if dataset_csv.exists():
-        ds = logio.read_dataset_csv(dataset_csv)  # it rejects a repeated id itself
-        return dict(zip(ds.train_ids, range(len(ds.train_ids)))), ds.clean_mask()
+    """The ground truth in an outputs dir, its ``TRUTH_FILES``: the row of each
+    training id, clean ids first, and the rows' clean mask."""
     paths = [outputs / name for name in TRUTH_FILES]
     if not any(path.exists() for path in paths):  # with one of them, read_ids names the other
-        raise LogFormatError("no ground truth in outputs dir (need dataset.csv, "
-                             f"or {' and '.join(TRUTH_FILES)})", path=outputs)
+        raise LogFormatError(f"no ground truth in outputs dir (need {' and '.join(TRUTH_FILES)})",
+                             path=outputs)
     clean_ids, noisy_ids = map(logio.read_ids, paths)
     ids = clean_ids + noisy_ids
     row_of = dict(zip(ids, range(len(ids))))
@@ -845,14 +857,12 @@ def cmd_report(cfg: ExperimentConfig, compare: bool) -> int:
     outputs = cfg.output_dir
     if compare:
         return _write_comparison(cfg, outputs)
+    done = _completed_rounds(outputs)
     # round, precision, recall and test accuracy
-    rows = [[row[0], *row[2:5]]
-            for row in _read_stats(outputs / "stats.csv", _completed_rounds(outputs))]
-    dataset_csv = outputs / "dataset.csv"
-    if dataset_csv.exists():
-        # round 0: the untouched training set (select-all baseline)
-        ds = logio.read_dataset_csv(dataset_csv)
-        rows.insert(0, [0, 1.0 - ds.noise_ratio(), 1.0, None])
+    rows = [[row[0], *row[2:5]] for row in _read_stats(outputs / "stats.csv", done)]
+    if done is not None:  # a run's round 0: the untouched training set (select-all baseline)
+        clean = _load_clean_mask(outputs)[1]
+        rows.insert(0, [0, 1.0 - np.count_nonzero(~clean) / max(clean.size, 1), 1.0, None])
     write_summary(outputs / "trend.csv", ["round", "precision", "recall", "accuracy"], rows)
     print(f"wrote {outputs / 'trend.csv'}")
     return 0
@@ -861,6 +871,7 @@ def cmd_report(cfg: ExperimentConfig, compare: bool) -> int:
 def _write_comparison(cfg: ExperimentConfig, outputs: Path) -> int:
     if isinstance(cfg.trainer, ExternalTrainerConfig):
         raise ConfigError("report --compare needs the built-in sgd trainer")
+    _check_lambda(cfg.round_config.lam, cfg.round_config.epochs)
     ds = apply_noise(build_dataset(cfg), cfg)
     rows = selection.compare_strategies(ds, build_trainer(cfg, ds, outputs),
                                         cfg.round_config, cfg.fit_config)

@@ -8,6 +8,7 @@ import math
 import os
 import re
 import shutil
+import signal
 import sys
 from pathlib import Path
 
@@ -380,6 +381,16 @@ def test_run_outputs_and_stats(tmp_path):
     assert read_ids(out / "selected_ids_final.txt") == ids2
     # the checkpoint holds the round count and the config; the round's files the rest
     assert set(json.loads((out / "state.json").read_text())) == {"completed_rounds", "config"}
+    cfg = cli.load_config(path)
+    assert_run_truth(out, cli.apply_noise(cli.build_dataset(cfg), cfg))
+
+
+def assert_run_truth(out: Path, ds) -> None:
+    """The run in ``out`` wrote ``ds.train_ids`` split by ``ds.clean_mask()``, both kinds."""
+    clean, ids = ds.clean_mask(), ds.train_ids
+    assert read_ids(out / "clean_ids.txt") == [i for i, c in zip(ids, clean) if c]
+    assert read_ids(out / "noisy_ids.txt") == [i for i, c in zip(ids, clean) if not c]
+    assert clean.any() and not clean.all()
 
 
 def test_run_rerun_is_byte_identical(tmp_path):
@@ -413,6 +424,44 @@ def test_run_resume_matches_full_run(tmp_path, capsys):
     assert tree_digest(out) == full
     # round 1's line comes from stats.csv's text, round 2's from the round itself
     assert round_lines(capsys.readouterr().out) == printed
+
+
+def test_run_resume_writes_the_ground_truth_an_older_run_lacks(tmp_path, capsys):
+    # a run of an older version kept its truth only in dataset.csv
+    path = write_config(tmp_path, base_config(tmp_path, rounds=2, epochs=4))
+    assert cli.main(["run", "-c", str(path)]) == 0
+    out = tmp_path / "out"
+    full = tree_digest(out)
+    for name in cli.TRUTH_FILES:
+        (out / name).unlink()
+    older = tree_digest(out)
+    for command in ("eval", "report"):
+        capsys.readouterr()
+        assert cli.main([command, "-c", str(path)]) == 3
+        assert capsys.readouterr().err == (f"data error: {out}: no ground truth in outputs dir "
+                                           "(need clean_ids.txt and noisy_ids.txt)\n")
+        assert tree_digest(out) == older
+    assert cli.main(["run", "-c", str(path), "--resume"]) == 0
+    assert tree_digest(out) == full
+
+
+def test_eval_and_report_of_a_run_read_no_dataset_csv(tmp_path, capsys):
+    path = write_config(tmp_path, base_config(tmp_path, rounds=2, epochs=4))
+    assert cli.main(["run", "-c", str(path)]) == 0
+    out, bare = tmp_path / "out", tmp_path / "bare"
+    shutil.copytree(out, bare)
+    (bare / "dataset.csv").unlink()
+    printed = []
+    for where in (out, bare):
+        capsys.readouterr()
+        for command in ("eval", "report"):
+            assert cli.main([command, "-c", str(path), "-o", str(where)]) == 0
+        printed.append(capsys.readouterr().out.replace(str(where), "<out>"))
+    assert printed[0] == printed[1]
+    written = tree_digest(out)
+    del written["dataset.csv"]
+    assert tree_digest(bare) == written
+    assert read_table(bare / "trend.csv")[1][0][0] == "0"  # the select-all round
 
 
 def test_run_resume_reads_a_checkpoint_with_the_old_keys(tmp_path):
@@ -520,6 +569,28 @@ def test_run_resume_damaged_model_checkpoint_exits_3(tmp_path, capsys, damage):
     assert tree_digest(tmp_path / "out") == before
     if damage == "the older layout":  # rerun it without --resume
         assert "params.npy" in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name, value", [("params.npy", np.nan), ("velocity.npy", np.inf)])
+def test_run_resume_from_a_non_finite_checkpoint_exits_4_naming_it(tmp_path, capsys, name,
+                                                                   value):
+    # a momentum step can overflow after finite losses, so mfselect may write
+    # such a checkpoint itself: the uninterrupted run exits 4 at its next batch
+    path = write_config(tmp_path, base_config(tmp_path, rounds=2, epochs=4))
+    assert cli.main(["run", "-c", str(path)]) == 0
+    out = tmp_path / "out"
+    rewind_to_round_1(out)
+    array_path = out / "model_round1" / name
+    array = np.load(array_path)
+    array[-1] = value
+    np.save(array_path, array)
+    before = tree_digest(out)
+    capsys.readouterr()
+    assert cli.main(["run", "-c", str(path), "--resume"]) == 4
+    assert capsys.readouterr().err == (f"numerical failure: {array_path}: cannot resume from a "
+                                       "checkpoint that holds a NaN or an infinity\n")
+    assert tree_digest(out) == before
 
 
 @pytest.mark.parametrize("key, value", [("config", {"learning_rate": 0.5}), ("dim", 9),
@@ -682,6 +753,57 @@ def assert_no_child_process():
         os.waitpid(-1, os.WNOHANG)
 
 
+WRITER_FORKS = hasattr(os, "fork") and (not hasattr(os, "sched_getaffinity")
+                                        or len(os.sched_getaffinity(0)) > 1)
+
+
+@pytest.mark.skipif(not WRITER_FORKS, reason="the writer writes in pytest's own process, "
+                                             "which the crash would end")
+@pytest.mark.parametrize("what, crash", [
+    ("round 2", "os._exit"), ("round 2", "SIGKILL"),
+    ("dataset.csv and the ground truth", "os._exit"),
+])
+def test_run_writer_that_dies_exits_3_then_resume_matches_full_run(
+        tmp_path, monkeypatch, capsys, what, crash):
+    path = write_config(tmp_path, base_config(tmp_path, rounds=2, epochs=4))
+    assert cli.main(["run", "-c", str(path), "-o", str(tmp_path / "full")]) == 0
+    out, pid = tmp_path / "crashed", os.getpid()
+
+    def die():
+        assert os.getpid() != pid, "the writer wrote in pytest's own process"
+        if crash == "SIGKILL":
+            os.kill(os.getpid(), signal.SIGKILL)
+        os._exit(9)
+
+    if what == "round 2":  # every file of round 2 but state.json, then the child dies
+        real_write_run_round, real_write_json = cli._write_run_round, cli.write_json
+
+        def write_json(path, doc):
+            die() if path.name == "state.json" else real_write_json(path, doc)
+
+        def write_run_round(cfg, trainer, log, result, stats_rows):
+            if result.round_index == 2:
+                cli.write_json = write_json  # set in the child, which does not return
+            real_write_run_round(cfg, trainer, log, result, stats_rows)
+
+        monkeypatch.setattr(cli, "_write_run_round", write_run_round)
+    else:  # dataset.csv is written, then the child dies
+        monkeypatch.setattr(cli, "write_truth", lambda *args: die())
+    capsys.readouterr()
+    assert cli.main(["run", "-c", str(path), "-o", str(out)]) == 3
+    monkeypatch.undo()
+    how = "was killed by signal 9" if crash == "SIGKILL" else "exited with status 9"
+    assert capsys.readouterr().err == (
+        f"data error: {out}: the process writing {what} {how} before it finished\n")
+    assert_no_child_process()
+    if what == "round 2":
+        assert json.loads((out / "state.json").read_text())["completed_rounds"] == 1
+    else:
+        assert not (out / "state.json").exists() and (out / "dataset.csv").exists()
+    assert cli.main(["run", "-c", str(path), "-o", str(out), "--resume"]) == 0
+    assert tree_digest(out) == tree_digest(tmp_path / "full")
+
+
 def test_run_blocked_round_2_log_exits_3_then_resume_matches_full_run(
         tmp_path, monkeypatch, capsys):
     path = write_config(tmp_path, base_config(tmp_path, rounds=3, epochs=4))
@@ -823,6 +945,7 @@ def test_run_external_trainer_rounds_then_resume(tmp_path):
     assert cli.main(["run", "-c", str(path)]) == 0
     out = tmp_path / "out"
     ds = read_dataset_csv(out / "dataset.csv")
+    assert_run_truth(out, ds)
     labels = dict(zip(ds.ids.tolist(), zip(ds.observed_labels.tolist(),
                                            ds.true_labels.tolist())))
     trained_on = ds.train_ids
@@ -1307,15 +1430,16 @@ def test_eval_non_finite_score_exits_3_naming_its_line(tmp_path, capsys, damage)
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("command, epochs", [("select", 30), ("run", 4)])
+@pytest.mark.parametrize("command, epochs", [("select", 30), ("run", 4), ("report", 4)])
 def test_an_overflowing_lambda_exits_2_naming_it(tmp_path, capsys, command, epochs):
     # lambda times the epochs of the logs it scores would overflow the scores
-    # to -inf: select checks the log's 30 epochs, run its round.epochs
+    # to -inf: select checks the log's 30 epochs, run and report --compare round.epochs
     path = write_config(tmp_path, base_config(tmp_path, rounds=1, epochs=4))
     assert cli.main(["simulate", "-c", str(path), "-o", str(tmp_path / "sim")]) == 0
-    log = ["--log", str(tmp_path / "sim" / "simulated_log.jsonl")] if command == "select" else []
+    extra = {"select": ["--log", str(tmp_path / "sim" / "simulated_log.jsonl")],
+             "run": [], "report": ["--compare"]}[command]
     capsys.readouterr()
-    assert cli.main([command, "-c", str(path), "--set", "round.lambda=1.0e+308", *log]) == 2
+    assert cli.main([command, "-c", str(path), "--set", "round.lambda=1.0e+308", *extra]) == 2
     err = capsys.readouterr().err
     assert err == f"config error: round.lambda: 1e+308 times {epochs} epochs is not finite\n"
     assert not (tmp_path / "out").exists()
@@ -1447,8 +1571,7 @@ def test_eval_damaged_ground_truth_exits_3_naming_the_file(tmp_path, capsys, dam
     elif damage == "neither file":
         clean.unlink()
         noisy.unlink()
-        named, message = out, ("no ground truth in outputs dir (need dataset.csv, "
-                               "or clean_ids.txt and noisy_ids.txt)")
+        named, message = out, "no ground truth in outputs dir (need clean_ids.txt and noisy_ids.txt)"
     else:
         named = clean if damage == "no clean_ids.txt" else noisy
         named.unlink()
@@ -1697,22 +1820,22 @@ def test_run_resume_with_a_bad_stats_cell_exits_3(tmp_path, capsys, column, cell
 
 @pytest.mark.parametrize("damage", [None, "truncated state.json"])
 def test_refused_resume_leaves_the_run_as_it_was(tmp_path, capsys, damage):
-    # another noise seed would rewrite dataset.csv and config_used.json, the
-    # ground truth and config that the run's files were made from
+    # another noise seed would rewrite dataset.csv, the two truth files and
+    # config_used.json, the data and config that the run's files were made from
     path = write_config(tmp_path, base_config(tmp_path, rounds=1, epochs=4))
     assert cli.main(["run", "-c", str(path)]) == 0
     out = tmp_path / "out"
     if damage:
         text = (out / "state.json").read_text()
         (out / "state.json").write_text(text[: len(text) // 2])
-    dataset, config = (out / "dataset.csv").read_bytes(), (out / "config_used.json").read_bytes()
+    kept = ["dataset.csv", "config_used.json", *cli.TRUTH_FILES]
+    contents = [(out / name).read_bytes() for name in kept]
     before = tree_digest(out)
     capsys.readouterr()
     code = cli.main(["run", "-c", str(path), "--resume", "--set", "noise.seed=99"])
     assert code == (3 if damage else 2)
     assert "Traceback" not in capsys.readouterr().err
-    assert (out / "dataset.csv").read_bytes() == dataset
-    assert (out / "config_used.json").read_bytes() == config
+    assert [(out / name).read_bytes() for name in kept] == contents
     assert tree_digest(out) == before
 
 
@@ -1766,6 +1889,16 @@ def test_report_trend_starts_with_select_all_round(tmp_path):
     assert float(first[1]) == pytest.approx(0.6, abs=0.01)  # clean fraction
     assert float(first[2]) == 1.0
     assert len(trend) == 4  # header + round 0 + 2 rounds
+
+
+def test_report_of_a_select_has_no_select_all_round(tmp_path):
+    # round 0 belongs to a run: a select's directory holds its truth, but no state.json
+    path, out = simulate_and_select(tmp_path)
+    assert cli.main(["report", "-c", str(path)]) == 0
+    _, columns = read_table(out / "stats.csv")
+    row = [cells[0] for cells in columns]
+    assert (out / "trend.csv").read_bytes() == (
+        f"round,precision,recall,accuracy\r\n1,{row[2]},{row[3]},\r\n".encode())
 
 
 def test_report_compare_writes_strategy_table(tmp_path):
