@@ -4,7 +4,7 @@ The CLI maps these onto exit codes: ConfigError -> 2, LogFormatError -> 3
 (every data or file error: a bad input, a failed write, a trainer command
 that fails) and the trainer's FloatingPointError on a diverging loss -> 4.
 A MixtureFitError does not reach the CLI: the selection round that fits
-falls back to ratio selection.
+falls back to ratio selection and prints the error's message.
 """
 
 
@@ -27,24 +27,4 @@ class LogFormatError(Exception):
 
 
 class MixtureFitError(Exception):
-    """Base class for failures while fitting the two-component mixture."""
-
-
-class DegenerateSamplesError(MixtureFitError):
-    """Sample set cannot support a maximum-likelihood fit (e.g. zero spread)."""
-
-
-class NewtonDivergenceError(MixtureFitError):
-    """Shape-parameter solver failed to converge; carries the last iterate."""
-
-    def __init__(self, message, last_beta):
-        super().__init__(f"{message} (last iterate beta={last_beta:.6g})")
-        self.last_beta = last_beta
-
-
-class ComponentCollapseError(MixtureFitError):
-    """One mixture component lost all its mass during EM."""
-
-    def __init__(self, component, reason):
-        self.component = component
-        super().__init__(f"component {component!r} collapsed: {reason}")
+    """No two-component fit can be made; the message says why."""

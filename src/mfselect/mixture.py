@@ -40,12 +40,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import (
-    ComponentCollapseError,
-    DegenerateSamplesError,
-    MixtureFitError,
-    NewtonDivergenceError,
-)
+from .errors import MixtureFitError
 
 # Bracket for the shape-parameter profile score equation; the equation is
 # monotone increasing on it for non-degenerate data.
@@ -169,7 +164,7 @@ def _component(alpha, beta) -> WeibullParams:
     return WeibullParams(alpha=alpha, beta=beta)
 
 
-def weighted_weibull_mle(x_scaled, log_x, scale_ref: float, w) -> WeibullParams:
+def weighted_weibull_mle(x_scaled, log_x, scale_ref: float, w) -> WeibullParams | None:
     """Weighted maximum-likelihood Weibull parameters of x_scaled * scale_ref.
 
     ``em_fit`` passes positive values over their max ``scale_ref`` (beta is
@@ -181,18 +176,16 @@ def weighted_weibull_mle(x_scaled, log_x, scale_ref: float, w) -> WeibullParams:
     bracket ``BETA_BRACKET``; the scale then follows in closed form as
     scale_ref * (sum w x_scaled^beta / sum w)^(1/beta).
 
-    Raises DegenerateSamplesError when the samples carry no spread (the
-    likelihood is unbounded in beta), NewtonDivergenceError, carrying the
-    last iterate, if the solver fails to converge, and MixtureFitError if
-    the scale leaves the floating-point range.
+    Returns None when the weighted samples carry no spread (the likelihood
+    is unbounded in beta). Raises MixtureFitError if the solver fails to
+    converge, naming its last iterate, or if the scale leaves the
+    floating-point range.
     """
     w_total = w.sum()
     log_mean = float((w * log_x).sum() / w_total)
     log_sd = math.sqrt(max(float((w * (log_x - log_mean) ** 2).sum() / w_total), 0.0))
     if log_sd < 1e-9:
-        raise DegenerateSamplesError(
-            "samples are (effectively) all identical; shape parameter is unbounded"
-        )
+        return None
 
     def score_and_derivative(beta):
         t = x_scaled**beta
@@ -241,9 +234,9 @@ def weighted_weibull_mle(x_scaled, log_x, scale_ref: float, w) -> WeibullParams:
                     break
                 beta = candidate
             if not converged:
-                raise NewtonDivergenceError(
-                    f"shape solver did not converge in {NEWTON_MAX_ITERS} iterations",
-                    last_beta=beta,
+                raise MixtureFitError(
+                    f"shape solver did not converge in {NEWTON_MAX_ITERS} iterations "
+                    f"(last iterate beta={beta:.6g})"
                 )
 
     a0 = float((w * x_scaled**beta).sum())
@@ -272,15 +265,16 @@ def em_fit(scores) -> MixtureFit:
     Initialization splits the sorted scores at the median and seeds each
     component with method-of-moments estimates, which makes the fit fully
     deterministic. EM then runs on the distinct scores weighted by their
-    counts (see the module docstring). Raises DegenerateSamplesError /
-    ComponentCollapseError when the data cannot support two components and
-    MixtureFitError when a parameter leaves the floating-point range.
+    counts (see the module docstring). Raises MixtureFitError when the data
+    cannot support two components (fewer than 3 distinct values, a value of
+    zero density under both, or a component that collapses) and when a
+    parameter leaves the floating-point range.
     """
     sorted_values, first, sorted_counts = np.unique(
         scores, return_index=True, return_counts=True
     )
     if sorted_values.size < 3:
-        raise DegenerateSamplesError(
+        raise MixtureFitError(
             "fewer than 3 distinct score values; a two-component fit is meaningless"
         )
     n = scores.size
@@ -311,9 +305,7 @@ def em_fit(scores) -> MixtureFit:
         with np.errstate(invalid="ignore"):
             log_norm = top + np.log(np.exp(lp[0] - top) + np.exp(lp[1] - top))
         if not np.all(np.isfinite(log_norm)):
-            raise DegenerateSamplesError(
-                "a sample has zero density under both components"
-            )
+            raise MixtureFitError("a sample has zero density under both components")
         ll = float((counts * log_norm).sum())
         trace.append(ll)
         if math.isfinite(prev_ll) and abs(ll - prev_ll) <= EM_TOL * max(
@@ -329,20 +321,19 @@ def em_fit(scores) -> MixtureFit:
             w = np.exp(lp[j] - log_norm) * counts
             w_sum = float(w.sum())
             if w_sum / n < MIN_COMPONENT_WEIGHT:
-                raise ComponentCollapseError(j, f"mixing weight {w_sum / n:.3g}")
+                raise MixtureFitError(f"component {j} collapsed: mixing weight {w_sum / n:.3g}")
             if w_sum < MIN_EFFECTIVE_SAMPLES:
-                raise ComponentCollapseError(
-                    j, f"effective sample size {w_sum:.3g} below {MIN_EFFECTIVE_SAMPLES}"
-                )
-            try:
-                new_params.append(weighted_weibull_mle(*scaled, w))
-            except DegenerateSamplesError:
+                raise MixtureFitError(f"component {j} collapsed: effective sample size "
+                                      f"{w_sum:.3g} below {MIN_EFFECTIVE_SAMPLES}")
+            component = weighted_weibull_mle(*scaled, w)
+            if component is None:
                 # Responsibilities concentrated on a single score atom
                 # (common on lattice-valued metrics, e.g. everything
                 # memorized from epoch one). The boundary-constrained
                 # estimate is the sharpest allowed spike at that atom.
                 center = math.exp(float((w * log_x).sum() / w_sum))
-                new_params.append(_component(center, BETA_BRACKET[1]))
+                component = _component(center, BETA_BRACKET[1])
+            new_params.append(component)
             # a row-order sum, as sum(axis=0) of both columns adds: the same bits
             k.append(np.cumsum(w)[-1] / n)
         params = new_params
@@ -369,11 +360,14 @@ def _prefers_single_component(scaled, log_x, counts, mixture_ll: float) -> bool:
     values and ``counts`` how often each occurs. A two-component fit that
     fails this comparison found no second population worth the three extra
     parameters; thresholding such a fit is still well-defined, but the
-    caller should not trust the clean/noisy split.
+    caller should not trust the clean/noisy split. A single Weibull that
+    cannot be fitted, for want of spread or of a solution, loses nothing.
     """
     try:
         single = weighted_weibull_mle(*scaled, counts)
-    except (DegenerateSamplesError, NewtonDivergenceError):
+    except MixtureFitError:
+        return True
+    if single is None:
         return True
     single_ll = float((counts * _logpdf(log_x, single)).sum())
     return 2.0 * (mixture_ll - single_ll) <= 3.0 * math.log(counts.sum())
@@ -413,16 +407,17 @@ def fit_metric_scores(scores, config: FitConfig | None = None) -> MixtureFit:
     function of position only, so adding a constant to every raw score
     leaves the fitted components, and hence the selected set, unchanged.
     The returned fit records the translation so ``threshold`` reports in
-    the original score units. Fewer than 10 scores, or fewer than 3
-    distinct ones, raise DegenerateSamplesError; non-finite scores, or a
-    spread the shifted scores cannot hold, raise MixtureFitError.
+    the original score units. Every failure raises MixtureFitError, whose
+    message is the reason a selection round prints: fewer than 10 scores,
+    fewer than 3 distinct ones, non-finite scores, a spread the shifted
+    scores cannot hold, or any failure of ``em_fit``.
     """
     config = config or FitConfig()
     raw = np.asarray(scores, dtype=float)
     if raw.ndim != 1:
         raise ValueError("scores must be a 1-d sequence")
     if raw.size < 10:
-        raise DegenerateSamplesError("need at least 10 scores to fit the mixture")
+        raise MixtureFitError("need at least 10 scores to fit the mixture")
     # the fit depends only on the score multiset, never on the caller's
     # ordering, so dither assignment is keyed to the sorted array
     values = np.sort(raw)
@@ -430,7 +425,7 @@ def fit_metric_scores(scores, config: FitConfig | None = None) -> MixtureFit:
     # np.unique, count as one value
     distinct = values[np.r_[True, (values[1:] != values[:-1]) & ~np.isnan(values[:-1])]]
     if distinct.size < 3:
-        raise DegenerateSamplesError(
+        raise MixtureFitError(
             "fewer than 3 distinct score values; a two-component fit is meaningless"
         )
     if not math.isfinite(float(distinct[-1]) - float(distinct[0])):

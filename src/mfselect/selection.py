@@ -4,8 +4,8 @@ A round trains for E epochs while recording each instance's per-epoch
 status, scores every instance, fits the score mixture, thresholds at the
 noisy component's scale parameter, and hands the surviving instances (and
 the trained model) to the next round. Ratio-based and small-loss selectors
-are provided as baselines and as the fallback when the mixture fit
-degenerates.
+are provided as baselines, and the ratio cut is the fallback when the
+mixture fit fails.
 
 A round's selection is two arrays over the rows of its log: the float64
 ``scores`` and the bool ``keep`` mask. Every selector takes arrays and
@@ -64,7 +64,9 @@ class SelectionResult:
 
     ``scores`` holds the round's metric scores and ``keep`` marks the kept
     rows, whichever strategy made the cut; ``selected_ids`` lists the ids
-    of the kept rows in log order.
+    of the kept rows in log order. ``warning`` says why a mixture round
+    made no cut at alpha_2: it kept every row, or a failed fit fell back
+    to a ratio cut.
     """
 
     round_index: int
@@ -75,7 +77,6 @@ class SelectionResult:
     fit: MixtureFit | None = None
     stats: evaluation.SelectionStats | None = None
     test_accuracy: float | None = None
-    used_fallback: bool = False
     warning: str | None = None
 
 
@@ -122,7 +123,6 @@ def _apply_strategy(scores, log, config: RoundConfig, fit_config: FitConfig,
                     round_index: int) -> SelectionResult:
     """Select among the rows of ``log``, whose metric scores are ``scores``."""
     tau = fit = warning = None
-    used_fallback = False
     if config.strategy == "mixture_threshold":
         if scores.min() == scores.max():
             # every instance scored identically: no separation evidence, and
@@ -147,7 +147,6 @@ def _apply_strategy(scores, log, config: RoundConfig, fit_config: FitConfig,
             except MixtureFitError as exc:
                 tau = fit = None
                 keep = select_by_ratio(scores, config.ratio)
-                used_fallback = True
                 warning = f"mixture fit failed ({exc}); fell back to ratio selection"
     elif config.strategy == "ratio":
         keep = select_by_ratio(scores, config.ratio)
@@ -162,7 +161,6 @@ def _apply_strategy(scores, log, config: RoundConfig, fit_config: FitConfig,
         selected_ids=ids_where(log.ids, keep),
         threshold=tau,
         fit=fit,
-        used_fallback=used_fallback,
         warning=warning,
     )
 

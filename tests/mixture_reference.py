@@ -15,11 +15,7 @@ import math
 
 import numpy as np
 
-from mfselect.errors import (
-    ComponentCollapseError,
-    DegenerateSamplesError,
-    NewtonDivergenceError,
-)
+from mfselect.errors import MixtureFitError
 from mfselect.mixture import (
     BETA_BRACKET,
     MIN_COMPONENT_WEIGHT,
@@ -67,7 +63,7 @@ def weighted_weibull_mle(
     weights,
     newton_tol: float = 1e-10,
     newton_max_iters: int = 100,
-) -> WeibullParams:
+) -> WeibullParams | None:
     """Weighted maximum-likelihood Weibull parameters.
 
     The shape is the root of the weighted profile-likelihood score equation,
@@ -75,9 +71,9 @@ def weighted_weibull_mle(
     bracket ``BETA_BRACKET``; the scale then follows in closed form as
     (sum w x^beta / sum w)^(1/beta).
 
-    Raises DegenerateSamplesError when the samples carry no spread (the
-    likelihood is unbounded in beta) and NewtonDivergenceError, carrying the
-    last iterate, if the solver fails to converge.
+    Returns None when the samples carry no spread (the likelihood is
+    unbounded in beta) and raises MixtureFitError, naming the last iterate,
+    if the solver fails to converge.
     """
     x = np.asarray(samples, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -102,9 +98,7 @@ def weighted_weibull_mle(
 
     log_sd = math.sqrt(max(float((w * (log_x - log_mean) ** 2).sum() / w_total), 0.0))
     if log_sd < 1e-9:
-        raise DegenerateSamplesError(
-            "samples are (effectively) all identical; shape parameter is unbounded"
-        )
+        return None
 
     def score(beta):
         a0, a1, _ = _profile_terms(x_scaled, w, log_x, beta)
@@ -145,9 +139,9 @@ def weighted_weibull_mle(
                 break
             beta = candidate
         if not converged:
-            raise NewtonDivergenceError(
-                f"shape solver did not converge in {newton_max_iters} iterations",
-                last_beta=beta,
+            raise MixtureFitError(
+                f"shape solver did not converge in {newton_max_iters} iterations "
+                f"(last iterate beta={beta:.6g})"
             )
 
     a0 = float((w * x_scaled**beta).sum())
@@ -172,8 +166,8 @@ def em_fit(scores) -> MixtureFit:
 
     The scores are grouped into their distinct values, in first-occurrence
     order, each with its count, and ``em_fit_counts`` fits those. Raises
-    ValueError for fewer than 10 samples and DegenerateSamplesError /
-    ComponentCollapseError when the data cannot support two components.
+    ValueError for fewer than 10 samples and MixtureFitError when the data
+    cannot support two components.
     """
     x = np.asarray(scores, dtype=float)
     if x.ndim != 1:
@@ -200,7 +194,7 @@ def em_fit_counts(values, counts) -> MixtureFit:
     if np.any(values <= 0):
         raise ValueError("em_fit requires positive scores; shift them first")
     if np.unique(values).size < 3:
-        raise DegenerateSamplesError(
+        raise MixtureFitError(
             "fewer than 3 distinct score values; a two-component fit is meaningless"
         )
     ascending = np.argsort(values, kind="stable")
@@ -223,9 +217,7 @@ def em_fit_counts(values, counts) -> MixtureFit:
         with np.errstate(invalid="ignore"):
             log_norm = m + np.log(np.exp(lp - m).sum(axis=1, keepdims=True))
         if not np.all(np.isfinite(log_norm)):
-            raise DegenerateSamplesError(
-                "a sample has zero density under both components"
-            )
+            raise MixtureFitError("a sample has zero density under both components")
         resp = np.exp(lp - log_norm)
         ll = float((counts[:, None] * log_norm).sum())
         trace.append(ll)
@@ -242,22 +234,19 @@ def em_fit_counts(values, counts) -> MixtureFit:
             w = resp[:, j] * counts
             w_sum = float(w.sum())
             if w_sum / n < MIN_COMPONENT_WEIGHT:
-                raise ComponentCollapseError(j, f"mixing weight {w_sum / n:.3g}")
+                raise MixtureFitError(f"component {j} collapsed: mixing weight {w_sum / n:.3g}")
             if w_sum < MIN_EFFECTIVE_SAMPLES:
-                raise ComponentCollapseError(
-                    j, f"effective sample size {w_sum:.3g} below {MIN_EFFECTIVE_SAMPLES}"
-                )
-            try:
-                new_params.append(weighted_weibull_mle(values, w))
-            except DegenerateSamplesError:
+                raise MixtureFitError(f"component {j} collapsed: effective sample size "
+                                      f"{w_sum:.3g} below {MIN_EFFECTIVE_SAMPLES}")
+            component = weighted_weibull_mle(values, w)
+            if component is None:
                 # Responsibilities concentrated on a single score atom
                 # (common on lattice-valued metrics, e.g. everything
                 # memorized from epoch one). The boundary-constrained
                 # estimate is the sharpest allowed spike at that atom.
                 center = math.exp(float((w * np.log(values)).sum() / w_sum))
-                new_params.append(
-                    WeibullParams(alpha=center, beta=BETA_BRACKET[1])
-                )
+                component = WeibullParams(alpha=center, beta=BETA_BRACKET[1])
+            new_params.append(component)
         params = new_params
         k = (resp * counts[:, None]).sum(axis=0) / n
 
@@ -286,7 +275,9 @@ def _prefers_single_component(values, counts, mixture_ll: float) -> bool:
     """
     try:
         single = weighted_weibull_mle(values, counts)
-    except (DegenerateSamplesError, NewtonDivergenceError):
+    except MixtureFitError:
+        return True
+    if single is None:
         return True
     single_ll = float((counts * weibull_logpdf(values, single)).sum())
     return 2.0 * (mixture_ll - single_ll) <= 3.0 * math.log(counts.sum())
@@ -301,17 +292,17 @@ def fit_metric_scores(scores, config: FitConfig | None = None) -> MixtureFit:
     leaves the fitted components, and hence the selected set, unchanged.
     The returned fit records the translation so ``threshold`` reports in
     the original score units. Fewer than 10 scores, or fewer than 3
-    distinct ones, raise DegenerateSamplesError.
+    distinct ones, raise MixtureFitError.
     """
     config = config or FitConfig()
     raw = np.asarray(scores, dtype=float)
     if raw.ndim != 1:
         raise ValueError("scores must be a 1-d sequence")
     if raw.size < 10:
-        raise DegenerateSamplesError("need at least 10 scores to fit the mixture")
+        raise MixtureFitError("need at least 10 scores to fit the mixture")
     distinct = np.unique(raw)
     if distinct.size < 3:
-        raise DegenerateSamplesError(
+        raise MixtureFitError(
             "fewer than 3 distinct score values; a two-component fit is meaningless"
         )
     # the fit depends only on the score multiset, never on the caller's

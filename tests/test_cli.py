@@ -30,6 +30,7 @@ from mfselect.logio import (
 from mfselect.mixture import FitConfig, MixtureFit, threshold
 from mfselect.trainer import RoundLog, TrainerConfig, make_blobs
 
+import crash_sweep
 import mixture_reference
 
 REPO = Path(__file__).resolve().parents[1]
@@ -802,6 +803,17 @@ def test_run_writer_that_dies_exits_3_then_resume_matches_full_run(
         assert not (out / "state.json").exists() and (out / "dataset.csv").exists()
     assert cli.main(["run", "-c", str(path), "-o", str(out), "--resume"]) == 0
     assert tree_digest(out) == tree_digest(tmp_path / "full")
+
+
+def test_a_crash_right_after_a_rename_resumes_to_the_same_tree(tmp_path):
+    # two of the run's renames; tests/crash_sweep.py crashes after each of them
+    renames = [Path(name).relative_to(tmp_path / "full").as_posix()
+               for name in crash_sweep.record_renames(tmp_path)]
+    # round 1's writer job writes stats.csv, in a forked child if the writer
+    # forks; the run's own process writes selected_ids_final.txt at its end
+    for target, status in (("stats.csv", 3 if WRITER_FORKS else 9),
+                           ("selected_ids_final.txt", 9)):
+        assert crash_sweep.crash_and_resume(tmp_path, renames.index(target) + 1) == (status, "")
 
 
 def test_run_blocked_round_2_log_exits_3_then_resume_matches_full_run(

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mfselect.mixture as mixture_mod
 import mfselect.selection as selection_mod
 from mfselect.dynamics import score_sequences
 from mfselect.errors import LogFormatError
@@ -122,7 +123,7 @@ def test_threshold_selection_examples(monkeypatch):
     monkeypatch.setattr(selection_mod, "threshold", lambda fit: -math.inf)
     config = RoundConfig(epochs=20)
     result = select_round(simulate_dynamics(50, 50, epochs=20, seed=0), config, FitConfig())
-    assert result.used_fallback and result.fit is None and result.threshold is None
+    assert result.fit is None and result.threshold is None
     assert np.array_equal(result.keep, select_by_ratio(result.scores, config.ratio))
     assert result.warning == ("mixture fit failed (threshold -inf lies below every score); "
                               "fell back to ratio selection")
@@ -145,6 +146,41 @@ def test_every_strategy_keeps_a_row_of_any_nonempty_log(n, epochs, seed, metric,
     with mock.patch.object(selection_mod, "threshold", below):
         result = select_round(log, config, FitConfig())
     assert result.keep.any() and result.selected_ids
+
+
+def collapsing_scores():
+    """13 lattice scores on which component 0 of the undithered fit collapses."""
+    rng = np.random.default_rng(186)
+    return rng.integers(0, 4, rng.integers(10, 400)).astype(float)
+
+
+def two_populations():
+    rng = np.random.default_rng(0)
+    return np.r_[rng.normal(0, 1, 60), rng.normal(10, 1, 40)]
+
+
+@pytest.mark.parametrize("scores, fit_config, patch, reason", [
+    (np.arange(9.0), FitConfig(), None, "need at least 10 scores to fit the mixture"),
+    (np.tile([0.0, 1.0], 10), FitConfig(), None,
+     "fewer than 3 distinct score values; a two-component fit is meaningless"),
+    (collapsing_scores(), FitConfig(dequantize=False), None,
+     "component 0 collapsed: effective sample size 2 below 2.0"),
+    (two_populations(), FitConfig(), (mixture_mod, "NEWTON_MAX_ITERS", 1),
+     "shape solver did not converge in 1 iterations (last iterate beta=1.88383)"),
+    (two_populations(), FitConfig(), (selection_mod, "threshold", lambda fit: -1e6),
+     "threshold -1e+06 lies below every score"),
+], ids=["ten scores", "two values", "collapse", "newton", "threshold"])
+def test_every_failed_fit_prints_its_reason_and_cuts_by_ratio(monkeypatch, scores, fit_config,
+                                                              patch, reason):
+    if patch:
+        monkeypatch.setattr(*patch)
+    log = RoundLog(ids=[str(i) for i in range(scores.size)],
+                   bits=np.zeros((scores.size, 1), dtype=np.int8), losses=None,
+                   labels=np.zeros(scores.size, dtype=np.int64), true_labels=None)
+    result = selection_mod._apply_strategy(scores, log, RoundConfig(), fit_config, 1)
+    assert result.warning == f"mixture fit failed ({reason}); fell back to ratio selection"
+    assert result.fit is None and result.threshold is None
+    assert np.array_equal(result.keep, select_by_ratio(scores, 0.9))
 
 
 def test_threshold_strictness_is_exclusive():
@@ -365,7 +401,7 @@ def test_mixture_threshold_never_cuts_minimum_scores():
 def test_run_round_beats_clean_fraction_on_noisy_benchmark():
     ds = benchmark_dataset()
     result = one_round(ds, benchmark_trainer(), RoundConfig(epochs=30))
-    assert not result.used_fallback
+    assert result.warning is None and result.threshold is not None
     assert result.stats.precision > 0.6
     assert result.test_accuracy is not None
 
@@ -381,9 +417,9 @@ def test_run_round_retains_clean_data():
 def test_run_round_single_epoch_falls_back_to_ratio():
     ds = benchmark_dataset()
     result = one_round(ds, benchmark_trainer(), RoundConfig(epochs=1, ratio=0.9))
-    assert result.used_fallback
     assert len(result.selected_ids) == int(np.ceil(0.9 * len(ds.train_ids)))
-    assert "fell back" in result.warning
+    assert result.warning.startswith("mixture fit failed (")
+    assert result.warning.endswith("); fell back to ratio selection")
 
 
 def test_run_round_identical_scores_keep_everything():
@@ -407,7 +443,7 @@ def test_run_round_degenerate_fit_keeps_everything():
         bits[rng.choice(30, size=flips, replace=False)] = 0
         seqs[i] = bits
     result = one_round(FakeDataset(ids), FakeTrainer(seqs), RoundConfig(epochs=30))
-    if result.fit is not None and not result.used_fallback:
+    if result.fit is not None:
         if result.fit.degenerate:
             assert result.selected_ids == ids
 
