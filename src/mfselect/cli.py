@@ -82,21 +82,21 @@ class DatasetConfig:
 
 @dataclass
 class NoiseConfig:
-    """The noise section; ``type: none`` leaves the labels as they are."""
+    """The noise section: a ``ratio`` flips labels, symmetrically or by
+    ``class_map``; without one the labels stay as they are."""
 
-    type: str = "none"
     ratio: float | None = None
     seed: int | None = None
     class_map: str | dict[int | str, int] | None = None
 
     def __post_init__(self):
-        if self.type not in ("none", "symmetric", "asymmetric"):
-            raise ValueError(f"type must be none|symmetric|asymmetric, got {self.type!r}")
-        if self.type != "none" and None in (self.ratio, self.seed):
-            raise ValueError(f"{self.type} noise needs a ratio and a seed (seeds are explicit)")
-        if self.type == "asymmetric" and not (self.class_map == "circular"
-                                              or isinstance(self.class_map, dict)):
-            raise ValueError("asymmetric noise needs a class_map: 'circular' or a mapping")
+        if self.ratio is not None and self.seed is None:
+            raise ValueError("a ratio needs a seed (seeds are explicit)")
+        given = [key for key in ("seed", "class_map") if getattr(self, key) is not None]
+        if self.ratio is None and given:
+            raise ValueError(f"{given[0]} needs a ratio: without one no label is flipped")
+        if isinstance(self.class_map, str) and self.class_map != "circular":
+            raise ValueError(f"class_map must be 'circular' or a mapping, got {self.class_map!r}")
         if isinstance(self.class_map, dict):  # JSON writes each class key as a string
             self.class_map = {int(k): v for k, v in self.class_map.items()}
 
@@ -157,14 +157,9 @@ class ExperimentConfig:
         def optional(kind, key):  # an absent or null section is None
             return None if raw.get(key) is None else _build(kind, raw[key], key)
 
-        trainer = raw.get("trainer")
-        if trainer is not None:  # kind alone picks the dataclass for the other keys
-            _check_type(trainer, dict, "trainer")
-            kind = trainer.get("kind", "sgd")
-            if kind not in ("sgd", "external"):
-                raise ConfigError(f"trainer.kind must be sgd or external, got {kind!r}")
-            trainer = _build(SGDConfig if kind == "sgd" else ExternalTrainerConfig,
-                             {k: v for k, v in trainer.items() if k != "kind"}, "trainer")
+        # a command makes the trainer the external one
+        external = isinstance(raw.get("trainer"), dict) and "command" in raw["trainer"]
+        trainer = optional(ExternalTrainerConfig if external else SGDConfig, "trainer")
         return cls(raw=raw, output_dir=Path(out), dataset=optional(DatasetConfig, "dataset"),
                    noise=_build(NoiseConfig, raw.get("noise"), "noise"), trainer=trainer,
                    round_config=_build(RoundConfig, raw.get("round"), "round"),
@@ -326,17 +321,17 @@ def build_dataset(cfg: ExperimentConfig) -> ToyDataset:
 
 def apply_noise(ds: ToyDataset, cfg: ExperimentConfig) -> ToyDataset:
     noise = cfg.noise
+    if noise.ratio is None:
+        return ds
     try:
-        if noise.type == "symmetric":
+        if noise.class_map is None:
             return inject_symmetric_noise(ds, noise.ratio, noise.seed)
-        if noise.type == "asymmetric":
-            class_map = noise.class_map
-            if class_map == "circular":
-                class_map = circular_class_map(ds.n_classes)
-            return inject_asymmetric_noise(ds, noise.ratio, class_map, noise.seed)
+        class_map = noise.class_map
+        if class_map == "circular":
+            class_map = circular_class_map(ds.n_classes)
+        return inject_asymmetric_noise(ds, noise.ratio, class_map, noise.seed)
     except ValueError as exc:
         raise ConfigError(f"noise: {exc}")
-    return ds
 
 
 def build_trainer(cfg: ExperimentConfig, ds: ToyDataset, workdir: Path):
@@ -562,9 +557,8 @@ def _completed_rounds(outputs: Path) -> int | None:
 
 @contextlib.contextmanager
 def _round_writer(outdir: Path):
-    """Yield ``submit(write, what, message)``, which runs ``write()`` in a
-    forked child process while the caller goes on, and prints ``message``,
-    if there is one, here once that child has succeeded.
+    """Yield ``submit(write, what)``, which runs ``write()`` in a forked
+    child process while the caller goes on.
 
     One child runs at a time: ``submit`` and the end of the block first
     wait for the previous one, so the writes finish in the order submitted
@@ -576,13 +570,13 @@ def _round_writer(outdir: Path):
     traceback. Without ``os.fork``, on one CPU (where a child only takes
     turns) or when the fork fails, it writes here.
     """
-    running = []  # the child's pid, the read end of its pipe, what it writes and its message
+    running = []  # the child's pid, the read end of its pipe and what it writes
     forks = hasattr(os, "fork") and (not hasattr(os, "sched_getaffinity")
                                      or len(os.sched_getaffinity(0)) > 1)
 
     def wait():
         if running:
-            pid, fd, what, message = running.pop()
+            pid, fd, what = running.pop()
             try:  # read to EOF before the wait: a long report cannot block the child
                 with open(fd, "rb") as pipe:
                     report = pipe.read().decode(errors="surrogatepass")
@@ -598,10 +592,8 @@ def _round_writer(outdir: Path):
             if status:  # an exception's traceback
                 raise RuntimeError(f"the round writer exited with status {status}\n"
                                    f"{report[1:]}".rstrip())
-            if message:
-                print(message)
 
-    def submit(write, what, message):
+    def submit(write, what):
         wait()
         read_fd, write_fd = os.pipe()
         pid = None
@@ -625,10 +617,8 @@ def _round_writer(outdir: Path):
         if pid is None:  # no child: write here
             os.close(read_fd)
             write()
-            if message:
-                print(message)
         else:
-            running.append((pid, read_fd, what, message))
+            running.append((pid, read_fd, what))
 
     try:
         yield submit
@@ -697,15 +687,17 @@ def run_pipeline(cfg: ExperimentConfig, resume: bool = False) -> list:
             logio.write_dataset_csv(outdir / "dataset.csv", ds)
             write_truth(outdir, ds.train_ids, ds.clean_mask())
         if isinstance(trainer, SGDTrainer):
-            submit(write_inputs, "dataset.csv and the ground truth", None)
+            submit(write_inputs, "dataset.csv and the ground truth")
         else:
             write_inputs()
         for result, log in selection.run_multiround(ds, trainer, cfg.round_config,
                                                     cfg.fit_config, rows, start_round):
             k = result.round_index
             stats_rows.append(_stats_row(result))
+            if result.warning:
+                print(f"round {k}: {result.warning}")
             submit(functools.partial(_write_run_round, cfg, trainer, log, result, stats_rows),
-                   f"round {k}", result.warning and f"round {k}: {result.warning}")
+                   f"round {k}")
             del log  # free this round's sequences before the next round trains
             final_ids = result.selected_ids
     logio.write_ids(outdir / "selected_ids_final.txt", final_ids)
@@ -870,7 +862,7 @@ def cmd_report(cfg: ExperimentConfig, compare: bool) -> int:
 
 def _write_comparison(cfg: ExperimentConfig, outputs: Path) -> int:
     if isinstance(cfg.trainer, ExternalTrainerConfig):
-        raise ConfigError("report --compare needs the built-in sgd trainer")
+        raise ConfigError("report --compare needs the built-in trainer, not a trainer.command")
     _check_lambda(cfg.round_config.lam, cfg.round_config.epochs)
     ds = apply_noise(build_dataset(cfg), cfg)
     rows = selection.compare_strategies(ds, build_trainer(cfg, ds, outputs),

@@ -22,8 +22,6 @@ class LogFormatError(Exception):
         if path is not None:
             message = f"{path}: {message}"
         super().__init__(message)
-        self.path = path
-        self.line = line
 
 
 class MixtureFitError(Exception):

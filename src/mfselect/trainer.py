@@ -190,8 +190,7 @@ class TrainerConfig:
     learning_rate: float = 0.01
     momentum: float = 0.9
     batch_size: int = 128
-    arch: str = "softmax_linear"
-    hidden: int = 64
+    hidden: int | None = None  # the MLP's ReLU layer width; None: the linear softmax
     seed: int = 0
 
     def __post_init__(self):
@@ -201,9 +200,7 @@ class TrainerConfig:
             raise ValueError("momentum must be in [0, 1)")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
-        if self.arch not in ("softmax_linear", "mlp"):
-            raise ValueError(f"unsupported arch {self.arch!r}")
-        if self.hidden < 1:
+        if self.hidden is not None and self.hidden < 1:
             raise ValueError(f"hidden must be >= 1, got {self.hidden}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
@@ -245,8 +242,8 @@ def cosine_lr(base_lr: float, epoch: int, total_epochs: int) -> float:
 class SGDTrainer:
     """In-process trainer satisfying the per-round contract.
 
-    A linear softmax classifier, with one ReLU hidden layer when
-    ``config.arch`` is "mlp", trained by SGD with momentum. Model and
+    A linear softmax classifier, with one ReLU hidden layer of
+    ``config.hidden`` units unless that is None, trained by SGD with momentum. Model and
     optimizer state persist across rounds. The config seed seeds the initial
     parameters and, as a separate stream, the shuffle order, so identical
     (dataset, config) pairs produce bit-identical prediction logs.
@@ -262,7 +259,7 @@ class SGDTrainer:
         self.dim = dim
         self.n_classes = n_classes
         self.rng = np.random.default_rng(self.config.seed)
-        hidden = self.hidden = self.config.hidden if self.config.arch == "mlp" else None
+        hidden = self.hidden = self.config.hidden
         init_rng = np.random.default_rng(self.config.seed)
         if hidden:
             init = [

@@ -54,10 +54,7 @@ def bench_dataset(noise, spread):
 
 
 def bench_trainer():
-    return SGDTrainer(
-        8, 4, TrainerConfig(learning_rate=0.05, arch="mlp", hidden=32,
-                            seed=BENCH_SEEDS[2])
-    )
+    return SGDTrainer(8, 4, TrainerConfig(learning_rate=0.05, hidden=32, seed=BENCH_SEEDS[2]))
 
 
 def report(line):

@@ -51,11 +51,9 @@ def base_config(tmp_path, **round_overrides):
                 "test_per_class": 20,
             }
         },
-        "noise": {"type": "symmetric", "ratio": 0.4, "seed": 11},
+        "noise": {"ratio": 0.4, "seed": 11},
         "trainer": {
-            "kind": "sgd",
             "learning_rate": 0.05,
-            "arch": "mlp",
             "hidden": 16,
             "seed": 3,
         },
@@ -118,7 +116,7 @@ def test_shipped_config_loads(name):
 
 def test_external_trainer_requires_command(tmp_path):
     config = base_config(tmp_path)
-    config["trainer"] = {"kind": "external"}
+    config["trainer"] = {"command": None, "seed": 5}
     with pytest.raises(ConfigError, match="command"):
         cli.ExperimentConfig.from_dict(config)
 
@@ -135,8 +133,10 @@ def test_set_fills_a_null_section(tmp_path, section):
     config = base_config(tmp_path)
     config[section] = None
     path = write_config(tmp_path, config)
-    cfg = cli.load_config(path, overrides=[f"{section}.seed=2"])
-    assert cfg.raw[section] == {"seed": 2}
+    more = {"noise": {"ratio": 0.1}}.get(section, {})  # a noise seed needs a ratio
+    cfg = cli.load_config(path, overrides=[f"{section}.seed=2"]
+                          + [f"{section}.{key}={value}" for key, value in more.items()])
+    assert cfg.raw[section] == {"seed": 2, **more}
 
 
 def test_trials_leave_a_null_section_null(tmp_path):
@@ -174,8 +174,8 @@ def test_readme_config_reference_lists_exactly_the_accepted_keys(tmp_path):
     sections = {
         "round": set(cli.config_keys(selection_mod.RoundConfig)),
         "fit": set(cli.config_keys(FitConfig)),
-        # kind picks sgd or external; command is the external trainer's
-        "trainer": (set(cli.config_keys(TrainerConfig)) | {"kind"}
+        # a command makes the trainer the external one
+        "trainer": (set(cli.config_keys(TrainerConfig))
                     | set(cli.config_keys(cli.ExternalTrainerConfig))),
         "simulate": set(cli.config_keys(cli.SimulateConfig)),
         "dataset": set(cli.config_keys(cli.DatasetConfig)),
@@ -239,20 +239,18 @@ def test_readme_config_reference_lists_exactly_the_accepted_keys(tmp_path):
         # every section is parsed at load, also where the command never reads it
         ("select --log unread.jsonl", "trainer.batch_size=0.5", "trainer.batch_size"),
         ("select --log unread.jsonl", "simulate.epochs=abc", "simulate.epochs"),
-        ("select --log unread.jsonl", "noise={type: none, ratio: abc}", "noise.ratio"),
-        ("select --log unread.jsonl", "trainer={kind: external, command: x, seed: abc}",
-         "trainer.seed"),
+        ("select --log unread.jsonl", "noise.ratio=abc", "noise.ratio"),
+        ("select --log unread.jsonl", "trainer={command: x, seed: abc}", "trainer.seed"),
         # a hidden layer of no units: 0 trained the linear model, -5 reached a traceback
         ("inject-noise", "trainer.hidden=0", "trainer: hidden must be >= 1, got 0"),
         ("run", "trainer.hidden=-5", "trainer: hidden must be >= 1, got -5"),
         # values that reached a traceback (exit 1)
         ("inject-noise", "output_dir=5", "output_dir"),
         ("inject-noise", 'dataset={csv: ""}', "dataset.csv"),
-        ("run", "trainer={kind: external, command: 123}", "trainer.command"),
-        ("inject-noise", "noise={type: asymmetric, ratio: 0.5, seed: 1, class_map: {0: [1]}}",
-         "noise.class_map"),
+        ("run", "trainer={command: 123}", "trainer.command"),
+        ("inject-noise", "noise={ratio: 0.5, seed: 1, class_map: {0: [1]}}", "noise.class_map"),
         # a class key that is no class: int() would have made it class 0
-        ("inject-noise", "noise={type: asymmetric, ratio: 0.5, seed: 1, class_map: {0.5: 1}}",
+        ("inject-noise", "noise={ratio: 0.5, seed: 1, class_map: {0.5: 1}}",
          "noise.class_map key 0.5"),
     ],
 )
@@ -260,6 +258,79 @@ def test_bad_config_value_exits_2_naming_key(tmp_path, capsys, command, override
     path = write_config(tmp_path)
     assert cli.main(command.split() + ["-c", str(path), "--set", override]) == 2
     assert key in capsys.readouterr().err
+
+
+def _config_without_output_dir(tmp_path):
+    config = base_config(tmp_path)
+    del config["output_dir"]
+    write_config(tmp_path, config)
+
+
+def _selected_then(name, text):
+    """Simulate and select into out/, then write ``text`` over out/``name``."""
+    def prepare(tmp_path):
+        assert cli.main(["simulate", "-c", "config.yaml"]) == 0
+        assert cli.main(["select", "-c", "config.yaml", "--log", "out/simulated_log.jsonl"]) == 0
+        (tmp_path / "out" / name).write_text(text)
+    return prepare
+
+
+def _file(name, text):
+    return lambda tmp_path: (tmp_path / name).write_text(text)
+
+
+@pytest.mark.parametrize("args, prepare, code, named", [
+    pytest.param(["run"], _config_without_output_dir, 2, "output_dir is required",
+                 id="no output_dir"),
+    pytest.param(["run"], _file("config.yaml", "round: [1,\n"), 2, "cannot parse config.yaml",
+                 id="unparsable YAML"),
+    pytest.param(["run", "--set", "round.epochs"], None, 2,
+                 "--set expects key.path=value, got 'round.epochs'", id="--set without ="),
+    pytest.param(["run", "--set", "round.epochs.x=1"], None, 2,
+                 "'round.epochs.x' crosses a non-mapping node", id="--set across a value"),
+    pytest.param(["run"], _file("config.yaml", (REPO / "configs" / "simulate.yaml").read_text()),
+                 2, "config section 'dataset' is required", id="run without dataset"),
+    pytest.param(["run", "--set", "round.epochs=0"], None, 2, "round: epochs",
+                 id="round.epochs=0"),
+    pytest.param(["run", "--set", "round.strategy=bogus"], None, 2,
+                 "round: unknown strategy 'bogus'", id="round.strategy=bogus"),
+    pytest.param(["run", "--set", "round.ratio=0.0"], None, 2,
+                 "round: ratio must be in (0, 1]", id="round.ratio=0.0"),
+    pytest.param(["report", "--compare", "--set", "trainer={command: x}"], None, 2,
+                 "trainer.command", id="report --compare with an external trainer"),
+    # keys that the section's other keys decide: a command, hidden and ratio
+    pytest.param(["run", "--set", "trainer.kind=sgd"], None, 2,
+                 "unknown config key(s): trainer.kind", id="trainer.kind"),
+    pytest.param(["run", "--set", "trainer.arch=mlp"], None, 2,
+                 "unknown config key(s): trainer.arch", id="trainer.arch"),
+    pytest.param(["run", "--set", "noise.type=symmetric"], None, 2,
+                 "unknown config key(s): noise.type", id="noise.type"),
+    pytest.param(["inject-noise", "--set", "noise={seed: 11}"], None, 2,
+                 "noise: seed needs a ratio", id="noise.seed without a ratio"),
+    pytest.param(["inject-noise", "--set", "noise={class_map: circular}"], None, 2,
+                 "noise: class_map needs a ratio", id="noise.class_map without a ratio"),
+    pytest.param(["inject-noise", "--set", "noise.class_map=backwards"], None, 2,
+                 "noise: class_map must be 'circular' or a mapping",
+                 id="noise.class_map=backwards"),
+    pytest.param(["eval"], _selected_then("scores.csv", "id,value\nclean_00000,1.0\n"), 3,
+                 "scores.csv: expected header id,score (line 1)", id="scores.csv header"),
+    pytest.param(["eval"], _selected_then("mixture.json", "[1, 2]\n"), 3,
+                 "mixture.json: not a mixture fit: not a JSON object", id="mixture.json list"),
+    pytest.param(["select", "--log", "empty.jsonl"], _file("empty.jsonl", ""), 3,
+                 "empty.jsonl: log has no records", id="empty log"),
+    pytest.param(["select", "--log", "blank.jsonl"], _file("blank.jsonl", "\n  \n\n"), 3,
+                 "blank.jsonl: log has no records", id="log of blank lines"),
+])
+def test_exit_path_names_its_key_or_file_without_a_traceback(
+        tmp_path, monkeypatch, capsys, args, prepare, code, named):
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path)
+    if prepare is not None:
+        prepare(tmp_path)
+    capsys.readouterr()
+    assert cli.main([args[0], "-c", "config.yaml", *args[1:]]) == code
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +383,7 @@ def test_inject_noise_counts(tmp_path):
 
 def test_inject_noise_ratio_zero_unchanged(tmp_path):
     config = base_config(tmp_path)
-    config["noise"] = {"type": "none"}
+    config["noise"] = None
     path = write_config(tmp_path, config)
     cli.main(["inject-noise", "-c", str(path)])
     ds = read_dataset_csv(tmp_path / "out" / "dataset.csv")
@@ -322,7 +393,7 @@ def test_inject_noise_ratio_zero_unchanged(tmp_path):
 def test_inject_noise_json_class_map_keys_are_classes(tmp_path):
     # JSON writes every key as a string; {"0": 1} flips class 0 as {0: 1} does
     config = base_config(tmp_path)
-    config["noise"] = {"type": "asymmetric", "ratio": 0.5, "seed": 3, "class_map": {0: 1}}
+    config["noise"] = {"ratio": 0.5, "seed": 3, "class_map": {0: 1}}
     yaml_path = write_config(tmp_path, config)
     config["output_dir"] = str(tmp_path / "json")
     config["noise"]["class_map"] = {"0": 1}
@@ -339,8 +410,7 @@ def test_inject_noise_json_class_map_keys_are_classes(tmp_path):
 
 def test_inject_noise_circular_full_flip(tmp_path):
     config = base_config(tmp_path)
-    config["noise"] = {"type": "asymmetric", "ratio": 1.0, "seed": 2,
-                       "class_map": "circular"}
+    config["noise"] = {"ratio": 1.0, "seed": 2, "class_map": "circular"}
     path = write_config(tmp_path, config)
     cli.main(["inject-noise", "-c", str(path)])
     ds = read_dataset_csv(tmp_path / "out" / "dataset.csv")
@@ -506,8 +576,7 @@ def test_run_resume_damaged_checkpoint_exits_3(tmp_path, capsys):
 
 def base_trainer(dim=8, hidden=16):
     """A trainer as ``base_config``'s run builds it, or one sized for another dim or hidden."""
-    return cli.SGDTrainer(dim, 4, TrainerConfig(learning_rate=0.05, arch="mlp",
-                                                hidden=hidden, seed=3))
+    return cli.SGDTrainer(dim, 4, TrainerConfig(learning_rate=0.05, hidden=hidden, seed=3))
 
 
 def write_older_layout(model: Path) -> None:
@@ -929,6 +998,28 @@ def test_run_on_one_cpu_does_not_fork(tmp_path, monkeypatch, capsys):
     assert tree_digest(tmp_path / "one_cpu") == tree_digest(tmp_path / "forked")
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the writer forks only with os.fork")
+def test_run_prints_a_rounds_warning_before_the_next_round_trains(
+        tmp_path, monkeypatch, capsys):
+    # one epoch: every score alike, so each round falls back and says why
+    path = write_config(tmp_path, base_config(tmp_path, rounds=3, epochs=1))
+    real_fit_round, printed = cli.SGDTrainer.fit_round, []
+
+    def fit_round(self, *args, **kwargs):
+        printed.append(capsys.readouterr().out)  # what the run printed before this round
+        return real_fit_round(self, *args, **kwargs)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(cli.SGDTrainer, "fit_round", fit_round)
+    capsys.readouterr()
+    assert cli.main(["run", "-c", str(path)]) == 0
+    fallback = ("mixture fit failed (fewer than 3 distinct score values; a two-component "
+                "fit is meaningless); fell back to ratio selection")
+    assert printed == ["", f"round 1: {fallback}\n", f"round 2: {fallback}\n"]
+    assert capsys.readouterr().out.startswith(f"round 3: {fallback}\nround 1: kept=")
+    assert_no_child_process()
+
+
 # an external trainer that lists its records in reverse and gets every label
 # wrong; an instance's chance of a 1 bit depends on whether its label is noisy
 EXTERNAL_STUB = """\
@@ -951,7 +1042,7 @@ def test_run_external_trainer_rounds_then_resume(tmp_path):
     stub = tmp_path / "stub.py"
     stub.write_text(EXTERNAL_STUB)
     config = base_config(tmp_path, rounds=3, epochs=20)
-    config["trainer"] = {"kind": "external", "seed": 5, "command":
+    config["trainer"] = {"seed": 5, "command":
                          f"{sys.executable} {stub} {{dataset}} {{ids}} {{out}} {{epochs}} {{seed}}"}
     path = write_config(tmp_path, config)
     assert cli.main(["run", "-c", str(path)]) == 0
@@ -988,7 +1079,7 @@ def test_run_external_trainer_resume_beyond_the_configs_rounds_exits_3(tmp_path,
     stub = tmp_path / "stub.py"
     stub.write_text(EXTERNAL_STUB)
     config = base_config(tmp_path, rounds=2, epochs=10)
-    config["trainer"] = {"kind": "external", "seed": 5, "command":
+    config["trainer"] = {"seed": 5, "command":
                          f"{sys.executable} {stub} {{dataset}} {{ids}} {{out}} {{epochs}} {{seed}}"}
     path = write_config(tmp_path, config)
     assert cli.main(["run", "-c", str(path)]) == 0
@@ -1119,7 +1210,7 @@ def test_select_unreadable_log_exits_3_naming_it(tmp_path, capsys, case):
 def test_external_trainer_without_log_exits_3_naming_it(tmp_path, capsys):
     path = csv_dataset_config(tmp_path, [str(i) for i in range(20)])
     config = yaml.safe_load(path.read_text())
-    config["trainer"] = {"kind": "external", "command": f"{sys.executable} -c pass"}
+    config["trainer"] = {"command": f"{sys.executable} -c pass"}
     path.write_text(yaml.safe_dump(config))
     log = tmp_path / "out" / "external" / "log_round1.jsonl"
     log.parent.mkdir(parents=True)
@@ -1131,7 +1222,7 @@ def test_external_trainer_without_log_exits_3_naming_it(tmp_path, capsys):
 
 def external_config(tmp_path, command, **round_overrides):
     config = base_config(tmp_path, **round_overrides)
-    config["trainer"] = {"kind": "external", "seed": 5, "command": command}
+    config["trainer"] = {"seed": 5, "command": command}
     return write_config(tmp_path, config)
 
 
@@ -1268,7 +1359,7 @@ def test_external_trainer_run_removes_a_stale_losses_sidecar(tmp_path):
     stub = tmp_path / "stub.py"
     stub.write_text(EXTERNAL_STUB)
     config = base_config(tmp_path, rounds=1, epochs=5)
-    config["trainer"] = {"kind": "external", "seed": 5, "command":
+    config["trainer"] = {"seed": 5, "command":
                          f"{sys.executable} {stub} {{dataset}} {{ids}} {{out}} {{epochs}} {{seed}}"}
     path = write_config(tmp_path, config)
     # an earlier command's losses, of the shape this round's log will have
@@ -1934,7 +2025,7 @@ def csv_dataset_config(tmp_path, ids, **round_overrides):
     write_dataset_csv(data, ds)
     config = base_config(tmp_path, **{"rounds": 1, "epochs": 5, **round_overrides})
     config["dataset"] = {"csv": str(data)}
-    config["noise"] = {"type": "none"}
+    config["noise"] = None
     return write_config(tmp_path, config)
 
 
@@ -2009,7 +2100,7 @@ def test_inject_noise_negative_label_exits_3_naming_line(tmp_path, capsys, label
                     + "".join(f"r{k},0.5,{o},{t},train\n" for k, (o, t) in enumerate(labels)))
     config = base_config(tmp_path)
     config["dataset"] = {"csv": str(data)}
-    config["noise"] = {"type": "none"}
+    config["noise"] = None
     path = write_config(tmp_path, config)
     assert cli.main(["inject-noise", "-c", str(path)]) == 3
     err = capsys.readouterr().err
@@ -2036,7 +2127,7 @@ def test_run_on_a_dataset_csv_that_is_no_dataset_exits_3(tmp_path, capsys, table
     data.write_text(table)
     config = base_config(tmp_path)
     config["dataset"] = {"csv": str(data)}
-    config["noise"] = {"type": "none"}
+    config["noise"] = None
     path = write_config(tmp_path, config)
     assert cli.main(["run", "-c", str(path)]) == 3
     assert capsys.readouterr().err == f"data error: {data}: {message}\n"

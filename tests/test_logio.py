@@ -131,7 +131,7 @@ def test_prediction_log_validates_seq_and_losses(tmp_path):
         path.write_text('{"id": "a", "seq": [0, 1]}\n' + second + "\n")
         with pytest.raises(LogFormatError, match=match) as info:
             read_prediction_log(path)
-        assert info.value.line == 2, second
+        assert str(info.value).endswith(" (line 2)"), second
     path.write_text('{"id": "a", "seq": [0]}\n{"id": "b", "seq": [0, 1]}\n')
     with pytest.raises(LogFormatError, match="entries"):
         read_prediction_log(path)

@@ -44,7 +44,7 @@ def benchmark_dataset(noise=0.4, spread=2.0, seed_data=7, seed_noise=11):
 
 
 def benchmark_trainer(seed=3, lr=0.05):
-    return SGDTrainer(8, 4, TrainerConfig(learning_rate=lr, arch="mlp", hidden=32, seed=seed))
+    return SGDTrainer(8, 4, TrainerConfig(learning_rate=lr, hidden=32, seed=seed))
 
 
 class FakeTrainer:

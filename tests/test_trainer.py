@@ -204,7 +204,7 @@ def test_statuses_recorded_before_update():
 def test_mlp_arch_trains():
     ds = make_blobs(4, 100, 6, 8.0, seed=10)
     trainer = SGDTrainer(
-        6, 4, TrainerConfig(arch="mlp", hidden=16, learning_rate=0.1, seed=4)
+        6, 4, TrainerConfig(hidden=16, learning_rate=0.1, seed=4)
     )
     trainer.fit_round(ds, ds.train_positions, epochs=15)
     acc = np.mean(
@@ -256,16 +256,15 @@ COPIES = {
 
 @settings(max_examples=40, deadline=None)
 @given(
-    arch=st.sampled_from(["softmax_linear", "mlp"]),
     dim=st.integers(1, 6),
-    hidden=st.integers(1, 8),
+    hidden=st.none() | st.integers(1, 8),
     n_classes=st.integers(2, 12),
 )
-def test_from_state_dict_refuses_another_kind_of_state(arch, dim, hidden, n_classes):
+def test_from_state_dict_refuses_another_kind_of_state(dim, hidden, n_classes):
     """Arrays of another shape or dtype and RNG states that numpy refuses,
     or takes as another state, raise a ValueError and leave the trainer as
     it was; the exact state round-trips bit for bit, also through COPIES."""
-    config = TrainerConfig(learning_rate=0.05, batch_size=4, arch=arch, hidden=hidden, seed=1)
+    config = TrainerConfig(learning_rate=0.05, batch_size=4, hidden=hidden, seed=1)
     trained = SGDTrainer(dim, n_classes, config)
     rng = np.random.default_rng(dim * 100 + n_classes)
     trained.train_epoch(rng.normal(size=(9, dim)), rng.integers(0, n_classes, size=9))
@@ -298,16 +297,15 @@ def assert_same_state(trainer, reference):
     assert trainer.rng.bit_generator.state == reference.rng.bit_generator.state
 
 
-PARTIAL_BATCHES = dict(dim=3, hidden=5, n=37, batch_size=8, learning_rate=0.05,
+PARTIAL_BATCHES = dict(dim=3, n=37, batch_size=8, learning_rate=0.05,
                        momentum=0.9, epochs=2, rounds=2, copy_how="pickle",
                        copy_after=2, seed=8)
 
 
 @settings(max_examples=80, deadline=None)
 @given(
-    arch=st.sampled_from(["softmax_linear", "mlp"]),
     dim=st.integers(1, 6),
-    hidden=st.integers(1, 8),
+    hidden=st.none() | st.integers(1, 8),
     n_classes=st.integers(2, 12),  # from 8 columns on, numpy sums a row pairwise
     n=st.integers(1, 40),
     batch_size=st.integers(1, 50),
@@ -321,13 +319,13 @@ PARTIAL_BATCHES = dict(dim=3, hidden=5, n=37, batch_size=8, learning_rate=0.05,
 )
 # both sides of the trainer's 8-class rule for the softmax normalizer, in
 # every run: 27 then all 37 rows, each with a partial last batch of 8
-@example(arch="softmax_linear", n_classes=7, **PARTIAL_BATCHES)
-@example(arch="softmax_linear", n_classes=8, **PARTIAL_BATCHES)
-@example(arch="softmax_linear", n_classes=12, **PARTIAL_BATCHES)
-@example(arch="mlp", n_classes=7, **PARTIAL_BATCHES)
-@example(arch="mlp", n_classes=8, **PARTIAL_BATCHES)
-@example(arch="mlp", n_classes=12, **PARTIAL_BATCHES)
-def test_trainer_bit_identical_to_reference(arch, dim, hidden, n_classes, n, batch_size,
+@example(hidden=None, n_classes=7, **PARTIAL_BATCHES)
+@example(hidden=None, n_classes=8, **PARTIAL_BATCHES)
+@example(hidden=None, n_classes=12, **PARTIAL_BATCHES)
+@example(hidden=5, n_classes=7, **PARTIAL_BATCHES)
+@example(hidden=5, n_classes=8, **PARTIAL_BATCHES)
+@example(hidden=5, n_classes=12, **PARTIAL_BATCHES)
+def test_trainer_bit_identical_to_reference(dim, hidden, n_classes, n, batch_size,
                                             learning_rate, momentum, epochs, rounds,
                                             copy_how, copy_after, seed):
     """Predictions, losses, parameters, velocity and RNG state equal the
@@ -338,7 +336,7 @@ def test_trainer_bit_identical_to_reference(arch, dim, hidden, n_classes, n, bat
     features = 3.0 * rng.normal(size=(n, dim))
     labels = rng.integers(0, n_classes, size=n)
     config = TrainerConfig(learning_rate=learning_rate, momentum=momentum,
-                           batch_size=batch_size, arch=arch, hidden=hidden,
+                           batch_size=batch_size, hidden=hidden,
                            seed=seed % 1000)
     trainer = SGDTrainer(dim, n_classes, config)
     reference = trainer_reference.ReferenceTrainer(dim, n_classes, config)
@@ -374,7 +372,7 @@ def test_trainer_config_validation():
     with pytest.raises(ValueError):
         TrainerConfig(batch_size=0)
     with pytest.raises(ValueError):
-        TrainerConfig(arch="resnet")
+        TrainerConfig(hidden=0)
 
 
 # ---------------------------------------------------------------------------

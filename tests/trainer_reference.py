@@ -72,7 +72,7 @@ class ReferenceTrainer:
 
     def __init__(self, dim: int, n_classes: int, config: TrainerConfig):
         self.config = config
-        self.hidden = config.hidden if config.arch == "mlp" else None
+        self.hidden = config.hidden
         self.rng = np.random.default_rng(config.seed)
         self.params = initial_params(dim, n_classes, self.hidden, config.seed)
         self.velocity = [np.zeros_like(p) for p in self.params]
