@@ -260,12 +260,16 @@ def _build(cls, section: dict, where: str):
         raise ConfigError(f"{where}: {message}")
 
 
+# libyaml's parser, where PyYAML was built with it: the same dicts, ~8x faster
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_config(path, overrides=(), output_dir=None) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = yaml.safe_load(logio.read_text(path))
+        raw = yaml.load(logio.read_text(path), Loader=YAML_LOADER)
     except LogFormatError as exc:
         raise ConfigError(str(exc)) from None
     except yaml.YAMLError as exc:
@@ -283,8 +287,8 @@ def _apply_override(raw: dict, item: str) -> dict:
     dotted, text = item.split("=", 1)
     keys = dotted.strip().split(".")
     try:
-        value = yaml.safe_load(text)
-    except yaml.YAMLError:
+        value = yaml.load(text, Loader=YAML_LOADER)
+    except (yaml.YAMLError, UnicodeEncodeError):  # libyaml's: a lone surrogate from argv
         value = text
     node = raw
     for key in keys[:-1]:

@@ -14,10 +14,14 @@ layout ``write_prediction_log`` emits is read in bulk, as numpy bytes in
 chunks of about a megabyte of whole lines: from each line's end, the fixed
 text between the fields, the ints (an optional "-", no leading zero, at most
 18 digits; ``true_label`` may be null), the ``seq`` bits and their ", "
-separators, and the id, through ``json.loads`` if it holds an escape. Any
-other layout, raw non-ASCII included, is read line by line, each line
-decoded as UTF-8, with the same checks and the same result; every format
-error comes from that line reader.
+separators, and the id, through ``json.loads`` if it holds an escape.
+Where every ``label`` of a chunk, or every ``true_label``, is one digit
+after a space, that field is read from its one byte; where every id of a
+chunk has one width, the ids are gathered as one fixed-width window each.
+Other chunks read the 20 bytes before each int and gather ids byte by byte,
+with the same result. Any other layout, raw non-ASCII included, is read line
+by line, each line decoded as UTF-8, with the same checks and the same
+result; every format error comes from that line reader.
 Every CSV table is written by ``write_table`` and read by ``read_table``;
 datasets have header
 ``id,feature_0..feature_{d-1},observed_label,true_label,split``. Selected
@@ -139,25 +143,38 @@ def _read_canonical_log(path) -> RoundLog | None:
     """Read a log whose every line is one canonical record, else None.
 
     Reads chunks of whole lines, so memory stays near one chunk plus the
-    result. Returns None, without raising a format error, on the first chunk
-    with another layout (losses included), ragged ``seq``, duplicate id, empty
-    file or last line without a line end; the line reader then decides.
+    result: each chunk's bits go straight to their rows of one array. Returns
+    None, without raising a format error, on the first chunk with another
+    layout (losses included), ragged ``seq``, duplicate id, empty file or last
+    line without a line end; the line reader then decides.
     """
-    parts = []
+    ids, bits, labels, true_labels = [], None, [], []
     with _open(path) as fh:
         while chunk := fh.read(_CHUNK_BYTES):
             chunk += fh.readline()
-            if not parts:  # the seq text of the first line sets the width
+            if bits is None:  # the seq text of the first line sets the width
                 end = chunk.find(_TRUE_HEAD.tobytes())
                 width = end - chunk.rfind(b"[", 0, end) - 1
-            parts.append(_read_canonical_chunk(chunk, width))
-            if parts[-1] is None:
+            if (part := _read_canonical_chunk(chunk, width)) is None:
                 return None
-    ids = list(chain.from_iterable(part[0] for part in parts))
+            part_ids, part_bits, part_labels, part_true = part
+            rows = len(ids) + len(part_ids)
+            if bits is None or rows > len(bits):
+                # a row for each record the file has room for, at width + 67
+                # bytes or more each, or twice the rows so far for a pipe or a
+                # file that grew; rows never written are never touched
+                grown = np.empty((max(os.fstat(fh.fileno()).st_size // (width + 67),
+                                      2 * rows), part_bits.shape[1]), np.int8)
+                if bits is not None:
+                    grown[:len(ids)] = bits[:len(ids)]
+                bits = grown
+            bits[len(ids):rows] = part_bits
+            ids += part_ids
+            labels.append(part_labels)
+            true_labels.append(part_true)
     if not ids or len(set(ids)) != len(ids):
         return None
-    _, bits, labels, true_labels = zip(*parts)
-    return RoundLog(ids=ids, bits=np.concatenate(bits), losses=None,
+    return RoundLog(ids=ids, bits=bits[:len(ids)], losses=None,
                     labels=np.concatenate(labels), true_labels=None
                     if any(t is None for t in true_labels) else np.concatenate(true_labels))
 
@@ -192,9 +209,13 @@ def _read_canonical_chunk(chunk: bytes, width: int):
         return None
     # every id and the byte after it, gathered, that byte made a line end
     sizes = id_end - id_start + 1
-    cut = np.cumsum(sizes)
-    text = b[np.arange(cut[-1]) + np.repeat(id_start + sizes - cut, sizes)]
-    text[cut - 1] = 10
+    if (sizes == sizes[0]).all():  # ids of one width: a window each
+        text = _windows(b, sizes[0], id_start)
+        text[:, -1] = 10
+    else:
+        cut = np.cumsum(sizes)
+        text = b[np.arange(cut[-1]) + np.repeat(id_start + sizes - cut, sizes)]
+        text[cut - 1] = 10
     text = text.tobytes().decode("ascii")
     ids = text.split("\n")[:-1]
     if "\\" in text or '"' in text:
@@ -219,7 +240,13 @@ def _windows(b, width: int, at):
 def _ints_before(b, end):
     """The token after the last space of the 20 bytes before each of ``end``: its
     value, whether it is an int ("-" or not, no leading zero, 1 to 18 digits)
-    and where it starts."""
+    and where it starts. Read from the 2 bytes before each end when every
+    token is one digit after a space, else from all 20."""
+    at = np.maximum(end - 2, 0)  # a position before the chunk reads its start
+    if (b[at] == 32).all():
+        digit = b[at + 1] - 48  # wraps every byte but a digit above 9
+        if (digit <= 9).all():
+            return digit.astype(np.int64), np.ones(len(end), bool), end - 1
     w = _windows(b, _INT_WIDTH, end - _INT_WIDTH)
     # the column after the last space, or _INT_WIDTH without one
     first = _INT_WIDTH - np.argmax(w[:, ::-1] == 32, axis=1)

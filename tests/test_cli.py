@@ -187,6 +187,28 @@ def test_readme_config_reference_lists_exactly_the_accepted_keys(tmp_path):
     assert set(listed["dataset"]["blobs"]) == set(cli.config_keys(cli.BlobsConfig))
 
 
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+@pytest.mark.parametrize("name", [*sorted(p.name for p in (REPO / "configs").glob("*.yaml")),
+                                  "README.md"])
+def test_configs_load_alike_under_libyaml_and_the_python_parser(tmp_path, monkeypatch, name):
+    assert cli.YAML_LOADER is yaml.CSafeLoader
+    path = tmp_path / "config.yaml"
+    path.write_text(readme_config_block() if name == "README.md"
+                    else (REPO / "configs" / name).read_text())
+    loaded = []
+    for loader in (yaml.SafeLoader, yaml.CSafeLoader):
+        monkeypatch.setattr(cli, "YAML_LOADER", loader)
+        loaded.append(cli.load_config(path, ["round.lambda=0.5", "fit={seed: 3}"],
+                                      output_dir=tmp_path).raw)
+    assert loaded[0] == loaded[1]
+    assert loaded[0]["round"]["lambda"] == 0.5 and loaded[0]["fit"] == {"seed": 3}
+
+
+def test_set_value_that_libyaml_cannot_encode_is_taken_as_text():
+    # a lone surrogate: argv bytes that are not UTF-8
+    assert cli._apply_override({}, "round.strategy=\udcff") == {"round": {"strategy": "\udcff"}}
+
+
 @pytest.mark.parametrize(
     "command,override,key",
     [

@@ -1,8 +1,11 @@
 import json
+import os
 import re
 import shlex
 import sys
+import threading
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -194,12 +197,46 @@ def test_canonical_log_is_read_in_bulk(tmp_path, monkeypatch):
         assert_same_log(read_prediction_log(path), log)
 
 
+@pytest.mark.parametrize("room", [0, 499], ids=["pipe", "one record short"])
+def test_log_that_outgrows_its_size_at_open_is_read_in_bulk(tmp_path, monkeypatch, room):
+    path = tmp_path / "log.jsonl"
+    log = simulate_dynamics(300, 200, epochs=7, seed=1)
+    write_prediction_log(path, log)
+    # a size at open with room for ``room`` of the 500 records, at the shortest
+    # record; chunks of about 4 KB then grow the rows several times
+    width = 3 * 7 - 2
+    monkeypatch.setattr(logio.os, "fstat",
+                        lambda fd: SimpleNamespace(st_size=room * (width + 67)))
+    monkeypatch.setattr(logio, "_CHUNK_BYTES", 1 << 12)
+    assert_same_log(logio._read_canonical_log(path), log)
+
+
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="no /dev/fd")
+def test_canonical_log_is_read_from_a_pipe(tmp_path):
+    path = tmp_path / "log.jsonl"
+    log = simulate_dynamics(300, 200, epochs=7, seed=1)
+    write_prediction_log(path, log)
+    read_end, write_end = os.pipe()
+    writer = threading.Thread(target=lambda: (os.write(write_end, path.read_bytes()),
+                                              os.close(write_end)))
+    writer.start()
+    try:
+        assert_same_log(read_prediction_log(f"/dev/fd/{read_end}"), log)
+    finally:
+        writer.join()
+        os.close(read_end)
+
+
 ID_CHARS = st.sampled_from(
     ["a", "Z", "0", " ", '"', "\\", "/", "\x7f", "é", "猫", "\U0001f600", "\ud800",
      "\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1e", "\n", "\r", "\t",
      "\x00", "\x1f"]
 )
 LABELS = st.one_of(st.integers(-3, 3), st.integers(-(2**63), 2**63 - 1))
+# characters that take one, two or six bytes in a written id, one group each
+SAME_WIDTH_CHARS = (["a", "Z", "0", " ", "/", "[", "]", "\x7f"],
+                    ['"', "\\", "\t", "\r", "\b", "\f"],
+                    ["\x00", "\x1f", "\x85", "é", "猫", "\u2028"])
 PERTURBATIONS = (
     "whitespace", "padded line", "reordered keys", "float bit", "bool bit",
     "compact seq", "scrambled seq", "empty seq", "blank line", "no final newline",
@@ -213,8 +250,14 @@ PERTURBATIONS = (
 
 @st.composite
 def round_logs(draw):
-    ids = draw(st.lists(st.text(ID_CHARS, max_size=5), min_size=1, max_size=8,
-                        unique=True))
+    if draw(st.booleans()):  # ids of one written width, one-digit labels
+        size = draw(st.integers(0, 4))
+        id_text = st.text(st.sampled_from(draw(st.sampled_from(SAME_WIDTH_CHARS))),
+                          min_size=size, max_size=size)
+        labels = st.integers(0, 9)
+    else:
+        id_text, labels = st.text(ID_CHARS, max_size=5), LABELS
+    ids = draw(st.lists(id_text, min_size=1, max_size=8, unique=True))
     n, epochs = len(ids), draw(st.integers(1, 6))
     rows = st.lists(st.integers(0, 1), min_size=epochs, max_size=epochs)
     # JSON keeps one NaN, so other NaN payloads could not round-trip
@@ -225,8 +268,8 @@ def round_logs(draw):
         bits=np.array(draw(st.lists(rows, min_size=n, max_size=n)), dtype=np.int8),
         losses=np.array(draw(st.lists(loss_rows, min_size=n, max_size=n)))
         if draw(st.booleans()) else None,
-        labels=np.array(draw(st.lists(LABELS, min_size=n, max_size=n)), dtype=np.int64),
-        true_labels=np.array(draw(st.lists(LABELS, min_size=n, max_size=n)),
+        labels=np.array(draw(st.lists(labels, min_size=n, max_size=n)), dtype=np.int64),
+        true_labels=np.array(draw(st.lists(labels, min_size=n, max_size=n)),
                              dtype=np.int64)
         if draw(st.booleans()) else None,
     )
@@ -344,7 +387,7 @@ def assert_identical(got, want):
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(log=round_logs(), chunk=st.sampled_from([1, 64, 1 << 20]), data=st.data())
+@given(log=round_logs(), chunk=st.sampled_from([1, 64, 160, 1 << 20]), data=st.data())
 def test_bulk_reader_matches_line_reader(tmp_path, log, chunk, data):
     path = tmp_path / "log.jsonl"
     if log.losses is None:
@@ -370,6 +413,26 @@ def test_bulk_reader_matches_line_reader(tmp_path, log, chunk, data):
             assert isinstance(want, LogFormatError) and "line break" in str(want)
         elif kind is None:
             assert_identical(want, log)
+
+
+def test_narrow_int_read_stays_inside_a_chunk_with_a_short_first_line(tmp_path):
+    path = tmp_path / "log.jsonl"
+    write_prediction_log(path, RoundLog(ids=["a", "b"], bits=np.ones((2, 3), np.int8),
+                                        losses=None, labels=np.array([3, 3]),
+                                        true_labels=np.array([3, 3])))
+    valid = path.read_bytes()
+    path.write_bytes(b"}\n" + valid)
+    b = np.frombuffer(path.read_bytes(), np.uint8)
+    ends = np.flatnonzero(b == 10)
+    # the int of the short first line would end 2 bytes before the chunk: a
+    # read that wrapped to the chunk's end would find the last line's " 3}"
+    assert b[-4:].tobytes() == b" 3}\n"
+    value, ok, start = logio._ints_before(b, np.r_[-2, ends[1:] - 1])
+    assert ok.tolist() == [False, True, True] and value[1:].tolist() == [3, 3]
+    assert start[1:].tolist() == (ends[1:] - 2).tolist()
+    assert logio._read_canonical_log(path) is None
+    with pytest.raises(LogFormatError, match=r"\(line 1\)"):
+        read_prediction_log(path)
 
 
 # ---------------------------------------------------------------------------
