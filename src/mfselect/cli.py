@@ -8,6 +8,12 @@ next to the results, so re-running a command overwrites its outputs with
 byte-identical content and any artifact is reproducible from its output
 directory alone.
 
+Each round, of a ``run`` or a ``select``, writes its files as it selects
+(``round_files``): scores, kept ids, the mixture fit, and the histogram of
+its scores by the log's ground truth with the fit's densities to overlay.
+Only a run's directory holds ground truth files, which ``report`` reads for
+the run's select-all baseline.
+
 Exit codes: 0 success, 2 configuration error (including a config value
 of the wrong type), 3 data error (a bad or unreadable input, such as
 ``state.json`` on ``--resume``, an output that cannot be written, or a
@@ -27,7 +33,6 @@ import traceback
 import types
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
-from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +40,7 @@ import yaml
 
 from . import evaluation, logio, selection
 from .errors import ConfigError, LogFormatError
-from .mixture import FitConfig, MixtureFit
+from .mixture import FitConfig
 from .selection import RoundConfig
 from .trainer import (
     DynamicsModel,
@@ -49,7 +54,8 @@ from .trainer import (
     simulate_dynamics,
 )
 
-DEFAULT_BINS = 40
+# the bins of each round's histogram
+HISTOGRAM_BINS = 40
 
 
 # ---------------------------------------------------------------------------
@@ -355,20 +361,15 @@ def write_json(path: Path, doc) -> None:
     logio.write_atomic(path, [json.dumps(doc, sort_keys=True, indent=2), "\n"])
 
 
-# the ground truth of a simulate, select or run, both files in log order
+# a run's ground truth, which report reads: its clean ids, then its noisy ones
 TRUTH_FILES = ("clean_ids.txt", "noisy_ids.txt")
 
 
 def write_truth(outdir: Path, ids, clean) -> None:
     """Write the ``TRUTH_FILES`` of ``ids``: those whose ``clean`` flag is set,
-    then the others. With no truth (``clean`` None), remove an earlier pair."""
-    paths = [outdir / name for name in TRUTH_FILES]
-    if clean is None:
-        for path in paths:
-            logio.remove_earlier(path, "ground truth")
-    else:
-        for path, flags in zip(paths, (clean, ~clean)):
-            logio.write_ids(path, selection.ids_where(ids, flags))
+    then the others, each in the order of ``ids``."""
+    for name, flags in zip(TRUTH_FILES, (clean, ~clean)):
+        logio.write_ids(outdir / name, selection.ids_where(ids, flags))
 
 
 def capture_config(cfg: ExperimentConfig, outdir: Path) -> None:
@@ -429,33 +430,35 @@ def write_scores_csv(path: Path, ids, values) -> None:
     logio.write_table(path, ["id", "score"], [ids, np.asarray(values, dtype=float)])
 
 
-def read_scores_csv(path: Path) -> tuple[list, np.ndarray]:
-    """The id and score columns of a scores file, in file order."""
-    header, columns = logio.read_table(path)
-    if header != ["id", "score"]:
-        raise LogFormatError("expected header id,score", path=path, line=1)
-    ids, scores = columns
-    if not ids:
-        raise LogFormatError("scores table has no rows", path=path, line=2)
-    return ids, logio.parse_cells(path, scores, float)
-
-
-def round_files(outdir: Path, suffix: str) -> tuple[Path, Path, Path]:
-    """The scores, kept-ids and mixture-fit files of one round in ``outdir``;
-    ``suffix`` is ``_round<k>`` for a run's round k and empty for a select."""
-    return (outdir / f"scores{suffix}.csv", outdir / f"selected_ids{suffix}.txt",
-            outdir / f"mixture{suffix}.json")
+def round_files(outdir: Path, suffix: str) -> list[Path]:
+    """The scores, kept-ids, mixture-fit, histogram and overlay files of one
+    round in ``outdir``; ``suffix`` is ``_round<k>`` for a run's round k and
+    empty for a select."""
+    return [outdir / f"{stem}{suffix}.{ext}" for stem, ext in (
+        ("scores", "csv"), ("selected_ids", "txt"), ("mixture", "json"),
+        ("histogram", "csv"), ("overlay", "json"))]
 
 
 def write_round(outdir: Path, suffix: str, log, result) -> None:
-    """Write a round's ``round_files``; without a mixture fit, remove an earlier one."""
-    scores_path, ids_path, fit_path = round_files(outdir, suffix)
+    """Write a round's ``round_files``: the histogram of its scores by the
+    log's truth, at ``HISTOGRAM_BINS`` bins, only with that truth, and the fit
+    and its overlay only with a fit. An earlier histogram, fit or overlay
+    that the round does not write again is removed."""
+    scores_path, ids_path, fit_path, histogram_path, overlay_path = round_files(outdir, suffix)
     write_scores_csv(scores_path, log.ids, result.scores)
     logio.write_ids(ids_path, result.selected_ids)
-    if result.fit is not None:
-        write_json(fit_path, result.fit.to_json_dict())
+    header, rows, overlay = evaluation.histogram_export(result.scores, log.clean_mask(),
+                                                        HISTOGRAM_BINS, result.fit)
+    if rows is None:
+        logio.remove_earlier(histogram_path, "histogram")
     else:
-        logio.remove_earlier(fit_path, "fit")
+        write_summary(histogram_path, header, rows)
+    fit = None if result.fit is None else result.fit.to_json_dict()
+    for path, doc, what in ((fit_path, fit, "fit"), (overlay_path, overlay, "overlay")):
+        if doc is None:
+            logio.remove_earlier(path, what)
+        else:
+            write_json(path, doc)
 
 
 def save_model(trainer: SGDTrainer, outdir: Path) -> None:
@@ -496,7 +499,6 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         raise ConfigError(f"simulate: {exc}")
     outdir = cfg.output_dir
     logio.write_prediction_log(outdir / "simulated_log.jsonl", log)
-    write_truth(outdir, log.ids, log.clean_mask())
     capture_config(cfg, outdir)
     print(f"wrote {len(log)} records to {outdir / 'simulated_log.jsonl'}")
     return 0
@@ -533,20 +535,15 @@ def _stats_row(result) -> list:
     ]
 
 
-def _read_json_object(path: Path, what: str) -> dict:
-    """The JSON object in ``path``; a data error naming the file otherwise."""
-    try:
-        doc = json.loads(logio.read_text(path))
-    except json.JSONDecodeError as exc:
-        raise LogFormatError(f"{what}: {exc.msg}", path=path, line=exc.lineno) from None
-    if not isinstance(doc, dict):
-        raise LogFormatError(f"{what}: not a JSON object", path=path)
-    return doc
-
-
 def _read_state(path: Path) -> dict:
     """The checkpoint in ``path``: the rounds it completed and its config."""
-    state = _read_json_object(path, "damaged checkpoint")
+    try:
+        state = json.loads(logio.read_text(path))
+    except json.JSONDecodeError as exc:
+        raise LogFormatError(f"damaged checkpoint: {exc.msg}", path=path,
+                             line=exc.lineno) from None
+    if not isinstance(state, dict):
+        raise LogFormatError("damaged checkpoint: not a JSON object", path=path)
     done = state.get("completed_rounds")
     if type(done) is not int or done < 0:  # bool is no int here
         raise LogFormatError("checkpoint has no nonnegative int 'completed_rounds'", path=path)
@@ -770,7 +767,6 @@ def cmd_select(cfg: ExperimentConfig, log_path) -> int:
     outdir = cfg.output_dir
     write_round(outdir, "", log, result)
     clean = log.clean_mask()
-    write_truth(outdir, log.ids, clean)  # without one, an earlier select's truth goes
     summary = f"selected {len(result.selected_ids)}/{len(log)}"
     if clean is not None:
         stats = result.stats = evaluation.selection_precision_recall(result.keep, clean)
@@ -784,9 +780,10 @@ def cmd_select(cfg: ExperimentConfig, log_path) -> int:
     return 0
 
 
-def _load_clean_mask(outputs: Path) -> tuple[dict, np.ndarray]:
-    """The ground truth in an outputs dir, its ``TRUTH_FILES``: the row of each
-    training id, clean ids first, and the rows' clean mask."""
+def _count_truth(outputs: Path) -> tuple[int, int]:
+    """The numbers of clean and of noisy ids in a run's ground truth, its
+    ``TRUTH_FILES``; a data error naming a file that is missing or lists an
+    id twice."""
     paths = [outputs / name for name in TRUTH_FILES]
     if not any(path.exists() for path in paths):  # with one of them, read_ids names the other
         raise LogFormatError(f"no ground truth in outputs dir (need {' and '.join(TRUTH_FILES)})",
@@ -798,55 +795,7 @@ def _load_clean_mask(outputs: Path) -> tuple[dict, np.ndarray]:
         first = next(k for k, i in enumerate(ids) if row_of[i] != k)
         raise LogFormatError(f"id {ids[first]!r} appears more than once in the ground truth",
                              path=paths[row_of[ids[first]] >= len(clean_ids)])
-    return row_of, np.arange(len(ids)) < len(clean_ids)
-
-
-def cmd_eval(cfg: ExperimentConfig, bins: int) -> int:
-    if bins < 2:
-        raise ConfigError(f"--bins must be >= 2, got {bins}")
-    outputs = cfg.output_dir
-    row_of, clean = _load_clean_mask(outputs)
-    unknown = "ids not in the ground truth"
-
-    done = _completed_rounds(outputs)
-    rounds = [(1, "")] if done is None else [(k, f"_round{k}") for k in range(1, done + 1)]
-    rows = []
-    for round_index, suffix in rounds:
-        scores_path, ids_path, fit_path = round_files(outputs, suffix)
-        score_ids, values = read_scores_csv(scores_path)
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:  # no histogram bins span it
-            raise LogFormatError(f"score {values[bad[0]]} is not finite",
-                                 path=scores_path, line=int(bad[0]) + 2)
-        selected = np.zeros(clean.size, dtype=bool)
-        selected[logio.rows_of(row_of, logio.read_ids(ids_path), ids_path, unknown)] = True
-        stats = evaluation.selection_precision_recall(selected, clean)
-        rows.append([round_index, stats.kept, stats.precision, stats.recall,
-                     None, None, None])
-        fit = None
-        if fit_path.exists():
-            doc = _read_json_object(fit_path, "not a mixture fit")
-            try:
-                fit = MixtureFit.from_json_dict(doc)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise LogFormatError(f"not a mixture fit: {type(exc).__name__}: {exc}",
-                                     path=fit_path) from None
-        header, hist_rows, overlay = evaluation.histogram_export(
-            values, clean[logio.rows_of(row_of, score_ids, scores_path, unknown)], bins, fit)
-        write_summary(outputs / f"histogram_round{round_index}.csv", header, hist_rows)
-        if overlay is not None:
-            write_json(outputs / f"overlay_round{round_index}.json", overlay)
-        else:  # an earlier fit's overlay is not this round's
-            logio.remove_earlier(outputs / f"overlay_round{round_index}.json", "overlay")
-    # an earlier eval's files for rounds that this one does not evaluate
-    for k in count(len(rounds) + 1):
-        if not (outputs / f"histogram_round{k}.csv").exists():
-            break
-        logio.remove_earlier(outputs / f"histogram_round{k}.csv", "histogram")
-        logio.remove_earlier(outputs / f"overlay_round{k}.json", "overlay")
-    write_summary(outputs / "eval_stats.csv", STATS_HEADER, rows)
-    print(f"evaluated {len(rows)} round(s) into {outputs / 'eval_stats.csv'}")
-    return 0
+    return len(clean_ids), len(noisy_ids)
 
 
 def cmd_report(cfg: ExperimentConfig, compare: bool) -> int:
@@ -857,8 +806,8 @@ def cmd_report(cfg: ExperimentConfig, compare: bool) -> int:
     # round, precision, recall and test accuracy
     rows = [[row[0], *row[2:5]] for row in _read_stats(outputs / "stats.csv", done)]
     if done is not None:  # a run's round 0: the untouched training set (select-all baseline)
-        clean = _load_clean_mask(outputs)[1]
-        rows.insert(0, [0, 1.0 - np.count_nonzero(~clean) / max(clean.size, 1), 1.0, None])
+        n_clean, n_noisy = _count_truth(outputs)
+        rows.insert(0, [0, 1.0 - n_noisy / max(n_clean + n_noisy, 1), 1.0, None])
     write_summary(outputs / "trend.csv", ["round", "precision", "recall", "accuracy"], rows)
     print(f"wrote {outputs / 'trend.csv'}")
     return 0
@@ -912,10 +861,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(select_p)
     select_p.add_argument("--log", required=True, help="prediction log (jsonl)")
 
-    eval_p = sub.add_parser("eval", help="score selections against ground truth")
-    common(eval_p)
-    eval_p.add_argument("--bins", type=int, default=DEFAULT_BINS)
-
     report_p = sub.add_parser("report", help="trend table or strategy comparison")
     common(report_p)
     report_p.add_argument("--compare", action="store_true",
@@ -933,7 +878,6 @@ def main(argv=None) -> int:
             "inject-noise": lambda: cmd_inject_noise(cfg),
             "run": lambda: cmd_run(cfg, trials=args.trials, resume=args.resume),
             "select": lambda: cmd_select(cfg, args.log),
-            "eval": lambda: cmd_eval(cfg, args.bins),
             "report": lambda: cmd_report(cfg, args.compare),
         }
         return commands[args.command]()

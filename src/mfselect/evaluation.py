@@ -52,26 +52,28 @@ def histogram_export(values, is_clean, bins: int, fit: MixtureFit | None = None)
     """Per-bin clean/noisy counts plus mixture-density samples for overlay.
 
     ``values`` are the scores and ``is_clean`` the ground truth of the same
-    rows. Returns (header, rows, overlay_dict). Each row holds a bin's edges,
-    as ``repr`` text, and its counts split by ground truth; the overlay dict
-    samples the fitted component densities over the score range in original
-    score units, with the fit's threshold, or is None when no fit is given.
+    rows, or None without one. Returns (header, rows, overlay_dict). Each row
+    holds a bin's edges, as ``repr`` text, and its counts split by ground
+    truth; rows is None without truth. The overlay dict samples the fitted
+    component densities over the score range in original score units, with
+    the fit's threshold, or is None when no fit is given.
     """
     if bins < 2:
         raise ValueError("bins must be >= 2")
     values = np.asarray(values, dtype=float)
-    is_clean = np.asarray(is_clean, dtype=bool)
-    if values.shape != is_clean.shape:
-        raise ValueError(f"scores and clean mask cover different rows "
-                         f"({values.size} vs {is_clean.size})")
     lo, hi = float(values.min()), float(values.max())
-    edges = np.histogram_bin_edges(values, bins=bins, range=(lo, hi) if lo < hi else None)
-    clean_counts, _ = np.histogram(values[is_clean], bins=edges)
-    noisy_counts, _ = np.histogram(values[~is_clean], bins=edges)
-
-    edge_text = list(map(repr, edges.tolist()))
-    rows = list(zip(edge_text[:-1], edge_text[1:],
-                    clean_counts.tolist(), noisy_counts.tolist()))
+    rows = None
+    if is_clean is not None:
+        is_clean = np.asarray(is_clean, dtype=bool)
+        if values.shape != is_clean.shape:
+            raise ValueError(f"scores and clean mask cover different rows "
+                             f"({values.size} vs {is_clean.size})")
+        edges = np.histogram_bin_edges(values, bins=bins, range=(lo, hi) if lo < hi else None)
+        clean_counts, _ = np.histogram(values[is_clean], bins=edges)
+        noisy_counts, _ = np.histogram(values[~is_clean], bins=edges)
+        edge_text = list(map(repr, edges.tolist()))
+        rows = list(zip(edge_text[:-1], edge_text[1:],
+                        clean_counts.tolist(), noisy_counts.tolist()))
 
     overlay = None
     if fit is not None:

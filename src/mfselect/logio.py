@@ -124,10 +124,19 @@ def read_prediction_log(path) -> RoundLog:
     the (records, epochs) float64 sidecar ``losses_path(path)`` holds them.
     A log without inline losses in ``write_prediction_log``'s exact layout is
     read in bulk; any other (valid or not) is read line by line, which gives
-    the same result or names the bad line.
+    the same result or names the bad line. The file is opened once, so a pipe
+    reads as a file does.
     """
     inline = not (sidecar := losses_path(path)).exists()
-    log = _read_canonical_log(path) or _read_log_lines(path, inline)  # a log is never empty
+    with _open(path) as fh:
+        # a pipe cannot seek back: the bulk reader keeps what it read instead
+        kept = None if fh.seekable() else []
+        log = _read_canonical_log(fh, kept)
+        if log is None:  # the line reader starts over at the first byte
+            if kept is None:
+                fh.seek(0)
+            lines = fh if kept is None else chain(io.BytesIO(b"".join(kept)), fh)
+            log = _read_log_lines(path, lines, inline)
     if not inline:
         try:  # mapped: a truncated file fails before any data is read
             losses = np.load(sidecar, mmap_mode="r", allow_pickle=False)
@@ -139,8 +148,9 @@ def read_prediction_log(path) -> RoundLog:
     return log
 
 
-def _read_canonical_log(path) -> RoundLog | None:
-    """Read a log whose every line is one canonical record, else None.
+def _read_canonical_log(fh, kept: list | None = None) -> RoundLog | None:
+    """Read a log whose every line is one canonical record from the binary
+    file ``fh``, else None; each chunk read is appended to ``kept``, if given.
 
     Reads chunks of whole lines, so memory stays near one chunk plus the
     result: each chunk's bits go straight to their rows of one array. Returns
@@ -149,29 +159,30 @@ def _read_canonical_log(path) -> RoundLog | None:
     line without a line end; the line reader then decides.
     """
     ids, bits, labels, true_labels = [], None, [], []
-    with _open(path) as fh:
-        while chunk := fh.read(_CHUNK_BYTES):
-            chunk += fh.readline()
-            if bits is None:  # the seq text of the first line sets the width
-                end = chunk.find(_TRUE_HEAD.tobytes())
-                width = end - chunk.rfind(b"[", 0, end) - 1
-            if (part := _read_canonical_chunk(chunk, width)) is None:
-                return None
-            part_ids, part_bits, part_labels, part_true = part
-            rows = len(ids) + len(part_ids)
-            if bits is None or rows > len(bits):
-                # a row for each record the file has room for, at width + 67
-                # bytes or more each, or twice the rows so far for a pipe or a
-                # file that grew; rows never written are never touched
-                grown = np.empty((max(os.fstat(fh.fileno()).st_size // (width + 67),
-                                      2 * rows), part_bits.shape[1]), np.int8)
-                if bits is not None:
-                    grown[:len(ids)] = bits[:len(ids)]
-                bits = grown
-            bits[len(ids):rows] = part_bits
-            ids += part_ids
-            labels.append(part_labels)
-            true_labels.append(part_true)
+    while chunk := fh.read(_CHUNK_BYTES):
+        chunk += fh.readline()
+        if kept is not None:
+            kept.append(chunk)
+        if bits is None:  # the seq text of the first line sets the width
+            end = chunk.find(_TRUE_HEAD.tobytes())
+            width = end - chunk.rfind(b"[", 0, end) - 1
+        if (part := _read_canonical_chunk(chunk, width)) is None:
+            return None
+        part_ids, part_bits, part_labels, part_true = part
+        rows = len(ids) + len(part_ids)
+        if bits is None or rows > len(bits):
+            # a row for each record the file has room for, at width + 67
+            # bytes or more each, or twice the rows so far for a pipe or a
+            # file that grew; rows never written are never touched
+            grown = np.empty((max(os.fstat(fh.fileno()).st_size // (width + 67),
+                                  2 * rows), part_bits.shape[1]), np.int8)
+            if bits is not None:
+                grown[:len(ids)] = bits[:len(ids)]
+            bits = grown
+        bits[len(ids):rows] = part_bits
+        ids += part_ids
+        labels.append(part_labels)
+        true_labels.append(part_true)
     if not ids or len(set(ids)) != len(ids):
         return None
     return RoundLog(ids=ids, bits=bits[:len(ids)], losses=None,
@@ -262,58 +273,58 @@ def _ints_before(b, end):
     return np.where(lead > first, -value, value), ok, end - _INT_WIDTH + lo + first
 
 
-def _read_log_lines(path, inline: bool = True) -> RoundLog:
+def _read_log_lines(path, lines, inline: bool = True) -> RoundLog:
+    """The log in ``lines``, the bytes of each line of the log at ``path``."""
     path = Path(path)
     ids, labels, true_labels, seqs, losses = [], [], [], [], []
     seen = set()
-    with _open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = _utf8(line, path, lineno).strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise LogFormatError(f"invalid JSON: {exc.msg}", path=path, line=lineno)
-            if not isinstance(raw, dict) or "id" not in raw or "seq" not in raw:
-                raise LogFormatError("record must be an object with 'id' and 'seq'",
-                                     path=path, line=lineno)
-            seq = raw["seq"]
-            if not isinstance(seq, list) or not seq or any(b not in (0, 1) for b in seq):
-                raise LogFormatError("'seq' must be a nonempty list of 0/1",
-                                     path=path, line=lineno)
-            if seqs and len(seq) != len(seqs[0]):
-                raise LogFormatError(
-                    f"'seq' has {len(seq)} entries, the first record has {len(seqs[0])}",
-                    path=path, line=lineno,
-                )
-            loss = raw.get("losses")
-            if not (loss is None or inline and isinstance(loss, list) and len(loss) == len(seq)):
-                what = "or match 'seq' length" if inline else f"beside {losses_path(path)}"
-                raise LogFormatError(f"'losses' must be null {what}", path=path, line=lineno)
-            rec_id = str(raw["id"])
-            if "\n" in rec_id:
-                raise LogFormatError(f"id {rec_id!r} holds a line break",
-                                     path=path, line=lineno)
-            if rec_id in seen:
-                raise LogFormatError(f"duplicate id {rec_id!r}", path=path, line=lineno)
-            seen.add(rec_id)
-            true_label = raw.get("true_label")
-            try:
-                label = int(raw.get("label", 0))
-                true_label = None if true_label is None else int(true_label)
-                losses.append(None if loss is None else [float(v) for v in loss])
-            except (TypeError, ValueError) as exc:
-                raise LogFormatError(f"non-numeric label or loss: {exc}",
-                                     path=path, line=lineno)
-            if not all(_INT64_MIN <= v <= _INT64_MAX for v in (label, true_label)
-                       if v is not None):
-                raise LogFormatError("label or true_label does not fit in int64",
-                                     path=path, line=lineno)
-            labels.append(label)
-            true_labels.append(true_label)
-            ids.append(rec_id)
-            seqs.append(seq)
+    for lineno, line in enumerate(lines, start=1):
+        line = _utf8(line, path, lineno).strip()
+        if not line:
+            continue
+        try:
+            raw = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise LogFormatError(f"invalid JSON: {exc.msg}", path=path, line=lineno)
+        if not isinstance(raw, dict) or "id" not in raw or "seq" not in raw:
+            raise LogFormatError("record must be an object with 'id' and 'seq'",
+                                 path=path, line=lineno)
+        seq = raw["seq"]
+        if not isinstance(seq, list) or not seq or any(b not in (0, 1) for b in seq):
+            raise LogFormatError("'seq' must be a nonempty list of 0/1",
+                                 path=path, line=lineno)
+        if seqs and len(seq) != len(seqs[0]):
+            raise LogFormatError(
+                f"'seq' has {len(seq)} entries, the first record has {len(seqs[0])}",
+                path=path, line=lineno,
+            )
+        loss = raw.get("losses")
+        if not (loss is None or inline and isinstance(loss, list) and len(loss) == len(seq)):
+            what = "or match 'seq' length" if inline else f"beside {losses_path(path)}"
+            raise LogFormatError(f"'losses' must be null {what}", path=path, line=lineno)
+        rec_id = str(raw["id"])
+        if "\n" in rec_id:
+            raise LogFormatError(f"id {rec_id!r} holds a line break",
+                                 path=path, line=lineno)
+        if rec_id in seen:
+            raise LogFormatError(f"duplicate id {rec_id!r}", path=path, line=lineno)
+        seen.add(rec_id)
+        true_label = raw.get("true_label")
+        try:
+            label = int(raw.get("label", 0))
+            true_label = None if true_label is None else int(true_label)
+            losses.append(None if loss is None else [float(v) for v in loss])
+        except (TypeError, ValueError) as exc:
+            raise LogFormatError(f"non-numeric label or loss: {exc}",
+                                 path=path, line=lineno)
+        if not all(_INT64_MIN <= v <= _INT64_MAX for v in (label, true_label)
+                   if v is not None):
+            raise LogFormatError("label or true_label does not fit in int64",
+                                 path=path, line=lineno)
+        labels.append(label)
+        true_labels.append(true_label)
+        ids.append(rec_id)
+        seqs.append(seq)
     if not ids:
         raise LogFormatError("log has no records", path=path)
     return RoundLog(

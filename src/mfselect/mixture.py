@@ -36,7 +36,7 @@ back to the ratio cut. Only ``fit_metric_scores`` checks the fit's input.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -113,21 +113,6 @@ class MixtureFit:
     def to_json_dict(self) -> dict:
         """Every field as JSON data, plus the fit's threshold."""
         return {**asdict(self), "threshold": threshold(self)}
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "MixtureFit":
-        """The fit that ``to_json_dict`` wrote ``doc`` from; ValueError naming
-        a number field, such as ``noisy.alpha``, that holds anything but an
-        int or a float (a bool is neither)."""
-        numbers = [(name, doc[name]) for name in ("k_clean", "k_noisy", "shift", "epsilon")]
-        numbers += [(f"{part}.{key}", doc[part][key])
-                    for part in ("clean", "noisy") for key in ("alpha", "beta")]
-        for name, value in numbers:
-            if type(value) not in (int, float):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-        kwargs = {f.name: doc[f.name] for f in fields(cls)}
-        return cls(**{**kwargs, "clean": WeibullParams(**doc["clean"]),
-                      "noisy": WeibullParams(**doc["noisy"])})
 
 
 def weibull_pdf(x, p: WeibullParams):

@@ -10,11 +10,14 @@ import re
 import shutil
 import signal
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import mfselect.selection as selection_mod
 from mfselect import cli
@@ -27,8 +30,9 @@ from mfselect.logio import (
     write_dataset_csv,
     write_prediction_log,
 )
-from mfselect.mixture import FitConfig, MixtureFit, threshold
-from mfselect.trainer import RoundLog, TrainerConfig, make_blobs
+from mfselect.evaluation import histogram_export
+from mfselect.mixture import FitConfig, MixtureFit, WeibullParams
+from mfselect.trainer import RoundLog, TrainerConfig, make_blobs, simulate_dynamics
 
 import crash_sweep
 import mixture_reference
@@ -288,15 +292,6 @@ def _config_without_output_dir(tmp_path):
     write_config(tmp_path, config)
 
 
-def _selected_then(name, text):
-    """Simulate and select into out/, then write ``text`` over out/``name``."""
-    def prepare(tmp_path):
-        assert cli.main(["simulate", "-c", "config.yaml"]) == 0
-        assert cli.main(["select", "-c", "config.yaml", "--log", "out/simulated_log.jsonl"]) == 0
-        (tmp_path / "out" / name).write_text(text)
-    return prepare
-
-
 def _file(name, text):
     return lambda tmp_path: (tmp_path / name).write_text(text)
 
@@ -334,10 +329,6 @@ def _file(name, text):
     pytest.param(["inject-noise", "--set", "noise.class_map=backwards"], None, 2,
                  "noise: class_map must be 'circular' or a mapping",
                  id="noise.class_map=backwards"),
-    pytest.param(["eval"], _selected_then("scores.csv", "id,value\nclean_00000,1.0\n"), 3,
-                 "scores.csv: expected header id,score (line 1)", id="scores.csv header"),
-    pytest.param(["eval"], _selected_then("mixture.json", "[1, 2]\n"), 3,
-                 "mixture.json: not a mixture fit: not a JSON object", id="mixture.json list"),
     pytest.param(["select", "--log", "empty.jsonl"], _file("empty.jsonl", ""), 3,
                  "empty.jsonl: log has no records", id="empty log"),
     pytest.param(["select", "--log", "blank.jsonl"], _file("blank.jsonl", "\n  \n\n"), 3,
@@ -366,12 +357,9 @@ def test_simulate_outputs(tmp_path):
     log = read_prediction_log(out / "simulated_log.jsonl")
     assert len(log) == 400
     assert log.bits.shape == (400, 30)
-    # the truth: the clean ids, then the noisy ones, each in log order
-    clean = log.clean_mask().tolist()
-    assert read_ids(out / "clean_ids.txt") == [i for i, c in zip(log.ids, clean) if c]
-    assert read_ids(out / "noisy_ids.txt") == [i for i, c in zip(log.ids, clean) if not c]
-    assert sum(clean) == 200
-    assert not (out / "clean_mask.json").exists()
+    # the truth is the log's labels: no file holds it apart
+    assert log.clean_mask().sum() == 200
+    assert not any((out / name).exists() for name in (*cli.TRUTH_FILES, "clean_mask.json"))
     assert (out / "config_used.json").exists()
 
 
@@ -459,6 +447,8 @@ def test_run_outputs_and_stats(tmp_path):
         "log_round2.losses.npy",
         "scores_round1.csv",
         "selected_ids_round1.txt",
+        "histogram_round1.csv",
+        "histogram_round2.csv",
         "selected_ids_final.txt",
         "state.json",
         "config_used.json",
@@ -528,17 +518,16 @@ def test_run_resume_writes_the_ground_truth_an_older_run_lacks(tmp_path, capsys)
     for name in cli.TRUTH_FILES:
         (out / name).unlink()
     older = tree_digest(out)
-    for command in ("eval", "report"):
-        capsys.readouterr()
-        assert cli.main([command, "-c", str(path)]) == 3
-        assert capsys.readouterr().err == (f"data error: {out}: no ground truth in outputs dir "
-                                           "(need clean_ids.txt and noisy_ids.txt)\n")
-        assert tree_digest(out) == older
+    capsys.readouterr()
+    assert cli.main(["report", "-c", str(path)]) == 3
+    assert capsys.readouterr().err == (f"data error: {out}: no ground truth in outputs dir "
+                                       "(need clean_ids.txt and noisy_ids.txt)\n")
+    assert tree_digest(out) == older
     assert cli.main(["run", "-c", str(path), "--resume"]) == 0
     assert tree_digest(out) == full
 
 
-def test_eval_and_report_of_a_run_read_no_dataset_csv(tmp_path, capsys):
+def test_report_of_a_run_reads_no_dataset_csv(tmp_path, capsys):
     path = write_config(tmp_path, base_config(tmp_path, rounds=2, epochs=4))
     assert cli.main(["run", "-c", str(path)]) == 0
     out, bare = tmp_path / "out", tmp_path / "bare"
@@ -547,8 +536,7 @@ def test_eval_and_report_of_a_run_read_no_dataset_csv(tmp_path, capsys):
     printed = []
     for where in (out, bare):
         capsys.readouterr()
-        for command in ("eval", "report"):
-            assert cli.main([command, "-c", str(path), "-o", str(where)]) == 0
+        assert cli.main(["report", "-c", str(path), "-o", str(where)]) == 0
         printed.append(capsys.readouterr().out.replace(str(where), "<out>"))
     assert printed[0] == printed[1]
     written = tree_digest(out)
@@ -753,9 +741,9 @@ def test_run_resume_after_emptied_selection_rejects_a_foreign_id(tmp_path, capsy
 
 
 @pytest.mark.parametrize("case", ["a shorter run over it", "a rewound checkpoint"])
-def test_eval_and_report_read_the_rounds_state_json_committed(tmp_path, case):
+def test_report_reads_the_rounds_state_json_committed(tmp_path, case):
     # the 3-round run's files of rounds 2 and 3 stay, but state.json commits
-    # round 1 only: eval and report read what a 1-round run leaves
+    # round 1 only: report reads what a 1-round run leaves
     one_round = write_config(tmp_path, base_config(tmp_path, rounds=1, epochs=4), "one.yaml")
     assert cli.main(["run", "-c", str(one_round), "-o", str(tmp_path / "one")]) == 0
     three = write_config(tmp_path, base_config(tmp_path, rounds=3, epochs=4), "three.yaml")
@@ -765,13 +753,11 @@ def test_eval_and_report_read_the_rounds_state_json_committed(tmp_path, case):
         assert cli.main(["run", "-c", str(one_round)]) == 0
     else:  # as a crash before state.json committed round 2 leaves it, and more
         rewind_to_round_1(out)
-    assert (out / "scores_round3.csv").exists()
-    for command in ("eval", "report"):
-        for where in (out, tmp_path / "one"):
-            assert cli.main([command, "-c", str(one_round), "-o", str(where)]) == 0
-    for name in ("eval_stats.csv", "histogram_round1.csv", "trend.csv"):
+    assert (out / "scores_round3.csv").exists() and (out / "histogram_round3.csv").exists()
+    for where in (out, tmp_path / "one"):
+        assert cli.main(["report", "-c", str(one_round), "-o", str(where)]) == 0
+    for name in ("histogram_round1.csv", "trend.csv"):
         assert (out / name).read_bytes() == (tmp_path / "one" / name).read_bytes(), name
-    assert not (out / "histogram_round2.csv").exists()
 
 
 def test_run_resume_on_an_empty_kept_ids_file_exits_3(tmp_path, capsys):
@@ -900,11 +886,26 @@ def test_a_crash_right_after_a_rename_resumes_to_the_same_tree(tmp_path):
     # two of the run's renames; tests/crash_sweep.py crashes after each of them
     renames = [Path(name).relative_to(tmp_path / "full").as_posix()
                for name in crash_sweep.record_renames(tmp_path)]
+    # each round's histogram and overlay are in place before state.json commits it
+    commits = [n for n, name in enumerate(renames) if name == "state.json"]
+    for k, commit in enumerate(commits, start=1):
+        assert {f"histogram_round{k}.csv", f"overlay_round{k}.json"} <= set(renames[:commit])
+    assert len(commits) == 2
     # round 1's writer job writes stats.csv, in a forked child if the writer
     # forks; the run's own process writes selected_ids_final.txt at its end
     for target, status in (("stats.csv", 3 if WRITER_FORKS else 9),
                            ("selected_ids_final.txt", 9)):
         assert crash_sweep.crash_and_resume(tmp_path, renames.index(target) + 1) == (status, "")
+
+
+def test_a_crash_right_before_a_rename_resumes_to_the_same_tree(tmp_path):
+    # one point of `tests/crash_sweep.py --before`: round 1's state.json.tmp is
+    # written but not renamed, so the round is not committed and resume redoes it
+    renames = [Path(name).relative_to(tmp_path / "full").as_posix()
+               for name in crash_sweep.record_renames(tmp_path)]
+    status = 3 if WRITER_FORKS else 9
+    assert crash_sweep.crash_and_resume(tmp_path, renames.index("state.json") + 1,
+                                        before=True) == (status, "")
 
 
 def test_run_blocked_round_2_log_exits_3_then_resume_matches_full_run(
@@ -1394,21 +1395,21 @@ def test_external_trainer_run_removes_a_stale_losses_sidecar(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# eval / report
+# round files / report
 
 
-def test_eval_writes_histograms_and_stats(tmp_path):
+def test_run_writes_each_rounds_histogram_and_overlay(tmp_path):
     path = write_config(tmp_path)
-    cli.main(["run", "-c", str(path)])
-    assert cli.main(["eval", "-c", str(path), "--bins", "11"]) == 0
+    assert cli.main(["run", "-c", str(path)]) == 0
     out = tmp_path / "out"
-    assert (out / "eval_stats.csv").exists()
-    hist = (out / "histogram_round1.csv").read_text().strip().splitlines()
-    assert hist[0] == "bin_left,bin_right,clean_count,noisy_count"
-    counts = sum(int(r.split(",")[2]) + int(r.split(",")[3]) for r in hist[1:])
-    assert counts == 320  # train split size
-    overlay = json.loads((out / "overlay_round1.json").read_text())
-    assert {"x", "density_clean", "density_noisy", "threshold"} <= set(overlay)
+    kept = len(read_ids(out / "selected_ids_round1.txt"))
+    for k, rows in ((1, 320), (2, kept)):  # round 2 trains on round 1's kept rows
+        header, columns = read_table(out / f"histogram_round{k}.csv")
+        assert header == ["bin_left", "bin_right", "clean_count", "noisy_count"]
+        assert len(columns[0]) == cli.HISTOGRAM_BINS
+        assert sum(map(int, columns[2] + columns[3])) == rows
+        overlay = json.loads((out / f"overlay_round{k}.json").read_text())
+        assert {"x", "density_clean", "density_noisy", "threshold"} <= set(overlay)
 
 
 def simulate_and_select(tmp_path) -> tuple[Path, Path]:
@@ -1424,134 +1425,92 @@ def simulate_and_select(tmp_path) -> tuple[Path, Path]:
     return path, out
 
 
-def test_eval_after_select_matches_select_stats(tmp_path):
-    path, out = simulate_and_select(tmp_path)
-    assert cli.main(["eval", "-c", str(path)]) == 0
-    select_row = (out / "stats.csv").read_text().splitlines()[1].split(",")
-    eval_row = (out / "eval_stats.csv").read_text().splitlines()[1].split(",")
-    assert eval_row[:4] == select_row[:4]  # round, kept, precision, recall
-    hist = (out / "histogram_round1.csv").read_text().strip().splitlines()[1:]
-    assert sum(int(r.split(",")[2]) for r in hist) == 300  # clean rows
+def test_select_histogram_counts_the_logs_rows_by_truth(tmp_path):
+    _, out = simulate_and_select(tmp_path)
+    _, columns = read_table(out / "histogram.csv")  # a select's round has no number
+    assert sum(map(int, columns[2])) == 300 and sum(map(int, columns[3])) == 300
+    # nothing reads a select's truth: the log holds it
+    assert not list(out.glob("*_round1*"))
+    assert not any((out / name).exists() for name in cli.TRUTH_FILES)
+
+
+@pytest.mark.parametrize("command", ["select", "select --set round.metric=full", "run"])
+def test_round_histogram_and_overlay_are_those_of_the_files_it_wrote(tmp_path, command):
+    # byte for byte what the round's scores file, truth and fit, read back, make
+    if command == "run":
+        path = write_config(tmp_path)
+        assert cli.main(["run", "-c", str(path)]) == 0
+        out, suffixes = tmp_path / "out", ["_round1", "_round2"]
+        truth = set(read_ids(out / "clean_ids.txt"))
+    else:
+        path, out = simulate_and_select(tmp_path)
+        assert cli.main([*command.split(), "-c", str(path),
+                         "--log", str(out / "simulated_log.jsonl")]) == 0
+        log = read_prediction_log(out / "simulated_log.jsonl")
+        suffixes, truth = [""], set(selection_mod.ids_where(log.ids, log.clean_mask()))
+    for suffix in suffixes:
+        scores_path, _, fit_path, histogram_path, overlay_path = cli.round_files(out, suffix)
+        _, (ids, cells) = read_table(scores_path)
+        doc = json.loads(fit_path.read_text())
+        fit = MixtureFit(**{f.name: doc[f.name] for f in dataclasses.fields(MixtureFit)})
+        fit.clean, fit.noisy = WeibullParams(**doc["clean"]), WeibullParams(**doc["noisy"])
+        header, rows, overlay = histogram_export(np.array(list(map(float, cells))),
+                                                 [i in truth for i in ids], 40, fit)
+        cli.write_summary(tmp_path / "histogram.csv", header, rows)
+        cli.write_json(tmp_path / "overlay.json", overlay)
+        assert histogram_path.read_bytes() == (tmp_path / "histogram.csv").read_bytes()
+        assert overlay_path.read_bytes() == (tmp_path / "overlay.json").read_bytes()
 
 
 def test_one_threshold_in_stats_fit_and_overlay(tmp_path):
-    path, out = simulate_and_select(tmp_path)
-    assert cli.main(["eval", "-c", str(path)]) == 0
+    _, out = simulate_and_select(tmp_path)
     doc = json.loads((out / "mixture.json").read_text())
     tau = doc["threshold"]
-    assert tau == threshold(MixtureFit.from_json_dict(doc))
-    assert json.loads((out / "overlay_round1.json").read_text())["threshold"] == tau
+    assert tau == doc["noisy"]["alpha"] + doc["shift"] - doc["epsilon"]
+    assert json.loads((out / "overlay.json").read_text())["threshold"] == tau
     stats = (out / "stats.csv").read_text().splitlines()
     assert stats[1].split(",")[stats[0].split(",").index("threshold")] == f"{tau:.6f}"
 
 
 def test_a_selection_without_a_fit_removes_the_earlier_fit(tmp_path, capsys):
-    # eval would draw the earlier fit's threshold beside a ratio selection
+    # an overlay of the earlier fit would draw its threshold beside a ratio selection
     path, out = simulate_and_select(tmp_path)
-    assert (out / "mixture.json").exists()
-    assert cli.main(["eval", "-c", str(path)]) == 0
-    assert (out / "overlay_round1.json").exists()  # drawn from the fit
+    assert (out / "mixture.json").exists() and (out / "overlay.json").exists()
     ratio = ["select", "-c", str(path), "--log", str(out / "simulated_log.jsonl"),
              "--set", "round.strategy=ratio"]
     assert cli.main(ratio) == 0
-    assert not (out / "mixture.json").exists()
-    assert cli.main(["eval", "-c", str(path)]) == 0
-    assert not (out / "overlay_round1.json").exists()
-    (out / "mixture.json").mkdir()  # a directory cannot be removed as a file
-    capsys.readouterr()
-    assert cli.main(ratio) == 3
-    err = capsys.readouterr().err
-    assert err.startswith(f"data error: {out / 'mixture.json'}: cannot remove the earlier fit")
-    (out / "mixture.json").rmdir()
-    (out / "overlay_round1.json").mkdir()
-    assert cli.main(["eval", "-c", str(path)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith(f"data error: {out / 'overlay_round1.json'}: "
-                          "cannot remove the earlier overlay")
+    assert not (out / "mixture.json").exists() and not (out / "overlay.json").exists()
+    assert (out / "histogram.csv").exists()
+    for name, what in (("mixture.json", "fit"), ("overlay.json", "overlay")):
+        (out / name).mkdir()  # a directory cannot be removed as a file
+        capsys.readouterr()
+        assert cli.main(ratio) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {out / name}: cannot remove the earlier {what}")
+        (out / name).rmdir()
 
 
-def test_eval_removes_its_files_of_rounds_it_no_longer_evaluates(tmp_path, capsys):
-    path = write_config(tmp_path, base_config(tmp_path, rounds=3, epochs=6))
-    out = tmp_path / "out"
+def test_eval_exits_2_as_an_unknown_command(tmp_path, capsys):
+    # each round writes its own histogram and overlay: no command reads them back
+    path, _ = simulate_and_select(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eval", "-c", str(path)])
+    assert exc.value.code == 2 and "invalid choice: 'eval'" in capsys.readouterr().err
+
+
+def test_resume_lists_unknown_ids_sorted_with_a_count_of_the_rest(tmp_path, capsys):
+    path = write_config(tmp_path, base_config(tmp_path, rounds=2, epochs=4))
     assert cli.main(["run", "-c", str(path)]) == 0
-    assert cli.main(["eval", "-c", str(path)]) == 0
-    stale = [f"{stem}_round{k}.{ext}" for k in (2, 3)
-             for stem, ext in (("histogram", "csv"), ("overlay", "json"))]
-    assert all((out / name).exists() for name in stale)
-    shorter = write_config(tmp_path, base_config(tmp_path, rounds=1, epochs=6), "short.yaml")
-    assert cli.main(["run", "-c", str(shorter)]) == 0
-    capsys.readouterr()
-    assert cli.main(["eval", "-c", str(shorter)]) == 0
-    assert capsys.readouterr().out.startswith("evaluated 1 round(s)")
-    assert not any((out / name).exists() for name in stale)
-    assert (out / "histogram_round1.csv").exists()
-    assert len((out / "eval_stats.csv").read_text().splitlines()) == 2
-    # the longer run's own files stay; state.json says no command reads them
-    assert (out / "log_round3.jsonl").exists() and (out / "model_round3").is_dir()
-
-
-@pytest.mark.parametrize("command, stray", [
-    ("select", "scores_round_old.csv"),
-    ("run", "scores_round_old.csv"),
-    ("run", "scores_round01.csv"),  # once a second round 1
-    ("run", "scores_round1_0.csv"),  # once round 10
-])
-def test_eval_does_not_evaluate_a_stray_scores_file(tmp_path, capsys, command, stray):
-    # state.json alone names a run's rounds, and a select has one: no file
-    # name is parsed for a round
-    if command == "select":
-        path, out = simulate_and_select(tmp_path)
-        scores = out / "scores.csv"
-    else:
-        path = write_config(tmp_path, base_config(tmp_path, rounds=1, epochs=4))
-        assert cli.main(["run", "-c", str(path)]) == 0
-        out = tmp_path / "out"
-        scores = out / "scores_round1.csv"
-    assert cli.main(["eval", "-c", str(path)]) == 0
-    before = tree_digest(out)
-    (out / stray).write_bytes(scores.read_bytes())
-    capsys.readouterr()
-    assert cli.main(["eval", "-c", str(path)]) == 0
-    assert capsys.readouterr().out.startswith("evaluated 1 round(s)")
-    assert {k: v for k, v in tree_digest(out).items() if k != stray} == before
-
-
-@pytest.mark.parametrize("name", ["selected_ids.txt", "scores.csv"])
-def test_eval_id_outside_ground_truth_exits_3(tmp_path, capsys, name):
-    path, out = simulate_and_select(tmp_path)
-    with (out / name).open("a") as fh:
-        fh.write("zzz_unknown\n" if name.endswith(".txt") else "zzz_unknown,1.0\r\n")
-    assert cli.main(["eval", "-c", str(path)]) == 3
-    err = capsys.readouterr().err
-    assert "data error" in err and name in err and "'zzz_unknown'" in err
-
-
-def test_eval_unknown_ids_are_listed_sorted_with_a_count_of_the_rest(tmp_path, capsys):
-    path, out = simulate_and_select(tmp_path)
-    ids_path = out / "selected_ids.txt"
+    out = tmp_path / "out"
+    rewind_to_round_1(out)
+    ids_path = out / "selected_ids_round1.txt"
     with ids_path.open("a") as fh:
         fh.write("".join(f"zz{k:02d}\n" for k in range(12, 0, -1)))
-    assert cli.main(["eval", "-c", str(path)]) == 3
-    shown = ", ".join(repr(f"zz{k:02d}") for k in range(1, 11))
-    assert capsys.readouterr().err == (
-        f"data error: {ids_path}: ids not in the ground truth: {shown} (+2 more)\n")
-
-
-@pytest.mark.parametrize("damage", ["lambda=1.0e+308", "nan cell"])
-def test_eval_non_finite_score_exits_3_naming_its_line(tmp_path, capsys, damage):
-    # no histogram bin spans an infinite score; the -inf cell stands for the
-    # scores select once wrote for round.lambda=1.0e+308, which it now refuses
-    path, out = simulate_and_select(tmp_path)
-    scores = out / "scores.csv"
-    value = "nan" if damage == "nan cell" else "-inf"
-    lines = scores.read_bytes().split(b"\r\n")
-    lines[3] = lines[3].split(b",")[0] + b"," + value.encode()
-    scores.write_bytes(b"\r\n".join(lines))
     capsys.readouterr()
-    assert cli.main(["eval", "-c", str(path)]) == 3
-    err = capsys.readouterr().err
-    assert f"data error: {scores}: score {value} is not finite (line 4)" in err
-    assert "Traceback" not in err
+    assert cli.main(["run", "-c", str(path), "--resume"]) == 3
+    shown = ", ".join(repr(f"zz{k:02d}") for k in range(1, 11))
+    assert capsys.readouterr().err == (f"data error: {ids_path}: cannot resume: ids that are "
+                                       f"not training ids: {shown} (+2 more)\n")
 
 
 @pytest.mark.filterwarnings("error")
@@ -1570,43 +1529,17 @@ def test_an_overflowing_lambda_exits_2_naming_it(tmp_path, capsys, command, epoc
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("name", ["selected_ids.txt", "scores.csv"])
-def test_eval_repeated_id_exits_3_naming_the_file(tmp_path, capsys, name):
-    path, out = simulate_and_select(tmp_path)
-    repeated = out / name
-    lines = repeated.read_bytes().splitlines(keepends=True)
-    first = lines[0] if name.endswith(".txt") else lines[1]
-    repeated.write_bytes(b"".join(lines) + first)
-    assert cli.main(["eval", "-c", str(path)]) == 3
-    err = capsys.readouterr().err
-    repeated_id = first.decode().rstrip("\r\n").split(",")[0]
-    assert f"data error: {repeated}: id {repeated_id!r} appears more than once" in err
-    assert "Traceback" not in err
-
-
-def test_eval_of_a_run_reads_only_its_round_files(tmp_path, capsys):
+def test_resume_reads_only_the_runs_round_files(tmp_path, capsys):
     # a select's selected_ids.txt in a run's outputs dir stands in for no round
-    path = write_config(tmp_path, base_config(tmp_path, rounds=1, epochs=4))
+    path = write_config(tmp_path, base_config(tmp_path, rounds=2, epochs=4))
     assert cli.main(["run", "-c", str(path)]) == 0
     out = tmp_path / "out"
+    rewind_to_round_1(out)
     (out / "selected_ids_round1.txt").rename(out / "selected_ids.txt")
     capsys.readouterr()
-    assert cli.main(["eval", "-c", str(path)]) == 3
+    assert cli.main(["run", "-c", str(path), "--resume"]) == 3
     err = capsys.readouterr().err
-    assert f"data error: {out / 'selected_ids_round1.txt'}" in err
-    assert "Traceback" not in err
-
-
-@pytest.mark.parametrize("name", ["selected_ids.txt", "scores.csv"])
-def test_eval_invalid_utf8_exits_3_naming_the_file(tmp_path, capsys, name):
-    path, out = simulate_and_select(tmp_path)
-    with (out / name).open("ab") as fh:
-        fh.write(b"\xff\n")
-    last_line = (out / name).read_bytes().count(b"\n")
-    assert cli.main(["eval", "-c", str(path)]) == 3
-    err = capsys.readouterr().err
-    assert "data error" in err and str(out / name) in err
-    assert "invalid UTF-8 byte 0xff" in err and f"(line {last_line})" in err
+    assert err.startswith(f"data error: {out / 'selected_ids_round1.txt'}: cannot read the file")
     assert "Traceback" not in err
 
 
@@ -1614,10 +1547,10 @@ def test_eval_invalid_utf8_exits_3_naming_the_file(tmp_path, capsys, name):
     ("select", "config.yaml", ["report"], 2),
     ("run", "out/model_round2/meta.json", ["run", "--resume"], 3),
     ("run", "out/state.json", ["run", "--resume"], 3),
-    ("select", "out/clean_ids.txt", ["eval"], 3),
-    ("select", "out/mixture.json", ["eval"], 3),
+    ("run", "out/clean_ids.txt", ["report"], 3),
+    ("run", "out/selected_ids_round2.txt", ["run", "--resume"], 3),
     ("run", "out/stats.csv", ["report"], 3),
-    ("select", "out/noisy_ids.txt", ["eval"], 3),
+    ("run", "out/noisy_ids.txt", ["report"], 3),
 ])
 def test_invalid_utf8_in_a_text_input_exits_naming_it(tmp_path, capsys, setup, name,
                                                        command, code):
@@ -1637,55 +1570,14 @@ def test_invalid_utf8_in_a_text_input_exits_naming_it(tmp_path, capsys, setup, n
     assert f"invalid UTF-8 byte 0xff (line {last_line})" in err
 
 
-@pytest.mark.parametrize("damage", ["truncate", "drop epsilon"])
-def test_eval_damaged_mixture_json_exits_3(tmp_path, capsys, damage):
-    path, out = simulate_and_select(tmp_path)
-    fit_json = out / "mixture.json"
-    text = fit_json.read_text()
-    if damage == "truncate":
-        fit_json.write_text(text[: len(text) // 2])
-    else:
-        doc = json.loads(text)
-        del doc["epsilon"]
-        fit_json.write_text(json.dumps(doc))
-    assert cli.main(["eval", "-c", str(path)]) == 3
-    err = capsys.readouterr().err
-    assert "data error" in err and "mixture.json" in err
-
-
-@pytest.mark.parametrize("name, value", [
-    ("k_clean", "x"), ("k_noisy", True), ("shift", None), ("epsilon", [0.001]),
-    ("noisy.alpha", True), ("clean.beta", True),
-])
-def test_eval_wrong_typed_fit_number_exits_3(tmp_path, capsys, name, value):
-    path, out = simulate_and_select(tmp_path)
-    fit_json = out / "mixture.json"
-    doc = json.loads(fit_json.read_text())
-    part, _, key = name.rpartition(".")
-    (doc[part] if part else doc)[key] = value
-    fit_json.write_text(json.dumps(doc))
-    assert cli.main(["eval", "-c", str(path)]) == 3
-    err = capsys.readouterr().err
-    assert f"data error: {fit_json}: not a mixture fit" in err
-    assert f"{name} must be a number" in err and "Traceback" not in err
-
-
-def test_eval_scores_table_without_rows_exits_3(tmp_path, capsys):
-    path, out = simulate_and_select(tmp_path)
-    scores = out / "scores.csv"
-    scores.write_bytes(scores.read_bytes().split(b"\r\n")[0] + b"\r\n")
-    assert cli.main(["eval", "-c", str(path)]) == 3
-    err = capsys.readouterr().err
-    assert f"data error: {scores}: scores table has no rows (line 2)" in err
-    assert "Traceback" not in err
-
-
 @pytest.mark.parametrize("damage", [
     "an id in both files", "an id twice in one file", "no clean_ids.txt", "no noisy_ids.txt",
     "neither file",
 ])
-def test_eval_damaged_ground_truth_exits_3_naming_the_file(tmp_path, capsys, damage):
-    path, out = simulate_and_select(tmp_path)
+def test_report_damaged_ground_truth_exits_3_naming_the_file(tmp_path, capsys, damage):
+    path = write_config(tmp_path, base_config(tmp_path, rounds=1, epochs=4))
+    assert cli.main(["run", "-c", str(path)]) == 0
+    out = tmp_path / "out"
     clean, noisy = out / "clean_ids.txt", out / "noisy_ids.txt"
     first = read_ids(clean)[0]
     if damage in ("an id in both files", "an id twice in one file"):
@@ -1701,31 +1593,31 @@ def test_eval_damaged_ground_truth_exits_3_naming_the_file(tmp_path, capsys, dam
         named = clean if damage == "no clean_ids.txt" else noisy
         named.unlink()
         message = "cannot read the file"
-    assert cli.main(["eval", "-c", str(path)]) == 3
+    capsys.readouterr()
+    assert cli.main(["report", "-c", str(path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"data error: {named}: {message}") and "Traceback" not in err
 
 
-def test_select_of_a_log_without_truth_removes_the_earlier_truth_and_stats(tmp_path, capsys):
+def test_select_of_a_log_without_truth_removes_the_earlier_histogram_and_stats(tmp_path):
     # a select of a log with truth, then one of a log without it into the same dir:
-    # report and eval must not read the first select's stats row or truth
+    # no histogram or stats row of the first select may stay beside the second's selection
     path, out = simulate_and_select(tmp_path)
+    assert (out / "histogram.csv").exists()
     log = read_prediction_log(out / "simulated_log.jsonl")
     unlabelled = tmp_path / "unlabelled.jsonl"
     write_prediction_log(unlabelled, RoundLog(
         ids=[f"x{k:05d}" for k in range(len(log))], bits=log.bits, losses=None,
         labels=log.labels, true_labels=None))
     assert cli.main(["select", "-c", str(path), "--log", str(unlabelled)]) == 0
-    assert not (out / "clean_ids.txt").exists() and not (out / "noisy_ids.txt").exists()
+    assert not (out / "histogram.csv").exists()
+    overlay = json.loads((out / "overlay.json").read_text())  # the fit needs no truth
+    assert overlay["threshold"] == json.loads((out / "mixture.json").read_text())["threshold"]
     kept = len(read_ids(out / "selected_ids.txt"))
     _, columns = read_table(out / "stats.csv")
     assert [cells[0] for cells in columns][:4] == ["1", str(kept), "", ""]
     assert cli.main(["report", "-c", str(path)]) == 0
     assert (out / "trend.csv").read_bytes() == b"round,precision,recall,accuracy\r\n1,,,\r\n"
-    capsys.readouterr()
-    assert cli.main(["eval", "-c", str(path)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith(f"data error: {out}: no ground truth") and "Traceback" not in err
 
 
 def test_report_stats_csv_without_its_columns_exits_3(tmp_path, capsys):
@@ -1799,19 +1691,6 @@ def test_report_copies_stats_cells_as_text(tmp_path):
     assert cli.main(["report", "-c", str(path)]) == 0
     trend = (out / "trend.csv").read_bytes().split(b"\r\n")
     assert trend[1].decode() == ",".join(stats[:1] + stats[2:5])
-
-
-@pytest.mark.parametrize("damage, message", [
-    ("short row", "expected 2 fields, got 1"), ("extra cell", "expected 2 fields, got 3"),
-    ("huge field", "field larger than field limit"),
-])
-def test_eval_scores_csv_bad_row_exits_3(tmp_path, capsys, damage, message):
-    path, out = simulate_and_select(tmp_path)
-    damage_row(out / "scores.csv", 3, damage)
-    assert cli.main(["eval", "-c", str(path)]) == 3
-    err = capsys.readouterr().err
-    assert f"data error: {out / 'scores.csv'}: {message}" in err and "(line 3)" in err
-    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("damage", ["deleted model checkpoint", "rounds beyond the config"])
@@ -1981,18 +1860,16 @@ def test_run_trials_with_resume_exits_2(tmp_path, capsys):
     assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
-def test_eval_one_bin_exits_2(tmp_path, capsys):
-    path, out = simulate_and_select(tmp_path)
-    assert cli.main(["eval", "-c", str(path), "--bins", "1"]) == 2
-    assert "--bins" in capsys.readouterr().err
-
-
-def test_eval_missing_selected_ids_exits_3(tmp_path, capsys):
-    path, out = simulate_and_select(tmp_path)
-    (out / "selected_ids.txt").unlink()
-    assert cli.main(["eval", "-c", str(path)]) == 3
+def test_resume_without_the_rounds_kept_ids_exits_3(tmp_path, capsys):
+    path = write_config(tmp_path, base_config(tmp_path, rounds=2, epochs=4))
+    assert cli.main(["run", "-c", str(path)]) == 0
+    out = tmp_path / "out"
+    rewind_to_round_1(out)
+    (out / "selected_ids_round1.txt").unlink()
+    capsys.readouterr()
+    assert cli.main(["run", "-c", str(path), "--resume"]) == 3
     err = capsys.readouterr().err
-    assert "data error" in err and "selected_ids.txt" in err
+    assert "data error" in err and "selected_ids_round1.txt" in err and "Traceback" not in err
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -2071,7 +1948,7 @@ def test_run_accepts_mixed_id_shapes(tmp_path):
     assert selected == [i for i in ids if i in set(selected)]  # input order
 
 
-def test_ids_with_edge_whitespace_survive_run_resume_and_eval(tmp_path):
+def test_ids_with_edge_whitespace_survive_run_and_resume(tmp_path):
     ids = [str(i) for i in range(40)]
     ids[0], ids[1], ids[2] = " 0", "1 ", "\u2028x"
     path = csv_dataset_config(tmp_path, ids, rounds=2, strategy="ratio", ratio=0.95)
@@ -2079,13 +1956,10 @@ def test_ids_with_edge_whitespace_survive_run_resume_and_eval(tmp_path):
     out = tmp_path / "out"
     full = tree_digest(out)
     assert read_ids(out / "selected_ids_round1.txt")[:3] == ids[:3]
-    assert cli.main(["eval", "-c", str(path)]) == 0
     # rewound to round 1, resume reads the ids its id file holds and writes the same tree
     state = json.loads((out / "state.json").read_text())
     state["completed_rounds"] = 1
     (out / "state.json").write_text(json.dumps(state, sort_keys=True, indent=2) + "\n")
-    for name in ("eval_stats.csv", "histogram_round1.csv", "histogram_round2.csv"):
-        (out / name).unlink()
     assert cli.main(["run", "-c", str(path), "--resume"]) == 0
     assert tree_digest(out) == full
 
@@ -2196,8 +2070,9 @@ def test_write_scores_csv_matches_per_row_writer(tmp_path):
         writer.writerow([i, repr(float(score))])
     cli.write_scores_csv(tmp_path / "scores.csv", list(scores), list(scores.values()))
     assert (tmp_path / "scores.csv").read_bytes() == expected.getvalue().encode()
-    ids, values = cli.read_scores_csv(tmp_path / "scores.csv")
-    assert ids == list(scores)
+    header, (ids, cells) = read_table(tmp_path / "scores.csv")
+    values = np.array(list(map(float, cells)))
+    assert header == ["id", "score"] and ids == list(scores)
     assert values.view(np.int64).tolist() == np.array(list(scores.values())).view(
         np.int64).tolist()  # bit for bit: -0.0, nan and 5e-324 survive
     cli.write_scores_csv(tmp_path / "empty.csv", [], [])
@@ -2231,6 +2106,33 @@ def numerics_digest() -> str:
     for arr in (np.exp(grid), np.log(pos), np.power(pos, 0.37), np.power(pos, 4.2)):
         h.update(arr.tobytes())
     return h.hexdigest()
+
+
+@settings(max_examples=25, deadline=None)
+@given(n_clean=st.integers(5, 300), n_noisy=st.integers(5, 300), epochs=st.integers(2, 40),
+       seed=st.integers(0, 2**32 - 1), order=st.integers(0, 2**32 - 1),
+       metric=st.sampled_from(["simplified", "full"]))
+def test_select_ignores_the_row_order_of_its_log(n_clean, n_noisy, epochs, seed, order, metric):
+    # rounds that cut at alpha_2 or keep every row; a ratio cut gives a tie to
+    # the earlier row, so a fallback to it is left out
+    log = simulate_dynamics(n_clean, n_noisy, epochs=epochs, seed=seed)
+    cfg = cli.ExperimentConfig.from_dict({"output_dir": "out", "round": {"metric": metric}})
+    warning = selection_mod.select_round(log, cfg.round_config, cfg.fit_config).warning
+    assume(not (warning or "").startswith("mixture fit failed"))
+    rows = np.random.default_rng(order).permutation(len(log))
+    shuffled = RoundLog(ids=[log.ids[r] for r in rows], bits=log.bits[rows], losses=None,
+                        labels=log.labels[rows], true_labels=log.true_labels[rows])
+    written = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, each in (("given", log), ("shuffled", shuffled)):
+            write_prediction_log(Path(tmp) / f"{name}.jsonl", each)
+            cfg.output_dir = Path(tmp) / name
+            assert cli.cmd_select(cfg, Path(tmp) / f"{name}.jsonl") == 0
+            written.append({file: (cfg.output_dir / file).read_bytes() for file in (
+                "mixture.json", "histogram.csv", "stats.csv") if (cfg.output_dir / file).exists()})
+            written[-1]["kept"] = set(read_ids(cfg.output_dir / "selected_ids.txt"))
+    assert written[0] == written[1]
+    assert ("mixture.json" in written[0]) == (warning is None or "degenerate" in warning)
 
 
 @pytest.mark.parametrize("metric", ["simplified", "full"])

@@ -187,3 +187,12 @@ def test_histogram_validates_input():
         histogram_export(np.array([1.0]), np.array([True]), bins=1)
     with pytest.raises(ValueError, match="cover"):
         histogram_export(np.array([1.0, 2.0]), np.array([True]), bins=4)
+
+
+def test_histogram_without_truth_has_no_rows_but_the_overlay():
+    rng = np.random.default_rng(31)
+    raw = np.concatenate([rng.normal(-30, 3, 400), rng.normal(20, 6, 350)])
+    fit = fit_metric_scores(raw, FitConfig())
+    header, rows, overlay = histogram_export(raw, None, 20, fit)
+    assert rows is None and header[0] == "bin_left"
+    assert overlay == histogram_export(raw, raw < 0, 20, fit)[2]  # the densities need no truth

@@ -171,6 +171,18 @@ def test_simulated_log_encodes_mask(tmp_path):
 # bulk reader pinned to the line reader
 
 
+def read_in_bulk(path):
+    """The bulk reader on the log at ``path``: its RoundLog, or None."""
+    with open(path, "rb") as fh:
+        return logio._read_canonical_log(fh)
+
+
+def read_lines(path):
+    """The line reader on the log at ``path``."""
+    with open(path, "rb") as fh:
+        return logio._read_log_lines(path, fh)
+
+
 def test_canonical_log_is_read_in_bulk(tmp_path, monkeypatch):
     path = tmp_path / "log.jsonl"
     ids = ['a"b', "c\\d", "[x]", " y ", "e\tf", "\u00e9", "]", '", "label": 1']
@@ -183,12 +195,12 @@ def test_canonical_log_is_read_in_bulk(tmp_path, monkeypatch):
             RoundLog(ids, odd.bits, None, odd.labels, None)]  # true_label null on every row
     for log in bulk:
         write_prediction_log(path, log)
-        assert_same_log(logio._read_canonical_log(path), log)
+        assert_same_log(read_in_bulk(path), log)
     # a log with losses is canonical too: its losses go to the sidecar
     write_prediction_log(path, sample_log())
-    assert_same_log(logio._read_canonical_log(path), replace(sample_log(), losses=None))
+    assert_same_log(read_in_bulk(path), replace(sample_log(), losses=None))
 
-    def line_reader(path, inline=True):
+    def line_reader(path, lines, inline=True):
         raise AssertionError("the line reader was called on a canonical log")
 
     monkeypatch.setattr(logio, "_read_log_lines", line_reader)
@@ -208,23 +220,94 @@ def test_log_that_outgrows_its_size_at_open_is_read_in_bulk(tmp_path, monkeypatc
     monkeypatch.setattr(logio.os, "fstat",
                         lambda fd: SimpleNamespace(st_size=room * (width + 67)))
     monkeypatch.setattr(logio, "_CHUNK_BYTES", 1 << 12)
-    assert_same_log(logio._read_canonical_log(path), log)
+    assert_same_log(read_in_bulk(path), log)
 
 
-@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="no /dev/fd")
-def test_canonical_log_is_read_from_a_pipe(tmp_path):
-    path = tmp_path / "log.jsonl"
-    log = simulate_dynamics(300, 200, epochs=7, seed=1)
-    write_prediction_log(path, log)
+def read_through_a_pipe(path):
+    """``read_prediction_log`` of the bytes at ``path`` fed through a pipe, as
+    ``/dev/fd/N``; the error it raises, with the file's name for the pipe's."""
     read_end, write_end = os.pipe()
     writer = threading.Thread(target=lambda: (os.write(write_end, path.read_bytes()),
                                               os.close(write_end)))
     writer.start()
     try:
-        assert_same_log(read_prediction_log(f"/dev/fd/{read_end}"), log)
+        return read_prediction_log(f"/dev/fd/{read_end}")
+    except LogFormatError as exc:
+        return LogFormatError(str(exc).replace(f"/dev/fd/{read_end}", str(path)))
     finally:
         writer.join()
         os.close(read_end)
+
+
+needs_dev_fd = pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="no /dev/fd")
+
+
+@needs_dev_fd
+def test_canonical_log_is_read_from_a_pipe(tmp_path):
+    path = tmp_path / "log.jsonl"
+    log = simulate_dynamics(300, 200, epochs=7, seed=1)
+    write_prediction_log(path, log)
+    assert_same_log(read_through_a_pipe(path), log)
+
+
+def records(log):
+    """One dict per record of ``log``, without losses, keys in the canonical order."""
+    return [{"id": i, "label": label, "seq": seq, "true_label": truth}
+            for i, label, seq, truth in zip(log.ids, log.labels.tolist(), log.bits.tolist(),
+                                            log.true_labels.tolist())]
+
+
+# a five-record log in a layout of its own, as its lines of text; the line
+# reader reads each, so the bulk reader gives up on its first chunk
+LAYOUTS = {
+    "seq as its first key": lambda recs: [json.dumps({"seq": r["seq"], **r}) for r in recs],
+    "compact": lambda recs: [json.dumps(r, separators=(",", ":")) for r in recs],
+    "crlf": lambda recs: [json.dumps(r, sort_keys=True) + "\r" for r in recs],
+    "blank lines": lambda recs: ["", *(json.dumps(r, sort_keys=True) + "\n" for r in recs)],
+    "int ids": lambda recs: [json.dumps({**r, "id": k}) for k, r in enumerate(recs)],
+    "inline losses": lambda recs: [json.dumps({**r, "losses": [0.5] * len(r["seq"])})
+                                   for r in recs],
+    "raw non-ASCII": lambda recs: [json.dumps({**r, "id": r["id"] + "\u00e9"},
+                                              ensure_ascii=False) for r in recs],
+    "duplicate id": lambda recs: [json.dumps({**r, "id": "x"}) for r in recs],
+    "ragged seq": lambda recs: [json.dumps({**r, "seq": r["seq"][:1 + k % 2]})
+                                for k, r in enumerate(recs)],
+    "invalid JSON": lambda recs: [json.dumps(r)[:-1] for r in recs],
+}
+
+
+@needs_dev_fd
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_log_in_any_layout_reads_alike_from_a_pipe(tmp_path, layout):
+    path = tmp_path / "log.jsonl"
+    log = simulate_dynamics(3, 2, epochs=4, seed=1)
+    path.write_text("\n".join(LAYOUTS[layout](records(log))) + "\n", encoding="utf-8",
+                    newline="")
+    want, got = read_or_raise(read_prediction_log, path), read_through_a_pipe(path)
+    if isinstance(want, LogFormatError):  # the same message, naming the same line
+        assert "(line " in str(want) and str(got) == str(want)
+    else:
+        assert len(want) == 5
+        assert_same_log(got, want)
+
+
+@needs_dev_fd
+@pytest.mark.parametrize("line", ['{"seq": [1, 0, 0, 1], "id": "late", "label": 0}\n',
+                                  '{"seq": [1, 0], "id": "late", "label": 0}\n'],
+                         ids=["valid", "ragged"])
+def test_log_that_leaves_the_canonical_layout_after_a_chunk_reads_alike_from_a_pipe(
+        tmp_path, monkeypatch, line):
+    path = tmp_path / "log.jsonl"
+    write_prediction_log(path, simulate_dynamics(30, 20, epochs=4, seed=1))
+    with path.open("a") as fh:
+        fh.write(line)
+    monkeypatch.setattr(logio, "_CHUNK_BYTES", 1 << 9)  # 50 records take 8 chunks
+    want, got = read_or_raise(read_prediction_log, path), read_through_a_pipe(path)
+    if isinstance(want, LogFormatError):  # the same message, naming the same line
+        assert str(want).endswith("(line 51)") and str(got) == str(want)
+    else:
+        assert len(want) == 51
+        assert_same_log(got, want)
 
 
 ID_CHARS = st.sampled_from(
@@ -405,7 +488,7 @@ def test_bulk_reader_matches_line_reader(tmp_path, log, chunk, data):
             lines = [line + "\n" for line in written.split("\n")[:-1]]
             perturb(lines, kind, data.draw(st.integers(0, len(lines) - 1)), data)
             path.write_text("".join(lines), encoding="utf-8", errors="surrogatepass")
-        want = read_or_raise(logio._read_log_lines, path)
+        want = read_or_raise(read_lines, path)
         with mock.patch.object(logio, "_CHUNK_BYTES", chunk):
             assert_identical(read_or_raise(read_prediction_log, path), want)
         if kind is None and any("\n" in i for i in log.ids):
@@ -430,7 +513,7 @@ def test_narrow_int_read_stays_inside_a_chunk_with_a_short_first_line(tmp_path):
     value, ok, start = logio._ints_before(b, np.r_[-2, ends[1:] - 1])
     assert ok.tolist() == [False, True, True] and value[1:].tolist() == [3, 3]
     assert start[1:].tolist() == (ends[1:] - 2).tolist()
-    assert logio._read_canonical_log(path) is None
+    assert read_in_bulk(path) is None
     with pytest.raises(LogFormatError, match=r"\(line 1\)"):
         read_prediction_log(path)
 
