@@ -473,14 +473,14 @@ def save_model(trainer: SGDTrainer, outdir: Path) -> None:
 
 def load_model(trainer: SGDTrainer, outdir: Path) -> None:
     """Fill ``trainer``, as ``build_trainer`` made it, from the checkpoint in ``outdir``."""
-    try:
+    try:  # each array's own file names its errors: from_state_dict fails only on rng_state
         state = {"rng_state": json.loads(logio.read_text(outdir / "meta.json"))["rng_state"]}
-        for key in ("params", "velocity"):  # mapped: a huge shape fails the check, not a read
-            state[key] = np.load(outdir / f"{key}.npy", mmap_mode="r")
+        for key, like in (("params", trainer.flat_params), ("velocity", trainer.flat_velocity)):
+            state[key] = logio.read_npy(outdir / f"{key}.npy", like.shape)
         trainer.from_state_dict(state)
-    except (OSError, EOFError, KeyError, TypeError, ValueError) as exc:  # JSON errors included
+    except (KeyError, TypeError, ValueError) as exc:  # JSON errors included
         raise LogFormatError(f"cannot resume from a damaged model checkpoint: "
-                             f"{type(exc).__name__}: {exc}", path=outdir) from None
+                             f"{type(exc).__name__}: {exc}", path=outdir / "meta.json") from None
     for key in ("params", "velocity"):  # as a momentum step that overflowed leaves them
         if not np.isfinite(state[key]).all():
             raise FloatingPointError(f"{outdir / key}.npy: cannot resume from a checkpoint "

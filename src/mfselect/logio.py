@@ -138,13 +138,7 @@ def read_prediction_log(path) -> RoundLog:
             lines = fh if kept is None else chain(io.BytesIO(b"".join(kept)), fh)
             log = _read_log_lines(path, lines, inline)
     if not inline:
-        try:  # mapped: a truncated file fails before any data is read
-            losses = np.load(sidecar, mmap_mode="r", allow_pickle=False)
-        except (OSError, ValueError, EOFError) as exc:
-            raise LogFormatError(f"cannot read the losses: {exc}", path=sidecar) from None
-        if getattr(losses, "dtype", None) != np.float64 or losses.shape != log.bits.shape:
-            raise LogFormatError(f"must be float64 of shape {log.bits.shape}", path=sidecar)
-        log.losses = np.array(losses)
+        log.losses = np.array(read_npy(sidecar, log.bits.shape))
     return log
 
 
@@ -351,6 +345,17 @@ def _utf8(data: bytes, path, line: int = 1) -> str:
     except UnicodeDecodeError as exc:
         raise LogFormatError(f"invalid UTF-8 byte {data[exc.start]:#04x}", path=path,
                              line=line + data.count(b"\n", 0, exc.start))
+
+
+def read_npy(path, shape) -> np.ndarray:
+    """The float64 array of ``shape`` in the ``.npy`` file at ``path``, or a LogFormatError."""
+    try:  # mapped, no pickle: a header that claims more than the file holds fails here
+        array = np.lib.format.open_memmap(path, mode="r")
+    except (OSError, ValueError) as exc:
+        raise LogFormatError(f"cannot read the array: {exc}", path=path) from None
+    if array.dtype != np.float64 or array.shape != shape:
+        raise LogFormatError(f"must be float64 {shape}, is {array.dtype} {array.shape}", path=path)
+    return array
 
 
 def read_text(path) -> str:
