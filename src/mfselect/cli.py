@@ -281,17 +281,17 @@ def load_config(path, overrides=(), output_dir=None) -> ExperimentConfig:
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse {path}: {exc}")
     if not isinstance(raw, dict):
-        raise ConfigError("config root must be a mapping")
+        raise ConfigError(f"{path}: config root must be a mapping")
     for item in overrides:
         raw = _apply_override(raw, item)
     return ExperimentConfig.from_dict(raw, output_dir=output_dir)
 
 
 def _apply_override(raw: dict, item: str) -> dict:
-    if "=" not in item:
-        raise ConfigError(f"--set expects key.path=value, got {item!r}")
-    dotted, text = item.split("=", 1)
+    dotted, equals, text = item.partition("=")
     keys = dotted.strip().split(".")
+    if not equals or "" in keys:  # no "=", or an empty key segment as in "round..epochs"
+        raise ConfigError(f"--set expects key.path=value, got {item!r}")
     try:
         value = yaml.load(text, Loader=YAML_LOADER)
     except (yaml.YAMLError, UnicodeEncodeError):  # libyaml's: a lone surrogate from argv
@@ -349,7 +349,8 @@ def build_trainer(cfg: ExperimentConfig, ds: ToyDataset, workdir: Path):
     if isinstance(config, TrainerConfig):
         return SGDTrainer(ds.features.shape[1], ds.n_classes, config)
     return logio.ExternalTrainer(config.command, workdir / "dataset.csv",
-                                 workdir / "external", seed=config.seed)
+                                 workdir / "external", seed=config.seed,
+                                 needs_losses=cfg.round_config.strategy == "small_loss")
 
 
 # ---------------------------------------------------------------------------
@@ -707,52 +708,13 @@ def run_pipeline(cfg: ExperimentConfig, resume: bool = False) -> list:
     return stats_rows
 
 
-def cmd_run(cfg: ExperimentConfig, trials: int = 1, resume: bool = False) -> int:
-    if trials < 1:
-        raise ConfigError(f"--trials must be >= 1, got {trials}")
+def cmd_run(cfg: ExperimentConfig, resume: bool = False) -> int:
     _check_lambda(cfg.round_config.lam, cfg.round_config.epochs)
-    if trials > 1:  # each trial starts afresh: resumed stats rows are rounded text
-        if resume:
-            raise ConfigError(f"--resume cannot be combined with --trials {trials}")
-        return _run_trials(cfg, trials)
     for row in run_pipeline(cfg, resume=resume):
         print(
             f"round {row[0]}: kept={row[1]} precision={_fmt(row[2]) or 'n/a'} "
             f"recall={_fmt(row[3]) or 'n/a'} accuracy={_fmt(row[4]) or 'n/a'}"
         )
-    return 0
-
-
-def _trial_payload(cfg: ExperimentConfig, trial: int) -> dict:
-    raw = json.loads(json.dumps(cfg.raw))  # deep copy
-    for section, key in (("noise", "seed"), ("trainer", "seed"), ("fit", "seed")):
-        if (raw.get(section) or {}).get(key) is not None:  # null: no section
-            raw[section][key] = raw[section][key] + trial
-    raw["output_dir"] = str(cfg.output_dir / f"trial_{trial:02d}")
-    return raw
-
-
-def _trial_worker(raw: dict) -> list:
-    return run_pipeline(ExperimentConfig.from_dict(raw))
-
-
-def _run_trials(cfg: ExperimentConfig, trials: int) -> int:
-    import concurrent.futures  # here, not at the top: only --trials starts a pool
-
-    payloads = [_trial_payload(cfg, t) for t in range(trials)]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=min(trials, 4)) as pool:
-        results = list(pool.map(_trial_worker, payloads))
-    finals = [rows[-1] for rows in results]
-    metrics = {"precision": 2, "recall": 3, "test_accuracy": 4}
-    outdir = cfg.output_dir
-    rows = []
-    for name, col in metrics.items():
-        values = [row[col] for row in finals if row[col] is not None]
-        rows.append([name, float(np.mean(values)), float(np.std(values)), len(values)]
-                    if values else [name, None, None, 0])
-    write_summary(outdir / "aggregate.csv", ["metric", "mean", "stddev", "trials"], rows)
-    capture_config(cfg, outdir)
-    print(f"aggregated {trials} trials into {outdir / 'aggregate.csv'}")
     return 0
 
 
@@ -852,8 +814,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="multi-round training and selection")
     common(run_p)
-    run_p.add_argument("--trials", type=int, default=1,
-                       help="seed-varied repetitions, aggregated mean/stddev")
     run_p.add_argument("--resume", action="store_true",
                        help="continue from the last completed round's checkpoint")
 
@@ -876,7 +836,7 @@ def main(argv=None) -> int:
         commands = {
             "simulate": lambda: cmd_simulate(cfg),
             "inject-noise": lambda: cmd_inject_noise(cfg),
-            "run": lambda: cmd_run(cfg, trials=args.trials, resume=args.resume),
+            "run": lambda: cmd_run(cfg, resume=args.resume),
             "select": lambda: cmd_select(cfg, args.log),
             "report": lambda: cmd_report(cfg, args.compare),
         }

@@ -598,11 +598,13 @@ class ExternalTrainer:
     dataset's, whatever labels the command wrote.
     """
 
-    def __init__(self, command_template: str, dataset_file, workdir, seed: int = 0):
+    def __init__(self, command_template: str, dataset_file, workdir, seed: int = 0,
+                 needs_losses: bool = False):
         self.command = split_command(command_template)
         self.dataset_file = Path(dataset_file)
         self.workdir = Path(workdir)
         self.seed = seed
+        self.needs_losses = needs_losses  # for small_loss: a log without them names its file
         self.round_counter = 0
 
     def fit_round(self, dataset, rows, epochs: int) -> RoundLog:
@@ -640,6 +642,9 @@ class ExternalTrainer:
                     "log contains unexpected ids")
         if log.bits.shape[1] != epochs:
             raise LogFormatError(f"sequences have length {log.bits.shape[1]}, expected {epochs}",
+                                 path=out_file)
+        if self.needs_losses and log.losses is None:
+            raise LogFormatError("the small_loss strategy needs 'losses' in every record",
                                  path=out_file)
         return RoundLog(ids=ids, bits=log.bits[order],
                         losses=None if log.losses is None else log.losses[order],

@@ -143,14 +143,6 @@ def test_set_fills_a_null_section(tmp_path, section):
     assert cfg.raw[section] == {"seed": 2, **more}
 
 
-def test_trials_leave_a_null_section_null(tmp_path):
-    config = base_config(tmp_path)
-    config.update(noise=None, fit=None)
-    raw = cli._trial_payload(cli.ExperimentConfig.from_dict(config), 1)
-    assert raw["noise"] is None and raw["fit"] is None
-    assert raw["trainer"]["seed"] == config["trainer"]["seed"] + 1
-
-
 def test_missing_config_exit_code(tmp_path):
     assert cli.main(["run", "-c", str(tmp_path / "nope.yaml")]) == 2
 
@@ -305,6 +297,14 @@ def _file(name, text):
                  "--set expects key.path=value, got 'round.epochs'", id="--set without ="),
     pytest.param(["run", "--set", "round.epochs.x=1"], None, 2,
                  "'round.epochs.x' crosses a non-mapping node", id="--set across a value"),
+    # an empty key segment: each named only "round." or nothing
+    *[pytest.param(["run", "--set", item], None, 2, f"--set expects key.path=value, got {item!r}",
+                   id=f"--set {item}") for item in ("=1", "round.=3", "round..epochs=3")],
+    # a root that is no mapping, named by its file as a missing or non-UTF-8 config is
+    *[pytest.param(["run"], _file("config.yaml", text), 2,
+                   "config error: config.yaml: config root must be a mapping", id=name)
+      for name, text in (("empty config", ""), ("null config", "null\n"),
+                         ("list config", "[1, 2]\n"))],
     pytest.param(["run"], _file("config.yaml", (REPO / "configs" / "simulate.yaml").read_text()),
                  2, "config section 'dataset' is required", id="run without dataset"),
     pytest.param(["run", "--set", "round.epochs=0"], None, 2, "round: epochs",
@@ -1155,18 +1155,6 @@ def test_run_single_round_matches_offline_select(tmp_path):
     assert run_ids == select_ids
 
 
-def test_run_trials_aggregate(tmp_path):
-    config = base_config(tmp_path, rounds=1, epochs=5)
-    path = write_config(tmp_path, config)
-    assert cli.main(["run", "-c", str(path), "--trials", "2"]) == 0
-    out = tmp_path / "out"
-    assert (out / "trial_00" / "stats.csv").exists()
-    assert (out / "trial_01" / "stats.csv").exists()
-    lines = (out / "aggregate.csv").read_text().strip().splitlines()
-    assert lines[0] == "metric,mean,stddev,trials"
-    assert len(lines) == 4
-
-
 # ---------------------------------------------------------------------------
 # select
 
@@ -1264,6 +1252,17 @@ def test_trainer_command_that_cannot_start_exits_3_naming_it(tmp_path, capsys):
     path = external_config(tmp_path, "no-such-trainer-xyz {ids} {out}")
     assert cli.main(["run", "-c", str(path)]) == 3
     assert "cannot start the trainer command no-such-trainer-xyz" in capsys.readouterr().err
+
+
+def test_small_loss_run_on_an_external_log_without_losses_exits_3_naming_it(tmp_path, capsys):
+    stub = tmp_path / "stub.py"
+    stub.write_text(EXTERNAL_STUB)  # it writes no losses
+    path = external_config(tmp_path, f"{sys.executable} {stub} {{dataset}} {{ids}} {{out}} "
+                                     "{epochs} {seed}", rounds=1, epochs=5, strategy="small_loss")
+    assert cli.main(["run", "-c", str(path)]) == 3
+    log = tmp_path / "out" / "external" / "log_round1.jsonl"
+    assert capsys.readouterr().err == (f"data error: {log}: the small_loss strategy needs "
+                                       "'losses' in every record\n")
 
 
 def test_trainer_command_argument_with_a_space_arrives_whole(tmp_path):
@@ -1485,6 +1484,16 @@ def test_eval_exits_2_as_an_unknown_command(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["eval", "-c", str(path)])
     assert exc.value.code == 2 and "invalid choice: 'eval'" in capsys.readouterr().err
+
+
+def test_run_trials_exits_2_as_an_unknown_argument(tmp_path, capsys):
+    # one run per command: a seed sweep is a loop of runs with --set
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "-c", str(REPO / "configs" / "benchmark.yaml"), "-o", str(tmp_path / "out"),
+                  "--trials", "2"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "unrecognized arguments: --trials 2" in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
 def test_resume_lists_unknown_ids_sorted_with_a_count_of_the_rest(tmp_path, capsys):
@@ -1830,23 +1839,6 @@ def test_refused_resume_leaves_the_run_as_it_was(tmp_path, capsys, damage):
     assert "Traceback" not in capsys.readouterr().err
     assert [(out / name).read_bytes() for name in kept] == contents
     assert tree_digest(out) == before
-
-
-@pytest.mark.parametrize("trials", [0, -3])
-def test_run_trials_below_1_exits_2(tmp_path, capsys, trials):
-    path = write_config(tmp_path)
-    assert cli.main(["run", "-c", str(path), "--trials", str(trials)]) == 2
-    assert f"config error: --trials must be >= 1, got {trials}" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
-def test_run_trials_with_resume_exits_2(tmp_path, capsys):
-    # a trial would rerun from scratch over its checkpoint: say so instead
-    path = write_config(tmp_path)
-    assert cli.main(["run", "-c", str(path), "--trials", "2", "--resume"]) == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and "--resume" in err and "--trials 2" in err
-    assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
 def test_resume_without_the_rounds_kept_ids_exits_3(tmp_path, capsys):
